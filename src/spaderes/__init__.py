@@ -21,7 +21,6 @@ from .counting import (
     fi_counting_oracle,
     fi_counting_small_d,
     fi_from_pmf,
-    fi_single_photon_regime,
     logpmf,
     mean_count,
     pmf,
@@ -57,7 +56,6 @@ from .montecarlo import (
 from .overlap import (
     Transmission,
     tau1_closed,
-    tau1_curve,
     tau1_exact,
     tau1_numeric,
     tau1_sinc_expansion,
@@ -66,16 +64,13 @@ from .overlap import (
 from .psf import (
     GAUSSIAN,
     KINDS,
-    ModePair,
     SINC,
     TABULATED,
     TransferFunction,
     eval_u,
     eval_u_prime,
-    eval_v1,
     gaussian_psf,
     load_tabulated,
-    mode_pair,
     quad_over_psf,
     sigma_of,
     sinc_psf,
@@ -84,28 +79,22 @@ from .psf import (
 from .quadrature import (
     HETERODYNE,
     HOMODYNE,
-    QuadratureModel,
-    density_homodyne,
     fi_gaussian_1d,
     fi_gaussian_2d,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
     fi_homodyne_small_d,
-    quadrature_model,
     sample_quadrature,
     shot_noise_snr,
 )
 from .resolution import (
     COUNTING,
-    ResolutionReport,
     SuperresWindow,
     d_half_counting,
     d_half_from_curve,
     d_half_numeric,
     d_half_quadrature,
-    d_half_quadrature_from_ns,
-    resolution_report,
     superres_window,
 )
 

@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import (
-    NoiseModel,
-    POISSON,
-    STATISTICS,
-    SourceScene,
-    fi_counting_exact,
-    fi_counting_small_d,
-)
+from .counting import POISSON, STATISTICS, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
 from .errors import (
     BudgetError,
@@ -38,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .montecarlo import MEASUREMENTS, Experiment, run_crb_experiment
-from .overlap import tau1_closed, tau1_exact, tau1_numeric, tau1_small_d
+from .overlap import tau1_closed, tau1_numeric, tau1_small_d
 from .psf import (
     GAUSSIAN,
     KINDS,
@@ -49,22 +42,7 @@ from .psf import (
     sinc_psf,
     sigma_of,
 )
-from .quadrature import (
-    HETERODYNE,
-    HOMODYNE,
-    fi_heterodyne,
-    fi_heterodyne_small_d,
-    fi_homodyne,
-    fi_homodyne_small_d,
-    shot_noise_snr,
-)
-from .resolution import (
-    COUNTING,
-    d_half_counting,
-    d_half_from_curve,
-    d_half_quadrature,
-    superres_window,
-)
+from .resolution import COUNTING, d_half_from_curve, superres_window
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,32 +185,12 @@ def cmd_tau_curve(args) -> int:
     return EXIT_OK
 
 
-def _fi_functions(measurement: str, tf, n_s: float, statistics: str, noise: NoiseModel):
-    def scene(d: float) -> SourceScene:
-        return SourceScene(tf=tf, d=d, n_s=n_s, statistics=statistics)
-
-    if measurement == COUNTING:
-        return (
-            lambda d: fi_counting_exact(scene(d), noise),
-            lambda d: fi_counting_small_d(scene(d), noise),
-        )
-    if measurement == HOMODYNE:
-        return (
-            lambda d: fi_homodyne(scene(d)),
-            lambda d: fi_homodyne_small_d(scene(d)),
-        )
-    return (
-        lambda d: fi_heterodyne(scene(d)),
-        lambda d: fi_heterodyne_small_d(scene(d)),
-    )
-
-
 def cmd_fi_curve(args) -> int:
+    m = MEASUREMENTS[args.measurement]
     tf = build_psf(args)
     sigma = sigma_of(tf)
     noise = build_noise(args, args.n_s)
     grid = build_grid(args, sigma)
-    fi_exact, fi_small = _fi_functions(args.measurement, tf, args.n_s, args.statistics, noise)
     ceiling = qfi(args.n_s, sigma)
     fi_scale = 1.0 if args.absolute else sigma**2 / args.n_s
     d_scale = 1.0 if args.absolute else 1.0 / sigma
@@ -246,10 +204,11 @@ def cmd_fi_curve(args) -> int:
         columns.append("direct_imaging")
     rows = []
     for d in grid:
+        scene = SourceScene(tf=tf, d=d, n_s=args.n_s, statistics=args.statistics)
         row = [
             d * d_scale,
-            fi_exact(d) * fi_scale,
-            fi_small(d) * fi_scale,
+            m.fi(scene, noise) * fi_scale,
+            m.fi_small_d(scene, noise) * fi_scale,
             ceiling * fi_scale,
         ]
         if args.with_direct:
@@ -260,27 +219,22 @@ def cmd_fi_curve(args) -> int:
 
 
 def cmd_d_half(args) -> int:
-    sigma = args.sigma
-    if args.measurement == COUNTING:
-        if args.snr is None:
-            raise ValidationError("counting d-half requires --snr")
-        snr = args.snr
-        d_half = d_half_counting(sigma, snr)
-    else:
-        if args.snr is not None:
-            snr = args.snr
-        elif args.n_s is not None:
-            snr = shot_noise_snr(args.measurement, args.n_s)
-        else:
-            raise ValidationError("quadrature d-half requires --snr or --n-s")
-        d_half = d_half_quadrature(sigma, snr)
+    m = MEASUREMENTS[args.measurement]
+    snr = args.snr
+    if snr is None and m.shot_noise_snr is not None and args.n_s is not None:
+        snr = m.shot_noise_snr(args.n_s)
+    if snr is None:
+        need = "--snr" if m.shot_noise_snr is None else "--snr or --n-s"
+        raise ValidationError(f"{args.measurement} d-half requires {need}")
+    tf = build_psf(args)
+    sigma = sigma_of(tf)
     window = superres_window(sigma, snr, n_s=args.n_s, statistics=args.statistics)
     payload = {
         "config": config_echo(args),
         "model": args.measurement,
         "sigma": sigma,
         "snr": snr,
-        "d_half": d_half,
+        "d_half": m.d_half(sigma, snr),
         "window_low": window.low,
         "window_high": window.high,
         "window_empty": window.is_empty,
@@ -288,14 +242,13 @@ def cmd_d_half(args) -> int:
     if args.numeric:
         if args.n_s is None:
             raise ValidationError("--numeric requires --n-s")
-        tf = build_psf(args)
-        noise = NoiseModel.from_snr(snr, args.n_s) if args.measurement == COUNTING else NoiseModel(0.0)
-        fi_exact, _ = _fi_functions(args.measurement, tf, args.n_s, args.statistics, noise)
-        if args.measurement == COUNTING:
-            target = 0.5 * qfi(args.n_s, sigma)
-        else:
-            target = qfi(args.n_s, sigma) / 8.0
-        payload["d_half_curve"] = d_half_from_curve(fi_exact, target, sigma)
+        noise = NoiseModel.from_snr(snr, args.n_s)
+        target = 0.5 * m.ceiling * qfi(args.n_s, sigma)
+
+        def fi(d: float) -> float:
+            return m.fi(SourceScene(tf=tf, d=d, n_s=args.n_s, statistics=args.statistics), noise)
+
+        payload["d_half_curve"] = d_half_from_curve(fi, target, sigma)
         payload["target_fi"] = target
     write_json(args, payload)
     return EXIT_OK
@@ -322,9 +275,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_qfi(args) -> int:
-    payload = {"config": config_echo(args), "qfi": qfi(args.n_s, args.sigma)}
+    tf = build_psf(args)
+    payload = {"config": config_echo(args), "qfi": qfi(args.n_s, sigma_of(tf))}
     if args.check:
-        tf = build_psf(args)
         payload["qfi_numeric"] = qfi_numeric(tf, args.n_s)
         payload["sigma_numeric"] = sigma_of(tf)
     write_json(args, payload)

@@ -114,12 +114,6 @@ class CountDistribution:
                 f"family must be one of {FAMILIES}, got {self.family!r}"
             )
 
-    def pmf(self, k):
-        return pmf(self, k)
-
-    def logpmf(self, k):
-        return logpmf(self, k)
-
 
 def family_of(statistics: str) -> str:
     """Count family induced by the source statistics."""
@@ -212,21 +206,6 @@ def fi_counting_small_d(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> flo
     if scene.statistics == THERMAL:
         fisher /= 1.0 + n_s * d2 / (4.0 * sigma**2) + noise.n_b
     return float(fisher)
-
-
-def fi_single_photon_regime(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> float:
-    """Information carried by click/no-click events alone.
-
-    Identical to the small-d Poisson law for any source statistics, valid for
-    n_s tau1 << 1 and n_b << 1 (not enforced).
-    """
-    sigma = scene.sigma
-    n_s = scene.n_s
-    beta = noise.beta(n_s)
-    d2 = scene.d**2
-    if d2 == 0.0 and beta == 0.0:
-        return n_s / sigma**2
-    return float((n_s / sigma**2) * d2 / (d2 + 4.0 * sigma**2 * beta))
 
 
 def _kbar_derivative(kbar_fn: Callable[[float], float], d: float) -> float:

@@ -10,6 +10,10 @@ reported through clip_fraction rather than discarded.
 
 Each trial draws from its own SeedSequence-spawned stream, so results are
 reproducible and independent of execution order.
+
+MEASUREMENTS is the one table of what differs between the readouts (photon
+counting, homodyne, heterodyne): information curves, ceiling, closed-form
+d_half, SNR convention, sampler and estimator.  The CLI reads it too.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -28,6 +33,7 @@ from .counting import (
     SourceScene,
     family_of,
     fi_counting_exact,
+    fi_counting_small_d,
     mean_count,
 )
 from .errors import BudgetError, ValidationError
@@ -36,14 +42,15 @@ from .psf import TransferFunction, sigma_of
 from .quadrature import (
     HETERODYNE,
     HOMODYNE,
+    VACUUM_VARIANCE,
     fi_heterodyne,
+    fi_heterodyne_small_d,
     fi_homodyne,
-    quadrature_model,
+    fi_homodyne_small_d,
     sample_quadrature,
+    shot_noise_snr,
 )
-from .resolution import COUNTING
-
-MEASUREMENTS = (COUNTING, HOMODYNE, HETERODYNE)
+from .resolution import COUNTING, d_half_counting, d_half_quadrature
 
 DEFAULT_BUDGET = 50_000_000  # frames x trials
 
@@ -63,7 +70,7 @@ class Experiment:
     def __post_init__(self):
         if self.measurement not in MEASUREMENTS:
             raise ValidationError(
-                f"measurement must be one of {MEASUREMENTS}, got {self.measurement!r}"
+                f"measurement must be one of {tuple(MEASUREMENTS)}, got {self.measurement!r}"
             )
         if self.frames < 1 or self.trials < 1:
             raise ValidationError("frames and trials must both be at least 1")
@@ -151,8 +158,6 @@ def _invert_tau1(tf: TransferFunction, tau_target: float) -> float:
 
 def simulate_counts(exp: Experiment) -> np.ndarray:
     """Per-trial total photocounts, shape (trials,)."""
-    if exp.measurement != COUNTING:
-        raise ValidationError("simulate_counts requires a counting experiment")
     exp.check_budget()
     kbar = mean_count(exp.scene, exp.noise)
     family = family_of(exp.scene.statistics)
@@ -185,44 +190,88 @@ def ml_estimate_quadrature(samples, scene: SourceScene) -> float:
     clipping to 0 at the shot-noise floor.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        share = 0.5
-        v_hat = float(np.mean(arr**2))  # pooled over both quadratures
-        n = arr.shape[0]
-    elif arr.ndim == 1:
-        share = 1.0
-        v_hat = float(np.mean(arr**2))
-        n = arr.size
+    if arr.ndim == 1:
+        quadratures = 1
+    elif arr.ndim == 2 and arr.shape[1] == 2:
+        quadratures = 2
     else:
         raise ValidationError(
             f"samples must be 1-d or (n, 2) pairs, got shape {arr.shape}"
         )
-    if n < 2:
+    if arr.shape[0] < 2:
         raise ValidationError("need at least 2 samples to estimate a variance")
-    tau_target = (v_hat - 0.5) / (share * scene.n_s)
+    v_hat = float(np.mean(arr**2))  # pooled over the quadratures
+    tau_target = (v_hat - VACUUM_VARIANCE) / (scene.n_s / quadratures)
     return _invert_tau1(scene.tf, tau_target)
+
+
+def _quadrature_trials(exp: Experiment):
+    for stream in _trial_streams(exp.seed, exp.trials):
+        yield sample_quadrature(exp.scene, exp.measurement, exp.frames, stream)
+
+
+def _quadrature_estimate(samples, exp: Experiment) -> float:
+    return ml_estimate_quadrature(samples, exp.scene)
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """What sets one readout of the derivative-mode channel apart.
+
+    The callables reach the kernels through their module-level names at call
+    time, so patching a module attribute (as a tracer does) reaches them too.
+    """
+
+    fi: Callable[[SourceScene, NoiseModel], float]  # exact information per frame
+    fi_small_d: Callable[[SourceScene, NoiseModel], float]  # small-separation law
+    ceiling: float  # largest information, as a fraction of the QFI n_s / sigma^2
+    d_half: Callable[[float, float], float]  # closed form d_half(sigma, snr)
+    # SNR in the readout's own convention given n_s alone; None when it is the
+    # source-to-background ratio n_s / n_b and has to be given
+    shot_noise_snr: Callable[[float], float] | None
+    sample: Callable[[Experiment], Iterable]  # the data of each trial, in order
+    estimate: Callable[[object, Experiment], float]  # separation from one trial's data
+
+
+MEASUREMENTS = {
+    COUNTING: Measurement(
+        fi=lambda scene, noise: fi_counting_exact(scene, noise),
+        fi_small_d=lambda scene, noise: fi_counting_small_d(scene, noise),
+        ceiling=1.0,
+        d_half=lambda sigma, snr: d_half_counting(sigma, snr),
+        shot_noise_snr=None,
+        sample=lambda exp: simulate_counts(exp),
+        estimate=lambda total, exp: ml_estimate_counting(total, exp.frames, exp.scene, exp.noise),
+    ),
+    HOMODYNE: Measurement(
+        fi=lambda scene, noise: fi_homodyne(scene),
+        fi_small_d=lambda scene, noise: fi_homodyne_small_d(scene),
+        ceiling=0.25,
+        d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
+        shot_noise_snr=lambda n_s: shot_noise_snr(HOMODYNE, n_s),
+        sample=_quadrature_trials,
+        estimate=_quadrature_estimate,
+    ),
+    HETERODYNE: Measurement(
+        fi=lambda scene, noise: fi_heterodyne(scene),
+        fi_small_d=lambda scene, noise: fi_heterodyne_small_d(scene),
+        ceiling=0.25,
+        d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
+        shot_noise_snr=lambda n_s: shot_noise_snr(HETERODYNE, n_s),
+        sample=_quadrature_trials,
+        estimate=_quadrature_estimate,
+    ),
+}
 
 
 def run_crb_experiment(exp: Experiment) -> TrialReport:
     """Run all trials, estimate d in each, and compare against 1 / (M F)."""
     exp.check_budget()
+    m = MEASUREMENTS[exp.measurement]
     scene = exp.scene
     d_true = scene.d
-    estimates = np.empty(exp.trials, dtype=float)
-
-    if exp.measurement == COUNTING:
-        totals = simulate_counts(exp)
-        for i, total in enumerate(totals):
-            estimates[i] = ml_estimate_counting(total, exp.frames, scene, exp.noise)
-        fisher = fi_counting_exact(scene, exp.noise)
-    else:
-        model = quadrature_model(scene.tf, scene.n_s, exp.measurement)
-        for i, stream in enumerate(_trial_streams(exp.seed, exp.trials)):
-            samples = sample_quadrature(model, d_true, exp.frames, stream)
-            estimates[i] = ml_estimate_quadrature(samples, scene)
-        fisher = (
-            fi_homodyne(scene) if exp.measurement == HOMODYNE else fi_heterodyne(scene)
-        )
+    estimates = np.array([m.estimate(data, exp) for data in m.sample(exp)], dtype=float)
+    fisher = m.fi(scene, exp.noise)
 
     d_peak, _ = _tau_branch(scene.tf)
     clipped = np.count_nonzero((estimates == 0.0) | (estimates == d_peak))

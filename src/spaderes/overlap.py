@@ -29,8 +29,8 @@ from .psf import (
     TransferFunction,
     eval_u,
     eval_u_prime,
-    mode_pair,
     quad_over_psf,
+    sigma_of,
 )
 
 
@@ -111,7 +111,11 @@ def tau1_numeric(tf: TransferFunction, d: float) -> Transmission:
     average is even in d by construction.
     """
     d = float(d)
-    modes = mode_pair(tf)
+    sigma = sigma_of(tf)
+
+    def v1(x):
+        return -2.0 * sigma * eval_u_prime(tf, x)
+
     ad = abs(d)
     if d == 0.0:
         # <v1, u> = 0 exactly (odd integrand); the derivative is the mode norm
@@ -119,19 +123,19 @@ def tau1_numeric(tf: TransferFunction, d: float) -> Transmission:
         c = 0.0
         cp = quad_over_psf(
             tf,
-            lambda x: modes.v1(x) * (-eval_u_prime(tf, x)),
+            lambda x: v1(x) * (-eval_u_prime(tf, x)),
             what="overlap derivative",
         )
     else:
         c = quad_over_psf(
             tf,
-            lambda x: modes.v1(x) * eval_u(tf, x - ad, fill=0.0),
+            lambda x: v1(x) * eval_u(tf, x - ad, fill=0.0),
             margin=ad,
             what="mode overlap",
         )
         cp = quad_over_psf(
             tf,
-            lambda x: modes.v1(x) * (-eval_u_prime(tf, x - ad, fill=0.0)),
+            lambda x: v1(x) * (-eval_u_prime(tf, x - ad, fill=0.0)),
             margin=ad,
             what="overlap derivative",
         )
@@ -158,8 +162,3 @@ def tau1_sinc_expansion(sigma: float, d: float) -> float:
     """Two-term small-d expansion of the sinc transmission,
     (d^2 / 4 sigma^2)(1 - 3 d^2 / 20 sigma^2)."""
     return (d**2 / (4.0 * sigma**2)) * (1.0 - 3.0 * d**2 / (20.0 * sigma**2))
-
-
-def tau1_curve(tf: TransferFunction, ds) -> list[Transmission]:
-    """tau1_exact over an array of separations."""
-    return [tau1_exact(tf, float(d)) for d in np.asarray(ds, dtype=float).ravel()]

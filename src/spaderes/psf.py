@@ -1,4 +1,4 @@
-"""Amplitude transfer functions and the binary demultiplexing mode pair.
+"""Amplitude transfer functions, their widths, and PSF-adapted quadrature.
 
 A point source at the object plane produces a real amplitude profile u(x) at
 the image plane; |u(x)|^2 is the single-photon detection density.  Supported
@@ -10,8 +10,9 @@ profiles:
 
 The characteristic width sigma is defined through the derivative energy,
 sigma = (1/2) (integral of u'(x)^2 dx)^(-1/2); for the analytic kinds it
-coincides with the constructor parameter.  The binary mode pair is
-v0(x) = u(x) and v1(x) = -2 sigma u'(x), an orthonormal set for real u.
+coincides with the constructor parameter.  The binary demultiplexer sorts
+into v0(x) = u(x) and the derivative mode v1(x) = -2 sigma u'(x), an
+orthonormal pair for real u.
 
 Integration domains are kind-aware: Gaussian integrands are truncated at
 10 sigma (tails < 1e-22), while sinc integrands decay only as 1/x and are
@@ -81,12 +82,6 @@ class TransferFunction:
         if self.kind != SINC:
             raise AttributeError("frequency scale is defined for the sinc kind only")
         return np.sqrt(3.0) / (2.0 * self.sigma)
-
-    def u(self, x):
-        return eval_u(self, x)
-
-    def u_prime(self, x):
-        return eval_u_prime(self, x)
 
 
 def gaussian_psf(sigma: float) -> TransferFunction:
@@ -236,29 +231,6 @@ def sigma_of(tf: TransferFunction) -> float:
             f"tabulated PSF is not normalized: integral of u^2 = {tf.norm:.6g}"
         )
     return tf.sigma
-
-
-@dataclass(frozen=True, eq=False)
-class ModePair:
-    """Binary demultiplexing modes v0(x) = u(x) and v1(x) = -2 sigma u'(x)."""
-
-    tf: TransferFunction
-    sigma: float
-
-    def v0(self, x):
-        return eval_u(self.tf, x)
-
-    def v1(self, x):
-        return -2.0 * self.sigma * eval_u_prime(self.tf, x)
-
-
-def mode_pair(tf: TransferFunction) -> ModePair:
-    return ModePair(tf=tf, sigma=sigma_of(tf))
-
-
-def eval_v1(modes: ModePair, x):
-    """Amplitude of the derivative mode v1 at x."""
-    return modes.v1(x)
 
 
 def quad_over_psf(

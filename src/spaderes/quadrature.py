@@ -2,84 +2,42 @@
 
 The v1 channel carries a thermal state of mean photon number n_s tau1(d), so
 any measured quadrature is a zero-mean Gaussian whose variance carries all
-the separation information.  In units where vacuum (shot) noise has variance
-1/2:
+the separation information.  Homodyne reads one quadrature, heterodyne two;
+a readout of q quadratures sends the share 1/q of the signal to each.  In
+units where vacuum (shot) noise has variance 1/2, each measured quadrature
+has variance
 
-    homodyne    V(d) = 1/2 + n_s tau1(d)        (one quadrature)
-    heterodyne  V(d) = 1/2 + n_s tau1(d) / 2    (per quadrature, two of them)
+    V(d) = 1/2 + n_s tau1(d) / q        (q = 1 homodyne, q = 2 heterodyne)
 
 Fisher information of a zero-mean Gaussian of variance V is (dV/dd)^2 / 2V^2
-per variate; heterodyne adds the two quadratures.  Both peak at n_s / 4 sigma^2,
-a quarter of the counting ceiling.  The shot-noise SNR conventions are 2 n_s
-for homodyne and n_s for heterodyne.
+per variate, and the q quadratures add.  Both readouts peak at n_s / 4 sigma^2,
+a quarter of the counting ceiling.  The shot-noise SNR, the signal share
+n_s / q over the vacuum variance, is 2 n_s for homodyne and n_s for
+heterodyne.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .overlap import tau1_exact
-from .psf import TransferFunction, sigma_of
+from .psf import sigma_of
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
-QUADRATURE_KINDS = (HOMODYNE, HETERODYNE)
+
+# quadratures read out by each kind; each carries the share 1 / q of the signal
+QUADRATURES = {HOMODYNE: 1, HETERODYNE: 2}
+QUADRATURE_KINDS = tuple(QUADRATURES)
 
 VACUUM_VARIANCE = 0.5
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureModel:
-    """Outcome-variance model of one quadrature measurement.
-
-    variance_fn maps the separation d to the variance of each measured
-    quadrature; dvariance_fn is its derivative in d.
-    """
-
-    kind: str
-    variance_fn: Callable[[float], float]
-    dvariance_fn: Callable[[float], float]
-
-    def __post_init__(self):
-        if self.kind not in QUADRATURE_KINDS:
-            raise ValidationError(
-                f"kind must be one of {QUADRATURE_KINDS}, got {self.kind!r}"
-            )
-
-    def variance(self, d: float) -> float:
-        return float(self.variance_fn(d))
-
-    def dvariance(self, d: float) -> float:
-        return float(self.dvariance_fn(d))
-
-
-def quadrature_model(tf: TransferFunction, n_s: float, kind: str) -> QuadratureModel:
-    """Variance model for measuring the v1 channel of a two-source scene."""
-    if n_s <= 0:
-        raise ValidationError(f"n_s must be positive, got {n_s}")
-    share = 1.0 if kind == HOMODYNE else 0.5
-
-    def variance_fn(d: float) -> float:
-        return VACUUM_VARIANCE + share * n_s * tau1_exact(tf, d).tau1
-
-    def dvariance_fn(d: float) -> float:
-        return share * n_s * tau1_exact(tf, d).dtau1_dd
-
-    return QuadratureModel(kind=kind, variance_fn=variance_fn, dvariance_fn=dvariance_fn)
-
-
-def density_homodyne(model: QuadratureModel, d: float, q) -> float | np.ndarray:
-    """Probability density of the homodyne outcome q at separation d."""
-    if model.kind != HOMODYNE:
-        raise ValidationError("density_homodyne requires a homodyne model")
-    v = model.variance(d)
-    qarr = np.asarray(q, dtype=float)
-    out = np.exp(-(qarr**2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
-    return float(out) if qarr.ndim == 0 else out
+def _share(kind: str) -> float:
+    if kind not in QUADRATURES:
+        raise ValidationError(f"kind must be one of {QUADRATURE_KINDS}, got {kind!r}")
+    return 1.0 / QUADRATURES[kind]
 
 
 def fi_gaussian_1d(v: float, dv: float) -> float:
@@ -94,12 +52,27 @@ def fi_gaussian_2d(v: float, dv: float) -> float:
     return 2.0 * fi_gaussian_1d(v, dv)
 
 
+def _fi(scene, kind: str) -> float:
+    share = _share(kind)
+    tr = tau1_exact(scene.tf, scene.d)
+    v = VACUUM_VARIANCE + share * scene.n_s * tr.tau1
+    dv = share * scene.n_s * tr.dtau1_dd
+    return QUADRATURES[kind] * fi_gaussian_1d(v, dv)
+
+
+def _fi_small_d(scene, kind: str) -> float:
+    # the information above with tau1 at its small-d law d^2 / 4 sigma^2:
+    # 2 q n_s^2 d^2 / (n_s d^2 + 2 q sigma^2)^2 for q quadratures
+    k = 2.0 / _share(kind)
+    sigma = sigma_of(scene.tf)
+    n_s = scene.n_s
+    d2 = scene.d**2
+    return k * n_s**2 * d2 / (n_s * d2 + k * sigma**2) ** 2
+
+
 def fi_homodyne(scene) -> float:
     """Homodyne information 2 n_s^2 (dtau1/dd)^2 / (1 + 2 n_s tau1)^2."""
-    tr = tau1_exact(scene.tf, scene.d)
-    v = VACUUM_VARIANCE + scene.n_s * tr.tau1
-    dv = scene.n_s * tr.dtau1_dd
-    return fi_gaussian_1d(v, dv)
+    return _fi(scene, HOMODYNE)
 
 
 def fi_heterodyne(scene) -> float:
@@ -107,10 +80,7 @@ def fi_heterodyne(scene) -> float:
 
     Half the signal reaches each quadrature, but both are read out.
     """
-    tr = tau1_exact(scene.tf, scene.d)
-    v = VACUUM_VARIANCE + 0.5 * scene.n_s * tr.tau1
-    dv = 0.5 * scene.n_s * tr.dtau1_dd
-    return fi_gaussian_2d(v, dv)
+    return _fi(scene, HETERODYNE)
 
 
 def fi_homodyne_small_d(scene) -> float:
@@ -118,10 +88,7 @@ def fi_homodyne_small_d(scene) -> float:
 
     Maximum n_s / 4 sigma^2 at d = sigma sqrt(2 / n_s).
     """
-    sigma = sigma_of(scene.tf)
-    n_s = scene.n_s
-    d2 = scene.d**2
-    return 2.0 * n_s**2 * d2 / (n_s * d2 + 2.0 * sigma**2) ** 2
+    return _fi_small_d(scene, HOMODYNE)
 
 
 def fi_heterodyne_small_d(scene) -> float:
@@ -129,10 +96,7 @@ def fi_heterodyne_small_d(scene) -> float:
 
     Maximum n_s / 4 sigma^2 at d = 2 sigma / sqrt(n_s).
     """
-    sigma = sigma_of(scene.tf)
-    n_s = scene.n_s
-    d2 = scene.d**2
-    return 4.0 * n_s**2 * d2 / (n_s * d2 + 4.0 * sigma**2) ** 2
+    return _fi_small_d(scene, HETERODYNE)
 
 
 def shot_noise_snr(kind: str, n_s: float) -> float:
@@ -142,15 +106,11 @@ def shot_noise_snr(kind: str, n_s: float) -> float:
     floor of 1/2; heterodyne splits the signal over two quadratures whose
     combined floor is 1.
     """
-    if kind == HOMODYNE:
-        return 2.0 * n_s
-    if kind == HETERODYNE:
-        return float(n_s)
-    raise ValidationError(f"kind must be one of {QUADRATURE_KINDS}, got {kind!r}")
+    return _share(kind) * n_s / VACUUM_VARIANCE
 
 
-def sample_quadrature(model: QuadratureModel, d: float, count: int, seed) -> np.ndarray:
-    """i.i.d. quadrature outcomes at separation d.
+def sample_quadrature(scene, kind: str, count: int, seed) -> np.ndarray:
+    """i.i.d. quadrature outcomes of the scene at its separation.
 
     Homodyne returns shape (count,); heterodyne returns (count, 2) pairs,
     each component with variance V(d).  ``seed`` may be anything accepted by
@@ -158,7 +118,8 @@ def sample_quadrature(model: QuadratureModel, d: float, count: int, seed) -> np.
     """
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
+    share = _share(kind)
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(model.variance(d))
-    shape = (count,) if model.kind == HOMODYNE else (count, 2)
-    return rng.normal(0.0, scale, size=shape)
+    scale = np.sqrt(VACUUM_VARIANCE + share * scene.n_s * tau1_exact(scene.tf, scene.d).tau1)
+    q = QUADRATURES[kind]
+    return rng.normal(0.0, scale, size=(count,) if q == 1 else (count, q))

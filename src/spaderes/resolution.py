@@ -7,7 +7,7 @@ forms in the small-separation regime:
     counting     d_half = 2 sigma / sqrt(SNR),   target F_Q / 2
     quadrature   d_half = (2 sqrt(2) - 2) sigma / sqrt(SNR), target F_max / 2
                  (same expression for homodyne, SNR = 2 n_s, and heterodyne,
-                  SNR = n_s)
+                  SNR = n_s; see quadrature.shot_noise_snr)
 
 Counting retains superresolution inside the window
 2 sigma / sqrt(SNR) << d << sigma (Poisson), with the upper edge tightened to
@@ -15,8 +15,10 @@ min(sigma, 2 sigma / sqrt(n_s)) for thermal sources.  The window bounds are
 returned raw; "safely inside" conventionally means a decade above the lower
 edge.
 
-`d_half_numeric` inverts arbitrary information curves so the closed forms can
-be checked against exact ones.
+`d_half_numeric` and `d_half_from_curve` invert arbitrary information curves
+so the closed forms can be checked against exact ones.  Which closed form,
+SNR convention and target belong to which readout is recorded once, in
+`spaderes.montecarlo.MEASUREMENTS`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .counting import POISSON, THERMAL
 from .errors import BracketingError, ValidationError
-from .quadrature import shot_noise_snr
 
 COUNTING = "counting"
 
@@ -46,11 +47,6 @@ def d_half_quadrature(sigma: float, snr: float) -> float:
     """(2 sqrt(2) - 2) sigma / sqrt(SNR), SNR in the measurement's own convention."""
     _check_sigma_snr(sigma, snr)
     return (2.0 * np.sqrt(2.0) - 2.0) * sigma / np.sqrt(snr)
-
-
-def d_half_quadrature_from_ns(sigma: float, n_s: float, kind: str) -> float:
-    """Convenience overload taking the mean photon number and detection kind."""
-    return d_half_quadrature(sigma, shot_noise_snr(kind, n_s))
 
 
 def _check_sigma_snr(sigma: float, snr: float) -> None:
@@ -142,49 +138,3 @@ def d_half_from_curve(
             f"curve maximum {f_peak:.6g} at d={d_peak:.6g} is below the target {target:.6g}"
         )
     return d_half_numeric(fi_fn, target, (1e-9 * sigma, d_peak))
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    """Closed-form and (optionally) curve-extracted resolution summary."""
-
-    model: str
-    sigma: float
-    snr: float
-    d_half: float
-    window_low: float
-    window_high: float
-    window_empty: bool
-    d_half_curve: float | None = None
-
-
-def resolution_report(
-    model: str,
-    sigma: float,
-    snr: float,
-    n_s: float | None = None,
-    statistics: str = POISSON,
-    fi_fn: Callable[[float], float] | None = None,
-    target: float | None = None,
-) -> ResolutionReport:
-    """Assemble the closed-form summary, plus a numeric root when a curve is given."""
-    if model == COUNTING:
-        d_half = d_half_counting(sigma, snr)
-    else:
-        d_half = d_half_quadrature(sigma, snr)
-    window = superres_window(sigma, snr, n_s=n_s, statistics=statistics)
-    d_curve = None
-    if fi_fn is not None:
-        if target is None:
-            raise ValidationError("a numeric root needs an explicit target")
-        d_curve = d_half_from_curve(fi_fn, target, sigma)
-    return ResolutionReport(
-        model=model,
-        sigma=sigma,
-        snr=snr,
-        d_half=float(d_half),
-        window_low=window.low,
-        window_high=window.high,
-        window_empty=window.is_empty,
-        d_half_curve=d_curve,
-    )

@@ -208,3 +208,88 @@ def test_stdout_default(capsys):
     assert run(["qfi", "--n-s", "2", "--sigma", "1.0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["qfi"] == 2.0
+
+
+def _json(capsys, argv):
+    assert run(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_qfi_takes_sigma_from_the_psf(capsys):
+    payload = _json(capsys, ["qfi", "--psf", "sinc", "--a", "2", "--check"])
+    assert payload["qfi"] == pytest.approx(16.0 / 3.0, rel=1e-12)
+    assert payload["qfi"] == pytest.approx(payload["qfi_numeric"], rel=1e-9)
+
+
+def test_d_half_takes_sigma_from_the_psf(capsys):
+    payload = _json(
+        capsys, ["d-half", "--psf", "sinc", "--a", "2", "--snr", "1e4", "--n-s", "100", "--numeric"]
+    )
+    sigma = np.sqrt(3.0) / 4.0
+    assert payload["sigma"] == pytest.approx(sigma, rel=1e-15)
+    assert payload["d_half"] == pytest.approx(2.0 * sigma / 100.0, rel=1e-12)
+    assert payload["target_fi"] == pytest.approx(0.5 * 100.0 / sigma**2, rel=1e-12)
+    # closed form and exact curve describe the same PSF
+    assert payload["d_half_curve"] == pytest.approx(payload["d_half"], rel=0.05)
+
+
+@pytest.mark.parametrize("sigma", [0.7, 2.0])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi", "--n-s", "3", "--check"],
+        ["d-half", "--measurement", "counting", "--snr", "1e3", "--n-s", "10", "--numeric"],
+        ["d-half", "--measurement", "heterodyne", "--n-s", "10", "--numeric"],
+    ],
+)
+def test_sinc_sigma_and_lobe_scale_agree(capsys, argv, sigma):
+    by_sigma = _json(capsys, argv + ["--psf", "sinc", "--sigma", str(sigma)])
+    by_a = _json(capsys, argv + ["--psf", "sinc", "--a", repr(float(np.sqrt(3.0) / (2.0 * sigma)))])
+    del by_sigma["config"], by_a["config"]
+    assert by_sigma == by_a
+
+
+@pytest.mark.parametrize("command", [["qfi"], ["d-half", "--snr", "1e4"]])
+def test_tabulated_without_file_is_a_usage_error(command):
+    assert run(command + ["--psf", "tabulated"]) == 2
+
+
+# -- every subcommand on its defaults, for every PSF kind ----------------------
+
+SUBCOMMANDS = {
+    "tau-curve": ["tau-curve"],
+    "fi-curve": ["fi-curve"],
+    "fi-curve-direct": ["fi-curve", "--with-direct"],
+    "d-half": ["d-half", "--snr", "1e4"],
+    "simulate": ["simulate", "--d-true", "0.3"],
+    "qfi": ["qfi"],
+}
+# The overlap oracle reports false non-convergence on these: sinc tau1_numeric
+# for d >~ 2 sigma, tabulated tau1_numeric at d = 2 sigma where c'(d) = 0.
+# Values there are right to ~1e-14; fixing the error estimate empties this set.
+KNOWN_NUMERIC_FAILURES = {
+    ("tau-curve", "sinc"),
+    ("tau-curve", "tabulated"),
+    ("fi-curve", "tabulated"),
+    ("fi-curve-direct", "tabulated"),
+    ("simulate", "tabulated"),
+}
+
+
+@pytest.fixture(scope="module")
+def tabulated_gaussian(tmp_path_factory):
+    x = np.linspace(-8.0, 8.0, 801)
+    u = (2.0 * np.pi) ** -0.25 * np.exp(-(x**2) / 4.0)
+    path = tmp_path_factory.mktemp("psf") / "gaussian.txt"
+    np.savetxt(path, np.column_stack([x, u]))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sinc", "tabulated"])
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_exit_code_matrix(subcommand, kind, tabulated_gaussian, capsys):
+    psf = ["--psf", kind]
+    if kind == "tabulated":
+        psf += ["--psf-file", str(tabulated_gaussian)]
+    expected = 3 if (subcommand, kind) in KNOWN_NUMERIC_FAILURES else 0
+    assert run(SUBCOMMANDS[subcommand] + psf) == expected, capsys.readouterr().err

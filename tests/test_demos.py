@@ -1,0 +1,14 @@
+"""Every demo runs to completion against the public API."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

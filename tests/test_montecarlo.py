@@ -17,7 +17,7 @@ from spaderes.montecarlo import (
 )
 from spaderes.overlap import tau1_closed
 from spaderes.psf import gaussian_psf
-from spaderes.quadrature import HETERODYNE, HOMODYNE, quadrature_model, sample_quadrature
+from spaderes.quadrature import HETERODYNE, HOMODYNE
 
 GAUSS = gaussian_psf(1.0)
 SNR4 = NoiseModel.from_snr(1e4, 100.0)

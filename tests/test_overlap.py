@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spaderes.overlap import (
     tau1_closed,
-    tau1_curve,
     tau1_exact,
     tau1_numeric,
     tau1_sinc_expansion,
@@ -102,8 +101,7 @@ def test_tabulated_numeric_path():
 
 def test_curve_shape():
     ds = np.linspace(0.0, 3.0, 31)
-    curve = tau1_curve(GAUSS, ds)
-    taus = np.array([t.tau1 for t in curve])
+    taus = np.array([tau1_exact(GAUSS, d).tau1 for d in ds])
     assert taus[0] == 0.0
     assert np.all(taus >= 0.0)
     assert np.all(taus <= 1.0)

@@ -7,10 +7,8 @@ from spaderes.errors import DomainError, ValidationError
 from spaderes.psf import (
     eval_u,
     eval_u_prime,
-    eval_v1,
     gaussian_psf,
     load_tabulated,
-    mode_pair,
     quad_over_psf,
     sigma_of,
     sinc_psf,
@@ -62,28 +60,30 @@ def test_normalization_numeric():
         assert abs(norm - 1.0) < 1e-9
 
 
+def _v1(tf, x):
+    """Derivative mode v1(x) = -2 sigma u'(x)."""
+    return -2.0 * sigma_of(tf) * eval_u_prime(tf, x)
+
+
 def test_mode_pair_orthonormal():
     for tf, tol in ((GAUSS, 1e-8), (SINC_S1, 1e-6)):
-        modes = mode_pair(tf)
-        cross = quad_over_psf(tf, lambda x: modes.v0(x) * modes.v1(x))
-        v1sq = quad_over_psf(tf, lambda x: modes.v1(x) ** 2)
+        cross = quad_over_psf(tf, lambda x: eval_u(tf, x) * _v1(tf, x))
+        v1sq = quad_over_psf(tf, lambda x: _v1(tf, x) ** 2)
         assert abs(cross) < 1e-9
         assert abs(v1sq - 1.0) < tol
 
 
 def test_v1_gaussian_form():
     # v1 reduces to (x / sigma) u(x) for the Gaussian kind
-    modes = mode_pair(GAUSS)
-    assert eval_v1(modes, 1.0) == pytest.approx(eval_u(GAUSS, 1.0), rel=1e-12)
-    assert eval_v1(modes, 0.0) == 0.0
+    assert _v1(GAUSS, 1.0) == pytest.approx(eval_u(GAUSS, 1.0), rel=1e-12)
+    assert _v1(GAUSS, 0.0) == 0.0
 
 
 def test_v1_sinc_closed_form():
     # u'(pi) = -sqrt(1/pi)/pi for a=1, so v1(pi) = 2 sigma sqrt(1/pi)/pi
-    modes = mode_pair(SINC_A1)
     sigma = np.sqrt(3.0) / 2.0
     expect = 2.0 * sigma * np.sqrt(1.0 / np.pi) / np.pi
-    assert eval_v1(modes, np.pi) == pytest.approx(expect, rel=1e-12)
+    assert _v1(SINC_A1, np.pi) == pytest.approx(expect, rel=1e-12)
 
 
 def _gaussian_samples(n, half=10.0):

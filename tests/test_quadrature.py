@@ -12,14 +12,12 @@ from spaderes.quadrature import (
     HETERODYNE,
     HOMODYNE,
     VACUUM_VARIANCE,
-    density_homodyne,
     fi_gaussian_1d,
     fi_gaussian_2d,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
     fi_homodyne_small_d,
-    quadrature_model,
     sample_quadrature,
     shot_noise_snr,
 )
@@ -27,31 +25,52 @@ from spaderes.quadrature import (
 GAUSS = gaussian_psf(1.0)
 
 
-def test_vacuum_density_peak():
-    model = quadrature_model(GAUSS, 100.0, HOMODYNE)
-    assert model.variance(0.0) == VACUUM_VARIANCE
-    assert density_homodyne(model, 0.0, 0.0) == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
+def _variance(d, n_s, share):
+    return VACUUM_VARIANCE + share * n_s * tau1_closed(GAUSS, d).tau1
 
 
-def test_density_normalized():
-    model = quadrature_model(GAUSS, 100.0, HOMODYNE)
-    total = composite_gauss_legendre(lambda q: density_homodyne(model, 0.7, q), -80.0, 80.0, 64)
-    assert total == pytest.approx(1.0, abs=1e-12)
+def test_vacuum_variance_at_zero_separation():
+    # no transmission at d = 0: the sampler draws exactly the vacuum normals
+    draws = sample_quadrature(SourceScene(GAUSS, 0.0, 100.0), HOMODYNE, 1000, seed=4)
+    vacuum = np.random.default_rng(4).normal(0.0, np.sqrt(VACUUM_VARIANCE), 1000)
+    assert np.array_equal(draws, vacuum)
+    assert fi_homodyne(SourceScene(GAUSS, 0.0, 100.0)) == 0.0
+
+
+def test_homodyne_fi_matches_density_quadrature():
+    # F = integral (dp/dd)^2 / p over the outcome density N(0, V(d)), with the
+    # derivative by central differences: independent of fi_gaussian_1d
+    n_s, d, h = 100.0, 0.7, 1e-5
+
+    def density(q, dd):
+        v = _variance(dd, n_s, 1.0)
+        return np.exp(-(q**2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+
+    def integrand(q):
+        dp = (density(q, d + h) - density(q, d - h)) / (2.0 * h)
+        return dp**2 / density(q, d)
+
+    assert composite_gauss_legendre(lambda q: density(q, d), -80.0, 80.0, 64) == pytest.approx(
+        1.0, abs=1e-12
+    )
+    fisher = composite_gauss_legendre(integrand, -80.0, 80.0, 64)
+    assert fisher == pytest.approx(fi_homodyne(SourceScene(GAUSS, d, n_s)), rel=1e-8)
 
 
 def test_variance_tracks_transmission():
-    model = quadrature_model(GAUSS, 100.0, HOMODYNE)
     d = 2.0  # transmission peak, tau1 = 1/e
-    assert model.variance(d) == pytest.approx(0.5 + 100.0 * np.exp(-1.0), rel=1e-14)
-    assert model.dvariance(d) == pytest.approx(0.0, abs=1e-12)
-    het = quadrature_model(GAUSS, 100.0, HETERODYNE)
-    assert het.variance(d) == pytest.approx(0.5 + 50.0 * np.exp(-1.0), rel=1e-14)
+    z = np.random.default_rng(11).normal(0.0, 1.0, size=(500, 2))
+    hom = sample_quadrature(SourceScene(GAUSS, d, 100.0), HOMODYNE, 1000, seed=11)
+    assert np.allclose(hom, z.ravel() * np.sqrt(0.5 + 100.0 * np.exp(-1.0)), rtol=1e-14, atol=0)
+    het = sample_quadrature(SourceScene(GAUSS, d, 100.0), HETERODYNE, 500, seed=11)
+    assert np.allclose(het, z * np.sqrt(0.5 + 50.0 * np.exp(-1.0)), rtol=1e-14, atol=0)
+    # dV/dd vanishes at the peak, and the information with it
+    assert fi_homodyne(SourceScene(GAUSS, d, 100.0)) == pytest.approx(0.0, abs=1e-24)
 
 
-def test_density_rejects_heterodyne_model():
-    het = quadrature_model(GAUSS, 100.0, HETERODYNE)
+def test_sampler_rejects_unknown_kind():
     with pytest.raises(ValidationError):
-        density_homodyne(het, 0.1, 0.0)
+        sample_quadrature(SourceScene(GAUSS, 0.1, 100.0), "direct", 10, seed=0)
 
 
 def test_gaussian_fi_building_blocks():
@@ -121,33 +140,30 @@ def test_shot_noise_snr():
 
 
 def test_sampler_deterministic():
-    model = quadrature_model(GAUSS, 100.0, HOMODYNE)
-    a = sample_quadrature(model, 0.5, 1000, seed=42)
-    b = sample_quadrature(model, 0.5, 1000, seed=42)
+    scene = SourceScene(GAUSS, 0.5, 100.0)
+    a = sample_quadrature(scene, HOMODYNE, 1000, seed=42)
+    b = sample_quadrature(scene, HOMODYNE, 1000, seed=42)
     assert np.array_equal(a, b)
-    c = sample_quadrature(model, 0.5, 1000, seed=43)
+    c = sample_quadrature(scene, HOMODYNE, 1000, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_sampler_moments():
-    model = quadrature_model(GAUSS, 100.0, HOMODYNE)
-    draws = sample_quadrature(model, 2.0, 1_000_000, seed=7)
+    draws = sample_quadrature(SourceScene(GAUSS, 2.0, 100.0), HOMODYNE, 1_000_000, seed=7)
     assert draws.shape == (1_000_000,)
-    v = model.variance(2.0)
+    v = _variance(2.0, 100.0, 1.0)
     assert abs(draws.mean()) < 4.0 * np.sqrt(v / 1e6)
     assert draws.var() == pytest.approx(v, rel=0.01)
 
 
 def test_heterodyne_sampler_shape_and_share():
-    model = quadrature_model(GAUSS, 100.0, HETERODYNE)
-    draws = sample_quadrature(model, 2.0, 200_000, seed=3)
+    draws = sample_quadrature(SourceScene(GAUSS, 2.0, 100.0), HETERODYNE, 200_000, seed=3)
     assert draws.shape == (200_000, 2)
-    v = model.variance(2.0)
+    v = _variance(2.0, 100.0, 0.5)
     assert draws[:, 0].var() == pytest.approx(v, rel=0.02)
     assert draws[:, 1].var() == pytest.approx(v, rel=0.02)
 
 
 def test_sampler_validation():
-    model = quadrature_model(GAUSS, 100.0, HOMODYNE)
     with pytest.raises(ValidationError):
-        sample_quadrature(model, 0.5, 0, seed=1)
+        sample_quadrature(SourceScene(GAUSS, 0.5, 100.0), HOMODYNE, 0, seed=1)

@@ -1,20 +1,21 @@
 """Half-information separations and the sub-width operating window."""
 
+import json
+
 import numpy as np
 import pytest
 
+from spaderes.cli import main
 from spaderes.counting import NoiseModel, SourceScene, THERMAL, fi_counting_exact
 from spaderes.errors import BracketingError, ValidationError
 from spaderes.psf import gaussian_psf
-from spaderes.quadrature import HETERODYNE, HOMODYNE, fi_homodyne_small_d
+from spaderes.quadrature import HETERODYNE, HOMODYNE, fi_homodyne_small_d, shot_noise_snr
 from spaderes.resolution import (
     COUNTING,
     d_half_counting,
     d_half_from_curve,
     d_half_numeric,
     d_half_quadrature,
-    d_half_quadrature_from_ns,
-    resolution_report,
     superres_window,
 )
 
@@ -34,8 +35,8 @@ def test_scales_linearly_with_width():
 
 def test_shot_noise_snr_equivalence():
     # homodyne at n_s = 50 and heterodyne at n_s = 100 share SNR = 100
-    hom = d_half_quadrature_from_ns(1.0, 50.0, HOMODYNE)
-    het = d_half_quadrature_from_ns(1.0, 100.0, HETERODYNE)
+    hom = d_half_quadrature(1.0, shot_noise_snr(HOMODYNE, 50.0))
+    het = d_half_quadrature(1.0, shot_noise_snr(HETERODYNE, 100.0))
     assert hom == pytest.approx(het, rel=1e-14)
     assert hom == pytest.approx(d_half_quadrature(1.0, 100.0), rel=1e-14)
 
@@ -95,16 +96,21 @@ def test_curve_root_rejects_unreachable_target():
         d_half_from_curve(fn, 0.99, 1.0)
 
 
-def test_report_assembly():
-    rep = resolution_report(COUNTING, 1.0, 1e4)
-    assert rep.d_half == pytest.approx(0.02, rel=1e-14)
-    assert rep.window_low == pytest.approx(0.02, rel=1e-14)
-    assert rep.window_high == 1.0
-    assert not rep.window_empty
-    assert rep.d_half_curve is None
-    noise = NoiseModel.from_snr(100.0, 1.0)
-    fn = lambda d: fi_counting_exact(SourceScene(GAUSS, d, 1.0), noise)
-    rep2 = resolution_report(COUNTING, 1.0, 100.0, fi_fn=fn, target=0.5)
-    assert rep2.d_half_curve == pytest.approx(0.20784237176752746, rel=1e-9)
-    with pytest.raises(ValidationError):
-        resolution_report(COUNTING, 1.0, 100.0, fi_fn=fn)
+def _d_half_report(capsys, argv):
+    code = main(["d-half"] + argv)
+    return code, json.loads(capsys.readouterr().out) if code == 0 else None
+
+
+def test_report_assembly(capsys):
+    code, rep = _d_half_report(capsys, ["--measurement", "counting", "--snr", "1e4"])
+    assert code == 0
+    assert rep["d_half"] == pytest.approx(0.02, rel=1e-14)
+    assert rep["window_low"] == pytest.approx(0.02, rel=1e-14)
+    assert rep["window_high"] == 1.0
+    assert not rep["window_empty"]
+    assert "d_half_curve" not in rep
+    _, rep2 = _d_half_report(capsys, ["--snr", "100", "--n-s", "1", "--numeric"])
+    assert rep2["target_fi"] == 0.5
+    assert rep2["d_half_curve"] == pytest.approx(0.20784237176752746, rel=1e-9)
+    # a numeric root needs the photon number that fixes its target
+    assert _d_half_report(capsys, ["--snr", "100", "--numeric"])[0] == 2

@@ -11,7 +11,6 @@ from spaderes.errors import BracketingError, ValidationError
 from spaderes.psf import gaussian_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE, fi_homodyne_small_d, shot_noise_snr
 from spaderes.resolution import (
-    COUNTING,
     d_half_counting,
     d_half_from_curve,
     d_half_numeric,

@@ -1,12 +1,15 @@
 """Byte-identical CLI artifacts for fixed configs and seeds.
 
-Each file under tests/golden/ is the output of one fixed command line.  A
+Each file under tests/golden/ is the output of one fixed command line, run
+from inside that directory so that the tabulated PSF file it ships is named by
+a relative path and the echoed config stays the same on every machine.  A
 change that alters any of them changes a published number, which only a
 declared bug fix may do; such a change regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -51,11 +54,26 @@ CASES = {
     "simulate_heterodyne_sinc.json": [*_SIMULATE, "--psf", "sinc", "--sigma", "2",
                                       "--measurement", "heterodyne"],
     "qfi_gaussian.json": ["qfi", "--psf", "gaussian", "--n-s", "100", "--check"],
+    # the sinc closed form over whole arrays, below the 2-sigma band where its
+    # quadrature oracle still refuses (ROADMAP item 2a)
+    "tau_curve_sinc.csv": ["tau-curve", "--psf", "sinc", "--d-max", "2", "--count", "21"],
+    "fi_counting_absolute.json": ["fi-curve", "--absolute", "--sigma", "2", "--n-s", "100",
+                                  "--snr", "1e3", "--d-min", "0.01", "--d-max", "6",
+                                  "--count", "30", "--spacing", "log", "--format", "json"],
+    # noiseless thermal counting from d = 0: the beta = 0, d = 0 branch of the small-d law
+    "fi_counting_thermal_noiseless.json": ["fi-curve", "--statistics", "thermal", "--n-s", "50",
+                                           "--d-min", "0", "--d-max", "2", "--count", "21",
+                                           "--format", "json"],
+    "fi_counting_tabulated.json": ["fi-curve", "--psf", "tabulated", "--psf-file",
+                                   "psf_gaussian_801.txt", "--n-s", "100", "--snr", "1e3",
+                                   "--d-min", "1e-2", "--d-max", "1.5", "--count", "15",
+                                   "--spacing", "log", "--format", "json"],
 }
 
 
 def _write(name: str, out: Path) -> int:
-    return main(CASES[name] + ["--out", str(out)])
+    with contextlib.chdir(GOLDEN):
+        return main(CASES[name] + ["--out", str(out.resolve())])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -19,14 +19,14 @@ from spaderes import (
 tf = gaussian_psf(1.0)
 snrs = (np.inf, 1e4, 1e3, 1e2)
 
+d = np.geomspace(5e-3, 1.0, 12)
+scene = SourceScene(tf, d, 1.0)
+curves = [fi_counting_exact(scene, NoiseModel.from_snr(snr, 1.0)) for snr in snrs]
+
 header = f"{'d/sigma':>9}" + "".join(f"{('SNR=%g' % s):>12}" for s in snrs)
 print(header)
-for d in np.geomspace(5e-3, 1.0, 12):
-    cells = []
-    for snr in snrs:
-        noise = NoiseModel.from_snr(snr, 1.0)
-        cells.append(fi_counting_exact(SourceScene(tf, d, 1.0), noise))
-    print(f"{d:9.4f}" + "".join(f"{c:12.5f}" for c in cells))
+for x, *cells in zip(d, *curves):
+    print(f"{x:9.4f}" + "".join(f"{c:12.5f}" for c in cells))
 
 print()
 for snr in snrs[1:]:

@@ -22,13 +22,13 @@ from spaderes import (
 tf = gaussian_psf(1.0)
 n_s = 100.0
 
+d = np.geomspace(0.02, 1.0, 12)
+scene = SourceScene(tf, d, n_s)
+curves = (fi_homodyne(scene), fi_heterodyne(scene), fi_homodyne_small_d(scene))
+
 print(f"{'d/sigma':>8} {'homodyne':>12} {'heterodyne':>12} {'hom small-d':>12}")
-for d in np.geomspace(0.02, 1.0, 12):
-    scene = SourceScene(tf, d, n_s)
-    print(
-        f"{d:8.3f} {fi_homodyne(scene):12.4f} {fi_heterodyne(scene):12.4f}"
-        f" {fi_homodyne_small_d(scene):12.4f}"
-    )
+for x, hom, het, small in zip(d, *curves):
+    print(f"{x:8.3f} {hom:12.4f} {het:12.4f} {small:12.4f}")
 
 print()
 for name, fn in (("homodyne", fi_homodyne), ("heterodyne", fi_heterodyne)):

@@ -13,11 +13,12 @@ from spaderes import gaussian_psf, sinc_psf, tau1_closed, tau1_small_d
 gauss = gaussian_psf(1.0)
 sinc = sinc_psf(sigma=1.0)
 
+d = np.linspace(0.0, 4.0, 17)
+curves = (tau1_closed(gauss, d).tau1, tau1_closed(sinc, d).tau1, tau1_small_d(1.0, d))
+
 print(f"{'d/sigma':>8} {'gaussian':>12} {'sinc':>12} {'quadratic':>12}")
-for d in np.linspace(0.0, 4.0, 17):
-    tg = tau1_closed(gauss, d).tau1
-    ts = tau1_closed(sinc, d).tau1
-    print(f"{d:8.2f} {tg:12.6f} {ts:12.6f} {tau1_small_d(1.0, d):12.6f}")
+for x, tg, ts, tq in zip(d, *curves):
+    print(f"{x:8.2f} {tg:12.6f} {ts:12.6f} {tq:12.6f}")
 
 peak = tau1_closed(gauss, 2.0)
 print()

@@ -15,7 +15,6 @@ from .counting import (
     POISSON,
     SourceScene,
     THERMAL,
-    count_distribution,
     family_of,
     fi_counting_exact,
     fi_counting_oracle,
@@ -30,7 +29,6 @@ from .direct_imaging import (
     ImagePlaneDensity,
     fi_direct,
     fi_direct_small_d,
-    image_density,
     qfi,
     qfi_numeric,
 )

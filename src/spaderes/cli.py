@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import POISSON, STATISTICS, NoiseModel, SourceScene
+from .counting import NO_NOISE, POISSON, STATISTICS, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
 from .errors import (
     BudgetError,
@@ -30,7 +30,7 @@ from .errors import (
     SpaderesError,
     ValidationError,
 )
-from .montecarlo import MEASUREMENTS, Experiment, run_crb_experiment
+from .montecarlo import MEASUREMENTS, Experiment, Measurement, run_crb_experiment
 from .overlap import tau1_closed, tau1_numeric, tau1_small_d
 from .psf import (
     GAUSSIAN,
@@ -103,14 +103,17 @@ def build_psf(args) -> TransferFunction:
     return load_tabulated(args.psf_file, normalize=args.normalize_psf)
 
 
-def build_noise(args, n_s: float) -> NoiseModel:
-    if args.snr is not None and args.n_b is not None:
+def build_noise(args, m: Measurement, n_s: float) -> NoiseModel:
+    """Dark counts from --n-b or from --snr = n_s / n_b; counting readouts only."""
+    flags = (("--snr", args.snr), ("--n-b", args.n_b))
+    given = [flag for flag, value in flags if value is not None]
+    if len(given) > 1:
         raise ValidationError("give exactly one of --snr and --n-b")
+    if given and m.shot_noise_snr is not None:
+        raise ValidationError(f"{given[0]} sets dark counts; {args.measurement} has only vacuum noise")
     if args.n_b is not None:
         return NoiseModel(n_b=args.n_b)
-    if args.snr is not None:
-        return NoiseModel.from_snr(args.snr, n_s)
-    return NoiseModel(0.0)
+    return NO_NOISE if args.snr is None else NoiseModel.from_snr(args.snr, n_s)
 
 
 def build_grid(args, sigma: float) -> np.ndarray:
@@ -174,14 +177,14 @@ def cmd_tau_curve(args) -> int:
     sigma = sigma_of(tf)
     grid = build_grid(args, sigma)
     scale = 1.0 if args.absolute else 1.0 / sigma
-    rows = []
-    closed_ok = tf.kind in (GAUSSIAN, SINC)
-    for d in grid:
-        numeric = tau1_numeric(tf, d).tau1
-        closed = tau1_closed(tf, d).tau1 if closed_ok else None
-        rows.append([d * scale, numeric, closed, tau1_small_d(sigma, d)])
+    numeric = [tau1_numeric(tf, d).tau1 for d in grid]
+    if tf.kind in (GAUSSIAN, SINC):
+        closed = tau1_closed(tf, grid).tau1.tolist()
+    else:
+        closed = [None] * grid.size
+    columns = [(grid * scale).tolist(), numeric, closed, tau1_small_d(sigma, grid).tolist()]
     label = "d" if args.absolute else "d_over_sigma"
-    write_table(args, [label, "tau1_numeric", "tau1_closed", "tau1_small_d"], rows)
+    write_table(args, [label, "tau1_numeric", "tau1_closed", "tau1_small_d"], list(zip(*columns)))
     return EXIT_OK
 
 
@@ -189,42 +192,39 @@ def cmd_fi_curve(args) -> int:
     m = MEASUREMENTS[args.measurement]
     tf = build_psf(args)
     sigma = sigma_of(tf)
-    noise = build_noise(args, args.n_s)
+    noise = build_noise(args, m, args.n_s)
     grid = build_grid(args, sigma)
-    ceiling = qfi(args.n_s, sigma)
+    scene = SourceScene(tf=tf, d=grid, n_s=args.n_s, statistics=args.statistics)
     fi_scale = 1.0 if args.absolute else sigma**2 / args.n_s
     d_scale = 1.0 if args.absolute else 1.0 / sigma
-    columns = ["d" if args.absolute else "d_over_sigma"]
-    columns += [
-        "fi" if args.absolute else "fi_times_sigma2_over_ns",
-        "fi_small_d",
-        "qfi_line",
+    columns = ["d", "fi"] if args.absolute else ["d_over_sigma", "fi_times_sigma2_over_ns"]
+    columns += ["fi_small_d", "qfi_line"]
+    table = [
+        grid * d_scale,
+        m.fi(scene, noise) * fi_scale,
+        m.fi_small_d(scene, noise) * fi_scale,
+        np.full(grid.shape, qfi(args.n_s, sigma) * fi_scale),
     ]
     if args.with_direct:
         columns.append("direct_imaging")
-    rows = []
-    for d in grid:
-        scene = SourceScene(tf=tf, d=d, n_s=args.n_s, statistics=args.statistics)
-        row = [
-            d * d_scale,
-            m.fi(scene, noise) * fi_scale,
-            m.fi_small_d(scene, noise) * fi_scale,
-            ceiling * fi_scale,
-        ]
-        if args.with_direct:
-            row.append(fi_direct(tf, d, args.n_s) * fi_scale)
-        rows.append(row)
-    write_table(args, columns, rows)
+        table.append([fi_direct(tf, d, args.n_s) * fi_scale for d in grid])
+    write_table(args, columns, np.column_stack(table).tolist())
     return EXIT_OK
 
 
 def cmd_d_half(args) -> int:
     m = MEASUREMENTS[args.measurement]
-    snr = args.snr
-    if snr is None and m.shot_noise_snr is not None and args.n_s is not None:
+    # --snr is the readout's own SNR: n_s / n_b, or a quadrature shot-noise SNR
+    snr, noise = args.snr, None
+    if args.n_b is not None:
+        if args.n_s is None:
+            raise ValidationError("--n-b requires --n-s")
+        noise = build_noise(args, m, args.n_s)
+        snr = noise.snr(args.n_s)
+    elif snr is None and m.shot_noise_snr is not None and args.n_s is not None:
         snr = m.shot_noise_snr(args.n_s)
     if snr is None:
-        need = "--snr" if m.shot_noise_snr is None else "--snr or --n-s"
+        need = "--snr or --n-b" if m.shot_noise_snr is None else "--snr or --n-s"
         raise ValidationError(f"{args.measurement} d-half requires {need}")
     tf = build_psf(args)
     sigma = sigma_of(tf)
@@ -242,7 +242,8 @@ def cmd_d_half(args) -> int:
     if args.numeric:
         if args.n_s is None:
             raise ValidationError("--numeric requires --n-s")
-        noise = NoiseModel.from_snr(snr, args.n_s)
+        if noise is None:
+            noise = NoiseModel.from_snr(snr, args.n_s)
         target = 0.5 * m.ceiling * qfi(args.n_s, sigma)
 
         def fi(d: float) -> float:
@@ -256,7 +257,7 @@ def cmd_d_half(args) -> int:
 
 def cmd_simulate(args) -> int:
     tf = build_psf(args)
-    noise = build_noise(args, args.n_s)
+    noise = build_noise(args, MEASUREMENTS[args.measurement], args.n_s)
     scene = SourceScene(tf=tf, d=args.d_true, n_s=args.n_s, statistics=args.statistics)
     exp = Experiment(
         scene=scene,

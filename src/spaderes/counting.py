@@ -12,7 +12,9 @@ Fisher information about the separation:
 
 At beta = 0 the ratio is evaluated in the factored form 4 n_s c'^2 (with
 tau1 = c^2), which is finite everywhere and yields n_s / sigma^2 at d = 0.
-With beta > 0 the information vanishes quadratically as d -> 0.
+With beta > 0 the information vanishes quadratically as d -> 0.  The scene's
+d may be one separation or an array of them; the closed forms then return
+one value per separation.
 
 `fi_from_pmf` is a deliberately independent check: it sums the defining
 series F = sum_k (1/p_k)(dp_k/dd)^2 with a finite-difference mean derivative
@@ -44,17 +46,18 @@ FAMILIES = (POISSON, BOSE_EINSTEIN)
 class SourceScene:
     """Two equal-brightness incoherent sources at +/- d behind a known PSF.
 
+    d is one separation or an array of separations sharing the other fields.
     n_s is the mean number of source photons reaching the detector per
     observation window (both sources combined).
     """
 
     tf: TransferFunction
-    d: float
+    d: float | np.ndarray
     n_s: float
     statistics: str = POISSON
 
     def __post_init__(self):
-        if self.d < 0:
+        if np.any(self.d < 0):
             raise ValidationError(f"separation must be nonnegative, got {self.d}")
         if self.n_s <= 0:
             raise ValidationError(f"n_s must be positive, got {self.n_s}")
@@ -124,41 +127,27 @@ def family_of(statistics: str) -> str:
     raise ValidationError(f"unknown statistics {statistics!r}")
 
 
-def mean_count(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> float:
-    """kbar = n_s tau1(d) + n_b."""
+def mean_count(scene: SourceScene, noise: NoiseModel = NO_NOISE):
+    """kbar = n_s tau1(d) + n_b, with the shape of the scene's d."""
     return scene.n_s * tau1_exact(scene.tf, scene.d).tau1 + noise.n_b
-
-
-def count_distribution(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> CountDistribution:
-    return CountDistribution(kbar=mean_count(scene, noise), family=family_of(scene.statistics))
 
 
 def logpmf(dist: CountDistribution, k):
     """log P(K = k), evaluated in log-space so large means do not overflow."""
-    karr = np.asarray(k)
-    scalar = karr.ndim == 0
-    karr = np.atleast_1d(karr).astype(float)
+    karr = np.asarray(k, dtype=float)
     if np.any(karr < 0) or np.any(karr != np.floor(karr)):
         raise ValidationError("counts must be nonnegative integers")
     kbar = dist.kbar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if dist.family == POISSON:
-            if kbar == 0.0:
-                out = np.where(karr == 0, 0.0, -np.inf)
-            else:
-                out = karr * np.log(kbar) - kbar - gammaln(karr + 1.0)
-        else:
-            if kbar == 0.0:
-                out = np.where(karr == 0, 0.0, -np.inf)
-            else:
-                out = karr * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar)
-    return float(out[0]) if scalar else out
+    if kbar == 0.0:
+        return np.where(karr == 0, 0.0, -np.inf)[()]
+    if dist.family == POISSON:
+        return (karr * np.log(kbar) - kbar - gammaln(karr + 1.0))[()]
+    return (karr * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar))[()]
 
 
 def pmf(dist: CountDistribution, k):
     """P(K = k); Poisson or Bose-Einstein according to the family."""
-    out = np.exp(logpmf(dist, k))
-    return out
+    return np.exp(logpmf(dist, k))
 
 
 def truncation_limit(dist: CountDistribution) -> int:
@@ -173,39 +162,41 @@ def truncation_limit(dist: CountDistribution) -> int:
     return int(np.ceil(40.0 * (kbar + 1.0) + 30.0))
 
 
-def fi_counting_exact(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> float:
+def fi_counting_exact(scene: SourceScene, noise: NoiseModel = NO_NOISE):
     """Exact Fisher information of the counting measurement, per length^2."""
     tr = tau1_exact(scene.tf, scene.d)
     n_s = scene.n_s
     beta = noise.beta(n_s)
+    # squares by pow(), as in overlap.py
     if beta == 0.0:
         # (dtau1/dd)^2 / tau1 == 4 c'^2; finite at d = 0 where it equals
         # 1 / sigma^2, reproducing the noiseless limit for both statistics.
-        fisher = 4.0 * n_s * tr.c_prime**2
+        fisher = 4.0 * n_s * np.float_power(tr.c_prime, 2)
     else:
-        fisher = n_s * tr.dtau1_dd**2 / (tr.tau1 + beta)
+        fisher = n_s * np.float_power(tr.dtau1_dd, 2) / (tr.tau1 + beta)
     if scene.statistics == THERMAL:
         fisher /= 1.0 + n_s * tr.tau1 + noise.n_b
-    return float(fisher)
+    return fisher
 
 
-def fi_counting_small_d(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> float:
-    """Small-separation law of the counting information.
+def fi_counting_small_d(scene: SourceScene, noise: NoiseModel = NO_NOISE):
+    """Small-separation law of the counting information, shaped like d.
 
-    Poisson: (n_s / sigma^2) d^2 / (d^2 + 4 sigma^2 beta); thermal carries the
-    extra factor 1 / (1 + n_s d^2 / 4 sigma^2 + n_b).
+    Poisson: (n_s / sigma^2) d^2 / (d^2 + 4 sigma^2 beta), which is n_s / sigma^2
+    at d = 0 when beta = 0; thermal carries the extra factor
+    1 / (1 + n_s d^2 / 4 sigma^2 + n_b).
     """
     sigma = scene.sigma
     n_s = scene.n_s
     beta = noise.beta(n_s)
-    d2 = scene.d**2
-    if d2 == 0.0 and beta == 0.0:
-        fisher = n_s / sigma**2
-    else:
+    d2 = np.float_power(scene.d, 2)  # pow(), as in overlap.py
+    with np.errstate(invalid="ignore"):  # 0/0 at d = 0 when beta = 0, replaced below
         fisher = (n_s / sigma**2) * d2 / (d2 + 4.0 * sigma**2 * beta)
+    if beta == 0.0:
+        fisher = np.where(d2 == 0.0, n_s / sigma**2, fisher)[()]
     if scene.statistics == THERMAL:
         fisher /= 1.0 + n_s * d2 / (4.0 * sigma**2) + noise.n_b
-    return float(fisher)
+    return fisher
 
 
 def _kbar_derivative(kbar_fn: Callable[[float], float], d: float) -> float:

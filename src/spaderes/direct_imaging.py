@@ -45,10 +45,6 @@ class ImagePlaneDensity:
         return up * dup - um * dum
 
 
-def image_density(tf: TransferFunction, d: float) -> ImagePlaneDensity:
-    return ImagePlaneDensity(tf=tf, d=float(d))
-
-
 def fi_direct(tf: TransferFunction, d: float, n_s: float) -> float:
     """Exact direct-imaging information n_s * integral (dp/dd)^2 / p dx.
 
@@ -60,7 +56,7 @@ def fi_direct(tf: TransferFunction, d: float, n_s: float) -> float:
     d = float(abs(d))
     if d == 0.0:
         return 0.0
-    dens = image_density(tf, d)
+    dens = ImagePlaneDensity(tf=tf, d=d)
 
     def integrand(x):
         p = dens.p(x)

@@ -222,8 +222,9 @@ class Measurement:
     time, so patching a module attribute (as a tracer does) reaches them too.
     """
 
-    fi: Callable[[SourceScene, NoiseModel], float]  # exact information per frame
-    fi_small_d: Callable[[SourceScene, NoiseModel], float]  # small-separation law
+    # exact information per frame and its small-separation law, shaped like scene.d
+    fi: Callable[[SourceScene, NoiseModel], float | np.ndarray]
+    fi_small_d: Callable[[SourceScene, NoiseModel], float | np.ndarray]
     ceiling: float  # largest information, as a fraction of the QFI n_s / sigma^2
     d_half: Callable[[float, float], float]  # closed form d_half(sigma, snr)
     # SNR in the readout's own convention given n_s alone; None when it is the

@@ -165,11 +165,6 @@ def _spline_sigma(spline: CubicSpline, grid: np.ndarray) -> float:
     return 0.5 / np.sqrt(energy)
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _spline_eval(tf: TransferFunction, arr: np.ndarray, nu: int, fill):
     # fill=None enforces the hull; a numeric fill extends the PSF by that
     # constant, which displaced-overlap integrands use with fill=0.
@@ -189,7 +184,7 @@ def eval_u(tf: TransferFunction, x, fill: float | None = None):
     For the tabulated kind, points outside the grid hull raise a DomainError
     unless ``fill`` supplies an extension value (0 for displaced overlaps).
     """
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     if tf.kind == GAUSSIAN:
         s2 = tf.sigma**2
         out = (2.0 * np.pi * s2) ** (-0.25) * np.exp(-(arr**2) / (4.0 * s2))
@@ -198,12 +193,12 @@ def eval_u(tf: TransferFunction, x, fill: float | None = None):
         out = np.sqrt(a / np.pi) * np.sinc(a * arr / np.pi)
     else:
         out = _spline_eval(tf, arr, 0, fill)
-    return float(out) if scalar else out
+    return out[()]
 
 
 def eval_u_prime(tf: TransferFunction, x, fill: float | None = None):
     """Derivative du/dx, analytic for the closed-form kinds, spline otherwise."""
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     if tf.kind == GAUSSIAN:
         s2 = tf.sigma**2
         out = -(arr / (2.0 * s2)) * (2.0 * np.pi * s2) ** (-0.25) * np.exp(
@@ -214,7 +209,7 @@ def eval_u_prime(tf: TransferFunction, x, fill: float | None = None):
         out = np.sqrt(a / np.pi) * a * _sinc_deriv_ratio(a * arr)
     else:
         out = _spline_eval(tf, arr, 1, fill)
-    return float(out) if scalar else out
+    return out[()]
 
 
 def sigma_of(tf: TransferFunction) -> float:

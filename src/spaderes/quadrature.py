@@ -10,7 +10,9 @@ has variance
     V(d) = 1/2 + n_s tau1(d) / q        (q = 1 homodyne, q = 2 heterodyne)
 
 Fisher information of a zero-mean Gaussian of variance V is (dV/dd)^2 / 2V^2
-per variate, and the q quadratures add.  Both readouts peak at n_s / 4 sigma^2,
+per variate, and the q quadratures add.  The information functions take a
+scene whose d is one separation or an array of them, and return values of
+d's shape.  Both readouts peak at n_s / 4 sigma^2,
 a quarter of the counting ceiling.  The shot-noise SNR, the signal share
 n_s / q over the vacuum variance, is 2 n_s for homodyne and n_s for
 heterodyne.
@@ -40,19 +42,22 @@ def _share(kind: str) -> float:
     return 1.0 / QUADRATURES[kind]
 
 
-def fi_gaussian_1d(v: float, dv: float) -> float:
-    """Fisher information of a zero-mean Gaussian variate, (dV)^2 / 2V^2."""
-    if v <= 0:
-        raise DomainError(f"variance must be positive, got {v}")
-    return dv**2 / (2.0 * v**2)
+def fi_gaussian_1d(v, dv):
+    """Fisher information of a zero-mean Gaussian variate, (dV)^2 / 2V^2.
+
+    Elementwise over arrays; squares by pow(), as in overlap.py.
+    """
+    if np.any(v <= 0):
+        raise DomainError(f"variance must be positive, got {np.min(v)}")
+    return np.float_power(dv, 2) / (2.0 * np.float_power(v, 2))
 
 
-def fi_gaussian_2d(v: float, dv: float) -> float:
+def fi_gaussian_2d(v, dv):
     """Two i.i.d. Gaussian variates: information is additive."""
     return 2.0 * fi_gaussian_1d(v, dv)
 
 
-def _fi(scene, kind: str) -> float:
+def _fi(scene, kind: str):
     share = _share(kind)
     tr = tau1_exact(scene.tf, scene.d)
     v = VACUUM_VARIANCE + share * scene.n_s * tr.tau1
@@ -60,22 +65,22 @@ def _fi(scene, kind: str) -> float:
     return QUADRATURES[kind] * fi_gaussian_1d(v, dv)
 
 
-def _fi_small_d(scene, kind: str) -> float:
+def _fi_small_d(scene, kind: str):
     # the information above with tau1 at its small-d law d^2 / 4 sigma^2:
     # 2 q n_s^2 d^2 / (n_s d^2 + 2 q sigma^2)^2 for q quadratures
     k = 2.0 / _share(kind)
     sigma = sigma_of(scene.tf)
     n_s = scene.n_s
-    d2 = scene.d**2
-    return k * n_s**2 * d2 / (n_s * d2 + k * sigma**2) ** 2
+    d2 = np.float_power(scene.d, 2)
+    return k * n_s**2 * d2 / np.float_power(n_s * d2 + k * sigma**2, 2)
 
 
-def fi_homodyne(scene) -> float:
+def fi_homodyne(scene):
     """Homodyne information 2 n_s^2 (dtau1/dd)^2 / (1 + 2 n_s tau1)^2."""
     return _fi(scene, HOMODYNE)
 
 
-def fi_heterodyne(scene) -> float:
+def fi_heterodyne(scene):
     """Heterodyne information n_s^2 (dtau1/dd)^2 / (1 + n_s tau1)^2.
 
     Half the signal reaches each quadrature, but both are read out.
@@ -83,7 +88,7 @@ def fi_heterodyne(scene) -> float:
     return _fi(scene, HETERODYNE)
 
 
-def fi_homodyne_small_d(scene) -> float:
+def fi_homodyne_small_d(scene):
     """Small-separation homodyne law 2 n_s^2 d^2 / (n_s d^2 + 2 sigma^2)^2.
 
     Maximum n_s / 4 sigma^2 at d = sigma sqrt(2 / n_s).
@@ -91,7 +96,7 @@ def fi_homodyne_small_d(scene) -> float:
     return _fi_small_d(scene, HOMODYNE)
 
 
-def fi_heterodyne_small_d(scene) -> float:
+def fi_heterodyne_small_d(scene):
     """Small-separation heterodyne law 4 n_s^2 d^2 / (n_s d^2 + 4 sigma^2)^2.
 
     Maximum n_s / 4 sigma^2 at d = 2 sigma / sqrt(n_s).

@@ -34,8 +34,6 @@ from .errors import BracketingError, ValidationError
 
 COUNTING = "counting"
 
-SAFETY_FACTOR = 10.0  # d >= SAFETY_FACTOR * window.low counts as safely inside
-
 
 def d_half_counting(sigma: float, snr: float) -> float:
     """2 sigma / sqrt(SNR)."""

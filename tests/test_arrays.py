@@ -1,0 +1,105 @@
+"""The closed-form kernels over arrays of d equal the same kernels called
+point by point, bit for bit, and a scalar d gives a scalar back."""
+
+import numpy as np
+import pytest
+
+from spaderes import (
+    POISSON,
+    THERMAL,
+    NoiseModel,
+    SourceScene,
+    Transmission,
+    ValidationError,
+    fi_counting_exact,
+    fi_counting_small_d,
+    fi_heterodyne,
+    fi_heterodyne_small_d,
+    fi_homodyne,
+    fi_homodyne_small_d,
+    gaussian_psf,
+    mean_count,
+    sigma_of,
+    sinc_psf,
+    tabulated_psf,
+    tau1_closed,
+    tau1_exact,
+    tau1_small_d,
+)
+
+_X = np.linspace(-8.0, 8.0, 801)
+PSFS = {
+    "gaussian": gaussian_psf(0.8),
+    "sinc": sinc_psf(sigma=1.3),
+    "tabulated": tabulated_psf(_X, (2.0 * np.pi) ** -0.25 * np.exp(-(_X**2) / 4.0)),
+}
+# in units of sigma, from d = 0.  The closed forms get a dense grid: a square
+# taken by multiplication instead of pow() differs in the last bit for about
+# one value in 1300, and only a dense grid shows it.  The tabulated kind stops
+# below the 2-sigma point where its overlap oracle refuses (ROADMAP item 2a).
+GRIDS = {
+    "closed": np.concatenate([[0.0], np.geomspace(1e-4, 4.5, 3000)]),
+    "tabulated": np.concatenate([[0.0], np.geomspace(1e-4, 1.9, 9)]),
+}
+N_S = 40.0
+
+
+def _grid(tf):
+    return GRIDS["tabulated" if tf.kind == "tabulated" else "closed"] * sigma_of(tf)
+
+
+def _assert_matches_points(array_value, point_values):
+    assert not any(isinstance(v, np.ndarray) for v in point_values)
+    assert np.shape(array_value) == (len(point_values),)
+    assert np.array_equal(array_value, point_values)
+
+
+@pytest.mark.parametrize("kind", PSFS)
+def test_transmission_over_an_array_equals_point_calls(kind):
+    tf = PSFS[kind]
+    d = _grid(tf)
+    kernels = [tau1_exact] if kind == "tabulated" else [tau1_exact, tau1_closed]
+    for kernel in kernels:
+        curve = kernel(tf, d)
+        points = [kernel(tf, float(x)) for x in d]
+        for name in Transmission._fields:
+            _assert_matches_points(getattr(curve, name), [getattr(p, name) for p in points])
+    _assert_matches_points(
+        tau1_small_d(sigma_of(tf), d), [tau1_small_d(sigma_of(tf), float(x)) for x in d]
+    )
+
+
+@pytest.mark.parametrize("n_b", [0.0, 0.3])
+@pytest.mark.parametrize("statistics", [POISSON, THERMAL])
+@pytest.mark.parametrize("kind", PSFS)
+def test_counting_over_an_array_equals_point_calls(kind, statistics, n_b):
+    tf = PSFS[kind]
+    noise = NoiseModel(n_b=n_b)
+    curve = SourceScene(tf, _grid(tf), N_S, statistics)
+    points = [SourceScene(tf, float(x), N_S, statistics) for x in _grid(tf)]
+    for kernel in (fi_counting_exact, fi_counting_small_d, mean_count):
+        _assert_matches_points(kernel(curve, noise), [kernel(p, noise) for p in points])
+
+
+@pytest.mark.parametrize("kind", PSFS)
+def test_quadrature_over_an_array_equals_point_calls(kind):
+    tf = PSFS[kind]
+    curve = SourceScene(tf, _grid(tf), N_S)
+    points = [SourceScene(tf, float(x), N_S) for x in _grid(tf)]
+    for kernel in (fi_homodyne, fi_heterodyne, fi_homodyne_small_d, fi_heterodyne_small_d):
+        _assert_matches_points(kernel(curve), [kernel(p) for p in points])
+
+
+def test_outputs_take_the_shape_of_d():
+    tf = PSFS["sinc"]
+    d = _grid(tf)[1:10].reshape(3, 3)
+    scene = SourceScene(tf, d, N_S, THERMAL)
+    assert tau1_closed(tf, d).c_prime.shape == (3, 3)
+    assert fi_counting_exact(scene, NoiseModel(0.5)).shape == (3, 3)
+    assert fi_counting_small_d(scene).shape == (3, 3)
+    assert fi_heterodyne(scene).shape == (3, 3)
+
+
+def test_scene_rejects_any_negative_separation():
+    with pytest.raises(ValidationError):
+        SourceScene(PSFS["gaussian"], np.array([0.1, -0.2, 0.3]), N_S)

@@ -189,6 +189,42 @@ def test_exit_code_usage_errors(tmp_path):
     assert run(["frobnicate"]) == 2
 
 
+def test_counting_d_half_takes_dark_counts_as_n_b(capsys):
+    by_n_b = _json(capsys, ["d-half", "--n-s", "100", "--n-b", "1", "--numeric"])
+    by_snr = _json(capsys, ["d-half", "--n-s", "100", "--snr", "100", "--numeric"])
+    assert by_n_b["snr"] == 100.0
+    del by_n_b["config"], by_snr["config"]
+    assert by_n_b == by_snr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --snr and --n-b both give the dark counts
+        ["d-half", "--n-s", "100", "--n-b", "1", "--snr", "1e4"],
+        ["simulate", "--d-true", "0.3", "--snr", "1e4", "--n-b", "1"],
+        # dark counts without the source brightness they are a fraction of
+        ["d-half", "--n-b", "1"],
+        # a quadrature readout has no dark counts: the vacuum is its noise
+        ["fi-curve", "--measurement", "homodyne", "--snr", "10"],
+        ["fi-curve", "--measurement", "heterodyne", "--n-b", "1"],
+        ["simulate", "--measurement", "homodyne", "--d-true", "0.3", "--n-b", "1"],
+        ["simulate", "--measurement", "heterodyne", "--d-true", "0.3", "--snr", "10"],
+        ["d-half", "--measurement", "homodyne", "--n-s", "100", "--n-b", "1"],
+    ],
+)
+def test_noise_flags_that_cannot_apply_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_quadrature_d_half_takes_its_own_shot_noise_snr(capsys):
+    by_snr = _json(capsys, ["d-half", "--measurement", "homodyne", "--snr", "200"])
+    by_n_s = _json(capsys, ["d-half", "--measurement", "homodyne", "--n-s", "100"])
+    assert by_snr["snr"] == by_n_s["snr"] == 200.0
+    assert by_snr["d_half"] == by_n_s["d_half"]
+
+
 def test_exit_code_numeric_failure():
     # no background puts the curve peak at d -> 0, so no rising-branch root
     assert run(

@@ -11,7 +11,6 @@ from spaderes.counting import (
     CountDistribution,
     NoiseModel,
     SourceScene,
-    count_distribution,
     family_of,
     fi_counting_exact,
     fi_counting_oracle,
@@ -83,9 +82,9 @@ def test_mean_count():
     expect = 100.0 * 0.01 * np.exp(-0.01) + 1.0
     assert mean_count(sc, noise) == pytest.approx(expect, rel=1e-14)
     assert mean_count(scene(0.0)) == 0.0
-    dist = count_distribution(sc, noise)
-    assert dist.kbar == pytest.approx(expect, rel=1e-14)
-    assert dist.family == POISSON
+    # one mean per separation of an array
+    both = mean_count(scene(np.array([0.2, 0.0]), n_s=100.0), noise)
+    assert both.tolist() == [mean_count(sc, noise), 1.0]
 
 
 def test_fi_at_zero_separation():

@@ -6,7 +6,7 @@ import pytest
 from spaderes.direct_imaging import (
     fi_direct,
     fi_direct_small_d,
-    image_density,
+    ImagePlaneDensity,
     qfi,
     qfi_numeric,
 )
@@ -20,11 +20,11 @@ SINC = sinc_psf(sigma=1.0)
 
 
 def test_density_normalized_and_even_in_d():
-    dens = image_density(GAUSS, 0.8)
+    dens = ImagePlaneDensity(GAUSS, 0.8)
     total = composite_gauss_legendre(lambda x: dens.p(x), -12.0, 12.0, 48)
     assert total == pytest.approx(1.0, abs=1e-12)
     x = np.array([-1.3, 0.2, 2.1])
-    assert image_density(GAUSS, 0.8).p(-x) == pytest.approx(dens.p(x), rel=1e-13)
+    assert ImagePlaneDensity(GAUSS, 0.8).p(-x) == pytest.approx(dens.p(x), rel=1e-13)
 
 
 def test_well_separated_recovers_full_information():

@@ -9,7 +9,7 @@ declared bug fix may do; such a change regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import pytest
 
 from spaderes.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = (Path(__file__).parent / "golden").resolve()
 
 _LOG_GRID = ["--d-min", "1e-3", "--d-max", "3", "--count", "40", "--spacing", "log"]
 _SIMULATE = ["simulate", "--d-true", "0.3", "--n-s", "100", "--frames", "100",
@@ -72,12 +72,12 @@ CASES = {
 
 
 def _write(name: str, out: Path) -> int:
-    with contextlib.chdir(GOLDEN):
-        return main(CASES[name] + ["--out", str(out.resolve())])
+    return main(CASES[name] + ["--out", str(out)])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_artifact_unchanged(name, tmp_path):
+def test_artifact_unchanged(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     out = tmp_path / name
     assert _write(name, out) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
@@ -85,6 +85,7 @@ def test_artifact_unchanged(name, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    os.chdir(GOLDEN)
     for case in CASES:
         if _write(case, GOLDEN / case) != 0:
             sys.exit(f"{case} failed")

@@ -214,14 +214,19 @@ def cmd_fi_curve(args) -> int:
 
 def cmd_d_half(args) -> int:
     m = MEASUREMENTS[args.measurement]
-    # --snr is the readout's own SNR: n_s / n_b, or a quadrature shot-noise SNR
+    # --snr is the readout's own SNR: n_s / n_b, or a quadrature shot-noise SNR,
+    # which --n-s alone also sets, so a quadrature readout takes one of the two
     snr, noise = args.snr, None
     if args.n_b is not None:
         if args.n_s is None:
             raise ValidationError("--n-b requires --n-s")
         noise = build_noise(args, m, args.n_s)
         snr = noise.snr(args.n_s)
-    elif snr is None and m.shot_noise_snr is not None and args.n_s is not None:
+    elif m.shot_noise_snr is not None and args.n_s is not None:
+        if snr is not None:
+            raise ValidationError(
+                f"give one of --snr and --n-s: --n-s sets the {args.measurement} shot-noise SNR"
+            )
         snr = m.shot_noise_snr(args.n_s)
     if snr is None:
         need = "--snr or --n-b" if m.shot_noise_snr is None else "--snr or --n-s"

@@ -1,19 +1,26 @@
 """Cramér-Rao benchmarking by simulated experiments.
 
-A trial aggregates M independent observation windows (frames): photocounts
-are summed, quadrature outcomes pooled.  The separation estimate inverts the
-measured first or second moment through the exact tau1 curve on its rising
-branch [0, d_peak]; for these one-parameter families that inversion is the
-maximum-likelihood estimate.  Estimates clipped to the branch ends (no excess
-signal, or signal above the branch maximum) stay in the sample and are
-reported through clip_fraction rather than discarded.
+A trial aggregates M independent observation windows (frames) and is reduced
+to one statistic as it is drawn: the photocount total, or the mean square of
+the quadrature outcomes pooled over frames and quadratures.  So memory grows
+with the number of trials, not with trials x frames.  The separation estimate
+inverts that measured first or second moment through the exact tau1 curve on
+its rising branch [0, d_peak]; for these one-parameter families that
+inversion is the maximum-likelihood estimate.  Estimates clipped to the branch
+ends (no excess signal, or signal above the branch maximum) stay in the
+sample and are reported through clip_fraction rather than discarded.
 
 Each trial draws from its own SeedSequence-spawned stream, so results are
-reproducible and independent of execution order.
+reproducible and independent of execution order.  All trials of an
+experiment are inverted together by one Brent solve run in lockstep over the
+array of their tau1 targets; it takes the steps scipy's brentq takes on each
+target alone, so the estimates are the ones a per-trial brentq gives, bit for
+bit.
 
 MEASUREMENTS is the one table of what differs between the readouts (photon
 counting, homodyne, heterodyne): information curves, ceiling, closed-form
-d_half, SNR convention, sampler and estimator.  The CLI reads it too.
+d_half, SNR convention, the per-trial statistic and the tau1 it estimates.
+The CLI reads it too.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .counting import (
     BOSE_EINSTEIN,
@@ -42,17 +49,21 @@ from .psf import TransferFunction, sigma_of
 from .quadrature import (
     HETERODYNE,
     HOMODYNE,
+    QUADRATURES,
     VACUUM_VARIANCE,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
     fi_homodyne_small_d,
-    sample_quadrature,
+    quadrature_std,
     shot_noise_snr,
 )
 from .resolution import COUNTING, d_half_counting, d_half_quadrature
 
 DEFAULT_BUDGET = 50_000_000  # frames x trials
+
+# scipy.optimize.brentq's iteration cap
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +126,13 @@ class TrialReport:
         return json.dumps(fields)
 
 
-def _trial_streams(seed: int, trials: int):
-    return np.random.SeedSequence(seed).spawn(trials)
+def _per_trial(exp: Experiment, statistic, dtype=float) -> np.ndarray:
+    """statistic(rng) of each trial, drawn from the trial's own stream; shape (trials,)."""
+    exp.check_budget()
+    out = np.empty(exp.trials, dtype=dtype)
+    for i, stream in enumerate(np.random.SeedSequence(exp.seed).spawn(exp.trials)):
+        out[i] = statistic(np.random.default_rng(stream))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -134,42 +150,136 @@ def _tau_branch(tf: TransferFunction) -> tuple[float, float]:
     return d_peak, tau1_exact(tf, d_peak).tau1
 
 
-def _invert_tau1(tf: TransferFunction, tau_target: float) -> float:
-    """Separation whose tau1 matches tau_target on the rising branch.
+def _brentq_lockstep(g, targets: np.ndarray, xa: float, xb: float, xtol: float, rtol: float,
+                     maxiter: int = BRENT_MAXITER) -> np.ndarray:
+    """Roots in [xa, xb] of g(x) = t for every t of a 1-d array of targets.
 
-    Values at or below 0 clip to 0; values at or above the branch maximum
-    clip to d_peak.
+    scipy's brentq.c, statement for statement, run in lockstep: each target
+    takes the steps a scalar brentq takes on f(x) = g(x) - t, so the roots are
+    the same bit for bit.  g maps an array of points to an array of values;
+    each iteration makes one call of g, over the targets not yet converged.
+    A NaN residual raises ValueError, as does a target whose residuals at xa
+    and xb share a sign; a target not converged after maxiter iterations
+    raises RuntimeError.
     """
-    if tau_target <= 0.0:
-        return 0.0
-    d_peak, tau_peak = _tau_branch(tf)
-    if tau_target >= tau_peak:
-        return d_peak
-    return float(
-        brentq(
-            lambda d: tau1_exact(tf, d).tau1 - tau_target,
-            0.0,
-            d_peak,
-            xtol=1e-13 * d_peak,
-            rtol=1e-12,
-        )
+
+    def residual(x, t):
+        f = g(x) - t
+        if np.isnan(f).any():
+            raise ValueError("a residual is NaN; the solver cannot continue")
+        return f
+
+    fa, fb = residual(xa, targets), residual(xb, targets)
+    if np.any((fa != 0) & (fb != 0) & (np.signbit(fa) == np.signbit(fb))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    root = np.where(fa == 0, xa, xb)
+    idx = np.flatnonzero((fa != 0) & (fb != 0))
+    t, fpre, fcur = targets[idx], fa[idx], fb[idx]
+    xpre, xcur = np.full(idx.size, float(xa)), np.full(idx.size, float(xb))
+    xblk = fblk = spre = scur = np.zeros(idx.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(maxiter):
+            # xblk is the far end of the bracket; xcur the end with the smaller residual
+            bracket = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(bracket, xpre, xblk), np.where(bracket, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(bracket, step, spre), np.where(bracket, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (
+                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            )
+            fpre, fcur, fblk = (
+                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            )
+
+            delta = (xtol + rtol * np.abs(xcur)) / 2  # the tolerance is 2 delta
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            root[idx[done]] = xcur[done]
+            live = ~done
+            if not live.any():
+                return root
+            idx, t, delta, sbis = idx[live], t[live], delta[live], sbis[live]
+            xpre, xcur, xblk = xpre[live], xcur[live], xblk[live]
+            fpre, fcur, fblk = fpre[live], fcur[live], fblk[live]
+            spre, scur = spre[live], scur[live]
+
+            # secant or inverse quadratic step if it is short enough, else bisection
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            # brentq.c's MIN(a, b) is a < b ? a : b, which np.minimum is not for NaN
+            bound = np.where(np.abs(spre) < 3 * np.abs(sbis) - delta,
+                             np.abs(spre), 3 * np.abs(sbis) - delta)
+            short = (
+                (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < bound)
+            )
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                            xcur + np.where(sbis > 0, delta, -delta))
+            fcur = residual(xcur, t)
+    raise RuntimeError(
+        f"{idx.size} of {targets.size} roots failed to converge after {maxiter} iterations"
     )
+
+
+def _invert_tau1(tf: TransferFunction, tau_target):
+    """Separations whose tau1 matches tau_target on the rising branch.
+
+    Elementwise over a scalar or an array of targets, in one lockstep Brent
+    solve.  Values at or below 0 clip to 0; values at or above the branch
+    maximum clip to d_peak.
+    """
+    t = np.asarray(tau_target, dtype=float)
+    flat = t.ravel()
+    d = np.zeros(flat.shape)
+    positive = ~(flat <= 0.0)
+    if positive.any():
+        d_peak, tau_peak = _tau_branch(tf)
+        rising = positive & ~(flat >= tau_peak)
+        d[positive & ~rising] = d_peak
+        d[rising] = _brentq_lockstep(
+            lambda x: tau1_exact(tf, x).tau1, flat[rising], 0.0, d_peak,
+            xtol=1e-13 * d_peak, rtol=1e-12,
+        )
+    return d.reshape(t.shape)[()]
 
 
 def simulate_counts(exp: Experiment) -> np.ndarray:
     """Per-trial total photocounts, shape (trials,)."""
-    exp.check_budget()
     kbar = mean_count(exp.scene, exp.noise)
-    family = family_of(exp.scene.statistics)
-    totals = np.empty(exp.trials, dtype=np.int64)
-    for i, stream in enumerate(_trial_streams(exp.seed, exp.trials)):
-        rng = np.random.default_rng(stream)
-        if family == BOSE_EINSTEIN:
-            counts = rng.geometric(1.0 / (kbar + 1.0), size=exp.frames) - 1
-        else:
-            counts = rng.poisson(kbar, size=exp.frames)
-        totals[i] = counts.sum()
-    return totals
+    frames = exp.frames
+    if family_of(exp.scene.statistics) == BOSE_EINSTEIN:
+        p = 1.0 / (kbar + 1.0)
+        return _per_trial(exp, lambda rng: (rng.geometric(p, size=frames) - 1).sum(), np.int64)
+    return _per_trial(exp, lambda rng: rng.poisson(kbar, size=frames).sum(), np.int64)
+
+
+def simulate_quadrature(exp: Experiment) -> np.ndarray:
+    """Per-trial mean square of the quadrature outcomes, shape (trials,).
+
+    Each trial draws the outcomes sample_quadrature draws from its stream and
+    pools their squares over frames and quadratures; the spread is computed
+    once for the experiment.
+    """
+    scale = quadrature_std(exp.scene, exp.measurement)
+    q = QUADRATURES[exp.measurement]
+    shape = (exp.frames,) if q == 1 else (exp.frames, q)
+    return _per_trial(exp, lambda rng: np.mean(rng.normal(0.0, scale, size=shape) ** 2))
+
+
+def _counting_target(total, frames: int, scene: SourceScene, noise: NoiseModel):
+    # the mean count per frame is n_s (tau1 + beta)
+    return total / (frames * scene.n_s) - noise.beta(scene.n_s)
+
+
+def _quadrature_target(mean_square, scene: SourceScene, quadratures: int):
+    # each quadrature's variance is 1/2 + n_s tau1 / q
+    return (mean_square - VACUUM_VARIANCE) / (scene.n_s / quadratures)
 
 
 def ml_estimate_counting(
@@ -178,8 +288,7 @@ def ml_estimate_counting(
     """Invert the mean count n_s (tau1 + beta) = total/M on the rising branch."""
     if frames < 1:
         raise ValidationError(f"frames must be at least 1, got {frames}")
-    tau_target = total_count / (frames * scene.n_s) - noise.beta(scene.n_s)
-    return _invert_tau1(scene.tf, tau_target)
+    return float(_invert_tau1(scene.tf, _counting_target(total_count, frames, scene, noise)))
 
 
 def ml_estimate_quadrature(samples, scene: SourceScene) -> float:
@@ -201,23 +310,16 @@ def ml_estimate_quadrature(samples, scene: SourceScene) -> float:
     if arr.shape[0] < 2:
         raise ValidationError("need at least 2 samples to estimate a variance")
     v_hat = float(np.mean(arr**2))  # pooled over the quadratures
-    tau_target = (v_hat - VACUUM_VARIANCE) / (scene.n_s / quadratures)
-    return _invert_tau1(scene.tf, tau_target)
-
-
-def _quadrature_trials(exp: Experiment):
-    for stream in _trial_streams(exp.seed, exp.trials):
-        yield sample_quadrature(exp.scene, exp.measurement, exp.frames, stream)
-
-
-def _quadrature_estimate(samples, exp: Experiment) -> float:
-    return ml_estimate_quadrature(samples, exp.scene)
+    return float(_invert_tau1(scene.tf, _quadrature_target(v_hat, scene, quadratures)))
 
 
 @dataclass(frozen=True)
 class Measurement:
     """What sets one readout of the derivative-mode channel apart.
 
+    An experiment reduces each trial to one number as it is drawn (sample),
+    maps those numbers to the tau1 they estimate, elementwise (tau1_target),
+    and inverts all of them on the rising branch of tau1 in one solve.
     The callables reach the kernels through their module-level names at call
     time, so patching a module attribute (as a tracer does) reaches them too.
     """
@@ -230,8 +332,11 @@ class Measurement:
     # SNR in the readout's own convention given n_s alone; None when it is the
     # source-to-background ratio n_s / n_b and has to be given
     shot_noise_snr: Callable[[float], float] | None
-    sample: Callable[[Experiment], Iterable]  # the data of each trial, in order
-    estimate: Callable[[object, Experiment], float]  # separation from one trial's data
+    # one statistic per trial, in trial order: shape (trials,)
+    sample: Callable[[Experiment], np.ndarray]
+    # the tau1 each trial's statistic estimates, elementwise; the estimate
+    # inverts it on the rising branch
+    tau1_target: Callable[[np.ndarray, Experiment], np.ndarray]
 
 
 MEASUREMENTS = {
@@ -242,7 +347,7 @@ MEASUREMENTS = {
         d_half=lambda sigma, snr: d_half_counting(sigma, snr),
         shot_noise_snr=None,
         sample=lambda exp: simulate_counts(exp),
-        estimate=lambda total, exp: ml_estimate_counting(total, exp.frames, exp.scene, exp.noise),
+        tau1_target=lambda totals, exp: _counting_target(totals, exp.frames, exp.scene, exp.noise),
     ),
     HOMODYNE: Measurement(
         fi=lambda scene, noise: fi_homodyne(scene),
@@ -250,8 +355,8 @@ MEASUREMENTS = {
         ceiling=0.25,
         d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
         shot_noise_snr=lambda n_s: shot_noise_snr(HOMODYNE, n_s),
-        sample=_quadrature_trials,
-        estimate=_quadrature_estimate,
+        sample=lambda exp: simulate_quadrature(exp),
+        tau1_target=lambda ms, exp: _quadrature_target(ms, exp.scene, QUADRATURES[HOMODYNE]),
     ),
     HETERODYNE: Measurement(
         fi=lambda scene, noise: fi_heterodyne(scene),
@@ -259,8 +364,8 @@ MEASUREMENTS = {
         ceiling=0.25,
         d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
         shot_noise_snr=lambda n_s: shot_noise_snr(HETERODYNE, n_s),
-        sample=_quadrature_trials,
-        estimate=_quadrature_estimate,
+        sample=lambda exp: simulate_quadrature(exp),
+        tau1_target=lambda ms, exp: _quadrature_target(ms, exp.scene, QUADRATURES[HETERODYNE]),
     ),
 }
 
@@ -271,7 +376,7 @@ def run_crb_experiment(exp: Experiment) -> TrialReport:
     m = MEASUREMENTS[exp.measurement]
     scene = exp.scene
     d_true = scene.d
-    estimates = np.array([m.estimate(data, exp) for data in m.sample(exp)], dtype=float)
+    estimates = _invert_tau1(scene.tf, m.tau1_target(m.sample(exp), exp))
     fisher = m.fi(scene, exp.noise)
 
     d_peak, _ = _tau_branch(scene.tf)
@@ -279,7 +384,7 @@ def run_crb_experiment(exp: Experiment) -> TrialReport:
     unbounded = fisher <= 0.0
     return TrialReport(
         d_true=float(d_true),
-        estimates=tuple(float(e) for e in estimates),
+        estimates=tuple(estimates.tolist()),
         empirical_variance=float(np.var(estimates, ddof=1)) if exp.trials > 1 else 0.0,
         empirical_mse=float(np.mean((estimates - d_true) ** 2)),
         crb=None if unbounded else float(1.0 / (exp.frames * fisher)),

@@ -114,6 +114,12 @@ def shot_noise_snr(kind: str, n_s: float) -> float:
     return _share(kind) * n_s / VACUUM_VARIANCE
 
 
+def quadrature_std(scene, kind: str):
+    """Standard deviation sqrt(V(d)) of each measured quadrature, shaped like scene.d."""
+    share = _share(kind)
+    return np.sqrt(VACUUM_VARIANCE + share * scene.n_s * tau1_exact(scene.tf, scene.d).tau1)
+
+
 def sample_quadrature(scene, kind: str, count: int, seed) -> np.ndarray:
     """i.i.d. quadrature outcomes of the scene at its separation.
 
@@ -123,8 +129,7 @@ def sample_quadrature(scene, kind: str, count: int, seed) -> np.ndarray:
     """
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
-    share = _share(kind)
+    scale = quadrature_std(scene, kind)
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(VACUUM_VARIANCE + share * scene.n_s * tau1_exact(scene.tf, scene.d).tau1)
     q = QUADRATURES[kind]
     return rng.normal(0.0, scale, size=(count,) if q == 1 else (count, q))

@@ -225,6 +225,16 @@ def test_quadrature_d_half_takes_its_own_shot_noise_snr(capsys):
     assert by_snr["d_half"] == by_n_s["d_half"]
 
 
+@pytest.mark.parametrize("measurement", ["homodyne", "heterodyne"])
+@pytest.mark.parametrize("numeric", [[], ["--numeric"]])
+def test_quadrature_d_half_takes_one_of_snr_and_n_s(measurement, numeric, capsys):
+    # --n-s sets the shot-noise SNR; with --snr too the closed form and the
+    # numeric curve would answer for two different readouts
+    argv = ["d-half", "--measurement", measurement, "--snr", "10", "--n-s", "100", *numeric]
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_code_numeric_failure():
     # no background puts the curve peak at d -> 0, so no rising-branch root
     assert run(

@@ -68,6 +68,17 @@ CASES = {
                                    "psf_gaussian_801.txt", "--n-s", "100", "--snr", "1e3",
                                    "--d-min", "1e-2", "--d-max", "1.5", "--count", "15",
                                    "--spacing", "log", "--format", "json"],
+    # the branch ends of the moment inversion: 37.5% of trials clip at d_peak,
+    # then every-trial clipping at 0 under an unbounded CRB, for counts and quadratures
+    "simulate_counting_clip_peak.json": [*_SIMULATE, "--psf", "gaussian", "--d-true", "1.9",
+                                         "--snr", "1e4"],
+    "simulate_counting_zero.json": [*_SIMULATE, "--psf", "gaussian", "--d-true", "0",
+                                    "--snr", "1e2"],
+    "simulate_heterodyne_sinc_zero.json": [*_SIMULATE, "--psf", "sinc", "--d-true", "0",
+                                           "--measurement", "heterodyne"],
+    # a job of the size the mc-crb benchmark runs
+    "simulate_homodyne_sinc_2000.json": [*_SIMULATE, "--psf", "sinc", "--measurement",
+                                         "homodyne", "--frames", "200", "--trials", "2000"],
 }
 
 

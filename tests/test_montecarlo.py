@@ -4,19 +4,24 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import spaderes.montecarlo as mc
 from spaderes.counting import NO_NOISE, NoiseModel, SourceScene, THERMAL, mean_count
 from spaderes.errors import BudgetError, ValidationError
 from spaderes.montecarlo import (
     Experiment,
     TrialReport,
+    _brentq_lockstep,
+    _invert_tau1,
+    _tau_branch,
     ml_estimate_counting,
     ml_estimate_quadrature,
     run_crb_experiment,
     simulate_counts,
 )
-from spaderes.overlap import tau1_closed
-from spaderes.psf import gaussian_psf
+from spaderes.overlap import tau1_closed, tau1_exact
+from spaderes.psf import gaussian_psf, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE
 
 GAUSS = gaussian_psf(1.0)
@@ -183,3 +188,89 @@ def test_experiment_validation():
         experiment(frames=10, trials=0, seed=0)
     with pytest.raises(ValidationError):
         experiment(measurement="calorimetry", frames=10, trials=10, seed=0)
+
+
+def _brentq_each(tf, targets):
+    """The inversion by one scalar scipy brentq per target, with the same clipping."""
+    d_peak, tau_peak = _tau_branch(tf)
+    out = []
+    for t in targets.tolist():
+        if t <= 0.0:
+            out.append(0.0)
+        elif t >= tau_peak:
+            out.append(d_peak)
+        else:
+            out.append(brentq(lambda d: tau1_exact(tf, d).tau1 - t, 0.0, d_peak,
+                              xtol=1e-13 * d_peak, rtol=1e-12))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "tf",
+    [gaussian_psf(1.0), gaussian_psf(0.37), sinc_psf(sigma=1.0), sinc_psf(sigma=0.37)],
+    ids=["gaussian", "gaussian-0.37", "sinc", "sinc-0.37"],
+)
+def test_lockstep_inversion_matches_scalar_brentq(tf):
+    rng = np.random.default_rng(2024)
+    _, tau_peak = _tau_branch(tf)
+    targets = np.concatenate([
+        rng.uniform(0.0, tau_peak, 20_000),
+        np.geomspace(1e-300, 1e-4, 300),  # the flat foot of the branch
+        tau_peak - rng.uniform(0.0, 1e-6, 300),  # the flat top, just below the peak
+        tau_peak - np.geomspace(1e-17, 1e-7, 100),
+        [0.0, -0.0, -1e-12, -1.0, 5e-324, tau_peak, np.nextafter(tau_peak, 0.0),
+         np.nextafter(tau_peak, 1.0), tau_peak + 1e-9, 1.0],
+    ])
+    rng.shuffle(targets)
+    assert np.array_equal(_invert_tau1(tf, targets), _brentq_each(tf, targets))
+
+
+def test_inversion_keeps_the_shape_of_its_targets():
+    targets = np.linspace(-0.1, 0.5, 12).reshape(3, 4)
+    d = _invert_tau1(GAUSS, targets)
+    assert d.shape == (3, 4)
+    assert np.array_equal(d.ravel(), _brentq_each(GAUSS, targets.ravel()))
+    scalar = _invert_tau1(GAUSS, 0.2)
+    assert not isinstance(scalar, np.ndarray)
+    assert scalar == _brentq_each(GAUSS, np.array([0.2]))[0]
+
+
+def test_nan_residual_raises():
+    with pytest.raises(ValueError):
+        _invert_tau1(GAUSS, np.array([0.1, np.nan, 0.2]))
+
+    # NaN inside the bracket, where the root lies: bisection has to land there
+    def cube_with_hole(x):
+        return np.where(np.abs(x - 0.5) < 0.05, np.nan, np.float_power(x, 3))
+
+    with pytest.raises(ValueError):
+        _brentq_lockstep(cube_with_hole, np.array([0.05, 0.125]), 0.0, 1.0,
+                         xtol=1e-13, rtol=1e-12)
+
+
+def test_solver_refuses_unbracketed_and_unconverged_roots():
+    with pytest.raises(ValueError):
+        _brentq_lockstep(lambda x: x, np.array([0.5, 2.0]), 0.0, 1.0, xtol=1e-13, rtol=1e-12)
+    with pytest.raises(RuntimeError):
+        _brentq_lockstep(lambda x: np.float_power(x, 3), np.array([0.3]), 0.0, 1.0,
+                         xtol=1e-13, rtol=1e-12, maxiter=2)
+
+
+@pytest.mark.parametrize("measurement", ["counting", HOMODYNE])
+def test_all_trials_invert_in_one_array_solve(measurement, monkeypatch):
+    # a per-trial inversion would make thousands of tau1 calls
+    calls = []
+
+    def counted(tf, d):
+        calls.append(np.size(d))
+        return tau1_exact(tf, d)
+
+    monkeypatch.setattr(mc, "tau1_exact", counted)
+    _tau_branch.cache_clear()  # count the search for the branch peak too
+    noise = SNR4 if measurement == "counting" else NO_NOISE
+    scene = SourceScene(sinc_psf(sigma=1.0), 0.3, 100.0)
+    rep = run_crb_experiment(
+        Experiment(scene, noise, measurement=measurement, frames=200, trials=2000, seed=13)
+    )
+    assert len(rep.estimates) == 2000
+    assert len(calls) < 150

@@ -8,14 +8,11 @@ plus half-resolution distances and Monte Carlo Cramér-Rao benchmarks.
 """
 
 from .counting import (
-    BOSE_EINSTEIN,
-    CountDistribution,
     NO_NOISE,
     NoiseModel,
     POISSON,
     SourceScene,
     THERMAL,
-    family_of,
     fi_counting_exact,
     fi_counting_oracle,
     fi_counting_small_d,
@@ -26,7 +23,6 @@ from .counting import (
     truncation_limit,
 )
 from .direct_imaging import (
-    ImagePlaneDensity,
     fi_direct,
     fi_direct_small_d,
     qfi,

@@ -2,7 +2,8 @@
 
 Subcommands: tau-curve, fi-curve, d-half, simulate, qfi.  Output is CSV (one
 '#'-prefixed header line carrying the resolved config as JSON, then 12
-significant digits per value) or JSON with full-precision floats.  Axes are
+significant digits per value) or JSON with full-precision floats.  Numeric
+options must be finite, except --snr, where inf means no dark counts.  Axes are
 dimensionless by default, d in units of sigma and information as
 FI sigma^2 / n_s; --absolute switches both the d grid interpretation and the
 output columns to absolute units.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +26,7 @@ import numpy as np
 from . import __version__
 from .counting import NO_NOISE, POISSON, STATISTICS, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
-from .errors import (
-    BudgetError,
-    NumericError,
-    SpaderesError,
-    ValidationError,
-)
+from .errors import BudgetError, NumericError, SpaderesError, ValidationError
 from .montecarlo import MEASUREMENTS, Experiment, Measurement, run_crb_experiment
 from .overlap import tau1_closed, tau1_numeric, tau1_small_d
 from .psf import (
@@ -49,12 +46,35 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
+# exit code of each error class main reports; an error takes the code of its
+# nearest listed base class
+EXIT_CODES = {
+    SpaderesError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    NumericError: EXIT_NUMERIC,
+    BudgetError: EXIT_BUDGET,
+}
+
+
+def _finite(value: str) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return x
+
 
 def _positive(value: str) -> float:
-    x = float(value)
+    x = _finite(value)
     if not x > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return x
+
+
+def _nonnegative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return n
 
 
 def add_psf_options(p: argparse.ArgumentParser) -> None:
@@ -70,8 +90,8 @@ def add_psf_options(p: argparse.ArgumentParser) -> None:
 
 
 def add_grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-min", type=float, default=0.0, help="grid start (units of sigma)")
-    p.add_argument("--d-max", type=float, default=5.0, help="grid end (units of sigma)")
+    p.add_argument("--d-min", type=_finite, default=0.0, help="grid start (units of sigma)")
+    p.add_argument("--d-max", type=_finite, default=5.0, help="grid end (units of sigma)")
     p.add_argument("--count", type=int, default=101, help="number of grid points")
     p.add_argument("--spacing", choices=["linear", "log"], default="linear")
 
@@ -147,29 +167,29 @@ def _format_cell(x) -> str:
     return "%.12g" % x
 
 
+def _emit(args, text: str) -> None:
+    """Write text and a final newline to the --out file, or to stdout if there is none."""
+    text += "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+
+
 def write_table(args, columns: list[str], rows: list[list[float]]) -> None:
     cfg = config_echo(args)
     if args.format == "json":
-        payload = {"config": cfg, "columns": columns, "rows": rows}
-        text = json.dumps(payload) + "\n"
-    else:
-        lines = ["# " + json.dumps(cfg)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_cell(x) for x in row))
-        text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+        _emit(args, json.dumps({"config": cfg, "columns": columns, "rows": rows}))
+        return
+    lines = ["# " + json.dumps(cfg)]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_format_cell(x) for x in row))
+    _emit(args, "\n".join(lines))
 
 
 def write_json(args, payload: dict) -> None:
-    text = json.dumps(payload) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _emit(args, json.dumps(payload))
 
 
 def cmd_tau_curve(args) -> int:
@@ -273,10 +293,10 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         budget=args.budget,
     )
-    report = run_crb_experiment(exp)
-    payload = {"config": config_echo(args)}
-    payload.update(json.loads(report.to_json(include_estimates=not args.no_estimates)))
-    write_json(args, payload)
+    report = asdict(run_crb_experiment(exp))
+    if args.no_estimates:
+        del report["estimates"]
+    write_json(args, {"config": config_echo(args), **report})
     return EXIT_OK
 
 
@@ -339,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", choices=list(MEASUREMENTS), default=COUNTING)
     p.add_argument("--statistics", choices=list(STATISTICS), default=POISSON)
     p.add_argument("--n-s", type=_positive, default=100.0)
-    p.add_argument("--d-true", type=float, required=True, help="true separation (absolute)")
+    p.add_argument("--d-true", type=_finite, required=True, help="true separation (absolute)")
     p.add_argument("--frames", type=int, default=100, help="observation windows per trial")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--budget", type=int, default=50_000_000)
     p.add_argument("--no-estimates", action="store_true", help="omit per-trial estimates")
     p.add_argument("--out", default=None)
@@ -398,18 +418,9 @@ def main(argv: list[str] | None = None) -> int:
             argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except BudgetError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValidationError, SpaderesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -38,8 +38,10 @@ POISSON = "poisson"
 THERMAL = "thermal"
 STATISTICS = (POISSON, THERMAL)
 
-BOSE_EINSTEIN = "bose_einstein"
-FAMILIES = (POISSON, BOSE_EINSTEIN)
+
+def _check_statistics(statistics: str) -> None:
+    if statistics not in STATISTICS:
+        raise ValidationError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +63,7 @@ class SourceScene:
             raise ValidationError(f"separation must be nonnegative, got {self.d}")
         if self.n_s <= 0:
             raise ValidationError(f"n_s must be positive, got {self.n_s}")
-        if self.statistics not in STATISTICS:
-            raise ValidationError(
-                f"statistics must be one of {STATISTICS}, got {self.statistics!r}"
-            )
+        _check_statistics(self.statistics)
 
     @property
     def sigma(self) -> float:
@@ -102,29 +101,10 @@ class NoiseModel:
 NO_NOISE = NoiseModel(0.0)
 
 
-@dataclass(frozen=True)
-class CountDistribution:
-    """Photocount law of a single channel with mean ``kbar``."""
-
-    kbar: float
-    family: str = POISSON
-
-    def __post_init__(self):
-        if self.kbar < 0:
-            raise ValidationError(f"mean count must be nonnegative, got {self.kbar}")
-        if self.family not in FAMILIES:
-            raise ValidationError(
-                f"family must be one of {FAMILIES}, got {self.family!r}"
-            )
-
-
-def family_of(statistics: str) -> str:
-    """Count family induced by the source statistics."""
-    if statistics == POISSON:
-        return POISSON
-    if statistics == THERMAL:
-        return BOSE_EINSTEIN
-    raise ValidationError(f"unknown statistics {statistics!r}")
+def _check_law(kbar: float, statistics: str) -> None:
+    if kbar < 0:
+        raise ValidationError(f"mean count must be nonnegative, got {kbar}")
+    _check_statistics(statistics)
 
 
 def mean_count(scene: SourceScene, noise: NoiseModel = NO_NOISE):
@@ -132,32 +112,35 @@ def mean_count(scene: SourceScene, noise: NoiseModel = NO_NOISE):
     return scene.n_s * tau1_exact(scene.tf, scene.d).tau1 + noise.n_b
 
 
-def logpmf(dist: CountDistribution, k):
-    """log P(K = k), evaluated in log-space so large means do not overflow."""
+def logpmf(kbar: float, statistics: str, k):
+    """log P(K = k) for mean count kbar: Poisson, or Bose-Einstein for thermal sources.
+
+    Evaluated in log-space so large means do not overflow.
+    """
+    _check_law(kbar, statistics)
     karr = np.asarray(k, dtype=float)
     if np.any(karr < 0) or np.any(karr != np.floor(karr)):
         raise ValidationError("counts must be nonnegative integers")
-    kbar = dist.kbar
     if kbar == 0.0:
         return np.where(karr == 0, 0.0, -np.inf)[()]
-    if dist.family == POISSON:
+    if statistics == POISSON:
         return (karr * np.log(kbar) - kbar - gammaln(karr + 1.0))[()]
     return (karr * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar))[()]
 
 
-def pmf(dist: CountDistribution, k):
-    """P(K = k); Poisson or Bose-Einstein according to the family."""
-    return np.exp(logpmf(dist, k))
+def pmf(kbar: float, statistics: str, k):
+    """P(K = k) for mean count kbar under the source statistics."""
+    return np.exp(logpmf(kbar, statistics, k))
 
 
-def truncation_limit(dist: CountDistribution) -> int:
+def truncation_limit(kbar: float, statistics: str) -> int:
     """Count cutoff leaving relative tail mass far below 1e-12.
 
     A sub-Gaussian cutoff suffices for Poisson; the geometric tail of the
-    Bose-Einstein family needs ~40 mean-count e-foldings.
+    Bose-Einstein law of thermal sources needs ~40 mean-count e-foldings.
     """
-    kbar = dist.kbar
-    if dist.family == POISSON:
+    _check_law(kbar, statistics)
+    if statistics == POISSON:
         return int(np.ceil(kbar + 12.0 * np.sqrt(kbar + 1.0) + 30.0))
     return int(np.ceil(40.0 * (kbar + 1.0) + 30.0))
 
@@ -213,25 +196,21 @@ def _kbar_derivative(kbar_fn: Callable[[float], float], d: float) -> float:
 
 
 def fi_from_pmf(
-    family: str, kbar_fn: Callable[[float], float], d: float
+    statistics: str, kbar_fn: Callable[[float], float], d: float
 ) -> float:
     """Brute-force Fisher information, summing (1/p_k)(dp_k/dd)^2 directly.
 
     Independent of the closed forms: the only structure used is the PMF
     itself and the chain rule through the mean, dp/dd = (dp/dkbar) kbar'(d).
     """
-    if family not in FAMILIES:
-        raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
     kbar = float(kbar_fn(d))
-    if kbar < 0:
-        raise ValidationError(f"kbar_fn produced a negative mean {kbar}")
+    _check_law(kbar, statistics)
     kprime = _kbar_derivative(kbar_fn, d)
     if kbar == 0.0:
         return 0.0
-    dist = CountDistribution(kbar=kbar, family=family)
-    k = np.arange(truncation_limit(dist) + 1, dtype=float)
-    p = pmf(dist, k)
-    if family == POISSON:
+    k = np.arange(truncation_limit(kbar, statistics) + 1, dtype=float)
+    p = pmf(kbar, statistics, k)
+    if statistics == POISSON:
         score = k / kbar - 1.0
     else:
         score = k / kbar - (k + 1.0) / (kbar + 1.0)
@@ -253,4 +232,4 @@ def fi_counting_oracle(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> floa
     def kbar_fn(d: float) -> float:
         return n_s * tau1_exact(tf, d).tau1 + noise.n_b
 
-    return fi_from_pmf(family_of(scene.statistics), kbar_fn, scene.d)
+    return fi_from_pmf(scene.statistics, kbar_fn, scene.d)

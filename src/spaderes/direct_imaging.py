@@ -13,7 +13,6 @@ all measurements is qfi = n_s / sigma^2 = 4 n_s integral u'^2 dx.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,25 +23,15 @@ from .psf import GAUSSIAN, TransferFunction, eval_u, eval_u_prime, quad_over_psf
 P_FLOOR = 1e-300  # below this the density is treated as exactly zero
 
 
-@dataclass(frozen=True, eq=False)
-class ImagePlaneDensity:
-    """Detection density of the two-source scene and its d-derivative."""
-
-    tf: TransferFunction
-    d: float
-
-    def p(self, x):
-        um = eval_u(self.tf, np.asarray(x) - self.d, fill=0.0)
-        up = eval_u(self.tf, np.asarray(x) + self.d, fill=0.0)
-        return 0.5 * (um**2 + up**2)
-
-    def dp_dd(self, x):
-        xa = np.asarray(x)
-        um = eval_u(self.tf, xa - self.d, fill=0.0)
-        up = eval_u(self.tf, xa + self.d, fill=0.0)
-        dum = eval_u_prime(self.tf, xa - self.d, fill=0.0)
-        dup = eval_u_prime(self.tf, xa + self.d, fill=0.0)
-        return up * dup - um * dum
+def _image_density(tf: TransferFunction, x, d: float):
+    """Detection density p(x) of the two-source scene and its d-derivative, (p, dp/dd)."""
+    x = np.asarray(x)
+    xm, xp = x - d, x + d
+    um = eval_u(tf, xm, fill=0.0)
+    up = eval_u(tf, xp, fill=0.0)
+    dum = eval_u_prime(tf, xm, fill=0.0)
+    dup = eval_u_prime(tf, xp, fill=0.0)
+    return 0.5 * (um**2 + up**2), up * dup - um * dum
 
 
 def fi_direct(tf: TransferFunction, d: float, n_s: float) -> float:
@@ -56,11 +45,9 @@ def fi_direct(tf: TransferFunction, d: float, n_s: float) -> float:
     d = float(abs(d))
     if d == 0.0:
         return 0.0
-    dens = ImagePlaneDensity(tf=tf, d=d)
 
     def integrand(x):
-        p = dens.p(x)
-        dp = dens.dp_dd(x)
+        p, dp = _image_density(tf, x, d)
         safe = p > P_FLOOR
         return np.where(safe, dp**2 / np.where(safe, p, 1.0), 0.0)
 

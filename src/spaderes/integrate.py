@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import NumericError
 
+# rungs of the ladder of half-widths that integrate_oscillatory_tails extrapolates over
+TAIL_LEVELS = 4
+
 
 @lru_cache(maxsize=32)
 def _gl_nodes(n_nodes: int):
@@ -52,12 +55,11 @@ def integrate_refined(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    n_panels: int = 48,
-    n_nodes: int = 16,
+    n_panels: int,
 ) -> tuple[float, float]:
     """Integrate on [a, b]; return (value, error estimate from panel doubling)."""
-    coarse = composite_gauss_legendre(f, a, b, n_panels, n_nodes)
-    fine = composite_gauss_legendre(f, a, b, 2 * n_panels, n_nodes)
+    coarse = composite_gauss_legendre(f, a, b, n_panels)
+    fine = composite_gauss_legendre(f, a, b, 2 * n_panels)
     return fine, abs(fine - coarse)
 
 
@@ -80,34 +82,30 @@ def integrate_oscillatory_tails(
     f: Callable[[np.ndarray], np.ndarray],
     half_width: float,
     period: float,
-    levels: int = 4,
-    n_nodes: int = 16,
 ) -> tuple[float, float]:
     """Integral of ``f`` over (-inf, inf) for 1/x-decaying periodic-tail integrands.
 
     The partial integral over [-X, X] behaves as S(X) = S - c1/X - c2/X^2 - ...
     with coefficients that are constant when X is restricted to even multiples
     of the oscillation period, so S is recovered by polynomial extrapolation in
-    1/X over the ladder X0, 2*X0, ..., 2^(levels-1)*X0.
+    1/X over the ladder X0, 2*X0, ..., 2^(TAIL_LEVELS-1)*X0.
 
     Returns (value, error estimate from the extrapolation table).
     """
-    if levels < 2:
-        raise ValueError("need at least two ladder levels to extrapolate")
     # initial half-width: smallest even multiple of the period >= half_width
     m0 = max(2, 2 * int(np.ceil(half_width / (2.0 * period))))
     widths = []
     partials = []
     total = 0.0
     prev_x = 0.0
-    for level in range(levels):
+    for level in range(TAIL_LEVELS):
         x_level = m0 * period * (2**level)
         n_new = int(round((x_level - prev_x) / period))
         if prev_x == 0.0:
-            total += composite_gauss_legendre(f, -x_level, x_level, 2 * n_new, n_nodes)
+            total += composite_gauss_legendre(f, -x_level, x_level, 2 * n_new)
         else:
-            total += composite_gauss_legendre(f, prev_x, x_level, n_new, n_nodes)
-            total += composite_gauss_legendre(f, -x_level, -prev_x, n_new, n_nodes)
+            total += composite_gauss_legendre(f, prev_x, x_level, n_new)
+            total += composite_gauss_legendre(f, -x_level, -prev_x, n_new)
         prev_x = x_level
         widths.append(x_level)
         partials.append(total)

@@ -25,7 +25,6 @@ The CLI reads it too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -34,11 +33,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .counting import (
-    BOSE_EINSTEIN,
     NO_NOISE,
+    THERMAL,
     NoiseModel,
     SourceScene,
-    family_of,
     fi_counting_exact,
     fi_counting_small_d,
     mean_count,
@@ -110,20 +108,6 @@ class TrialReport:
     crb: float | None
     crb_unbounded: bool
     clip_fraction: float
-
-    def to_json(self, include_estimates: bool = True) -> str:
-        fields = {
-            "d_true": self.d_true,
-            "estimates": list(self.estimates) if include_estimates else None,
-            "empirical_variance": self.empirical_variance,
-            "empirical_mse": self.empirical_mse,
-            "crb": self.crb,
-            "crb_unbounded": self.crb_unbounded,
-            "clip_fraction": self.clip_fraction,
-        }
-        if not include_estimates:
-            del fields["estimates"]
-        return json.dumps(fields)
 
 
 def _per_trial(exp: Experiment, statistic, dtype=float) -> np.ndarray:
@@ -253,7 +237,7 @@ def simulate_counts(exp: Experiment) -> np.ndarray:
     """Per-trial total photocounts, shape (trials,)."""
     kbar = mean_count(exp.scene, exp.noise)
     frames = exp.frames
-    if family_of(exp.scene.statistics) == BOSE_EINSTEIN:
+    if exp.scene.statistics == THERMAL:
         p = 1.0 / (kbar + 1.0)
         return _per_trial(exp, lambda rng: (rng.geometric(p, size=frames) - 1).sum(), np.int64)
     return _per_trial(exp, lambda rng: rng.poisson(kbar, size=frames).sum(), np.int64)

@@ -45,7 +45,8 @@ KINDS = (GAUSSIAN, SINC, TABULATED)
 # Truncation choices; see module docstring.
 GAUSSIAN_HALF_WIDTH_SIGMAS = 10.0
 SINC_HALF_WIDTH_OVER_A = 400.0  # ladder start, in units of 1/a
-SINC_TAIL_LEVELS = 4
+# error estimates below this count as converged whatever the integral's size
+QUAD_ABS_TOL = 1e-12
 
 # Acceptable |norm - 1| for operations that assume a normalized tabulated PSF.
 TABULATED_NORM_TOL = 1e-3
@@ -232,34 +233,24 @@ def quad_over_psf(
     tf: TransferFunction,
     f: Callable[[np.ndarray], np.ndarray],
     margin: float = 0.0,
-    bounds: tuple[float, float] | None = None,
-    n_nodes: int = 16,
     rel_tol: float = 1e-8,
-    abs_tol: float = 1e-12,
     what: str = "psf integral",
 ) -> float:
     """Integrate a PSF-derived integrand over the kind-appropriate domain.
 
-    ``margin`` widens the domain for displaced integrands such as u(x - d).
-    ``bounds`` overrides the domain for the tabulated kind only.
+    ``margin`` widens the domain for displaced integrands such as u(x - d);
+    a tabulated PSF is integrated over its grid hull.
     """
     if tf.kind == GAUSSIAN:
         half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + abs(margin)
         n_panels = max(48, int(np.ceil(4.0 * half / tf.sigma)))
-        value, err = integrate_refined(f, -half, half, n_panels=n_panels, n_nodes=n_nodes)
+        value, err = integrate_refined(f, -half, half, n_panels)
     elif tf.kind == SINC:
         a = tf.a
         value, err = integrate_oscillatory_tails(
-            f,
-            half_width=SINC_HALF_WIDTH_OVER_A / a + abs(margin),
-            period=np.pi / a,
-            levels=SINC_TAIL_LEVELS,
-            n_nodes=n_nodes,
+            f, half_width=SINC_HALF_WIDTH_OVER_A / a + abs(margin), period=np.pi / a
         )
     else:
-        lo, hi = bounds if bounds is not None else (tf.grid[0], tf.grid[-1])
-        if hi <= lo:
-            return 0.0
         n_panels = max(128, min(4096, tf.grid.size))
-        value, err = integrate_refined(f, lo, hi, n_panels=n_panels, n_nodes=n_nodes)
-    return check_converged(value, err, rel_tol, abs_tol, what)
+        value, err = integrate_refined(f, tf.grid[0], tf.grid[-1], n_panels)
+    return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)

@@ -31,14 +31,13 @@ HETERODYNE = "heterodyne"
 
 # quadratures read out by each kind; each carries the share 1 / q of the signal
 QUADRATURES = {HOMODYNE: 1, HETERODYNE: 2}
-QUADRATURE_KINDS = tuple(QUADRATURES)
 
 VACUUM_VARIANCE = 0.5
 
 
 def _share(kind: str) -> float:
     if kind not in QUADRATURES:
-        raise ValidationError(f"kind must be one of {QUADRATURE_KINDS}, got {kind!r}")
+        raise ValidationError(f"kind must be one of {tuple(QUADRATURES)}, got {kind!r}")
     return 1.0 / QUADRATURES[kind]
 
 

@@ -113,19 +113,17 @@ def d_half_from_curve(
     fi_fn: Callable[[float], float],
     target: float,
     sigma: float,
-    d_max: float | None = None,
 ) -> float:
     """Rising-branch crossing of an information curve with its half target.
 
-    Locates the curve maximum on (0, d_max], then roots fi_fn = target on the
+    Locates the curve maximum on (0, 3 sigma], then roots fi_fn = target on the
     rising branch.  Intended for noisy curves that vanish at d = 0; a curve
     already above target at tiny d (e.g. noiseless counting) has no rising
     crossing and raises a bracketing error.
     """
-    hi = d_max if d_max is not None else 3.0 * sigma
     res = minimize_scalar(
         lambda d: -fi_fn(d),
-        bounds=(1e-6 * sigma, hi),
+        bounds=(1e-6 * sigma, 3.0 * sigma),
         method="bounded",
         options={"xatol": 1e-10 * sigma},
     )

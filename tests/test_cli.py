@@ -187,6 +187,8 @@ def test_exit_code_usage_errors(tmp_path):
     assert run(["d-half", "--measurement", "counting", "--sigma", "1"]) == 2
     # unknown subcommand trips argparse itself
     assert run(["frobnicate"]) == 2
+    # an unreadable PSF file is an OSError
+    assert run(["qfi", "--psf", "tabulated", "--psf-file", str(tmp_path / "missing.txt")]) == 2
 
 
 def test_counting_d_half_takes_dark_counts_as_n_b(capsys):
@@ -233,6 +235,27 @@ def test_quadrature_d_half_takes_one_of_snr_and_n_s(measurement, numeric, capsys
     argv = ["d-half", "--measurement", measurement, "--snr", "10", "--n-s", "100", *numeric]
     assert run(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--d-true", "nan"],
+        ["simulate", "--d-true", "inf"],
+        ["simulate", "--measurement", "homodyne", "--d-true", "0.3", "--n-s", "inf"],
+        ["simulate", "--d-true", "0.3", "--seed", "-1"],
+        ["tau-curve", "--d-max", "inf"],
+        ["fi-curve", "--n-s", "inf"],
+        ["qfi", "--n-s", "inf"],
+        ["d-half", "--snr", "1e4", "--sigma", "inf"],
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(argv, capsys):
+    # only --snr may be inf (no dark counts); nothing reaches the numerics or the artifact
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_exit_code_numeric_failure():

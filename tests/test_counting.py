@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from spaderes.counting import (
-    BOSE_EINSTEIN,
     NO_NOISE,
     POISSON,
+    STATISTICS,
     THERMAL,
-    CountDistribution,
     NoiseModel,
     SourceScene,
-    family_of,
     fi_counting_exact,
     fi_counting_oracle,
     fi_counting_small_d,
@@ -33,47 +31,55 @@ def scene(d, n_s=1.0, statistics=POISSON):
 
 
 def test_pmf_values():
-    po = CountDistribution(1.0, POISSON)
-    assert pmf(po, 0) == pytest.approx(np.exp(-1.0), rel=1e-14)
-    assert pmf(po, 1) == pytest.approx(np.exp(-1.0), rel=1e-14)
-    be = CountDistribution(1.0, BOSE_EINSTEIN)
-    # geometric with mean 1: p(k) = 2^-(k+1)
-    assert pmf(be, 0) == pytest.approx(0.5, rel=1e-14)
-    assert pmf(be, 3) == pytest.approx(2.0**-4, rel=1e-14)
+    assert pmf(1.0, POISSON, 0) == pytest.approx(np.exp(-1.0), rel=1e-14)
+    assert pmf(1.0, POISSON, 1) == pytest.approx(np.exp(-1.0), rel=1e-14)
+    # thermal counts are geometric; with mean 1: p(k) = 2^-(k+1)
+    assert pmf(1.0, THERMAL, 0) == pytest.approx(0.5, rel=1e-14)
+    assert pmf(1.0, THERMAL, 3) == pytest.approx(2.0**-4, rel=1e-14)
 
 
 def test_pmf_degenerate_mean():
-    for family in (POISSON, BOSE_EINSTEIN):
-        dist = CountDistribution(0.0, family)
-        assert pmf(dist, 0) == 1.0
-        assert pmf(dist, 2) == 0.0
-        assert logpmf(dist, 0) == 0.0
-        assert logpmf(dist, 2) == -np.inf
+    for statistics in STATISTICS:
+        assert pmf(0.0, statistics, 0) == 1.0
+        assert pmf(0.0, statistics, 2) == 0.0
+        assert logpmf(0.0, statistics, 0) == 0.0
+        assert logpmf(0.0, statistics, 2) == -np.inf
 
 
 def test_pmf_vectorized_and_validated():
-    dist = CountDistribution(2.0, POISSON)
     k = np.arange(6)
-    assert pmf(dist, k).shape == (6,)
+    assert pmf(2.0, POISSON, k).shape == (6,)
     with pytest.raises(ValidationError):
-        logpmf(dist, -1)
+        logpmf(2.0, POISSON, -1)
     with pytest.raises(ValidationError):
-        logpmf(dist, 1.5)
+        logpmf(2.0, POISSON, 1.5)
 
 
 def test_truncation_captures_mass():
-    for family in (POISSON, BOSE_EINSTEIN):
+    for statistics in STATISTICS:
         for kbar in (0.3, 3.0, 40.0):
-            dist = CountDistribution(kbar, family)
-            k = np.arange(truncation_limit(dist) + 1)
-            assert pmf(dist, k).sum() >= 1.0 - 1e-12
+            k = np.arange(truncation_limit(kbar, statistics) + 1)
+            assert pmf(kbar, statistics, k).sum() >= 1.0 - 1e-12
 
 
-def test_family_of():
-    assert family_of(POISSON) == POISSON
-    assert family_of(THERMAL) == BOSE_EINSTEIN
-    with pytest.raises(ValidationError):
-        family_of("binomial")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda st, kbar: logpmf(kbar, st, 0),
+        lambda st, kbar: pmf(kbar, st, 0),
+        lambda st, kbar: truncation_limit(kbar, st),
+        lambda st, kbar: fi_from_pmf(st, lambda d: kbar, 0.5),
+    ],
+    ids=["logpmf", "pmf", "truncation_limit", "fi_from_pmf"],
+)
+def test_count_law_checks_mean_and_statistics(call):
+    # a mean of 0 takes fi_from_pmf's early return, which must still check the name
+    for kbar in (0.0, 2.0):
+        with pytest.raises(ValidationError):
+            call("binomial", kbar)
+    for st in STATISTICS:
+        with pytest.raises(ValidationError):
+            call(st, -1.0)
 
 
 def test_mean_count():
@@ -143,7 +149,7 @@ def test_thermal_excess_factor():
     kbar_fn = lambda d: 40.0 * tau1_closed(GAUSS, d).tau1 + 0.4
     for d in (0.2, 0.8, 1.5):
         fp = fi_from_pmf(POISSON, kbar_fn, d)
-        fb = fi_from_pmf(BOSE_EINSTEIN, kbar_fn, d)
+        fb = fi_from_pmf(THERMAL, kbar_fn, d)
         assert fb == pytest.approx(fp / (1.0 + kbar_fn(d)), rel=1e-10)
 
 
@@ -191,8 +197,6 @@ def test_validation():
         SourceScene(GAUSS, 0.1, 1.0, "coherent")
     with pytest.raises(ValidationError):
         NoiseModel(-0.5)
-    with pytest.raises(ValidationError):
-        CountDistribution(1.0, "binomial")
 
 
 def test_with_d_and_beta():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spaderes.direct_imaging import (
+    _image_density,
     fi_direct,
     fi_direct_small_d,
-    ImagePlaneDensity,
     qfi,
     qfi_numeric,
 )
@@ -20,11 +20,15 @@ SINC = sinc_psf(sigma=1.0)
 
 
 def test_density_normalized_and_even_in_d():
-    dens = ImagePlaneDensity(GAUSS, 0.8)
-    total = composite_gauss_legendre(lambda x: dens.p(x), -12.0, 12.0, 48)
+    total = composite_gauss_legendre(lambda x: _image_density(GAUSS, x, 0.8)[0], -12.0, 12.0, 48)
     assert total == pytest.approx(1.0, abs=1e-12)
     x = np.array([-1.3, 0.2, 2.1])
-    assert ImagePlaneDensity(GAUSS, 0.8).p(-x) == pytest.approx(dens.p(x), rel=1e-13)
+    p, dp = _image_density(GAUSS, x, 0.8)
+    assert _image_density(GAUSS, -x, 0.8)[0] == pytest.approx(p, rel=1e-13)
+    # dp/dd against a central difference of p in d
+    h = 1e-5
+    fd = (_image_density(GAUSS, x, 0.8 + h)[0] - _image_density(GAUSS, x, 0.8 - h)[0]) / (2 * h)
+    assert dp == pytest.approx(fd, rel=1e-8)
 
 
 def test_well_separated_recovers_full_information():

@@ -68,6 +68,15 @@ CASES = {
                                    "psf_gaussian_801.txt", "--n-s", "100", "--snr", "1e3",
                                    "--d-min", "1e-2", "--d-max", "1.5", "--count", "15",
                                    "--spacing", "log", "--format", "json"],
+    # the direct-imaging oracle on the other two PSF kinds (sinc is fi_counting_direct.csv);
+    # the tabulated grid stays below the 2-sigma point where its tau1 oracle refuses
+    "fi_counting_direct_gaussian.json": ["fi-curve", "--with-direct", "--psf", "gaussian",
+                                         "--n-s", "10", "--snr", "1e2", "--d-min", "0.05",
+                                         "--d-max", "3", "--count", "9", "--format", "json"],
+    "fi_counting_direct_tabulated.json": ["fi-curve", "--with-direct", "--psf", "tabulated",
+                                          "--psf-file", "psf_gaussian_801.txt", "--n-s", "100",
+                                          "--snr", "1e3", "--d-min", "0.05", "--d-max", "1.5",
+                                          "--count", "9", "--format", "json"],
     # the branch ends of the moment inversion: 37.5% of trials clip at d_peak,
     # then every-trial clipping at 0 under an unbounded CRB, for counts and quadratures
     "simulate_counting_clip_peak.json": [*_SIMULATE, "--psf", "gaussian", "--d-true", "1.9",

@@ -1,12 +1,14 @@
 """Simulated experiments against the Cramer-Rao benchmark."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import spaderes.montecarlo as mc
+from spaderes.cli import main
 from spaderes.counting import NO_NOISE, NoiseModel, SourceScene, THERMAL, mean_count
 from spaderes.errors import BudgetError, ValidationError
 from spaderes.montecarlo import (
@@ -59,9 +61,7 @@ def test_dark_scene_yields_no_counts():
 def test_simulation_deterministic():
     exp = experiment(frames=100, trials=50, seed=12)
     assert np.array_equal(simulate_counts(exp), simulate_counts(exp))
-    a = run_crb_experiment(exp).to_json()
-    b = run_crb_experiment(exp).to_json()
-    assert a == b
+    assert run_crb_experiment(exp) == run_crb_experiment(exp)
 
 
 def test_ml_inversion_boundaries():
@@ -171,14 +171,21 @@ def test_mse_degrades_as_snr_drops():
     assert means[0] < means[1] < means[2]
 
 
-def test_report_serialization():
+def test_report_serialization(tmp_path):
+    # simulate writes the report's fields in order after the config echo
+    argv = ["simulate", "--d-true", "0.3", "--snr", "1e4", "--frames", "50", "--trials", "40",
+            "--seed", "6"]
+    full, slim = tmp_path / "full.json", tmp_path / "slim.json"
+    assert main(argv + ["--out", str(full)]) == 0
+    assert main(argv + ["--no-estimates", "--out", str(slim)]) == 0
     rep = run_crb_experiment(experiment(frames=50, trials=40, seed=6))
-    payload = json.loads(rep.to_json())
+    payload = json.loads(full.read_text())
+    assert list(payload) == ["config"] + [f.name for f in fields(TrialReport)]
     assert payload["d_true"] == 0.3
-    assert len(payload["estimates"]) == 40
-    slim = json.loads(rep.to_json(include_estimates=False))
+    assert payload["estimates"] == list(rep.estimates)
+    slim = json.loads(slim.read_text())
     assert "estimates" not in slim
-    assert slim["empirical_variance"] == payload["empirical_variance"]
+    assert slim["empirical_variance"] == payload["empirical_variance"] == rep.empirical_variance
 
 
 def test_experiment_validation():

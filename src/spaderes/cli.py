@@ -27,7 +27,7 @@ from . import __version__
 from .counting import NO_NOISE, POISSON, STATISTICS, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
 from .errors import BudgetError, NumericError, SpaderesError, ValidationError
-from .montecarlo import MEASUREMENTS, Experiment, Measurement, run_crb_experiment
+from .montecarlo import DEFAULT_BUDGET, MEASUREMENTS, Experiment, Measurement, run_crb_experiment
 from .overlap import tau1_closed, tau1_numeric, tau1_small_d
 from .psf import (
     GAUSSIAN,
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=100, help="observation windows per trial")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--budget", type=int, default=50_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--no-estimates", action="store_true", help="omit per-trial estimates")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

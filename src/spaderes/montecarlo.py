@@ -19,8 +19,8 @@ bit.
 
 MEASUREMENTS is the one table of what differs between the readouts (photon
 counting, homodyne, heterodyne): information curves, ceiling, closed-form
-d_half, SNR convention, the per-trial statistic and the tau1 it estimates.
-The CLI reads it too.
+d_half, SNR convention, the per-trial sampler and its estimator.  The CLI
+reads it too.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from .psf import TransferFunction, sigma_of
 from .quadrature import (
     HETERODYNE,
     HOMODYNE,
-    QUADRATURES,
     VACUUM_VARIANCE,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
     fi_homodyne_small_d,
-    quadrature_std,
+    sample_quadrature,
     shot_noise_snr,
+    signal_share,
 )
 from .resolution import COUNTING, d_half_counting, d_half_quadrature
 
@@ -83,14 +83,18 @@ class Experiment:
             )
         if self.frames < 1 or self.trials < 1:
             raise ValidationError("frames and trials must both be at least 1")
+        if self.budget < 1:
+            raise ValidationError(f"budget must be at least 1, got {self.budget}")
 
-    def check_budget(self) -> None:
+    def trial_streams(self) -> list[np.random.SeedSequence]:
+        """One SeedSequence per trial, spawned from the seed once the budget allows the run."""
         need = self.frames * self.trials
         if need > self.budget:
             raise BudgetError(
                 f"{self.trials} trials x {self.frames} frames = {need} samples "
                 f"exceed the budget of {self.budget}; raise budget= to at least {need}"
             )
+        return np.random.SeedSequence(self.seed).spawn(self.trials)
 
 
 @dataclass(frozen=True)
@@ -110,19 +114,11 @@ class TrialReport:
     clip_fraction: float
 
 
-def _per_trial(exp: Experiment, statistic, dtype=float) -> np.ndarray:
-    """statistic(rng) of each trial, drawn from the trial's own stream; shape (trials,)."""
-    exp.check_budget()
-    out = np.empty(exp.trials, dtype=dtype)
-    for i, stream in enumerate(np.random.SeedSequence(exp.seed).spawn(exp.trials)):
-        out[i] = statistic(np.random.default_rng(stream))
-    return out
-
-
 @lru_cache(maxsize=64)
 def _tau_branch(tf: TransferFunction) -> tuple[float, float]:
-    # rising branch of tau1: (d_peak, tau1(d_peak)); Gaussian peaks at exactly
-    # 2 sigma with value 1/e, found numerically for the other kinds
+    # rising branch of tau1: (d_peak, tau1(d_peak)), searched numerically for
+    # every kind; the Gaussian's d_peak is 2 sigma only to within the search
+    # tolerance, and the golden simulate_counting_clip_peak.json pins its value
     sigma = sigma_of(tf)
     res = minimize_scalar(
         lambda d: -tau1_exact(tf, d).tau1,
@@ -234,76 +230,46 @@ def _invert_tau1(tf: TransferFunction, tau_target):
 
 
 def simulate_counts(exp: Experiment) -> np.ndarray:
-    """Per-trial total photocounts, shape (trials,)."""
+    """Per-trial total photocounts, each drawn from the trial's own stream; shape (trials,)."""
+    rngs = map(np.random.default_rng, exp.trial_streams())
     kbar = mean_count(exp.scene, exp.noise)
     frames = exp.frames
     if exp.scene.statistics == THERMAL:
         p = 1.0 / (kbar + 1.0)
-        return _per_trial(exp, lambda rng: (rng.geometric(p, size=frames) - 1).sum(), np.int64)
-    return _per_trial(exp, lambda rng: rng.poisson(kbar, size=frames).sum(), np.int64)
+        totals = ((rng.geometric(p, size=frames) - 1).sum() for rng in rngs)
+    else:
+        totals = (rng.poisson(kbar, size=frames).sum() for rng in rngs)
+    return np.fromiter(totals, np.int64)
 
 
-def simulate_quadrature(exp: Experiment) -> np.ndarray:
-    """Per-trial mean square of the quadrature outcomes, shape (trials,).
+def ml_estimate_counting(totals, frames: int, scene: SourceScene, noise: NoiseModel):
+    """Invert the mean count n_s (tau1 + beta) = totals / M on the rising branch.
 
-    Each trial draws the outcomes sample_quadrature draws from its stream and
-    pools their squares over frames and quadratures; the spread is computed
-    once for the experiment.
+    Elementwise over a scalar or an array of totals, in one solve.
     """
-    scale = quadrature_std(exp.scene, exp.measurement)
-    q = QUADRATURES[exp.measurement]
-    shape = (exp.frames,) if q == 1 else (exp.frames, q)
-    return _per_trial(exp, lambda rng: np.mean(rng.normal(0.0, scale, size=shape) ** 2))
-
-
-def _counting_target(total, frames: int, scene: SourceScene, noise: NoiseModel):
-    # the mean count per frame is n_s (tau1 + beta)
-    return total / (frames * scene.n_s) - noise.beta(scene.n_s)
-
-
-def _quadrature_target(mean_square, scene: SourceScene, quadratures: int):
-    # each quadrature's variance is 1/2 + n_s tau1 / q
-    return (mean_square - VACUUM_VARIANCE) / (scene.n_s / quadratures)
-
-
-def ml_estimate_counting(
-    total_count: float, frames: int, scene: SourceScene, noise: NoiseModel = NO_NOISE
-) -> float:
-    """Invert the mean count n_s (tau1 + beta) = total/M on the rising branch."""
     if frames < 1:
         raise ValidationError(f"frames must be at least 1, got {frames}")
-    return float(_invert_tau1(scene.tf, _counting_target(total_count, frames, scene, noise)))
+    return _invert_tau1(scene.tf, totals / (frames * scene.n_s) - noise.beta(scene.n_s))
 
 
-def ml_estimate_quadrature(samples, scene: SourceScene) -> float:
-    """Variance-matching estimate from pooled quadrature outcomes.
+def ml_estimate_quadrature(mean_squares, scene: SourceScene, kind: str):
+    """Invert the quadrature variance V = 1/2 + n_s tau1 / q on the rising branch.
 
-    One-column samples are homodyne, two-column samples heterodyne pairs.
-    The empirical variance is inverted through V(d) on the rising branch,
-    clipping to 0 at the shot-noise floor.
+    Elementwise over a scalar or an array of mean squares (the statistic of
+    sample_quadrature), in one solve; at or below the shot-noise floor the
+    estimate clips to 0.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        quadratures = 1
-    elif arr.ndim == 2 and arr.shape[1] == 2:
-        quadratures = 2
-    else:
-        raise ValidationError(
-            f"samples must be 1-d or (n, 2) pairs, got shape {arr.shape}"
-        )
-    if arr.shape[0] < 2:
-        raise ValidationError("need at least 2 samples to estimate a variance")
-    v_hat = float(np.mean(arr**2))  # pooled over the quadratures
-    return float(_invert_tau1(scene.tf, _quadrature_target(v_hat, scene, quadratures)))
+    return _invert_tau1(
+        scene.tf, (mean_squares - VACUUM_VARIANCE) / (signal_share(kind) * scene.n_s)
+    )
 
 
 @dataclass(frozen=True)
 class Measurement:
     """What sets one readout of the derivative-mode channel apart.
 
-    An experiment reduces each trial to one number as it is drawn (sample),
-    maps those numbers to the tau1 they estimate, elementwise (tau1_target),
-    and inverts all of them on the rising branch of tau1 in one solve.
+    An experiment reduces each trial to one number as it is drawn (sample)
+    and estimates d from all of them, elementwise, in one solve (estimate).
     The callables reach the kernels through their module-level names at call
     time, so patching a module attribute (as a tracer does) reaches them too.
     """
@@ -318,9 +284,8 @@ class Measurement:
     shot_noise_snr: Callable[[float], float] | None
     # one statistic per trial, in trial order: shape (trials,)
     sample: Callable[[Experiment], np.ndarray]
-    # the tau1 each trial's statistic estimates, elementwise; the estimate
-    # inverts it on the rising branch
-    tau1_target: Callable[[np.ndarray, Experiment], np.ndarray]
+    # the estimate of d from each trial's statistic, shape (trials,)
+    estimate: Callable[[np.ndarray, Experiment], np.ndarray]
 
 
 MEASUREMENTS = {
@@ -331,7 +296,7 @@ MEASUREMENTS = {
         d_half=lambda sigma, snr: d_half_counting(sigma, snr),
         shot_noise_snr=None,
         sample=lambda exp: simulate_counts(exp),
-        tau1_target=lambda totals, exp: _counting_target(totals, exp.frames, exp.scene, exp.noise),
+        estimate=lambda totals, exp: ml_estimate_counting(totals, exp.frames, exp.scene, exp.noise),
     ),
     HOMODYNE: Measurement(
         fi=lambda scene, noise: fi_homodyne(scene),
@@ -339,8 +304,8 @@ MEASUREMENTS = {
         ceiling=0.25,
         d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
         shot_noise_snr=lambda n_s: shot_noise_snr(HOMODYNE, n_s),
-        sample=lambda exp: simulate_quadrature(exp),
-        tau1_target=lambda ms, exp: _quadrature_target(ms, exp.scene, QUADRATURES[HOMODYNE]),
+        sample=lambda exp: sample_quadrature(exp.scene, HOMODYNE, exp.frames, exp.trial_streams()),
+        estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, HOMODYNE),
     ),
     HETERODYNE: Measurement(
         fi=lambda scene, noise: fi_heterodyne(scene),
@@ -348,19 +313,18 @@ MEASUREMENTS = {
         ceiling=0.25,
         d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
         shot_noise_snr=lambda n_s: shot_noise_snr(HETERODYNE, n_s),
-        sample=lambda exp: simulate_quadrature(exp),
-        tau1_target=lambda ms, exp: _quadrature_target(ms, exp.scene, QUADRATURES[HETERODYNE]),
+        sample=lambda exp: sample_quadrature(exp.scene, HETERODYNE, exp.frames, exp.trial_streams()),
+        estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, HETERODYNE),
     ),
 }
 
 
 def run_crb_experiment(exp: Experiment) -> TrialReport:
     """Run all trials, estimate d in each, and compare against 1 / (M F)."""
-    exp.check_budget()
     m = MEASUREMENTS[exp.measurement]
     scene = exp.scene
     d_true = scene.d
-    estimates = _invert_tau1(scene.tf, m.tau1_target(m.sample(exp), exp))
+    estimates = m.estimate(m.sample(exp), exp)
     fisher = m.fi(scene, exp.noise)
 
     d_peak, _ = _tau_branch(scene.tf)

@@ -35,7 +35,8 @@ QUADRATURES = {HOMODYNE: 1, HETERODYNE: 2}
 VACUUM_VARIANCE = 0.5
 
 
-def _share(kind: str) -> float:
+def signal_share(kind: str) -> float:
+    """The share 1 / q of the signal that each quadrature of the readout carries."""
     if kind not in QUADRATURES:
         raise ValidationError(f"kind must be one of {tuple(QUADRATURES)}, got {kind!r}")
     return 1.0 / QUADRATURES[kind]
@@ -57,7 +58,7 @@ def fi_gaussian_2d(v, dv):
 
 
 def _fi(scene, kind: str):
-    share = _share(kind)
+    share = signal_share(kind)
     tr = tau1_exact(scene.tf, scene.d)
     v = VACUUM_VARIANCE + share * scene.n_s * tr.tau1
     dv = share * scene.n_s * tr.dtau1_dd
@@ -67,7 +68,7 @@ def _fi(scene, kind: str):
 def _fi_small_d(scene, kind: str):
     # the information above with tau1 at its small-d law d^2 / 4 sigma^2:
     # 2 q n_s^2 d^2 / (n_s d^2 + 2 q sigma^2)^2 for q quadratures
-    k = 2.0 / _share(kind)
+    k = 2.0 / signal_share(kind)
     sigma = sigma_of(scene.tf)
     n_s = scene.n_s
     d2 = np.float_power(scene.d, 2)
@@ -110,25 +111,30 @@ def shot_noise_snr(kind: str, n_s: float) -> float:
     floor of 1/2; heterodyne splits the signal over two quadratures whose
     combined floor is 1.
     """
-    return _share(kind) * n_s / VACUUM_VARIANCE
+    return signal_share(kind) * n_s / VACUUM_VARIANCE
 
 
 def quadrature_std(scene, kind: str):
     """Standard deviation sqrt(V(d)) of each measured quadrature, shaped like scene.d."""
-    share = _share(kind)
+    share = signal_share(kind)
     return np.sqrt(VACUUM_VARIANCE + share * scene.n_s * tau1_exact(scene.tf, scene.d).tau1)
 
 
-def sample_quadrature(scene, kind: str, count: int, seed) -> np.ndarray:
-    """i.i.d. quadrature outcomes of the scene at its separation.
+def sample_quadrature(scene, kind: str, frames: int, streams) -> np.ndarray:
+    """Per-trial mean square of the quadrature outcomes, shape (len(streams),).
 
-    Homodyne returns shape (count,); heterodyne returns (count, 2) pairs,
-    each component with variance V(d).  ``seed`` may be anything accepted by
-    numpy's default_rng, so spawned SeedSequences work for parallel streams.
+    Each trial draws from its own stream (anything numpy's default_rng
+    accepts, such as spawned SeedSequences) the i.i.d. outcomes of its frames
+    at the scene's separation, one per frame for homodyne and a pair for
+    heterodyne, each of variance V(d), and pools their squares over frames
+    and quadratures.  The spread is computed once for all trials.
     """
-    if count < 1:
-        raise ValidationError(f"count must be at least 1, got {count}")
+    if frames < 1:
+        raise ValidationError(f"frames must be at least 1, got {frames}")
     scale = quadrature_std(scene, kind)
-    rng = np.random.default_rng(seed)
     q = QUADRATURES[kind]
-    return rng.normal(0.0, scale, size=(count,) if q == 1 else (count, q))
+    shape = (frames,) if q == 1 else (frames, q)
+    return np.fromiter(
+        (np.mean(np.random.default_rng(s).normal(0.0, scale, size=shape) ** 2) for s in streams),
+        float,
+    )

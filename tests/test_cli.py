@@ -273,6 +273,12 @@ def test_exit_code_budget():
     ) == 4
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_budget_is_a_usage_error(budget, capsys):
+    assert run(["simulate", "--d-true", "0.3", "--budget", budget]) == 2
+    assert "budget must be at least 1" in capsys.readouterr().err
+
+
 def test_stdout_default(capsys):
     assert run(["qfi", "--n-s", "2", "--sigma", "1.0"]) == 0
     payload = json.loads(capsys.readouterr().out)

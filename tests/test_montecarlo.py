@@ -1,6 +1,8 @@
 """Simulated experiments against the Cramer-Rao benchmark."""
 
 import json
+import sys
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import spaderes.montecarlo as mc
+import spaderes.quadrature as qd
 from spaderes.cli import main
 from spaderes.counting import NO_NOISE, NoiseModel, SourceScene, THERMAL, mean_count
 from spaderes.errors import BudgetError, ValidationError
@@ -66,38 +69,52 @@ def test_simulation_deterministic():
 
 def test_ml_inversion_boundaries():
     scene = SourceScene(GAUSS, 0.3, 100.0)
+    d_peak, _ = _tau_branch(GAUSS)
     # background-only total pins the estimate at zero
     nb_total = int(round(100 * SNR4.n_b))
     assert ml_estimate_counting(nb_total, 100, scene, SNR4) == 0.0
     # totals past the transmission peak pin it at the peak separation
     peak_total = int(np.ceil(100 * 100.0 * np.exp(-1.0))) + 50
     d_hat = ml_estimate_counting(peak_total, 100, scene, NO_NOISE)
-    assert d_hat == pytest.approx(2.0, rel=1e-6)
+    assert d_hat == d_peak == pytest.approx(2.0, rel=1e-6)
+    totals = np.array([0, nb_total, peak_total, 10 * peak_total])
+    assert ml_estimate_counting(totals, 100, scene, SNR4).tolist() == [0.0, 0.0, d_peak, d_peak]
+    with pytest.raises(ValidationError):
+        ml_estimate_counting(totals, 0, scene, SNR4)
 
 
 def test_ml_inversion_round_trip():
     scene = SourceScene(GAUSS, 0.7, 1000.0)
     total = 400 * 1000.0 * tau1_closed(GAUSS, 0.7).tau1
     d_hat = ml_estimate_counting(total, 400, scene, NO_NOISE)
+    assert not isinstance(d_hat, np.ndarray)
     assert d_hat == pytest.approx(0.7, rel=1e-9)
+    d = np.array([0.1, 0.7, 1.5])
+    totals = 400 * 1000.0 * tau1_closed(GAUSS, d).tau1
+    assert ml_estimate_counting(totals, 400, scene, NO_NOISE) == pytest.approx(d, rel=1e-9)
 
 
 def test_ml_quadrature_round_trip():
     scene = SourceScene(GAUSS, 0.4, 100.0)
-    v = 0.5 + 100.0 * tau1_closed(GAUSS, 0.4).tau1
-    samples = np.array([-1.0, 1.0]) * np.sqrt(v)  # sample variance exactly v
-    assert ml_estimate_quadrature(samples, scene) == pytest.approx(0.4, rel=1e-9)
-    vacuum = np.array([-1.0, 1.0]) * np.sqrt(0.5)
-    assert ml_estimate_quadrature(vacuum, scene) == pytest.approx(0.0, abs=1e-6)
-    # variance at or below the vacuum level clamps exactly
-    assert ml_estimate_quadrature(np.array([-0.5, 0.5]), scene) == 0.0
+    d_peak, _ = _tau_branch(GAUSS)
+    for kind, share in ((HOMODYNE, 1.0), (HETERODYNE, 0.5)):
+        v = 0.5 + share * 100.0 * tau1_closed(GAUSS, 0.4).tau1
+        d_hat = ml_estimate_quadrature(v, scene, kind)
+        assert not isinstance(d_hat, np.ndarray)
+        assert d_hat == pytest.approx(0.4, rel=1e-9)
+        # the shot-noise floor and below clip to 0, a variance above the branch maximum to d_peak
+        ms = np.array([0.4, 0.5, v, 0.5 + share * 100.0])
+        d = ml_estimate_quadrature(ms, scene, kind)
+        assert d[[0, 1, 3]].tolist() == [0.0, 0.0, d_peak]
+        assert d[2] == d_hat
     with pytest.raises(ValidationError):
-        ml_estimate_quadrature(np.array([1.0]), scene)
+        ml_estimate_quadrature(1.0, scene, "direct")
 
 
 def test_budget_guard():
     with pytest.raises(BudgetError):
-        experiment(frames=100_000, trials=10_000, seed=0).check_budget()
+        experiment(frames=100_000, trials=10_000, seed=0).trial_streams()
+    assert len(experiment(frames=100, trials=7, budget=700, seed=0).trial_streams()) == 7
 
 
 def test_zero_separation_unbounded_crb():
@@ -195,6 +212,9 @@ def test_experiment_validation():
         experiment(frames=10, trials=0, seed=0)
     with pytest.raises(ValidationError):
         experiment(measurement="calorimetry", frames=10, trials=10, seed=0)
+    for budget in (0, -1):
+        with pytest.raises(ValidationError):
+            experiment(frames=10, trials=10, seed=0, budget=budget)
 
 
 def _brentq_each(tf, targets):
@@ -263,7 +283,7 @@ def test_solver_refuses_unbracketed_and_unconverged_roots():
                          xtol=1e-13, rtol=1e-12, maxiter=2)
 
 
-@pytest.mark.parametrize("measurement", ["counting", HOMODYNE])
+@pytest.mark.parametrize("measurement", ["counting", HOMODYNE, HETERODYNE])
 def test_all_trials_invert_in_one_array_solve(measurement, monkeypatch):
     # a per-trial inversion would make thousands of tau1 calls
     calls = []
@@ -281,3 +301,28 @@ def test_all_trials_invert_in_one_array_solve(measurement, monkeypatch):
     )
     assert len(rep.estimates) == 2000
     assert len(calls) < 150
+
+
+@pytest.mark.parametrize("measurement", ["counting", HOMODYNE, HETERODYNE])
+def test_one_sampler_and_one_estimator_call_per_experiment(measurement, monkeypatch):
+    # wrap the public sampler and estimator in every spaderes namespace that
+    # holds them, as a tracer binding those names would
+    calls = Counter()
+    public = [mc.simulate_counts, qd.sample_quadrature, mc.ml_estimate_counting,
+              mc.ml_estimate_quadrature]
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "spaderes"]
+    for fn in public:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    noise = SNR4 if measurement == "counting" else NO_NOISE
+    run_crb_experiment(experiment(noise=noise, measurement=measurement, frames=20, trials=30, seed=5))
+    if measurement == "counting":
+        assert calls == Counter(simulate_counts=1, ml_estimate_counting=1)
+    else:
+        assert calls == Counter(sample_quadrature=1, ml_estimate_quadrature=1)

@@ -87,7 +87,6 @@ from .resolution import (
     SuperresWindow,
     d_half_counting,
     d_half_from_curve,
-    d_half_numeric,
     d_half_quadrature,
     superres_window,
 )

@@ -52,6 +52,7 @@ EXIT_CODES = {
     SpaderesError: EXIT_USAGE,
     OSError: EXIT_USAGE,
     NumericError: EXIT_NUMERIC,
+    OverflowError: EXIT_NUMERIC,
     BudgetError: EXIT_BUDGET,
 }
 
@@ -399,15 +400,15 @@ def load_config_file(path: str) -> list[str]:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    # config-supplied flags are injected right after the subcommand, so
-    # anything typed on the command line comes later and wins
-    if "--config" not in argv:
+    # argparse finds --config in any spelling it accepts (--config=FILE, a
+    # prefix such as --conf); the file's flags are injected right after the
+    # subcommand, so anything typed on the command line comes later and wins
+    pre = argparse.ArgumentParser(prog=f"spaderes {argv[0]}", add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv  # argparse will report the missing value
-    flags = load_config_file(argv[i + 1])
-    return argv[:1] + flags + argv[1:]
+    return argv[:1] + load_config_file(path) + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,10 +12,10 @@ sample and are reported through clip_fraction rather than discarded.
 
 Each trial draws from its own SeedSequence-spawned stream, so results are
 reproducible and independent of execution order.  All trials of an
-experiment are inverted together by one Brent solve run in lockstep over the
-array of their tau1 targets; it takes the steps scipy's brentq takes on each
-target alone, so the estimates are the ones a per-trial brentq gives, bit for
-bit.
+experiment are inverted together, in one call of the rising-branch solver of
+spaderes.resolution that d_half uses too; it takes the steps scipy's brentq
+takes on each target alone, so the estimates are the ones a per-trial brentq
+gives, bit for bit.
 
 MEASUREMENTS is the one table of what differs between the readouts (photon
 counting, homodyne, heterodyne): information curves, ceiling, closed-form
@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .counting import (
     NO_NOISE,
@@ -56,12 +55,9 @@ from .quadrature import (
     shot_noise_snr,
     signal_share,
 )
-from .resolution import COUNTING, d_half_counting, d_half_quadrature
+from .resolution import COUNTING, _brentq_lockstep, _peak, d_half_counting, d_half_quadrature
 
 DEFAULT_BUDGET = 50_000_000  # frames x trials
-
-# scipy.optimize.brentq's iteration cap
-BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,91 +116,7 @@ def _tau_branch(tf: TransferFunction) -> tuple[float, float]:
     # every kind; the Gaussian's d_peak is 2 sigma only to within the search
     # tolerance, and the golden simulate_counting_clip_peak.json pins its value
     sigma = sigma_of(tf)
-    res = minimize_scalar(
-        lambda d: -tau1_exact(tf, d).tau1,
-        bounds=(0.5 * sigma, 4.0 * sigma),
-        method="bounded",
-        options={"xatol": 1e-12 * sigma},
-    )
-    d_peak = float(res.x)
-    return d_peak, tau1_exact(tf, d_peak).tau1
-
-
-def _brentq_lockstep(g, targets: np.ndarray, xa: float, xb: float, xtol: float, rtol: float,
-                     maxiter: int = BRENT_MAXITER) -> np.ndarray:
-    """Roots in [xa, xb] of g(x) = t for every t of a 1-d array of targets.
-
-    scipy's brentq.c, statement for statement, run in lockstep: each target
-    takes the steps a scalar brentq takes on f(x) = g(x) - t, so the roots are
-    the same bit for bit.  g maps an array of points to an array of values;
-    each iteration makes one call of g, over the targets not yet converged.
-    A NaN residual raises ValueError, as does a target whose residuals at xa
-    and xb share a sign; a target not converged after maxiter iterations
-    raises RuntimeError.
-    """
-
-    def residual(x, t):
-        f = g(x) - t
-        if np.isnan(f).any():
-            raise ValueError("a residual is NaN; the solver cannot continue")
-        return f
-
-    fa, fb = residual(xa, targets), residual(xb, targets)
-    if np.any((fa != 0) & (fb != 0) & (np.signbit(fa) == np.signbit(fb))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    root = np.where(fa == 0, xa, xb)
-    idx = np.flatnonzero((fa != 0) & (fb != 0))
-    t, fpre, fcur = targets[idx], fa[idx], fb[idx]
-    xpre, xcur = np.full(idx.size, float(xa)), np.full(idx.size, float(xb))
-    xblk = fblk = spre = scur = np.zeros(idx.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(maxiter):
-            # xblk is the far end of the bracket; xcur the end with the smaller residual
-            bracket = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk = np.where(bracket, xpre, xblk), np.where(bracket, fpre, fblk)
-            step = xcur - xpre
-            spre, scur = np.where(bracket, step, spre), np.where(bracket, step, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (
-                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            )
-            fpre, fcur, fblk = (
-                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            )
-
-            delta = (xtol + rtol * np.abs(xcur)) / 2  # the tolerance is 2 delta
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            root[idx[done]] = xcur[done]
-            live = ~done
-            if not live.any():
-                return root
-            idx, t, delta, sbis = idx[live], t[live], delta[live], sbis[live]
-            xpre, xcur, xblk = xpre[live], xcur[live], xblk[live]
-            fpre, fcur, fblk = fpre[live], fcur[live], fblk[live]
-            spre, scur = spre[live], scur[live]
-
-            # secant or inverse quadratic step if it is short enough, else bisection
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, interpolate, extrapolate)
-            # brentq.c's MIN(a, b) is a < b ? a : b, which np.minimum is not for NaN
-            bound = np.where(np.abs(spre) < 3 * np.abs(sbis) - delta,
-                             np.abs(spre), 3 * np.abs(sbis) - delta)
-            short = (
-                (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < bound)
-            )
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                            xcur + np.where(sbis > 0, delta, -delta))
-            fcur = residual(xcur, t)
-    raise RuntimeError(
-        f"{idx.size} of {targets.size} roots failed to converge after {maxiter} iterations"
-    )
+    return _peak(lambda d: tau1_exact(tf, d).tau1, 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma)
 
 
 def _invert_tau1(tf: TransferFunction, tau_target):
@@ -288,6 +200,21 @@ class Measurement:
     estimate: Callable[[np.ndarray, Experiment], np.ndarray]
 
 
+def _quadrature_measurement(kind: str) -> Measurement:
+    """Homodyne or heterodyne; the two differ only in the kind."""
+    return Measurement(
+        fi=lambda scene, noise: (fi_homodyne if kind == HOMODYNE else fi_heterodyne)(scene),
+        fi_small_d=lambda scene, noise: (
+            fi_homodyne_small_d if kind == HOMODYNE else fi_heterodyne_small_d
+        )(scene),
+        ceiling=0.25,
+        d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
+        shot_noise_snr=lambda n_s: shot_noise_snr(kind, n_s),
+        sample=lambda exp: sample_quadrature(exp.scene, kind, exp.frames, exp.trial_streams()),
+        estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, kind),
+    )
+
+
 MEASUREMENTS = {
     COUNTING: Measurement(
         fi=lambda scene, noise: fi_counting_exact(scene, noise),
@@ -298,24 +225,8 @@ MEASUREMENTS = {
         sample=lambda exp: simulate_counts(exp),
         estimate=lambda totals, exp: ml_estimate_counting(totals, exp.frames, exp.scene, exp.noise),
     ),
-    HOMODYNE: Measurement(
-        fi=lambda scene, noise: fi_homodyne(scene),
-        fi_small_d=lambda scene, noise: fi_homodyne_small_d(scene),
-        ceiling=0.25,
-        d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
-        shot_noise_snr=lambda n_s: shot_noise_snr(HOMODYNE, n_s),
-        sample=lambda exp: sample_quadrature(exp.scene, HOMODYNE, exp.frames, exp.trial_streams()),
-        estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, HOMODYNE),
-    ),
-    HETERODYNE: Measurement(
-        fi=lambda scene, noise: fi_heterodyne(scene),
-        fi_small_d=lambda scene, noise: fi_heterodyne_small_d(scene),
-        ceiling=0.25,
-        d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
-        shot_noise_snr=lambda n_s: shot_noise_snr(HETERODYNE, n_s),
-        sample=lambda exp: sample_quadrature(exp.scene, HETERODYNE, exp.frames, exp.trial_streams()),
-        estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, HETERODYNE),
-    ),
+    HOMODYNE: _quadrature_measurement(HOMODYNE),
+    HETERODYNE: _quadrature_measurement(HETERODYNE),
 }
 
 

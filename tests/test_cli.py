@@ -146,7 +146,16 @@ def test_simulate_deterministic(tmp_path):
     assert payload["crb"] > 0
 
 
-def test_config_file_with_flag_override(tmp_path):
+# every spelling of --config that argparse accepts
+CONFIG_SPELLINGS = {
+    "separate": lambda path: ["--config", path],
+    "equals": lambda path: [f"--config={path}"],
+    "prefix": lambda path: ["--conf", path],
+}
+
+
+@pytest.mark.parametrize("spelling", list(CONFIG_SPELLINGS))
+def test_config_file_with_flag_override(spelling, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# sweep defaults\n"
@@ -157,12 +166,23 @@ def test_config_file_with_flag_override(tmp_path):
     )
     out = tmp_path / "tau.csv"
     assert run(
-        ["tau-curve", "--config", str(cfg), "--count", "5", "--out", str(out)]
+        ["tau-curve", *CONFIG_SPELLINGS[spelling](str(cfg)), "--count", "5", "--out", str(out)]
     ) == 0
     config, _, rows = read_csv(out)
     assert config["d_max"] == 4.0  # from the file
     assert config["count"] == 5  # command line wins
     assert rows.shape[0] == 5
+
+
+@pytest.mark.parametrize("spelling", list(CONFIG_SPELLINGS))
+def test_config_file_supplies_a_required_flag(spelling, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_true = 0.3\ntrials = 20\nno_estimates = true\n")
+    assert run(["simulate", *CONFIG_SPELLINGS[spelling](str(cfg)), "--trials", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["d_true"] == 0.3  # from the file
+    assert payload["config"]["trials"] == 5  # command line wins
+    assert "estimates" not in payload
 
 
 def test_absolute_units(tmp_path):
@@ -264,6 +284,24 @@ def test_exit_code_numeric_failure():
         ["d-half", "--measurement", "counting", "--sigma", "1.0", "--snr", "inf",
          "--n-s", "1", "--numeric", "--psf", "gaussian"]
     ) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n_s**2 overflows a Python float in the small-d law
+        ["fi-curve", "--measurement", "homodyne", "--n-s", "1e300", "--count", "3"],
+        ["fi-curve", "--measurement", "heterodyne", "--n-s", "1e300", "--count", "3"],
+        # the information curve is NaN, and so is the root finder's residual
+        ["d-half", "--measurement", "homodyne", "--n-s", "1e300", "--numeric"],
+    ],
+)
+def test_finite_inputs_that_overflow_are_numeric_failures(argv, capsys):
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow
+        assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_exit_code_budget():

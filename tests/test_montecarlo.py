@@ -13,11 +13,10 @@ import spaderes.montecarlo as mc
 import spaderes.quadrature as qd
 from spaderes.cli import main
 from spaderes.counting import NO_NOISE, NoiseModel, SourceScene, THERMAL, mean_count
-from spaderes.errors import BudgetError, ValidationError
+from spaderes.errors import BudgetError, NumericError, ValidationError
 from spaderes.montecarlo import (
     Experiment,
     TrialReport,
-    _brentq_lockstep,
     _invert_tau1,
     _tau_branch,
     ml_estimate_counting,
@@ -28,6 +27,7 @@ from spaderes.montecarlo import (
 from spaderes.overlap import tau1_closed, tau1_exact
 from spaderes.psf import gaussian_psf, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE
+from spaderes.resolution import _brentq_lockstep
 
 GAUSS = gaussian_psf(1.0)
 SNR4 = NoiseModel.from_snr(1e4, 100.0)
@@ -252,6 +252,14 @@ def test_lockstep_inversion_matches_scalar_brentq(tf):
     assert np.array_equal(_invert_tau1(tf, targets), _brentq_each(tf, targets))
 
 
+@pytest.mark.parametrize("tf", [gaussian_psf(1.0), gaussian_psf(0.37), sinc_psf(sigma=1.0)],
+                         ids=["gaussian", "gaussian-0.37", "sinc"])
+def test_branch_peak_value_is_tau1_at_the_peak(tf):
+    # the peak search returns the value it found, which decides what clips to d_peak
+    d_peak, tau_peak = _tau_branch(tf)
+    assert tau_peak == tau1_exact(tf, d_peak).tau1
+
+
 def test_inversion_keeps_the_shape_of_its_targets():
     targets = np.linspace(-0.1, 0.5, 12).reshape(3, 4)
     d = _invert_tau1(GAUSS, targets)
@@ -263,24 +271,16 @@ def test_inversion_keeps_the_shape_of_its_targets():
 
 
 def test_nan_residual_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         _invert_tau1(GAUSS, np.array([0.1, np.nan, 0.2]))
 
     # NaN inside the bracket, where the root lies: bisection has to land there
     def cube_with_hole(x):
         return np.where(np.abs(x - 0.5) < 0.05, np.nan, np.float_power(x, 3))
 
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         _brentq_lockstep(cube_with_hole, np.array([0.05, 0.125]), 0.0, 1.0,
                          xtol=1e-13, rtol=1e-12)
-
-
-def test_solver_refuses_unbracketed_and_unconverged_roots():
-    with pytest.raises(ValueError):
-        _brentq_lockstep(lambda x: x, np.array([0.5, 2.0]), 0.0, 1.0, xtol=1e-13, rtol=1e-12)
-    with pytest.raises(RuntimeError):
-        _brentq_lockstep(lambda x: np.float_power(x, 3), np.array([0.3]), 0.0, 1.0,
-                         xtol=1e-13, rtol=1e-12, maxiter=2)
 
 
 @pytest.mark.parametrize("measurement", ["counting", HOMODYNE, HETERODYNE])

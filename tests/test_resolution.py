@@ -1,19 +1,24 @@
 """Half-information separations and the sub-width operating window."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
+import spaderes.resolution as rs
 from spaderes.cli import main
 from spaderes.counting import NoiseModel, SourceScene, THERMAL, fi_counting_exact
-from spaderes.errors import BracketingError, ValidationError
-from spaderes.psf import gaussian_psf
+from spaderes.direct_imaging import qfi
+from spaderes.errors import BracketingError, NumericError, ValidationError
+from spaderes.montecarlo import MEASUREMENTS
+from spaderes.psf import gaussian_psf, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE, fi_homodyne_small_d, shot_noise_snr
 from spaderes.resolution import (
+    _brentq_lockstep,
     d_half_counting,
     d_half_from_curve,
-    d_half_numeric,
     d_half_quadrature,
     superres_window,
 )
@@ -70,13 +75,56 @@ def test_numeric_root_homodyne_small_d():
     # rising-branch solution of the small-d homodyne curve at half its maximum
     n_s = 100.0
     fn = lambda d: fi_homodyne_small_d(SourceScene(GAUSS, d, n_s))
-    root = d_half_numeric(fn, n_s / 8.0, (1e-6, np.sqrt(2.0 / n_s)))
+    root = d_half_from_curve(fn, n_s / 8.0, 1.0)
     assert root == pytest.approx((2.0 - np.sqrt(2.0)) / np.sqrt(n_s), rel=1e-9)
 
 
 def test_numeric_root_needs_sign_change():
+    # the error names the curve at both ends of the bracket
+    with pytest.raises(BracketingError, match="the curve is 0 at 0 and 1 at 1, .* target 100"):
+        _brentq_lockstep(lambda d: d**2, np.array([100.0]), 0.0, 1.0, xtol=1e-15, rtol=1e-10)
+
+
+def test_solver_refuses_unbracketed_and_unconverged_roots(monkeypatch):
     with pytest.raises(BracketingError):
-        d_half_numeric(lambda d: d**2, 100.0, (0.0, 1.0))
+        _brentq_lockstep(lambda x: x, np.array([0.5, 2.0]), 0.0, 1.0, xtol=1e-13, rtol=1e-12)
+    monkeypatch.setattr(rs, "BRENT_MAXITER", 2)
+    with pytest.raises(NumericError, match="1 of 1 roots failed to converge after 2 iterations"):
+        _brentq_lockstep(lambda x: np.float_power(x, 3), np.array([0.3]), 0.0, 1.0,
+                         xtol=1e-13, rtol=1e-12)
+
+
+def _d_half_reference(fi_fn, target, sigma):
+    """d_half by bounded minimize_scalar and one scalar scipy brentq, same bounds and tolerances."""
+    res = minimize_scalar(
+        lambda d: -fi_fn(d),
+        bounds=(1e-6 * sigma, 3.0 * sigma),
+        method="bounded",
+        options={"xatol": 1e-10 * sigma},
+    )
+    d_peak = float(res.x)
+    return brentq(lambda d: fi_fn(d) - target, 1e-9 * sigma, d_peak,
+                  xtol=1e-15 * max(d_peak, 1.0), rtol=1e-10)
+
+
+# the d-half --numeric configurations of the benchmark's cli-scan workload
+D_HALF_CASES = list(itertools.product(
+    MEASUREMENTS, ("poisson", "thermal"), ("gaussian", "sinc"), (10.0, 100.0), (1e3, 1e4)
+))
+
+
+@pytest.mark.parametrize(
+    "measurement, statistics, psf, n_s, snr", D_HALF_CASES,
+    ids=["-".join(map(str, case)) for case in D_HALF_CASES],
+)
+def test_curve_root_matches_scalar_brentq(measurement, statistics, psf, n_s, snr):
+    # the curve d-half --numeric inverts; snr sets the dark counts of counting only
+    m = MEASUREMENTS[measurement]
+    tf = gaussian_psf(1.0) if psf == "gaussian" else sinc_psf(sigma=1.0)
+    noise = NoiseModel.from_snr(snr, n_s)
+    fn = lambda d: m.fi(SourceScene(tf, d, n_s, statistics), noise)
+    target = 0.5 * m.ceiling * qfi(n_s, 1.0)
+    assert d_half_from_curve(fn, target, 1.0) == _d_half_reference(fn, target, 1.0)
 
 
 def test_curve_root_exact_counting():

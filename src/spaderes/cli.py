@@ -8,9 +8,11 @@ dimensionless by default, d in units of sigma and information as
 FI sigma^2 / n_s; --absolute switches both the d grid interpretation and the
 output columns to absolute units.
 
-Options may come from a key=value config file via --config; flags given on
-the command line win.  Exit codes: 0 success, 2 usage, 3 numeric failure,
-4 budget exceeded.
+Options may come from a key=value config file via --config, which each
+subcommand's own parser reads, so a prefix of it that is ambiguous is refused;
+the file's flags go in right after the subcommand, so flags given on the
+command line win.  Exit codes: 0 success, 2 usage, 3 numeric failure (including
+any floating-point overflow), 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
 # exit code of each error class main reports; an error takes the code of its
-# nearest listed base class
+# nearest listed base class.  ArithmeticError covers Python's OverflowError and
+# numpy's FloatingPointError, which main raises for every overflow.
 EXIT_CODES = {
     SpaderesError: EXIT_USAGE,
     OSError: EXIT_USAGE,
     NumericError: EXIT_NUMERIC,
-    OverflowError: EXIT_NUMERIC,
+    ArithmeticError: EXIT_NUMERIC,
     BudgetError: EXIT_BUDGET,
 }
 
@@ -78,6 +81,11 @@ def _nonnegative_int(value: str) -> int:
     return n
 
 
+def add_io_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
 def add_psf_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--psf", choices=list(KINDS), default=GAUSSIAN, help="PSF kind")
     p.add_argument("--sigma", type=_positive, default=1.0, help="PSF width sigma")
@@ -95,21 +103,19 @@ def add_grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-max", type=_finite, default=5.0, help="grid end (units of sigma)")
     p.add_argument("--count", type=int, default=101, help="number of grid points")
     p.add_argument("--spacing", choices=["linear", "log"], default="linear")
-
-
-def add_noise_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr", type=float, default=None, help="n_s / n_b; inf allowed")
-    p.add_argument("--n-b", type=float, default=None, help="mean dark counts per window")
-
-
-def add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument(
         "--absolute",
         action="store_true",
         help="absolute units for the d grid and outputs instead of sigma units",
     )
+
+
+def add_readout_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--snr", type=float, default=None, help="n_s / n_b; inf allowed")
+    p.add_argument("--n-b", type=float, default=None, help="mean dark counts per window")
+    p.add_argument("--measurement", choices=list(MEASUREMENTS), default=COUNTING)
+    p.add_argument("--statistics", choices=list(STATISTICS), default=POISSON)
 
 
 def build_psf(args) -> TransferFunction:
@@ -190,10 +196,10 @@ def write_table(args, columns: list[str], rows: list[list[float]]) -> None:
 
 
 def write_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload))
+    _emit(args, json.dumps({"config": config_echo(args), **payload}))
 
 
-def cmd_tau_curve(args) -> int:
+def cmd_tau_curve(args) -> None:
     tf = build_psf(args)
     sigma = sigma_of(tf)
     grid = build_grid(args, sigma)
@@ -206,10 +212,9 @@ def cmd_tau_curve(args) -> int:
     columns = [(grid * scale).tolist(), numeric, closed, tau1_small_d(sigma, grid).tolist()]
     label = "d" if args.absolute else "d_over_sigma"
     write_table(args, [label, "tau1_numeric", "tau1_closed", "tau1_small_d"], list(zip(*columns)))
-    return EXIT_OK
 
 
-def cmd_fi_curve(args) -> int:
+def cmd_fi_curve(args) -> None:
     m = MEASUREMENTS[args.measurement]
     tf = build_psf(args)
     sigma = sigma_of(tf)
@@ -230,10 +235,9 @@ def cmd_fi_curve(args) -> int:
         columns.append("direct_imaging")
         table.append([fi_direct(tf, d, args.n_s) * fi_scale for d in grid])
     write_table(args, columns, np.column_stack(table).tolist())
-    return EXIT_OK
 
 
-def cmd_d_half(args) -> int:
+def cmd_d_half(args) -> None:
     m = MEASUREMENTS[args.measurement]
     # --snr is the readout's own SNR: n_s / n_b, or a quadrature shot-noise SNR,
     # which --n-s alone also sets, so a quadrature readout takes one of the two
@@ -256,7 +260,6 @@ def cmd_d_half(args) -> int:
     sigma = sigma_of(tf)
     window = superres_window(sigma, snr, n_s=args.n_s, statistics=args.statistics)
     payload = {
-        "config": config_echo(args),
         "model": args.measurement,
         "sigma": sigma,
         "snr": snr,
@@ -272,16 +275,17 @@ def cmd_d_half(args) -> int:
             noise = NoiseModel.from_snr(snr, args.n_s)
         target = 0.5 * m.ceiling * qfi(args.n_s, sigma)
 
-        def fi(d: float) -> float:
+        def fi(d):
             return m.fi(SourceScene(tf=tf, d=d, n_s=args.n_s, statistics=args.statistics), noise)
 
         payload["d_half_curve"] = d_half_from_curve(fi, target, sigma)
         payload["target_fi"] = target
     write_json(args, payload)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
+    if args.d_true is None:
+        raise ValidationError("simulate requires --d-true (a flag or a --config key)")
     tf = build_psf(args)
     noise = build_noise(args, MEASUREMENTS[args.measurement], args.n_s)
     scene = SourceScene(tf=tf, d=args.d_true, n_s=args.n_s, statistics=args.statistics)
@@ -297,18 +301,16 @@ def cmd_simulate(args) -> int:
     report = asdict(run_crb_experiment(exp))
     if args.no_estimates:
         del report["estimates"]
-    write_json(args, {"config": config_echo(args), **report})
-    return EXIT_OK
+    write_json(args, report)
 
 
-def cmd_qfi(args) -> int:
+def cmd_qfi(args) -> None:
     tf = build_psf(args)
-    payload = {"config": config_echo(args), "qfi": qfi(args.n_s, sigma_of(tf))}
+    payload = {"qfi": qfi(args.n_s, sigma_of(tf))}
     if args.check:
         payload["qfi_numeric"] = qfi_numeric(tf, args.n_s)
         payload["sigma_numeric"] = sigma_of(tf)
     write_json(args, payload)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,61 +322,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tau-curve", help="tabulate the mode-1 transmission versus separation")
-    p.add_argument("--config", default=None, help="key=value config file")
+    add_io_options(p)
     add_psf_options(p)
     add_grid_options(p)
-    add_output_options(p)
     p.set_defaults(func=cmd_tau_curve)
 
     p = sub.add_parser("fi-curve", help="tabulate Fisher information versus separation")
-    p.add_argument("--config", default=None)
+    add_io_options(p)
     add_psf_options(p)
     add_grid_options(p)
-    add_noise_options(p)
-    add_output_options(p)
-    p.add_argument("--measurement", choices=list(MEASUREMENTS), default=COUNTING)
-    p.add_argument("--statistics", choices=list(STATISTICS), default=POISSON)
+    add_readout_options(p)
     p.add_argument("--n-s", type=_positive, default=100.0, help="mean source photons per window")
     p.add_argument("--with-direct", action="store_true", help="add a direct-imaging column")
     p.set_defaults(func=cmd_fi_curve)
 
     p = sub.add_parser("d-half", help="half-resolution distance and superresolution window")
-    p.add_argument("--config", default=None)
+    add_io_options(p)
     add_psf_options(p)
-    add_noise_options(p)
-    p.add_argument("--measurement", choices=list(MEASUREMENTS), default=COUNTING)
-    p.add_argument("--statistics", choices=list(STATISTICS), default=POISSON)
+    add_readout_options(p)
     p.add_argument("--n-s", type=_positive, default=None)
     p.add_argument(
         "--numeric",
         action="store_true",
         help="also extract d-half from the exact information curve",
     )
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_d_half)
 
     p = sub.add_parser("simulate", help="Monte Carlo Cramér-Rao experiment")
-    p.add_argument("--config", default=None)
+    add_io_options(p)
     add_psf_options(p)
-    add_noise_options(p)
-    p.add_argument("--measurement", choices=list(MEASUREMENTS), default=COUNTING)
-    p.add_argument("--statistics", choices=list(STATISTICS), default=POISSON)
+    add_readout_options(p)
     p.add_argument("--n-s", type=_positive, default=100.0)
-    p.add_argument("--d-true", type=_finite, required=True, help="true separation (absolute)")
+    p.add_argument(
+        "--d-true", type=_finite, default=None, help="true separation (absolute); required"
+    )
     p.add_argument("--frames", type=int, default=100, help="observation windows per trial")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--no-estimates", action="store_true", help="omit per-trial estimates")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("qfi", help="quantum information limit n_s / sigma^2")
-    p.add_argument("--config", default=None)
+    add_io_options(p)
     add_psf_options(p)
     p.add_argument("--n-s", type=_positive, default=1.0)
     p.add_argument("--check", action="store_true", help="cross-check via 4 n_s int u'^2")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_qfi)
 
     return parser
@@ -399,29 +392,22 @@ def load_config_file(path: str) -> list[str]:
     return flags
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    # argparse finds --config in any spelling it accepts (--config=FILE, a
-    # prefix such as --conf); the file's flags are injected right after the
-    # subcommand, so anything typed on the command line comes later and wins
-    pre = argparse.ArgumentParser(prog=f"spaderes {argv[0]}", add_help=False)
-    pre.add_argument("--config", default=None)
-    path = pre.parse_known_args(argv[1:])[0].config
-    if path is None:
-        return argv
-    return argv[:1] + load_config_file(path) + argv[1:]
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv and not argv[0].startswith("-"):
-            argv = _apply_config(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.config is not None:
+            # the file's flags go right after the subcommand, so anything typed
+            # on the command line comes later and wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + load_config_file(args.config) + argv[at:])
+        with np.errstate(over="raise"):
+            args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

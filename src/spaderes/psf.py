@@ -73,7 +73,6 @@ class TransferFunction:
     kind: str
     sigma: float
     grid: np.ndarray | None = field(default=None, repr=False)
-    values: np.ndarray | None = field(default=None, repr=False)
     norm: float = 1.0
     _spline: CubicSpline | None = field(default=None, repr=False)
 
@@ -125,16 +124,18 @@ def tabulated_psf(grid, values, normalize: bool = False) -> TransferFunction:
         raise ValidationError("tabulated grid must be strictly increasing")
 
     spline = CubicSpline(grid, values)
-    norm = _spline_norm(spline, grid)
+    norm = _energy(spline, grid)
     if normalize:
         if norm <= 0:
             raise ValidationError("cannot normalize a zero amplitude profile")
         values = values / np.sqrt(norm)
         spline = CubicSpline(grid, values)
         norm = 1.0
-    sigma = _spline_sigma(spline, grid)
+    energy = _energy(spline.derivative(), grid)
+    if energy <= 0:
+        raise ValidationError("derivative energy of tabulated PSF is not positive")
     return TransferFunction(
-        kind=TABULATED, sigma=sigma, grid=grid, values=values, norm=norm, _spline=spline
+        kind=TABULATED, sigma=0.5 / np.sqrt(energy), grid=grid, norm=norm, _spline=spline
     )
 
 
@@ -149,21 +150,12 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
     return tabulated_psf(data[:, 0], data[:, 1], normalize=normalize)
 
 
-def _spline_norm(spline: CubicSpline, grid: np.ndarray) -> float:
+def _energy(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> float:
+    """Integral of f(x)^2 over the grid hull."""
     value, _ = integrate_refined(
-        lambda x: spline(x) ** 2, grid[0], grid[-1], n_panels=max(128, grid.size // 2)
+        lambda x: f(x) ** 2, grid[0], grid[-1], n_panels=max(128, grid.size // 2)
     )
     return value
-
-
-def _spline_sigma(spline: CubicSpline, grid: np.ndarray) -> float:
-    deriv = spline.derivative()
-    energy, _ = integrate_refined(
-        lambda x: deriv(x) ** 2, grid[0], grid[-1], n_panels=max(128, grid.size // 2)
-    )
-    if energy <= 0:
-        raise ValidationError("derivative energy of tabulated PSF is not positive")
-    return 0.5 / np.sqrt(energy)
 
 
 def _spline_eval(tf: TransferFunction, arr: np.ndarray, nu: int, fill):

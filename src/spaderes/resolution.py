@@ -195,7 +195,8 @@ def d_half_from_curve(
     rising branch [1e-9 sigma, d_peak] to 1e-10 relative in d.  Intended for
     noisy curves that vanish at d = 0; a curve already above target at tiny d
     (e.g. noiseless counting) has no rising crossing and raises a bracketing
-    error.  fi_fn is called with one float separation at a time.
+    error.  fi_fn maps a float separation to a float and an array of
+    separations to an array, as curves built on SourceScene do.
     """
     d_peak, f_peak = _peak(fi_fn, 1e-6 * sigma, 3.0 * sigma, 1e-10 * sigma)
     if f_peak < target:
@@ -203,7 +204,6 @@ def d_half_from_curve(
             f"curve maximum {f_peak:.6g} at d={d_peak:.6g} is below the target {target:.6g}"
         )
     root = _brentq_lockstep(
-        lambda d: np.array([fi_fn(x) for x in np.ravel(d).tolist()]),
-        np.array([target]), 1e-9 * sigma, d_peak, xtol=1e-15 * max(d_peak, 1.0), rtol=1e-10,
+        fi_fn, np.array([target]), 1e-9 * sigma, d_peak, xtol=1e-15 * max(d_peak, 1.0), rtol=1e-10
     )
     return float(root[0])

@@ -1,6 +1,7 @@
 """Command-line front end: outputs, config handling, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ def test_config_file_supplies_a_required_flag(spelling, tmp_path, capsys):
     assert "estimates" not in payload
 
 
+def test_simulate_without_d_true_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 20\n")
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--d-true" in captured.err
+
+
+def test_ambiguous_config_prefix_is_refused(capsys):
+    # the subcommand's own parser reads --config, so --co could also be --count
+    assert run(["tau-curve", "--co", "3"]) == 2
+    assert "ambiguous option: --co could match --config, --count" in capsys.readouterr().err
+
+
 def test_absolute_units(tmp_path):
     out = tmp_path / "abs.csv"
     assert run(
@@ -289,19 +305,24 @@ def test_exit_code_numeric_failure():
 @pytest.mark.parametrize(
     "argv",
     [
-        # n_s**2 overflows a Python float in the small-d law
+        # the quadrature information (dV)^2 / 2V^2 squares a variance of order
+        # n_s, which overflows on the fi-curve grid and on the d-half curve alike
         ["fi-curve", "--measurement", "homodyne", "--n-s", "1e300", "--count", "3"],
         ["fi-curve", "--measurement", "heterodyne", "--n-s", "1e300", "--count", "3"],
-        # the information curve is NaN, and so is the root finder's residual
         ["d-half", "--measurement", "homodyne", "--n-s", "1e300", "--numeric"],
     ],
 )
 def test_finite_inputs_that_overflow_are_numeric_failures(argv, capsys):
-    with pytest.warns(RuntimeWarning):  # numpy reports the overflow
-        assert run(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err
+    # numpy raises on the overflow instead of warning, so turning warnings into
+    # errors changes nothing
+    for action in ("default", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert run(argv) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 def test_exit_code_budget():

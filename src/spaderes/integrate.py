@@ -25,6 +25,9 @@ from .errors import NumericError
 # rungs of the ladder of half-widths that integrate_oscillatory_tails extrapolates over
 TAIL_LEVELS = 4
 
+# panels one call may ask for: 2^16 x 16 nodes make 8 MiB node and weight arrays
+MAX_PANELS = 2**16
+
 
 @lru_cache(maxsize=32)
 def _gl_nodes(n_nodes: int):
@@ -42,6 +45,8 @@ def composite_gauss_legendre(
     """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
+    if n_panels > MAX_PANELS:
+        raise NumericError(f"{n_panels:.4g} panels on [{a:.4g}, {b:.4g}] exceed MAX_PANELS")
     x, w = _gl_nodes(n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -58,8 +63,9 @@ def integrate_refined(
     n_panels: int,
 ) -> tuple[float, float]:
     """Integrate on [a, b]; return (value, error estimate from panel doubling)."""
-    coarse = composite_gauss_legendre(f, a, b, n_panels)
+    # the doubled count first, so a count over MAX_PANELS allocates nothing
     fine = composite_gauss_legendre(f, a, b, 2 * n_panels)
+    coarse = composite_gauss_legendre(f, a, b, n_panels)
     return fine, abs(fine - coarse)
 
 

@@ -1,21 +1,21 @@
 """Cramér-Rao benchmarking by simulated experiments.
 
 A trial aggregates M independent observation windows (frames) and is reduced
-to one statistic as it is drawn: the photocount total, or the mean square of
-the quadrature outcomes pooled over frames and quadratures.  So memory grows
-with the number of trials, not with trials x frames.  The separation estimate
-inverts that measured first or second moment through the exact tau1 curve on
-its rising branch [0, d_peak]; for these one-parameter families that
-inversion is the maximum-likelihood estimate.  Estimates clipped to the branch
-ends (no excess signal, or signal above the branch maximum) stay in the
-sample and are reported through clip_fraction rather than discarded.
+to one statistic: the photocount total, Poisson(M kbar) for kbar counts per
+frame or, under thermal statistics, negative-binomial(M, 1/(kbar+1)), drawn as
+a Poisson of a gamma(M, kbar) mean; or the mean square of the quadrature
+outcomes, whose law is in spaderes.quadrature.  All trials draw it in one call
+from the experiment's one seeded Generator, so the cost grows with trials, not
+frames.  The separation estimate inverts that measured first or second moment
+through the exact tau1 curve on its rising branch [0, d_peak]; for these
+one-parameter families that inversion is the maximum-likelihood estimate.
+Estimates clipped to the branch ends (no excess signal, or signal above the
+branch maximum) stay in the sample and are reported through clip_fraction
+rather than discarded.
 
-Each trial draws from its own SeedSequence-spawned stream, so results are
-reproducible and independent of execution order.  All trials of an
-experiment are inverted together, in one call of the rising-branch solver of
-spaderes.resolution that d_half uses too; it takes the steps scipy's brentq
-takes on each target alone, so the estimates are the ones a per-trial brentq
-gives, bit for bit.
+All trials are inverted together, in one call of the rising-branch solver
+that d_half uses too; it takes scipy's brentq's steps on each target alone,
+so the estimates are a per-trial brentq's, bit for bit.
 
 MEASUREMENTS is the one table of what differs between the readouts (photon
 counting, homodyne, heterodyne): information curves, ceiling, closed-form
@@ -40,7 +40,7 @@ from .counting import (
     fi_counting_small_d,
     mean_count,
 )
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, NumericError, ValidationError
 from .overlap import tau1_exact
 from .psf import TransferFunction, sigma_of
 from .quadrature import (
@@ -58,6 +58,8 @@ from .quadrature import (
 from .resolution import COUNTING, _brentq_lockstep, _peak, d_half_counting, d_half_quadrature
 
 DEFAULT_BUDGET = 50_000_000  # frames x trials
+# the largest mean Generator.poisson accepts, so that its draws fit in int64
+POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +84,15 @@ class Experiment:
         if self.budget < 1:
             raise ValidationError(f"budget must be at least 1, got {self.budget}")
 
-    def trial_streams(self) -> list[np.random.SeedSequence]:
-        """One SeedSequence per trial, spawned from the seed once the budget allows the run."""
+    def rng(self) -> np.random.Generator:
+        """The experiment's one Generator, seeded with its seed once the budget allows the run."""
         need = self.frames * self.trials
         if need > self.budget:
             raise BudgetError(
                 f"{self.trials} trials x {self.frames} frames = {need} samples "
                 f"exceed the budget of {self.budget}; raise budget= to at least {need}"
             )
-        return np.random.SeedSequence(self.seed).spawn(self.trials)
+        return np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)
@@ -142,16 +144,16 @@ def _invert_tau1(tf: TransferFunction, tau_target):
 
 
 def simulate_counts(exp: Experiment) -> np.ndarray:
-    """Per-trial total photocounts, each drawn from the trial's own stream; shape (trials,)."""
-    rngs = map(np.random.default_rng, exp.trial_streams())
+    """Per-trial photocount totals, drawn from their law in one call; shape (trials,)."""
+    rng = exp.rng()
     kbar = mean_count(exp.scene, exp.noise)
-    frames = exp.frames
     if exp.scene.statistics == THERMAL:
-        p = 1.0 / (kbar + 1.0)
-        totals = ((rng.geometric(p, size=frames) - 1).sum() for rng in rngs)
+        means = rng.gamma(exp.frames, kbar, size=exp.trials)
     else:
-        totals = (rng.poisson(kbar, size=frames).sum() for rng in rngs)
-    return np.fromiter(totals, np.int64)
+        means = exp.frames * kbar
+    if not np.max(means) <= POISSON_MAX_MEAN:
+        raise NumericError(f"photocount mean {np.max(means):.4g} is past numpy's Poisson limit")
+    return rng.poisson(means, size=exp.trials)
 
 
 def ml_estimate_counting(totals, frames: int, scene: SourceScene, noise: NoiseModel):
@@ -180,8 +182,8 @@ def ml_estimate_quadrature(mean_squares, scene: SourceScene, kind: str):
 class Measurement:
     """What sets one readout of the derivative-mode channel apart.
 
-    An experiment reduces each trial to one number as it is drawn (sample)
-    and estimates d from all of them, elementwise, in one solve (estimate).
+    An experiment draws one statistic per trial (sample) and estimates d
+    from all of them, elementwise, in one solve (estimate).
     The callables reach the kernels through their module-level names at call
     time, so patching a module attribute (as a tracer does) reaches them too.
     """
@@ -210,7 +212,7 @@ def _quadrature_measurement(kind: str) -> Measurement:
         ceiling=0.25,
         d_half=lambda sigma, snr: d_half_quadrature(sigma, snr),
         shot_noise_snr=lambda n_s: shot_noise_snr(kind, n_s),
-        sample=lambda exp: sample_quadrature(exp.scene, kind, exp.frames, exp.trial_streams()),
+        sample=lambda exp: sample_quadrature(exp.scene, kind, exp.frames, exp.trials, exp.rng()),
         estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, kind),
     )
 

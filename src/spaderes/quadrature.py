@@ -16,6 +16,9 @@ d's shape.  Both readouts peak at n_s / 4 sigma^2,
 a quarter of the counting ceiling.  The shot-noise SNR, the signal share
 n_s / q over the vacuum variance, is 2 n_s for homodyne and n_s for
 heterodyne.
+
+A trial of M frames pools the squares of n = q M outcomes; their mean has the
+law V chi2_n / n (V chi2_M / M homodyne, V chi2_2M / 2M heterodyne).
 """
 
 from __future__ import annotations
@@ -114,27 +117,14 @@ def shot_noise_snr(kind: str, n_s: float) -> float:
     return signal_share(kind) * n_s / VACUUM_VARIANCE
 
 
-def quadrature_std(scene, kind: str):
-    """Standard deviation sqrt(V(d)) of each measured quadrature, shaped like scene.d."""
-    share = signal_share(kind)
-    return np.sqrt(VACUUM_VARIANCE + share * scene.n_s * tau1_exact(scene.tf, scene.d).tau1)
+def sample_quadrature(scene, kind: str, frames: int, trials: int, rng) -> np.ndarray:
+    """Per-trial mean square V(d) chi2_n / n of the n = q M quadrature outcomes, shape (trials,).
 
-
-def sample_quadrature(scene, kind: str, frames: int, streams) -> np.ndarray:
-    """Per-trial mean square of the quadrature outcomes, shape (len(streams),).
-
-    Each trial draws from its own stream (anything numpy's default_rng
-    accepts, such as spawned SeedSequences) the i.i.d. outcomes of its frames
-    at the scene's separation, one per frame for homodyne and a pair for
-    heterodyne, each of variance V(d), and pools their squares over frames
-    and quadratures.  The spread is computed once for all trials.
+    All trials draw it in one call from rng, a numpy Generator.
     """
+    share = signal_share(kind)
     if frames < 1:
         raise ValidationError(f"frames must be at least 1, got {frames}")
-    scale = quadrature_std(scene, kind)
-    q = QUADRATURES[kind]
-    shape = (frames,) if q == 1 else (frames, q)
-    return np.fromiter(
-        (np.mean(np.random.default_rng(s).normal(0.0, scale, size=shape) ** 2) for s in streams),
-        float,
-    )
+    n = QUADRATURES[kind] * frames
+    v = VACUUM_VARIANCE + share * scene.n_s * tau1_exact(scene.tf, scene.d).tau1
+    return v * rng.chisquare(n, size=trials) / n

@@ -310,6 +310,20 @@ def test_exit_code_numeric_failure():
         ["fi-curve", "--measurement", "homodyne", "--n-s", "1e300", "--count", "3"],
         ["fi-curve", "--measurement", "heterodyne", "--n-s", "1e300", "--count", "3"],
         ["d-half", "--measurement", "homodyne", "--n-s", "1e300", "--numeric"],
+        # photocount totals past the int64 range: a per-frame mean already past
+        # numpy's Poisson limit (1e300), or only the total over M frames (1e19,
+        # or 1e17 over a million thermal frames), whose per-frame sum wrapped
+        ["simulate", "--n-s", "1e300", "--d-true", "0.3"],
+        ["simulate", "--n-s", "1e300", "--d-true", "0.3", "--statistics", "thermal"],
+        ["simulate", "--snr", "1e-300", "--d-true", "0.3"],
+        ["simulate", "--n-s", "1e19", "--d-true", "0.3", "--trials", "5"],
+        ["simulate", "--n-s", "1e19", "--d-true", "0.3", "--statistics", "thermal"],
+        ["simulate", "--n-s", "1e17", "--statistics", "thermal", "--frames", "1000000",
+         "--trials", "10", "--d-true", "0.3"],
+        # a displaced Gaussian or sinc overlap asking for more quadrature panels than
+        # the node arrays may take
+        ["tau-curve", "--absolute", "--d-max", "1e300", "--count", "3"],
+        ["tau-curve", "--psf", "sinc", "--absolute", "--d-max", "1e8", "--count", "3"],
     ],
 )
 def test_finite_inputs_that_overflow_are_numeric_failures(argv, capsys):
@@ -323,6 +337,13 @@ def test_finite_inputs_that_overflow_are_numeric_failures(argv, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("statistics", ["poisson", "thermal"])
+def test_large_photocount_totals_below_the_limit_run(statistics, capsys):
+    assert run(["simulate", "--n-s", "1e17", "--d-true", "0.3", "--statistics", statistics,
+                "--no-estimates"]) == 0
+    assert json.loads(capsys.readouterr().out)["crb"] > 0
 
 
 def test_exit_code_budget():

@@ -77,8 +77,8 @@ CASES = {
                                           "--psf-file", "psf_gaussian_801.txt", "--n-s", "100",
                                           "--snr", "1e3", "--d-min", "0.05", "--d-max", "1.5",
                                           "--count", "9", "--format", "json"],
-    # the branch ends of the moment inversion: 37.5% of trials clip at d_peak,
-    # then every-trial clipping at 0 under an unbounded CRB, for counts and quadratures
+    # the branch ends of the moment inversion: 36% of trials clip at d_peak,
+    # then 52% clip at 0 under an unbounded CRB, for counts and quadratures
     "simulate_counting_clip_peak.json": [*_SIMULATE, "--psf", "gaussian", "--d-true", "1.9",
                                          "--snr", "1e4"],
     "simulate_counting_zero.json": [*_SIMULATE, "--psf", "gaussian", "--d-true", "0",

@@ -1,15 +1,21 @@
 """Quadrature engine checks: panel exactness, error estimates, tail ladder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spaderes.cli import main
 from spaderes.errors import NumericError
 from spaderes.integrate import (
+    MAX_PANELS,
     check_converged,
     composite_gauss_legendre,
     integrate_oscillatory_tails,
     integrate_refined,
 )
+from spaderes.overlap import tau1_numeric
+from spaderes.psf import gaussian_psf
 
 
 def test_polynomial_exactness():
@@ -64,3 +70,29 @@ def test_check_converged_passes_and_raises():
         check_converged(2.0, 1e-3, 1e-8, 1e-12, "bad")
     with pytest.raises(NumericError):
         check_converged(np.nan, 0.0, 1e-8, 1e-12, "nan")
+
+
+def test_panel_cap():
+    with pytest.raises(NumericError):
+        composite_gauss_legendre(np.cos, 0.0, 1.0, n_panels=MAX_PANELS + 1)
+    # the doubled count is refused too, and before the coarse pass runs
+    calls = []
+    with pytest.raises(NumericError):
+        integrate_refined(lambda x: calls.append(x) or x, 0.0, 1.0, MAX_PANELS // 2 + 1)
+    assert calls == []
+
+
+def test_panel_cap_refuses_before_allocating(capsys):
+    # a Gaussian overlap at d = 1e8 sigma would ask for 8e8 panels; the refusal
+    # comes before any node array, so the peak stays far below one array at the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError):
+            tau1_numeric(gaussian_psf(1.0), 1e8)
+        assert main(["tau-curve", "--absolute", "--d-max", "1e300", "--count", "3"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "error:" in capsys.readouterr().err
+    node_array_at_cap = MAX_PANELS * 16 * 8  # bytes of 16 float64 nodes per panel
+    assert peak < node_array_at_cap / 8

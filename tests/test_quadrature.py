@@ -25,23 +25,17 @@ from spaderes.quadrature import (
 GAUSS = gaussian_psf(1.0)
 
 
-def _streams(seed, trials=20):
-    return np.random.SeedSequence(seed).spawn(trials)
-
-
 def _variance(d, n_s, share):
     return VACUUM_VARIANCE + share * n_s * tau1_closed(GAUSS, d).tau1
 
 
 def test_vacuum_variance_at_zero_separation():
-    # no transmission at d = 0: each trial pools exactly its stream's vacuum normals
-    streams = _streams(4)
-    for kind, shape in ((HOMODYNE, (50,)), (HETERODYNE, (50, 2))):
-        stats = sample_quadrature(SourceScene(GAUSS, 0.0, 100.0), kind, 50, streams)
-        vacuum = [
-            np.mean(np.random.default_rng(s).normal(0.0, np.sqrt(VACUUM_VARIANCE), shape) ** 2)
-            for s in streams
-        ]
+    # no transmission at d = 0: the statistic is exactly the vacuum law 1/2 chi2_n / n
+    for kind, n in ((HOMODYNE, 50), (HETERODYNE, 100)):
+        stats = sample_quadrature(
+            SourceScene(GAUSS, 0.0, 100.0), kind, 50, 20, np.random.default_rng(4)
+        )
+        vacuum = VACUUM_VARIANCE * np.random.default_rng(4).chisquare(n, size=20) / n
         assert np.array_equal(stats, vacuum)
     assert fi_homodyne(SourceScene(GAUSS, 0.0, 100.0)) == 0.0
 
@@ -68,22 +62,23 @@ def test_homodyne_fi_matches_density_quadrature():
 
 def test_variance_tracks_transmission():
     d = 2.0  # transmission peak, tau1 = 1/e
-    streams = _streams(11)
-    # a homodyne trial of 100 frames draws the normals of a heterodyne trial of 50
-    z2 = np.array(
-        [np.mean(np.random.default_rng(s).normal(0.0, 1.0, (50, 2)) ** 2) for s in streams]
-    )
-    hom = sample_quadrature(SourceScene(GAUSS, d, 100.0), HOMODYNE, 100, streams)
-    assert np.allclose(hom, z2 * (0.5 + 100.0 * np.exp(-1.0)), rtol=1e-14, atol=0)
-    het = sample_quadrature(SourceScene(GAUSS, d, 100.0), HETERODYNE, 50, streams)
-    assert np.allclose(het, z2 * (0.5 + 50.0 * np.exp(-1.0)), rtol=1e-14, atol=0)
+    v_hom, v_het = 0.5 + 100.0 * np.exp(-1.0), 0.5 + 50.0 * np.exp(-1.0)
+    # a homodyne trial of 100 frames pools as many outcomes as a heterodyne trial of 50
+    z2 = np.random.default_rng(11).chisquare(100, size=20) / 100
+    hom = sample_quadrature(SourceScene(GAUSS, d, 100.0), HOMODYNE, 100, 20,
+                            np.random.default_rng(11))
+    het = sample_quadrature(SourceScene(GAUSS, d, 100.0), HETERODYNE, 50, 20,
+                            np.random.default_rng(11))
+    assert np.allclose(hom / v_hom, het / v_het, rtol=1e-14, atol=0)
+    assert np.allclose(hom, z2 * v_hom, rtol=1e-14, atol=0)
     # dV/dd vanishes at the peak, and the information with it
     assert fi_homodyne(SourceScene(GAUSS, d, 100.0)) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_sampler_rejects_unknown_kind():
     with pytest.raises(ValidationError):
-        sample_quadrature(SourceScene(GAUSS, 0.1, 100.0), "direct", 10, _streams(0))
+        sample_quadrature(SourceScene(GAUSS, 0.1, 100.0), "direct", 10, 20,
+                          np.random.default_rng(0))
 
 
 def test_gaussian_fi_building_blocks():
@@ -154,17 +149,18 @@ def test_shot_noise_snr():
 
 def test_sampler_deterministic():
     scene = SourceScene(GAUSS, 0.5, 100.0)
-    a = sample_quadrature(scene, HOMODYNE, 100, _streams(42))
-    b = sample_quadrature(scene, HOMODYNE, 100, _streams(42))
+    a = sample_quadrature(scene, HOMODYNE, 100, 20, np.random.default_rng(42))
+    b = sample_quadrature(scene, HOMODYNE, 100, 20, np.random.default_rng(42))
     assert np.array_equal(a, b)
-    c = sample_quadrature(scene, HOMODYNE, 100, _streams(43))
+    c = sample_quadrature(scene, HOMODYNE, 100, 20, np.random.default_rng(43))
     assert not np.array_equal(a, c)
 
 
 def _check_chi_square_law(kind, share, frames=50, trials=4000):
     # the mean square of n = q M pooled normals of variance V is V chi2_n / n:
     # mean V, variance 2 V^2 / n
-    stats = sample_quadrature(SourceScene(GAUSS, 2.0, 100.0), kind, frames, _streams(7, trials))
+    stats = sample_quadrature(SourceScene(GAUSS, 2.0, 100.0), kind, frames, trials,
+                              np.random.default_rng(7))
     assert stats.shape == (trials,)
     v = _variance(2.0, 100.0, share)
     n = frames / share
@@ -182,4 +178,5 @@ def test_heterodyne_sampler_shape_and_share():
 
 def test_sampler_validation():
     with pytest.raises(ValidationError):
-        sample_quadrature(SourceScene(GAUSS, 0.5, 100.0), HOMODYNE, 0, _streams(1))
+        sample_quadrature(SourceScene(GAUSS, 0.5, 100.0), HOMODYNE, 0, 20,
+                          np.random.default_rng(1))

@@ -25,8 +25,8 @@ from .errors import NumericError
 # rungs of the ladder of half-widths that integrate_oscillatory_tails extrapolates over
 TAIL_LEVELS = 4
 
-# panels one call may ask for: 2^16 x 16 nodes make 8 MiB node and weight arrays
-MAX_PANELS = 2**16
+# panels a call on a displaced domain may take: 2^17 x 16 float64 nodes are 16 MiB an array
+MAX_PANELS = 2**17
 
 
 @lru_cache(maxsize=32)
@@ -45,8 +45,6 @@ def composite_gauss_legendre(
     """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
-    if n_panels > MAX_PANELS:
-        raise NumericError(f"{n_panels:.4g} panels on [{a:.4g}, {b:.4g}] exceed MAX_PANELS")
     x, w = _gl_nodes(n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -63,9 +61,8 @@ def integrate_refined(
     n_panels: int,
 ) -> tuple[float, float]:
     """Integrate on [a, b]; return (value, error estimate from panel doubling)."""
-    # the doubled count first, so a count over MAX_PANELS allocates nothing
-    fine = composite_gauss_legendre(f, a, b, 2 * n_panels)
     coarse = composite_gauss_legendre(f, a, b, n_panels)
+    fine = composite_gauss_legendre(f, a, b, 2 * n_panels)
     return fine, abs(fine - coarse)
 
 
@@ -100,6 +97,8 @@ def integrate_oscillatory_tails(
     """
     # initial half-width: smallest even multiple of the period >= half_width
     m0 = max(2, 2 * int(np.ceil(half_width / (2.0 * period))))
+    if m0 * 2 ** (TAIL_LEVELS - 2) > MAX_PANELS:  # panels of the outermost rung, the largest call
+        raise NumericError(f"half-width {half_width:.4g} needs over MAX_PANELS panels in one call")
     widths = []
     partials = []
     total = 0.0
@@ -115,8 +114,7 @@ def integrate_oscillatory_tails(
         prev_x = x_level
         widths.append(x_level)
         partials.append(total)
-    value, err = _extrapolate_to_zero(1.0 / np.asarray(widths), partials)
-    return value, err
+    return _extrapolate_to_zero(1.0 / np.asarray(widths), partials)
 
 
 def check_converged(value: float, err: float, rel_tol: float, abs_tol: float, what: str) -> float:

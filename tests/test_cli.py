@@ -346,6 +346,23 @@ def test_large_photocount_totals_below_the_limit_run(statistics, capsys):
     assert json.loads(capsys.readouterr().out)["crb"] > 0
 
 
+def test_far_displacements_below_the_panel_cap_run(capsys):
+    # d = 1e4 sigma asks for 80080 panels on the refined pass, under MAX_PANELS
+    assert run(["tau-curve", "--d-max", "1e4", "--count", "3"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert float(last[0]) == 1e4 and float(last[1]) == 0.0
+
+
+def test_long_tabulated_grid_loads(tmp_path, capsys):
+    # the energy integral takes one panel per grid sample on its refined pass,
+    # a count set by the file, not by a displacement, so it is not capped
+    x = np.linspace(-12.0, 12.0, 70000)
+    path = tmp_path / "psf.txt"
+    np.savetxt(path, np.column_stack([x, (2 * np.pi) ** -0.25 * np.exp(-(x**2) / 4)]))
+    assert run(["tau-curve", "--psf", "tabulated", "--psf-file", str(path), "--count", "3"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 5  # config, header, 3 rows
+
+
 def test_exit_code_budget():
     assert run(
         ["simulate", "--psf", "gaussian", "--sigma", "1.0", "--d-true", "0.3",

@@ -204,7 +204,7 @@ def cmd_tau_curve(args) -> None:
     sigma = sigma_of(tf)
     grid = build_grid(args, sigma)
     scale = 1.0 if args.absolute else 1.0 / sigma
-    numeric = [tau1_numeric(tf, d).tau1 for d in grid]
+    numeric = tau1_numeric(tf, grid).tau1.tolist()
     if tf.kind in (GAUSSIAN, SINC):
         closed = tau1_closed(tf, grid).tau1.tolist()
     else:

@@ -117,11 +117,17 @@ def integrate_oscillatory_tails(
     return _extrapolate_to_zero(1.0 / np.asarray(widths), partials)
 
 
-def check_converged(value: float, err: float, rel_tol: float, abs_tol: float, what: str) -> float:
-    """Raise NumericError when an integral's error estimate exceeds tolerance."""
-    if not np.isfinite(value) or err > max(abs_tol, rel_tol * abs(value)):
+def check_converged(value, err, rel_tol: float, abs_tol: float, what: str):
+    """Raise NumericError when an integral's error estimate exceeds tolerance.
+
+    ``value`` and ``err`` may be arrays of one shape, judged elementwise; the
+    message names the first failing element.
+    """
+    bad = ~np.isfinite(value) | (err > np.maximum(abs_tol, rel_tol * np.abs(value)))
+    if np.any(bad):
+        k = np.argmax(np.ravel(bad))
         raise NumericError(
-            f"quadrature for {what} did not converge: value={value!r}, "
-            f"error estimate={err:.3e}, rel_tol={rel_tol:.1e}, abs_tol={abs_tol:.1e}"
+            f"quadrature for {what} did not converge: value={np.ravel(value)[k]!r}, "
+            f"error estimate={np.ravel(err)[k]:.3e}, rel_tol={rel_tol:.1e}, abs_tol={abs_tol:.1e}"
         )
     return value

@@ -11,13 +11,15 @@ forms exist for the analytic kinds:
     gaussian: tau1 = (d^2 / 4 sigma^2) exp(-d^2 / 4 sigma^2)
     sinc:     tau1 = 16 sigma^4 / (3 d^4) (sin(a d) - a d cos(a d))^2
 
-Both share the small-separation law tau1 -> d^2 / 4 sigma^2.  The closed
-forms take a scalar d or an array of d and return values of d's shape.  The
-numeric path evaluates the overlap integral directly, one scalar d at a time,
-and differentiates under the integral sign; it is the oracle against which
-the closed forms are checked.  Squares of d-dependent values use
-np.float_power, i.e. pow() as a scalar ``x**2`` does: an array's ``x**2``
-multiplies, and differs from pow() in the last bit for one value in ~1300.
+Both share the small-separation law tau1 -> d^2 / 4 sigma^2.  Both paths
+take a scalar d or an array of d and return values of d's shape.  The
+numeric path evaluates the overlap integral directly and differentiates under
+the integral sign: over x for the Gaussian, by Parseval over the flat band for
+sinc, and exactly, piece by piece, for a tabulated spline.  It is the oracle
+against which the closed forms are checked, and the only path for tabulated
+PSFs.  Squares of d-dependent values use np.float_power, i.e. pow() as a
+scalar ``x**2`` does: an array's ``x**2`` multiplies, and differs from pow()
+in the last bit for one value in ~1300.
 """
 
 from __future__ import annotations
@@ -26,16 +28,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedKindError
+from .errors import NumericError, UnsupportedKindError
+from .integrate import MAX_PANELS, check_converged, integrate_refined
 from .psf import (
     GAUSSIAN,
+    QUAD_ABS_TOL,
+    QUAD_REL_TOL,
     SINC,
+    TABULATED,
     TransferFunction,
     eval_u,
     eval_u_prime,
     quad_over_psf,
     sigma_of,
 )
+
+# 3-node Gauss-Legendre on [-1, 1], exact for the degree-5 product of two spline pieces
+_PIECE_X = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+_PIECE_W = np.array([5.0, 8.0, 5.0]) / 9.0
+# merged pieces per block of a tabulated overlap, bounding its arrays over d
+_PIECES_PER_BLOCK = 2**16
+# rounding bound of a spline-exact overlap per unit of sum |w f|: about 15
+# roundings in each term and the depth of numpy's pairwise summation, about
+# 60 times the largest error seen against a long-double sum
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 class Transmission(NamedTuple):
@@ -106,58 +122,120 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
     return Transmission(d, c * c, 2.0 * c * cp, c, cp)
 
 
-def tau1_numeric(tf: TransferFunction, d: float) -> Transmission:
-    """Transmission by direct overlap quadrature.
-
-    The overlap c(d) = <v1, u(. - d)> is integrated with the kind-appropriate
-    domain; its derivative uses -u' under the integral sign.  By symmetry of
-    v1 only one displaced copy is needed: tau1 = c(d)^2 and the two-source
-    average is even in d by construction.
-    """
-    d = float(d)
-    sigma = sigma_of(tf)
+def _gaussian_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float, float]:
+    """(c, c') at one |d| by quadrature over x, on the Gaussian's truncated domain."""
 
     def v1(x):
         return -2.0 * sigma * eval_u_prime(tf, x)
 
-    ad = abs(d)
-    if d == 0.0:
-        # <v1, u> = 0 exactly (odd integrand); the derivative is the mode norm
-        # over 2 sigma: c'(0) = <v1, -u'> = <v1, v1> / 2 sigma.
-        c = 0.0
-        cp = quad_over_psf(
-            tf,
-            lambda x: v1(x) * (-eval_u_prime(tf, x)),
-            what="overlap derivative",
-        )
-    else:
-        c = quad_over_psf(
-            tf,
-            lambda x: v1(x) * eval_u(tf, x - ad, fill=0.0),
-            margin=ad,
-            what="mode overlap",
-        )
-        cp = quad_over_psf(
-            tf,
-            lambda x: v1(x) * (-eval_u_prime(tf, x - ad, fill=0.0)),
-            margin=ad,
-            what="overlap derivative",
-        )
-    if d < 0:
-        c = -c  # c is odd in d, c' even
-    return Transmission(
-        d=d, tau1=c * c, dtau1_dd=2.0 * c * cp, c=float(c), c_prime=float(cp)
+    c = quad_over_psf(tf, lambda x: v1(x) * eval_u(tf, x - ad), margin=ad, what="mode overlap")
+    cp = quad_over_psf(
+        tf, lambda x: v1(x) * (-eval_u_prime(tf, x - ad)), margin=ad, what="overlap derivative"
+    )
+    return c, cp
+
+
+def _sinc_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float, float]:
+    """(c, c') at one |d| by Parseval on the sinc's flat band [0, a].
+
+    c = (2 sigma / a) integral of k sin(k d) dk and c' = (2 sigma / a) integral
+    of k^2 cos(k d) dk: smooth integrands on a finite interval, with one panel
+    per half-period of the oscillation in k.
+    """
+    a = tf.a
+    n_panels = max(4, int(np.ceil(a * ad / np.pi)))
+    if 2 * n_panels > MAX_PANELS:  # the refined pass doubles the count
+        raise NumericError(f"separation {ad:.4g} needs over MAX_PANELS panels in one call")
+    scale = 2.0 * sigma / a
+
+    def band_integral(f, what):
+        value, err = integrate_refined(f, 0.0, a, n_panels)
+        return check_converged(scale * value, scale * err, QUAD_REL_TOL, QUAD_ABS_TOL, what)
+
+    return (
+        band_integral(lambda k: k * np.sin(k * ad), "mode overlap"),
+        band_integral(lambda k: k * k * np.cos(k * ad), "overlap derivative"),
     )
 
 
+def _spline_overlaps(tf: TransferFunction, sigma: float, ad: np.ndarray):
+    """(c, c') at every |d| of the 1-D array ``ad``, exactly for the cubic spline.
+
+    Between the merged breakpoints of the grid and the grid shifted by d, v1(x)
+    is one quadratic piece and u(x - d) one cubic piece, so v1 u has degree 5
+    and v1 u' degree 4, and 3-node Gauss-Legendre per piece is exact.  Each
+    piece takes its polynomials from the spline's coefficients by the piece
+    indices the merge carries.  u vanishes outside the grid hull, so pieces
+    outside [x_0 + d, x_n] are clipped to zero width, and c = c' = 0 once d
+    spans the hull.  The error estimate bounds rounding only.  Rows of d run
+    in blocks of about _PIECES_PER_BLOCK pieces; each row is reduced on its
+    own, so a d gives the same bits alone or inside an array.
+    """
+    x = tf._spline.x
+    n = x.size
+    k0, k1, k2, k3 = tf._spline.c  # u = ((k0 s + k1) s + k2) s + k3 on each piece
+    v1_coef = np.stack([-6.0 * sigma * k0, -4.0 * sigma * k1, -2.0 * sigma * k2])
+    u_coef = np.stack([k0, k1, k2, k3, 3.0 * k0, 2.0 * k1])
+    c, cp, err_c, err_cp = np.zeros((4, ad.size))
+    inside = np.flatnonzero(~(ad >= x[-1] - x[0]))  # NaN stays, to be refused
+    per_block = max(1, _PIECES_PER_BLOCK // (2 * n))
+    for start in range(0, inside.size, per_block):
+        rows = inside[start : start + per_block]
+        block = ad[rows]
+        shifted = x + block[:, None]  # breakpoints of u(x - d)
+        merged = np.concatenate([np.broadcast_to(x, shifted.shape), shifted], axis=1)
+        order = np.argsort(merged, axis=1, kind="stable")
+        edges = np.clip(np.take_along_axis(merged, order, axis=1), shifted[:, :1], x[-1])
+        from_shifted = order[:, :-1] >= n
+        # the piece of x, and of x - d, that each merged piece lies in
+        i = np.clip(np.cumsum(~from_shifted, axis=1) - 1, 0, n - 2)
+        j = np.clip(np.cumsum(from_shifted, axis=1) - 1, 0, n - 2)
+        left = edges[:, :-1]
+        half = 0.5 * np.diff(edges, axis=1)
+        # arrays are (rows, nodes, pieces), so every operation runs along the pieces
+        step = half[:, None, :] * (1.0 + _PIECE_X)[:, None]  # nodes past each left edge
+        t = (left - x[i])[:, None, :] + step
+        s = (left - np.take_along_axis(shifted, j, axis=1))[:, None, :] + step
+        v0, v1, v2 = np.take(v1_coef, i[:, None, :], axis=1)
+        u0, u1, u2, u3, du0, du1 = np.take(u_coef, j[:, None, :], axis=1)
+        wv1 = half[:, None, :] * _PIECE_W[:, None] * ((v0 * t + v1) * t + v2)
+        terms_c = (wv1 * (((u0 * s + u1) * s + u2) * s + u3)).reshape(block.size, -1)
+        terms_cp = (wv1 * -((du0 * s + du1) * s + u2)).reshape(block.size, -1)
+        c[rows], cp[rows] = terms_c.sum(axis=1), terms_cp.sum(axis=1)
+        err_c[rows] = _ROUNDING * np.abs(terms_c).sum(axis=1)
+        err_cp[rows] = _ROUNDING * np.abs(terms_cp).sum(axis=1)
+    check_converged(c, err_c, QUAD_REL_TOL, QUAD_ABS_TOL, "mode overlap")
+    check_converged(cp, err_cp, QUAD_REL_TOL, QUAD_ABS_TOL, "overlap derivative")
+    return c, cp
+
+
+def tau1_numeric(tf: TransferFunction, d) -> Transmission:
+    """Transmission by direct overlap quadrature, for a scalar d or an array of d.
+
+    The overlap c(d) = <v1, u(. - d)> and its derivative -<v1, u'(. - d)> are
+    integrated where each kind's integrand is smooth: over x for the Gaussian,
+    over the flat band for sinc, piece by piece for a tabulated spline.  Only
+    |d| is integrated: c is odd in d and c' even, so c(0) = 0 and the
+    two-source average is even by construction.
+    """
+    d = np.asarray(d, dtype=float)
+    sigma = sigma_of(tf)
+    ad = np.abs(d).ravel()
+    if tf.kind == TABULATED:
+        c, cp = _spline_overlaps(tf, sigma, ad)
+    else:
+        overlaps = _gaussian_overlaps if tf.kind == GAUSSIAN else _sinc_overlaps
+        c, cp = np.array([overlaps(tf, sigma, x) for x in ad]).reshape(-1, 2).T
+    c, cp = c.reshape(d.shape), cp.reshape(d.shape)
+    c = np.where(d < 0, -c, np.where(d == 0, 0.0, c))
+    return Transmission(d[()], (c * c)[()], (2.0 * c * cp)[()], c[()], cp[()])
+
+
 def tau1_exact(tf: TransferFunction, d) -> Transmission:
-    """Closed form where available, overlap quadrature point by point otherwise."""
+    """Closed form where available, overlap quadrature otherwise."""
     if tf.kind in (GAUSSIAN, SINC):
         return tau1_closed(tf, d)
-    if np.ndim(d) == 0:
-        return tau1_numeric(tf, d)
-    columns = zip(*(tau1_numeric(tf, x) for x in np.ravel(d)))
-    return Transmission(*(np.reshape(column, np.shape(d)) for column in columns))
+    return tau1_numeric(tf, d)
 
 
 def tau1_small_d(sigma: float, d) -> float:

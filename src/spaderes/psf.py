@@ -14,10 +14,13 @@ coincides with the constructor parameter.  The binary demultiplexer sorts
 into v0(x) = u(x) and the derivative mode v1(x) = -2 sigma u'(x), an
 orthonormal pair for real u.
 
-Integration domains are kind-aware: Gaussian integrands are truncated at
-10 sigma (tails < 1e-22), while sinc integrands decay only as 1/x and are
-handled by the tail-extrapolated ladder in :mod:`spaderes.integrate` with
-panels aligned to the oscillation period pi/a.
+Integration domains of :func:`quad_over_psf` are kind-aware: Gaussian
+integrands are truncated at 10 sigma (tails < 1e-22), sinc integrands decay
+only as 1/x and are handled by the tail-extrapolated ladder in
+:mod:`spaderes.integrate` with panels aligned to the oscillation period pi/a,
+and tabulated integrands run over the grid hull.  The mode overlaps of
+:mod:`spaderes.overlap` take it for the Gaussian only: sinc overlaps are
+integrated over the flat spectrum, tabulated ones piece by piece on the spline.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ KINDS = (GAUSSIAN, SINC, TABULATED)
 # Truncation choices; see module docstring.
 GAUSSIAN_HALF_WIDTH_SIGMAS = 10.0
 SINC_HALF_WIDTH_OVER_A = 400.0  # ladder start, in units of 1/a
-# error estimates below this count as converged whatever the integral's size
+# an integral converges when its error estimate is below the larger of
+# QUAD_REL_TOL times its value and QUAD_ABS_TOL
+QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-12
 
 # Acceptable |norm - 1| for operations that assume a normalized tabulated PSF.
@@ -226,7 +231,7 @@ def quad_over_psf(
     tf: TransferFunction,
     f: Callable[[np.ndarray], np.ndarray],
     margin: float = 0.0,
-    rel_tol: float = 1e-8,
+    rel_tol: float = QUAD_REL_TOL,
     what: str = "psf integral",
 ) -> float:
     """Integrate a PSF-derived integrand over the kind-appropriate domain.

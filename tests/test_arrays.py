@@ -1,5 +1,6 @@
-"""The closed-form kernels over arrays of d equal the same kernels called
-point by point, bit for bit, and a scalar d gives a scalar back."""
+"""The kernels over arrays of d, closed forms and overlap quadrature alike,
+equal the same kernels called point by point, bit for bit, and a scalar d
+gives a scalar back."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spaderes import (
     tabulated_psf,
     tau1_closed,
     tau1_exact,
+    tau1_numeric,
     tau1_small_d,
 )
 
@@ -35,11 +37,12 @@ PSFS = {
 }
 # in units of sigma, from d = 0.  The closed forms get a dense grid: a square
 # taken by multiplication instead of pow() differs in the last bit for about
-# one value in 1300, and only a dense grid shows it.  The tabulated kind stops
-# below the 2-sigma point where its overlap oracle refuses (ROADMAP item 2a).
+# one value in 1300, and only a dense grid shows it.  The tabulated grid
+# crosses the 2-sigma turning point, and its 90 points span three blocks of
+# the spline overlap's rows.
 GRIDS = {
     "closed": np.concatenate([[0.0], np.geomspace(1e-4, 4.5, 3000)]),
-    "tabulated": np.concatenate([[0.0], np.geomspace(1e-4, 1.9, 9)]),
+    "tabulated": np.concatenate([[0.0], np.geomspace(1e-4, 4.5, 89)]),
 }
 N_S = 40.0
 
@@ -58,7 +61,11 @@ def _assert_matches_points(array_value, point_values):
 def test_transmission_over_an_array_equals_point_calls(kind):
     tf = PSFS[kind]
     d = _grid(tf)
-    kernels = [tau1_exact] if kind == "tabulated" else [tau1_exact, tau1_closed]
+    kernels = {
+        "gaussian": [tau1_exact, tau1_closed],
+        "sinc": [tau1_exact, tau1_closed, tau1_numeric],
+        "tabulated": [tau1_exact, tau1_numeric],
+    }[kind]
     for kernel in kernels:
         curve = kernel(tf, d)
         points = [kernel(tf, float(x)) for x in d]

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +364,20 @@ def test_long_tabulated_grid_loads(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 5  # config, header, 3 rows
 
 
+def test_tabulated_simulate_matches_the_gaussian(capsys):
+    # the sampled Gaussian's tau1 is within 4e-9 of the closed form, so one seed
+    # gives the Gaussian's estimates and bound through the spline overlap
+    psf_file = Path(__file__).parent / "golden" / "psf_gaussian_801.txt"
+    base = ["simulate", "--d-true", "0.3", "--trials", "300", "--seed", "7"]
+    reports = []
+    for psf in (["--psf", "gaussian"], ["--psf", "tabulated", "--psf-file", str(psf_file)]):
+        assert run(base + psf) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    gaussian, tabulated = reports
+    assert tabulated["estimates"] == pytest.approx(gaussian["estimates"], rel=1e-6)
+    assert tabulated["crb"] == pytest.approx(gaussian["crb"], rel=1e-6)
+
+
 def test_exit_code_budget():
     assert run(
         ["simulate", "--psf", "gaussian", "--sigma", "1.0", "--d-true", "0.3",
@@ -436,16 +451,10 @@ SUBCOMMANDS = {
     "simulate": ["simulate", "--d-true", "0.3"],
     "qfi": ["qfi"],
 }
-# The overlap oracle reports false non-convergence on these: sinc tau1_numeric
-# for d >~ 2 sigma, tabulated tau1_numeric at d = 2 sigma where c'(d) = 0.
-# Values there are right to ~1e-14; fixing the error estimate empties this set.
-KNOWN_NUMERIC_FAILURES = {
-    ("tau-curve", "sinc"),
-    ("tau-curve", "tabulated"),
-    ("fi-curve", "tabulated"),
-    ("fi-curve-direct", "tabulated"),
-    ("simulate", "tabulated"),
-}
+# Every cell exits 0.  A case listed here would be expected to exit 3, for a
+# numeric failure named next to it; the overlap oracle's false refusals that
+# filled this set (sinc past 2 sigma, tabulated at c'(d) = 0) are gone.
+KNOWN_NUMERIC_FAILURES = set()
 
 
 @pytest.fixture(scope="module")

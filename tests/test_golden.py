@@ -54,8 +54,7 @@ CASES = {
     "simulate_heterodyne_sinc.json": [*_SIMULATE, "--psf", "sinc", "--sigma", "2",
                                       "--measurement", "heterodyne"],
     "qfi_gaussian.json": ["qfi", "--psf", "gaussian", "--n-s", "100", "--check"],
-    # the sinc closed form over whole arrays, below the 2-sigma band where its
-    # quadrature oracle still refuses (ROADMAP item 2a)
+    # the sinc closed form over whole arrays, next to its frequency-domain oracle
     "tau_curve_sinc.csv": ["tau-curve", "--psf", "sinc", "--d-max", "2", "--count", "21"],
     "fi_counting_absolute.json": ["fi-curve", "--absolute", "--sigma", "2", "--n-s", "100",
                                   "--snr", "1e3", "--d-min", "0.01", "--d-max", "6",
@@ -68,8 +67,7 @@ CASES = {
                                    "psf_gaussian_801.txt", "--n-s", "100", "--snr", "1e3",
                                    "--d-min", "1e-2", "--d-max", "1.5", "--count", "15",
                                    "--spacing", "log", "--format", "json"],
-    # the direct-imaging oracle on the other two PSF kinds (sinc is fi_counting_direct.csv);
-    # the tabulated grid stays below the 2-sigma point where its tau1 oracle refuses
+    # the direct-imaging oracle on the other two PSF kinds (sinc is fi_counting_direct.csv)
     "fi_counting_direct_gaussian.json": ["fi-curve", "--with-direct", "--psf", "gaussian",
                                          "--n-s", "10", "--snr", "1e2", "--d-min", "0.05",
                                          "--d-max", "3", "--count", "9", "--format", "json"],

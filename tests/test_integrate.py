@@ -69,6 +69,11 @@ def test_check_converged_passes_and_raises():
         check_converged(2.0, 1e-3, 1e-8, 1e-12, "bad")
     with pytest.raises(NumericError):
         check_converged(np.nan, 0.0, 1e-8, 1e-12, "nan")
+    # arrays are judged elementwise, and the message names the first failure
+    values = np.array([2.0, 0.0, 3.0])
+    assert check_converged(values, np.array([1e-9, 1e-13, 0.0]), 1e-8, 1e-12, "ok") is values
+    with pytest.raises(NumericError, match="error estimate=1.000e-03"):
+        check_converged(values, np.array([0.0, 0.0, 1e-3]), 1e-8, 1e-12, "bad")
 
 
 def test_panel_cap():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spaderes import NumericError, overlap
 from spaderes.overlap import (
     tau1_closed,
     tau1_exact,
@@ -12,7 +13,15 @@ from spaderes.overlap import (
     tau1_sinc_expansion,
     tau1_small_d,
 )
-from spaderes.psf import gaussian_psf, sinc_psf, tabulated_psf
+from spaderes.psf import (
+    eval_u,
+    eval_u_prime,
+    gaussian_psf,
+    quad_over_psf,
+    sigma_of,
+    sinc_psf,
+    tabulated_psf,
+)
 
 GAUSS = gaussian_psf(1.0)
 SINC = sinc_psf(sigma=1.0)
@@ -106,6 +115,113 @@ def test_curve_shape():
     assert np.all(taus >= 0.0)
     assert np.all(taus <= 1.0)
     assert taus.argmax() == 20  # d = 2 sigma
+
+
+# a Gaussian sampled on 801 points over +-8 sigma, on a uniform grid and on one
+# whose inner points are moved by up to 30% of the spacing
+_X = np.linspace(-8.0, 8.0, 801)
+_JITTERED = _X + np.concatenate(
+    [[0.0], np.random.default_rng(3).uniform(-0.3, 0.3, 799) * 0.02, [0.0]]
+)
+TABULATED = {
+    name: tabulated_psf(x, (2.0 * np.pi) ** -0.25 * np.exp(-(x**2) / 4.0))
+    for name, x in (("uniform", _X), ("jittered", _JITTERED))
+}
+D_GRID = np.linspace(0.0, 5.0, 101)  # tau-curve's default grid, sigma = 1
+
+
+@pytest.mark.parametrize("grid", TABULATED)
+def test_spline_overlap_matches_gauss_legendre(grid):
+    # the same v1 u and v1 u' products integrated by composite Gauss-Legendre
+    # over the grid hull, wherever that rule converges
+    tab = TABULATED[grid]
+    sigma = sigma_of(tab)
+    spline = tau1_numeric(tab, D_GRID)
+
+    def v1(x):
+        return -2.0 * sigma * eval_u_prime(tab, x)
+
+    compared = 0
+    for k, d in enumerate(D_GRID):
+        try:
+            c = quad_over_psf(tab, lambda x: v1(x) * eval_u(tab, x - d, fill=0.0), margin=d)
+            cp = quad_over_psf(
+                tab, lambda x: v1(x) * -eval_u_prime(tab, x - d, fill=0.0), margin=d
+            )
+        except NumericError:
+            continue
+        compared += 1
+        assert abs(spline.c[k] - (0.0 if d == 0 else c)) < 1e-10
+        assert abs(spline.c_prime[k] - cp) < 1e-10
+    assert compared >= 95
+
+
+@pytest.mark.parametrize("grid", TABULATED)
+def test_spline_overlap_matches_the_sampled_gaussian(grid):
+    spline = tau1_numeric(TABULATED[grid], D_GRID)
+    closed = tau1_closed(GAUSS, D_GRID)
+    assert np.max(np.abs(spline.tau1 - closed.tau1)) < 1e-8
+    assert np.max(np.abs(spline.dtau1_dd - closed.dtau1_dd)) < 1e-8
+
+
+def _overlap_in_extended_precision(tab, d):
+    # the kernel's piecewise products, merged, located and summed independently,
+    # in long double
+    ld = np.longdouble
+    x, k, sigma = tab._spline.x.astype(ld), tab._spline.c.astype(ld), ld(sigma_of(tab))
+    d = ld(d)
+    edges = np.unique(np.concatenate([x, x + d]))
+    edges = edges[(edges >= x[0] + d) & (edges <= x[-1])]
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    gx = np.array([-np.sqrt(ld(3) / 5), ld(0), np.sqrt(ld(3) / 5)])
+    gw = np.array([ld(5) / 9, ld(8) / 9, ld(5) / 9])
+    nodes = mid[:, None] + half[:, None] * gx
+    i = np.searchsorted(x, mid, "right")[:, None] - 1
+    j = np.searchsorted(x, mid - d, "right")[:, None] - 1
+    t, s = nodes - x[i], nodes - d - x[j]
+    v1 = -2 * sigma * ((3 * k[0][i] * t + 2 * k[1][i]) * t + k[2][i])
+    u = ((k[0][j] * s + k[1][j]) * s + k[2][j]) * s + k[3][j]
+    du = (3 * k[0][j] * s + 2 * k[1][j]) * s + k[2][j]
+    w = half[:, None] * gw
+    return np.sum(w * v1 * u), np.sum(-w * v1 * du)
+
+
+@pytest.mark.parametrize("grid", TABULATED)
+def test_spline_overlap_error_estimate_bounds_its_rounding(grid, monkeypatch):
+    # exact quadrature leaves rounding only: the estimate must cover the error
+    # against an extended-precision sum, and stay within 1e3 of it (or of 1e-15)
+    tab = TABULATED[grid]
+    estimates = []
+
+    def record(value, err, *args):
+        estimates.append(err)
+        return value
+
+    monkeypatch.setattr(overlap, "check_converged", record)
+    d = np.array([0.01, 0.3, 1.0, 2.0, 3.7, 6.5, 11.0])
+    tr = tau1_numeric(tab, d)
+    err_c, err_cp = estimates
+    for k, dk in enumerate(d):
+        c, cp = _overlap_in_extended_precision(tab, dk)
+        for value, ref, err in ((tr.c[k], c, err_c[k]), (tr.c_prime[k], cp, err_cp[k])):
+            true = float(abs(np.longdouble(value) - ref))
+            assert true <= err <= 1e3 * max(true, 1e-15)
+
+
+def test_spline_overlap_vanishes_beyond_the_hull():
+    tab = TABULATED["uniform"]
+    tr = tau1_numeric(tab, np.array([16.0, 16.5, -20.0, 1e6, 1e300]))
+    assert np.all(tr.c == 0.0) and np.all(tr.c_prime == 0.0)
+
+
+def test_sinc_frequency_overlap_matches_closed_form():
+    half = np.linspace(0.0, 10.0, 101)
+    d = np.concatenate([-half[:0:-1], half])
+    numeric, closed = tau1_numeric(SINC, d), tau1_closed(SINC, d)
+    assert np.max(np.abs(numeric.c - closed.c)) < 1e-12
+    assert np.max(np.abs(numeric.c_prime - closed.c_prime)) < 1e-12
+    assert np.array_equal(numeric.c[::-1], -numeric.c)  # c odd in d
+    assert np.array_equal(numeric.c_prime[::-1], numeric.c_prime)  # c' even
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,7 +24,6 @@ from .counting import (
 )
 from .direct_imaging import (
     fi_direct,
-    fi_direct_small_d,
     qfi,
     qfi_numeric,
 )

@@ -233,7 +233,7 @@ def cmd_fi_curve(args) -> None:
     ]
     if args.with_direct:
         columns.append("direct_imaging")
-        table.append([fi_direct(tf, d, args.n_s) * fi_scale for d in grid])
+        table.append(fi_direct(tf, grid, args.n_s) * fi_scale)
     write_table(args, columns, np.column_stack(table).tolist())
 
 

@@ -5,83 +5,150 @@ p(x) = (u(x-d)^2 + u(x+d)^2) / 2, and the per-window information is
 
     F = n_s * integral (dp/dd)^2 / p dx.
 
-The small-d expansion F ~ 4 n_s d^2 * integral ((u'^2 / u) + u'')^2 dx is
-meaningful only where u has no zeros, so it is restricted to the Gaussian
-kind; the sinc PSF falls back to the exact integral.  The quantum limit over
-all measurements is qfi = n_s / sigma^2 = 4 n_s integral u'^2 dx.
+:func:`fi_direct` takes a scalar d or an array of d.  For the analytic kinds
+each d is one kind-adapted quadrature over x (:func:`quad_over_psf`).  A
+tabulated spline is integrated piece by piece over [x_0 - d, x_n + d],
+between the merged breakpoints of the two displaced grids, where p and dp/dd
+are polynomials, so no part of either image is cut off at the grid hull.  The
+quantum limit over all measurements is qfi = n_s / sigma^2 = 4 n_s integral
+u'^2 dx.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .errors import UnsupportedKindError, ValidationError
-from .psf import GAUSSIAN, TransferFunction, eval_u, eval_u_prime, quad_over_psf
+from .errors import ValidationError
+from .integrate import _gl_nodes, check_converged
+from .psf import (
+    NODES_PER_BLOCK,
+    QUAD_ABS_TOL,
+    TABULATED,
+    TransferFunction,
+    _horner,
+    derivative_energy,
+    eval_u,
+    eval_u_prime,
+    quad_over_psf,
+)
 
 P_FLOOR = 1e-300  # below this the density is treated as exactly zero
+DIRECT_REL_TOL = 1e-7
+# Gauss-Legendre node counts on each merged spline piece: the larger rule gives
+# the value, their difference its error estimate
+_COARSE, _FINE = 4, 8
 
 
 def _image_density(tf: TransferFunction, x, d: float):
     """Detection density p(x) of the two-source scene and its d-derivative, (p, dp/dd)."""
     x = np.asarray(x)
     xm, xp = x - d, x + d
-    um = eval_u(tf, xm, fill=0.0)
-    up = eval_u(tf, xp, fill=0.0)
-    dum = eval_u_prime(tf, xm, fill=0.0)
-    dup = eval_u_prime(tf, xp, fill=0.0)
+    um = eval_u(tf, xm)
+    up = eval_u(tf, xp)
+    dum = eval_u_prime(tf, xm)
+    dup = eval_u_prime(tf, xp)
     return 0.5 * (um**2 + up**2), up * dup - um * dum
 
 
-def fi_direct(tf: TransferFunction, d: float, n_s: float) -> float:
+def _information_density(p, dp):
+    """(dp/dd)^2 / p, zero where p underflows below P_FLOOR."""
+    return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
+
+
+def _quad_information(tf: TransferFunction, ad: float) -> float:
+    """integral (dp/dd)^2 / p dx at one |d| > 0, by kind-adapted quadrature over x."""
+    return quad_over_psf(
+        tf,
+        lambda x: _information_density(*_image_density(tf, x, ad)),
+        margin=ad,
+        rel_tol=DIRECT_REL_TOL,
+        what="direct-imaging information",
+    )
+
+
+def _piece_rule(n_nodes: int, half, t0, s0, a, b) -> np.ndarray:
+    """Weighted (dp/dd)^2 / p at the n_nodes Gauss-Legendre nodes of every merged
+    piece, shape (rows, nodes, pieces): u(y) has the coefficients ``a`` and local
+    origin t0 on each piece, u(y - 2d) the coefficients ``b`` and origin s0."""
+    nodes, weights = _gl_nodes(n_nodes)
+    # arrays are (rows, nodes, pieces), so every operation runs along the pieces
+    step = half[:, None, :] * (1.0 + nodes)[:, None]
+    t = t0[:, None, :] + step
+    s = s0[:, None, :] + step
+    ua, ub = _horner(a[:4], t), _horner(b[:4], s)
+    dp = _horner((a[4], a[5], a[2]), t)
+    dp *= ua
+    dp -= _horner((b[4], b[5], b[2]), s) * ub
+    ua *= ua
+    ub *= ub
+    p = 0.5 * (ua + ub)
+    terms = half[:, None, :] * weights[:, None]
+    terms *= _information_density(p, dp)
+    return terms
+
+
+def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
+    """integral (dp/dd)^2 / p dx at every |d| of the 1-D array ``ad``, on the spline.
+
+    With y = x + d the density is p = (u(y)^2 + u(y - 2d)^2) / 2, so between
+    the merged breakpoints of the grid and the grid shifted by 2d both images
+    are single cubic pieces (or zero outside the hull), p has degree 6 and
+    dp/dd = u u'(y) - u u'(y - 2d) degree 5.  Their ratio is smooth wherever
+    p > 0 but not a polynomial, so each piece takes _FINE-node Gauss-Legendre
+    and the _COARSE-node rule's difference is the error estimate; the two
+    rules run one after the other, which keeps the arrays small.  Once 2d
+    spans the hull the images no longer overlap, and each contributes
+    2 integral u'^2 = 1 / (2 sigma^2); that also keeps d far beyond the hull,
+    where grid + 2d would lose the grid's spacing, exact.  Rows of d run in
+    blocks, each reduced on its own, so a d gives the same bits alone or
+    inside an array.
+    """
+    pieces = tf._pieces
+    x = pieces.x
+    value = np.full(ad.size, 1.0 / tf.sigma**2)
+    err = np.zeros(ad.size)
+    overlapping = np.flatnonzero(2.0 * ad < x[-1] - x[0])
+    per_block = max(1, NODES_PER_BLOCK // (2 * x.size * _FINE))
+    for start in range(0, overlapping.size, per_block):
+        rows = overlapping[start : start + per_block]
+        shift = 2.0 * ad[rows][:, None]
+        edges, i, j = pieces.merge(shift[:, 0])
+        left = edges[:, :-1]
+        half = 0.5 * np.diff(edges, axis=1)
+        t0 = left - pieces.origin[i]
+        s0 = left - (pieces.origin[j] + shift)
+        a = np.take(pieces.u, i[:, None, :], axis=1)
+        b = np.take(pieces.u, j[:, None, :], axis=1)
+        coarse, fine = (
+            _piece_rule(n, half, t0, s0, a, b).reshape(rows.size, -1).sum(axis=1)
+            for n in (_COARSE, _FINE)
+        )
+        value[rows] = fine
+        err[rows] = np.abs(fine - coarse)
+    return check_converged(
+        value, err, DIRECT_REL_TOL, QUAD_ABS_TOL, "direct-imaging information"
+    )
+
+
+def fi_direct(tf: TransferFunction, d, n_s: float):
     """Exact direct-imaging information n_s * integral (dp/dd)^2 / p dx.
 
-    The integrand is bounded by 2(u'(x-d)^2 + u'(x+d)^2) (Cauchy-Schwarz), so
-    clipping the region where p underflows below P_FLOOR is harmless.
+    Takes a scalar d or an array of d and returns values of d's shape; a d
+    gives the same bits alone or inside an array.  The integrand is bounded
+    by 2(u'(x-d)^2 + u'(x+d)^2) (Cauchy-Schwarz), so clipping the region where
+    p underflows below P_FLOOR is harmless.
     """
     if n_s <= 0:
         raise ValidationError(f"n_s must be positive, got {n_s}")
-    d = float(abs(d))
-    if d == 0.0:
-        return 0.0
-
-    def integrand(x):
-        p, dp = _image_density(tf, x, d)
-        safe = p > P_FLOOR
-        return np.where(safe, dp**2 / np.where(safe, p, 1.0), 0.0)
-
-    value = quad_over_psf(
-        tf, integrand, margin=d, rel_tol=1e-7, what="direct-imaging information"
-    )
-    return n_s * value
-
-
-@lru_cache(maxsize=64)
-def _small_d_prefactor(tf: TransferFunction) -> float:
-    # integral of ((u'^2 / u) + u'')^2 dx for the Gaussian kind; equals
-    # 1 / (2 sigma^4) analytically, but is evaluated numerically on purpose.
-    s2 = tf.sigma**2
-
-    def integrand(x):
-        u = eval_u(tf, x)
-        upp = (x**2 / (4.0 * s2**2) - 1.0 / (2.0 * s2)) * u
-        up2_over_u = (x**2 / (4.0 * s2**2)) * u
-        return (up2_over_u + upp) ** 2
-
-    return quad_over_psf(tf, integrand, what="small-d imaging prefactor")
-
-
-def fi_direct_small_d(tf: TransferFunction, d: float, n_s: float) -> float:
-    """Small-separation law 4 n_s d^2 * integral ((u'^2 / u) + u'')^2 dx.
-
-    Gaussian kind only: PSFs with zeros make the prefactor integral improper.
-    """
-    if tf.kind != GAUSSIAN:
-        raise UnsupportedKindError(
-            f"small-d imaging expansion needs a zero-free PSF, got kind {tf.kind!r}"
-        )
-    return 4.0 * n_s * d**2 * _small_d_prefactor(tf)
+    d = np.asarray(d, dtype=float)
+    if np.isnan(d).any():
+        raise ValidationError("separation d must not be NaN")
+    ad = np.abs(d).ravel()
+    if tf.kind == TABULATED:
+        value = _spline_information(tf, ad)
+    else:
+        value = np.array([_quad_information(tf, x) if x > 0 else 0.0 for x in ad])
+    return (n_s * value).reshape(d.shape)[()]
 
 
 def qfi(n_s: float, sigma: float) -> float:
@@ -94,8 +161,12 @@ def qfi(n_s: float, sigma: float) -> float:
 
 
 def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
-    """QFI from the defining integral 4 n_s * integral u'^2 dx."""
-    value = quad_over_psf(
-        tf, lambda x: eval_u_prime(tf, x) ** 2, what="derivative energy"
-    )
+    """QFI from the defining integral 4 n_s * integral u'^2 dx.
+
+    Exact per spline piece for a tabulated PSF, kind-adapted quadrature otherwise.
+    """
+    if tf.kind == TABULATED:
+        value = derivative_energy(tf._spline)
+    else:
+        value = quad_over_psf(tf, lambda x: eval_u_prime(tf, x) ** 2, what="derivative energy")
     return 4.0 * n_s * value

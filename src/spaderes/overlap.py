@@ -28,15 +28,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedKindError
+from .errors import NumericError, UnsupportedKindError, ValidationError
 from .integrate import MAX_PANELS, check_converged, integrate_refined
 from .psf import (
     GAUSSIAN,
+    NODES_PER_BLOCK,
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
     SINC,
     TABULATED,
     TransferFunction,
+    _horner,
     eval_u,
     eval_u_prime,
     quad_over_psf,
@@ -46,8 +48,6 @@ from .psf import (
 # 3-node Gauss-Legendre on [-1, 1], exact for the degree-5 product of two spline pieces
 _PIECE_X = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _PIECE_W = np.array([5.0, 8.0, 5.0]) / 9.0
-# merged pieces per block of a tabulated overlap, bounding its arrays over d
-_PIECES_PER_BLOCK = 2**16
 # rounding bound of a spline-exact overlap per unit of sum |w f|: about 15
 # roundings in each term and the depth of numpy's pairwise summation, about
 # 60 times the largest error seen against a long-double sum
@@ -158,49 +158,40 @@ def _sinc_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float
     )
 
 
-def _spline_overlaps(tf: TransferFunction, sigma: float, ad: np.ndarray):
+def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     """(c, c') at every |d| of the 1-D array ``ad``, exactly for the cubic spline.
 
     Between the merged breakpoints of the grid and the grid shifted by d, v1(x)
     is one quadratic piece and u(x - d) one cubic piece, so v1 u has degree 5
     and v1 u' degree 4, and 3-node Gauss-Legendre per piece is exact.  Each
-    piece takes its polynomials from the spline's coefficients by the piece
-    indices the merge carries.  u vanishes outside the grid hull, so pieces
-    outside [x_0 + d, x_n] are clipped to zero width, and c = c' = 0 once d
-    spans the hull.  The error estimate bounds rounding only.  Rows of d run
-    in blocks of about _PIECES_PER_BLOCK pieces; each row is reduced on its
-    own, so a d gives the same bits alone or inside an array.
+    piece takes its polynomials from the spline's coefficient stacks by the
+    piece indices the merge carries.  u vanishes outside the grid hull, so
+    pieces outside [x_0 + d, x_n] are clipped to zero width, and c = c' = 0
+    once d spans the hull.  The error estimate bounds rounding only.  Rows of
+    d run in blocks of NODES_PER_BLOCK nodes; each row is reduced on its own,
+    so a d gives the same bits alone or inside an array.
     """
-    x = tf._spline.x
-    n = x.size
-    k0, k1, k2, k3 = tf._spline.c  # u = ((k0 s + k1) s + k2) s + k3 on each piece
-    v1_coef = np.stack([-6.0 * sigma * k0, -4.0 * sigma * k1, -2.0 * sigma * k2])
-    u_coef = np.stack([k0, k1, k2, k3, 3.0 * k0, 2.0 * k1])
+    pieces = tf._pieces
+    x = pieces.x
     c, cp, err_c, err_cp = np.zeros((4, ad.size))
-    inside = np.flatnonzero(~(ad >= x[-1] - x[0]))  # NaN stays, to be refused
-    per_block = max(1, _PIECES_PER_BLOCK // (2 * n))
+    inside = np.flatnonzero(ad < x[-1] - x[0])
+    per_block = max(1, NODES_PER_BLOCK // (2 * x.size * _PIECE_X.size))
     for start in range(0, inside.size, per_block):
         rows = inside[start : start + per_block]
-        block = ad[rows]
-        shifted = x + block[:, None]  # breakpoints of u(x - d)
-        merged = np.concatenate([np.broadcast_to(x, shifted.shape), shifted], axis=1)
-        order = np.argsort(merged, axis=1, kind="stable")
-        edges = np.clip(np.take_along_axis(merged, order, axis=1), shifted[:, :1], x[-1])
-        from_shifted = order[:, :-1] >= n
-        # the piece of x, and of x - d, that each merged piece lies in
-        i = np.clip(np.cumsum(~from_shifted, axis=1) - 1, 0, n - 2)
-        j = np.clip(np.cumsum(from_shifted, axis=1) - 1, 0, n - 2)
+        block = ad[rows][:, None]
+        edges, i, j = pieces.merge(block[:, 0])
+        edges = np.clip(edges, x[0] + block, x[-1])
         left = edges[:, :-1]
         half = 0.5 * np.diff(edges, axis=1)
         # arrays are (rows, nodes, pieces), so every operation runs along the pieces
         step = half[:, None, :] * (1.0 + _PIECE_X)[:, None]  # nodes past each left edge
-        t = (left - x[i])[:, None, :] + step
-        s = (left - np.take_along_axis(shifted, j, axis=1))[:, None, :] + step
-        v0, v1, v2 = np.take(v1_coef, i[:, None, :], axis=1)
-        u0, u1, u2, u3, du0, du1 = np.take(u_coef, j[:, None, :], axis=1)
-        wv1 = half[:, None, :] * _PIECE_W[:, None] * ((v0 * t + v1) * t + v2)
-        terms_c = (wv1 * (((u0 * s + u1) * s + u2) * s + u3)).reshape(block.size, -1)
-        terms_cp = (wv1 * -((du0 * s + du1) * s + u2)).reshape(block.size, -1)
+        t = (left - pieces.origin[i])[:, None, :] + step
+        s = (left - (pieces.origin[j] + block))[:, None, :] + step
+        v = np.take(pieces.v1, i[:, None, :], axis=1)
+        u = np.take(pieces.u, j[:, None, :], axis=1)
+        wv1 = half[:, None, :] * _PIECE_W[:, None] * _horner(v, t)
+        terms_c = (wv1 * _horner(u[:4], s)).reshape(rows.size, -1)
+        terms_cp = (wv1 * -_horner((u[4], u[5], u[2]), s)).reshape(rows.size, -1)
         c[rows], cp[rows] = terms_c.sum(axis=1), terms_cp.sum(axis=1)
         err_c[rows] = _ROUNDING * np.abs(terms_c).sum(axis=1)
         err_cp[rows] = _ROUNDING * np.abs(terms_cp).sum(axis=1)
@@ -219,10 +210,12 @@ def tau1_numeric(tf: TransferFunction, d) -> Transmission:
     two-source average is even by construction.
     """
     d = np.asarray(d, dtype=float)
+    if np.isnan(d).any():
+        raise ValidationError("separation d must not be NaN")
     sigma = sigma_of(tf)
     ad = np.abs(d).ravel()
     if tf.kind == TABULATED:
-        c, cp = _spline_overlaps(tf, sigma, ad)
+        c, cp = _spline_overlaps(tf, ad)
     else:
         overlaps = _gaussian_overlaps if tf.kind == GAUSSIAN else _sinc_overlaps
         c, cp = np.array([overlaps(tf, sigma, x) for x in ad]).reshape(-1, 2).T

@@ -14,6 +14,7 @@ from spaderes import (
     ValidationError,
     fi_counting_exact,
     fi_counting_small_d,
+    fi_direct,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
@@ -38,8 +39,8 @@ PSFS = {
 # in units of sigma, from d = 0.  The closed forms get a dense grid: a square
 # taken by multiplication instead of pow() differs in the last bit for about
 # one value in 1300, and only a dense grid shows it.  The tabulated grid
-# crosses the 2-sigma turning point, and its 90 points span three blocks of
-# the spline overlap's rows.
+# crosses the 2-sigma turning point, and its 90 points span many blocks of
+# rows in both spline kernels.
 GRIDS = {
     "closed": np.concatenate([[0.0], np.geomspace(1e-4, 4.5, 3000)]),
     "tabulated": np.concatenate([[0.0], np.geomspace(1e-4, 4.5, 89)]),
@@ -97,6 +98,14 @@ def test_quadrature_over_an_array_equals_point_calls(kind):
         _assert_matches_points(kernel(curve), [kernel(p) for p in points])
 
 
+@pytest.mark.parametrize("kind", PSFS)
+def test_direct_imaging_over_an_array_equals_point_calls(kind):
+    # the analytic kinds take one quadrature per d, so a few points suffice
+    tf = PSFS[kind]
+    d = _grid(tf) if kind == "tabulated" else GRIDS["closed"][::300] * sigma_of(tf)
+    _assert_matches_points(fi_direct(tf, d, N_S), [fi_direct(tf, float(x), N_S) for x in d])
+
+
 def test_outputs_take_the_shape_of_d():
     tf = PSFS["sinc"]
     d = _grid(tf)[1:10].reshape(3, 3)
@@ -105,6 +114,7 @@ def test_outputs_take_the_shape_of_d():
     assert fi_counting_exact(scene, NoiseModel(0.5)).shape == (3, 3)
     assert fi_counting_small_d(scene).shape == (3, 3)
     assert fi_heterodyne(scene).shape == (3, 3)
+    assert fi_direct(tf, d, N_S).shape == (3, 3)
 
 
 def test_scene_rejects_any_negative_separation():

@@ -378,6 +378,20 @@ def test_tabulated_simulate_matches_the_gaussian(capsys):
     assert tabulated["crb"] == pytest.approx(gaussian["crb"], rel=1e-6)
 
 
+def test_tabulated_direct_imaging_matches_the_gaussian(capsys):
+    # at d = 4-5 sigma both images reach past the sampled grid's +-8 sigma;
+    # the file and --psf gaussian describe one PSF and must give one answer
+    psf_file = Path(__file__).parent / "golden" / "psf_gaussian_801.txt"
+    base = ["fi-curve", "--with-direct", "--d-min", "4", "--d-max", "5", "--count", "2",
+            "--format", "json"]
+    direct = []
+    for psf in (["--psf", "gaussian"], ["--psf", "tabulated", "--psf-file", str(psf_file)]):
+        assert run(base + psf) == 0
+        table = json.loads(capsys.readouterr().out)
+        direct.append(np.array(table["rows"])[:, table["columns"].index("direct_imaging")])
+    np.testing.assert_allclose(direct[1], direct[0], rtol=1e-8, atol=0.0)
+
+
 def test_exit_code_budget():
     assert run(
         ["simulate", "--psf", "gaussian", "--sigma", "1.0", "--d-true", "0.3",

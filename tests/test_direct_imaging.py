@@ -1,22 +1,26 @@
 """Intensity-only imaging FI and the quantum bound it fails to reach."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spaderes.direct_imaging import (
     _image_density,
     fi_direct,
-    fi_direct_small_d,
     qfi,
     qfi_numeric,
 )
-from spaderes.errors import UnsupportedKindError
+from spaderes.errors import ValidationError
 from spaderes.integrate import composite_gauss_legendre
-from spaderes.overlap import tau1_closed
-from spaderes.psf import gaussian_psf, sinc_psf
+from spaderes.overlap import tau1_closed, tau1_numeric
+from spaderes.psf import gaussian_psf, load_tabulated, sinc_psf
 
+GOLDEN = Path(__file__).parent / "golden"
 GAUSS = gaussian_psf(1.0)
 SINC = sinc_psf(sigma=1.0)
+# the unit Gaussian sampled on 801 points over +-8 sigma
+TABULATED = load_tabulated(GOLDEN / "psf_gaussian_801.txt")
 
 
 def test_density_normalized_and_even_in_d():
@@ -68,14 +72,38 @@ def test_quadratic_vanishing():
 
 
 def test_small_d_form_tracks_exact():
+    # small-separation law 4 n_s d^2 * integral ((u'^2 / u) + u'')^2 dx, which is
+    # 2 n_s d^2 / sigma^4 for the Gaussian
     d = 0.05
-    assert fi_direct_small_d(GAUSS, d, 1.0) == pytest.approx(2.0 * d**2, rel=1e-12)
-    assert fi_direct(GAUSS, d, 1.0) == pytest.approx(fi_direct_small_d(GAUSS, d, 1.0), rel=0.02)
+    assert fi_direct(GAUSS, d, 1.0) == pytest.approx(2.0 * d**2, rel=0.02)
 
 
-def test_small_d_form_gaussian_only():
-    with pytest.raises(UnsupportedKindError):
-        fi_direct_small_d(SINC, 0.1, 1.0)
+def test_tabulated_matches_the_gaussian_it_samples():
+    # both images run past the grid hull from about d = 2.5 sigma on; the
+    # spline's integrals must follow them there
+    d = np.linspace(0.0, 5.0, 101)
+    tabulated, gaussian = fi_direct(TABULATED, d, 1.0), fi_direct(GAUSS, d, 1.0)
+    assert tabulated[0] == 0.0
+    np.testing.assert_allclose(tabulated[1:], gaussian[1:], rtol=1e-8, atol=0.0)
+
+
+def test_tabulated_images_apart_recover_the_quantum_limit():
+    # once 2d spans the grid the images no longer overlap: F = n_s / sigma^2
+    # exactly, also where grid + 2d would lose the grid's spacing
+    width = TABULATED.grid[-1] - TABULATED.grid[0]
+    limit = qfi(3.0, TABULATED.sigma)
+    far = fi_direct(TABULATED, [0.5 * width, 40.0, -1e12, 1e300], 3.0)
+    assert np.all(far == limit)
+    assert fi_direct(TABULATED, 0.5 * width * (1 - 1e-9), 3.0) == pytest.approx(limit, rel=1e-12)
+
+
+@pytest.mark.parametrize("tf", [GAUSS, SINC, TABULATED], ids=lambda tf: tf.kind)
+def test_nan_separation_is_refused(tf):
+    for d in (np.nan, [0.5, np.nan]):
+        with pytest.raises(ValidationError, match="NaN"):
+            fi_direct(tf, d, 1.0)
+        with pytest.raises(ValidationError, match="NaN"):
+            tau1_numeric(tf, d)
 
 
 def test_linear_in_source_strength():
@@ -87,3 +115,5 @@ def test_qfi_values():
     assert qfi(1.0, 2.0) == 0.25
     assert qfi_numeric(GAUSS, 1.0) == pytest.approx(1.0, abs=1e-8)
     assert qfi_numeric(SINC, 1.0) == pytest.approx(1.0, abs=1e-8)
+    # sigma of a tabulated PSF comes from the same exact spline integral
+    assert qfi_numeric(TABULATED, 1.0) == pytest.approx(qfi(1.0, TABULATED.sigma), rel=1e-15)

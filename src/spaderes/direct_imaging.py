@@ -21,15 +21,13 @@ import numpy as np
 from .errors import ValidationError
 from .integrate import _gl_nodes, check_converged
 from .psf import (
-    NODES_PER_BLOCK,
     QUAD_ABS_TOL,
     TABULATED,
     TransferFunction,
-    _horner,
-    derivative_energy,
     eval_u,
     eval_u_prime,
     quad_over_psf,
+    sigma_of,
 )
 
 P_FLOOR = 1e-300  # below this the density is treated as exactly zero
@@ -66,28 +64,21 @@ def _quad_information(tf: TransferFunction, ad: float) -> float:
     )
 
 
-def _piece_rule(n_nodes: int, half, t0, s0, a, b) -> np.ndarray:
-    """Weighted (dp/dd)^2 / p at the n_nodes Gauss-Legendre nodes of every merged
-    piece, shape (rows, nodes, pieces): u(y) has the coefficients ``a`` and local
-    origin t0 on each piece, u(y - 2d) the coefficients ``b`` and origin s0."""
-    nodes, weights = _gl_nodes(n_nodes)
-    # arrays are (rows, nodes, pieces), so every operation runs along the pieces
-    step = half[:, None, :] * (1.0 + nodes)[:, None]
-    t = t0[:, None, :] + step
-    s = s0[:, None, :] + step
-    ua, ub = _horner(a[:4], t), _horner(b[:4], s)
-    dp = _horner((a[4], a[5], a[2]), t)
+def _weighted_information(w, here, there) -> np.ndarray:
+    """w (dp/dd)^2 / p from u and u' of the two images, in place on all but w."""
+    (ua, dp), (ub, dub) = here, there
     dp *= ua
-    dp -= _horner((b[4], b[5], b[2]), s) * ub
+    dub *= ub
+    dp -= dub
     ua *= ua
     ub *= ub
-    p = 0.5 * (ua + ub)
-    terms = half[:, None, :] * weights[:, None]
-    terms *= _information_density(p, dp)
-    return terms
+    ua += ub
+    ua *= 0.5
+    w *= _information_density(ua, dp)
+    return w
 
 
-def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
+def _spline_information(tf: TransferFunction, sigma: float, ad: np.ndarray) -> np.ndarray:
     """integral (dp/dd)^2 / p dx at every |d| of the 1-D array ``ad``, on the spline.
 
     With y = x + d the density is p = (u(y)^2 + u(y - 2d)^2) / 2, so between
@@ -99,29 +90,18 @@ def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
     rules run one after the other, which keeps the arrays small.  Once 2d
     spans the hull the images no longer overlap, and each contributes
     2 integral u'^2 = 1 / (2 sigma^2); that also keeps d far beyond the hull,
-    where grid + 2d would lose the grid's spacing, exact.  Rows of d run in
-    blocks, each reduced on its own, so a d gives the same bits alone or
-    inside an array.
+    where grid + 2d would lose the grid's spacing, exact.  Each row of d is
+    reduced on its own, so a d gives the same bits alone or inside an array.
     """
-    pieces = tf._pieces
-    x = pieces.x
-    value = np.full(ad.size, 1.0 / tf.sigma**2)
+    value = np.full(ad.size, 1.0 / sigma**2)
     err = np.zeros(ad.size)
-    overlapping = np.flatnonzero(2.0 * ad < x[-1] - x[0])
-    per_block = max(1, NODES_PER_BLOCK // (2 * x.size * _FINE))
-    for start in range(0, overlapping.size, per_block):
-        rows = overlapping[start : start + per_block]
-        shift = 2.0 * ad[rows][:, None]
-        edges, i, j = pieces.merge(shift[:, 0])
-        left = edges[:, :-1]
-        half = 0.5 * np.diff(edges, axis=1)
-        t0 = left - pieces.origin[i]
-        s0 = left - (pieces.origin[j] + shift)
-        a = np.take(pieces.u, i[:, None, :], axis=1)
-        b = np.take(pieces.u, j[:, None, :], axis=1)
+    overlapping = np.flatnonzero(2.0 * ad < tf.grid[-1] - tf.grid[0])
+    rules = [_gl_nodes(_COARSE), _gl_nodes(_FINE)]
+    blocks = tf._pieces.blocks(2.0 * ad[overlapping], rules, ["u", "du"], ["u", "du"])
+    for block, at_nodes in blocks:
+        rows = overlapping[block]
         coarse, fine = (
-            _piece_rule(n, half, t0, s0, a, b).reshape(rows.size, -1).sum(axis=1)
-            for n in (_COARSE, _FINE)
+            _weighted_information(*rule).reshape(rows.size, -1).sum(axis=1) for rule in at_nodes
         )
         value[rows] = fine
         err[rows] = np.abs(fine - coarse)
@@ -141,11 +121,12 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
     if n_s <= 0:
         raise ValidationError(f"n_s must be positive, got {n_s}")
     d = np.asarray(d, dtype=float)
-    if np.isnan(d).any():
-        raise ValidationError("separation d must not be NaN")
+    if not np.isfinite(d).all():
+        raise ValidationError("separation d must be finite")
+    sigma = sigma_of(tf)
     ad = np.abs(d).ravel()
     if tf.kind == TABULATED:
-        value = _spline_information(tf, ad)
+        value = _spline_information(tf, sigma, ad)
     else:
         value = np.array([_quad_information(tf, x) if x > 0 else 0.0 for x in ad])
     return (n_s * value).reshape(d.shape)[()]
@@ -165,8 +146,9 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
 
     Exact per spline piece for a tabulated PSF, kind-adapted quadrature otherwise.
     """
+    sigma_of(tf)  # refuses a tabulated PSF that is not normalized
     if tf.kind == TABULATED:
-        value = derivative_energy(tf._spline)
+        value = tf._pieces.energy
     else:
         value = quad_over_psf(tf, lambda x: eval_u_prime(tf, x) ** 2, what="derivative energy")
     return 4.0 * n_s * value

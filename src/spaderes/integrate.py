@@ -25,6 +25,9 @@ from .errors import NumericError
 # rungs of the ladder of half-widths that integrate_oscillatory_tails extrapolates over
 TAIL_LEVELS = 4
 
+# Gauss-Legendre nodes per panel of composite_gauss_legendre
+PANEL_NODES = 16
+
 # panels a call on a displaced domain may take: 2^17 x 16 float64 nodes are 16 MiB an array
 MAX_PANELS = 2**17
 
@@ -40,12 +43,11 @@ def composite_gauss_legendre(
     a: float,
     b: float,
     n_panels: int,
-    n_nodes: int = 16,
 ) -> float:
     """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
-    x, w = _gl_nodes(n_nodes)
+    x, w = _gl_nodes(PANEL_NODES)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -32,13 +32,11 @@ from .errors import NumericError, UnsupportedKindError, ValidationError
 from .integrate import MAX_PANELS, check_converged, integrate_refined
 from .psf import (
     GAUSSIAN,
-    NODES_PER_BLOCK,
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
     SINC,
     TABULATED,
     TransferFunction,
-    _horner,
     eval_u,
     eval_u_prime,
     quad_over_psf,
@@ -163,35 +161,19 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
 
     Between the merged breakpoints of the grid and the grid shifted by d, v1(x)
     is one quadratic piece and u(x - d) one cubic piece, so v1 u has degree 5
-    and v1 u' degree 4, and 3-node Gauss-Legendre per piece is exact.  Each
-    piece takes its polynomials from the spline's coefficient stacks by the
-    piece indices the merge carries.  u vanishes outside the grid hull, so
-    pieces outside [x_0 + d, x_n] are clipped to zero width, and c = c' = 0
-    once d spans the hull.  The error estimate bounds rounding only.  Rows of
-    d run in blocks of NODES_PER_BLOCK nodes; each row is reduced on its own,
-    so a d gives the same bits alone or inside an array.
+    and v1 u' degree 4, and 3-node Gauss-Legendre per piece is exact.  u is
+    zero outside the grid hull, so c = c' = 0 once d spans the hull.  The
+    error estimate bounds rounding only.  Each row of d is reduced on its
+    own, so a d gives the same bits alone or inside an array.
     """
-    pieces = tf._pieces
-    x = pieces.x
     c, cp, err_c, err_cp = np.zeros((4, ad.size))
-    inside = np.flatnonzero(ad < x[-1] - x[0])
-    per_block = max(1, NODES_PER_BLOCK // (2 * x.size * _PIECE_X.size))
-    for start in range(0, inside.size, per_block):
-        rows = inside[start : start + per_block]
-        block = ad[rows][:, None]
-        edges, i, j = pieces.merge(block[:, 0])
-        edges = np.clip(edges, x[0] + block, x[-1])
-        left = edges[:, :-1]
-        half = 0.5 * np.diff(edges, axis=1)
-        # arrays are (rows, nodes, pieces), so every operation runs along the pieces
-        step = half[:, None, :] * (1.0 + _PIECE_X)[:, None]  # nodes past each left edge
-        t = (left - pieces.origin[i])[:, None, :] + step
-        s = (left - (pieces.origin[j] + block))[:, None, :] + step
-        v = np.take(pieces.v1, i[:, None, :], axis=1)
-        u = np.take(pieces.u, j[:, None, :], axis=1)
-        wv1 = half[:, None, :] * _PIECE_W[:, None] * _horner(v, t)
-        terms_c = (wv1 * _horner(u[:4], s)).reshape(rows.size, -1)
-        terms_cp = (wv1 * -_horner((u[4], u[5], u[2]), s)).reshape(rows.size, -1)
+    inside = np.flatnonzero(ad < tf.grid[-1] - tf.grid[0])
+    blocks = tf._pieces.blocks(ad[inside], [(_PIECE_X, _PIECE_W)], ["v1"], ["u", "du"])
+    for block, [(w, [v1], [u, du])] in blocks:
+        rows = inside[block]
+        wv1 = w * v1
+        terms_c = (wv1 * u).reshape(rows.size, -1)
+        terms_cp = (wv1 * -du).reshape(rows.size, -1)
         c[rows], cp[rows] = terms_c.sum(axis=1), terms_cp.sum(axis=1)
         err_c[rows] = _ROUNDING * np.abs(terms_c).sum(axis=1)
         err_cp[rows] = _ROUNDING * np.abs(terms_cp).sum(axis=1)
@@ -210,8 +192,8 @@ def tau1_numeric(tf: TransferFunction, d) -> Transmission:
     two-source average is even by construction.
     """
     d = np.asarray(d, dtype=float)
-    if np.isnan(d).any():
-        raise ValidationError("separation d must not be NaN")
+    if not np.isfinite(d).all():
+        raise ValidationError("separation d must be finite")
     sigma = sigma_of(tf)
     ad = np.abs(d).ravel()
     if tf.kind == TABULATED:

@@ -6,7 +6,8 @@ profiles:
 
 * ``gaussian``  u(x) = (2 pi sigma^2)^(-1/4) exp(-x^2 / 4 sigma^2)
 * ``sinc``      u(x) = sqrt(a/pi) sinc(a x), a = sqrt(3) / (2 sigma)
-* ``tabulated`` cubic-spline interpolant of sampled (position, amplitude) data
+* ``tabulated`` cubic-spline interpolant of sampled (position, amplitude) data,
+                0 outside the grid hull
 
 The characteristic width sigma is defined through the derivative energy,
 sigma = (1/2) (integral of u'(x)^2 dx)^(-1/2); for the analytic kinds it
@@ -21,11 +22,13 @@ ladder in :mod:`spaderes.integrate` with panels aligned to the oscillation
 period pi/a.  The mode overlaps of :mod:`spaderes.overlap` take it for the
 Gaussian only: sinc overlaps are integrated over the flat spectrum.
 
-Every integral of a tabulated PSF runs piece by piece on its spline, whose
-per-piece coefficients :class:`SplinePieces` holds, built once per PSF: the
-norm and the derivative energy, the mode overlaps and the direct-imaging
-information.  So no tabulated integrand is cut off at the grid hull: u is
-zero outside it, and a displaced copy u(x - d) has pieces of its own.
+A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
+(scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
+grid hull.  That class alone knows their layout: it evaluates u and u' at
+points, and places quadrature rules on the merged pieces of u(x) and a
+displaced copy u(x - d) for the kernels over arrays of d, the mode overlaps
+and the direct-imaging information.  The norm and the derivative energy are
+exact per piece.  So no tabulated integrand is cut off at the grid hull.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, NumericError, UnsupportedKindError, ValidationError
+from .errors import NumericError, UnsupportedKindError, ValidationError
 from .integrate import (
     MAX_PANELS,
     _gl_nodes,
@@ -92,7 +95,6 @@ class TransferFunction:
     sigma: float
     grid: np.ndarray | None = field(default=None, repr=False)
     norm: float = 1.0
-    _spline: CubicSpline | None = field(default=None, repr=False)
     _pieces: SplinePieces | None = field(default=None, repr=False)
 
     @property
@@ -125,58 +127,113 @@ def _square_integral(coef, h: np.ndarray, n_nodes: int) -> float:
     return (0.5 * h * w[:, None] * v * v).sum()
 
 
-def derivative_energy(spline: CubicSpline) -> float:
-    """Integral of u'^2 over the grid hull, exact: u'^2 has degree 4, 3 nodes a piece."""
-    k0, k1, k2, _ = spline.c
-    return _square_integral([3.0 * k0, 2.0 * k1, k2], np.diff(spline.x), 3)
+# rows of SplinePieces.coef, highest degree first, of u, u' and the derivative mode
+_ROWS = {"u": (0, 1, 2, 3), "du": (4, 5, 2), "v1": (6, 7, 8)}
 
 
 @dataclass(frozen=True, eq=False)
 class SplinePieces:
-    """A tabulated PSF's cubic spline as per-piece coefficient stacks, built once.
+    """A tabulated PSF: its cubic spline as per-piece coefficient rows, zero
+    outside the grid hull.
 
     On the piece [x_k, x_k+1], with s = x - x_k, u = ((k0 s + k1) s + k2) s + k3
-    and u' = (3 k0 s + 2 k1) s + k2.  ``u`` stacks the rows k0, k1, k2, k3,
-    3 k0, 2 k1 and ``v1`` the derivative mode's rows -6 sigma k0, -4 sigma k1,
-    -2 sigma k2.  Both are padded with a zero piece on each side, so index 0
-    lies left of the grid hull, index k + 1 is spline piece k, and index n
-    lies right of the hull; ``origin`` is each index's s = 0 point.
+    and u' = (3 k0 s + 2 k1) s + k2.  ``coef`` stacks the rows k0, k1, k2, k3,
+    3 k0, 2 k1 and the derivative mode's -6 sigma k0, -4 sigma k1, -2 sigma k2,
+    padded with a zero piece on each side: index 0 lies left of the grid hull,
+    index k + 1 is spline piece k, and index n lies right of the hull.
+    ``origin`` is each index's s = 0 point.  Only this class reads the rows:
+    :meth:`evaluate` at points, :meth:`blocks` at quadrature nodes.
     """
 
     x: np.ndarray
     origin: np.ndarray
-    u: np.ndarray
-    v1: np.ndarray
+    coef: np.ndarray
+    norm: float  # integral of u^2
+    energy: float  # integral of u'^2
+    sigma: float
 
     @classmethod
-    def from_spline(cls, spline: CubicSpline, sigma: float) -> SplinePieces:
-        x = spline.x
-        k0, k1, k2, k3 = spline.c
-
-        def padded(rows):
-            return np.pad(np.stack(rows), ((0, 0), (1, 1)))
-
+    def fit(cls, grid: np.ndarray, values: np.ndarray, normalize: bool) -> SplinePieces:
+        """The not-a-knot cubic spline through the samples, rescaled to unit L2
+        norm if ``normalize``; its norm and energy are exact per piece."""
+        h = np.diff(grid)
+        k = CubicSpline(grid, values).c
+        # u^2 has degree 6 on each piece: 4 nodes integrate it exactly
+        norm = _square_integral(k, h, 4)
+        if normalize:
+            if norm <= 0:
+                raise ValidationError("cannot normalize a zero amplitude profile")
+            k = CubicSpline(grid, values / np.sqrt(norm)).c
+            norm = 1.0
+        k0, k1, k2, k3 = k
+        rows = [k0, k1, k2, k3, 3.0 * k0, 2.0 * k1]
+        # u'^2 has degree 4: 3 nodes
+        energy = _square_integral([rows[r] for r in _ROWS["du"]], h, 3)
+        if energy <= 0:
+            raise ValidationError("derivative energy of tabulated PSF is not positive")
+        sigma = 0.5 / np.sqrt(energy)
+        rows += [-6.0 * sigma * k0, -4.0 * sigma * k1, -2.0 * sigma * k2]
         return cls(
-            x=x,
-            origin=x[np.clip(np.arange(-1, x.size), 0, x.size - 2)],
-            u=padded([k0, k1, k2, k3, 3.0 * k0, 2.0 * k1]),
-            v1=padded([-6.0 * sigma * k0, -4.0 * sigma * k1, -2.0 * sigma * k2]),
+            x=grid,
+            origin=grid[np.clip(np.arange(-1, grid.size), 0, grid.size - 2)],
+            coef=np.pad(np.stack(rows), ((0, 0), (1, 1))),
+            norm=norm,
+            energy=energy,
+            sigma=sigma,
         )
 
-    def merge(self, shift: np.ndarray):
-        """Merge the breakpoints x with x + shift, for each value of the 1-D ``shift``.
+    def evaluate(self, what: str, x) -> np.ndarray:
+        """u (``what="u"``) or u' (``"du"``) at the points x, 0 outside the grid hull."""
+        grid = self.x
+        k = np.clip(np.searchsorted(grid, x, side="right"), 1, grid.size - 1)
+        coef = [self.coef[r][k] for r in _ROWS[what]]
+        value = _horner(coef, np.clip(x, grid[0], grid[-1]) - self.origin[k])
+        return np.where((x < grid[0]) | (x > grid[-1]), 0.0, value)
 
-        Returns the sorted breakpoints, shape (shifts, 2n), and for each of the
-        2n - 1 merged pieces the padded index of the piece of u(x), and of
-        u(x - shift), that it lies in.
+    def blocks(self, shift: np.ndarray, rules, fixed, shifted):
+        """Gauss-Legendre rules on the merged pieces of u(x) and u(x - shift).
+
+        Between the merged breakpoints of x and x + shift, for each value of
+        the 1-D ``shift``, u(x) and u(x - shift) are each one spline piece (or
+        zero outside the hull).  ``rules`` holds (nodes, weights) pairs on
+        [-1, 1]; ``fixed`` and ``shifted`` name what to evaluate, of "u", "du"
+        and "v1", on u(x) and on u(x - shift).  Yields, for each block of at
+        most NODES_PER_BLOCK nodes, its slice of ``shift`` and an iterator that
+        evaluates the rules one at a time, each giving the weights, the fixed
+        and the shifted values as arrays (shifts, nodes, pieces), in which
+        every operation runs along the pieces.
         """
         x = self.x
-        shifted = x + shift[:, None]
-        merged = np.concatenate([np.broadcast_to(x, shifted.shape), shifted], axis=1)
-        order = np.argsort(merged, axis=1, kind="stable")
-        from_shifted = order[:, :-1] >= x.size
-        edges = np.take_along_axis(merged, order, axis=1)
-        return edges, np.cumsum(~from_shifted, axis=1), np.cumsum(from_shifted, axis=1)
+        per_block = max(1, NODES_PER_BLOCK // (2 * x.size * max(len(n) for n, _ in rules)))
+        for start in range(0, shift.size, per_block):
+            block = slice(start, start + per_block)
+            offset = shift[block][:, None]
+            merged = np.concatenate([np.broadcast_to(x, (offset.size, x.size)), x + offset], axis=1)
+            order = np.argsort(merged, axis=1, kind="stable")
+            from_shifted = order[:, :-1] >= x.size
+            edges = np.take_along_axis(merged, order, axis=1)
+            i, j = (np.cumsum(m, axis=1)[:, None, :] for m in (~from_shifted, from_shifted))
+            left = edges[:, None, :-1]
+            sides = [
+                (left - origin, [[self.coef[r][piece] for r in _ROWS[name]] for name in names])
+                for names, piece, origin in (
+                    (fixed, i, self.origin[i]),
+                    (shifted, j, self.origin[j] + offset[:, None]),
+                )
+            ]
+            yield block, _at_nodes(0.5 * np.diff(edges, axis=1)[:, None, :], rules, sides)
+
+
+def _at_nodes(half, rules, sides):
+    """Each rule's weights and values at its nodes on every merged piece; a
+    side is the pieces' left edges in local coordinates and the rows to evaluate."""
+    for nodes, weights in rules:
+        step = half * (1.0 + nodes)[:, None]  # nodes past each left edge
+        values = []
+        for left, coefs in sides:
+            at = left + step
+            values.append([_horner(c, at) for c in coefs])
+        yield half * weights[:, None], *values
 
 
 def gaussian_psf(sigma: float) -> TransferFunction:
@@ -218,26 +275,9 @@ def tabulated_psf(grid, values, normalize: bool = False) -> TransferFunction:
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("tabulated grid must be strictly increasing")
 
-    spline = CubicSpline(grid, values)
-    # u^2 has degree 6 on each piece: 4 nodes integrate it exactly
-    norm = _square_integral(spline.c, np.diff(grid), 4)
-    if normalize:
-        if norm <= 0:
-            raise ValidationError("cannot normalize a zero amplitude profile")
-        values = values / np.sqrt(norm)
-        spline = CubicSpline(grid, values)
-        norm = 1.0
-    energy = derivative_energy(spline)
-    if energy <= 0:
-        raise ValidationError("derivative energy of tabulated PSF is not positive")
-    sigma = 0.5 / np.sqrt(energy)
+    pieces = SplinePieces.fit(grid, values, normalize)
     return TransferFunction(
-        kind=TABULATED,
-        sigma=sigma,
-        grid=grid,
-        norm=norm,
-        _spline=spline,
-        _pieces=SplinePieces.from_spline(spline, sigma),
+        kind=TABULATED, sigma=pieces.sigma, grid=grid, norm=pieces.norm, _pieces=pieces
     )
 
 
@@ -252,24 +292,11 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
     return tabulated_psf(data[:, 0], data[:, 1], normalize=normalize)
 
 
-def _spline_eval(tf: TransferFunction, arr: np.ndarray, nu: int, fill):
-    # fill=None enforces the hull; a numeric fill extends the PSF by that
-    # constant, 0 for an integrand of a displaced copy.
-    lo, hi = tf.grid[0], tf.grid[-1]
-    inside = (arr >= lo) & (arr <= hi)
-    if np.all(inside):
-        return tf._spline(arr, nu)
-    if fill is None:
-        raise DomainError(f"evaluation outside the tabulated grid hull [{lo}, {hi}]")
-    out = tf._spline(np.clip(arr, lo, hi), nu)
-    return np.where(inside, out, float(fill))
-
-
-def eval_u(tf: TransferFunction, x, fill: float | None = None):
+def eval_u(tf: TransferFunction, x):
     """Amplitude u(x).  Scalar in, scalar out; arrays are evaluated pointwise.
 
-    For the tabulated kind, points outside the grid hull raise a DomainError
-    unless ``fill`` supplies an extension value (0 for displaced overlaps).
+    A tabulated PSF is its spline inside the grid hull and 0 outside it, the
+    extension every tabulated integral uses.
     """
     arr = np.asarray(x, dtype=float)
     if tf.kind == GAUSSIAN:
@@ -279,12 +306,13 @@ def eval_u(tf: TransferFunction, x, fill: float | None = None):
         a = tf.a
         out = np.sqrt(a / np.pi) * np.sinc(a * arr / np.pi)
     else:
-        out = _spline_eval(tf, arr, 0, fill)
+        out = tf._pieces.evaluate("u", arr)
     return out[()]
 
 
-def eval_u_prime(tf: TransferFunction, x, fill: float | None = None):
-    """Derivative du/dx, analytic for the closed-form kinds, spline otherwise."""
+def eval_u_prime(tf: TransferFunction, x):
+    """Derivative du/dx: analytic for the closed-form kinds; for a tabulated
+    PSF the spline's inside the grid hull and 0 outside it."""
     arr = np.asarray(x, dtype=float)
     if tf.kind == GAUSSIAN:
         s2 = tf.sigma**2
@@ -295,7 +323,7 @@ def eval_u_prime(tf: TransferFunction, x, fill: float | None = None):
         a = tf.a
         out = np.sqrt(a / np.pi) * a * _sinc_deriv_ratio(a * arr)
     else:
-        out = _spline_eval(tf, arr, 1, fill)
+        out = tf._pieces.evaluate("du", arr)
     return out[()]
 
 

@@ -14,7 +14,7 @@ from spaderes.direct_imaging import (
 from spaderes.errors import ValidationError
 from spaderes.integrate import composite_gauss_legendre
 from spaderes.overlap import tau1_closed, tau1_numeric
-from spaderes.psf import gaussian_psf, load_tabulated, sinc_psf
+from spaderes.psf import eval_u, gaussian_psf, load_tabulated, sinc_psf, tabulated_psf
 
 GOLDEN = Path(__file__).parent / "golden"
 GAUSS = gaussian_psf(1.0)
@@ -99,11 +99,24 @@ def test_tabulated_images_apart_recover_the_quantum_limit():
 
 @pytest.mark.parametrize("tf", [GAUSS, SINC, TABULATED], ids=lambda tf: tf.kind)
 def test_nan_separation_is_refused(tf):
-    for d in (np.nan, [0.5, np.nan]):
-        with pytest.raises(ValidationError, match="NaN"):
+    # NaN and +-inf alike, on every kind
+    for d in (np.nan, [0.5, np.nan], np.inf, -np.inf, [0.5, np.inf]):
+        with pytest.raises(ValidationError, match="finite"):
             fi_direct(tf, d, 1.0)
-        with pytest.raises(ValidationError, match="NaN"):
+        with pytest.raises(ValidationError, match="finite"):
             tau1_numeric(tf, d)
+
+
+def test_unnormalized_tabulated_psf_is_refused():
+    # three times the Gaussian's amplitude: every kernel that reads sigma refuses it
+    grid = np.linspace(-8.0, 8.0, 801)
+    tab = tabulated_psf(grid, 3.0 * eval_u(GAUSS, grid))
+    with pytest.raises(ValidationError, match="not normalized"):
+        fi_direct(tab, 1.0, 100.0)
+    with pytest.raises(ValidationError, match="not normalized"):
+        qfi_numeric(tab, 100.0)
+    with pytest.raises(ValidationError, match="not normalized"):
+        tau1_numeric(tab, 1.0)
 
 
 def test_linear_in_source_strength():

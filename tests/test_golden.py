@@ -83,6 +83,15 @@ CASES = {
                                     "--snr", "1e2"],
     "simulate_heterodyne_sinc_zero.json": [*_SIMULATE, "--psf", "sinc", "--d-true", "0",
                                            "--measurement", "heterodyne"],
+    # the tabulated spline kernels: overlap rows past the 16-sigma hull span, the
+    # sigma and derivative-energy bits, and tau1 inside the lockstep root finder
+    "tau_curve_tabulated.json": ["tau-curve", "--psf", "tabulated", "--psf-file",
+                                 "psf_gaussian_801.txt", "--d-max", "20", "--count", "41",
+                                 "--format", "json"],
+    "qfi_tabulated.json": ["qfi", "--psf", "tabulated", "--psf-file", "psf_gaussian_801.txt",
+                           "--n-s", "100", "--check"],
+    "d_half_tabulated.json": ["d-half", "--numeric", "--psf", "tabulated", "--psf-file",
+                              "psf_gaussian_801.txt", "--snr", "1e4", "--n-s", "100"],
     # a job of the size the mc-crb benchmark runs
     "simulate_homodyne_sinc_2000.json": [*_SIMULATE, "--psf", "sinc", "--measurement",
                                          "homodyne", "--frames", "200", "--trials", "2000"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from spaderes import NumericError, overlap
 from spaderes.integrate import check_converged, integrate_refined
@@ -17,8 +18,6 @@ from spaderes.overlap import (
 from spaderes.psf import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
-    eval_u,
-    eval_u_prime,
     gaussian_psf,
     sigma_of,
     sinc_psf,
@@ -125,23 +124,30 @@ _X = np.linspace(-8.0, 8.0, 801)
 _JITTERED = _X + np.concatenate(
     [[0.0], np.random.default_rng(3).uniform(-0.3, 0.3, 799) * 0.02, [0.0]]
 )
-TABULATED = {
-    name: tabulated_psf(x, (2.0 * np.pi) ** -0.25 * np.exp(-(x**2) / 4.0))
+SAMPLES = {
+    name: (x, (2.0 * np.pi) ** -0.25 * np.exp(-(x**2) / 4.0))
     for name, x in (("uniform", _X), ("jittered", _JITTERED))
 }
+TABULATED = {name: tabulated_psf(*samples) for name, samples in SAMPLES.items()}
 D_GRID = np.linspace(0.0, 5.0, 101)  # tau-curve's default grid, sigma = 1
 
 
 @pytest.mark.parametrize("grid", TABULATED)
 def test_spline_overlap_matches_gauss_legendre(grid):
     # the same v1 u and v1 u' products integrated by composite Gauss-Legendre
-    # over the grid hull, wherever that rule converges
+    # over the grid hull, wherever that rule converges, on scipy's spline of the
+    # samples extended by 0 off the hull
     tab = TABULATED[grid]
     sigma = sigma_of(tab)
     spline = tau1_numeric(tab, D_GRID)
+    scipy_spline = CubicSpline(*SAMPLES[grid])
+
+    def u_off_hull(x, nu):
+        inside = (x >= tab.grid[0]) & (x <= tab.grid[-1])
+        return np.where(inside, scipy_spline(np.clip(x, tab.grid[0], tab.grid[-1]), nu), 0.0)
 
     def v1(x):
-        return -2.0 * sigma * eval_u_prime(tab, x)
+        return -2.0 * sigma * scipy_spline(x, 1)
 
     def hull_quadrature(f):
         n_panels = max(128, min(4096, tab.grid.size))
@@ -151,8 +157,8 @@ def test_spline_overlap_matches_gauss_legendre(grid):
     compared = 0
     for k, d in enumerate(D_GRID):
         try:
-            c = hull_quadrature(lambda x: v1(x) * eval_u(tab, x - d, fill=0.0))
-            cp = hull_quadrature(lambda x: v1(x) * -eval_u_prime(tab, x - d, fill=0.0))
+            c = hull_quadrature(lambda x: v1(x) * u_off_hull(x - d, 0))
+            cp = hull_quadrature(lambda x: v1(x) * -u_off_hull(x - d, 1))
         except NumericError:
             continue
         compared += 1
@@ -169,11 +175,12 @@ def test_spline_overlap_matches_the_sampled_gaussian(grid):
     assert np.max(np.abs(spline.dtau1_dd - closed.dtau1_dd)) < 1e-8
 
 
-def _overlap_in_extended_precision(tab, d):
+def _overlap_in_extended_precision(grid, d):
     # the kernel's piecewise products, merged, located and summed independently,
-    # in long double
+    # in long double, on scipy's spline of the same samples
     ld = np.longdouble
-    x, k, sigma = tab._spline.x.astype(ld), tab._spline.c.astype(ld), ld(sigma_of(tab))
+    spline = CubicSpline(*SAMPLES[grid])
+    x, k, sigma = spline.x.astype(ld), spline.c.astype(ld), ld(sigma_of(TABULATED[grid]))
     d = ld(d)
     edges = np.unique(np.concatenate([x, x + d]))
     edges = edges[(edges >= x[0] + d) & (edges <= x[-1])]
@@ -207,7 +214,7 @@ def test_spline_overlap_error_estimate_bounds_its_rounding(grid, monkeypatch):
     tr = tau1_numeric(tab, d)
     err_c, err_cp = estimates
     for k, dk in enumerate(d):
-        c, cp = _overlap_in_extended_precision(tab, dk)
+        c, cp = _overlap_in_extended_precision(grid, dk)
         for value, ref, err in ((tr.c[k], c, err_c[k]), (tr.c_prime[k], cp, err_cp[k])):
             true = float(abs(np.longdouble(value) - ref))
             assert true <= err <= 1e3 * max(true, 1e-15)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from spaderes.errors import DomainError, ValidationError
+from spaderes.errors import ValidationError
 from spaderes.psf import (
     eval_u,
     eval_u_prime,
@@ -110,11 +111,17 @@ def test_tabulated_normalize_flag():
 
 
 def test_tabulated_hull_and_fill():
+    # the spline inside the grid hull, x_0 and x_n included, and 0 outside it
     x, u = _gaussian_samples(201, half=3.0)
     tab = tabulated_psf(x, u)
-    with pytest.raises(DomainError):
-        eval_u(tab, 3.5)
-    assert eval_u(tab, 3.5, fill=0.0) == 0.0
+    spline = CubicSpline(x, u)
+    inside = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+    np.testing.assert_allclose(eval_u(tab, inside), spline(inside), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(eval_u_prime(tab, inside), spline(inside, 1), rtol=0.0, atol=1e-13)
+    outside = np.array([-np.inf, -1e300, -3.5, np.nextafter(-3.0, -4.0), 3.0 + 1e-12, 7.0, np.inf])
+    for f in (eval_u, eval_u_prime):
+        assert np.all(f(tab, outside) == 0.0)
+        assert f(tab, 3.5) == 0.0
 
 
 def test_tabulated_validation():

@@ -12,7 +12,7 @@ Options may come from a key=value config file via --config, which each
 subcommand's own parser reads, so a prefix of it that is ambiguous is refused;
 the file's flags go in right after the subcommand, so flags given on the
 command line win.  Exit codes: 0 success, 2 usage, 3 numeric failure (including
-any floating-point overflow), 4 budget exceeded.
+any floating-point overflow), 4 more trials or grid points than MAX_POINTS.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import __version__
 from .counting import NO_NOISE, POISSON, STATISTICS, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
 from .errors import BudgetError, NumericError, SpaderesError, ValidationError
-from .montecarlo import DEFAULT_BUDGET, MEASUREMENTS, Experiment, Measurement, run_crb_experiment
+from .montecarlo import MAX_POINTS, MEASUREMENTS, Experiment, Measurement, run_crb_experiment
 from .overlap import tau1_closed, tau1_numeric, tau1_small_d
 from .psf import (
     GAUSSIAN,
@@ -146,6 +146,8 @@ def build_noise(args, m: Measurement, n_s: float) -> NoiseModel:
 def build_grid(args, sigma: float) -> np.ndarray:
     if args.count < 2:
         raise ValidationError(f"grid count must be at least 2, got {args.count}")
+    if args.count > MAX_POINTS:
+        raise BudgetError(f"{args.count} grid points exceed the cap of {MAX_POINTS}")
     lo, hi = args.d_min, args.d_max
     if not hi > lo:
         raise ValidationError(f"need d-max > d-min, got {lo} .. {hi}")
@@ -296,7 +298,6 @@ def cmd_simulate(args) -> None:
         frames=args.frames,
         trials=args.trials,
         seed=args.seed,
-        budget=args.budget,
     )
     report = asdict(run_crb_experiment(exp))
     if args.no_estimates:
@@ -359,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=100, help="observation windows per trial")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--no-estimates", action="store_true", help="omit per-trial estimates")
     p.set_defaults(func=cmd_simulate)
 

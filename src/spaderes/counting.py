@@ -86,7 +86,7 @@ class NoiseModel:
     @classmethod
     def from_snr(cls, snr: float, n_s: float) -> "NoiseModel":
         """Noise with n_b = n_s / snr; snr = inf gives the noiseless model."""
-        if snr <= 0:
+        if not snr > 0:
             raise ValidationError(f"snr must be positive, got {snr}")
         return cls(n_b=0.0 if np.isinf(snr) else n_s / snr)
 

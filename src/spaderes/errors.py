@@ -26,7 +26,7 @@ class BracketingError(NumericError):
 
 
 class BudgetError(SpaderesError, RuntimeError):
-    """Requested simulation exceeds the configured sampling budget."""
+    """A run asks for more trials or grid points than montecarlo.MAX_POINTS."""
 
 
 class TruncationWarning(UserWarning):

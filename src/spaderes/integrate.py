@@ -62,7 +62,14 @@ def integrate_refined(
     b: float,
     n_panels: int,
 ) -> tuple[float, float]:
-    """Integrate on [a, b]; return (value, error estimate from panel doubling)."""
+    """Integrate on [a, b]; return (value, error estimate from panel doubling).
+
+    Refuses, before evaluating ``f``, a count whose doubled pass is past MAX_PANELS.
+    """
+    if 2 * n_panels > MAX_PANELS:
+        raise NumericError(
+            f"{2 * n_panels:.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}"
+        )
     coarse = composite_gauss_legendre(f, a, b, n_panels)
     fine = composite_gauss_legendre(f, a, b, 2 * n_panels)
     return fine, abs(fine - coarse)

@@ -57,7 +57,9 @@ from .quadrature import (
 )
 from .resolution import COUNTING, _brentq_lockstep, _peak, d_half_counting, d_half_quadrature
 
-DEFAULT_BUDGET = 50_000_000  # frames x trials
+# the most trials, or grid points, one run may ask for: a run's memory and time
+# grow with them, and not with the frames
+MAX_POINTS = 50_000_000
 # the largest mean Generator.poisson accepts, so that its draws fit in int64
 POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -72,7 +74,6 @@ class Experiment:
     frames: int = 100
     trials: int = 1000
     seed: int = 0
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.measurement not in MEASUREMENTS:
@@ -81,17 +82,11 @@ class Experiment:
             )
         if self.frames < 1 or self.trials < 1:
             raise ValidationError("frames and trials must both be at least 1")
-        if self.budget < 1:
-            raise ValidationError(f"budget must be at least 1, got {self.budget}")
+        if self.trials > MAX_POINTS:
+            raise BudgetError(f"{self.trials} trials exceed the cap of {MAX_POINTS}")
 
     def rng(self) -> np.random.Generator:
-        """The experiment's one Generator, seeded with its seed once the budget allows the run."""
-        need = self.frames * self.trials
-        if need > self.budget:
-            raise BudgetError(
-                f"{self.trials} trials x {self.frames} frames = {need} samples "
-                f"exceed the budget of {self.budget}; raise budget= to at least {need}"
-            )
+        """The experiment's one Generator, seeded with its seed."""
         return np.random.default_rng(self.seed)
 
 

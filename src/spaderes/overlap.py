@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedKindError, ValidationError
-from .integrate import MAX_PANELS, check_converged, integrate_refined
+from .errors import UnsupportedKindError, ValidationError
+from .integrate import check_converged, integrate_refined
 from .psf import (
     GAUSSIAN,
     QUAD_ABS_TOL,
@@ -142,8 +142,6 @@ def _sinc_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float
     """
     a = tf.a
     n_panels = max(4, int(np.ceil(a * ad / np.pi)))
-    if 2 * n_panels > MAX_PANELS:  # the refined pass doubles the count
-        raise NumericError(f"separation {ad:.4g} needs over MAX_PANELS panels in one call")
     scale = 2.0 * sigma / a
 
     def band_integral(f, what):

@@ -40,9 +40,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import NumericError, UnsupportedKindError, ValidationError
+from .errors import UnsupportedKindError, ValidationError
 from .integrate import (
-    MAX_PANELS,
     _gl_nodes,
     check_converged,
     integrate_oscillatory_tails,
@@ -359,8 +358,6 @@ def quad_over_psf(
     if tf.kind == GAUSSIAN:
         half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + abs(margin)
         n_panels = max(48, int(np.ceil(4.0 * half / tf.sigma)))
-        if 2 * n_panels > MAX_PANELS:  # the refined pass doubles the count
-            raise NumericError(f"half-width {half:.4g} needs over MAX_PANELS panels in one call")
         value, err = integrate_refined(f, -half, half, n_panels)
     elif tf.kind == SINC:
         a = tf.a

@@ -1,6 +1,7 @@
 """Command-line front end: outputs, config handling, exit codes."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from spaderes.cli import main
+from spaderes.montecarlo import MAX_POINTS
 
 
 def run(argv):
@@ -355,8 +357,8 @@ def test_far_displacements_below_the_panel_cap_run(capsys):
 
 
 def test_long_tabulated_grid_loads(tmp_path, capsys):
-    # the energy integral takes one panel per grid sample on its refined pass,
-    # a count set by the file, not by a displacement, so it is not capped
+    # a tabulated PSF is integrated on its spline's pieces, never by the composite
+    # rule, so a long grid meets no panel cap
     x = np.linspace(-12.0, 12.0, 70000)
     path = tmp_path / "psf.txt"
     np.savetxt(path, np.column_stack([x, (2 * np.pi) ** -0.25 * np.exp(-(x**2) / 4)]))
@@ -392,17 +394,34 @@ def test_tabulated_direct_imaging_matches_the_gaussian(capsys):
     np.testing.assert_allclose(direct[1], direct[0], rtol=1e-8, atol=0.0)
 
 
-def test_exit_code_budget():
-    assert run(
-        ["simulate", "--psf", "gaussian", "--sigma", "1.0", "--d-true", "0.3",
-         "--n-s", "100", "--frames", "100000", "--trials", "10000", "--seed", "0"]
-    ) == 4
+def test_exit_code_budget(capsys):
+    # the cap counts trials and grid points, and refuses before it draws or
+    # allocates: the peak stays far below one float64 array at the cap
+    over = str(MAX_POINTS + 1)
+    for argv in (["simulate", "--d-true", "0.3", "--trials", over],
+                 ["tau-curve", "--count", over], ["fi-curve", "--count", over]):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_POINTS * 8 / 100
+        assert f"exceed the cap of {MAX_POINTS}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["0", "-1"])
-def test_nonpositive_budget_is_a_usage_error(budget, capsys):
-    assert run(["simulate", "--d-true", "0.3", "--budget", budget]) == 2
-    assert "budget must be at least 1" in capsys.readouterr().err
+def test_frames_are_not_counted_against_the_cap(capsys):
+    # a run costs one draw per trial, whatever the frames per trial
+    argv = ["simulate", "--d-true", "0.3", "--frames", "100000", "--trials", "10000",
+            "--no-estimates"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["empirical_variance"] / report["crb"] == pytest.approx(1.0, abs=0.1)
+
+
+def test_budget_is_not_an_option(capsys):
+    assert run(["simulate", "--budget", "10", "--d-true", "0.3"]) == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 def test_stdout_default(capsys):

@@ -207,3 +207,8 @@ def test_with_d_and_beta():
     assert NoiseModel.from_snr(np.inf, 4.0).n_b == 0.0
     assert NoiseModel.from_snr(100.0, 4.0).n_b == pytest.approx(0.04, rel=1e-14)
     assert NoiseModel(0.04).snr(4.0) == pytest.approx(100.0, rel=1e-14)
+
+
+def test_nan_snr_is_refused_as_an_snr():
+    with pytest.raises(ValidationError, match="snr"):
+        NoiseModel.from_snr(np.nan, 1.0)

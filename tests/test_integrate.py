@@ -83,7 +83,8 @@ def test_panel_cap():
     with pytest.raises(NumericError):
         integrate_oscillatory_tails(lambda x: calls.append(x) or x, 1e8, np.pi)
     assert calls == []
-    # the rule itself takes any count, such as one set by a long tabulated grid
+    # the rule itself takes any count; the cap is for the callers whose count
+    # grows with a displacement
     value = composite_gauss_legendre(np.cos, 0.0, 1.0, n_panels=MAX_PANELS + 1)
     assert value == pytest.approx(np.sin(1.0), rel=1e-12)
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -16,6 +17,7 @@ from spaderes.cli import main
 from spaderes.counting import NO_NOISE, NoiseModel, SourceScene, THERMAL, mean_count
 from spaderes.errors import BudgetError, NumericError, ValidationError
 from spaderes.montecarlo import (
+    MAX_POINTS,
     Experiment,
     TrialReport,
     _invert_tau1,
@@ -149,9 +151,16 @@ def test_ml_quadrature_round_trip():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetError):
-        experiment(frames=100_000, trials=10_000, seed=0).rng()
-    rng = experiment(frames=100, trials=7, budget=700, seed=0).rng()
+    # the cap counts trials, not frames x trials, and refuses before any draw
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="trials"):
+            experiment(frames=1, trials=MAX_POINTS + 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_POINTS * 8 / 100  # far below one float64 array of the trials
+    rng = experiment(frames=100_000, trials=MAX_POINTS, seed=0).rng()
     assert rng.random() == np.random.default_rng(0).random()
 
 
@@ -251,9 +260,6 @@ def test_experiment_validation():
         experiment(frames=10, trials=0, seed=0)
     with pytest.raises(ValidationError):
         experiment(measurement="calorimetry", frames=10, trials=10, seed=0)
-    for budget in (0, -1):
-        with pytest.raises(ValidationError):
-            experiment(frames=10, trials=10, seed=0, budget=budget)
 
 
 def _brentq_each(tf, targets):

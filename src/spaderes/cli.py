@@ -13,6 +13,7 @@ subcommand's own parser reads, so a prefix of it that is ambiguous is refused;
 the file's flags go in right after the subcommand, so flags given on the
 command line win.  Exit codes: 0 success, 2 usage, 3 numeric failure (including
 any floating-point overflow), 4 more trials or grid points than MAX_POINTS.
+One parser is built per process, on the first main call, and then reused.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -170,12 +171,6 @@ def config_echo(args) -> dict:
     return out
 
 
-def _format_cell(x) -> str:
-    if x is None:
-        return "nan"
-    return "%.12g" % x
-
-
 def _emit(args, text: str) -> None:
     """Write text and a final newline to the --out file, or to stdout if there is none."""
     text += "\n"
@@ -190,10 +185,9 @@ def write_table(args, columns: list[str], rows: list[list[float]]) -> None:
     if args.format == "json":
         _emit(args, json.dumps({"config": cfg, "columns": columns, "rows": rows}))
         return
-    lines = ["# " + json.dumps(cfg)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(x) for x in row))
+    fmt = ",".join(["%.12g"] * len(columns))  # a None prints as nan
+    lines = ["# " + json.dumps(cfg), ",".join(columns)]
+    lines += [fmt % tuple([np.nan if x is None else x for x in row]) for row in rows]
     _emit(args, "\n".join(lines))
 
 
@@ -299,7 +293,8 @@ def cmd_simulate(args) -> None:
         trials=args.trials,
         seed=args.seed,
     )
-    report = asdict(run_crb_experiment(exp))
+    # a shallow copy of the fields: asdict would deep-copy every estimate
+    report = dict(vars(run_crb_experiment(exp)))
     if args.no_estimates:
         del report["estimates"]
     write_json(args, report)
@@ -314,6 +309,7 @@ def cmd_qfi(args) -> None:
     write_json(args, payload)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spaderes",

@@ -13,9 +13,9 @@ Estimates clipped to the branch ends (no excess signal, or signal above the
 branch maximum) stay in the sample and are reported through clip_fraction
 rather than discarded.
 
-All trials are inverted together, in one call of the rising-branch solver
-that d_half uses too; it takes scipy's brentq's steps on each target alone,
-so the estimates are a per-trial brentq's, bit for bit.
+All trials are inverted together, each distinct target once, in one call of
+the rising-branch solver that d_half uses too; it takes scipy brentq's steps
+on each target alone, so the estimates are a per-trial brentq's, bit for bit.
 
 MEASUREMENTS is the one table of what differs between the readouts (photon
 counting, homodyne, heterodyne): information curves, ceiling, closed-form
@@ -120,8 +120,8 @@ def _invert_tau1(tf: TransferFunction, tau_target):
     """Separations whose tau1 matches tau_target on the rising branch.
 
     Elementwise over a scalar or an array of targets, in one lockstep Brent
-    solve.  Values at or below 0 clip to 0; values at or above the branch
-    maximum clip to d_peak.
+    solve of the distinct targets.  Values at or below 0 clip to 0; values at
+    or above the branch maximum clip to d_peak.
     """
     t = np.asarray(tau_target, dtype=float)
     flat = t.ravel()
@@ -131,10 +131,11 @@ def _invert_tau1(tf: TransferFunction, tau_target):
         d_peak, tau_peak = _tau_branch(tf)
         rising = positive & ~(flat >= tau_peak)
         d[positive & ~rising] = d_peak
+        targets, each = np.unique(flat[rising], return_inverse=True)
         d[rising] = _brentq_lockstep(
-            lambda x: tau1_exact(tf, x).tau1, flat[rising], 0.0, d_peak,
+            lambda x: tau1_exact(tf, x).tau1, targets, 0.0, d_peak,
             xtol=1e-13 * d_peak, rtol=1e-12,
-        )
+        )[each]
     return d.reshape(t.shape)[()]
 
 

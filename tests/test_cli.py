@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spaderes.cli import main
+from spaderes.cli import build_parser, main
 from spaderes.montecarlo import MAX_POINTS
 
 
@@ -202,6 +202,30 @@ def test_ambiguous_config_prefix_is_refused(capsys):
     # the subcommand's own parser reads --config, so --co could also be --count
     assert run(["tau-curve", "--co", "3"]) == 2
     assert "ambiguous option: --co could match --config, --count" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_config_file_does_not_outlive_its_run(tmp_path, capsys):
+    # the parser is reused, so the file's count must not become a default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("count = 5\n")
+    assert run(["tau-curve", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 5
+    assert run(["tau-curve"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 101
+
+
+def test_a_refused_run_leaves_the_parser_as_it_was(capsys):
+    argv = ["tau-curve", "--psf", "sinc", "--count", "7"]
+    assert run(argv) == 0
+    before = capsys.readouterr().out
+    assert run(["tau-curve", "--co", "3"]) == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == before
 
 
 def test_absolute_units(tmp_path):

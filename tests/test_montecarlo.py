@@ -348,6 +348,30 @@ def test_all_trials_invert_in_one_array_solve(measurement, monkeypatch):
     assert len(calls) < 150
 
 
+def test_each_distinct_photocount_total_is_solved_once(monkeypatch):
+    exp = experiment(frames=200, trials=2000, seed=13)
+    totals = simulate_counts(exp)
+    distinct = np.unique(totals).size
+    assert distinct < 1000  # the totals repeat, so the test can tell
+
+    sizes = []
+
+    def counted(tf, d):
+        sizes.append(np.size(d))
+        return tau1_exact(tf, d)
+
+    monkeypatch.setattr(mc, "tau1_exact", counted)
+    rep = run_crb_experiment(exp)
+    assert max(sizes) <= distinct
+    # the same roots as one solve over every trial's own target
+    assert rep.clip_fraction == 0.0
+    targets = totals / (exp.frames * exp.scene.n_s) - exp.noise.beta(exp.scene.n_s)
+    d_peak, _ = _tau_branch(GAUSS)
+    every = _brentq_lockstep(lambda x: tau1_exact(GAUSS, x).tau1, targets, 0.0, d_peak,
+                             xtol=1e-13 * d_peak, rtol=1e-12)
+    assert np.array_equal(rep.estimates, every)
+
+
 @pytest.mark.parametrize("measurement", ["counting", HOMODYNE, HETERODYNE])
 def test_one_sampler_and_one_estimator_call_per_experiment(measurement, monkeypatch):
     # wrap the public sampler and estimator in every spaderes namespace that

@@ -6,7 +6,10 @@ p(x) = (u(x-d)^2 + u(x+d)^2) / 2, and the per-window information is
     F = n_s * integral (dp/dd)^2 / p dx.
 
 :func:`fi_direct` takes a scalar d or an array of d.  For the analytic kinds
-each d is one kind-adapted quadrature over x (:func:`quad_over_psf`).  A
+each d is one kind-adapted quadrature over x (:func:`quad_over_psf`), whose
+integrand takes u and u' of both images, at x - d and x + d, from one call
+of :func:`~spaderes.psf.eval_images`: one exp per image and node for the
+Gaussian, and one sin and one cos per node for sinc, in place.  A
 tabulated spline is integrated piece by piece over [x_0 - d, x_n + d],
 between the merged breakpoints of the two displaced grids, where p and dp/dd
 are polynomials, so no part of either image is cut off at the grid hull.  The
@@ -24,7 +27,7 @@ from .psf import (
     QUAD_ABS_TOL,
     TABULATED,
     TransferFunction,
-    eval_u,
+    eval_images,
     eval_u_prime,
     quad_over_psf,
     sigma_of,
@@ -37,20 +40,30 @@ DIRECT_REL_TOL = 1e-7
 _COARSE, _FINE = 4, 8
 
 
+def _density(here, there):
+    """p and dp/dd from u and u' of the images at x + d (``here``) and at
+    x - d (``there``), in place on all four arrays."""
+    (ua, dp), (ub, dub) = here, there
+    dp *= ua
+    dub *= ub
+    dp -= dub
+    ua *= ua
+    ub *= ub
+    ua += ub
+    ua *= 0.5
+    return ua, dp
+
+
 def _image_density(tf: TransferFunction, x, d: float):
     """Detection density p(x) of the two-source scene and its d-derivative, (p, dp/dd)."""
-    x = np.asarray(x)
-    xm, xp = x - d, x + d
-    um = eval_u(tf, xm)
-    up = eval_u(tf, xp)
-    dum = eval_u_prime(tf, xm)
-    dup = eval_u_prime(tf, xp)
-    return 0.5 * (um**2 + up**2), up * dup - um * dum
+    u, du = eval_images(tf, x, (-d, d))
+    return _density((u[0], du[0]), (u[1], du[1]))
 
 
 def _information_density(p, dp):
     """(dp/dd)^2 / p, zero where p underflows below P_FLOOR."""
-    return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
+    dp *= dp
+    return np.divide(dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
 
 
 def _quad_information(tf: TransferFunction, ad: float) -> float:
@@ -62,20 +75,6 @@ def _quad_information(tf: TransferFunction, ad: float) -> float:
         rel_tol=DIRECT_REL_TOL,
         what="direct-imaging information",
     )
-
-
-def _weighted_information(w, here, there) -> np.ndarray:
-    """w (dp/dd)^2 / p from u and u' of the two images, in place on all but w."""
-    (ua, dp), (ub, dub) = here, there
-    dp *= ua
-    dub *= ub
-    dp -= dub
-    ua *= ua
-    ub *= ub
-    ua += ub
-    ua *= 0.5
-    w *= _information_density(ua, dp)
-    return w
 
 
 def _spline_information(tf: TransferFunction, sigma: float, ad: np.ndarray) -> np.ndarray:
@@ -101,7 +100,8 @@ def _spline_information(tf: TransferFunction, sigma: float, ad: np.ndarray) -> n
     for block, at_nodes in blocks:
         rows = overlapping[block]
         coarse, fine = (
-            _weighted_information(*rule).reshape(rows.size, -1).sum(axis=1) for rule in at_nodes
+            (w * _information_density(*_density(here, there))).reshape(rows.size, -1).sum(axis=1)
+            for w, here, there in at_nodes
         )
         value[rows] = fine
         err[rows] = np.abs(fine - coarse)

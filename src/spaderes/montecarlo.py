@@ -25,6 +25,7 @@ reads it too.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -42,7 +43,7 @@ from .counting import (
 )
 from .errors import BudgetError, NumericError, ValidationError
 from .overlap import tau1_exact
-from .psf import TransferFunction, sigma_of
+from .psf import TABULATED, TransferFunction, sigma_of
 from .quadrature import (
     HETERODYNE,
     HOMODYNE,
@@ -107,13 +108,32 @@ class TrialReport:
     clip_fraction: float
 
 
-@lru_cache(maxsize=64)
-def _tau_branch(tf: TransferFunction) -> tuple[float, float]:
+def _search_branch(tf: TransferFunction) -> tuple[float, float]:
     # rising branch of tau1: (d_peak, tau1(d_peak)), searched numerically for
     # every kind; the Gaussian's d_peak is 2 sigma only to within the search
     # tolerance, and the golden simulate_counting_clip_peak.json pins its value
     sigma = sigma_of(tf)
     return _peak(lambda d: tau1_exact(tf, d).tau1, 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma)
+
+
+@lru_cache(maxsize=64)
+def _analytic_branch(kind: str, sigma: float) -> tuple[float, float]:
+    """The branch of the analytic PSF that (kind, sigma) determines."""
+    return _search_branch(TransferFunction(kind=kind, sigma=sigma))
+
+
+# a tabulated PSF's branch, kept for as long as the PSF itself lives
+_TABULATED_BRANCHES = weakref.WeakKeyDictionary()
+
+
+def _tau_branch(tf: TransferFunction) -> tuple[float, float]:
+    """(d_peak, tau1(d_peak)), searched once per analytic (kind, sigma) in a
+    process and once per tabulated PSF while it lives."""
+    if tf.kind != TABULATED:
+        return _analytic_branch(tf.kind, tf.sigma)
+    if tf not in _TABULATED_BRANCHES:
+        _TABULATED_BRANCHES[tf] = _search_branch(tf)
+    return _TABULATED_BRANCHES[tf]
 
 
 def _invert_tau1(tf: TransferFunction, tau_target):

@@ -37,8 +37,7 @@ from .psf import (
     SINC,
     TABULATED,
     TransferFunction,
-    eval_u,
-    eval_u_prime,
+    eval_images,
     quad_over_psf,
     sigma_of,
 )
@@ -123,13 +122,13 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
 def _gaussian_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float, float]:
     """(c, c') at one |d| by quadrature over x, on the Gaussian's truncated domain."""
 
-    def v1(x):
-        return -2.0 * sigma * eval_u_prime(tf, x)
+    def v1_times(x, derivative: bool):
+        # v1(x) = -2 sigma u'(x) times u(x - d), or times -u'(x - d) for c'
+        u, du = eval_images(tf, x, (0.0, ad))
+        return -2.0 * sigma * du[0] * (-du[1] if derivative else u[1])
 
-    c = quad_over_psf(tf, lambda x: v1(x) * eval_u(tf, x - ad), margin=ad, what="mode overlap")
-    cp = quad_over_psf(
-        tf, lambda x: v1(x) * (-eval_u_prime(tf, x - ad)), margin=ad, what="overlap derivative"
-    )
+    c = quad_over_psf(tf, lambda x: v1_times(x, False), margin=ad, what="mode overlap")
+    cp = quad_over_psf(tf, lambda x: v1_times(x, True), margin=ad, what="overlap derivative")
     return c, cp
 
 

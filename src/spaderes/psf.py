@@ -9,6 +9,14 @@ profiles:
 * ``tabulated`` cubic-spline interpolant of sampled (position, amplitude) data,
                 0 outside the grid hull
 
+u and u' of the analytic kinds come from one evaluator each,
+:func:`eval_images`, which takes every displaced image u(x - s) an integrand
+needs in one call: one exp per Gaussian image, and for sinc one sin and one
+cos of a x per node, shared by all images through angle addition (direct
+sin and cos of a (x - s) near each image peak, and a Taylor series where
+|a (x - s)| < 1).  :func:`eval_u` and :func:`eval_u_prime` are that evaluator
+at s = 0.
+
 The characteristic width sigma is defined through the derivative energy,
 sigma = (1/2) (integral of u'(x)^2 dx)^(-1/2); for the analytic kinds it
 coincides with the constructor parameter.  The binary demultiplexer sorts
@@ -33,6 +41,7 @@ exact per piece.  So no tabulated integrand is cut off at the grid hull.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -72,14 +81,12 @@ TABULATED_NORM_TOL = 1e-3
 NODES_PER_BLOCK = 2**15
 
 
-def _sinc_deriv_ratio(t: np.ndarray) -> np.ndarray:
-    """(t cos t - sin t) / t^2, the derivative of sinc(t); stable near t = 0."""
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.1
-    ts = np.where(small, 1.0, t)
-    direct = (ts * np.cos(ts) - np.sin(ts)) / ts**2
-    series = t * (-1.0 / 3.0 + t**2 * (1.0 / 30.0 + t**2 * (-1.0 / 840.0 + t**2 / 45360.0)))
-    return np.where(small, series, direct)
+# Taylor coefficients of sinc t = sin t / t in powers of t^2, (-1)^n / (2n + 1)!,
+# and of its derivative in odd powers of t: ten terms leave under 4e-19 of
+# either for |t| < 1, where the closed forms lose digits to cancellation
+_SINC_TAYLOR = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(10)])
+_SINC_DERIV_TAYLOR = 2.0 * np.arange(1, 10) * _SINC_TAYLOR[1:]
+_SINC_POWERS = np.arange(10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,39 +298,113 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
     return tabulated_psf(data[:, 0], data[:, 1], normalize=normalize)
 
 
+def _gaussian_images(sigma: float, x: np.ndarray, s: np.ndarray):
+    """u and u' of the Gaussian at x - s, rows of s by columns of x: one exp
+    per node and image, shared by u and u'."""
+    s2 = sigma**2
+    arr = x - s
+    c = (2.0 * np.pi * s2) ** (-0.25)
+    e = np.exp(-(arr**2) / (4.0 * s2))
+    return c * e, (-(arr / (2.0 * s2)) * c) * e
+
+
+def _sinc_near(t: np.ndarray):
+    """sinc t and its derivative (cos t - sinc t) / t from sin and cos of t
+    itself, and by Taylor series in t^2 where |t| < 1."""
+    f, df = np.empty_like(t), np.empty_like(t)
+    small = np.abs(t) < 1.0
+    ts = t[small]
+    powers = (ts * ts)[:, None] ** _SINC_POWERS
+    f[small] = powers @ _SINC_TAYLOR
+    df[small] = ts * (powers[:, :-1] @ _SINC_DERIV_TAYLOR)
+    tl = t[~small]
+    f[~small] = fl = np.sin(tl) / tl
+    df[~small] = (np.cos(tl) - fl) / tl
+    return f, df
+
+
+def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
+    """u and u' of the sinc at x - s, rows of s by columns of x, from one sin
+    and one cos of a x per node.
+
+    With t = a (x - s), u = k sin t / t and u' = (k cos t - u) / (x - s),
+    k = sqrt(a / pi).  sin t and cos t follow from sin(a x), cos(a x) and
+    sin(a s), cos(a s) by angle addition, in place.  That sum cancels where
+    |t| < |a s|: a x and a s carry rounding errors of order eps |a s|, which
+    would be a large part of a small t.  So near the image peaks, on the
+    nodes with |x| < |s| + max(1/a, |s|) (every node with |t| < max(1, |a s|)
+    in some row, a few dozen in a quadrature over thousands), sin and cos are
+    taken of t itself (:func:`_sinc_near`).  That keeps every value within a
+    few eps of the peak of exact.
+    """
+    k = np.sqrt(a / np.pi)
+    ax = a * x
+    sin_ax = np.sin(ax)
+    cos_ax = np.cos(ax, out=ax)
+    sin_as, cos_as = np.sin(a * s), np.cos(a * s)
+    u = sin_ax * (k / a * cos_as)
+    u -= cos_ax * (k / a * sin_as)  # k sin t / a
+    du = cos_ax * (k * cos_as)
+    du += sin_ax * (k * sin_as)  # k cos t
+    reach = np.max(np.abs(s), initial=0.0)
+    near = np.flatnonzero(np.abs(x) < reach + max(1.0 / a, reach))
+    r = x - s
+    t_near = a * r[:, near]
+    r[:, near] = 1.0
+    inv = np.divide(1.0, r, out=r)
+    u *= inv
+    du -= u
+    du *= inv
+    if near.size:
+        f, df = _sinc_near(t_near)
+        u[:, near] = k * f
+        du[:, near] = (k * a) * df
+    return u, du
+
+
+def eval_images(tf: TransferFunction, x, shifts):
+    """u and u' of the displaced images u(x - s) for each s in ``shifts``:
+    two arrays of shape (len(shifts),) + x.shape, the analytic kinds only.
+
+    The one evaluator of each analytic kind: one exp per Gaussian image and
+    node, and one sin and one cos of a x per node for all sinc images
+    (:func:`_sinc_images`).
+    """
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(shifts, dtype=float)[:, None]
+    if tf.kind == GAUSSIAN:
+        u, du = _gaussian_images(tf.sigma, x.reshape(-1), s)
+    elif tf.kind == SINC:
+        u, du = _sinc_images(tf.a, x.reshape(-1), s)
+    else:
+        raise UnsupportedKindError(f"no closed-form evaluator for kind {tf.kind!r}")
+    shape = s.shape[:1] + x.shape
+    return u.reshape(shape), du.reshape(shape)
+
+
+def _eval(tf: TransferFunction, x, what: str):
+    """u (``what="u"``) or u' (``"du"``) at x, of x's shape."""
+    if tf.kind == TABULATED:
+        out = tf._pieces.evaluate(what, np.asarray(x, dtype=float))
+    else:
+        u, du = eval_images(tf, x, (0.0,))
+        out = (du if what == "du" else u)[0]
+    return out[()]
+
+
 def eval_u(tf: TransferFunction, x):
     """Amplitude u(x).  Scalar in, scalar out; arrays are evaluated pointwise.
 
     A tabulated PSF is its spline inside the grid hull and 0 outside it, the
     extension every tabulated integral uses.
     """
-    arr = np.asarray(x, dtype=float)
-    if tf.kind == GAUSSIAN:
-        s2 = tf.sigma**2
-        out = (2.0 * np.pi * s2) ** (-0.25) * np.exp(-(arr**2) / (4.0 * s2))
-    elif tf.kind == SINC:
-        a = tf.a
-        out = np.sqrt(a / np.pi) * np.sinc(a * arr / np.pi)
-    else:
-        out = tf._pieces.evaluate("u", arr)
-    return out[()]
+    return _eval(tf, x, "u")
 
 
 def eval_u_prime(tf: TransferFunction, x):
     """Derivative du/dx: analytic for the closed-form kinds; for a tabulated
     PSF the spline's inside the grid hull and 0 outside it."""
-    arr = np.asarray(x, dtype=float)
-    if tf.kind == GAUSSIAN:
-        s2 = tf.sigma**2
-        out = -(arr / (2.0 * s2)) * (2.0 * np.pi * s2) ** (-0.25) * np.exp(
-            -(arr**2) / (4.0 * s2)
-        )
-    elif tf.kind == SINC:
-        a = tf.a
-        out = np.sqrt(a / np.pi) * a * _sinc_deriv_ratio(a * arr)
-    else:
-        out = tf._pieces.evaluate("du", arr)
-    return out[()]
+    return _eval(tf, x, "du")
 
 
 def sigma_of(tf: TransferFunction) -> float:

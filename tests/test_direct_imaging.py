@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spaderes.direct_imaging import (
+    DIRECT_REL_TOL,
+    P_FLOOR,
     _image_density,
     fi_direct,
     qfi,
@@ -14,7 +16,15 @@ from spaderes.direct_imaging import (
 from spaderes.errors import ValidationError
 from spaderes.integrate import composite_gauss_legendre
 from spaderes.overlap import tau1_closed, tau1_numeric
-from spaderes.psf import eval_u, gaussian_psf, load_tabulated, sinc_psf, tabulated_psf
+from spaderes.psf import (
+    eval_u,
+    eval_u_prime,
+    gaussian_psf,
+    load_tabulated,
+    quad_over_psf,
+    sinc_psf,
+    tabulated_psf,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 GAUSS = gaussian_psf(1.0)
@@ -26,13 +36,55 @@ TABULATED = load_tabulated(GOLDEN / "psf_gaussian_801.txt")
 def test_density_normalized_and_even_in_d():
     total = composite_gauss_legendre(lambda x: _image_density(GAUSS, x, 0.8)[0], -12.0, 12.0, 48)
     assert total == pytest.approx(1.0, abs=1e-12)
-    x = np.array([-1.3, 0.2, 2.1])
-    p, dp = _image_density(GAUSS, x, 0.8)
-    assert _image_density(GAUSS, -x, 0.8)[0] == pytest.approx(p, rel=1e-13)
-    # dp/dd against a central difference of p in d
-    h = 1e-5
-    fd = (_image_density(GAUSS, x, 0.8 + h)[0] - _image_density(GAUSS, x, 0.8 - h)[0]) / (2 * h)
-    assert dp == pytest.approx(fd, rel=1e-8)
+    # the sinc's images decay as 1/x: its tail ladder
+    total = quad_over_psf(SINC, lambda x: _image_density(SINC, x, 0.8)[0], margin=0.8)
+    assert total == pytest.approx(1.0, abs=1e-9)
+    x = np.array([-1.3, 0.2, 2.1, 37.9])
+    for tf in (GAUSS, SINC):
+        p, dp = _image_density(tf, x, 0.8)
+        assert _image_density(tf, -x, 0.8)[0] == pytest.approx(p, rel=1e-13)
+        # dp/dd against a central difference of p in d
+        h = 1e-5
+        fd = (_image_density(tf, x, 0.8 + h)[0] - _image_density(tf, x, 0.8 - h)[0]) / (2 * h)
+        assert dp == pytest.approx(fd, rel=1e-8)
+
+
+def _four_call_density(tf, x, d):
+    """p and dp/dd from four separate evaluations of u and u', one per image."""
+    um, up = eval_u(tf, x - d), eval_u(tf, x + d)
+    dum, dup = eval_u_prime(tf, x - d), eval_u_prime(tf, x + d)
+    return 0.5 * (um**2 + up**2), up * dup - um * dum
+
+
+def _four_call_fi_direct(tf, d):
+    """fi_direct at n_s = 1 with the four-call density, through the same quadrature."""
+    if d == 0.0:
+        return 0.0
+
+    def information(x):
+        p, dp = _four_call_density(tf, x, d)
+        return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
+
+    return quad_over_psf(tf, information, margin=d, rel_tol=DIRECT_REL_TOL)
+
+
+def test_gaussian_density_keeps_the_four_call_bits():
+    x = np.linspace(-15.0, 15.0, 3001)
+    for d in (0.0, 0.3, 1.7, 6.0):
+        for new, old in zip(_image_density(GAUSS, x, d), _four_call_density(GAUSS, x, d)):
+            assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("tf", [GAUSS, SINC], ids=lambda tf: tf.kind)
+def test_direct_imaging_matches_the_four_call_integrand(tf):
+    # the shared transcendentals change no ladder node and no tolerance: the
+    # Gaussian keeps its bits, sinc moves by rounding only
+    d = np.linspace(0.0, 5.0, 101)
+    reference = np.array([_four_call_fi_direct(tf, x) for x in d])
+    if tf is GAUSS:
+        assert np.array_equal(fi_direct(tf, d, 1.0), reference)
+    else:
+        np.testing.assert_allclose(fi_direct(tf, d, 1.0), reference, rtol=1e-13, atol=0.0)
 
 
 def test_well_separated_recovers_full_information():

@@ -1,10 +1,13 @@
 """Simulated experiments against the Cramer-Rao benchmark."""
 
+import gc
 import json
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from spaderes.montecarlo import (
     MAX_POINTS,
     Experiment,
     TrialReport,
+    _analytic_branch,
     _invert_tau1,
     _tau_branch,
     ml_estimate_counting,
@@ -28,7 +32,7 @@ from spaderes.montecarlo import (
     simulate_counts,
 )
 from spaderes.overlap import tau1_closed, tau1_exact
-from spaderes.psf import gaussian_psf, sinc_psf
+from spaderes.psf import gaussian_psf, load_tabulated, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE
 from spaderes.resolution import _brentq_lockstep
 
@@ -338,7 +342,7 @@ def test_all_trials_invert_in_one_array_solve(measurement, monkeypatch):
         return tau1_exact(tf, d)
 
     monkeypatch.setattr(mc, "tau1_exact", counted)
-    _tau_branch.cache_clear()  # count the search for the branch peak too
+    _analytic_branch.cache_clear()  # count the search for the branch peak too
     noise = SNR4 if measurement == "counting" else NO_NOISE
     scene = SourceScene(sinc_psf(sigma=1.0), 0.3, 100.0)
     rep = run_crb_experiment(
@@ -395,3 +399,34 @@ def test_one_sampler_and_one_estimator_call_per_experiment(measurement, monkeypa
         assert calls == Counter(simulate_counts=1, ml_estimate_counting=1)
     else:
         assert calls == Counter(sample_quadrature=1, ml_estimate_quadrature=1)
+
+
+def test_analytic_branch_is_searched_once_across_cli_calls(capsys):
+    # each main call builds a new PSF; (kind, sigma) determines its branch
+    _analytic_branch.cache_clear()
+    for seed in ("1", "2"):
+        assert main(["simulate", "--psf", "sinc", "--d-true", "0.3", "--snr", "1e4",
+                     "--trials", "20", "--seed", seed, "--no-estimates"]) == 0
+    info = _analytic_branch.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert _tau_branch(sinc_psf(sigma=1.0)) == _tau_branch(sinc_psf(a=np.sqrt(3.0) / 2.0))
+
+
+def test_tabulated_branch_is_searched_once_and_not_kept(monkeypatch):
+    searches = []
+    peak = mc._peak
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return peak(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_peak", counted)
+    tf = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    rep = run_crb_experiment(Experiment(SourceScene(tf, 0.3, 100.0), SNR4, frames=200, trials=20))
+    assert len(rep.estimates) == 20
+    assert len(searches) == 1
+    # the run leaves nothing that keeps the PSF and its spline pieces alive
+    alive = weakref.ref(tf)
+    del tf, rep
+    gc.collect()
+    assert alive() is None

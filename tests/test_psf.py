@@ -1,11 +1,16 @@
 """Transfer functions: evaluation, widths, mode orthonormality, tabulated IO."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from spaderes.errors import ValidationError
+from spaderes.integrate import integrate_oscillatory_tails
 from spaderes.psf import (
+    SINC_HALF_WIDTH_OVER_A,
+    eval_images,
     eval_u,
     eval_u_prime,
     gaussian_psf,
@@ -85,6 +90,61 @@ def test_v1_sinc_closed_form():
     sigma = np.sqrt(3.0) / 2.0
     expect = 2.0 * sigma * np.sqrt(1.0 / np.pi) / np.pi
     assert _v1(SINC_A1, np.pi) == pytest.approx(expect, rel=1e-12)
+
+
+def _sinc_long_double(t):
+    """sinc t and its derivative in long double, by Taylor series where |t| < 0.1."""
+    t = np.asarray(t, dtype=np.longdouble)
+    small = np.abs(t) < 0.1
+    ts = np.where(small, 1, t)
+    f = np.sin(ts) / ts
+    df = (ts * np.cos(ts) - np.sin(ts)) / ts**2
+    tt = t[small]
+    coef = [np.longdouble((-1) ** n) / math.factorial(2 * n + 1) for n in range(12)]
+    f[small] = sum(c * tt ** (2 * n) for n, c in enumerate(coef))
+    df[small] = sum(2 * n * c * tt ** (2 * n - 1) for n, c in enumerate(coef) if n)
+    return f, df
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double"
+)
+@pytest.mark.parametrize("d", [0.0, 0.3, 1.3, 5.0, 30.0])
+def test_sinc_images_match_long_double(d):
+    # both images, from shared sin(a x) and cos(a x), within 1e-15 of the peak
+    # of exact at the same t = a (x -+ d): at t = 0, by series (|t| < 0.1),
+    # near the peaks (0.1 <= |t| < 1 and beyond) and on every node of the tail
+    # ladder that fi_direct integrates over at this d, out to about 3700 sigma
+    a = SINC_S1.a
+    k = np.sqrt(a / np.pi)
+    nodes = []
+    integrate_oscillatory_tails(
+        lambda x: nodes.append(x) or np.zeros_like(x), SINC_HALF_WIDTH_OVER_A / a + d, np.pi / a
+    )
+    t = np.concatenate(
+        [[0.0], np.linspace(0.001, 0.099, 50), np.linspace(0.1, 1.0, 91), np.linspace(1.0, 40.0, 400)]
+    )
+    t = np.concatenate([t, -t])
+    x = np.concatenate([*nodes, d + t / a, -d + t / a])
+    assert np.abs(x).max() > 3500.0
+    u, du = eval_images(SINC_S1, x, (d, -d))
+    for row, s in enumerate((d, -d)):
+        f, df = _sinc_long_double(np.longdouble(a) * (x.astype(np.longdouble) - np.longdouble(s)))
+        assert np.abs(u[row] / k - f).max() < 1e-15
+        assert np.abs(du[row] / (k * a) - df).max() < 1e-15
+
+
+def test_eval_u_is_the_evaluator_at_no_shift():
+    x = np.linspace(-50.0, 50.0, 1001)
+    for tf in (GAUSS, SINC_S1):
+        u, du = eval_images(tf, x, (0.0,))
+        assert np.array_equal(eval_u(tf, x), u[0])
+        assert np.array_equal(eval_u_prime(tf, x), du[0])
+    # the Gaussian's u and u' share one exp and keep the closed form's bits
+    e = np.exp(-(x**2) / 4.0)
+    c = (2.0 * np.pi) ** (-0.25)
+    assert np.array_equal(eval_u(GAUSS, x), c * e)
+    assert np.array_equal(eval_u_prime(GAUSS, x), (-(x / 2.0) * c) * e)
 
 
 def _gaussian_samples(n, half=10.0):

@@ -47,12 +47,21 @@ def composite_gauss_legendre(
     """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
+    return _dot(f, *_panel_nodes(a, b, n_panels))
+
+
+def _panel_nodes(a: float, b: float, n_panels: int):
+    """Nodes and weights of ``n_panels`` equal Gauss-Legendre panels on [a, b]."""
     x, w = _gl_nodes(PANEL_NODES)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     ws = (half[:, None] * w[None, :]).ravel()
+    return xs, ws
+
+
+def _dot(f, xs, ws) -> float:
     return float(np.dot(ws, np.asarray(f(xs), dtype=float)))
 
 
@@ -108,22 +117,41 @@ def integrate_oscillatory_tails(
     m0 = max(2, 2 * int(np.ceil(half_width / (2.0 * period))))
     if m0 * 2 ** (TAIL_LEVELS - 2) > MAX_PANELS:  # panels of the outermost rung, the largest call
         raise NumericError(f"half-width {half_width:.4g} needs over MAX_PANELS panels in one call")
-    widths = []
+    widths, rungs = _ladder(m0, period)
     partials = []
     total = 0.0
+    for segments in rungs:
+        for xs, ws in segments:
+            total += _dot(f, xs, ws)
+        partials.append(total)
+    return _extrapolate_to_zero(1.0 / widths, partials)
+
+
+@lru_cache(maxsize=4)
+def _ladder(m0: int, period: float):
+    """The rung half-widths of the ladder from m0 periods, and each rung's
+    segments as (nodes, weights): [-X0, X0], then [X_l-1, X_l] and
+    [-X_l, -X_l-1].  They depend on d only through m0, so each ladder is built
+    once and kept, read-only: 16 m0 panels, 0.5 MiB at the sinc start width."""
+    widths, rungs = [], []
     prev_x = 0.0
     for level in range(TAIL_LEVELS):
         x_level = m0 * period * (2**level)
         n_new = int(round((x_level - prev_x) / period))
         if prev_x == 0.0:
-            total += composite_gauss_legendre(f, -x_level, x_level, 2 * n_new)
+            spans = [(-x_level, x_level, 2 * n_new)]
         else:
-            total += composite_gauss_legendre(f, prev_x, x_level, n_new)
-            total += composite_gauss_legendre(f, -x_level, -prev_x, n_new)
+            spans = [(prev_x, x_level, n_new), (-x_level, -prev_x, n_new)]
+        rungs.append(tuple(_read_only(*_panel_nodes(*span)) for span in spans))
         prev_x = x_level
         widths.append(x_level)
-        partials.append(total)
-    return _extrapolate_to_zero(1.0 / np.asarray(widths), partials)
+    return _read_only(np.asarray(widths))[0], tuple(rungs)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def check_converged(value, err, rel_tol: float, abs_tol: float, what: str):
@@ -136,7 +164,7 @@ def check_converged(value, err, rel_tol: float, abs_tol: float, what: str):
     if np.any(bad):
         k = np.argmax(np.ravel(bad))
         raise NumericError(
-            f"quadrature for {what} did not converge: value={np.ravel(value)[k]!r}, "
+            f"quadrature for {what} did not converge: value={float(np.ravel(value)[k])!r}, "
             f"error estimate={np.ravel(err)[k]:.3e}, rel_tol={rel_tol:.1e}, abs_tol={abs_tol:.1e}"
         )
     return value

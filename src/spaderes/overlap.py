@@ -11,15 +11,18 @@ forms exist for the analytic kinds:
     gaussian: tau1 = (d^2 / 4 sigma^2) exp(-d^2 / 4 sigma^2)
     sinc:     tau1 = 16 sigma^4 / (3 d^4) (sin(a d) - a d cos(a d))^2
 
-Both share the small-separation law tau1 -> d^2 / 4 sigma^2.  Both paths
-take a scalar d or an array of d and return values of d's shape.  The
-numeric path evaluates the overlap integral directly and differentiates under
-the integral sign: over x for the Gaussian, by Parseval over the flat band for
-sinc, and exactly, piece by piece, for a tabulated spline.  It is the oracle
-against which the closed forms are checked, and the only path for tabulated
-PSFs.  Squares of d-dependent values use np.float_power, i.e. pow() as a
-scalar ``x**2`` does: an array's ``x**2`` multiplies, and differs from pow()
-in the last bit for one value in ~1300.
+Both share the small-separation law tau1 -> d^2 / 4 sigma^2.  Every path
+takes a scalar d or an array of d and returns values of d's shape.  The
+numeric path, :func:`tau1_numeric`, evaluates the overlap integral directly
+and differentiates under the integral sign: over x for the Gaussian, by
+Parseval over the flat band for sinc, and exactly, piece by piece, for a
+tabulated spline.  It is the oracle of every kind.  :func:`tau1_exact` is
+the closed form for the analytic kinds; for a tabulated spline on a uniform
+grid it sums the spline lag by lag, exactly and in a few operations per d,
+and on any other grid it is the piece-by-piece path.  Squares of
+d-dependent values use np.float_power, i.e. pow() as a scalar ``x**2`` does:
+an array's ``x**2`` multiplies, and differs from pow() in the last bit for
+one value in ~1300.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .psf import (
     SINC,
     TABULATED,
     TransferFunction,
+    _horner,
     eval_images,
     quad_over_psf,
     sigma_of,
@@ -45,6 +49,9 @@ from .psf import (
 # 3-node Gauss-Legendre on [-1, 1], exact for the degree-5 product of two spline pieces
 _PIECE_X = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _PIECE_W = np.array([5.0, 8.0, 5.0]) / 9.0
+# the same rule on [0, width]: nodes and weights per unit width
+_PIECE_STEP = 0.5 * (1.0 + _PIECE_X)
+_PIECE_HALF_W = 0.5 * _PIECE_W
 # rounding bound of a spline-exact overlap per unit of sum |w f|: about 15
 # roundings in each term and the depth of numpy's pairwise summation, about
 # 60 times the largest error seen against a long-double sum
@@ -179,35 +186,89 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     return c, cp
 
 
-def tau1_numeric(tf: TransferFunction, d) -> Transmission:
-    """Transmission by direct overlap quadrature, for a scalar d or an array of d.
+def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
+    """(c, c') at every |d| of the 1-D array ``ad`` from the lag sums of a
+    spline on a uniform grid, exactly for the spline.
 
-    The overlap c(d) = <v1, u(. - d)> and its derivative -<v1, u'(. - d)> are
-    integrated where each kind's integrand is smooth: over x for the Gaussian,
-    over the flat band for sinc, piece by piece for a tabulated spline.  Only
-    |d| is integrated: c is odd in d and c' even, so c(0) = 0 and the
+    Write d = m h + delta on the grid's lattice (:class:`UniformLattice`).
+    On v1's piece i with local coordinate s, u(x - d) is on piece i - m at
+    t = s - delta for s in [delta, h], and on piece i - m - 1 at
+    t = s - delta + h for s in [0, delta].  Summed over i, c(d) is two
+    integrals over s of sum S_pq s^p t^q, with the lag sums S of m and of
+    m + 1: polynomials of degree 5, so 3-node Gauss-Legendre on each is
+    exact.  c' = -<v1, u'(. - d)> takes u's rows differentiated.  Once d
+    spans the hull, c = c' = 0.  Every operation is elementwise in d, so a d
+    gives the same bits alone or inside an array.
+    """
+    sigma_of(tf)  # refuses an unnormalized table
+    lattice = tf._pieces.lattice
+    c, cp = np.zeros((2, ad.size))
+    inside = ad < lattice.span
+    lags, offsets = lattice.lags(ad[inside])
+    # on lag m, s in [delta, h] and t in [0, h - delta]; on lag m + 1,
+    # s in [0, delta] and t in [h - delta, h]: t = s - offset on each
+    s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
+    width = (s_from + t_from)[:, ::-1, None]
+    step = width * _PIECE_STEP
+    s = (s_from[..., None] + step)[:, :, None, :]
+    t = (t_from[..., None] + step)[:, :, None, None, :]
+    # over (d, lag, u or u', rows of t or s, nodes), then c and -c' over d
+    sums = lattice.lag_sums(lags)[..., None]
+    at_t = _horner([sums[:, :, :, q] for q in range(4)], t)
+    at_nodes = _horner([at_t[:, :, :, p] for p in range(3)], s)
+    both = ((width * _PIECE_HALF_W)[:, None] * np.moveaxis(at_nodes, 2, 1)).sum(axis=(2, 3))
+    c[inside], cp[inside] = both[:, 0], -both[:, 1]
+    return c, cp
+
+
+def _transmission(tf: TransferFunction, d, overlaps) -> Transmission:
+    """The Transmission of (c, c') = ``overlaps(tf, |d|)`` over the raveled |d|.
+
+    Only |d| is integrated: c is odd in d and c' even, so c(0) = 0 and the
     two-source average is even by construction.
     """
     d = np.asarray(d, dtype=float)
     if not np.isfinite(d).all():
         raise ValidationError("separation d must be finite")
-    sigma = sigma_of(tf)
-    ad = np.abs(d).ravel()
-    if tf.kind == TABULATED:
-        c, cp = _spline_overlaps(tf, ad)
-    else:
-        overlaps = _gaussian_overlaps if tf.kind == GAUSSIAN else _sinc_overlaps
-        c, cp = np.array([overlaps(tf, sigma, x) for x in ad]).reshape(-1, 2).T
+    c, cp = overlaps(tf, np.abs(d).ravel())
     c, cp = c.reshape(d.shape), cp.reshape(d.shape)
     c = np.where(d < 0, -c, np.where(d == 0, 0.0, c))
     return Transmission(d[()], (c * c)[()], (2.0 * c * cp)[()], c[()], cp[()])
 
 
+def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
+    """(c, c') at every |d| of ``ad`` by each kind's overlap quadrature."""
+    sigma = sigma_of(tf)
+    if tf.kind == TABULATED:
+        return _spline_overlaps(tf, ad)
+    overlaps = _gaussian_overlaps if tf.kind == GAUSSIAN else _sinc_overlaps
+    return np.array([overlaps(tf, sigma, x) for x in ad]).reshape(-1, 2).T
+
+
+def tau1_numeric(tf: TransferFunction, d) -> Transmission:
+    """Transmission by direct overlap quadrature, for a scalar d or an array of d.
+
+    The overlap c(d) = <v1, u(. - d)> and its derivative -<v1, u'(. - d)> are
+    integrated where each kind's integrand is smooth: over x for the Gaussian,
+    over the flat band for sinc, piece by piece for a tabulated spline.  It is
+    the oracle of every kind's :func:`tau1_exact`.
+    """
+    return _transmission(tf, d, _quadrature_overlaps)
+
+
 def tau1_exact(tf: TransferFunction, d) -> Transmission:
-    """Closed form where available, overlap quadrature otherwise."""
+    """The transmission for a scalar d or an array of d, exact for every kind.
+
+    Gaussian and sinc take the closed form (:func:`tau1_closed`).  A tabulated
+    spline on a uniform grid takes its per-lag sums (:func:`_lag_overlaps`),
+    a few operations per d; on any other grid it is integrated piece by piece
+    as in :func:`tau1_numeric`, with the same bits.
+    """
     if tf.kind in (GAUSSIAN, SINC):
         return tau1_closed(tf, d)
-    return tau1_numeric(tf, d)
+    if tf._pieces.lattice is None:
+        return tau1_numeric(tf, d)
+    return _transmission(tf, d, _lag_overlaps)
 
 
 def tau1_small_d(sigma: float, d) -> float:

@@ -36,7 +36,10 @@ grid hull.  That class alone knows their layout: it evaluates u and u' at
 points, and places quadrature rules on the merged pieces of u(x) and a
 displaced copy u(x - d) for the kernels over arrays of d, the mode overlaps
 and the direct-imaging information.  The norm and the derivative energy are
-exact per piece.  So no tabulated integrand is cut off at the grid hull.
+exact per piece.  So no tabulated integrand is cut off at the grid hull.  On
+a uniform grid it also holds the pieces re-centred on an exact lattice,
+:class:`UniformLattice`, whose sums over the pieces lag by lag give the mode
+overlap exactly in a few operations per d.
 """
 
 from __future__ import annotations
@@ -148,7 +151,10 @@ class SplinePieces:
     padded with a zero piece on each side: index 0 lies left of the grid hull,
     index k + 1 is spline piece k, and index n lies right of the hull.
     ``origin`` is each index's s = 0 point.  Only this class reads the rows:
-    :meth:`evaluate` at points, :meth:`blocks` at quadrature nodes.
+    :meth:`evaluate` at points, :meth:`blocks` at quadrature nodes, and on a
+    uniform grid its ``lattice`` (:class:`UniformLattice`), which sums them
+    over the pieces for the overlap c(d) = <v1, u(. - d)>; on any other grid
+    ``lattice`` is None and the overlap runs piece by piece on :meth:`blocks`.
     """
 
     x: np.ndarray
@@ -157,6 +163,7 @@ class SplinePieces:
     norm: float  # integral of u^2
     energy: float  # integral of u'^2
     sigma: float
+    lattice: UniformLattice | None
 
     @classmethod
     def fit(cls, grid: np.ndarray, values: np.ndarray, normalize: bool) -> SplinePieces:
@@ -179,13 +186,18 @@ class SplinePieces:
             raise ValidationError("derivative energy of tabulated PSF is not positive")
         sigma = 0.5 / np.sqrt(energy)
         rows += [-6.0 * sigma * k0, -4.0 * sigma * k1, -2.0 * sigma * k2]
+        n = grid.size
+        uniform = np.array_equal(grid, grid[0] + np.arange(n) * ((grid[-1] - grid[0]) / (n - 1)))
         return cls(
             x=grid,
-            origin=grid[np.clip(np.arange(-1, grid.size), 0, grid.size - 2)],
+            origin=grid[np.clip(np.arange(-1, n), 0, n - 2)],
             coef=np.pad(np.stack(rows), ((0, 0), (1, 1))),
             norm=norm,
             energy=energy,
             sigma=sigma,
+            lattice=UniformLattice.fit(grid, [rows[r] for r in _ROWS["v1"] + _ROWS["u"]])
+            if uniform
+            else None,
         )
 
     def evaluate(self, what: str, x) -> np.ndarray:
@@ -228,6 +240,101 @@ class SplinePieces:
                 )
             ]
             yield block, _at_nodes(0.5 * np.diff(edges, axis=1)[:, None, :], rules, sides)
+
+
+@dataclass(frozen=True, eq=False)
+class UniformLattice:
+    """A spline on a uniform grid, re-centred on the exactly uniform lattice
+    x_0 + i h, with its lag sums.
+
+    A grid is uniform when x_i == x_0 + i h in floating point for
+    h = (x_n-1 - x_0) / (n - 1).  Its points then lie within a few ulps e_i
+    of the lattice whose spacing is the exact span over the piece count,
+    carried as h = h_hi + h_lo with 26 bits in h_hi, so that m h_hi is exact.
+    ``v1`` holds the derivative mode's rows and ``images`` those of u and of
+    u' (after a zero row), highest degree first, of every piece re-centred
+    from x_i on x_0 + i h: to first order in e_i, which is exact to rounding
+    (the e_i^2 terms are under 1e-29 of the rows).  The spline is C^2, so
+    taking piece i on [i h, (i + 1) h] rather than between its own knots
+    moves u by O(e^3) and v1 by O(e^2): under 1e-28 of either.  The lattice
+    ends where the grid does, to the rounding of h_lo.
+    """
+
+    h_hi: float
+    h_lo: float
+    span: float  # x_n-1 - x_0, rounded
+    v1: np.ndarray  # (3, pieces)
+    images: np.ndarray  # (2, 4, pieces)
+    # lag sums by lag, and which lags are built: zeros until a call asks
+    _sums: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lags = self.v1.shape[1] + 1  # the last lag, past every piece, stays 0
+        object.__setattr__(self, "_sums", (np.zeros((lags, 2, 4, 3)), np.zeros(lags, dtype=bool)))
+
+    @classmethod
+    def fit(cls, grid: np.ndarray, rows) -> UniformLattice:
+        """The lattice of a uniform ``grid`` and its pieces' ``rows``: v1's
+        three, then u's four, each over the pieces."""
+        n = grid.size - 1
+        # x_i - x_0 as offset + offset_lo, exactly (two-sum)
+        offset = grid - grid[0]
+        back = offset - grid
+        offset_lo = (grid - (offset - back)) - (grid[0] + back)
+        span = offset[-1]
+        split = span / n * (2.0**27 + 1.0)
+        h_hi = split - (split - span / n)
+        h_lo = ((span - n * h_hi) + offset_lo[-1]) / n
+        # e_i = (x_i - x_0) - i h, by exact differences but the last
+        i = np.arange(float(n))
+        e = ((offset[:-1] - i * h_hi) + offset_lo[:-1]) - i * h_lo
+        (a2, a1, a0), (k0, k1, k2, k3) = rows[:3], rows[3:]
+        u = [k0, k1 - 3.0 * k0 * e, k2 - 2.0 * k1 * e, k3 - k2 * e]
+        return cls(
+            h_hi=h_hi,
+            h_lo=h_lo,
+            span=span,
+            v1=np.stack([a2, a1 - 2.0 * a2 * e, a0 - a1 * e]),
+            images=np.stack([u, [np.zeros_like(k0), 3.0 * u[0], 2.0 * u[1], u[2]]]),
+        )
+
+    def lags(self, d: np.ndarray):
+        """The lags m and m + 1 of each d of the 1-D array, d = m h + delta
+        with 0 <= delta < h, as an integer array of shape (d.size, 2), and the
+        offsets d - lag h: (delta, delta - h), each to rounding of itself."""
+        h_hi, h_lo = self.h_hi, self.h_lo
+        d = d[:, None]
+        lags = np.floor(d / (h_hi + h_lo)) + _NEXT_LAG
+        offsets = (d - lags * h_hi) - lags * h_lo
+        # the rounded quotient may land one lag off; the offsets' signs decide
+        if ((offsets[:, :1] < 0) | (offsets[:, 1:] >= 0)).any():
+            lags += 1.0 * (offsets[:, 1:] >= 0) - 1.0 * (offsets[:, :1] < 0)
+            offsets = (d - lags * h_hi) - lags * h_lo
+        return lags.astype(np.intp), offsets
+
+    def lag_sums(self, lags: np.ndarray) -> np.ndarray:
+        """S[j, q, p] = sum over pieces i of images_jq[i] v1_p[i + m] for each
+        lag m of the integer array ``lags``, of shape lags.shape + (2, 4, 3):
+        j is u or u', q runs over its rows and p over v1's.  Lags at or past
+        the piece count are 0.
+
+        A lag's sums are built on its first use and kept, each reduced on its
+        own, so a lag gives the same bits whichever call built it (two threads
+        that build one lag at once write the same bits).
+        """
+        table, built = self._sums
+        lags = np.minimum(lags, built.size - 1)
+        if not built[lags].all():
+            images, v1 = self.images[:, :, None, :], self.v1
+            n = v1.shape[1]
+            for m in np.unique(lags[~built[lags]]).tolist():
+                table[m] = (images[..., : n - m] * v1[:, m:]).sum(axis=-1)
+                built[m] = True
+        return table[lags]
+
+
+# the lags m and m + 1 of a separation, from m
+_NEXT_LAG = np.array([0.0, 1.0])
 
 
 def _at_nodes(half, rules, sides):

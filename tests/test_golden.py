@@ -92,6 +92,9 @@ CASES = {
                            "--n-s", "100", "--check"],
     "d_half_tabulated.json": ["d-half", "--numeric", "--psf", "tabulated", "--psf-file",
                               "psf_gaussian_801.txt", "--snr", "1e4", "--n-s", "100"],
+    # the tabulated transmission inside the quadrature-readout inversion, per trial
+    "simulate_homodyne_tabulated.json": [*_SIMULATE, "--psf", "tabulated", "--psf-file",
+                                         "psf_gaussian_801.txt", "--measurement", "homodyne"],
     # a job of the size the mc-crb benchmark runs
     "simulate_homodyne_sinc_2000.json": [*_SIMULATE, "--psf", "sinc", "--measurement",
                                          "homodyne", "--frames", "200", "--trials", "2000"],

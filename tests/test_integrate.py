@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spaderes import integrate
 from spaderes.errors import NumericError
 from spaderes.integrate import (
     MAX_PANELS,
+    TAIL_LEVELS,
     check_converged,
     composite_gauss_legendre,
     integrate_oscillatory_tails,
@@ -74,6 +76,37 @@ def test_check_converged_passes_and_raises():
     assert check_converged(values, np.array([1e-9, 1e-13, 0.0]), 1e-8, 1e-12, "ok") is values
     with pytest.raises(NumericError, match="error estimate=1.000e-03"):
         check_converged(values, np.array([0.0, 0.0, 1e-3]), 1e-8, 1e-12, "bad")
+
+
+def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
+    # the ladder's nodes depend only on (m0, period): a second call reuses them,
+    # and each segment is the composite rule over it, summed in ladder order
+    f = lambda x: np.sinc(x / np.pi) ** 2
+    integrate._ladder.cache_clear()
+    first = integrate_oscillatory_tails(f, half_width=200.0, period=np.pi)
+    assert integrate_oscillatory_tails(f, half_width=199.0, period=np.pi) == first
+    assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
+    m0 = 64  # the smallest even multiple of the period past 200
+    total, partials, widths, prev = 0.0, [], [], 0.0
+    for level in range(TAIL_LEVELS):
+        x = m0 * np.pi * 2**level
+        n = int(round((x - prev) / np.pi))
+        if level == 0:
+            total += composite_gauss_legendre(f, -x, x, 2 * n)
+        else:
+            total += composite_gauss_legendre(f, prev, x, n)
+            total += composite_gauss_legendre(f, -x, -prev, n)
+        partials.append(total)
+        widths.append(x)
+        prev = x
+    assert first == integrate._extrapolate_to_zero(1.0 / np.asarray(widths), partials)
+
+
+def test_refusal_prints_plain_floats():
+    for value, err in ((np.float64(0.85), np.float64(1e-3)), (np.array([0.85]), np.array([1e-3]))):
+        with pytest.raises(NumericError) as refusal:
+            check_converged(value, err, 1e-8, 1e-12, "bad")
+        assert "value=0.85," in str(refusal.value) and "np.float64" not in str(refusal.value)
 
 
 def test_panel_cap():

@@ -1,5 +1,7 @@
 """Mode-overlap transmission tau1(d): closed forms vs quadrature, symmetry."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from spaderes.psf import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
     gaussian_psf,
+    load_tabulated,
     sigma_of,
     sinc_psf,
     tabulated_psf,
@@ -222,8 +225,79 @@ def test_spline_overlap_error_estimate_bounds_its_rounding(grid, monkeypatch):
 
 def test_spline_overlap_vanishes_beyond_the_hull():
     tab = TABULATED["uniform"]
-    tr = tau1_numeric(tab, np.array([16.0, 16.5, -20.0, 1e6, 1e300]))
-    assert np.all(tr.c == 0.0) and np.all(tr.c_prime == 0.0)
+    for fn in (tau1_numeric, tau1_exact):
+        tr = fn(tab, np.array([16.0, 16.5, -20.0, 1e6, 1e300]))
+        assert np.all(tr.c == 0.0) and np.all(tr.c_prime == 0.0)
+
+
+SHIPPED = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+
+
+def test_lag_sums_match_the_piecewise_overlap(monkeypatch):
+    # on a uniform grid tau1_exact sums the spline lag by lag; it must agree with
+    # the piece-by-piece oracle within the oracle's own rounding bound, over
+    # 0-20 sigma: random d, every knot m h, and the 16-sigma hull span and one
+    # ulp either side of it, of both signs
+    tab = SHIPPED
+    assert tab._pieces.lattice is not None
+    sigma = sigma_of(tab)
+    span = tab.grid[-1] - tab.grid[0]
+    h = span / (tab.grid.size - 1)
+    d = np.concatenate(
+        [
+            np.random.default_rng(11).uniform(0.0, 20.0 * sigma, 500),
+            np.arange(int(20.0 * sigma / h) + 1) * h,
+            [np.nextafter(span, 0.0), span, np.nextafter(span, np.inf)],
+        ]
+    )
+    d = np.concatenate([d, -d[::7]])
+    estimates = []
+
+    def record(value, err, *args):
+        estimates.append(err)
+        return value
+
+    monkeypatch.setattr(overlap, "check_converged", record)
+    oracle = tau1_numeric(tab, d)
+    err_c, err_cp = estimates
+    exact = tau1_exact(tab, d)
+    assert len(estimates) == 2  # the lag sums refuse nothing: no estimate of their own
+    assert np.all(np.abs(exact.c - oracle.c) <= err_c)
+    assert np.all(np.abs(exact.c_prime - oracle.c_prime) <= err_cp)
+    # c odd and c' even in d, bit for bit, with c(0) = 0
+    back = tau1_exact(tab, -d)
+    assert np.array_equal(back.c, -exact.c) and np.array_equal(back.c_prime, exact.c_prime)
+    assert tau1_exact(tab, 0.0).c == 0.0
+
+
+def test_lag_sums_are_exact_where_nothing_cancels():
+    # the grid's points are off the exact lattice x_0 + i h by up to 1.35e-15;
+    # re-centring the pieces on the lattice keeps the tails, where c and c' are
+    # sums of terms of one sign, within 4 eps of an extended-precision sum
+    tab = TABULATED["uniform"]
+    d = np.array([11.0, 14.0, 15.0, 15.5, 15.9, 15.97, 15.99])
+    tr = tau1_exact(tab, d)
+    for k, dk in enumerate(d):
+        c, cp = _overlap_in_extended_precision("uniform", dk)
+        for value, ref in ((tr.c[k], c), (tr.c_prime[k], cp)):
+            assert float(abs(np.longdouble(value) / ref - 1)) <= 4 * np.finfo(float).eps
+
+
+def test_lag_sums_are_built_only_for_the_lags_asked():
+    tab = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    _, built = tab._pieces.lattice._sums
+    assert not built.any()
+    tau1_exact(tab, 1.01)  # between the knots 50 h and 51 h
+    assert np.flatnonzero(built).tolist() == [50, 51]
+
+
+def test_non_uniform_grid_keeps_the_piecewise_overlap():
+    tab = TABULATED["jittered"]
+    assert tab._pieces.lattice is None and TABULATED["uniform"]._pieces.lattice is not None
+    d = np.concatenate([D_GRID, [7.3, 15.99, 16.0, 19.5]])
+    exact, oracle = tau1_exact(tab, d), tau1_numeric(tab, d)
+    for field in ("tau1", "dtau1_dd", "c", "c_prime"):
+        assert np.array_equal(getattr(exact, field), getattr(oracle, field))
 
 
 def test_sinc_frequency_overlap_matches_closed_form():

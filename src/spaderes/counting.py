@@ -59,8 +59,8 @@ class SourceScene:
     statistics: str = POISSON
 
     def __post_init__(self):
-        if np.any(self.d < 0):
-            raise ValidationError(f"separation must be nonnegative, got {self.d}")
+        if not np.all((self.d >= 0) & (self.d < np.inf)):
+            raise ValidationError(f"separation must be finite and nonnegative, got {self.d}")
         if self.n_s <= 0:
             raise ValidationError(f"n_s must be positive, got {self.n_s}")
         _check_statistics(self.statistics)
@@ -182,30 +182,20 @@ def fi_counting_small_d(scene: SourceScene, noise: NoiseModel = NO_NOISE):
     return fisher
 
 
-def _kbar_derivative(kbar_fn: Callable[[float], float], d: float) -> float:
-    # 4th-order central differences; tau1 is smooth and even, so negative
-    # arguments are fine.
-    h = 1e-3 * max(abs(d), 1.0)
-    num = (
-        -kbar_fn(d + 2.0 * h)
-        + 8.0 * kbar_fn(d + h)
-        - 8.0 * kbar_fn(d - h)
-        + kbar_fn(d - 2.0 * h)
-    )
-    return num / (12.0 * h)
-
-
-def fi_from_pmf(
-    statistics: str, kbar_fn: Callable[[float], float], d: float
-) -> float:
+def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d: float) -> float:
     """Brute-force Fisher information, summing (1/p_k)(dp_k/dd)^2 directly.
 
     Independent of the closed forms: the only structure used is the PMF
     itself and the chain rule through the mean, dp/dd = (dp/dkbar) kbar'(d).
+    ``kbar_fn`` maps an array of separations to their means, or to one mean.
     """
-    kbar = float(kbar_fn(d))
+    # d and its 4th-order central-difference stencil; tau1 is smooth and even, so d < 0 is fine
+    h = 1e-3 * max(abs(d), 1.0)
+    stencil = np.array([d, d + 2.0 * h, d + h, d - h, d - 2.0 * h])
+    kbar, far_up, up, down, far_down = np.broadcast_to(kbar_fn(stencil), stencil.shape)
+    kbar = float(kbar)
     _check_law(kbar, statistics)
-    kprime = _kbar_derivative(kbar_fn, d)
+    kprime = (-far_up + 8.0 * up - 8.0 * down + far_down) / (12.0 * h)
     if kbar == 0.0:
         return 0.0
     k = np.arange(truncation_limit(kbar, statistics) + 1, dtype=float)
@@ -226,10 +216,5 @@ def fi_from_pmf(
 
 def fi_counting_oracle(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> float:
     """fi_from_pmf wired to the scene's mean-count function."""
-    n_s = scene.n_s
-    tf = scene.tf
-
-    def kbar_fn(d: float) -> float:
-        return n_s * tau1_exact(tf, d).tau1 + noise.n_b
-
+    kbar_fn = lambda d: scene.n_s * tau1_exact(scene.tf, d).tau1 + noise.n_b
     return fi_from_pmf(scene.statistics, kbar_fn, scene.d)

@@ -6,9 +6,12 @@ p(x) = (u(x-d)^2 + u(x+d)^2) / 2, and the per-window information is
     F = n_s * integral (dp/dd)^2 / p dx.
 
 :func:`fi_direct` takes a scalar d or an array of d.  For the analytic kinds
-each d is one kind-adapted quadrature over x (:func:`quad_over_psf`), whose
-integrand takes u and u' of both images, at x - d and x + d, from one call
-of :func:`~spaderes.psf.eval_images`: one exp per image and node for the
+every d is a row of one kind-adapted quadrature over x
+(:func:`quad_over_psf`), whose integrand takes (rows, n) nodes and the rows'
+d as a (rows, 1) column and returns (rows, n) values, each row reduced on
+its own by np.dot, so a d gets the same bits alone or inside an array.  It
+takes u and u' of both images, at x - d and x + d, from one call of
+:func:`~spaderes.psf.eval_images`: one exp per image and node for the
 Gaussian, and one sin and one cos per node for sinc, in place.  A
 tabulated spline is integrated piece by piece over [x_0 - d, x_n + d],
 between the merged breakpoints of the two displaced grids, where p and dp/dd
@@ -66,17 +69,6 @@ def _information_density(p, dp):
     return np.divide(dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
 
 
-def _quad_information(tf: TransferFunction, ad: float) -> float:
-    """integral (dp/dd)^2 / p dx at one |d| > 0, by kind-adapted quadrature over x."""
-    return quad_over_psf(
-        tf,
-        lambda x: _information_density(*_image_density(tf, x, ad)),
-        margin=ad,
-        rel_tol=DIRECT_REL_TOL,
-        what="direct-imaging information",
-    )
-
-
 def _spline_information(tf: TransferFunction, sigma: float, ad: np.ndarray) -> np.ndarray:
     """integral (dp/dd)^2 / p dx at every |d| of the 1-D array ``ad``, on the spline.
 
@@ -128,7 +120,13 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
     if tf.kind == TABULATED:
         value = _spline_information(tf, sigma, ad)
     else:
-        value = np.array([_quad_information(tf, x) if x > 0 else 0.0 for x in ad])
+        value = quad_over_psf(
+            tf,
+            lambda x, d: _information_density(*_image_density(tf, x, d)),
+            margin=ad,
+            rel_tol=DIRECT_REL_TOL,
+            what="direct-imaging information",
+        )
     return (n_s * value).reshape(d.shape)[()]
 
 
@@ -146,6 +144,8 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
 
     Exact per spline piece for a tabulated PSF, kind-adapted quadrature otherwise.
     """
+    if n_s <= 0:
+        raise ValidationError(f"n_s must be positive, got {n_s}")
     sigma_of(tf)  # refuses a tabulated PSF that is not normalized
     if tf.kind == TABULATED:
         value = tf._pieces.energy

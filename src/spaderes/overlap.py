@@ -16,13 +16,17 @@ takes a scalar d or an array of d and returns values of d's shape.  The
 numeric path, :func:`tau1_numeric`, evaluates the overlap integral directly
 and differentiates under the integral sign: over x for the Gaussian, by
 Parseval over the flat band for sinc, and exactly, piece by piece, for a
-tabulated spline.  It is the oracle of every kind.  :func:`tau1_exact` is
-the closed form for the analytic kinds; for a tabulated spline on a uniform
-grid it sums the spline lag by lag, exactly and in a few operations per d,
-and on any other grid it is the piece-by-piece path.  Squares of
-d-dependent values use np.float_power, i.e. pow() as a scalar ``x**2`` does:
-an array's ``x**2`` multiplies, and differs from pow() in the last bit for
-one value in ~1300.
+tabulated spline.  It is the oracle of every kind.  On the analytic kinds
+every d is a row of one quadrature call (:mod:`spaderes.integrate`), whose
+integrand takes (rows, n) nodes and the rows' d as a (rows, 1) column and
+returns the integrands of c and c' as (2, rows, n); each row is reduced on
+its own by np.dot, so a d gets the same bits alone or inside an array.
+:func:`tau1_exact` is the closed form for the analytic kinds; for a
+tabulated spline on a uniform grid it sums the spline lag by lag, exactly
+and in a few operations per d, and on any other grid it is the
+piece-by-piece path.  Squares of d-dependent values use np.float_power,
+i.e. pow() as a scalar ``x**2`` does: an array's ``x**2`` multiplies, and
+differs from pow() in the last bit for one value in ~1300.
 """
 
 from __future__ import annotations
@@ -126,40 +130,6 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
     return Transmission(d, c * c, 2.0 * c * cp, c, cp)
 
 
-def _gaussian_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float, float]:
-    """(c, c') at one |d| by quadrature over x, on the Gaussian's truncated domain."""
-
-    def v1_times(x, derivative: bool):
-        # v1(x) = -2 sigma u'(x) times u(x - d), or times -u'(x - d) for c'
-        u, du = eval_images(tf, x, (0.0, ad))
-        return -2.0 * sigma * du[0] * (-du[1] if derivative else u[1])
-
-    c = quad_over_psf(tf, lambda x: v1_times(x, False), margin=ad, what="mode overlap")
-    cp = quad_over_psf(tf, lambda x: v1_times(x, True), margin=ad, what="overlap derivative")
-    return c, cp
-
-
-def _sinc_overlaps(tf: TransferFunction, sigma: float, ad: float) -> tuple[float, float]:
-    """(c, c') at one |d| by Parseval on the sinc's flat band [0, a].
-
-    c = (2 sigma / a) integral of k sin(k d) dk and c' = (2 sigma / a) integral
-    of k^2 cos(k d) dk: smooth integrands on a finite interval, with one panel
-    per half-period of the oscillation in k.
-    """
-    a = tf.a
-    n_panels = max(4, int(np.ceil(a * ad / np.pi)))
-    scale = 2.0 * sigma / a
-
-    def band_integral(f, what):
-        value, err = integrate_refined(f, 0.0, a, n_panels)
-        return check_converged(scale * value, scale * err, QUAD_REL_TOL, QUAD_ABS_TOL, what)
-
-    return (
-        band_integral(lambda k: k * np.sin(k * ad), "mode overlap"),
-        band_integral(lambda k: k * k * np.cos(k * ad), "overlap derivative"),
-    )
-
-
 def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     """(c, c') at every |d| of the 1-D array ``ad``, exactly for the cubic spline.
 
@@ -237,12 +207,32 @@ def _transmission(tf: TransferFunction, d, overlaps) -> Transmission:
 
 
 def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
-    """(c, c') at every |d| of ``ad`` by each kind's overlap quadrature."""
+    """(c, c') at every |d| of ``ad`` by each kind's overlap quadrature.
+
+    The Gaussian integrates v1(x) = -2 sigma u'(x) times u(x - d) for c and
+    -u'(x - d) for c', from one evaluation of the images.  sinc takes
+    Parseval on its flat band [0, a]: c and c' are (2 sigma / a) times the
+    integrals of k sin(k d) and k^2 cos(k d), one panel per half-period in k.
+    """
     sigma = sigma_of(tf)
     if tf.kind == TABULATED:
         return _spline_overlaps(tf, ad)
-    overlaps = _gaussian_overlaps if tf.kind == GAUSSIAN else _sinc_overlaps
-    return np.array([overlaps(tf, sigma, x) for x in ad]).reshape(-1, 2).T
+    what = ("mode overlap", "overlap derivative")
+    if tf.kind == GAUSSIAN:
+
+        def v1_times(x, d):
+            u, du = eval_images(tf, x, (np.zeros_like(d), d))
+            v1 = -2.0 * sigma * du[0]
+            return v1 * u[1], v1 * -du[1]
+
+        both = quad_over_psf(tf, v1_times, margin=ad, what=what)
+    else:
+        a = tf.a
+        band = lambda k, d: (k * np.sin(k * d), k * k * np.cos(k * d))
+        value, err = integrate_refined(band, 0.0, a, np.maximum(4, np.ceil(a * ad / np.pi)), ad)
+        scale = 2.0 * sigma / a
+        both = check_converged(scale * value, scale * err, QUAD_REL_TOL, QUAD_ABS_TOL, what)
+    return both.reshape(-1, 2).T
 
 
 def tau1_numeric(tf: TransferFunction, d) -> Transmission:

@@ -54,6 +54,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import UnsupportedKindError, ValidationError
 from .integrate import (
+    NODES_PER_BLOCK,
     _gl_nodes,
     check_converged,
     integrate_oscillatory_tails,
@@ -76,13 +77,6 @@ QUAD_ABS_TOL = 1e-12
 
 # Acceptable |norm - 1| for operations that assume a normalized tabulated PSF.
 TABULATED_NORM_TOL = 1e-3
-
-# Gauss-Legendre nodes per block of rows in a kernel over the spline's merged
-# pieces, bounding its arrays over d to 256 KiB a float array: a block's
-# temporaries then stay in cache, and on a 2 MiB L2 the 101-point tabulated
-# curves ran 1.6x faster than with six times larger blocks
-NODES_PER_BLOCK = 2**15
-
 
 # Taylor coefficients of sinc t = sin t / t in powers of t^2, (-1)^n / (2n + 1)!,
 # and of its derivative in odd powers of t: ten terms leave under 4e-19 of
@@ -406,8 +400,8 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
 
 
 def _gaussian_images(sigma: float, x: np.ndarray, s: np.ndarray):
-    """u and u' of the Gaussian at x - s, rows of s by columns of x: one exp
-    per node and image, shared by u and u'."""
+    """u and u' of the Gaussian at x - s: one exp per node and image, shared
+    by u and u'."""
     s2 = sigma**2
     arr = x - s
     c = (2.0 * np.pi * s2) ** (-0.25)
@@ -431,18 +425,18 @@ def _sinc_near(t: np.ndarray):
 
 
 def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
-    """u and u' of the sinc at x - s, rows of s by columns of x, from one sin
-    and one cos of a x per node.
+    """u and u' of the sinc at x - s, from one sin and one cos of a x per node.
 
     With t = a (x - s), u = k sin t / t and u' = (k cos t - u) / (x - s),
     k = sqrt(a / pi).  sin t and cos t follow from sin(a x), cos(a x) and
     sin(a s), cos(a s) by angle addition, in place.  That sum cancels where
     |t| < |a s|: a x and a s carry rounding errors of order eps |a s|, which
-    would be a large part of a small t.  So near the image peaks, on the
-    nodes with |x| < |s| + max(1/a, |s|) (every node with |t| < max(1, |a s|)
-    in some row, a few dozen in a quadrature over thousands), sin and cos are
-    taken of t itself (:func:`_sinc_near`).  That keeps every value within a
-    few eps of the peak of exact.
+    would be a large part of a small t.  So near a row's image peaks, on the
+    nodes with |x| < |s| + max(1/a, |s|) for its largest |s| (every node with
+    |t| < max(1, |a s|), a few dozen in a quadrature over thousands), sin and
+    cos are taken of t itself (:func:`_sinc_near`), a row at a time, as its
+    matrix product rounds by position.  That keeps every value within a few
+    eps of the peak of exact, and a row's bits those it has alone.
     """
     k = np.sqrt(a / np.pi)
     ax = a * x
@@ -453,40 +447,42 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
     u -= cos_ax * (k / a * sin_as)  # k sin t / a
     du = cos_ax * (k * cos_as)
     du += sin_ax * (k * sin_as)  # k cos t
-    reach = np.max(np.abs(s), initial=0.0)
-    near = np.flatnonzero(np.abs(x) < reach + max(1.0 / a, reach))
+    reach = np.max(np.abs(s), axis=0, initial=0.0)
+    rows, nodes = np.nonzero(np.abs(x) < reach + np.maximum(1.0 / a, reach))
     r = x - s
-    t_near = a * r[:, near]
-    r[:, near] = 1.0
+    t_near = a * r[:, rows, nodes]
+    r[:, rows, nodes] = 1.0
     inv = np.divide(1.0, r, out=r)
     u *= inv
     du -= u
     du *= inv
-    if near.size:
-        f, df = _sinc_near(t_near)
-        u[:, near] = k * f
-        du[:, near] = (k * a) * df
+    if t_near.size:
+        by_row = np.split(t_near, np.flatnonzero(np.diff(rows)) + 1, axis=1)
+        f, df = (np.concatenate(v, axis=1) for v in zip(*map(_sinc_near, by_row)))
+        u[:, rows, nodes] = k * f
+        du[:, rows, nodes] = (k * a) * df
     return u, du
 
 
 def eval_images(tf: TransferFunction, x, shifts):
-    """u and u' of the displaced images u(x - s) for each s in ``shifts``:
-    two arrays of shape (len(shifts),) + x.shape, the analytic kinds only.
+    """u and u' of the displaced images u(x - s), the analytic kinds only.
 
+    Two arrays of shape (len(shifts),) + x.shape for a 1-D ``shifts``, or
+    (images, rows, n) for (images, rows, 1) shifts and (rows or 1, n) nodes x.
     The one evaluator of each analytic kind: one exp per Gaussian image and
     node, and one sin and one cos of a x per node for all sinc images
     (:func:`_sinc_images`).
     """
     x = np.asarray(x, dtype=float)
-    s = np.asarray(shifts, dtype=float)[:, None]
+    s = np.asarray(shifts, dtype=float)
+    if s.ndim == 1:
+        u, du = eval_images(tf, x.reshape(1, -1), s[:, None, None])
+        return u.reshape(s.shape + x.shape), du.reshape(s.shape + x.shape)
     if tf.kind == GAUSSIAN:
-        u, du = _gaussian_images(tf.sigma, x.reshape(-1), s)
-    elif tf.kind == SINC:
-        u, du = _sinc_images(tf.a, x.reshape(-1), s)
-    else:
-        raise UnsupportedKindError(f"no closed-form evaluator for kind {tf.kind!r}")
-    shape = s.shape[:1] + x.shape
-    return u.reshape(shape), du.reshape(shape)
+        return _gaussian_images(tf.sigma, x, s)
+    if tf.kind == SINC:
+        return _sinc_images(tf.a, x, s)
+    raise UnsupportedKindError(f"no closed-form evaluator for kind {tf.kind!r}")
 
 
 def _eval(tf: TransferFunction, x, what: str):
@@ -531,27 +527,28 @@ def sigma_of(tf: TransferFunction) -> float:
 
 
 def quad_over_psf(
-    tf: TransferFunction,
-    f: Callable[[np.ndarray], np.ndarray],
-    margin: float = 0.0,
-    rel_tol: float = QUAD_REL_TOL,
-    what: str = "psf integral",
-) -> float:
+    tf: TransferFunction, f: Callable, margin=0.0, rel_tol=QUAD_REL_TOL, what="psf integral"
+):
     """Integrate a PSF-derived integrand over the kind-appropriate domain.
 
     Gaussian and sinc kinds only; ``margin`` widens the domain for displaced
-    integrands such as u(x - d).  A tabulated PSF's integrals run piece by
-    piece on its spline (:class:`SplinePieces`).
+    integrands such as u(x - d).  A number ``margin`` integrates f(x) on 1-D
+    nodes into a float.  A 1-D array of margins d integrates one row per d:
+    f(x, d) gets (rows or 1, n) nodes and the rows' d as a (rows, 1) column,
+    and returns (rows, n), or (k, rows, n) for k integrands that a sequence
+    ``what`` names; each row is reduced on its own, with the bits it has
+    alone (:mod:`spaderes.integrate`), and one :func:`check_converged` judges
+    all rows.  A tabulated PSF's integrals run piece by piece on its spline
+    (:class:`SplinePieces`).
     """
+    d = None if np.ndim(margin) == 0 else margin
     if tf.kind == GAUSSIAN:
-        half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + abs(margin)
-        n_panels = max(48, int(np.ceil(4.0 * half / tf.sigma)))
-        value, err = integrate_refined(f, -half, half, n_panels)
+        half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + np.abs(margin)
+        n_panels = np.maximum(48, np.ceil(4.0 * half / tf.sigma))
+        value, err = integrate_refined(f, -half, half, n_panels, d)
     elif tf.kind == SINC:
-        a = tf.a
-        value, err = integrate_oscillatory_tails(
-            f, half_width=SINC_HALF_WIDTH_OVER_A / a + abs(margin), period=np.pi / a
-        )
+        half, period = SINC_HALF_WIDTH_OVER_A / tf.a + np.abs(margin), np.pi / tf.a
+        value, err = integrate_oscillatory_tails(f, half, period, d)
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)

@@ -63,7 +63,7 @@ def test_transmission_over_an_array_equals_point_calls(kind):
     tf = PSFS[kind]
     d = _grid(tf)
     kernels = {
-        "gaussian": [tau1_exact, tau1_closed],
+        "gaussian": [tau1_exact, tau1_closed, tau1_numeric],
         "sinc": [tau1_exact, tau1_closed, tau1_numeric],
         "tabulated": [tau1_exact, tau1_numeric],
     }[kind]
@@ -100,9 +100,11 @@ def test_quadrature_over_an_array_equals_point_calls(kind):
 
 @pytest.mark.parametrize("kind", PSFS)
 def test_direct_imaging_over_an_array_equals_point_calls(kind):
-    # the analytic kinds take one quadrature per d, so a few points suffice
+    # each analytic d is a row of one quadrature: the 101 rows of the default
+    # 0-5 sigma grid span many blocks of the sinc ladder's central rung, where
+    # a batched near-peak series would round differently
     tf = PSFS[kind]
-    d = _grid(tf) if kind == "tabulated" else GRIDS["closed"][::300] * sigma_of(tf)
+    d = _grid(tf) if kind == "tabulated" else np.linspace(0.0, 5.0, 101) * sigma_of(tf)
     _assert_matches_points(fi_direct(tf, d, N_S), [fi_direct(tf, float(x), N_S) for x in d])
 
 
@@ -118,5 +120,7 @@ def test_outputs_take_the_shape_of_d():
 
 
 def test_scene_rejects_any_negative_separation():
-    with pytest.raises(ValidationError):
-        SourceScene(PSFS["gaussian"], np.array([0.1, -0.2, 0.3]), N_S)
+    # and any separation that is not finite
+    for d in (np.array([0.1, -0.2, 0.3]), np.nan, np.inf, -np.inf, np.array([0.1, np.nan])):
+        with pytest.raises(ValidationError):
+            SourceScene(PSFS["gaussian"], d, N_S)

@@ -157,6 +157,12 @@ def test_nan_separation_is_refused(tf):
             fi_direct(tf, d, 1.0)
         with pytest.raises(ValidationError, match="finite"):
             tau1_numeric(tf, d)
+    # as is a source strength that is not positive
+    for n_s in (0.0, -3.0):
+        with pytest.raises(ValidationError, match="n_s"):
+            fi_direct(tf, 0.5, n_s)
+        with pytest.raises(ValidationError, match="n_s"):
+            qfi_numeric(tf, n_s)
 
 
 def test_unnormalized_tabulated_psf_is_refused():

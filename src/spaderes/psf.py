@@ -27,8 +27,13 @@ Integration domains of :func:`quad_over_psf` are kind-aware, for the analytic
 kinds only: Gaussian integrands are truncated at 10 sigma (tails < 1e-22), and
 sinc integrands decay only as 1/x and are handled by the tail-extrapolated
 ladder in :mod:`spaderes.integrate` with panels aligned to the oscillation
-period pi/a.  The mode overlaps of :mod:`spaderes.overlap` take it for the
-Gaussian only: sinc overlaps are integrated over the flat spectrum.
+period pi/a: TAIL_LEVELS rungs from SINC_HALF_WIDTH_OVER_A / a past the
+margin, packed into one kept node array per start (16,384-18,432 nodes a d
+on 0-5 sigma) that the integrand sees in a few chunks.  sin(a x) and
+cos(a x) of those nodes are kept as well, by value of (a, start), and the
+sinc evaluator takes them for the chunk it is called on.  The mode overlaps
+of :mod:`spaderes.overlap` take it for the Gaussian only: sinc overlaps are
+integrated over the flat spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
@@ -44,8 +49,10 @@ overlap exactly in a few operations per d.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -56,6 +63,8 @@ from .errors import UnsupportedKindError, ValidationError
 from .integrate import (
     NODES_PER_BLOCK,
     _gl_nodes,
+    _ladder,
+    _read_only,
     check_converged,
     integrate_oscillatory_tails,
     integrate_refined,
@@ -69,7 +78,9 @@ KINDS = (GAUSSIAN, SINC, TABULATED)
 
 # Truncation choices; see module docstring.
 GAUSSIAN_HALF_WIDTH_SIGMAS = 10.0
-SINC_HALF_WIDTH_OVER_A = 400.0  # ladder start, in units of 1/a
+# the tail ladder's start, in units of 1/a: on 0-30 sigma its error estimate is
+# at most 2e3 times the true error, against 6e3 from 40 / a and 1.3e4 from 35 / a
+SINC_HALF_WIDTH_OVER_A = 50.0
 # an integral converges when its error estimate is below the larger of
 # QUAD_REL_TOL times its value and QUAD_ABS_TOL
 QUAD_REL_TOL = 1e-8
@@ -436,12 +447,18 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
     |t| < max(1, |a s|), a few dozen in a quadrature over thousands), sin and
     cos are taken of t itself (:func:`_sinc_near`), a row at a time, as its
     matrix product rounds by position.  That keeps every value within a few
-    eps of the peak of exact, and a row's bits those it has alone.
+    eps of the peak of exact, and a row's bits those it has alone.  On a
+    chunk of the tail ladder that :func:`quad_over_psf` integrates over, sin
+    and cos of a x are the kept ones (:func:`_ladder_trig`), with the same bits.
     """
     k = np.sqrt(a / np.pi)
-    ax = a * x
-    sin_ax = np.sin(ax)
-    cos_ax = np.cos(ax, out=ax)
+    kept = _LADDER_TRIG.get()
+    if kept is not None and kept[0] == a and kept[1] is x:
+        sin_ax, cos_ax = kept[2:]
+    else:
+        ax = a * x
+        sin_ax = np.sin(ax)
+        cos_ax = np.cos(ax, out=ax)
     sin_as, cos_as = np.sin(a * s), np.cos(a * s)
     u = sin_ax * (k / a * cos_as)
     u -= cos_ax * (k / a * sin_as)  # k sin t / a
@@ -462,6 +479,36 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
         u[:, rows, nodes] = k * f
         du[:, rows, nodes] = (k * a) * df
     return u, du
+
+
+# (a, nodes, sin(a x), cos(a x)) of the tail-ladder chunk that quad_over_psf
+# is integrating a sinc integrand on, or None
+_LADDER_TRIG = contextvars.ContextVar("ladder_trig", default=None)
+
+
+@lru_cache(maxsize=8)
+def _ladder_trig(a: float, m0: int):
+    """sin(a x) and cos(a x) of the packed tail ladder from m0 periods pi/a,
+    by the expressions of :func:`_sinc_images`, so with its bits: kept by
+    value of (a, m0), read-only, 0.3 MiB at the sinc start width."""
+    ax = a * _ladder(m0, np.pi / a)[0]
+    return _read_only(np.sin(ax), np.cos(ax, out=ax))
+
+
+def _on_ladder_trig(a: float, f: Callable) -> Callable:
+    """f as integrate_oscillatory_tails calls it with the chunk's kept sin and
+    cos of a x after its arguments: while f runs, :func:`_sinc_images` of
+    the same a takes them for that very node array."""
+
+    def integrand(x, *args):
+        *args, sin_ax, cos_ax = args
+        token = _LADDER_TRIG.set((a, x, sin_ax, cos_ax))
+        try:
+            return f(x, *args)
+        finally:
+            _LADDER_TRIG.reset(token)
+
+    return integrand
 
 
 def eval_images(tf: TransferFunction, x, shifts):
@@ -538,8 +585,11 @@ def quad_over_psf(
     and returns (rows, n), or (k, rows, n) for k integrands that a sequence
     ``what`` names; each row is reduced on its own, with the bits it has
     alone (:mod:`spaderes.integrate`), and one :func:`check_converged` judges
-    all rows.  A tabulated PSF's integrals run piece by piece on its spline
-    (:class:`SplinePieces`).
+    all rows.  A sinc integrand is called on the tail ladder's chunks, a row
+    at a time, and the images it evaluates there with :func:`eval_images`
+    take the ladder's kept sin and cos of a x; the ladder's error estimate
+    tracks its own extrapolation order.  A tabulated PSF's integrals run
+    piece by piece on its spline (:class:`SplinePieces`).
     """
     d = None if np.ndim(margin) == 0 else margin
     if tf.kind == GAUSSIAN:
@@ -547,8 +597,11 @@ def quad_over_psf(
         n_panels = np.maximum(48, np.ceil(4.0 * half / tf.sigma))
         value, err = integrate_refined(f, -half, half, n_panels, d)
     elif tf.kind == SINC:
-        half, period = SINC_HALF_WIDTH_OVER_A / tf.a + np.abs(margin), np.pi / tf.a
-        value, err = integrate_oscillatory_tails(f, half, period, d)
+        a = tf.a
+        half, period = SINC_HALF_WIDTH_OVER_A / a + np.abs(margin), np.pi / a
+        value, err = integrate_oscillatory_tails(
+            _on_ladder_trig(a, f), half, period, d, kept=partial(_ladder_trig, a)
+        )
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)

@@ -330,6 +330,20 @@ def test_exit_code_numeric_failure():
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [
+        ["--d-max", "12", "--count", "12"],
+        ["--d-max", "8"],
+        ["--d-max", "30", "--count", "61", "--sigma", "1.3"],
+    ],
+)
+def test_sinc_direct_imaging_far_out_exits_zero(extra, capsys):
+    # the tail ladder's error estimate tracks its own order, so points past
+    # 7 sigma that are correct to 1e-9 are no longer refused
+    assert run(["fi-curve", "--psf", "sinc", "--with-direct"] + extra) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # the quadrature information (dV)^2 / 2V^2 squares a variance of order

@@ -9,12 +9,14 @@ from spaderes.direct_imaging import (
     DIRECT_REL_TOL,
     P_FLOOR,
     _image_density,
+    _information_density,
     fi_direct,
     qfi,
     qfi_numeric,
 )
+from spaderes import integrate, psf
 from spaderes.errors import ValidationError
-from spaderes.integrate import composite_gauss_legendre
+from spaderes.integrate import check_converged, composite_gauss_legendre
 from spaderes.overlap import tau1_closed, tau1_numeric
 from spaderes.psf import (
     eval_u,
@@ -85,6 +87,19 @@ def test_direct_imaging_matches_the_four_call_integrand(tf):
         assert np.array_equal(fi_direct(tf, d, 1.0), reference)
     else:
         np.testing.assert_allclose(fi_direct(tf, d, 1.0), reference, rtol=1e-13, atol=0.0)
+
+
+def test_kept_ladder_trigonometry_keeps_the_bits():
+    # the sinc integrand takes sin and cos of a x kept per ladder start; on a
+    # copy of the nodes it computes them afresh, to the same bits
+    information = lambda x, d: _information_density(*_image_density(SINC, x, d))
+    afresh = lambda x, d: information(np.array(x), d)
+    d = np.linspace(0.0, 5.0, 11)
+    calls = sum(psf._ladder_trig.cache_info()[:2])
+    kept = quad_over_psf(SINC, information, margin=d, rel_tol=DIRECT_REL_TOL)
+    assert sum(psf._ladder_trig.cache_info()[:2]) > calls
+    assert np.array_equal(kept, quad_over_psf(SINC, afresh, margin=d, rel_tol=DIRECT_REL_TOL))
+    assert np.array_equal(fi_direct(SINC, d, 1.0), kept)
 
 
 def test_well_separated_recovers_full_information():
@@ -188,3 +203,48 @@ def test_qfi_values():
     assert qfi_numeric(SINC, 1.0) == pytest.approx(1.0, abs=1e-8)
     # sigma of a tabulated PSF comes from the same exact spline integral
     assert qfi_numeric(TABULATED, 1.0) == pytest.approx(qfi(1.0, TABULATED.sigma), rel=1e-15)
+
+
+def _judged(monkeypatch, compute):
+    """(value, error estimate) pairs that quad_over_psf judged while compute ran."""
+    judged = []
+
+    def check(value, err, *args):
+        judged.append((np.copy(value), np.copy(err)))
+        return check_converged(value, err, *args)
+
+    monkeypatch.setattr(psf, "check_converged", check)
+    compute()
+    monkeypatch.undo()
+    return judged
+
+
+def _assert_honest(value, err, true_error):
+    # never under the true error, and at most 1e4 times over it (or over 1e-15 of the value)
+    floor = 1e-15 * np.abs(value)
+    assert np.all(err >= true_error - floor)
+    assert np.all(err <= 1e4 * np.maximum(true_error, floor))
+
+
+@pytest.mark.parametrize("tf", [GAUSS, SINC, sinc_psf(sigma=1.3)], ids=["gaussian", "sinc", "sinc-1.3"])
+def test_qfi_error_estimate_is_honest(tf, monkeypatch):
+    # the derivative energy integral u'^2 dx is 1 / (4 sigma^2) exactly
+    [(value, err)] = _judged(monkeypatch, lambda: qfi_numeric(tf, 100.0))
+    _assert_honest(value, err, abs(value - 0.25 / tf.sigma**2))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.3])
+def test_sinc_direct_imaging_error_estimate_is_honest(sigma, monkeypatch):
+    # the ladder from SINC_HALF_WIDTH_OVER_A against a reference ladder from
+    # 1600 / a, which agrees with one from 3200 / a to 2.2e-13: far below the
+    # estimates past 5 sigma (over 1e-11)
+    tf = sinc_psf(sigma=sigma)
+    d = np.linspace(0.0, 30.0 * sigma, 61)
+    [(value, err)] = _judged(monkeypatch, lambda: fi_direct(tf, d, 1.0))
+    monkeypatch.setattr(psf, "SINC_HALF_WIDTH_OVER_A", 1600.0)
+    try:
+        reference = fi_direct(tf, d, 1.0)
+    finally:
+        integrate._ladder.cache_clear()
+        psf._ladder_trig.cache_clear()
+    _assert_honest(value, err, np.abs(value - reference))

@@ -8,7 +8,9 @@ import pytest
 from spaderes import integrate
 from spaderes.errors import NumericError
 from spaderes.integrate import (
+    CHUNK_NODES,
     MAX_PANELS,
+    PANEL_NODES,
     TAIL_LEVELS,
     check_converged,
     composite_gauss_legendre,
@@ -79,26 +81,30 @@ def test_check_converged_passes_and_raises():
 
 
 def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
-    # the ladder's nodes depend only on (m0, period): a second call reuses them,
-    # and each segment is the composite rule over it, summed in ladder order
+    # the packed ladder depends only on (m0, period): a second call reuses it.
+    # f sees it in a few equal chunks, fewer than the ladder's segments, and
+    # each segment is the composite rule over it, summed in ladder order
     f = lambda x: np.sinc(x / np.pi) ** 2
+    calls = []
     integrate._ladder.cache_clear()
-    first = integrate_oscillatory_tails(f, half_width=200.0, period=np.pi)
+    first = integrate_oscillatory_tails(lambda x: calls.append(x) or f(x), 200.0, np.pi)
     assert integrate_oscillatory_tails(f, half_width=199.0, period=np.pi) == first
     assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
     m0 = 64  # the smallest even multiple of the period past 200
-    total, partials, widths, prev = 0.0, [], [], 0.0
+    segments, total, partials, widths, prev = [], 0.0, [], [], 0.0
     for level in range(TAIL_LEVELS):
         x = m0 * np.pi * 2**level
         n = int(round((x - prev) / np.pi))
-        if level == 0:
-            total += composite_gauss_legendre(f, -x, x, 2 * n)
-        else:
-            total += composite_gauss_legendre(f, prev, x, n)
-            total += composite_gauss_legendre(f, -x, -prev, n)
+        spans = [(-x, x, 2 * n)] if level == 0 else [(prev, x, n), (-x, -prev, n)]
+        for span in spans:
+            segments.append(integrate._panel_nodes(*span)[0][0])
+            total += composite_gauss_legendre(f, *span)
         partials.append(total)
         widths.append(x)
         prev = x
+    assert len(calls) == -(-PANEL_NODES * m0 * 2**TAIL_LEVELS // CHUNK_NODES) < len(segments)
+    assert len({x.size for x in calls}) == 1 and calls[0].size <= CHUNK_NODES
+    assert np.array_equal(np.concatenate(calls), np.concatenate(segments))
     assert first == integrate._extrapolate_to_zero(1.0 / np.asarray(widths), partials)
 
 
@@ -109,13 +115,23 @@ def test_refusal_prints_plain_floats():
         assert "value=0.85," in str(refusal.value) and "np.float64" not in str(refusal.value)
 
 
-def test_panel_cap():
-    # the tail ladder refuses a half-width whose outermost rung is past the cap,
-    # before it evaluates the integrand
+def test_panel_cap(monkeypatch):
+    # the tail ladder refuses a half-width whose packed ladder would keep over
+    # PANEL_NODES x MAX_PANELS nodes, before it evaluates the integrand
     calls = []
     with pytest.raises(NumericError):
         integrate_oscillatory_tails(lambda x: calls.append(x) or x, 1e8, np.pi)
     assert calls == []
+    # at the cap: from m0 = 16 periods, 16 x 2^TAIL_LEVELS panels run; m0 = 18 is refused
+    monkeypatch.setattr(integrate, "MAX_PANELS", 16 * 2**TAIL_LEVELS)
+    f = lambda x: calls.append(x) or np.zeros_like(x)
+    assert integrate_oscillatory_tails(f, 16 * np.pi, np.pi) == (0.0, 0.0)
+    assert sum(x.size for x in calls) == PANEL_NODES * integrate.MAX_PANELS
+    calls.clear()
+    with pytest.raises(NumericError, match="MAX_PANELS"):
+        integrate_oscillatory_tails(f, 16 * np.pi + 1.0, np.pi, d=np.zeros(1))
+    assert calls == []
+    monkeypatch.undo()
     # the rule itself takes any count; the cap is for the callers whose count
     # grows with a displacement
     value = composite_gauss_legendre(np.cos, 0.0, 1.0, n_panels=MAX_PANELS + 1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from spaderes import integrate, psf
 from spaderes.errors import ValidationError
 from spaderes.integrate import integrate_oscillatory_tails
 from spaderes.psf import (
@@ -113,8 +114,9 @@ def _sinc_long_double(t):
 def test_sinc_images_match_long_double(d):
     # both images, from shared sin(a x) and cos(a x), within 1e-15 of the peak
     # of exact at the same t = a (x -+ d): at t = 0, by series (|t| < 0.1),
-    # near the peaks (0.1 <= |t| < 1 and beyond) and on every node of the tail
-    # ladder that fi_direct integrates over at this d, out to about 3700 sigma
+    # near the peaks (0.1 <= |t| < 1 and beyond), on every node of the tail
+    # ladder that fi_direct integrates over at this d (out to about 1850-1900
+    # sigma), and on far nodes past it, out to 4000 sigma
     a = SINC_S1.a
     k = np.sqrt(a / np.pi)
     nodes = []
@@ -125,13 +127,28 @@ def test_sinc_images_match_long_double(d):
         [[0.0], np.linspace(0.001, 0.099, 50), np.linspace(0.1, 1.0, 91), np.linspace(1.0, 40.0, 400)]
     )
     t = np.concatenate([t, -t])
-    x = np.concatenate([*nodes, d + t / a, -d + t / a])
+    far = np.geomspace(1000.0, 4000.0, 2001)
+    x = np.concatenate([*nodes, d + t / a, -d + t / a, far, -far])
     assert np.abs(x).max() > 3500.0
     u, du = eval_images(SINC_S1, x, (d, -d))
     for row, s in enumerate((d, -d)):
         f, df = _sinc_long_double(np.longdouble(a) * (x.astype(np.longdouble) - np.longdouble(s)))
         assert np.abs(u[row] / k - f).max() < 1e-15
         assert np.abs(du[row] / (k * a) - df).max() < 1e-15
+
+
+def test_kept_ladder_trigonometry_is_each_chunks_own():
+    # sin(a x) and cos(a x) of the whole packed ladder, kept by value of
+    # (a, m0), hold the bits the evaluator gives each chunk on its own
+    for tf in (SINC_S1, SINC_A1):
+        a = tf.a
+        for m0 in (16, 18):
+            x, _, _, chunks = integrate._ladder(m0, np.pi / a)
+            sin_ax, cos_ax = psf._ladder_trig(a, m0)
+            assert psf._ladder_trig(float(a), m0)[0] is sin_ax and not sin_ax.flags.writeable
+            for c in chunks:
+                assert np.array_equal(sin_ax[:, c], np.sin(a * x[:, c]))
+                assert np.array_equal(cos_ax[:, c], np.cos(a * x[:, c]))
 
 
 def test_eval_u_is_the_evaluator_at_no_shift():

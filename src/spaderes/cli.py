@@ -31,7 +31,7 @@ from .counting import NO_NOISE, POISSON, STATISTICS, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
 from .errors import BudgetError, NumericError, SpaderesError, ValidationError
 from .montecarlo import MAX_POINTS, MEASUREMENTS, Experiment, Measurement, run_crb_experiment
-from .overlap import tau1_closed, tau1_numeric, tau1_small_d
+from .overlap import tau1_exact, tau1_numeric, tau1_small_d
 from .psf import (
     GAUSSIAN,
     KINDS,
@@ -185,9 +185,9 @@ def write_table(args, columns: list[str], rows: list[list[float]]) -> None:
     if args.format == "json":
         _emit(args, json.dumps({"config": cfg, "columns": columns, "rows": rows}))
         return
-    fmt = ",".join(["%.12g"] * len(columns))  # a None prints as nan
+    fmt = ",".join(["%.12g"] * len(columns))
     lines = ["# " + json.dumps(cfg), ",".join(columns)]
-    lines += [fmt % tuple([np.nan if x is None else x for x in row]) for row in rows]
+    lines += [fmt % tuple(row) for row in rows]
     _emit(args, "\n".join(lines))
 
 
@@ -200,12 +200,8 @@ def cmd_tau_curve(args) -> None:
     sigma = sigma_of(tf)
     grid = build_grid(args, sigma)
     scale = 1.0 if args.absolute else 1.0 / sigma
-    numeric = tau1_numeric(tf, grid).tau1.tolist()
-    if tf.kind in (GAUSSIAN, SINC):
-        closed = tau1_closed(tf, grid).tau1.tolist()
-    else:
-        closed = [None] * grid.size
-    columns = [(grid * scale).tolist(), numeric, closed, tau1_small_d(sigma, grid).tolist()]
+    numeric, exact = tau1_numeric(tf, grid).tau1.tolist(), tau1_exact(tf, grid).tau1.tolist()
+    columns = [(grid * scale).tolist(), numeric, exact, tau1_small_d(sigma, grid).tolist()]
     label = "d" if args.absolute else "d_over_sigma"
     write_table(args, [label, "tau1_numeric", "tau1_closed", "tau1_small_d"], list(zip(*columns)))
 

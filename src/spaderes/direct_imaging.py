@@ -7,12 +7,11 @@ p(x) = (u(x-d)^2 + u(x+d)^2) / 2, and the per-window information is
 
 :func:`fi_direct` takes a scalar d or an array of d.  For the analytic kinds
 every d is a row of one kind-adapted quadrature over x
-(:func:`quad_over_psf`), whose integrand takes (rows, n) nodes and the rows'
-d as a (rows, 1) column and returns (rows, n) values, each row reduced on
-its own by np.dot, so a d gets the same bits alone or inside an array.  It
-takes u and u' of both images, at x - d and x + d, from one call of
-:func:`~spaderes.psf.eval_images`: one exp per image and node for the
-Gaussian, and one sin and one cos per node for sinc, in place.  A
+(:func:`quad_over_psf`), whose integrand takes u and u' of both images,
+at x + d and x - d, as (2, rows, n) arrays and returns (rows, n) values,
+each row reduced on its own by np.dot, so a d gets the same bits alone or
+inside an array.  The images come from one evaluation: one exp per image
+and node for the Gaussian, and one sin and one cos per node for sinc.  A
 tabulated spline is integrated piece by piece over [x_0 - d, x_n + d],
 between the merged breakpoints of the two displaced grids, where p and dp/dd
 are polynomials, so no part of either image is cut off at the grid hull.  The
@@ -30,8 +29,6 @@ from .psf import (
     QUAD_ABS_TOL,
     TABULATED,
     TransferFunction,
-    eval_images,
-    eval_u_prime,
     quad_over_psf,
     sigma_of,
 )
@@ -55,12 +52,6 @@ def _density(here, there):
     ua += ub
     ua *= 0.5
     return ua, dp
-
-
-def _image_density(tf: TransferFunction, x, d: float):
-    """Detection density p(x) of the two-source scene and its d-derivative, (p, dp/dd)."""
-    u, du = eval_images(tf, x, (-d, d))
-    return _density((u[0], du[0]), (u[1], du[1]))
 
 
 def _information_density(p, dp):
@@ -122,10 +113,11 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
     else:
         value = quad_over_psf(
             tf,
-            lambda x, d: _information_density(*_image_density(tf, x, d)),
-            margin=ad,
-            rel_tol=DIRECT_REL_TOL,
-            what="direct-imaging information",
+            lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1]))),
+            (-1.0, 1.0),
+            ad,
+            DIRECT_REL_TOL,
+            "direct-imaging information",
         )
     return (n_s * value).reshape(d.shape)[()]
 
@@ -150,5 +142,5 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
     if tf.kind == TABULATED:
         value = tf._pieces.energy
     else:
-        value = quad_over_psf(tf, lambda x: eval_u_prime(tf, x) ** 2, what="derivative energy")
+        value = quad_over_psf(tf, lambda u, du: du[0] ** 2, (0.0,), what="derivative energy")
     return 4.0 * n_s * value

@@ -15,12 +15,13 @@ With a 1-D array ``d``, row i integrates f(x, d_i); the bounds are two
 numbers or two arrays of d's shape, a count either.  f takes a block of
 rows' nodes, (rows, n) or (1, n) where shared, and their d as a (rows, 1)
 column, and returns (rows, n), or (k, rows, n) for k integrands: the result
-is (d.size,) or (d.size, k).  Rows of one panel count share one pass, in
-blocks of at most NODES_PER_BLOCK nodes, over nodes kept per count where
-nothing else sets them.  The tail ladder keeps its segments packed in one
-node array per start, which f sees a row at a time in a few chunks of at
-most CHUNK_NODES nodes.  Each row (each ladder segment of a row) is reduced
-on its own by np.dot, so a row gets the same bits alone or in any batch.
+is (d.size,) or (d.size, k).  One driver, :func:`_row_sums`, runs every
+rule.  Rows of one panel count share a pass, in blocks of at most
+NODES_PER_BLOCK nodes, over nodes kept per count where nothing else sets
+them; a row of over CHUNK_NODES nodes, such as the tail ladder's, runs
+alone, in a few equal chunks.  Each segment of a row (the whole row of a
+composite rule, each segment of the ladder) is reduced on its own by np.dot,
+so a row gets the same bits alone or in any batch.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ MAX_PANELS = 2**17
 # 101-point tabulated curves ran 1.6x faster than with six times larger blocks
 NODES_PER_BLOCK = 2**15
 
-# nodes of the packed tail ladder an integrand call takes at once, a row at a time:
-# the sinc direct-imaging integrand ran 1.5x slower on 33k-node temporaries
+# nodes of one row an integrand call takes at once (longer rows are split into
+# equal chunks): the sinc direct-imaging integrand ran 1.5x slower on 33k-node temporaries
 CHUNK_NODES = 2**13
 
 
@@ -59,12 +60,16 @@ def _gl_nodes(n_nodes: int):
 
 
 def _row_sums(f, d, counts, layout) -> np.ndarray:
-    """np.dot(weights, f) of every row of the 1-D d (of one row of f(x) if d
-    is None) over each of its node sets, shape (rows, sets) + f's leading axes.
+    """np.dot(weights, f) over each segment of every row of the 1-D d (of the
+    one row of f(x) if d is None): shape (rows,) + f's leading axes + (segments,).
 
     Rows are grouped by ``counts``, a number or one per row; ``layout(count)``
-    lists a group's node sets as (n, nodes) with n nodes a row, and nodes the
-    (nodes, weights) the rows share, (1, n), or a function of a block of rows.
+    gives a group's (n, segments, nodes): n nodes a row, the slices of its
+    segments, in order, and the arrays f reads, (nodes, weights, *extra),
+    each (1, n) where the rows share it, or a function of a block of rows.
+    f gets the nodes, the rows' d as a column, then the extra arrays, sliced
+    alike.  Rows of at most CHUNK_NODES nodes share passes, in blocks of at
+    most NODES_PER_BLOCK nodes; a longer row runs alone, in equal chunks.
     """
     one, d = d is None, np.zeros(1) if d is None else np.asarray(d, dtype=float)
     if not d.size:
@@ -72,19 +77,43 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
     groups = {}
     for i, count in enumerate(np.full(d.size, counts, dtype=int).tolist()):
         groups.setdefault(count, []).append(i)
-    sums = [[] for _ in range(d.size)]
+    sums = [None] * d.size
     for count, rows in groups.items():
-        for n, nodes in layout(count):
-            per_block = max(1, NODES_PER_BLOCK // n)
-            for start in range(0, len(rows), per_block):
-                block = np.array(rows[start : start + per_block])
-                xs, ws = nodes(block) if callable(nodes) else nodes
-                values = np.asarray(f(xs[0]) if one else f(xs, d[block, None]), dtype=float)
-                by_row = values.reshape(-1, block.size, n).swapaxes(0, 1)
-                weights = ws if len(ws) == block.size else [ws[0]] * block.size
-                for i, w, row in zip(block, weights, by_row):
-                    sums[i].append([np.dot(w, v) for v in row])
-    return np.array(sums, dtype=float).reshape((d.size, -1) + values.shape[:-2])
+        n, segments, nodes = layout(count)
+        chunks = _chunks(n)
+        per_block = 1 if len(chunks) > 1 else max(1, NODES_PER_BLOCK // n)
+        d_rows = d[:, None] if len(rows) == d.size else d[rows, None]
+        for start in range(0, len(rows), per_block):
+            block = rows[start : start + per_block]
+            x, w, *extra = nodes(block) if callable(nodes) else nodes
+            if one:
+                x, extra, column = x[0], [e[0] for e in extra], ()
+            else:
+                column = (d_rows[start : start + per_block],)
+            if len(chunks) == 1:
+                values = np.asarray(f(x, *column, *extra), dtype=float)
+            else:
+                values = np.concatenate(
+                    [f(x[..., c], *column, *[e[..., c] for e in extra]) for c in chunks], axis=-1
+                )
+            lead = values.shape[: values.ndim - (1 if one else 2)]
+            weights = w if len(w) == len(block) else [w[0]] * len(block)
+            for i, wi, row in zip(block, weights, values.reshape(-1, len(block), n).swapaxes(0, 1)):
+                sums[i] = [np.dot(wi[s], v[s]) for v in row for s in segments]
+    return np.array(sums, dtype=float).reshape((d.size,) + lead + (-1,))
+
+
+@lru_cache(maxsize=32)
+def _chunks(n: int) -> tuple:
+    """The slices of a row of n nodes that an integrand call takes at once:
+    the whole row, or equal chunks of at most CHUNK_NODES nodes."""
+    count = -(-n // CHUNK_NODES)
+    cuts = [n * k // count for k in range(count + 1)]
+    return tuple(slice(*c) for c in zip(cuts, cuts[1:]))
+
+
+# the one segment of a row of composite_gauss_legendre
+_WHOLE = (slice(None),)
 
 
 def composite_gauss_legendre(f: Callable[..., np.ndarray], a, b, n_panels, d=None):
@@ -94,17 +123,20 @@ def composite_gauss_legendre(f: Callable[..., np.ndarray], a, b, n_panels, d=Non
 
     def layout(count):
         if np.ndim(a) == 0:
-            return [(PANEL_NODES * count, _shared_panel_nodes(float(a), float(b), count))]
-        return [(PANEL_NODES * count, lambda block: _panel_nodes(a[block], b[block], count))]
+            return PANEL_NODES * count, _WHOLE, _shared_panel_nodes(float(a), float(b), count)
+        return PANEL_NODES * count, _WHOLE, lambda block: _panel_nodes(a[block], b[block], count)
 
-    value = _row_sums(f, d, n_panels, layout)[:, 0]
+    value = _row_sums(f, d, n_panels, layout)[..., 0]
     return value if d is not None else float(value[0])
 
 
 def _panel_nodes(a, b, n_panels: int):
     """Nodes and weights of n_panels equal panels on [a, b], a row per bound of a and b."""
     x, w = _gl_nodes(PANEL_NODES)
-    edges = np.linspace(a, b, n_panels + 1).reshape(n_panels + 1, -1).T
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    # np.linspace(a, b, n_panels + 1) a row, by its arithmetic without its overhead
+    edges = np.arange(n_panels + 1) * ((b - a) / n_panels) + a
+    edges[:, -1:] = b
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     xs = (mid[..., None] + half[..., None] * x).reshape(edges.shape[0], -1)
@@ -157,13 +189,12 @@ def integrate_oscillatory_tails(
     of the oscillation period, so S is recovered by polynomial extrapolation in
     1/X over the ladder X0, 2*X0, ..., 2^(TAIL_LEVELS-1)*X0.
 
-    The ladder's segments are packed into one kept node array per start m0
-    (:func:`_ladder`), which f sees in chunks of at most CHUNK_NODES nodes, a
-    row at a time; each segment is then reduced by its own np.dot over its
-    slice, in ladder order.  ``kept``, if given, maps m0 to arrays of the
-    packed nodes' shape that f reads with them (such as sin and cos of the
-    nodes, kept by the caller): f then gets each chunk's slices of them after
-    its other arguments.
+    The ladder's segments are packed into one kept row of nodes per start m0
+    (:func:`_ladder`), which f sees in chunks, and each segment is reduced by
+    its own np.dot, in ladder order (:func:`_row_sums`).  ``kept``, if given,
+    maps m0 to arrays of the packed nodes' shape that f reads with them (such
+    as sin and cos of the nodes, kept by the caller): f then gets each
+    chunk's slices of them after its other arguments.
 
     Returns (value, error estimate from the extrapolation table).  Refuses,
     before evaluating ``f``, a ladder that would keep over MAX_PANELS panels,
@@ -180,43 +211,31 @@ def integrate_oscillatory_tails(
         )
     if not half_width.size:
         return half_width, half_width
-    one = d is None
-    columns = [()] if one else [(row,) for row in np.asarray(d, dtype=float)[:, None, None]]
-    sums = [None] * m0.size
-    for count in np.unique(m0).tolist():
-        x, w, segments, chunks = _ladder(int(count), period)
-        nodes, *extra = (
-            [v[0, c] if one else v[:, c] for c in chunks]
-            for v in (x, *(kept(int(count)) if kept else ()))
-        )
-        for i in np.flatnonzero(m0 == count).tolist():
-            chunked = [
-                np.asarray(f(at, *columns[i], *(e[k] for e in extra)), dtype=float)
-                for k, at in enumerate(nodes)
-            ]
-            lead = chunked[0].shape[: chunked[0].ndim - (1 if one else 2)]
-            values = np.concatenate(chunked, axis=-1).reshape(-1, w.size)
-            sums[i] = [[np.dot(w[s], v[s]) for s in segments] for v in values]
+
+    def layout(count):
+        x, w, segments = _ladder(count, period)
+        return w.size, segments, (x, w, *(kept(count) if kept else ()))
+
+    sums = _row_sums(f, d, m0, layout)
+    lead = sums.shape[1:-1]
     # the partial integrals at the ends of the rungs: the first has one segment, the others two
-    partials = np.cumsum(sums, axis=-1)[..., ::2]
+    partials = np.cumsum(sums.reshape(m0.size, -1, sums.shape[-1]), axis=-1)[..., ::2]
     widths = (m0 * period)[:, None, None] * 2.0 ** np.arange(TAIL_LEVELS)
     value, err = _extrapolate_to_zero(
         list(np.moveaxis(1.0 / widths, -1, 0)), list(np.moveaxis(partials, -1, 0))
     )
-    if one:
+    if d is None:
         return float(value[0, 0]), float(err[0, 0])
     return value.reshape((-1,) + lead), err.reshape((-1,) + lead)
 
 
 @lru_cache(maxsize=8)
 def _ladder(m0: int, period: float):
-    """The ladder from m0 periods, packed: its nodes and weights as one
-    read-only (1, n) and (n,) array, the slices of its segments, in order, and
-    the slices of the chunks f is called on.  The segments are [-X0, X0], then
+    """The ladder from m0 periods, packed: its nodes and weights as read-only
+    (1, n) arrays, and the slices of its segments, in order: [-X0, X0], then
     [X_l-1, X_l] and [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a
-    period; the chunks are equal and hold at most CHUNK_NODES nodes.  Built
-    once per m0 and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes, 0.3 MiB with
-    the weights at the sinc start width."""
+    period.  Built once per m0 and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes,
+    0.3 MiB with the weights at the sinc start width."""
     x0 = m0 * period
     spans = [(-x0, x0, 2 * m0)]
     for level in range(1, TAIL_LEVELS):
@@ -224,13 +243,7 @@ def _ladder(m0: int, period: float):
         spans += [(lo, hi, n), (-hi, -lo, n)]
     x, w = (np.concatenate(v, axis=-1) for v in zip(*(_panel_nodes(*s) for s in spans)))
     ends = np.cumsum([0] + [PANEL_NODES * n for _, _, n in spans]).tolist()
-    count = -(-w.size // CHUNK_NODES)
-    cuts = [w.size * k // count for k in range(count + 1)]
-    return (
-        *_read_only(x, w[0]),
-        tuple(slice(*e) for e in zip(ends, ends[1:])),
-        tuple(slice(*c) for c in zip(cuts, cuts[1:])),
-    )
+    return *_read_only(x, w), tuple(slice(*e) for e in zip(ends, ends[1:]))
 
 
 def _read_only(*arrays):

@@ -45,7 +45,6 @@ from .psf import (
     TABULATED,
     TransferFunction,
     _horner,
-    eval_images,
     quad_over_psf,
     sigma_of,
 )
@@ -220,12 +219,11 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     what = ("mode overlap", "overlap derivative")
     if tf.kind == GAUSSIAN:
 
-        def v1_times(x, d):
-            u, du = eval_images(tf, x, (np.zeros_like(d), d))
+        def v1_times(u, du):
             v1 = -2.0 * sigma * du[0]
             return v1 * u[1], v1 * -du[1]
 
-        both = quad_over_psf(tf, v1_times, margin=ad, what=what)
+        both = quad_over_psf(tf, v1_times, (0.0, 1.0), ad, what=what)
     else:
         a = tf.a
         band = lambda k, d: (k * np.sin(k * d), k * k * np.cos(k * d))

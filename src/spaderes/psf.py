@@ -23,17 +23,19 @@ coincides with the constructor parameter.  The binary demultiplexer sorts
 into v0(x) = u(x) and the derivative mode v1(x) = -2 sigma u'(x), an
 orthonormal pair for real u.
 
-Integration domains of :func:`quad_over_psf` are kind-aware, for the analytic
-kinds only: Gaussian integrands are truncated at 10 sigma (tails < 1e-22), and
-sinc integrands decay only as 1/x and are handled by the tail-extrapolated
-ladder in :mod:`spaderes.integrate` with panels aligned to the oscillation
-period pi/a: TAIL_LEVELS rungs from SINC_HALF_WIDTH_OVER_A / a past the
-margin, packed into one kept node array per start (16,384-18,432 nodes a d
-on 0-5 sigma) that the integrand sees in a few chunks.  sin(a x) and
-cos(a x) of those nodes are kept as well, by value of (a, start), and the
-sinc evaluator takes them for the chunk it is called on.  The mode overlaps
-of :mod:`spaderes.overlap` take it for the Gaussian only: sinc overlaps are
-integrated over the flat spectrum.
+:func:`quad_over_psf` is the one place where an analytic PSF is evaluated
+under a quadrature: its integrand takes u and u' of the displaced images
+and never evaluates the PSF itself.  Its domains are kind-aware: Gaussian
+integrands are truncated at 10 sigma (tails < 1e-22), and sinc integrands
+decay only as 1/x and are handled by the tail-extrapolated ladder in
+:mod:`spaderes.integrate` with panels aligned to the oscillation period
+pi/a: TAIL_LEVELS rungs from SINC_HALF_WIDTH_OVER_A / a past the margin,
+packed into one kept row of nodes per start (16,384-18,432 nodes a d on
+0-5 sigma) that is evaluated in a few chunks.  sin(a x) and cos(a x) of
+those nodes are kept as well, by value of (a, start), and handed to the
+sinc evaluator with each chunk.  The mode overlaps of :mod:`spaderes.overlap`
+take it for the Gaussian only: sinc overlaps are integrated over the flat
+spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
@@ -49,7 +51,6 @@ overlap exactly in a few operations per d.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -435,7 +436,7 @@ def _sinc_near(t: np.ndarray):
     return f, df
 
 
-def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
+def _sinc_images(a: float, x: np.ndarray, s: np.ndarray, trig=None):
     """u and u' of the sinc at x - s, from one sin and one cos of a x per node.
 
     With t = a (x - s), u = k sin t / t and u' = (k cos t - u) / (x - s),
@@ -447,18 +448,15 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
     |t| < max(1, |a s|), a few dozen in a quadrature over thousands), sin and
     cos are taken of t itself (:func:`_sinc_near`), a row at a time, as its
     matrix product rounds by position.  That keeps every value within a few
-    eps of the peak of exact, and a row's bits those it has alone.  On a
-    chunk of the tail ladder that :func:`quad_over_psf` integrates over, sin
-    and cos of a x are the kept ones (:func:`_ladder_trig`), with the same bits.
+    eps of the peak of exact, and a row's bits those it has alone.  ``trig``,
+    if given, is sin(a x) and cos(a x) of these nodes, kept by the caller
+    with the same bits (:func:`_ladder_trig`).
     """
     k = np.sqrt(a / np.pi)
-    kept = _LADDER_TRIG.get()
-    if kept is not None and kept[0] == a and kept[1] is x:
-        sin_ax, cos_ax = kept[2:]
-    else:
+    if trig is None:
         ax = a * x
-        sin_ax = np.sin(ax)
-        cos_ax = np.cos(ax, out=ax)
+        trig = np.sin(ax), np.cos(ax, out=ax)
+    sin_ax, cos_ax = trig
     sin_as, cos_as = np.sin(a * s), np.cos(a * s)
     u = sin_ax * (k / a * cos_as)
     u -= cos_ax * (k / a * sin_as)  # k sin t / a
@@ -481,11 +479,6 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray):
     return u, du
 
 
-# (a, nodes, sin(a x), cos(a x)) of the tail-ladder chunk that quad_over_psf
-# is integrating a sinc integrand on, or None
-_LADDER_TRIG = contextvars.ContextVar("ladder_trig", default=None)
-
-
 @lru_cache(maxsize=8)
 def _ladder_trig(a: float, m0: int):
     """sin(a x) and cos(a x) of the packed tail ladder from m0 periods pi/a,
@@ -493,22 +486,6 @@ def _ladder_trig(a: float, m0: int):
     value of (a, m0), read-only, 0.3 MiB at the sinc start width."""
     ax = a * _ladder(m0, np.pi / a)[0]
     return _read_only(np.sin(ax), np.cos(ax, out=ax))
-
-
-def _on_ladder_trig(a: float, f: Callable) -> Callable:
-    """f as integrate_oscillatory_tails calls it with the chunk's kept sin and
-    cos of a x after its arguments: while f runs, :func:`_sinc_images` of
-    the same a takes them for that very node array."""
-
-    def integrand(x, *args):
-        *args, sin_ax, cos_ax = args
-        token = _LADDER_TRIG.set((a, x, sin_ax, cos_ax))
-        try:
-            return f(x, *args)
-        finally:
-            _LADDER_TRIG.reset(token)
-
-    return integrand
 
 
 def eval_images(tf: TransferFunction, x, shifts):
@@ -574,34 +551,44 @@ def sigma_of(tf: TransferFunction) -> float:
 
 
 def quad_over_psf(
-    tf: TransferFunction, f: Callable, margin=0.0, rel_tol=QUAD_REL_TOL, what="psf integral"
+    tf: TransferFunction,
+    f: Callable,
+    shifts,
+    margin=0.0,
+    rel_tol=QUAD_REL_TOL,
+    what="psf integral",
 ):
-    """Integrate a PSF-derived integrand over the kind-appropriate domain.
+    """Integrate f of the displaced images u(x - k margin), one for each
+    multiplier k of ``shifts``, over the kind-appropriate domain.
 
-    Gaussian and sinc kinds only; ``margin`` widens the domain for displaced
-    integrands such as u(x - d).  A number ``margin`` integrates f(x) on 1-D
-    nodes into a float.  A 1-D array of margins d integrates one row per d:
-    f(x, d) gets (rows or 1, n) nodes and the rows' d as a (rows, 1) column,
-    and returns (rows, n), or (k, rows, n) for k integrands that a sequence
-    ``what`` names; each row is reduced on its own, with the bits it has
-    alone (:mod:`spaderes.integrate`), and one :func:`check_converged` judges
-    all rows.  A sinc integrand is called on the tail ladder's chunks, a row
-    at a time, and the images it evaluates there with :func:`eval_images`
-    take the ladder's kept sin and cos of a x; the ladder's error estimate
-    tracks its own extrapolation order.  A tabulated PSF's integrals run
-    piece by piece on its spline (:class:`SplinePieces`).
+    Gaussian and sinc kinds only.  f(u, du) gets u and u' of the images as
+    arrays (len(shifts), rows, n) and returns (rows, n), or (k, rows, n) for
+    k integrands that a sequence ``what`` names.  A number ``margin`` gives
+    one integral, a float; a 1-D array of margins d gives one row per d,
+    each reduced on its own with the bits it has alone
+    (:mod:`spaderes.integrate`), and one :func:`check_converged` judges all
+    rows.  The domain is widened by |margin|.  The images come from the
+    evaluator :func:`eval_images` dispatches to; on the sinc tail ladder, with
+    its kept sin and cos of a x (:func:`_ladder_trig`), and the ladder's error
+    estimate tracks its own extrapolation order.  A tabulated PSF's
+    integrals run piece by piece on its spline (:class:`SplinePieces`).
     """
-    d = None if np.ndim(margin) == 0 else margin
+    ks = np.asarray(shifts, dtype=float)[:, None, None]
+    d = np.reshape(margin, -1)
     if tf.kind == GAUSSIAN:
-        half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + np.abs(margin)
-        n_panels = np.maximum(48, np.ceil(4.0 * half / tf.sigma))
-        value, err = integrate_refined(f, -half, half, n_panels, d)
+        sigma = tf.sigma
+        half = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma + np.abs(margin)
+        n_panels = np.maximum(48, np.ceil(4.0 * half / sigma))
+        integrand = lambda x, d: f(*_gaussian_images(sigma, x, ks * d))
+        value, err = integrate_refined(integrand, -half, half, n_panels, d)
     elif tf.kind == SINC:
         a = tf.a
         half, period = SINC_HALF_WIDTH_OVER_A / a + np.abs(margin), np.pi / a
+        integrand = lambda x, d, *trig: f(*_sinc_images(a, x, ks * d, trig))
         value, err = integrate_oscillatory_tails(
-            _on_ladder_trig(a, f), half, period, d, kept=partial(_ladder_trig, a)
+            integrand, half, period, d, kept=partial(_ladder_trig, a)
         )
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
-    return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
+    value = check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
+    return value if np.ndim(margin) else float(value[0])

@@ -8,7 +8,7 @@ import pytest
 from spaderes.direct_imaging import (
     DIRECT_REL_TOL,
     P_FLOOR,
-    _image_density,
+    _density,
     _information_density,
     fi_direct,
     qfi,
@@ -16,9 +16,18 @@ from spaderes.direct_imaging import (
 )
 from spaderes import integrate, psf
 from spaderes.errors import ValidationError
-from spaderes.integrate import check_converged, composite_gauss_legendre
+from spaderes.integrate import (
+    check_converged,
+    composite_gauss_legendre,
+    integrate_oscillatory_tails,
+    integrate_refined,
+)
 from spaderes.overlap import tau1_closed, tau1_numeric
 from spaderes.psf import (
+    GAUSSIAN_HALF_WIDTH_SIGMAS,
+    QUAD_ABS_TOL,
+    SINC_HALF_WIDTH_OVER_A,
+    eval_images,
     eval_u,
     eval_u_prime,
     gaussian_psf,
@@ -35,11 +44,22 @@ SINC = sinc_psf(sigma=1.0)
 TABULATED = load_tabulated(GOLDEN / "psf_gaussian_801.txt")
 
 
+def _image_density(tf, x, d: float):
+    """p and dp/dd at the points x, from the images fi_direct's integrand gets."""
+    u, du = eval_images(tf, x, (-d, d))
+    return _density((u[0], du[0]), (u[1], du[1]))
+
+
+def _images_density(u, du):
+    """p of the images at x + d and x - d, as quad_over_psf hands them over."""
+    return _density((u[0], du[0]), (u[1], du[1]))[0]
+
+
 def test_density_normalized_and_even_in_d():
     total = composite_gauss_legendre(lambda x: _image_density(GAUSS, x, 0.8)[0], -12.0, 12.0, 48)
     assert total == pytest.approx(1.0, abs=1e-12)
     # the sinc's images decay as 1/x: its tail ladder
-    total = quad_over_psf(SINC, lambda x: _image_density(SINC, x, 0.8)[0], margin=0.8)
+    total = quad_over_psf(SINC, _images_density, (-1.0, 1.0), margin=0.8)
     assert total == pytest.approx(1.0, abs=1e-9)
     x = np.array([-1.3, 0.2, 2.1, 37.9])
     for tf in (GAUSS, SINC):
@@ -58,6 +78,15 @@ def _four_call_density(tf, x, d):
     return 0.5 * (um**2 + up**2), up * dup - um * dum
 
 
+def _kind_quadrature(tf, f, margin):
+    """(value, error estimate) of f(x) over quad_over_psf's domain and rule
+    for ``tf`` at the displacement ``margin``, with f evaluating the PSF itself."""
+    if tf.kind == "gaussian":
+        half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + margin
+        return integrate_refined(f, -half, half, max(48, np.ceil(4.0 * half / tf.sigma)))
+    return integrate_oscillatory_tails(f, SINC_HALF_WIDTH_OVER_A / tf.a + margin, np.pi / tf.a)
+
+
 def _four_call_fi_direct(tf, d):
     """fi_direct at n_s = 1 with the four-call density, through the same quadrature."""
     if d == 0.0:
@@ -67,7 +96,8 @@ def _four_call_fi_direct(tf, d):
         p, dp = _four_call_density(tf, x, d)
         return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
 
-    return quad_over_psf(tf, information, margin=d, rel_tol=DIRECT_REL_TOL)
+    value, err = _kind_quadrature(tf, information, d)
+    return check_converged(value, err, DIRECT_REL_TOL, QUAD_ABS_TOL, "four-call information")
 
 
 def test_gaussian_density_keeps_the_four_call_bits():
@@ -89,17 +119,44 @@ def test_direct_imaging_matches_the_four_call_integrand(tf):
         np.testing.assert_allclose(fi_direct(tf, d, 1.0), reference, rtol=1e-13, atol=0.0)
 
 
+def _without_kept_trigonometry(tf, f, shifts, margin):
+    """quad_over_psf's sinc integral of f(u, du), value and error estimate,
+    with sin and cos of a x computed afresh on every chunk."""
+    a, ks, d = tf.a, np.asarray(shifts, dtype=float)[:, None, None], np.reshape(margin, -1)
+    integrand = lambda x, d: f(*psf._sinc_images(a, x, ks * d))
+    return integrate_oscillatory_tails(integrand, SINC_HALF_WIDTH_OVER_A / a + d, np.pi / a, d)
+
+
 def test_kept_ladder_trigonometry_keeps_the_bits():
-    # the sinc integrand takes sin and cos of a x kept per ladder start; on a
-    # copy of the nodes it computes them afresh, to the same bits
-    information = lambda x, d: _information_density(*_image_density(SINC, x, d))
-    afresh = lambda x, d: information(np.array(x), d)
+    # the sinc integrand takes sin and cos of a x kept per ladder start; the
+    # same integral with them computed afresh has the same bits
     d = np.linspace(0.0, 5.0, 11)
     calls = sum(psf._ladder_trig.cache_info()[:2])
-    kept = quad_over_psf(SINC, information, margin=d, rel_tol=DIRECT_REL_TOL)
+    kept = fi_direct(SINC, d, 1.0)
     assert sum(psf._ladder_trig.cache_info()[:2]) > calls
-    assert np.array_equal(kept, quad_over_psf(SINC, afresh, margin=d, rel_tol=DIRECT_REL_TOL))
-    assert np.array_equal(fi_direct(SINC, d, 1.0), kept)
+    information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
+    afresh, _ = _without_kept_trigonometry(SINC, information, (-1.0, 1.0), d)
+    assert np.array_equal(kept, 1.0 * afresh)
+
+
+@pytest.mark.parametrize("tf", [SINC, sinc_psf(sigma=1.3)], ids=["sinc", "sinc-1.3"])
+def test_sinc_qfi_takes_the_kept_ladder_trigonometry(tf, monkeypatch):
+    # every ladder chunk of the derivative energy is evaluated on slices of
+    # the kept sin(a x) and cos(a x), with the bits of evaluating them afresh
+    calls, images = [], psf._sinc_images
+    monkeypatch.setattr(psf, "_sinc_images", lambda *args: calls.append(args) or images(*args))
+    m0 = 16  # the smallest even multiple of the period pi / a past 50 / a
+    sin_ax, cos_ax = psf._ladder_trig(tf.a, m0)
+    hits = psf._ladder_trig.cache_info().hits
+    kept = qfi_numeric(tf, 1.0)
+    assert psf._ladder_trig.cache_info().hits > hits
+    for args in calls:
+        assert len(args) == 4 and args[3] is not None
+        assert np.shares_memory(args[3][0], sin_ax) and np.shares_memory(args[3][1], cos_ax)
+    assert len(calls) == len(integrate._chunks(sin_ax.size)) > 1
+    monkeypatch.undo()
+    afresh, _ = _without_kept_trigonometry(tf, lambda u, du: du[0] ** 2, (0.0,), 0.0)
+    assert kept == 4.0 * 1.0 * float(afresh[0])
 
 
 def test_well_separated_recovers_full_information():

@@ -108,6 +108,39 @@ def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
     assert first == integrate._extrapolate_to_zero(1.0 / np.asarray(widths), partials)
 
 
+def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
+    # a row of over CHUNK_NODES nodes runs alone, in equal chunks, and its
+    # value is one np.dot over the whole unchunked row, alone or in an array
+    f = lambda x, d: np.exp(-((x - d) ** 2) / 4.0) * np.cos(x)
+    d = np.array([0.5, 300.0, 2.0])  # a Gaussian composite row at 300 sigma is long
+    half = 10.0 + d
+    n_panels = np.maximum(48, np.ceil(4.0 * half))
+    sizes = []
+    sized = lambda x, d: sizes.append(x.shape) or f(x, d)
+    value = composite_gauss_legendre(sized, -half, half, n_panels, d)
+    # the two short rows share one pass; the long one takes three equal chunks
+    n = PANEL_NODES * int(n_panels[1])
+    assert 2 * CHUNK_NODES < n <= 3 * CHUNK_NODES
+    assert sizes == [(2, PANEL_NODES * 48), (1, n // 3), (1, n // 3), (1, n - 2 * (n // 3))]
+    for i in range(d.size):
+        x, w = integrate._panel_nodes(-half[i], half[i], int(n_panels[i]))
+        row = slice(i, i + 1)
+        alone = composite_gauss_legendre(f, -half[row], half[row], n_panels[row], d[row])
+        assert value[i] == alone[0] == np.dot(w[0], f(x[0], d[i]))
+    # a ladder row, 16,384 nodes from 64 periods, by the segments' dots over its whole row
+    g = lambda x, d: np.sinc((x - d) / np.pi) ** 2
+    d = np.array([0.0, 1.0, 7.0])
+    value, _ = integrate_oscillatory_tails(g, 200.0, np.pi, d)
+    x, w, segments = integrate._ladder(64, np.pi)
+    assert w.size > CHUNK_NODES
+    for i in range(d.size):
+        partials = np.cumsum([np.dot(w[0, s], g(x[0], d[i])[s]) for s in segments])[::2]
+        widths = 64 * np.pi * 2.0 ** np.arange(TAIL_LEVELS)
+        expect = integrate._extrapolate_to_zero(1.0 / widths, list(partials))[0]
+        alone = integrate_oscillatory_tails(g, 200.0, np.pi, d[i : i + 1])[0]
+        assert value[i] == alone[0] == expect
+
+
 def test_refusal_prints_plain_floats():
     for value, err in ((np.float64(0.85), np.float64(1e-3)), (np.array([0.85]), np.array([1e-3]))):
         with pytest.raises(NumericError) as refusal:

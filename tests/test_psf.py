@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from spaderes import integrate, psf
 from spaderes.errors import ValidationError
-from spaderes.integrate import integrate_oscillatory_tails
+from spaderes.integrate import CHUNK_NODES, integrate_oscillatory_tails
 from spaderes.psf import (
     SINC_HALF_WIDTH_OVER_A,
     eval_images,
@@ -63,7 +63,7 @@ def test_sigma_round_trip():
 def test_normalization_numeric():
     # |integral u^2 - 1| < 1e-9, including the slowly decaying sinc
     for tf in (GAUSS, SINC_S1, gaussian_psf(0.5), sinc_psf(a=3.0)):
-        norm = quad_over_psf(tf, lambda x: eval_u(tf, x) ** 2)
+        norm = quad_over_psf(tf, lambda u, du: u[0] ** 2, (0.0,))
         assert abs(norm - 1.0) < 1e-9
 
 
@@ -74,8 +74,9 @@ def _v1(tf, x):
 
 def test_mode_pair_orthonormal():
     for tf, tol in ((GAUSS, 1e-8), (SINC_S1, 1e-6)):
-        cross = quad_over_psf(tf, lambda x: eval_u(tf, x) * _v1(tf, x))
-        v1sq = quad_over_psf(tf, lambda x: _v1(tf, x) ** 2)
+        v1 = lambda du: -2.0 * sigma_of(tf) * du[0]
+        cross = quad_over_psf(tf, lambda u, du: u[0] * v1(du), (0.0,))
+        v1sq = quad_over_psf(tf, lambda u, du: v1(du) ** 2, (0.0,))
         assert abs(cross) < 1e-9
         assert abs(v1sq - 1.0) < tol
 
@@ -139,13 +140,16 @@ def test_sinc_images_match_long_double(d):
 
 def test_kept_ladder_trigonometry_is_each_chunks_own():
     # sin(a x) and cos(a x) of the whole packed ladder, kept by value of
-    # (a, m0), hold the bits the evaluator gives each chunk on its own
+    # (a, m0), hold the bits the evaluator gives each chunk of the ladder's
+    # row on its own
     for tf in (SINC_S1, SINC_A1):
         a = tf.a
         for m0 in (16, 18):
-            x, _, _, chunks = integrate._ladder(m0, np.pi / a)
+            x = integrate._ladder(m0, np.pi / a)[0]
             sin_ax, cos_ax = psf._ladder_trig(a, m0)
             assert psf._ladder_trig(float(a), m0)[0] is sin_ax and not sin_ax.flags.writeable
+            chunks = integrate._chunks(x.size)
+            assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= CHUNK_NODES
             for c in chunks:
                 assert np.array_equal(sin_ax[:, c], np.sin(a * x[:, c]))
                 assert np.array_equal(cos_ax[:, c], np.cos(a * x[:, c]))

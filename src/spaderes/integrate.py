@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature, of one integral or of one row per d.
+"""Composite Gauss-Legendre quadrature, one row per d.
 
 ``composite_gauss_legendre`` / ``integrate_refined`` integrate smooth
 integrands on a finite interval (rapidly decaying tails already truncated
@@ -10,18 +10,18 @@ to X -> infinity in powers of 1/X.  Its error estimate compares that
 extrapolation with the one an order lower over the ladder's upper rungs, so
 it tracks the order it judges.
 
-Without ``d`` each integrates f(x) over 1-D arrays of nodes into a float.
-With a 1-D array ``d``, row i integrates f(x, d_i); the bounds are two
-numbers or two arrays of d's shape, a count either.  f takes a block of
-rows' nodes, (rows, n) or (1, n) where shared, and their d as a (rows, 1)
-column, and returns (rows, n), or (k, rows, n) for k integrands: the result
-is (d.size,) or (d.size, k).  One driver, :func:`_row_sums`, runs every
-rule.  Rows of one panel count share a pass, in blocks of at most
-NODES_PER_BLOCK nodes, over nodes kept per count where nothing else sets
-them; a row of over CHUNK_NODES nodes, such as the tail ladder's, runs
-alone, in a few equal chunks.  Each segment of a row (the whole row of a
-composite rule, each segment of the ladder) is reduced on its own by np.dot,
-so a row gets the same bits alone or in any batch.
+Each takes a 1-D array ``d`` and integrates one row per d: row i
+integrates f(x, d_i); the bounds are two numbers or two arrays of d's shape,
+a count either.  f takes a block of rows' nodes, (rows, n) or (1, n) where
+shared, and their d as a (rows, 1) column, and returns (rows, n), or
+(k, rows, n) for k integrands: the result is (d.size,) or (d.size, k).
+One driver, :func:`_row_sums`, runs every rule.  Rows of one panel count
+share a pass, in blocks of at most NODES_PER_BLOCK nodes, over nodes kept
+per count where nothing else sets them; a row of over CHUNK_NODES nodes,
+such as the tail ladder's, runs alone, in a few equal chunks.  Each segment
+of a row (the whole row of a composite rule, each segment of the ladder) is
+reduced on its own by np.dot, so a row gets the same bits alone or in any
+batch.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def _gl_nodes(n_nodes: int):
 
 
 def _row_sums(f, d, counts, layout) -> np.ndarray:
-    """np.dot(weights, f) over each segment of every row of the 1-D d (of the
-    one row of f(x) if d is None): shape (rows,) + f's leading axes + (segments,).
+    """np.dot(weights, f) over each segment of every row of the 1-D d:
+    shape (rows,) + f's leading axes + (segments,).
 
     Rows are grouped by ``counts``, a number or one per row; ``layout(count)``
     gives a group's (n, segments, nodes): n nodes a row, the slices of its
@@ -71,7 +71,7 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
     alike.  Rows of at most CHUNK_NODES nodes share passes, in blocks of at
     most NODES_PER_BLOCK nodes; a longer row runs alone, in equal chunks.
     """
-    one, d = d is None, np.zeros(1) if d is None else np.asarray(d, dtype=float)
+    d = np.asarray(d, dtype=float)
     if not d.size:
         return np.zeros((0, 1))
     groups = {}
@@ -86,17 +86,14 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
         for start in range(0, len(rows), per_block):
             block = rows[start : start + per_block]
             x, w, *extra = nodes(block) if callable(nodes) else nodes
-            if one:
-                x, extra, column = x[0], [e[0] for e in extra], ()
-            else:
-                column = (d_rows[start : start + per_block],)
+            column = d_rows[start : start + per_block]
             if len(chunks) == 1:
-                values = np.asarray(f(x, *column, *extra), dtype=float)
+                values = np.asarray(f(x, column, *extra), dtype=float)
             else:
                 values = np.concatenate(
-                    [f(x[..., c], *column, *[e[..., c] for e in extra]) for c in chunks], axis=-1
+                    [f(x[..., c], column, *[e[..., c] for e in extra]) for c in chunks], axis=-1
                 )
-            lead = values.shape[: values.ndim - (1 if one else 2)]
+            lead = values.shape[:-2]
             weights = w if len(w) == len(block) else [w[0]] * len(block)
             for i, wi, row in zip(block, weights, values.reshape(-1, len(block), n).swapaxes(0, 1)):
                 sums[i] = [np.dot(wi[s], v[s]) for v in row for s in segments]
@@ -116,8 +113,9 @@ def _chunks(n: int) -> tuple:
 _WHOLE = (slice(None),)
 
 
-def composite_gauss_legendre(f: Callable[..., np.ndarray], a, b, n_panels, d=None):
-    """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels."""
+def composite_gauss_legendre(f: Callable[..., np.ndarray], a, b, n_panels, d):
+    """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels,
+    a row per d of the 1-D ``d``."""
     if not np.greater(b, a).all():
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
 
@@ -126,8 +124,7 @@ def composite_gauss_legendre(f: Callable[..., np.ndarray], a, b, n_panels, d=Non
             return PANEL_NODES * count, _WHOLE, _shared_panel_nodes(float(a), float(b), count)
         return PANEL_NODES * count, _WHOLE, lambda block: _panel_nodes(a[block], b[block], count)
 
-    value = _row_sums(f, d, n_panels, layout)[..., 0]
-    return value if d is not None else float(value[0])
+    return _row_sums(f, d, n_panels, layout)[..., 0]
 
 
 def _panel_nodes(a, b, n_panels: int):
@@ -149,7 +146,7 @@ def _shared_panel_nodes(a: float, b: float, n_panels: int):
     return _read_only(*_panel_nodes(a, b, n_panels))
 
 
-def integrate_refined(f: Callable[..., np.ndarray], a, b, n_panels, d=None):
+def integrate_refined(f: Callable[..., np.ndarray], a, b, n_panels, d):
     """Integrate on [a, b]; return (value, error estimate from panel doubling).
     Refuses, before evaluating ``f``, a count whose doubled pass is past MAX_PANELS."""
     n_panels = np.asarray(n_panels)
@@ -180,7 +177,7 @@ def _extrapolate_to_zero(ts, values: list) -> tuple:
 
 
 def integrate_oscillatory_tails(
-    f: Callable[..., np.ndarray], half_width, period: float, d=None, kept=None
+    f: Callable[..., np.ndarray], half_width, period: float, d, kept=None
 ):
     """Integral of ``f`` over (-inf, inf) for 1/x-decaying periodic-tail integrands.
 
@@ -196,9 +193,9 @@ def integrate_oscillatory_tails(
     as sin and cos of the nodes, kept by the caller): f then gets each
     chunk's slices of them after its other arguments.
 
-    Returns (value, error estimate from the extrapolation table).  Refuses,
-    before evaluating ``f``, a ladder that would keep over MAX_PANELS panels,
-    PANEL_NODES m0 2^TAIL_LEVELS nodes.
+    Returns (value, error estimate from the extrapolation table), a row per
+    d.  Refuses, before evaluating ``f``, a ladder that would keep over
+    MAX_PANELS panels, PANEL_NODES m0 2^TAIL_LEVELS nodes.
     """
     half_width = np.reshape(half_width, -1)
     # initial half-width: smallest even multiple of the period >= half_width
@@ -224,8 +221,6 @@ def integrate_oscillatory_tails(
     value, err = _extrapolate_to_zero(
         list(np.moveaxis(1.0 / widths, -1, 0)), list(np.moveaxis(partials, -1, 0))
     )
-    if d is None:
-        return float(value[0, 0]), float(err[0, 0])
     return value.reshape((-1,) + lead), err.reshape((-1,) + lead)
 
 

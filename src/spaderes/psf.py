@@ -9,13 +9,14 @@ profiles:
 * ``tabulated`` cubic-spline interpolant of sampled (position, amplitude) data,
                 0 outside the grid hull
 
-u and u' of the analytic kinds come from one evaluator each,
-:func:`eval_images`, which takes every displaced image u(x - s) an integrand
-needs in one call: one exp per Gaussian image, and for sinc one sin and one
-cos of a x per node, shared by all images through angle addition (direct
-sin and cos of a (x - s) near each image peak, and a Taylor series where
-|a (x - s)| < 1).  :func:`eval_u` and :func:`eval_u_prime` are that evaluator
-at s = 0.
+u and u' of the analytic kinds come from one evaluator each, which takes
+every displaced image u(x - s) an integrand needs in one call:
+:func:`_gaussian_images`, one exp per image and node, and
+:func:`_sinc_images`, one sin and one cos of a x per node, shared by all
+images through angle addition (direct sin and cos of a (x - s) near each
+image peak, and a Taylor series where |a (x - s)| < 1).
+:func:`quad_over_psf` calls them on its rows of nodes, and :func:`eval_u`
+and :func:`eval_u_prime` at s = 0.
 
 The characteristic width sigma is defined through the derivative energy,
 sigma = (1/2) (integral of u'(x)^2 dx)^(-1/2); for the analytic kinds it
@@ -111,6 +112,10 @@ class TransferFunction:
     grid: np.ndarray | None = field(default=None, repr=False)
     norm: float = 1.0
     _pieces: SplinePieces | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise UnsupportedKindError(f"unknown PSF kind {self.kind!r}; expected one of {KINDS}")
 
     @property
     def a(self) -> float:
@@ -437,7 +442,8 @@ def _sinc_near(t: np.ndarray):
 
 
 def _sinc_images(a: float, x: np.ndarray, s: np.ndarray, trig=None):
-    """u and u' of the sinc at x - s, from one sin and one cos of a x per node.
+    """u and u' of the sinc at x - s, from one sin and one cos of a x per node:
+    (images, rows, n) for (rows or 1, n) nodes x and (images, rows or 1, 1) shifts s.
 
     With t = a (x - s), u = k sin t / t and u' = (k cos t - u) / (x - s),
     k = sqrt(a / pi).  sin t and cos t follow from sin(a x), cos(a x) and
@@ -488,35 +494,20 @@ def _ladder_trig(a: float, m0: int):
     return _read_only(np.sin(ax), np.cos(ax, out=ax))
 
 
-def eval_images(tf: TransferFunction, x, shifts):
-    """u and u' of the displaced images u(x - s), the analytic kinds only.
-
-    Two arrays of shape (len(shifts),) + x.shape for a 1-D ``shifts``, or
-    (images, rows, n) for (images, rows, 1) shifts and (rows or 1, n) nodes x.
-    The one evaluator of each analytic kind: one exp per Gaussian image and
-    node, and one sin and one cos of a x per node for all sinc images
-    (:func:`_sinc_images`).
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(shifts, dtype=float)
-    if s.ndim == 1:
-        u, du = eval_images(tf, x.reshape(1, -1), s[:, None, None])
-        return u.reshape(s.shape + x.shape), du.reshape(s.shape + x.shape)
-    if tf.kind == GAUSSIAN:
-        return _gaussian_images(tf.sigma, x, s)
-    if tf.kind == SINC:
-        return _sinc_images(tf.a, x, s)
-    raise UnsupportedKindError(f"no closed-form evaluator for kind {tf.kind!r}")
+# the one image of eval_u and eval_u_prime, at no shift
+(_NO_SHIFT,) = _read_only(np.zeros((1, 1, 1)))
 
 
 def _eval(tf: TransferFunction, x, what: str):
     """u (``what="u"``) or u' (``"du"``) at x, of x's shape."""
+    x = np.asarray(x, dtype=float)
     if tf.kind == TABULATED:
-        out = tf._pieces.evaluate(what, np.asarray(x, dtype=float))
+        return tf._pieces.evaluate(what, x)[()]
+    if tf.kind == GAUSSIAN:
+        u, du = _gaussian_images(tf.sigma, x, 0.0)
     else:
-        u, du = eval_images(tf, x, (0.0,))
-        out = (du if what == "du" else u)[0]
-    return out[()]
+        u, du = (v.reshape(x.shape) for v in _sinc_images(tf.a, x.reshape(1, -1), _NO_SHIFT))
+    return (du if what == "du" else u)[()]
 
 
 def eval_u(tf: TransferFunction, x):
@@ -568,10 +559,11 @@ def quad_over_psf(
     each reduced on its own with the bits it has alone
     (:mod:`spaderes.integrate`), and one :func:`check_converged` judges all
     rows.  The domain is widened by |margin|.  The images come from the
-    evaluator :func:`eval_images` dispatches to; on the sinc tail ladder, with
-    its kept sin and cos of a x (:func:`_ladder_trig`), and the ladder's error
-    estimate tracks its own extrapolation order.  A tabulated PSF's
-    integrals run piece by piece on its spline (:class:`SplinePieces`).
+    kind's evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on the
+    sinc tail ladder, with its kept sin and cos of a x (:func:`_ladder_trig`),
+    and the ladder's error estimate tracks its own extrapolation order.  A
+    tabulated PSF's integrals run piece by piece on its spline
+    (:class:`SplinePieces`).
     """
     ks = np.asarray(shifts, dtype=float)[:, None, None]
     d = np.reshape(margin, -1)

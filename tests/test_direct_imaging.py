@@ -15,7 +15,7 @@ from spaderes.direct_imaging import (
     qfi_numeric,
 )
 from spaderes import integrate, psf
-from spaderes.errors import ValidationError
+from spaderes.errors import NumericError, ValidationError
 from spaderes.integrate import (
     check_converged,
     composite_gauss_legendre,
@@ -27,7 +27,6 @@ from spaderes.psf import (
     GAUSSIAN_HALF_WIDTH_SIGMAS,
     QUAD_ABS_TOL,
     SINC_HALF_WIDTH_OVER_A,
-    eval_images,
     eval_u,
     eval_u_prime,
     gaussian_psf,
@@ -45,9 +44,14 @@ TABULATED = load_tabulated(GOLDEN / "psf_gaussian_801.txt")
 
 
 def _image_density(tf, x, d: float):
-    """p and dp/dd at the points x, from the images fi_direct's integrand gets."""
-    u, du = eval_images(tf, x, (-d, d))
-    return _density((u[0], du[0]), (u[1], du[1]))
+    """p and dp/dd at the points x, from the images fi_direct's integrand gets:
+    the kind's evaluator on x as one row of nodes, shifted by -d and d."""
+    x, shifts = np.reshape(x, (1, -1)), np.array([-d, d])[:, None, None]
+    if tf.kind == "gaussian":
+        u, du = psf._gaussian_images(tf.sigma, x, shifts)
+    else:
+        u, du = psf._sinc_images(tf.a, x, shifts)
+    return _density((u[0, 0], du[0, 0]), (u[1, 0], du[1, 0]))
 
 
 def _images_density(u, du):
@@ -56,7 +60,10 @@ def _images_density(u, du):
 
 
 def test_density_normalized_and_even_in_d():
-    total = composite_gauss_legendre(lambda x: _image_density(GAUSS, x, 0.8)[0], -12.0, 12.0, 48)
+    images = lambda x, d: psf._gaussian_images(1.0, x, np.array([-1.0, 1.0])[:, None, None] * d)
+    [total] = composite_gauss_legendre(
+        lambda x, d: _images_density(*images(x, d)), -12.0, 12.0, 48, np.array([0.8])
+    )
     assert total == pytest.approx(1.0, abs=1e-12)
     # the sinc's images decay as 1/x: its tail ladder
     total = quad_over_psf(SINC, _images_density, (-1.0, 1.0), margin=0.8)
@@ -79,12 +86,14 @@ def _four_call_density(tf, x, d):
 
 
 def _kind_quadrature(tf, f, margin):
-    """(value, error estimate) of f(x) over quad_over_psf's domain and rule
-    for ``tf`` at the displacement ``margin``, with f evaluating the PSF itself."""
+    """(value, error estimate) of f(x, d) over quad_over_psf's domain and
+    rule for ``tf`` at the one displacement d = ``margin``, with f evaluating
+    the PSF itself."""
+    d = np.array([margin])
     if tf.kind == "gaussian":
         half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + margin
-        return integrate_refined(f, -half, half, max(48, np.ceil(4.0 * half / tf.sigma)))
-    return integrate_oscillatory_tails(f, SINC_HALF_WIDTH_OVER_A / tf.a + margin, np.pi / tf.a)
+        return integrate_refined(f, -half, half, max(48, np.ceil(4.0 * half / tf.sigma)), d)
+    return integrate_oscillatory_tails(f, SINC_HALF_WIDTH_OVER_A / tf.a + margin, np.pi / tf.a, d)
 
 
 def _four_call_fi_direct(tf, d):
@@ -92,11 +101,11 @@ def _four_call_fi_direct(tf, d):
     if d == 0.0:
         return 0.0
 
-    def information(x):
+    def information(x, d):
         p, dp = _four_call_density(tf, x, d)
         return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
 
-    value, err = _kind_quadrature(tf, information, d)
+    [value], [err] = _kind_quadrature(tf, information, d)
     return check_converged(value, err, DIRECT_REL_TOL, QUAD_ABS_TOL, "four-call information")
 
 
@@ -200,6 +209,15 @@ def test_small_d_form_tracks_exact():
     # 2 n_s d^2 / sigma^4 for the Gaussian
     d = 0.05
     assert fi_direct(GAUSS, d, 1.0) == pytest.approx(2.0 * d**2, rel=0.02)
+
+
+def test_sinc_direct_imaging_refuses_from_about_115_sigma():
+    # the tail ladder's error estimate passes DIRECT_REL_TOL at some d from
+    # 107 sigma and at most d past about 115 sigma; such a d is refused with a
+    # NumericError naming the integral, not answered with a value
+    assert fi_direct(SINC, 100.0, 1.0) == pytest.approx(0.98052, abs=1e-5)
+    with pytest.raises(NumericError, match="direct-imaging information"):
+        fi_direct(SINC, 200.0, 1.0)
 
 
 def test_tabulated_matches_the_gaussian_it_samples():

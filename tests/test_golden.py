@@ -54,6 +54,8 @@ CASES = {
     "simulate_heterodyne_sinc.json": [*_SIMULATE, "--psf", "sinc", "--sigma", "2",
                                       "--measurement", "heterodyne"],
     "qfi_gaussian.json": ["qfi", "--psf", "gaussian", "--n-s", "100", "--check"],
+    # the sinc QFI oracle on the tail ladder, with the PSF given by its lobe scale
+    "qfi_sinc.json": ["qfi", "--psf", "sinc", "--a", "1", "--n-s", "100", "--check"],
     # the sinc closed form over whole arrays, next to its frequency-domain oracle
     "tau_curve_sinc.csv": ["tau-curve", "--psf", "sinc", "--d-max", "2", "--count", "21"],
     "fi_counting_absolute.json": ["fi-curve", "--absolute", "--sigma", "2", "--n-s", "100",

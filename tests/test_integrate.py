@@ -20,11 +20,14 @@ from spaderes.integrate import (
 from spaderes.overlap import tau1_numeric
 from spaderes.psf import gaussian_psf
 
+# one row, at d = 0, for integrands f(x, d) that do not read d
+ONE = np.zeros(1)
+
 
 def test_polynomial_exactness():
     # 16-node Gauss-Legendre is exact through degree 31 on each panel
-    f = lambda x: 3.0 * x**7 - x**4 + 2.0 * x - 5.0
-    got = composite_gauss_legendre(f, -1.0, 3.0, n_panels=3)
+    f = lambda x, d: 3.0 * x**7 - x**4 + 2.0 * x - 5.0
+    [got] = composite_gauss_legendre(f, -1.0, 3.0, 3, ONE)
     exact = (
         3.0 * (3.0**8 - (-1.0) ** 8) / 8
         - (3.0**5 - (-1.0) ** 5) / 5
@@ -35,35 +38,35 @@ def test_polynomial_exactness():
 
 
 def test_gaussian_integral():
-    value, err = integrate_refined(lambda x: np.exp(-(x**2)), -10.0, 10.0, n_panels=32)
+    [value], [err] = integrate_refined(lambda x, d: np.exp(-(x**2)), -10.0, 10.0, 32, ONE)
     assert value == pytest.approx(np.sqrt(np.pi), rel=1e-13)
     assert err < 1e-12
 
 
 def test_error_estimate_is_conservative():
-    f = lambda x: np.cos(7.0 * x) * np.exp(-0.3 * x**2)
-    value, err = integrate_refined(f, -8.0, 8.0, n_panels=24)
-    finer, _ = integrate_refined(f, -8.0, 8.0, n_panels=96)
+    f = lambda x, d: np.cos(7.0 * x) * np.exp(-0.3 * x**2)
+    [value], [err] = integrate_refined(f, -8.0, 8.0, 24, ONE)
+    [finer], _ = integrate_refined(f, -8.0, 8.0, 96, ONE)
     assert abs(value - finer) <= max(err, 1e-14)
 
 
 def test_inverted_interval_rejected():
     with pytest.raises(ValueError):
-        composite_gauss_legendre(np.cos, 1.0, 1.0, n_panels=4)
+        composite_gauss_legendre(lambda x, d: np.cos(x), 1.0, 1.0, 4, ONE)
 
 
 def test_oscillatory_tail_sinc_squared():
     # integral of sinc(x)^2 over the real line = pi; the 1/x^2 tail makes
     # plain truncation at X=200 err at the 1e-3 level, the ladder must not
-    f = lambda x: np.sinc(x / np.pi) ** 2
-    value, err = integrate_oscillatory_tails(f, half_width=200.0, period=np.pi)
+    f = lambda x, d: np.sinc(x / np.pi) ** 2
+    [value], [err] = integrate_oscillatory_tails(f, 200.0, np.pi, ONE)
     assert value == pytest.approx(np.pi, abs=1e-12)
     assert err < 1e-6
 
 
 def test_oscillatory_tail_absolute_convergence():
-    f = lambda x: 1.0 / (1.0 + x**2)
-    value, _ = integrate_oscillatory_tails(f, half_width=3000.0, period=np.pi)
+    f = lambda x, d: 1.0 / (1.0 + x**2)
+    [value], _ = integrate_oscillatory_tails(f, 3000.0, np.pi, ONE)
     assert value == pytest.approx(np.pi, abs=1e-6)
 
 
@@ -84,11 +87,12 @@ def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
     # the packed ladder depends only on (m0, period): a second call reuses it.
     # f sees it in a few equal chunks, fewer than the ladder's segments, and
     # each segment is the composite rule over it, summed in ladder order
-    f = lambda x: np.sinc(x / np.pi) ** 2
+    f = lambda x, d: np.sinc(x / np.pi) ** 2
     calls = []
     integrate._ladder.cache_clear()
-    first = integrate_oscillatory_tails(lambda x: calls.append(x) or f(x), 200.0, np.pi)
-    assert integrate_oscillatory_tails(f, half_width=199.0, period=np.pi) == first
+    counted = lambda x, d: calls.append(x[0]) or f(x, d)
+    first = integrate_oscillatory_tails(counted, 200.0, np.pi, ONE)
+    assert np.array_equal(integrate_oscillatory_tails(f, 199.0, np.pi, ONE), first)
     assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
     m0 = 64  # the smallest even multiple of the period past 200
     segments, total, partials, widths, prev = [], 0.0, [], [], 0.0
@@ -98,14 +102,15 @@ def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
         spans = [(-x, x, 2 * n)] if level == 0 else [(prev, x, n), (-x, -prev, n)]
         for span in spans:
             segments.append(integrate._panel_nodes(*span)[0][0])
-            total += composite_gauss_legendre(f, *span)
+            total += composite_gauss_legendre(f, *span, ONE)[0]
         partials.append(total)
         widths.append(x)
         prev = x
     assert len(calls) == -(-PANEL_NODES * m0 * 2**TAIL_LEVELS // CHUNK_NODES) < len(segments)
     assert len({x.size for x in calls}) == 1 and calls[0].size <= CHUNK_NODES
     assert np.array_equal(np.concatenate(calls), np.concatenate(segments))
-    assert first == integrate._extrapolate_to_zero(1.0 / np.asarray(widths), partials)
+    expect = integrate._extrapolate_to_zero(1.0 / np.asarray(widths), partials)
+    assert (first[0][0], first[1][0]) == expect
 
 
 def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
@@ -153,21 +158,21 @@ def test_panel_cap(monkeypatch):
     # PANEL_NODES x MAX_PANELS nodes, before it evaluates the integrand
     calls = []
     with pytest.raises(NumericError):
-        integrate_oscillatory_tails(lambda x: calls.append(x) or x, 1e8, np.pi)
+        integrate_oscillatory_tails(lambda x, d: calls.append(x) or x, 1e8, np.pi, ONE)
     assert calls == []
     # at the cap: from m0 = 16 periods, 16 x 2^TAIL_LEVELS panels run; m0 = 18 is refused
     monkeypatch.setattr(integrate, "MAX_PANELS", 16 * 2**TAIL_LEVELS)
-    f = lambda x: calls.append(x) or np.zeros_like(x)
-    assert integrate_oscillatory_tails(f, 16 * np.pi, np.pi) == (0.0, 0.0)
+    f = lambda x, d: calls.append(x) or np.zeros_like(x)
+    assert np.array_equal(integrate_oscillatory_tails(f, 16 * np.pi, np.pi, ONE), ([0.0], [0.0]))
     assert sum(x.size for x in calls) == PANEL_NODES * integrate.MAX_PANELS
     calls.clear()
     with pytest.raises(NumericError, match="MAX_PANELS"):
-        integrate_oscillatory_tails(f, 16 * np.pi + 1.0, np.pi, d=np.zeros(1))
+        integrate_oscillatory_tails(f, 16 * np.pi + 1.0, np.pi, ONE)
     assert calls == []
     monkeypatch.undo()
     # the rule itself takes any count; the cap is for the callers whose count
     # grows with a displacement
-    value = composite_gauss_legendre(np.cos, 0.0, 1.0, n_panels=MAX_PANELS + 1)
+    [value] = composite_gauss_legendre(lambda x, d: np.cos(x), 0.0, 1.0, MAX_PANELS + 1, ONE)
     assert value == pytest.approx(np.sin(1.0), rel=1e-12)
 
 

@@ -152,16 +152,16 @@ def test_spline_overlap_matches_gauss_legendre(grid):
     def v1(x):
         return -2.0 * sigma * scipy_spline(x, 1)
 
-    def hull_quadrature(f):
+    def hull_quadrature(f, d):
         n_panels = max(128, min(4096, tab.grid.size))
-        value, err = integrate_refined(f, tab.grid[0], tab.grid[-1], n_panels)
+        [value], [err] = integrate_refined(f, tab.grid[0], tab.grid[-1], n_panels, np.array([d]))
         return check_converged(value, err, QUAD_REL_TOL, QUAD_ABS_TOL, "hull quadrature")
 
     compared = 0
     for k, d in enumerate(D_GRID):
         try:
-            c = hull_quadrature(lambda x: v1(x) * u_off_hull(x - d, 0))
-            cp = hull_quadrature(lambda x: v1(x) * -u_off_hull(x - d, 1))
+            c = hull_quadrature(lambda x, d: v1(x) * u_off_hull(x - d, 0), d)
+            cp = hull_quadrature(lambda x, d: v1(x) * -u_off_hull(x - d, 1), d)
         except NumericError:
             continue
         compared += 1

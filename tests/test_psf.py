@@ -1,17 +1,19 @@
 """Transfer functions: evaluation, widths, mode orthonormality, tabulated IO."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from spaderes import integrate, psf
-from spaderes.errors import ValidationError
+from spaderes.errors import UnsupportedKindError, ValidationError
 from spaderes.integrate import CHUNK_NODES, integrate_oscillatory_tails
+from spaderes.overlap import tau1_closed
 from spaderes.psf import (
     SINC_HALF_WIDTH_OVER_A,
-    eval_images,
+    TransferFunction,
     eval_u,
     eval_u_prime,
     gaussian_psf,
@@ -122,7 +124,10 @@ def test_sinc_images_match_long_double(d):
     k = np.sqrt(a / np.pi)
     nodes = []
     integrate_oscillatory_tails(
-        lambda x: nodes.append(x) or np.zeros_like(x), SINC_HALF_WIDTH_OVER_A / a + d, np.pi / a
+        lambda x, _: nodes.append(x[0]) or np.zeros_like(x),
+        SINC_HALF_WIDTH_OVER_A / a + d,
+        np.pi / a,
+        np.zeros(1),
     )
     t = np.concatenate(
         [[0.0], np.linspace(0.001, 0.099, 50), np.linspace(0.1, 1.0, 91), np.linspace(1.0, 40.0, 400)]
@@ -131,11 +136,11 @@ def test_sinc_images_match_long_double(d):
     far = np.geomspace(1000.0, 4000.0, 2001)
     x = np.concatenate([*nodes, d + t / a, -d + t / a, far, -far])
     assert np.abs(x).max() > 3500.0
-    u, du = eval_images(SINC_S1, x, (d, -d))
+    u, du = psf._sinc_images(a, x[None, :], np.array([d, -d])[:, None, None])
     for row, s in enumerate((d, -d)):
         f, df = _sinc_long_double(np.longdouble(a) * (x.astype(np.longdouble) - np.longdouble(s)))
-        assert np.abs(u[row] / k - f).max() < 1e-15
-        assert np.abs(du[row] / (k * a) - df).max() < 1e-15
+        assert np.abs(u[row, 0] / k - f).max() < 1e-15
+        assert np.abs(du[row, 0] / (k * a) - df).max() < 1e-15
 
 
 def test_kept_ladder_trigonometry_is_each_chunks_own():
@@ -156,11 +161,16 @@ def test_kept_ladder_trigonometry_is_each_chunks_own():
 
 
 def test_eval_u_is_the_evaluator_at_no_shift():
+    # eval_u and eval_u_prime have the bits of the images quad_over_psf's
+    # integrands get, on a row of nodes at a zero shift
     x = np.linspace(-50.0, 50.0, 1001)
-    for tf in (GAUSS, SINC_S1):
-        u, du = eval_images(tf, x, (0.0,))
-        assert np.array_equal(eval_u(tf, x), u[0])
-        assert np.array_equal(eval_u_prime(tf, x), du[0])
+    no_shift = np.zeros((1, 1, 1))
+    for tf, (u, du) in (
+        (GAUSS, psf._gaussian_images(GAUSS.sigma, x[None, :], no_shift)),
+        (SINC_S1, psf._sinc_images(SINC_S1.a, x[None, :], no_shift)),
+    ):
+        assert np.array_equal(eval_u(tf, x), u[0, 0])
+        assert np.array_equal(eval_u_prime(tf, x), du[0, 0])
     # the Gaussian's u and u' share one exp and keep the closed form's bits
     e = np.exp(-(x**2) / 4.0)
     c = (2.0 * np.pi) ** (-0.25)
@@ -203,6 +213,19 @@ def test_tabulated_hull_and_fill():
     for f in (eval_u, eval_u_prime):
         assert np.all(f(tab, outside) == 0.0)
         assert f(tab, 3.5) == 0.0
+
+
+def test_unknown_kind_is_refused_at_construction():
+    with pytest.raises(UnsupportedKindError, match="unknown PSF kind 'airy'"):
+        TransferFunction(kind="airy", sigma=1.0)
+
+
+def test_tabulated_psf_has_no_closed_form_or_kind_adapted_quadrature():
+    tab = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    with pytest.raises(UnsupportedKindError, match="no closed-form transmission"):
+        tau1_closed(tab, 1.0)
+    with pytest.raises(UnsupportedKindError, match="no kind-adapted quadrature"):
+        quad_over_psf(tab, lambda u, du: u[0] ** 2, (0.0,))
 
 
 def test_tabulated_validation():

@@ -49,14 +49,13 @@ def test_homodyne_fi_matches_density_quadrature():
         v = _variance(dd, n_s, 1.0)
         return np.exp(-(q**2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
 
-    def integrand(q):
+    def integrand(q, d):
         dp = (density(q, d + h) - density(q, d - h)) / (2.0 * h)
         return dp**2 / density(q, d)
 
-    assert composite_gauss_legendre(lambda q: density(q, d), -80.0, 80.0, 64) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    fisher = composite_gauss_legendre(integrand, -80.0, 80.0, 64)
+    [total] = composite_gauss_legendre(density, -80.0, 80.0, 64, np.array([d]))
+    assert total == pytest.approx(1.0, abs=1e-12)
+    [fisher] = composite_gauss_legendre(integrand, -80.0, 80.0, 64, np.array([d]))
     assert fisher == pytest.approx(fi_homodyne(SourceScene(GAUSS, d, n_s)), rel=1e-8)
 
 

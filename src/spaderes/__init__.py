@@ -73,7 +73,6 @@ from .quadrature import (
     HETERODYNE,
     HOMODYNE,
     fi_gaussian_1d,
-    fi_gaussian_2d,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,

@@ -89,9 +89,10 @@ def add_io_options(p: argparse.ArgumentParser) -> None:
 
 def add_psf_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--psf", choices=list(KINDS), default=GAUSSIAN, help="PSF kind")
-    p.add_argument("--sigma", type=_positive, default=1.0, help="PSF width sigma")
-    p.add_argument(
-        "--a", type=_positive, default=None, help="sinc lobe scale (alternative to --sigma)"
+    width = p.add_mutually_exclusive_group()
+    width.add_argument("--sigma", type=_positive, default=1.0, help="PSF width sigma")
+    width.add_argument(
+        "--a", type=_positive, default=None, help="sinc lobe scale (instead of --sigma)"
     )
     p.add_argument("--psf-file", default=None, help="two-column file for --psf tabulated")
     p.add_argument(
@@ -120,15 +121,20 @@ def add_readout_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_psf(args) -> TransferFunction:
+    """The PSF the options describe; its sigma replaces args.sigma, so that
+    the config echo names the PSF that ran."""
+    if args.a is not None and args.psf != SINC:
+        raise ValidationError(f"--a is the sinc lobe scale; --psf {args.psf} takes no --a")
     if args.psf == GAUSSIAN:
-        return gaussian_psf(args.sigma)
-    if args.psf == SINC:
-        if args.a is not None:
-            return sinc_psf(a=args.a)
-        return sinc_psf(sigma=args.sigma)
-    if args.psf_file is None:
+        tf = gaussian_psf(args.sigma)
+    elif args.psf == SINC:
+        tf = sinc_psf(sigma=args.sigma) if args.a is None else sinc_psf(a=args.a)
+    elif args.psf_file is None:
         raise ValidationError("--psf tabulated requires --psf-file")
-    return load_tabulated(args.psf_file, normalize=args.normalize_psf)
+    else:
+        tf = load_tabulated(args.psf_file, normalize=args.normalize_psf)
+    args.sigma = tf.sigma
+    return tf
 
 
 def build_noise(args, m: Measurement, n_s: float) -> NoiseModel:

@@ -65,13 +65,6 @@ class SourceScene:
             raise ValidationError(f"n_s must be positive, got {self.n_s}")
         _check_statistics(self.statistics)
 
-    @property
-    def sigma(self) -> float:
-        return sigma_of(self.tf)
-
-    def with_d(self, d: float) -> "SourceScene":
-        return SourceScene(tf=self.tf, d=d, n_s=self.n_s, statistics=self.statistics)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -169,7 +162,7 @@ def fi_counting_small_d(scene: SourceScene, noise: NoiseModel = NO_NOISE):
     at d = 0 when beta = 0; thermal carries the extra factor
     1 / (1 + n_s d^2 / 4 sigma^2 + n_b).
     """
-    sigma = scene.sigma
+    sigma = sigma_of(scene.tf)
     n_s = scene.n_s
     beta = noise.beta(n_s)
     d2 = np.float_power(scene.d, 2)  # pow(), as in overlap.py

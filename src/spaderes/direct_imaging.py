@@ -142,5 +142,6 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
     if tf.kind == TABULATED:
         value = tf._pieces.energy
     else:
-        value = quad_over_psf(tf, lambda u, du: du[0] ** 2, (0.0,), what="derivative energy")
+        energy = lambda u, du: du[0] ** 2
+        [value] = quad_over_psf(tf, energy, (0.0,), np.zeros(1), what="derivative energy")
     return 4.0 * n_s * value

@@ -3,18 +3,22 @@
 ``composite_gauss_legendre`` / ``integrate_refined`` integrate smooth
 integrands on a finite interval (rapidly decaying tails already truncated
 away).  ``integrate_oscillatory_tails`` takes even-symmetric domains where the
-integrand decays only algebraically (~1/x) while oscillating with a fixed
-period: truncating at +-X leaves an O(1/X) tail, so the partial integrals on
-a geometric ladder of TAIL_LEVELS panel-aligned half-widths are extrapolated
-to X -> infinity in powers of 1/X.  Its error estimate compares that
-extrapolation with the one an order lower over the ladder's upper rungs, so
-it tracks the order it judges.
+integrand decays only algebraically (~1/x) while oscillating at a fixed
+frequency a, with the period pi / a: truncating at +-X leaves an O(1/X)
+tail, so the partial integrals on a geometric ladder of TAIL_LEVELS
+panel-aligned half-widths are extrapolated to X -> infinity in powers of
+1/X.  Its error estimate compares that extrapolation with the one an order
+lower over the ladder's upper rungs, so it tracks the order it judges.  The
+ladder keeps, with its nodes x, their phases sin(a x) and cos(a x), and
+hands them to f, so an integrand that oscillates at a takes no
+trigonometry of its own nodes.
 
 Each takes a 1-D array ``d`` and integrates one row per d: row i
 integrates f(x, d_i); the bounds are two numbers or two arrays of d's shape,
 a count either.  f takes a block of rows' nodes, (rows, n) or (1, n) where
-shared, and their d as a (rows, 1) column, and returns (rows, n), or
-(k, rows, n) for k integrands: the result is (d.size,) or (d.size, k).
+shared, and their d as a (rows, 1) column (then, on the tail ladder, the
+phases, sliced alike), and returns (rows, n), or (k, rows, n) for k
+integrands: the result is (d.size,) or (d.size, k).
 One driver, :func:`_row_sums`, runs every rule.  Rows of one panel count
 share a pass, in blocks of at most NODES_PER_BLOCK nodes, over nodes kept
 per count where nothing else sets them; a row of over CHUNK_NODES nodes,
@@ -176,10 +180,9 @@ def _extrapolate_to_zero(ts, values: list) -> tuple:
     return table[0], abs(table[0] - upper)
 
 
-def integrate_oscillatory_tails(
-    f: Callable[..., np.ndarray], half_width, period: float, d, kept=None
-):
-    """Integral of ``f`` over (-inf, inf) for 1/x-decaying periodic-tail integrands.
+def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: float, d):
+    """Integral of ``f`` over (-inf, inf) for 1/x-decaying integrands that
+    oscillate at the frequency ``a``, with the period pi / a.
 
     The partial integral over [-X, X] behaves as S(X) = S - c1/X - c2/X^2 - ...
     with coefficients that are constant when X is restricted to even multiples
@@ -188,16 +191,16 @@ def integrate_oscillatory_tails(
 
     The ladder's segments are packed into one kept row of nodes per start m0
     (:func:`_ladder`), which f sees in chunks, and each segment is reduced by
-    its own np.dot, in ladder order (:func:`_row_sums`).  ``kept``, if given,
-    maps m0 to arrays of the packed nodes' shape that f reads with them (such
-    as sin and cos of the nodes, kept by the caller): f then gets each
-    chunk's slices of them after its other arguments.
+    its own np.dot, in ladder order (:func:`_row_sums`).  f gets each chunk's
+    nodes x, the rows' d, and the ladder's phases sin(a x) and cos(a x) at
+    those nodes.
 
     Returns (value, error estimate from the extrapolation table), a row per
     d.  Refuses, before evaluating ``f``, a ladder that would keep over
     MAX_PANELS panels, PANEL_NODES m0 2^TAIL_LEVELS nodes.
     """
     half_width = np.reshape(half_width, -1)
+    period = np.pi / a
     # initial half-width: smallest even multiple of the period >= half_width
     m0 = np.maximum(2.0, 2.0 * np.ceil(half_width / (2.0 * period)))
     over = m0 * 2**TAIL_LEVELS > MAX_PANELS  # the packed ladder's panels
@@ -210,8 +213,8 @@ def integrate_oscillatory_tails(
         return half_width, half_width
 
     def layout(count):
-        x, w, segments = _ladder(count, period)
-        return w.size, segments, (x, w, *(kept(count) if kept else ()))
+        *nodes, segments = _ladder(count, a)
+        return nodes[0].size, segments, nodes
 
     sums = _row_sums(f, d, m0, layout)
     lead = sums.shape[1:-1]
@@ -225,20 +228,23 @@ def integrate_oscillatory_tails(
 
 
 @lru_cache(maxsize=8)
-def _ladder(m0: int, period: float):
-    """The ladder from m0 periods, packed: its nodes and weights as read-only
-    (1, n) arrays, and the slices of its segments, in order: [-X0, X0], then
-    [X_l-1, X_l] and [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a
-    period.  Built once per m0 and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes,
-    0.3 MiB with the weights at the sinc start width."""
-    x0 = m0 * period
+def _ladder(m0: int, a: float):
+    """The ladder from m0 periods pi / a, packed: its nodes x, weights, and
+    phases sin(a x) and cos(a x) as read-only (1, n) arrays, and the slices
+    of its segments, in order: [-X0, X0], then [X_l-1, X_l] and
+    [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a period.  Built once
+    per (m0, a) and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes, 0.6 MiB with
+    the weights and phases at the sinc start width."""
+    x0 = m0 * (np.pi / a)
     spans = [(-x0, x0, 2 * m0)]
     for level in range(1, TAIL_LEVELS):
         lo, hi, n = x0 * 2 ** (level - 1), x0 * 2**level, m0 * 2 ** (level - 1)
         spans += [(lo, hi, n), (-hi, -lo, n)]
     x, w = (np.concatenate(v, axis=-1) for v in zip(*(_panel_nodes(*s) for s in spans)))
+    ax = a * x
     ends = np.cumsum([0] + [PANEL_NODES * n for _, _, n in spans]).tolist()
-    return *_read_only(x, w), tuple(slice(*e) for e in zip(ends, ends[1:]))
+    segments = tuple(slice(*e) for e in zip(ends, ends[1:]))
+    return *_read_only(x, w, np.sin(ax), np.cos(ax, out=ax)), segments
 
 
 def _read_only(*arrays):

@@ -79,30 +79,27 @@ class Transmission(NamedTuple):
     c_prime: float | np.ndarray
 
 
-def _shrink_ratio(t: np.ndarray) -> np.ndarray:
-    """q(t) = 3 (sin t - t cos t) / t^3, with q(0) = 1; stable near t = 0."""
+def _shrink_ratios(t):
+    """q(t) = 3 (sin t - t cos t) / t^3, with q(0) = 1, and its derivative
+    q'(t) = 3 ((t^2 - 3) sin t + 3 t cos t) / t^4, from one sin and one cos
+    of t; each takes its Taylor series near t = 0, q for |t| < 0.35 and q'
+    for |t| < 0.25, where the closed forms cancel."""
     t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.35
-    ts = np.where(small, 1.0, t)
-    direct = 3.0 * (np.sin(ts) - ts * np.cos(ts)) / ts**3
+    at = np.abs(t)
+    ts = np.where(at < 0.25, 1.0, t)  # t wherever either closed form is kept
+    sin, cos = np.sin(ts), np.cos(ts)
     t2 = t * t
-    series = 1.0 + t2 * (
-        -0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))
+    q = np.where(
+        at < 0.35,
+        1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),
+        3.0 * (sin - ts * cos) / ts**3,
     )
-    return np.where(small, series, direct)[()]
-
-
-def _shrink_ratio_prime(t: np.ndarray) -> np.ndarray:
-    """dq/dt = 3 ((t^2 - 3) sin t + 3 t cos t) / t^4; stable near t = 0."""
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.25
-    ts = np.where(small, 1.0, t)
-    direct = 3.0 * ((ts**2 - 3.0) * np.sin(ts) + 3.0 * ts * np.cos(ts)) / ts**4
-    t2 = t * t
-    series = t * (
-        -0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))
+    qp = np.where(
+        at < 0.25,
+        t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))),
+        3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4,
     )
-    return np.where(small, series, direct)[()]
+    return q[()], qp[()]
 
 
 def tau1_closed(tf: TransferFunction, d) -> Transmission:
@@ -120,8 +117,7 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
         cp = (e / (2.0 * sigma)) * (1.0 - d2 / (4.0 * sigma**2))
     elif tf.kind == SINC:
         a = tf.a
-        q = _shrink_ratio(a * d)
-        qp = _shrink_ratio_prime(a * d)
+        q, qp = _shrink_ratios(a * d)
         c = (d / (2.0 * sigma)) * q
         cp = q / (2.0 * sigma) + (d / (2.0 * sigma)) * qp * a
     else:

@@ -30,13 +30,14 @@ and never evaluates the PSF itself.  Its domains are kind-aware: Gaussian
 integrands are truncated at 10 sigma (tails < 1e-22), and sinc integrands
 decay only as 1/x and are handled by the tail-extrapolated ladder in
 :mod:`spaderes.integrate` with panels aligned to the oscillation period
-pi/a: TAIL_LEVELS rungs from SINC_HALF_WIDTH_OVER_A / a past the margin,
-packed into one kept row of nodes per start (16,384-18,432 nodes a d on
-0-5 sigma) that is evaluated in a few chunks.  sin(a x) and cos(a x) of
-those nodes are kept as well, by value of (a, start), and handed to the
-sinc evaluator with each chunk.  The mode overlaps of :mod:`spaderes.overlap`
-take it for the Gaussian only: sinc overlaps are integrated over the flat
-spectrum.
+pi/a: TAIL_LEVELS rungs from SINC_HALF_WIDTH_OVER_A / a past the margin d
+(and, once d is past SINC_HALF_WIDTH_OVER_A / a, as far again past it, so
+that the first rungs stay clear of the images), packed into one kept row
+of nodes per start (16,384-18,432 nodes a d on 0-5 sigma) that is
+evaluated in a few chunks.  The ladder keeps the phases sin(a x) and
+cos(a x) of its nodes with them, and the sinc evaluator takes each chunk's
+phases from it.  The mode overlaps of :mod:`spaderes.overlap` take it for
+the Gaussian only: sinc overlaps are integrated over the flat spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -65,7 +65,6 @@ from .errors import UnsupportedKindError, ValidationError
 from .integrate import (
     NODES_PER_BLOCK,
     _gl_nodes,
-    _ladder,
     _read_only,
     check_converged,
     integrate_oscillatory_tails,
@@ -455,8 +454,8 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray, trig=None):
     cos are taken of t itself (:func:`_sinc_near`), a row at a time, as its
     matrix product rounds by position.  That keeps every value within a few
     eps of the peak of exact, and a row's bits those it has alone.  ``trig``,
-    if given, is sin(a x) and cos(a x) of these nodes, kept by the caller
-    with the same bits (:func:`_ladder_trig`).
+    if given, is sin(a x) and cos(a x) of these nodes with the same bits,
+    such as the tail ladder's phases.
     """
     k = np.sqrt(a / np.pi)
     if trig is None:
@@ -483,15 +482,6 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray, trig=None):
         u[:, rows, nodes] = k * f
         du[:, rows, nodes] = (k * a) * df
     return u, du
-
-
-@lru_cache(maxsize=8)
-def _ladder_trig(a: float, m0: int):
-    """sin(a x) and cos(a x) of the packed tail ladder from m0 periods pi/a,
-    by the expressions of :func:`_sinc_images`, so with its bits: kept by
-    value of (a, m0), read-only, 0.3 MiB at the sinc start width."""
-    ax = a * _ladder(m0, np.pi / a)[0]
-    return _read_only(np.sin(ax), np.cos(ax, out=ax))
 
 
 # the one image of eval_u and eval_u_prime, at no shift
@@ -545,42 +535,39 @@ def quad_over_psf(
     tf: TransferFunction,
     f: Callable,
     shifts,
-    margin=0.0,
+    margin: np.ndarray,
     rel_tol=QUAD_REL_TOL,
     what="psf integral",
 ):
-    """Integrate f of the displaced images u(x - k margin), one for each
-    multiplier k of ``shifts``, over the kind-appropriate domain.
+    """Integrate f of the displaced images u(x - k d), one for each
+    multiplier k of ``shifts``, over the kind-appropriate domain, a row for
+    each margin d of the 1-D array ``margin``.
 
     Gaussian and sinc kinds only.  f(u, du) gets u and u' of the images as
     arrays (len(shifts), rows, n) and returns (rows, n), or (k, rows, n) for
-    k integrands that a sequence ``what`` names.  A number ``margin`` gives
-    one integral, a float; a 1-D array of margins d gives one row per d,
-    each reduced on its own with the bits it has alone
+    k integrands that a sequence ``what`` names: the result is (d.size,) or
+    (d.size, k).  Each row is reduced on its own with the bits it has alone
     (:mod:`spaderes.integrate`), and one :func:`check_converged` judges all
-    rows.  The domain is widened by |margin|.  The images come from the
-    kind's evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on the
-    sinc tail ladder, with its kept sin and cos of a x (:func:`_ladder_trig`),
-    and the ladder's error estimate tracks its own extrapolation order.  A
-    tabulated PSF's integrals run piece by piece on its spline
-    (:class:`SplinePieces`).
+    rows.  The domain is widened by |d|.  The images come from the kind's
+    evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on the sinc
+    tail ladder, with the ladder's phases sin(a x) and cos(a x), and the
+    ladder's error estimate tracks its own extrapolation order.  A tabulated
+    PSF's integrals run piece by piece on its spline (:class:`SplinePieces`).
     """
     ks = np.asarray(shifts, dtype=float)[:, None, None]
-    d = np.reshape(margin, -1)
+    ad = np.abs(margin)
     if tf.kind == GAUSSIAN:
         sigma = tf.sigma
-        half = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma + np.abs(margin)
+        half = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma + ad
         n_panels = np.maximum(48, np.ceil(4.0 * half / sigma))
         integrand = lambda x, d: f(*_gaussian_images(sigma, x, ks * d))
-        value, err = integrate_refined(integrand, -half, half, n_panels, d)
+        value, err = integrate_refined(integrand, -half, half, n_panels, margin)
     elif tf.kind == SINC:
         a = tf.a
-        half, period = SINC_HALF_WIDTH_OVER_A / a + np.abs(margin), np.pi / a
-        integrand = lambda x, d, *trig: f(*_sinc_images(a, x, ks * d, trig))
-        value, err = integrate_oscillatory_tails(
-            integrand, half, period, d, kept=partial(_ladder_trig, a)
-        )
+        start = SINC_HALF_WIDTH_OVER_A / a
+        half = start + ad + np.maximum(0.0, ad - start)
+        integrand = lambda x, d, *phases: f(*_sinc_images(a, x, ks * d, phases))
+        value, err = integrate_oscillatory_tails(integrand, half, a, margin)
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
-    value = check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
-    return value if np.ndim(margin) else float(value[0])
+    return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)

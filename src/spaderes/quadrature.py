@@ -55,11 +55,6 @@ def fi_gaussian_1d(v, dv):
     return np.float_power(dv, 2) / (2.0 * np.float_power(v, 2))
 
 
-def fi_gaussian_2d(v, dv):
-    """Two i.i.d. Gaussian variates: information is additive."""
-    return 2.0 * fi_gaussian_1d(v, dv)
-
-
 def _fi(scene, kind: str):
     share = signal_share(kind)
     tr = tau1_exact(scene.tf, scene.d)

@@ -6,6 +6,7 @@ single PASS/FAIL line (visible under pytest -s or in captured output).
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,7 +29,6 @@ from spaderes.overlap import tau1_closed, tau1_numeric, tau1_sinc_expansion
 from spaderes.psf import gaussian_psf, sinc_psf
 from spaderes.quadrature import (
     fi_gaussian_1d,
-    fi_gaussian_2d,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
@@ -178,7 +178,7 @@ def test_c07_pmf_oracle_and_gaussian_pipeline():
             noise = NoiseModel.from_snr(snr, n_s)
             for d in (0.05, 0.1, 0.2, 0.5, 1.0):
                 scene = SourceScene(GAUSS, d, n_s, statistics)
-                kbar_fn = lambda x: mean_count(scene.with_d(x), noise)
+                kbar_fn = lambda x: mean_count(replace(scene, d=x), noise)
                 oracle = fi_from_pmf(statistics, kbar_fn, d)
                 closed = fi_counting_exact(scene, noise)
                 worst = max(worst, abs(oracle / closed - 1.0))
@@ -187,7 +187,8 @@ def test_c07_pmf_oracle_and_gaussian_pipeline():
     v, dv = 0.5 + n_s * t.tau1, n_s * t.dtau1_dd
     scene = SourceScene(GAUSS, 0.3, n_s)
     pipeline_ok = fi_homodyne(scene) == fi_gaussian_1d(v, dv)
-    doubling_ok = fi_gaussian_2d(v, dv) == 2.0 * fi_gaussian_1d(v, dv)
+    vh, dvh = 0.5 + 0.5 * n_s * t.tau1, 0.5 * n_s * t.dtau1_dd
+    doubling_ok = fi_heterodyne(scene) == 2.0 * fi_gaussian_1d(vh, dvh)
     ok = worst < 1e-9 and points >= 30 and pipeline_ok and doubling_ok
     _report(
         "C7", ok,

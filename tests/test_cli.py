@@ -10,6 +10,7 @@ import pytest
 
 from spaderes.cli import build_parser, main
 from spaderes.montecarlo import MAX_POINTS
+from spaderes.psf import load_tabulated, sigma_of, sinc_psf
 
 
 def run(argv):
@@ -335,11 +336,13 @@ def test_exit_code_numeric_failure():
         ["--d-max", "12", "--count", "12"],
         ["--d-max", "8"],
         ["--d-max", "30", "--count", "61", "--sigma", "1.3"],
+        ["--d-max", "200", "--count", "11"],
     ],
 )
 def test_sinc_direct_imaging_far_out_exits_zero(extra, capsys):
     # the tail ladder's error estimate tracks its own order, so points past
-    # 7 sigma that are correct to 1e-9 are no longer refused
+    # 7 sigma that are correct to 1e-9 are no longer refused; past 50 / a its
+    # start moves out with d, so 200 sigma answers too
     assert run(["fi-curve", "--psf", "sinc", "--with-direct"] + extra) == 0, capsys.readouterr().err
 
 
@@ -505,6 +508,36 @@ def test_sinc_sigma_and_lobe_scale_agree(capsys, argv, sigma):
     by_a = _json(capsys, argv + ["--psf", "sinc", "--a", repr(float(np.sqrt(3.0) / (2.0 * sigma)))])
     del by_sigma["config"], by_a["config"]
     assert by_sigma == by_a
+
+
+def test_config_echo_names_the_psf_that_ran(capsys):
+    # the echoed sigma is the built PSF's: sqrt(3) / 2a for a lobe scale, the
+    # derivative energy's for a table, and the flag's own for --sigma
+    by_a = _json(capsys, ["qfi", "--psf", "sinc", "--a", "1"])
+    assert by_a["config"]["sigma"] == 0.8660254037844386 == sigma_of(sinc_psf(a=1.0))
+    assert by_a["config"]["a"] == 1.0
+    path = str(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    by_table = _json(capsys, ["qfi", "--psf", "tabulated", "--psf-file", path, "--check"])
+    assert by_table["config"]["sigma"] == by_table["sigma_numeric"] == sigma_of(load_tabulated(path))
+    assert by_table["config"]["sigma"] != 1.0
+    out = _json(capsys, ["fi-curve", "--sigma", "2", "--count", "3", "--format", "json"])
+    assert out["config"]["sigma"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qfi", "--psf", "gaussian", "--a", "2"], "takes no --a"),
+        (["qfi", "--a", "2"], "takes no --a"),
+        (["tau-curve", "--psf", "tabulated", "--psf-file", "x.txt", "--a", "2"], "takes no --a"),
+        (["qfi", "--psf", "sinc", "--sigma", "3", "--a", "1"], "not allowed with"),
+        (["d-half", "--psf", "sinc", "--a", "1", "--sigma", "3", "--snr", "1e4"], "not allowed with"),
+    ],
+)
+def test_lobe_scale_is_sinc_alone_and_instead_of_sigma(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("command", [["qfi"], ["d-half", "--snr", "1e4"]])

@@ -1,5 +1,7 @@
 """Photon-counting statistics and Fisher information for the projected mode."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,10 +201,12 @@ def test_validation():
         NoiseModel(-0.5)
 
 
-def test_with_d_and_beta():
-    sc = scene(0.2, n_s=4.0)
-    assert sc.with_d(0.5).d == 0.5
-    assert sc.with_d(0.5).n_s == 4.0
+def test_replaced_d_and_beta():
+    sc = scene(0.2, n_s=4.0, statistics=THERMAL)
+    moved = replace(sc, d=0.5)
+    assert (moved.d, moved.n_s, moved.statistics, moved.tf) == (0.5, 4.0, THERMAL, sc.tf)
+    with pytest.raises(ValidationError):
+        replace(sc, d=-0.5)
     assert NoiseModel(2.0).beta(4.0) == 0.5
     assert NoiseModel.from_snr(np.inf, 4.0).n_b == 0.0
     assert NoiseModel.from_snr(100.0, 4.0).n_b == pytest.approx(0.04, rel=1e-14)

@@ -66,7 +66,7 @@ def test_density_normalized_and_even_in_d():
     )
     assert total == pytest.approx(1.0, abs=1e-12)
     # the sinc's images decay as 1/x: its tail ladder
-    total = quad_over_psf(SINC, _images_density, (-1.0, 1.0), margin=0.8)
+    [total] = quad_over_psf(SINC, _images_density, (-1.0, 1.0), np.array([0.8]))
     assert total == pytest.approx(1.0, abs=1e-9)
     x = np.array([-1.3, 0.2, 2.1, 37.9])
     for tf in (GAUSS, SINC):
@@ -88,12 +88,12 @@ def _four_call_density(tf, x, d):
 def _kind_quadrature(tf, f, margin):
     """(value, error estimate) of f(x, d) over quad_over_psf's domain and
     rule for ``tf`` at the one displacement d = ``margin``, with f evaluating
-    the PSF itself."""
+    the PSF itself (and leaving the tail ladder's phases aside)."""
     d = np.array([margin])
     if tf.kind == "gaussian":
         half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + margin
         return integrate_refined(f, -half, half, max(48, np.ceil(4.0 * half / tf.sigma)), d)
-    return integrate_oscillatory_tails(f, SINC_HALF_WIDTH_OVER_A / tf.a + margin, np.pi / tf.a, d)
+    return integrate_oscillatory_tails(f, SINC_HALF_WIDTH_OVER_A / tf.a + margin, tf.a, d)
 
 
 def _four_call_fi_direct(tf, d):
@@ -101,7 +101,7 @@ def _four_call_fi_direct(tf, d):
     if d == 0.0:
         return 0.0
 
-    def information(x, d):
+    def information(x, d, *phases):
         p, dp = _four_call_density(tf, x, d)
         return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
 
@@ -129,20 +129,21 @@ def test_direct_imaging_matches_the_four_call_integrand(tf):
 
 
 def _without_kept_trigonometry(tf, f, shifts, margin):
-    """quad_over_psf's sinc integral of f(u, du), value and error estimate,
-    with sin and cos of a x computed afresh on every chunk."""
+    """quad_over_psf's sinc integral of f(u, du) for |d| up to 50 / a, value
+    and error estimate, with sin and cos of a x computed afresh on every
+    chunk instead of taken from the ladder's phases."""
     a, ks, d = tf.a, np.asarray(shifts, dtype=float)[:, None, None], np.reshape(margin, -1)
-    integrand = lambda x, d: f(*psf._sinc_images(a, x, ks * d))
-    return integrate_oscillatory_tails(integrand, SINC_HALF_WIDTH_OVER_A / a + d, np.pi / a, d)
+    integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d))
+    return integrate_oscillatory_tails(integrand, SINC_HALF_WIDTH_OVER_A / a + d, a, d)
 
 
 def test_kept_ladder_trigonometry_keeps_the_bits():
-    # the sinc integrand takes sin and cos of a x kept per ladder start; the
-    # same integral with them computed afresh has the same bits
+    # the sinc integrand takes the phases sin and cos of a x that the ladder
+    # keeps per start; the same integral with them computed afresh has the same bits
     d = np.linspace(0.0, 5.0, 11)
-    calls = sum(psf._ladder_trig.cache_info()[:2])
+    calls = sum(integrate._ladder.cache_info()[:2])
     kept = fi_direct(SINC, d, 1.0)
-    assert sum(psf._ladder_trig.cache_info()[:2]) > calls
+    assert sum(integrate._ladder.cache_info()[:2]) > calls
     information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
     afresh, _ = _without_kept_trigonometry(SINC, information, (-1.0, 1.0), d)
     assert np.array_equal(kept, 1.0 * afresh)
@@ -151,14 +152,15 @@ def test_kept_ladder_trigonometry_keeps_the_bits():
 @pytest.mark.parametrize("tf", [SINC, sinc_psf(sigma=1.3)], ids=["sinc", "sinc-1.3"])
 def test_sinc_qfi_takes_the_kept_ladder_trigonometry(tf, monkeypatch):
     # every ladder chunk of the derivative energy is evaluated on slices of
-    # the kept sin(a x) and cos(a x), with the bits of evaluating them afresh
+    # the ladder's phases sin(a x) and cos(a x), with the bits of evaluating
+    # them afresh
     calls, images = [], psf._sinc_images
     monkeypatch.setattr(psf, "_sinc_images", lambda *args: calls.append(args) or images(*args))
     m0 = 16  # the smallest even multiple of the period pi / a past 50 / a
-    sin_ax, cos_ax = psf._ladder_trig(tf.a, m0)
-    hits = psf._ladder_trig.cache_info().hits
+    _, _, sin_ax, cos_ax, _ = integrate._ladder(m0, tf.a)
+    hits = integrate._ladder.cache_info().hits
     kept = qfi_numeric(tf, 1.0)
-    assert psf._ladder_trig.cache_info().hits > hits
+    assert integrate._ladder.cache_info().hits > hits
     for args in calls:
         assert len(args) == 4 and args[3] is not None
         assert np.shares_memory(args[3][0], sin_ax) and np.shares_memory(args[3][1], cos_ax)
@@ -211,13 +213,28 @@ def test_small_d_form_tracks_exact():
     assert fi_direct(GAUSS, d, 1.0) == pytest.approx(2.0 * d**2, rel=0.02)
 
 
-def test_sinc_direct_imaging_refuses_from_about_115_sigma():
-    # the tail ladder's error estimate passes DIRECT_REL_TOL at some d from
-    # 107 sigma and at most d past about 115 sigma; such a d is refused with a
-    # NumericError naming the integral, not answered with a value
-    assert fi_direct(SINC, 100.0, 1.0) == pytest.approx(0.98052, abs=1e-5)
-    with pytest.raises(NumericError, match="direct-imaging information"):
-        fi_direct(SINC, 200.0, 1.0)
+def test_sinc_direct_imaging_answers_far_out(monkeypatch):
+    # up to 50 / a (57.7 sigma) the ladder starts at 50 / a + d, with its bits
+    near = np.array([40.0, SINC_HALF_WIDTH_OVER_A / SINC.a])
+    information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
+    afresh, _ = _without_kept_trigonometry(SINC, information, (-1.0, 1.0), near)
+    assert np.array_equal(fi_direct(SINC, near, 1.0), 1.0 * afresh)
+    # past about 3,700 sigma the ladder would take over MAX_PANELS panels: refused
+    with pytest.raises(NumericError, match="MAX_PANELS"):
+        fi_direct(SINC, 4000.0, 1.0)
+    # past 50 / a it starts as far again past d, clear of the images: at
+    # 100-500 sigma the estimate is honest against a ladder from 1600 / a,
+    # and the value within 1e-8 of it
+    d = np.array([100.0, 200.0, 500.0])
+    [(value, err)] = _judged(monkeypatch, lambda: fi_direct(SINC, d, 1.0))
+    monkeypatch.setattr(psf, "SINC_HALF_WIDTH_OVER_A", 1600.0)
+    try:
+        reference = fi_direct(SINC, d, 1.0)
+    finally:
+        integrate._ladder.cache_clear()
+    _assert_honest(value, err, np.abs(value - reference))
+    np.testing.assert_allclose(value, reference, rtol=1e-8, atol=0.0)
+    assert value[0] == pytest.approx(0.98052, abs=1e-5)
 
 
 def test_tabulated_matches_the_gaussian_it_samples():
@@ -321,5 +338,4 @@ def test_sinc_direct_imaging_error_estimate_is_honest(sigma, monkeypatch):
         reference = fi_direct(tf, d, 1.0)
     finally:
         integrate._ladder.cache_clear()
-        psf._ladder_trig.cache_clear()
     _assert_honest(value, err, np.abs(value - reference))

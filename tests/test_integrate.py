@@ -57,16 +57,17 @@ def test_inverted_interval_rejected():
 
 def test_oscillatory_tail_sinc_squared():
     # integral of sinc(x)^2 over the real line = pi; the 1/x^2 tail makes
-    # plain truncation at X=200 err at the 1e-3 level, the ladder must not
-    f = lambda x, d: np.sinc(x / np.pi) ** 2
-    [value], [err] = integrate_oscillatory_tails(f, 200.0, np.pi, ONE)
+    # plain truncation at X=200 err at the 1e-3 level, the ladder must not;
+    # at the frequency a = 1 the ladder's phases hold sin x
+    f = lambda x, d, sin_x, cos_x: (sin_x / x) ** 2
+    [value], [err] = integrate_oscillatory_tails(f, 200.0, 1.0, ONE)
     assert value == pytest.approx(np.pi, abs=1e-12)
     assert err < 1e-6
 
 
 def test_oscillatory_tail_absolute_convergence():
-    f = lambda x, d: 1.0 / (1.0 + x**2)
-    [value], _ = integrate_oscillatory_tails(f, 3000.0, np.pi, ONE)
+    f = lambda x, d, *phases: 1.0 / (1.0 + x**2)
+    [value], _ = integrate_oscillatory_tails(f, 3000.0, 1.0, ONE)
     assert value == pytest.approx(np.pi, abs=1e-6)
 
 
@@ -84,15 +85,15 @@ def test_check_converged_passes_and_raises():
 
 
 def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
-    # the packed ladder depends only on (m0, period): a second call reuses it.
+    # the packed ladder depends only on (m0, a): a second call reuses it.
     # f sees it in a few equal chunks, fewer than the ladder's segments, and
     # each segment is the composite rule over it, summed in ladder order
-    f = lambda x, d: np.sinc(x / np.pi) ** 2
+    f = lambda x, d, *phases: np.sinc(x / np.pi) ** 2
     calls = []
     integrate._ladder.cache_clear()
-    counted = lambda x, d: calls.append(x[0]) or f(x, d)
-    first = integrate_oscillatory_tails(counted, 200.0, np.pi, ONE)
-    assert np.array_equal(integrate_oscillatory_tails(f, 199.0, np.pi, ONE), first)
+    counted = lambda x, d, *phases: calls.append(x[0]) or f(x, d)
+    first = integrate_oscillatory_tails(counted, 200.0, 1.0, ONE)
+    assert np.array_equal(integrate_oscillatory_tails(f, 199.0, 1.0, ONE), first)
     assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
     m0 = 64  # the smallest even multiple of the period past 200
     segments, total, partials, widths, prev = [], 0.0, [], [], 0.0
@@ -133,17 +134,38 @@ def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
         alone = composite_gauss_legendre(f, -half[row], half[row], n_panels[row], d[row])
         assert value[i] == alone[0] == np.dot(w[0], f(x[0], d[i]))
     # a ladder row, 16,384 nodes from 64 periods, by the segments' dots over its whole row
-    g = lambda x, d: np.sinc((x - d) / np.pi) ** 2
+    g = lambda x, d, *phases: np.sinc((x - d) / np.pi) ** 2
     d = np.array([0.0, 1.0, 7.0])
-    value, _ = integrate_oscillatory_tails(g, 200.0, np.pi, d)
-    x, w, segments = integrate._ladder(64, np.pi)
+    value, _ = integrate_oscillatory_tails(g, 200.0, 1.0, d)
+    x, w, _, _, segments = integrate._ladder(64, 1.0)
     assert w.size > CHUNK_NODES
     for i in range(d.size):
         partials = np.cumsum([np.dot(w[0, s], g(x[0], d[i])[s]) for s in segments])[::2]
         widths = 64 * np.pi * 2.0 ** np.arange(TAIL_LEVELS)
         expect = integrate._extrapolate_to_zero(1.0 / widths, list(partials))[0]
-        alone = integrate_oscillatory_tails(g, 200.0, np.pi, d[i : i + 1])[0]
+        alone = integrate_oscillatory_tails(g, 200.0, 1.0, d[i : i + 1])[0]
         assert value[i] == alone[0] == expect
+
+
+@pytest.mark.parametrize("a", [1.0, np.sqrt(3.0) / 2.0, 2.5])
+def test_ladder_phases_are_its_nodes_own(a):
+    # the ladder keeps sin(a x) and cos(a x) of its nodes, read-only, built
+    # once per (m0, a), and hands f each chunk's slices of them after d
+    integrate._ladder.cache_clear()
+    seen = []
+    f = lambda x, d, sin_ax, cos_ax: seen.append((x, sin_ax, cos_ax)) or np.zeros_like(x)
+    # m0 = 16 periods: the smallest even multiple of pi / a past 15 pi / a
+    integrate_oscillatory_tails(f, 15 * np.pi / a, a, ONE)
+    integrate_oscillatory_tails(f, 15 * np.pi / a, float(a), ONE)
+    assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
+    x, w, sin_ax, cos_ax, segments = integrate._ladder(16, a)
+    assert np.array_equal(sin_ax, np.sin(a * x)) and np.array_equal(cos_ax, np.cos(a * x))
+    assert not any(v.flags.writeable for v in (x, w, sin_ax, cos_ax))
+    assert len(seen) == 2 * len(integrate._chunks(x.size)) > 2
+    for xc, sc, cc in seen:
+        assert np.shares_memory(xc, x) and np.shares_memory(sc, sin_ax)
+        assert np.shares_memory(cc, cos_ax)
+        assert np.array_equal(sc, np.sin(a * xc)) and np.array_equal(cc, np.cos(a * xc))
 
 
 def test_refusal_prints_plain_floats():
@@ -158,16 +180,16 @@ def test_panel_cap(monkeypatch):
     # PANEL_NODES x MAX_PANELS nodes, before it evaluates the integrand
     calls = []
     with pytest.raises(NumericError):
-        integrate_oscillatory_tails(lambda x, d: calls.append(x) or x, 1e8, np.pi, ONE)
+        integrate_oscillatory_tails(lambda x, *_: calls.append(x) or x, 1e8, 1.0, ONE)
     assert calls == []
     # at the cap: from m0 = 16 periods, 16 x 2^TAIL_LEVELS panels run; m0 = 18 is refused
     monkeypatch.setattr(integrate, "MAX_PANELS", 16 * 2**TAIL_LEVELS)
-    f = lambda x, d: calls.append(x) or np.zeros_like(x)
-    assert np.array_equal(integrate_oscillatory_tails(f, 16 * np.pi, np.pi, ONE), ([0.0], [0.0]))
+    f = lambda x, *_: calls.append(x) or np.zeros_like(x)
+    assert np.array_equal(integrate_oscillatory_tails(f, 16 * np.pi, 1.0, ONE), ([0.0], [0.0]))
     assert sum(x.size for x in calls) == PANEL_NODES * integrate.MAX_PANELS
     calls.clear()
     with pytest.raises(NumericError, match="MAX_PANELS"):
-        integrate_oscillatory_tails(f, 16 * np.pi + 1.0, np.pi, ONE)
+        integrate_oscillatory_tails(f, 16 * np.pi + 1.0, 1.0, ONE)
     assert calls == []
     monkeypatch.undo()
     # the rule itself takes any count; the cap is for the callers whose count

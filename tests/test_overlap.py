@@ -62,6 +62,40 @@ def test_sinc_closed_matches_numeric():
         assert t.tau1 == pytest.approx(oracle, rel=5e-12)
 
 
+def _shrink_ratio_two_passes(t):
+    """q and q' as two separate functions computed them, each with its own
+    mask, sin and cos: the reference for the one-pass pair."""
+    t = np.asarray(t, dtype=float)
+    small = np.abs(t) < 0.35
+    ts = np.where(small, 1.0, t)
+    direct = 3.0 * (np.sin(ts) - ts * np.cos(ts)) / ts**3
+    t2 = t * t
+    series = 1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0)))
+    q = np.where(small, series, direct)[()]
+    small = np.abs(t) < 0.25
+    ts = np.where(small, 1.0, t)
+    direct = 3.0 * ((ts**2 - 3.0) * np.sin(ts) + 3.0 * ts * np.cos(ts)) / ts**4
+    series = t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0)))
+    return q, np.where(small, series, direct)[()]
+
+
+def test_shrink_ratios_keep_the_two_formulas_bits():
+    # q and q' from one sin and one cos of t have the bits of the two
+    # separate formulas: on a dense signed grid through 0, at each series
+    # cut-off and one ulp either side of it, for arrays and for scalars
+    cuts = np.array([0.25, 0.35])
+    edges = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+    t = np.concatenate([np.linspace(0.0, 20.0, 20001), edges])
+    t = np.concatenate([t, -t])
+    q, qp = overlap._shrink_ratios(t)
+    ref_q, ref_qp = _shrink_ratio_two_passes(t)
+    assert np.array_equal(q, ref_q) and np.array_equal(qp, ref_qp)
+    assert q[0] == 1.0 and qp[0] == 0.0
+    for x in np.concatenate([edges, -edges, [0.0, 0.3, 1.7, -4.2]]):
+        pair = overlap._shrink_ratios(float(x))
+        assert pair == _shrink_ratio_two_passes(float(x)) and np.ndim(pair[0]) == 0
+
+
 def test_small_d_quadratic():
     d = 1e-3
     for tf in (GAUSS, SINC):

@@ -27,6 +27,8 @@ from spaderes.psf import (
 GAUSS = gaussian_psf(1.0)
 SINC_A1 = sinc_psf(a=1.0)
 SINC_S1 = sinc_psf(sigma=1.0)
+# the one margin of an integral over the undisplaced PSF
+NO_MARGIN = np.zeros(1)
 
 
 def test_gaussian_peak_value():
@@ -65,7 +67,7 @@ def test_sigma_round_trip():
 def test_normalization_numeric():
     # |integral u^2 - 1| < 1e-9, including the slowly decaying sinc
     for tf in (GAUSS, SINC_S1, gaussian_psf(0.5), sinc_psf(a=3.0)):
-        norm = quad_over_psf(tf, lambda u, du: u[0] ** 2, (0.0,))
+        [norm] = quad_over_psf(tf, lambda u, du: u[0] ** 2, (0.0,), NO_MARGIN)
         assert abs(norm - 1.0) < 1e-9
 
 
@@ -77,8 +79,8 @@ def _v1(tf, x):
 def test_mode_pair_orthonormal():
     for tf, tol in ((GAUSS, 1e-8), (SINC_S1, 1e-6)):
         v1 = lambda du: -2.0 * sigma_of(tf) * du[0]
-        cross = quad_over_psf(tf, lambda u, du: u[0] * v1(du), (0.0,))
-        v1sq = quad_over_psf(tf, lambda u, du: v1(du) ** 2, (0.0,))
+        [cross] = quad_over_psf(tf, lambda u, du: u[0] * v1(du), (0.0,), NO_MARGIN)
+        [v1sq] = quad_over_psf(tf, lambda u, du: v1(du) ** 2, (0.0,), NO_MARGIN)
         assert abs(cross) < 1e-9
         assert abs(v1sq - 1.0) < tol
 
@@ -124,9 +126,9 @@ def test_sinc_images_match_long_double(d):
     k = np.sqrt(a / np.pi)
     nodes = []
     integrate_oscillatory_tails(
-        lambda x, _: nodes.append(x[0]) or np.zeros_like(x),
+        lambda x, *_: nodes.append(x[0]) or np.zeros_like(x),
         SINC_HALF_WIDTH_OVER_A / a + d,
-        np.pi / a,
+        a,
         np.zeros(1),
     )
     t = np.concatenate(
@@ -144,15 +146,14 @@ def test_sinc_images_match_long_double(d):
 
 
 def test_kept_ladder_trigonometry_is_each_chunks_own():
-    # sin(a x) and cos(a x) of the whole packed ladder, kept by value of
-    # (a, m0), hold the bits the evaluator gives each chunk of the ladder's
-    # row on its own
+    # the phases sin(a x) and cos(a x) of the whole packed ladder, kept with
+    # it by value of (m0, a), hold the bits the evaluator gives each chunk of
+    # the ladder's row on its own
     for tf in (SINC_S1, SINC_A1):
         a = tf.a
         for m0 in (16, 18):
-            x = integrate._ladder(m0, np.pi / a)[0]
-            sin_ax, cos_ax = psf._ladder_trig(a, m0)
-            assert psf._ladder_trig(float(a), m0)[0] is sin_ax and not sin_ax.flags.writeable
+            x, _, sin_ax, cos_ax, _ = integrate._ladder(m0, a)
+            assert integrate._ladder(m0, float(a))[2] is sin_ax and not sin_ax.flags.writeable
             chunks = integrate._chunks(x.size)
             assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= CHUNK_NODES
             for c in chunks:
@@ -225,7 +226,7 @@ def test_tabulated_psf_has_no_closed_form_or_kind_adapted_quadrature():
     with pytest.raises(UnsupportedKindError, match="no closed-form transmission"):
         tau1_closed(tab, 1.0)
     with pytest.raises(UnsupportedKindError, match="no kind-adapted quadrature"):
-        quad_over_psf(tab, lambda u, du: u[0] ** 2, (0.0,))
+        quad_over_psf(tab, lambda u, du: u[0] ** 2, (0.0,), NO_MARGIN)
 
 
 def test_tabulated_validation():

@@ -13,7 +13,6 @@ from spaderes.quadrature import (
     HOMODYNE,
     VACUUM_VARIANCE,
     fi_gaussian_1d,
-    fi_gaussian_2d,
     fi_heterodyne,
     fi_heterodyne_small_d,
     fi_homodyne,
@@ -82,7 +81,6 @@ def test_sampler_rejects_unknown_kind():
 
 def test_gaussian_fi_building_blocks():
     assert fi_gaussian_1d(2.0, 3.0) == pytest.approx(9.0 / 8.0, rel=1e-14)
-    assert fi_gaussian_2d(2.0, 3.0) == pytest.approx(9.0 / 4.0, rel=1e-14)
     with pytest.raises(DomainError):
         fi_gaussian_1d(0.0, 1.0)
 
@@ -98,11 +96,15 @@ def test_exact_fi_through_generic_pipeline():
     # heterodyne splits the signal across two quadratures
     vh = 0.5 + 50.0 * t.tau1
     dvh = 50.0 * t.dtau1_dd
-    assert fi_heterodyne(scene) == fi_gaussian_2d(vh, dvh)
+    assert fi_heterodyne(scene) == 2.0 * fi_gaussian_1d(vh, dvh)
 
 
 def test_heterodyne_doubles_equal_variance_fi():
-    assert fi_gaussian_2d(1.3, 0.4) == pytest.approx(2.0 * fi_gaussian_1d(1.3, 0.4), rel=1e-14)
+    # heterodyne at 2 n_s gives each quadrature the variance homodyne has at
+    # n_s, and reads two of them: twice the information, exactly
+    d = np.array([0.05, 0.3, 1.0, 2.5])
+    homodyne = fi_homodyne(SourceScene(GAUSS, d, 50.0))
+    assert np.array_equal(fi_heterodyne(SourceScene(GAUSS, d, 100.0)), 2.0 * homodyne)
 
 
 def test_small_d_maxima():

@@ -36,11 +36,11 @@ from .psf import (
     GAUSSIAN,
     KINDS,
     SINC,
+    TABULATED,
     TransferFunction,
     gaussian_psf,
     load_tabulated,
     sinc_psf,
-    sigma_of,
 )
 from .resolution import COUNTING, d_half_from_curve, superres_window
 
@@ -90,7 +90,7 @@ def add_io_options(p: argparse.ArgumentParser) -> None:
 def add_psf_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--psf", choices=list(KINDS), default=GAUSSIAN, help="PSF kind")
     width = p.add_mutually_exclusive_group()
-    width.add_argument("--sigma", type=_positive, default=1.0, help="PSF width sigma")
+    width.add_argument("--sigma", type=_positive, default=None, help="PSF width sigma (default 1)")
     width.add_argument(
         "--a", type=_positive, default=None, help="sinc lobe scale (instead of --sigma)"
     )
@@ -120,15 +120,25 @@ def add_readout_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--statistics", choices=list(STATISTICS), default=POISSON)
 
 
+# the PSF kinds that each PSF option describes
+PSF_OPTIONS = dict(
+    sigma=(GAUSSIAN, SINC), a=(SINC,), psf_file=(TABULATED,), normalize_psf=(TABULATED,)
+)
+
+
 def build_psf(args) -> TransferFunction:
     """The PSF the options describe; its sigma replaces args.sigma, so that
-    the config echo names the PSF that ran."""
-    if args.a is not None and args.psf != SINC:
-        raise ValidationError(f"--a is the sinc lobe scale; --psf {args.psf} takes no --a")
+    the config echo names the PSF that ran.  An option given for a kind it
+    does not describe is refused."""
+    for name, kinds in PSF_OPTIONS.items():
+        if getattr(args, name) not in (None, False) and args.psf not in kinds:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"--psf {args.psf} takes no {flag} (for {'/'.join(kinds)})")
+    width = 1.0 if args.sigma is None else args.sigma
     if args.psf == GAUSSIAN:
-        tf = gaussian_psf(args.sigma)
+        tf = gaussian_psf(width)
     elif args.psf == SINC:
-        tf = sinc_psf(sigma=args.sigma) if args.a is None else sinc_psf(a=args.a)
+        tf = sinc_psf(sigma=width) if args.a is None else sinc_psf(a=args.a)
     elif args.psf_file is None:
         raise ValidationError("--psf tabulated requires --psf-file")
     else:
@@ -203,7 +213,7 @@ def write_json(args, payload: dict) -> None:
 
 def cmd_tau_curve(args) -> None:
     tf = build_psf(args)
-    sigma = sigma_of(tf)
+    sigma = tf.sigma
     grid = build_grid(args, sigma)
     scale = 1.0 if args.absolute else 1.0 / sigma
     numeric, exact = tau1_numeric(tf, grid).tau1.tolist(), tau1_exact(tf, grid).tau1.tolist()
@@ -215,7 +225,7 @@ def cmd_tau_curve(args) -> None:
 def cmd_fi_curve(args) -> None:
     m = MEASUREMENTS[args.measurement]
     tf = build_psf(args)
-    sigma = sigma_of(tf)
+    sigma = tf.sigma
     noise = build_noise(args, m, args.n_s)
     grid = build_grid(args, sigma)
     scene = SourceScene(tf=tf, d=grid, n_s=args.n_s, statistics=args.statistics)
@@ -255,7 +265,7 @@ def cmd_d_half(args) -> None:
         need = "--snr or --n-b" if m.shot_noise_snr is None else "--snr or --n-s"
         raise ValidationError(f"{args.measurement} d-half requires {need}")
     tf = build_psf(args)
-    sigma = sigma_of(tf)
+    sigma = tf.sigma
     window = superres_window(sigma, snr, n_s=args.n_s, statistics=args.statistics)
     payload = {
         "model": args.measurement,
@@ -304,10 +314,10 @@ def cmd_simulate(args) -> None:
 
 def cmd_qfi(args) -> None:
     tf = build_psf(args)
-    payload = {"qfi": qfi(args.n_s, sigma_of(tf))}
+    payload = {"qfi": qfi(args.n_s, tf.sigma)}
     if args.check:
         payload["qfi_numeric"] = qfi_numeric(tf, args.n_s)
-        payload["sigma_numeric"] = sigma_of(tf)
+        payload["sigma_numeric"] = tf.sigma
     write_json(args, payload)
 
 

@@ -32,7 +32,7 @@ from scipy.special import gammaln
 
 from .errors import TruncationWarning, ValidationError
 from .overlap import tau1_exact
-from .psf import TransferFunction, sigma_of
+from .psf import TransferFunction
 
 POISSON = "poisson"
 THERMAL = "thermal"
@@ -61,8 +61,8 @@ class SourceScene:
     def __post_init__(self):
         if not np.all((self.d >= 0) & (self.d < np.inf)):
             raise ValidationError(f"separation must be finite and nonnegative, got {self.d}")
-        if self.n_s <= 0:
-            raise ValidationError(f"n_s must be positive, got {self.n_s}")
+        if not 0.0 < self.n_s < np.inf:
+            raise ValidationError(f"n_s must be finite and positive, got {self.n_s}")
         _check_statistics(self.statistics)
 
 
@@ -162,7 +162,7 @@ def fi_counting_small_d(scene: SourceScene, noise: NoiseModel = NO_NOISE):
     at d = 0 when beta = 0; thermal carries the extra factor
     1 / (1 + n_s d^2 / 4 sigma^2 + n_b).
     """
-    sigma = sigma_of(scene.tf)
+    sigma = scene.tf.sigma
     n_s = scene.n_s
     beta = noise.beta(n_s)
     d2 = np.float_power(scene.d, 2)  # pow(), as in overlap.py

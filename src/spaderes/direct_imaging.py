@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import _gl_nodes, check_converged
-from .psf import (
-    QUAD_ABS_TOL,
-    TABULATED,
-    TransferFunction,
-    quad_over_psf,
-    sigma_of,
-)
+from .psf import QUAD_ABS_TOL, TABULATED, TransferFunction, quad_over_psf
 
 P_FLOOR = 1e-300  # below this the density is treated as exactly zero
 DIRECT_REL_TOL = 1e-7
@@ -60,7 +54,7 @@ def _information_density(p, dp):
     return np.divide(dp, p, out=np.zeros_like(p), where=p > P_FLOOR)
 
 
-def _spline_information(tf: TransferFunction, sigma: float, ad: np.ndarray) -> np.ndarray:
+def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
     """integral (dp/dd)^2 / p dx at every |d| of the 1-D array ``ad``, on the spline.
 
     With y = x + d the density is p = (u(y)^2 + u(y - 2d)^2) / 2, so between
@@ -75,7 +69,7 @@ def _spline_information(tf: TransferFunction, sigma: float, ad: np.ndarray) -> n
     where grid + 2d would lose the grid's spacing, exact.  Each row of d is
     reduced on its own, so a d gives the same bits alone or inside an array.
     """
-    value = np.full(ad.size, 1.0 / sigma**2)
+    value = np.full(ad.size, 1.0 / tf.sigma**2)
     err = np.zeros(ad.size)
     overlapping = np.flatnonzero(2.0 * ad < tf.grid[-1] - tf.grid[0])
     rules = [_gl_nodes(_COARSE), _gl_nodes(_FINE)]
@@ -101,15 +95,14 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
     by 2(u'(x-d)^2 + u'(x+d)^2) (Cauchy-Schwarz), so clipping the region where
     p underflows below P_FLOOR is harmless.
     """
-    if n_s <= 0:
-        raise ValidationError(f"n_s must be positive, got {n_s}")
+    if not 0.0 < n_s < np.inf:
+        raise ValidationError(f"n_s must be finite and positive, got {n_s}")
     d = np.asarray(d, dtype=float)
     if not np.isfinite(d).all():
         raise ValidationError("separation d must be finite")
-    sigma = sigma_of(tf)
     ad = np.abs(d).ravel()
     if tf.kind == TABULATED:
-        value = _spline_information(tf, sigma, ad)
+        value = _spline_information(tf, ad)
     else:
         value = quad_over_psf(
             tf,
@@ -124,10 +117,10 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
 
 def qfi(n_s: float, sigma: float) -> float:
     """Quantum Fisher information n_s / sigma^2, the ceiling for any measurement."""
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if n_s <= 0:
-        raise ValidationError(f"n_s must be positive, got {n_s}")
+    if not 0.0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be finite and positive, got {sigma}")
+    if not 0.0 < n_s < np.inf:
+        raise ValidationError(f"n_s must be finite and positive, got {n_s}")
     return n_s / sigma**2
 
 
@@ -136,9 +129,8 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
 
     Exact per spline piece for a tabulated PSF, kind-adapted quadrature otherwise.
     """
-    if n_s <= 0:
-        raise ValidationError(f"n_s must be positive, got {n_s}")
-    sigma_of(tf)  # refuses a tabulated PSF that is not normalized
+    if not 0.0 < n_s < np.inf:
+        raise ValidationError(f"n_s must be finite and positive, got {n_s}")
     if tf.kind == TABULATED:
         value = tf._pieces.energy
     else:

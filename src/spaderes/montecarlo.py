@@ -43,7 +43,7 @@ from .counting import (
 )
 from .errors import BudgetError, NumericError, ValidationError
 from .overlap import tau1_exact
-from .psf import TABULATED, TransferFunction, sigma_of
+from .psf import TABULATED, TransferFunction
 from .quadrature import (
     HETERODYNE,
     HOMODYNE,
@@ -112,7 +112,7 @@ def _search_branch(tf: TransferFunction) -> tuple[float, float]:
     # rising branch of tau1: (d_peak, tau1(d_peak)), searched numerically for
     # every kind; the Gaussian's d_peak is 2 sigma only to within the search
     # tolerance, and the golden simulate_counting_clip_peak.json pins its value
-    sigma = sigma_of(tf)
+    sigma = tf.sigma
     return _peak(lambda d: tau1_exact(tf, d).tau1, 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma)
 
 

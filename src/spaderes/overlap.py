@@ -46,7 +46,6 @@ from .psf import (
     TransferFunction,
     _horner,
     quad_over_psf,
-    sigma_of,
 )
 
 # 3-node Gauss-Legendre on [-1, 1], exact for the degree-5 product of two spline pieces
@@ -165,7 +164,6 @@ def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
     spans the hull, c = c' = 0.  Every operation is elementwise in d, so a d
     gives the same bits alone or inside an array.
     """
-    sigma_of(tf)  # refuses an unnormalized table
     lattice = tf._pieces.lattice
     c, cp = np.zeros((2, ad.size))
     inside = ad < lattice.span
@@ -209,7 +207,7 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     Parseval on its flat band [0, a]: c and c' are (2 sigma / a) times the
     integrals of k sin(k d) and k^2 cos(k d), one panel per half-period in k.
     """
-    sigma = sigma_of(tf)
+    sigma = tf.sigma
     if tf.kind == TABULATED:
         return _spline_overlaps(tf, ad)
     what = ("mode overlap", "overlap derivative")

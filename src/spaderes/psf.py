@@ -20,9 +20,10 @@ and :func:`eval_u_prime` at s = 0.
 
 The characteristic width sigma is defined through the derivative energy,
 sigma = (1/2) (integral of u'(x)^2 dx)^(-1/2); for the analytic kinds it
-coincides with the constructor parameter.  The binary demultiplexer sorts
-into v0(x) = u(x) and the derivative mode v1(x) = -2 sigma u'(x), an
-orthonormal pair for real u.
+coincides with the constructor parameter.  A :class:`TransferFunction` is
+checked once, when built, and its ``sigma`` is the width every kernel reads.
+The binary demultiplexer sorts into v0(x) = u(x) and the derivative mode
+v1(x) = -2 sigma u'(x), an orthonormal pair for real u.
 
 :func:`quad_over_psf` is the one place where an analytic PSF is evaluated
 under a quadrature: its integrand takes u and u' of the displaced images
@@ -87,7 +88,7 @@ SINC_HALF_WIDTH_OVER_A = 50.0
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-12
 
-# Acceptable |norm - 1| for operations that assume a normalized tabulated PSF.
+# Largest |norm - 1| of a tabulated PSF; TransferFunction refuses a larger one.
 TABULATED_NORM_TOL = 1e-3
 
 # Taylor coefficients of sinc t = sin t / t in powers of t^2, (-1)^n / (2n + 1)!,
@@ -104,6 +105,9 @@ class TransferFunction:
 
     Instances are immutable; build them with :func:`gaussian_psf`,
     :func:`sinc_psf`, :func:`tabulated_psf` or :func:`load_tabulated`.
+    Construction is the one check of a PSF: it refuses a kind outside
+    ``KINDS``, a sigma that is not finite and positive, a tabulated kind
+    without its spline, and a norm off 1 by more than ``TABULATED_NORM_TOL``.
     """
 
     kind: str
@@ -115,6 +119,14 @@ class TransferFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedKindError(f"unknown PSF kind {self.kind!r}; expected one of {KINDS}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValidationError(f"sigma must be finite and positive, got {self.sigma}")
+        if self.kind == TABULATED and self._pieces is None:
+            raise ValidationError("a tabulated PSF needs its spline: build it with tabulated_psf")
+        if not abs(self.norm - 1.0) <= TABULATED_NORM_TOL:
+            raise ValidationError(
+                f"tabulated PSF is not normalized: integral of u^2 = {self.norm:.6g}"
+            )
 
     @property
     def a(self) -> float:
@@ -361,8 +373,6 @@ def _at_nodes(half, rules, sides):
 
 def gaussian_psf(sigma: float) -> TransferFunction:
     """Gaussian transfer function of standard deviation ``sigma`` (of |u|^2)."""
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
     return TransferFunction(kind=GAUSSIAN, sigma=float(sigma))
 
 
@@ -371,11 +381,9 @@ def sinc_psf(sigma: float | None = None, a: float | None = None) -> TransferFunc
     if (sigma is None) == (a is None):
         raise ValidationError("specify exactly one of sigma or a")
     if sigma is None:
-        if a <= 0:
-            raise ValidationError(f"a must be positive, got {a}")
+        if not 0.0 < a < np.inf:
+            raise ValidationError(f"a must be finite and positive, got {a}")
         sigma = np.sqrt(3.0) / (2.0 * a)
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
     return TransferFunction(kind=SINC, sigma=float(sigma))
 
 
@@ -384,8 +392,8 @@ def tabulated_psf(grid, values, normalize: bool = False) -> TransferFunction:
 
     The derivative is taken from the spline, so the samples should resolve the
     PSF structure.  With ``normalize=True`` the amplitudes are rescaled to unit
-    L2 norm; otherwise the norm is stored and checked by operations that
-    require a normalized PSF.
+    L2 norm; otherwise a norm off 1 by more than ``TABULATED_NORM_TOL`` is
+    refused here, when the PSF is built.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -516,18 +524,8 @@ def eval_u_prime(tf: TransferFunction, x):
 
 
 def sigma_of(tf: TransferFunction) -> float:
-    """Characteristic width, (1/2) (integral of u'^2)^(-1/2).
-
-    Analytic kinds return the constructor parameter (the definition reduces to
-    it exactly); tabulated PSFs report the value computed from the spline
-    derivative, after checking normalization.
-    """
-    if tf.kind in (GAUSSIAN, SINC):
-        return tf.sigma
-    if abs(tf.norm - 1.0) > TABULATED_NORM_TOL:
-        raise ValidationError(
-            f"tabulated PSF is not normalized: integral of u^2 = {tf.norm:.6g}"
-        )
+    """The width ``tf.sigma``; public only because ``bench/workloads.py``
+    names it."""
     return tf.sigma
 
 

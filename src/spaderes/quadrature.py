@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .overlap import tau1_exact
-from .psf import sigma_of
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
@@ -67,7 +66,7 @@ def _fi_small_d(scene, kind: str):
     # the information above with tau1 at its small-d law d^2 / 4 sigma^2:
     # 2 q n_s^2 d^2 / (n_s d^2 + 2 q sigma^2)^2 for q quadratures
     k = 2.0 / signal_share(kind)
-    sigma = sigma_of(scene.tf)
+    sigma = scene.tf.sigma
     n_s = scene.n_s
     d2 = np.float_power(scene.d, 2)
     return k * n_s**2 * d2 / np.float_power(n_s * d2 + k * sigma**2, 2)

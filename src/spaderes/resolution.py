@@ -57,8 +57,8 @@ def d_half_quadrature(sigma: float, snr: float) -> float:
 
 
 def _check_sigma_snr(sigma: float, snr: float) -> None:
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be finite and positive, got {sigma}")
     if not snr > 0:
         raise ValidationError(f"snr must be positive, got {snr}")
 
@@ -87,8 +87,8 @@ def superres_window(
     low = d_half_counting(sigma, snr)
     high = sigma
     if statistics == THERMAL:
-        if n_s is None:
-            raise ValidationError("thermal window requires n_s")
+        if n_s is None or not 0.0 < n_s < np.inf:
+            raise ValidationError(f"thermal window requires n_s finite and positive, got {n_s}")
         high = min(high, 2.0 * sigma / np.sqrt(n_s))
     return SuperresWindow(low=float(low), high=float(high))
 

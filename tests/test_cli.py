@@ -532,6 +532,11 @@ def test_config_echo_names_the_psf_that_ran(capsys):
         (["tau-curve", "--psf", "tabulated", "--psf-file", "x.txt", "--a", "2"], "takes no --a"),
         (["qfi", "--psf", "sinc", "--sigma", "3", "--a", "1"], "not allowed with"),
         (["d-half", "--psf", "sinc", "--a", "1", "--sigma", "3", "--snr", "1e4"], "not allowed with"),
+        # every PSF option belongs to the kinds it describes
+        (["qfi", "--psf", "gaussian", "--psf-file", "x.txt"], "takes no --psf-file"),
+        (["qfi", "--psf", "sinc", "--psf-file", "x.txt"], "takes no --psf-file"),
+        (["tau-curve", "--normalize-psf"], "takes no --normalize-psf"),
+        (["qfi", "--psf", "tabulated", "--psf-file", "x.txt", "--sigma", "2"], "takes no --sigma"),
     ],
 )
 def test_lobe_scale_is_sinc_alone_and_instead_of_sigma(argv, message, capsys):
@@ -568,6 +573,17 @@ def tabulated_gaussian(tmp_path_factory):
     path = tmp_path_factory.mktemp("psf") / "gaussian.txt"
     np.savetxt(path, np.column_stack([x, u]))
     return path
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_unnormalized_table_is_a_usage_error(subcommand, tmp_path, capsys):
+    # three times a sampled Gaussian is refused when the PSF is built
+    x = np.linspace(-8.0, 8.0, 801)
+    path = tmp_path / "psf.txt"
+    np.savetxt(path, np.column_stack([x, 3.0 * (2.0 * np.pi) ** -0.25 * np.exp(-(x**2) / 4.0)]))
+    assert run(SUBCOMMANDS[subcommand] + ["--psf", "tabulated", "--psf-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not normalized" in captured.err
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sinc", "tabulated"])

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spaderes.counting import THERMAL, SourceScene
 from spaderes.direct_imaging import (
     DIRECT_REL_TOL,
     P_FLOOR,
@@ -35,6 +36,7 @@ from spaderes.psf import (
     sinc_psf,
     tabulated_psf,
 )
+from spaderes.resolution import d_half_counting, d_half_quadrature, superres_window
 
 GOLDEN = Path(__file__).parent / "golden"
 GAUSS = gaussian_psf(1.0)
@@ -272,16 +274,41 @@ def test_nan_separation_is_refused(tf):
             qfi_numeric(tf, n_s)
 
 
-def test_unnormalized_tabulated_psf_is_refused():
-    # three times the Gaussian's amplitude: every kernel that reads sigma refuses it
+def test_unnormalized_tabulated_psf_is_refused(tmp_path):
+    # three times the Gaussian's amplitude is refused when the PSF is built,
+    # from samples or from a file, so no kernel ever meets it; normalize=True
+    # rescales it instead
     grid = np.linspace(-8.0, 8.0, 801)
-    tab = tabulated_psf(grid, 3.0 * eval_u(GAUSS, grid))
-    with pytest.raises(ValidationError, match="not normalized"):
-        fi_direct(tab, 1.0, 100.0)
-    with pytest.raises(ValidationError, match="not normalized"):
-        qfi_numeric(tab, 100.0)
-    with pytest.raises(ValidationError, match="not normalized"):
-        tau1_numeric(tab, 1.0)
+    path = tmp_path / "psf.txt"
+    np.savetxt(path, np.column_stack([grid, 3.0 * eval_u(GAUSS, grid)]))
+    from_samples = lambda **kw: tabulated_psf(grid, 3.0 * eval_u(GAUSS, grid), **kw)
+    for build in (from_samples, lambda **kw: load_tabulated(path, **kw)):
+        with pytest.raises(ValidationError, match="not normalized: integral of u.2 = 9"):
+            build()
+        tab = build(normalize=True)
+        assert tab.norm == 1.0 and tab.sigma == pytest.approx(1.0, abs=1e-6)
+
+
+# each entry point that takes n_s or sigma directly
+POSITIVE_INPUTS = {
+    "SourceScene n_s": lambda x: SourceScene(GAUSS, 0.5, x),
+    "fi_direct n_s": lambda x: fi_direct(GAUSS, 0.5, x),
+    "qfi_numeric n_s": lambda x: qfi_numeric(GAUSS, x),
+    "qfi n_s": lambda x: qfi(x, 1.0),
+    "qfi sigma": lambda x: qfi(1.0, x),
+    "d_half_counting sigma": lambda x: d_half_counting(x, 1e4),
+    "d_half_quadrature sigma": lambda x: d_half_quadrature(x, 1e4),
+    "superres_window sigma": lambda x: superres_window(x, 1e4),
+    "superres_window n_s": lambda x: superres_window(1.0, 1e4, n_s=x, statistics=THERMAL),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(POSITIVE_INPUTS))
+def test_inputs_that_are_not_finite_and_positive_are_refused(entry, value):
+    # NaN passes a test x <= 0, and inf gives an infinite or NaN answer
+    with pytest.raises(ValidationError, match="finite and positive"):
+        POSITIVE_INPUTS[entry](value)
 
 
 def test_linear_in_source_strength():

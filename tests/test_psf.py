@@ -203,22 +203,40 @@ def test_tabulated_normalize_flag():
 
 
 def test_tabulated_hull_and_fill():
-    # the spline inside the grid hull, x_0 and x_n included, and 0 outside it
-    x, u = _gaussian_samples(201, half=3.0)
+    # the spline inside the grid hull, x_0 and x_n included, and 0 outside it;
+    # the table spans +-5 sigma, so its norm is within 1e-6 of 1
+    x, u = _gaussian_samples(201, half=5.0)
     tab = tabulated_psf(x, u)
     spline = CubicSpline(x, u)
     inside = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
     np.testing.assert_allclose(eval_u(tab, inside), spline(inside), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(eval_u_prime(tab, inside), spline(inside, 1), rtol=0.0, atol=1e-13)
-    outside = np.array([-np.inf, -1e300, -3.5, np.nextafter(-3.0, -4.0), 3.0 + 1e-12, 7.0, np.inf])
+    outside = np.array([-np.inf, -1e300, -5.5, np.nextafter(-5.0, -6.0), 5.0 + 1e-12, 7.0, np.inf])
     for f in (eval_u, eval_u_prime):
         assert np.all(f(tab, outside) == 0.0)
-        assert f(tab, 3.5) == 0.0
+        assert f(tab, 5.5) == 0.0
 
 
 def test_unknown_kind_is_refused_at_construction():
     with pytest.raises(UnsupportedKindError, match="unknown PSF kind 'airy'"):
         TransferFunction(kind="airy", sigma=1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_width_that_is_not_finite_and_positive_is_refused_at_construction(value):
+    builds = {
+        "sigma": (gaussian_psf, lambda s: sinc_psf(sigma=s), lambda s: TransferFunction("sinc", s)),
+        "a": (lambda a: sinc_psf(a=a),),
+    }
+    for name, constructors in builds.items():
+        for build in constructors:
+            with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+                build(value)
+
+
+def test_tabulated_kind_without_its_spline_is_refused():
+    with pytest.raises(ValidationError, match="needs its spline"):
+        TransferFunction(kind="tabulated", sigma=1.0)
 
 
 def test_tabulated_psf_has_no_closed_form_or_kind_adapted_quadrature():

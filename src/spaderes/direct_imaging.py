@@ -14,9 +14,15 @@ inside an array.  The images come from one evaluation: one exp per image
 and node for the Gaussian, and one sin and one cos per node for sinc.  A
 tabulated spline is integrated piece by piece over [x_0 - d, x_n + d],
 between the merged breakpoints of the two displaced grids, where p and dp/dd
-are polynomials, so no part of either image is cut off at the grid hull.  The
-quantum limit over all measurements is qfi = n_s / sigma^2 = 4 n_s integral
-u'^2 dx.
+are polynomials, so no part of either image is cut off at the grid hull.  On
+a uniform grid those breakpoints are the spline's lattice (:class:`UniformLattice`)
+and the lattice shifted by 2d = m h + delta: every piece splits at delta, the
+nodes of the two halves are shared by all pieces, and the images are small
+products of the rows with the nodes' powers.  There the ratio runs only where
+both images are nonzero; where one lies alone the integrand is exactly 2 u'^2,
+summed from the lattice's energy prefix sums.  Any other grid merges the
+breakpoints d by d (:meth:`SplinePieces.blocks`).  The quantum limit over all
+measurements is qfi = n_s / sigma^2 = 4 n_s integral u'^2 dx.
 """
 
 from __future__ import annotations
@@ -25,13 +31,20 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import _gl_nodes, check_converged
-from .psf import QUAD_ABS_TOL, TABULATED, TransferFunction, quad_over_psf
+from .psf import QUAD_ABS_TOL, TABULATED, SplinePieces, TransferFunction, quad_over_psf
 
 P_FLOOR = 1e-300  # below this the density is treated as exactly zero
 DIRECT_REL_TOL = 1e-7
 # Gauss-Legendre node counts on each merged spline piece: the larger rule gives
 # the value, their difference its error estimate
 _COARSE, _FINE = 4, 8
+# the rules of the lattice path on each half of a piece, as nodes and weights
+# per unit width: the two above, then 3 nodes, exact for u'^2 where one image lies alone
+_RULES = [_gl_nodes(_COARSE), _gl_nodes(_FINE), _gl_nodes(3)]
+_HALF_STEP = np.concatenate([0.5 * (1.0 + x) for x, _ in _RULES])
+_HALF_WEIGHT = np.concatenate([0.5 * w for _, w in _RULES])
+_RATIO = _COARSE + _FINE
+_COARSE_NODES, _FINE_NODES = slice(0, _COARSE), slice(_COARSE, _RATIO)
 
 
 def _density(here, there):
@@ -62,9 +75,10 @@ def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
     are single cubic pieces (or zero outside the hull), p has degree 6 and
     dp/dd = u u'(y) - u u'(y - 2d) degree 5.  Their ratio is smooth wherever
     p > 0 but not a polynomial, so each piece takes _FINE-node Gauss-Legendre
-    and the _COARSE-node rule's difference is the error estimate; the two
-    rules run one after the other, which keeps the arrays small.  Once 2d
-    spans the hull the images no longer overlap, and each contributes
+    and the _COARSE-node rule's difference is the error estimate.  On a
+    uniform grid the pieces are the lattice's (:func:`_lattice_information`),
+    on any other grid the merged breakpoints' (:func:`_merged_information`).
+    Once 2d spans the hull the images no longer overlap, and each contributes
     2 integral u'^2 = 1 / (2 sigma^2); that also keeps d far beyond the hull,
     where grid + 2d would lose the grid's spacing, exact.  Each row of d is
     reduced on its own, so a d gives the same bits alone or inside an array.
@@ -72,19 +86,81 @@ def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
     value = np.full(ad.size, 1.0 / tf.sigma**2)
     err = np.zeros(ad.size)
     overlapping = np.flatnonzero(2.0 * ad < tf.grid[-1] - tf.grid[0])
-    rules = [_gl_nodes(_COARSE), _gl_nodes(_FINE)]
-    blocks = tf._pieces.blocks(2.0 * ad[overlapping], rules, ["u", "du"], ["u", "du"])
-    for block, at_nodes in blocks:
-        rows = overlapping[block]
-        coarse, fine = (
-            (w * _information_density(*_density(here, there))).reshape(rows.size, -1).sum(axis=1)
-            for w, here, there in at_nodes
-        )
-        value[rows] = fine
-        err[rows] = np.abs(fine - coarse)
+    kernel = _merged_information if tf._pieces.lattice is None else _lattice_information
+    value[overlapping], err[overlapping] = kernel(tf._pieces, 2.0 * ad[overlapping])
     return check_converged(
         value, err, DIRECT_REL_TOL, QUAD_ABS_TOL, "direct-imaging information"
     )
+
+
+def _merged_information(pieces: SplinePieces, shift: np.ndarray):
+    """(value, error estimate) of the information at each 2|d| of the 1-D
+    ``shift``, on the merged pieces of the two images (:meth:`SplinePieces.blocks`).
+
+    The two rules run one after the other, which keeps the arrays small.
+    """
+    value, err = np.zeros((2, shift.size))
+    for block, at_nodes in pieces.blocks(shift, _RULES[:2], ["u", "du"], ["u", "du"]):
+        rows = shift[block].size
+        coarse, fine = (
+            (w * _information_density(*_density(here, there))).reshape(rows, -1).sum(axis=1)
+            for w, here, there in at_nodes
+        )
+        value[block] = fine
+        err[block] = np.abs(fine - coarse)
+    return value, err
+
+
+def _lattice_information(pieces: SplinePieces, shift: np.ndarray):
+    """(value, error estimate) of the information at each 2|d| of the 1-D
+    ``shift``, on the lattice of a uniform grid (:class:`UniformLattice`).
+
+    Write 2|d| = m h + delta.  Every lattice piece k of the image at y splits
+    at delta: on [delta, h] the image at y - 2d is on piece k - m, at
+    t = s - delta, and on [0, delta] on piece k - m - 1, at t = s - delta + h.
+    So the nodes s and t of each half are two vectors that every piece
+    shares, and both images are one product of their powers with the rows
+    (:meth:`UniformLattice.images_at`).  The ratio runs on the 2(n - m) - 1
+    halves where both images are nonzero, n the piece count.  Where only one
+    image lies, p = u^2 / 2 and dp/dd = u u', so the integrand is exactly
+    2 u'^2: the first m pieces and the last m take the lattice's energy
+    prefix sums, and the two halves of width delta beside them 3-node
+    Gauss-Legendre, exact for u'^2.  Every operation on a d is its own, so a d
+    gives the same bits alone or inside an array.
+    """
+    lattice = pieces.lattice
+    n = lattice.images.shape[-1]
+    lags, offsets = lattice.lags(shift)
+    m = lags[:, 0]
+    # on lag m, s in [delta, h] and t in [0, h - delta]; on lag m + 1,
+    # s in [0, delta] and t in [h - delta, h]: t = s - offset on each
+    s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
+    width = (s_from + t_from)[:, ::-1]
+    step = width[..., None] * _HALF_STEP
+    s, t = (start[..., None] + step for start in (s_from, t_from))
+    weights = width[..., None] * _HALF_WEIGHT
+    # y's image lies alone on its first m pieces, y - 2d's on its last m
+    value = 2.0 * lattice.energy[:, m].sum(axis=0)
+    err = np.zeros(shift.size)
+    # (a shift within rounding of the span may reach lag n, where nothing overlaps)
+    for i in np.flatnonzero(m < n).tolist():
+        k = m[i]
+        fine = coarse = alone = 0.0
+        # on lag m, y's image is on pieces m .. n - 1 and y - 2d's on 0 .. n - m - 1;
+        # on lag m + 1, on pieces m + 1 .. n - 1 and 0 .. n - m - 2
+        for at_s, at_t, w, lag in zip(s[i], t[i], weights[i], (k, k + 1)):
+            here = lattice.images_at(at_s[:_RATIO], slice(lag, n))
+            there = lattice.images_at(at_t[:_RATIO], slice(0, n - lag))
+            ratio = _information_density(*_density(here, there)).sum(axis=-1)
+            fine += np.dot(w[_FINE_NODES], ratio[_FINE_NODES])
+            coarse += np.dot(w[_COARSE_NODES], ratio[_COARSE_NODES])
+        # on lag m + 1, y's piece m and y - 2d's piece n - m - 1 lie alone
+        for at, piece in ((s[i, 1], k), (t[i, 1], n - k - 1)):
+            du = lattice.images_at(at[_RATIO:], slice(piece, piece + 1))[1, :, 0]
+            alone += np.dot(weights[i, 1, _RATIO:], du * du)
+        value[i] += fine + 2.0 * alone
+        err[i] = abs(fine - coarse)
+    return value, err
 
 
 def fi_direct(tf: TransferFunction, d, n_s: float):

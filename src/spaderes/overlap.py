@@ -255,6 +255,8 @@ def tau1_exact(tf: TransferFunction, d) -> Transmission:
 
 def tau1_small_d(sigma: float, d) -> float:
     """Leading small-separation transmission, d^2 / 4 sigma^2 for every kind."""
+    if not 0.0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be finite and positive, got {sigma}")
     return np.float_power(d, 2) / (4.0 * sigma**2)
 
 

@@ -49,7 +49,11 @@ and the direct-imaging information.  The norm and the derivative energy are
 exact per piece.  So no tabulated integrand is cut off at the grid hull.  On
 a uniform grid it also holds the pieces re-centred on an exact lattice,
 :class:`UniformLattice`, whose sums over the pieces lag by lag give the mode
-overlap exactly in a few operations per d.
+overlap exactly in a few operations per d.  The lattice also evaluates its
+pieces at node vectors that every piece shares, one product of the nodes'
+powers with the contiguous rows, and keeps the energy of u' over its first
+and last m pieces: the direct-imaging information takes both instead of the
+merged pieces.
 """
 
 from __future__ import annotations
@@ -175,8 +179,9 @@ class SplinePieces:
     ``origin`` is each index's s = 0 point.  Only this class reads the rows:
     :meth:`evaluate` at points, :meth:`blocks` at quadrature nodes, and on a
     uniform grid its ``lattice`` (:class:`UniformLattice`), which sums them
-    over the pieces for the overlap c(d) = <v1, u(. - d)>; on any other grid
-    ``lattice`` is None and the overlap runs piece by piece on :meth:`blocks`.
+    over the pieces for the overlap c(d) = <v1, u(. - d)> and evaluates them
+    at shared nodes for the direct-imaging information; on any other grid
+    ``lattice`` is None and both run piece by piece on :meth:`blocks`.
     """
 
     x: np.ndarray
@@ -279,7 +284,10 @@ class UniformLattice:
     (the e_i^2 terms are under 1e-29 of the rows).  The spline is C^2, so
     taking piece i on [i h, (i + 1) h] rather than between its own knots
     moves u by O(e^3) and v1 by O(e^2): under 1e-28 of either.  The lattice
-    ends where the grid does, to the rounding of h_lo.
+    ends where the grid does, to the rounding of h_lo.  :meth:`images_at`
+    evaluates u and u' of a run of pieces at local coordinates they share,
+    and ``energy`` holds the prefix sums of integral u'^2 over the pieces
+    from the left and from the right, each exact per piece.
     """
 
     h_hi: float
@@ -287,6 +295,8 @@ class UniformLattice:
     span: float  # x_n-1 - x_0, rounded
     v1: np.ndarray  # (3, pieces)
     images: np.ndarray  # (2, 4, pieces)
+    # integral of u'^2 over the first m pieces and over the last m, m = 0 .. pieces
+    energy: np.ndarray  # (2, pieces + 1)
     # lag sums by lag, and which lags are built: zeros until a call asks
     _sums: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
@@ -312,13 +322,26 @@ class UniformLattice:
         e = ((offset[:-1] - i * h_hi) + offset_lo[:-1]) - i * h_lo
         (a2, a1, a0), (k0, k1, k2, k3) = rows[:3], rows[3:]
         u = [k0, k1 - 3.0 * k0 * e, k2 - 2.0 * k1 * e, k3 - k2 * e]
+        images = np.stack([u, [np.zeros_like(k0), 3.0 * u[0], 2.0 * u[1], u[2]]])
+        # u'^2 has degree 4 on each piece: 3 nodes integrate it exactly
+        x, w = _gl_nodes(3)
+        h = h_hi + h_lo
+        du = _powers(0.5 * h * (1.0 + x)) @ images[1]
+        piece = (0.5 * h * w) @ (du * du)
         return cls(
             h_hi=h_hi,
             h_lo=h_lo,
             span=span,
             v1=np.stack([a2, a1 - 2.0 * a2 * e, a0 - a1 * e]),
-            images=np.stack([u, [np.zeros_like(k0), 3.0 * u[0], 2.0 * u[1], u[2]]]),
+            images=images,
+            energy=np.cumsum(np.pad(np.stack([piece, piece[::-1]]), ((0, 0), (1, 0))), axis=1),
         )
+
+    def images_at(self, s: np.ndarray, pieces: slice) -> np.ndarray:
+        """u and u' of the lattice pieces ``pieces`` at the local coordinates
+        of the 1-D ``s``, the same on every piece: (2, s.size, pieces), from
+        one product of the nodes' powers with the rows."""
+        return np.matmul(_powers(s), self.images[:, :, pieces])
 
     def lags(self, d: np.ndarray):
         """The lags m and m + 1 of each d of the 1-D array, d = m h + delta
@@ -357,6 +380,14 @@ class UniformLattice:
 
 # the lags m and m + 1 of a separation, from m
 _NEXT_LAG = np.array([0.0, 1.0])
+# the exponents of a cubic row's terms, highest degree first
+_CUBIC = np.arange(3.0, -1.0, -1.0)
+
+
+def _powers(s: np.ndarray) -> np.ndarray:
+    """s^3, s^2, s and 1 of the 1-D s, as (s.size, 4), so that the powers
+    times a piece's rows are the piece at s."""
+    return s[:, None] ** _CUBIC
 
 
 def _at_nodes(half, rules, sides):

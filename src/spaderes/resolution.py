@@ -198,6 +198,8 @@ def d_half_from_curve(
     error.  fi_fn maps a float separation to a float and an array of
     separations to an array, as curves built on SourceScene do.
     """
+    if not 0.0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be finite and positive, got {sigma}")
     d_peak, f_peak = _peak(fi_fn, 1e-6 * sigma, 3.0 * sigma, 1e-10 * sigma)
     if f_peak < target:
         raise BracketingError(

@@ -1,5 +1,6 @@
 """Intensity-only imaging FI and the quantum bound it fails to reach."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from spaderes.integrate import (
     integrate_oscillatory_tails,
     integrate_refined,
 )
-from spaderes.overlap import tau1_closed, tau1_numeric
+from spaderes.overlap import tau1_closed, tau1_numeric, tau1_small_d
 from spaderes.psf import (
     GAUSSIAN_HALF_WIDTH_SIGMAS,
     QUAD_ABS_TOL,
@@ -36,7 +37,12 @@ from spaderes.psf import (
     sinc_psf,
     tabulated_psf,
 )
-from spaderes.resolution import d_half_counting, d_half_quadrature, superres_window
+from spaderes.resolution import (
+    d_half_counting,
+    d_half_from_curve,
+    d_half_quadrature,
+    superres_window,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 GAUSS = gaussian_psf(1.0)
@@ -258,6 +264,80 @@ def test_tabulated_images_apart_recover_the_quantum_limit():
     assert fi_direct(TABULATED, 0.5 * width * (1 - 1e-9), 3.0) == pytest.approx(limit, rel=1e-12)
 
 
+# the same spline with its lattice dropped, so that fi_direct merges the breakpoints
+MERGED = dataclasses.replace(
+    TABULATED, _pieces=dataclasses.replace(TABULATED._pieces, lattice=None)
+)
+
+
+def test_lattice_path_matches_the_merged_pieces(monkeypatch):
+    # the shipped grid is uniform: fi_direct integrates on its lattice and
+    # never merges breakpoints, and agrees with the merge path on the same
+    # spline to 1e-13 relative
+    lattice = TABULATED._pieces.lattice
+    n = lattice.images.shape[-1]
+    h = lattice.h_hi + lattice.h_lo
+    span = TABULATED.grid[-1] - TABULATED.grid[0]
+    # d = 0.5 on the grid below: 2d = 50 h exactly, delta = 0
+    assert lattice.lags(np.array([1.0]))[1][0, 0] == 0.0
+    inside = 0.5 * np.array([span - 0.5 * h, np.nextafter(span, 0.0)])
+    assert np.all(lattice.lags(2.0 * inside)[0][:, 0] == n - 1)  # the last lag
+    # past the span the images are apart: exactly 1 / sigma^2
+    far = 0.5 * np.array([span, np.nextafter(span, np.inf), 1.01 * span])
+    d = np.concatenate([np.linspace(0.0, 5.0, 101), inside, -inside[:1], far])
+    merged = fi_direct(MERGED, d, 1.0)
+    monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
+    lattice_path = fi_direct(TABULATED, d, 1.0)
+    assert lattice_path[0] == 0.0
+    assert np.all(lattice_path[-far.size :] == 1.0 / TABULATED.sigma**2)
+    np.testing.assert_allclose(lattice_path, merged, rtol=1e-13, atol=0.0)
+
+
+def test_lattice_path_gives_a_d_its_bits_alone_and_inside_an_array():
+    span = TABULATED.grid[-1] - TABULATED.grid[0]
+    d = np.concatenate([np.linspace(-5.0, 5.0, 41), [0.5, 0.49 * span, 0.5 * np.nextafter(span, 0)]])
+    alone = [fi_direct(TABULATED, x, 1.0) for x in d]
+    assert np.array_equal(fi_direct(TABULATED, d, 1.0), alone)
+    assert np.array_equal(fi_direct(TABULATED, d[::-1], 1.0), alone[::-1])
+
+
+def test_lattice_energy_prefix_sums_total_the_spline_energy():
+    # from the left and from the right, the prefix sums of integral u'^2 over
+    # the pieces start at 0 and end at the spline's energy, 1 / (4 sigma^2)
+    pieces = TABULATED._pieces
+    energy = pieces.lattice.energy
+    assert energy.shape == (2, TABULATED.grid.size) and np.all(energy[:, 0] == 0.0)
+    assert np.all(np.diff(energy, axis=1) > 0.0)
+    np.testing.assert_allclose(4.0 * energy[:, -1], 1.0 / TABULATED.sigma**2, rtol=1e-14)
+    np.testing.assert_allclose(energy[:, -1], pieces.energy, rtol=1e-14)
+
+
+def test_non_uniform_grid_keeps_its_bits():
+    # the shipped samples with every other point dropped right of 0: no
+    # lattice, so fi_direct and tau1_numeric merge the breakpoints, with the
+    # bits they had before the lattice path
+    data = np.loadtxt(GOLDEN / "psf_gaussian_801.txt")
+    keep = np.r_[0:400, 400:801:2]
+    tab = tabulated_psf(data[keep, 0], data[keep, 1])
+    assert tab._pieces.lattice is None
+    d = np.array([0.0, 0.05, 0.7, 1.3, 2.5, 4.0, 7.9, 9.0])
+    tr = tau1_numeric(tab, d)
+    expected = {
+        "fi_direct": ["0x0.0p+0", "0x1.460d6bda3d1cep-8", "0x1.0cf4ccf05fbc2p-1",
+                      "0x1.b9f26d37d882ap-1", "0x1.fdabeaf02fa42p-1", "0x1.fffe71c859bc9p-1",
+                      "0x1.ffffffe12993bp-1", "0x1.ffffffe12993cp-1"],
+        "c": ["0x0.0p+0", "0x1.9978d64123ea6p-6", "0x1.511b54b719fe9p-2",
+              "0x1.0d6ce9ed7bf23p-1", "0x1.25036b081b8d6p-1", "0x1.152aaa44ff4e8p-2",
+              "0x1.a7b750722c430p-10", "0x1.79ed7a60eace0p-13"],
+        "c_prime": ["0x1.fffffff094c9fp-2", "0x1.ff8526d9cc922p-2", "0x1.a69660284c81ap-2",
+                    "0x1.debf900468ab0p-3", "-0x1.07b64697b9200p-3", "-0x1.9fc000082e429p-3",
+                    "-0x1.87a03c93c99d3p-9", "-0x1.944d0b0b429c8p-12"],
+    }
+    got = {"fi_direct": fi_direct(tab, d, 1.0), "c": tr.c, "c_prime": tr.c_prime}
+    for name, values in got.items():
+        assert [float(v).hex() for v in values] == expected[name], name
+
+
 @pytest.mark.parametrize("tf", [GAUSS, SINC, TABULATED], ids=lambda tf: tf.kind)
 def test_nan_separation_is_refused(tf):
     # NaN and +-inf alike, on every kind
@@ -300,6 +380,9 @@ POSITIVE_INPUTS = {
     "d_half_quadrature sigma": lambda x: d_half_quadrature(x, 1e4),
     "superres_window sigma": lambda x: superres_window(x, 1e4),
     "superres_window n_s": lambda x: superres_window(1.0, 1e4, n_s=x, statistics=THERMAL),
+    "tau1_small_d sigma": lambda x: tau1_small_d(x, 0.3),
+    # refused before the curve is searched
+    "d_half_from_curve sigma": lambda x: d_half_from_curve(lambda d: pytest.fail("ran"), 0.5, x),
 }
 
 

@@ -130,15 +130,8 @@ def _lattice_information(pieces: SplinePieces, shift: np.ndarray):
     """
     lattice = pieces.lattice
     n = lattice.images.shape[-1]
-    lags, offsets = lattice.lags(shift)
+    lags, s, t, weights = lattice.halves(shift, _HALF_STEP, _HALF_WEIGHT)
     m = lags[:, 0]
-    # on lag m, s in [delta, h] and t in [0, h - delta]; on lag m + 1,
-    # s in [0, delta] and t in [h - delta, h]: t = s - offset on each
-    s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
-    width = (s_from + t_from)[:, ::-1]
-    step = width[..., None] * _HALF_STEP
-    s, t = (start[..., None] + step for start in (s_from, t_from))
-    weights = width[..., None] * _HALF_WEIGHT
     # y's image lies alone on its first m pieces, y - 2d's on its last m
     value = 2.0 * lattice.energy[:, m].sum(axis=0)
     err = np.zeros(shift.size)
@@ -187,6 +180,7 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
             ad,
             DIRECT_REL_TOL,
             "direct-imaging information",
+            even=True,
         )
     return (n_s * value).reshape(d.shape)[()]
 
@@ -211,5 +205,7 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
         value = tf._pieces.energy
     else:
         energy = lambda u, du: du[0] ** 2
-        [value] = quad_over_psf(tf, energy, (0.0,), np.zeros(1), what="derivative energy")
+        [value] = quad_over_psf(
+            tf, energy, (0.0,), np.zeros(1), what="derivative energy", even=True
+        )
     return 4.0 * n_s * value

@@ -2,30 +2,32 @@
 
 ``composite_gauss_legendre`` / ``integrate_refined`` integrate smooth
 integrands on a finite interval (rapidly decaying tails already truncated
-away).  ``integrate_oscillatory_tails`` takes even-symmetric domains where the
+away), on panel nodes built once per (bounds, count) and kept: a caller with
+a domain per row maps one template, such as [0, 1] or [-1, 1], onto it.
+``integrate_oscillatory_tails`` takes even-symmetric domains where the
 integrand decays only algebraically (~1/x) while oscillating at a fixed
 frequency a, with the period pi / a: truncating at +-X leaves an O(1/X)
 tail, so the partial integrals on a geometric ladder of TAIL_LEVELS
 panel-aligned half-widths are extrapolated to X -> infinity in powers of
 1/X.  Its error estimate compares that extrapolation with the one an order
-lower over the ladder's upper rungs, so it tracks the order it judges.  The
-ladder keeps, with its nodes x, their phases sin(a x) and cos(a x), and
-hands them to f, so an integrand that oscillates at a takes no
-trigonometry of its own nodes.
+lower over the ladder's upper rungs, so it tracks the order it judges.  An
+integrand its caller declares even runs on the half of the ladder over
+x >= 0, its partial integrals doubled.  The ladder keeps, with its nodes x,
+their phases sin(a x) and cos(a x), and hands them to f, so an integrand
+that oscillates at a takes no trigonometry of its own nodes.
 
 Each takes a 1-D array ``d`` and integrates one row per d: row i
-integrates f(x, d_i); the bounds are two numbers or two arrays of d's shape,
-a count either.  f takes a block of rows' nodes, (rows, n) or (1, n) where
-shared, and their d as a (rows, 1) column (then, on the tail ladder, the
-phases, sliced alike), and returns (rows, n), or (k, rows, n) for k
-integrands: the result is (d.size,) or (d.size, k).
+integrates f(x, d_i); the bounds are two numbers, the count a number or one
+per row.  f takes a block of rows' nodes, (1, n), shared, and their d as a
+(rows, 1) column (then, on the tail ladder, the phases, sliced alike), and
+returns (rows, n), or (k, rows, n) for k integrands: the result is
+(d.size,) or (d.size, k).
 One driver, :func:`_row_sums`, runs every rule.  Rows of one panel count
 share a pass, in blocks of at most NODES_PER_BLOCK nodes, over nodes kept
-per count where nothing else sets them; a row of over CHUNK_NODES nodes,
-such as the tail ladder's, runs alone, in a few equal chunks.  Each segment
-of a row (the whole row of a composite rule, each segment of the ladder) is
-reduced on its own by np.dot, so a row gets the same bits alone or in any
-batch.
+per count; a row of over CHUNK_NODES nodes, such as the whole line's tail
+ladder, runs alone, in a few equal chunks.  Each segment of a row (the
+whole row of a composite rule, each segment of the ladder) is reduced on
+its own by np.dot, so a row gets the same bits alone or in any batch.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
     Rows are grouped by ``counts``, a number or one per row; ``layout(count)``
     gives a group's (n, segments, nodes): n nodes a row, the slices of its
     segments, in order, and the arrays f reads, (nodes, weights, *extra),
-    each (1, n) where the rows share it, or a function of a block of rows.
-    f gets the nodes, the rows' d as a column, then the extra arrays, sliced
-    alike.  Rows of at most CHUNK_NODES nodes share passes, in blocks of at
-    most NODES_PER_BLOCK nodes; a longer row runs alone, in equal chunks.
+    each (1, n), which every row shares.  f gets the nodes, the rows' d as a
+    column, then the extra arrays, sliced alike.  Rows of at most
+    CHUNK_NODES nodes share passes, in blocks of at most NODES_PER_BLOCK
+    nodes; a longer row runs alone, in equal chunks.
     """
     d = np.asarray(d, dtype=float)
     if not d.size:
@@ -83,13 +85,12 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
         groups.setdefault(count, []).append(i)
     sums = [None] * d.size
     for count, rows in groups.items():
-        n, segments, nodes = layout(count)
+        n, segments, (x, w, *extra) = layout(count)
         chunks = _chunks(n)
         per_block = 1 if len(chunks) > 1 else max(1, NODES_PER_BLOCK // n)
         d_rows = d[:, None] if len(rows) == d.size else d[rows, None]
         for start in range(0, len(rows), per_block):
             block = rows[start : start + per_block]
-            x, w, *extra = nodes(block) if callable(nodes) else nodes
             column = d_rows[start : start + per_block]
             if len(chunks) == 1:
                 values = np.asarray(f(x, column, *extra), dtype=float)
@@ -98,9 +99,8 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
                     [f(x[..., c], column, *[e[..., c] for e in extra]) for c in chunks], axis=-1
                 )
             lead = values.shape[:-2]
-            weights = w if len(w) == len(block) else [w[0]] * len(block)
-            for i, wi, row in zip(block, weights, values.reshape(-1, len(block), n).swapaxes(0, 1)):
-                sums[i] = [np.dot(wi[s], v[s]) for v in row for s in segments]
+            for i, row in zip(block, values.reshape(-1, len(block), n).swapaxes(0, 1)):
+                sums[i] = [np.dot(w[0, s], v[s]) for v in row for s in segments]
     return np.array(sums, dtype=float).reshape((d.size,) + lead + (-1,))
 
 
@@ -117,34 +117,30 @@ def _chunks(n: int) -> tuple:
 _WHOLE = (slice(None),)
 
 
-def composite_gauss_legendre(f: Callable[..., np.ndarray], a, b, n_panels, d):
+def composite_gauss_legendre(f: Callable[..., np.ndarray], a: float, b: float, n_panels, d):
     """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels,
-    a row per d of the 1-D ``d``."""
-    if not np.greater(b, a).all():
+    a row per d of the 1-D ``d``, on the nodes of each count built once and kept."""
+    if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
-
-    def layout(count):
-        if np.ndim(a) == 0:
-            return PANEL_NODES * count, _WHOLE, _shared_panel_nodes(float(a), float(b), count)
-        return PANEL_NODES * count, _WHOLE, lambda block: _panel_nodes(a[block], b[block], count)
-
+    a, b = float(a), float(b)
+    layout = lambda count: (PANEL_NODES * count, _WHOLE, _shared_panel_nodes(a, b, count))
     return _row_sums(f, d, n_panels, layout)[..., 0]
 
 
-def _panel_nodes(a, b, n_panels: int):
-    """Nodes and weights of n_panels equal panels on [a, b], a row per bound of a and b."""
+def _panel_nodes(a: float, b: float, n_panels: int):
+    """Nodes and weights of n_panels equal panels on [a, b], as (1, n) rows."""
     x, w = _gl_nodes(PANEL_NODES)
-    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
-    # np.linspace(a, b, n_panels + 1) a row, by its arithmetic without its overhead
+    # np.linspace(a, b, n_panels + 1), by its arithmetic without its overhead
     edges = np.arange(n_panels + 1) * ((b - a) / n_panels) + a
-    edges[:, -1:] = b
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    xs = (mid[..., None] + half[..., None] * x).reshape(edges.shape[0], -1)
-    return xs, (half[..., None] * w).reshape(xs.shape)
+    edges[-1] = b
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).reshape(1, -1), (half[:, None] * w).reshape(1, -1)
 
 
-@lru_cache(maxsize=8)
+# the Gaussian oracles on 0-5 sigma take about 40 (bounds, count) pairs, each
+# at most 2,000 nodes: 64 keep them all, in under 2 MiB
+@lru_cache(maxsize=64)
 def _shared_panel_nodes(a: float, b: float, n_panels: int):
     """_panel_nodes on bounds that every row shares, built once a count and kept, read-only."""
     return _read_only(*_panel_nodes(a, b, n_panels))
@@ -165,29 +161,33 @@ def integrate_refined(f: Callable[..., np.ndarray], a, b, n_panels, d):
     return fine, abs(fine - coarse)
 
 
-def _extrapolate_to_zero(ts, values: list) -> tuple:
+def _extrapolate_to_zero(ts, values) -> tuple:
     """Neville polynomial extrapolation of values(t) to t = 0, elementwise over
     arrays, with its error estimate: the distance to the extrapolation one
     order lower over the upper rungs (all but the first, nearest t = 0).
     Both lean on the widest rungs, so the estimate tracks the order it
     judges; one order lower over the lower rungs overstated the sinc
-    ladder's error 1e4 to 1e6 times."""
-    table = list(values)
+    ladder's error 1e4 to 1e6 times.  ``ts`` and ``values`` run over the
+    rungs on their first axis, and each column of the table is one array
+    operation over it, with the arithmetic of each entry its own."""
+    ts, table = np.asarray(ts), np.asarray(values)
     for m in range(1, len(table)):
         upper = table[-1]
-        pairs = enumerate(zip(table, table[1:]))
-        table = [b + (b - a) * ts[i + m] / (ts[i] - ts[i + m]) for i, (a, b) in pairs]
+        a, b = table[:-1], table[1:]
+        table = b + (b - a) * ts[m:] / (ts[:-m] - ts[m:])
     return table[0], abs(table[0] - upper)
 
 
-def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: float, d):
+def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: float, d, even=False):
     """Integral of ``f`` over (-inf, inf) for 1/x-decaying integrands that
     oscillate at the frequency ``a``, with the period pi / a.
 
     The partial integral over [-X, X] behaves as S(X) = S - c1/X - c2/X^2 - ...
     with coefficients that are constant when X is restricted to even multiples
     of the oscillation period, so S is recovered by polynomial extrapolation in
-    1/X over the ladder X0, 2*X0, ..., 2^(TAIL_LEVELS-1)*X0.
+    1/X over the ladder X0, 2*X0, ..., 2^(TAIL_LEVELS-1)*X0.  An ``even`` f,
+    declared by its caller, is integrated over [0, X] only, and each partial
+    integral doubled: half the nodes.
 
     The ladder's segments are packed into one kept row of nodes per start m0
     (:func:`_ladder`), which f sees in chunks, and each segment is reduced by
@@ -196,14 +196,14 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
     those nodes.
 
     Returns (value, error estimate from the extrapolation table), a row per
-    d.  Refuses, before evaluating ``f``, a ladder that would keep over
-    MAX_PANELS panels, PANEL_NODES m0 2^TAIL_LEVELS nodes.
+    d.  Refuses, before evaluating ``f``, a ladder whose span [-X, X] would
+    take over MAX_PANELS panels, m0 2^TAIL_LEVELS, on either layout.
     """
     half_width = np.reshape(half_width, -1)
     period = np.pi / a
     # initial half-width: smallest even multiple of the period >= half_width
     m0 = np.maximum(2.0, 2.0 * np.ceil(half_width / (2.0 * period)))
-    over = m0 * 2**TAIL_LEVELS > MAX_PANELS  # the packed ladder's panels
+    over = m0 * 2**TAIL_LEVELS > MAX_PANELS  # the panels of the whole line's ladder
     if over.any():
         raise NumericError(
             f"half-width {half_width[np.argmax(over)]:.4g} needs a ladder of over "
@@ -213,33 +213,35 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
         return half_width, half_width
 
     def layout(count):
-        *nodes, segments = _ladder(count, a)
+        *nodes, segments = _ladder(count, a, even)
         return nodes[0].size, segments, nodes
 
     sums = _row_sums(f, d, m0, layout)
     lead = sums.shape[1:-1]
-    # the partial integrals at the ends of the rungs: the first has one segment, the others two
-    partials = np.cumsum(sums.reshape(m0.size, -1, sums.shape[-1]), axis=-1)[..., ::2]
+    # the partial integrals at the ends of the rungs: on the whole line the first
+    # rung has one segment and the others two; on the half-line each has one
+    partials = np.cumsum(sums.reshape(m0.size, -1, sums.shape[-1]), axis=-1)
+    partials = 2.0 * partials if even else partials[..., ::2]
     widths = (m0 * period)[:, None, None] * 2.0 ** np.arange(TAIL_LEVELS)
-    value, err = _extrapolate_to_zero(
-        list(np.moveaxis(1.0 / widths, -1, 0)), list(np.moveaxis(partials, -1, 0))
-    )
+    value, err = _extrapolate_to_zero(np.moveaxis(1.0 / widths, -1, 0), np.moveaxis(partials, -1, 0))
     return value.reshape((-1,) + lead), err.reshape((-1,) + lead)
 
 
 @lru_cache(maxsize=8)
-def _ladder(m0: int, a: float):
+def _ladder(m0: int, a: float, even: bool):
     """The ladder from m0 periods pi / a, packed: its nodes x, weights, and
     phases sin(a x) and cos(a x) as read-only (1, n) arrays, and the slices
     of its segments, in order: [-X0, X0], then [X_l-1, X_l] and
-    [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a period.  Built once
-    per (m0, a) and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes, 0.6 MiB with
-    the weights and phases at the sinc start width."""
+    [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a period; or, for an
+    ``even`` integrand, [0, X0], then [X_l-1, X_l].  Built once per
+    (m0, a, even) and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes on the whole
+    line, 0.6 MiB with the weights and phases at the sinc start width, and
+    half that on the half-line."""
     x0 = m0 * (np.pi / a)
-    spans = [(-x0, x0, 2 * m0)]
+    spans = [(0.0, x0, m0)] if even else [(-x0, x0, 2 * m0)]
     for level in range(1, TAIL_LEVELS):
         lo, hi, n = x0 * 2 ** (level - 1), x0 * 2**level, m0 * 2 ** (level - 1)
-        spans += [(lo, hi, n), (-hi, -lo, n)]
+        spans += [(lo, hi, n)] if even else [(lo, hi, n), (-hi, -lo, n)]
     x, w = (np.concatenate(v, axis=-1) for v in zip(*(_panel_nodes(*s) for s in spans)))
     ax = a * x
     ends = np.cumsum([0] + [PANEL_NODES * n for _, _, n in spans]).tolist()

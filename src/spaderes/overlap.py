@@ -20,13 +20,19 @@ tabulated spline.  It is the oracle of every kind.  On the analytic kinds
 every d is a row of one quadrature call (:mod:`spaderes.integrate`), whose
 integrand takes (rows, n) nodes and the rows' d as a (rows, 1) column and
 returns the integrands of c and c' as (2, rows, n); each row is reduced on
-its own by np.dot, so a d gets the same bits alone or inside an array.
+its own by np.dot, so a d gets the same bits alone or inside an array.  On
+a tabulated spline with a uniform grid the pieces are the lattice's
+(:class:`UniformLattice`): every piece of v1 splits at the same offset, and
+the pieces are evaluated at nodes they share (:func:`_lattice_overlaps`);
+any other grid merges the breakpoints d by d (:func:`_spline_overlaps`),
+which is the test oracle of both lattice paths.
 :func:`tau1_exact` is the closed form for the analytic kinds; for a
-tabulated spline on a uniform grid it sums the spline lag by lag, exactly
-and in a few operations per d, and on any other grid it is the
-piece-by-piece path.  Squares of d-dependent values use np.float_power,
-i.e. pow() as a scalar ``x**2`` does: an array's ``x**2`` multiplies, and
-differs from pow() in the last bit for one value in ~1300.
+tabulated spline on a uniform grid it sums the spline's coefficient
+products lag by lag, exactly and in a few operations per d (the two
+lattice paths share only the lattice and its lags), and on any other grid
+it is the piece-by-piece path.  Squares of d-dependent values use
+np.float_power, i.e. pow() as a scalar ``x**2`` does: an array's ``x**2``
+multiplies, and differs from pow() in the last bit for one value in ~1300.
 """
 
 from __future__ import annotations
@@ -132,7 +138,8 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     and v1 u' degree 4, and 3-node Gauss-Legendre per piece is exact.  u is
     zero outside the grid hull, so c = c' = 0 once d spans the hull.  The
     error estimate bounds rounding only.  Each row of d is reduced on its
-    own, so a d gives the same bits alone or inside an array.
+    own, so a d gives the same bits alone or inside an array.  It runs on
+    any grid, and is the test oracle of both lattice paths of a uniform one.
     """
     c, cp, err_c, err_cp = np.zeros((4, ad.size))
     inside = np.flatnonzero(ad < tf.grid[-1] - tf.grid[0])
@@ -145,6 +152,47 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
         c[rows], cp[rows] = terms_c.sum(axis=1), terms_cp.sum(axis=1)
         err_c[rows] = _ROUNDING * np.abs(terms_c).sum(axis=1)
         err_cp[rows] = _ROUNDING * np.abs(terms_cp).sum(axis=1)
+    return _checked(c, cp, err_c, err_cp)
+
+
+def _lattice_overlaps(tf: TransferFunction, ad: np.ndarray):
+    """(c, c') at every |d| of the 1-D array ``ad`` on the lattice of a
+    uniform grid (:class:`UniformLattice`), exactly for the spline.
+
+    Write d = m h + delta.  Every piece i of v1 splits at delta: on
+    [delta, h], u(x - d) is on piece i - m, at t = s - delta, and on
+    [0, delta] on piece i - m - 1, at t = s - delta + h.  So the nodes s and
+    t of each half are two vectors that every piece shares, v1, u and u' are
+    one product of their powers with the rows
+    (:meth:`UniformLattice.v1_at`, :meth:`UniformLattice.images_at`), and
+    3-node Gauss-Legendre on each half is exact for the degree-5 product.
+    The products are summed over the pieces at each node: unlike the lag
+    sums of :func:`tau1_exact`, which sum coefficient products by lag and
+    then evaluate a polynomial.  The error estimate bounds rounding only, as
+    :func:`_spline_overlaps`' does.  Each d runs on its own, so it gives the
+    same bits alone or inside an array.
+    """
+    lattice = tf._pieces.lattice
+    n = lattice.v1.shape[1]
+    c, cp, err_c, err_cp = np.zeros((4, ad.size))
+    inside = np.flatnonzero(ad < lattice.span)
+    lags, s, t, weights = lattice.halves(ad[inside], _PIECE_STEP, _PIECE_HALF_W)
+    for i, row in enumerate(inside.tolist()):
+        # v1 is on pieces lag .. n - 1, and u(x - d) on 0 .. n - lag - 1
+        # (a d within rounding of the span may reach lag n, where nothing overlaps)
+        for at_s, at_t, w, lag in zip(s[i], t[i], weights[i], lags[i].tolist()):
+            if lag < n:
+                wv1 = w[:, None] * lattice.v1_at(at_s, slice(lag, n))
+                terms = wv1 * lattice.images_at(at_t, slice(0, n - lag))
+                c[row] += terms[0].sum()
+                cp[row] -= terms[1].sum()
+                err_c[row] += _ROUNDING * np.abs(terms[0]).sum()
+                err_cp[row] += _ROUNDING * np.abs(terms[1]).sum()
+    return _checked(c, cp, err_c, err_cp)
+
+
+def _checked(c, cp, err_c, err_cp):
+    """(c, c'), once each passes its rounding bound (:func:`check_converged`)."""
     check_converged(c, err_c, QUAD_REL_TOL, QUAD_ABS_TOL, "mode overlap")
     check_converged(cp, err_cp, QUAD_REL_TOL, QUAD_ABS_TOL, "overlap derivative")
     return c, cp
@@ -209,7 +257,7 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     """
     sigma = tf.sigma
     if tf.kind == TABULATED:
-        return _spline_overlaps(tf, ad)
+        return (_spline_overlaps if tf._pieces.lattice is None else _lattice_overlaps)(tf, ad)
     what = ("mode overlap", "overlap derivative")
     if tf.kind == GAUSSIAN:
 
@@ -232,8 +280,9 @@ def tau1_numeric(tf: TransferFunction, d) -> Transmission:
 
     The overlap c(d) = <v1, u(. - d)> and its derivative -<v1, u'(. - d)> are
     integrated where each kind's integrand is smooth: over x for the Gaussian,
-    over the flat band for sinc, piece by piece for a tabulated spline.  It is
-    the oracle of every kind's :func:`tau1_exact`.
+    over the flat band for sinc, piece by piece for a tabulated spline (on
+    the lattice of a uniform grid).  It is the oracle of every kind's
+    :func:`tau1_exact`.
     """
     return _transmission(tf, d, _quadrature_overlaps)
 

@@ -27,18 +27,26 @@ v1(x) = -2 sigma u'(x), an orthonormal pair for real u.
 
 :func:`quad_over_psf` is the one place where an analytic PSF is evaluated
 under a quadrature: its integrand takes u and u' of the displaced images
-and never evaluates the PSF itself.  Its domains are kind-aware: Gaussian
-integrands are truncated at 10 sigma (tails < 1e-22), and sinc integrands
-decay only as 1/x and are handled by the tail-extrapolated ladder in
-:mod:`spaderes.integrate` with panels aligned to the oscillation period
-pi/a: TAIL_LEVELS rungs from SINC_HALF_WIDTH_OVER_A / a past the margin d
-(and, once d is past SINC_HALF_WIDTH_OVER_A / a, as far again past it, so
-that the first rungs stay clear of the images), packed into one kept row
-of nodes per start (16,384-18,432 nodes a d on 0-5 sigma) that is
-evaluated in a few chunks.  The ladder keeps the phases sin(a x) and
-cos(a x) of its nodes with them, and the sinc evaluator takes each chunk's
-phases from it.  The mode overlaps of :mod:`spaderes.overlap` take it for
-the Gaussian only: sinc overlaps are integrated over the flat spectrum.
+and never evaluates the PSF itself.  A caller whose integrand is even in x
+says so (``even=True``: direct imaging and the derivative energy), and it
+is integrated over x >= 0 only, and doubled.  The domains are kind-aware.
+Gaussian integrands are truncated at 10 sigma about the images (tails
+< 1e-22): one span over both images while those windows overlap, [0, H]
+for an even integrand and [-H, H] otherwise, H = 10 sigma + |d|, and each
+image's window alone once they lie apart, so the cost stops growing with
+d; every span maps a unit template of panel nodes, kept per count, by its
+half-width.  Sinc integrands decay only as 1/x and are handled by the
+tail-extrapolated ladder in :mod:`spaderes.integrate` with panels aligned
+to the oscillation period pi/a: TAIL_LEVELS rungs from
+SINC_HALF_WIDTH_OVER_A / a past the margin d (and, once d is past
+SINC_HALF_WIDTH_OVER_A / a, as far again past it, so that the first rungs
+stay clear of the images), packed into one kept row of nodes per start:
+on the half-line, 8,192-9,216 nodes a d on 0-5 sigma, in one or two
+chunks (twice that on the whole line).  The ladder keeps the phases
+sin(a x) and cos(a x) of its nodes with them, and the sinc evaluator takes
+each chunk's phases from it.  The mode overlaps of :mod:`spaderes.overlap`
+take it for the Gaussian only: sinc overlaps are integrated over the flat
+spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
@@ -50,10 +58,11 @@ exact per piece.  So no tabulated integrand is cut off at the grid hull.  On
 a uniform grid it also holds the pieces re-centred on an exact lattice,
 :class:`UniformLattice`, whose sums over the pieces lag by lag give the mode
 overlap exactly in a few operations per d.  The lattice also evaluates its
-pieces at node vectors that every piece shares, one product of the nodes'
-powers with the contiguous rows, and keeps the energy of u' over its first
-and last m pieces: the direct-imaging information takes both instead of the
-merged pieces.
+pieces (u and u', and the derivative mode v1) at node vectors that every
+piece shares, one product of the nodes' powers with the contiguous rows,
+and keeps the energy of u' over its first and last m pieces: the
+direct-imaging information and the overlap oracle take these instead of
+the merged pieces.
 """
 
 from __future__ import annotations
@@ -180,8 +189,9 @@ class SplinePieces:
     :meth:`evaluate` at points, :meth:`blocks` at quadrature nodes, and on a
     uniform grid its ``lattice`` (:class:`UniformLattice`), which sums them
     over the pieces for the overlap c(d) = <v1, u(. - d)> and evaluates them
-    at shared nodes for the direct-imaging information; on any other grid
-    ``lattice`` is None and both run piece by piece on :meth:`blocks`.
+    at shared nodes for the overlap oracle and the direct-imaging
+    information; on any other grid ``lattice`` is None and all three run
+    piece by piece on :meth:`blocks`.
     """
 
     x: np.ndarray
@@ -286,8 +296,9 @@ class UniformLattice:
     moves u by O(e^3) and v1 by O(e^2): under 1e-28 of either.  The lattice
     ends where the grid does, to the rounding of h_lo.  :meth:`images_at`
     evaluates u and u' of a run of pieces at local coordinates they share,
-    and ``energy`` holds the prefix sums of integral u'^2 over the pieces
-    from the left and from the right, each exact per piece.
+    :meth:`v1_at` the derivative mode alike, and ``energy`` holds the prefix
+    sums of integral u'^2 over the pieces from the left and from the right,
+    each exact per piece.
     """
 
     h_hi: float
@@ -343,6 +354,12 @@ class UniformLattice:
         one product of the nodes' powers with the rows."""
         return np.matmul(_powers(s), self.images[:, :, pieces])
 
+    def v1_at(self, s: np.ndarray, pieces: slice) -> np.ndarray:
+        """The derivative mode v1 of the lattice pieces ``pieces`` at the
+        local coordinates of the 1-D ``s``, the same on every piece:
+        (s.size, pieces), from one product of the nodes' powers with the rows."""
+        return np.matmul(_powers(s)[:, 1:], self.v1[:, pieces])
+
     def lags(self, d: np.ndarray):
         """The lags m and m + 1 of each d of the 1-D array, d = m h + delta
         with 0 <= delta < h, as an integer array of shape (d.size, 2), and the
@@ -356,6 +373,20 @@ class UniformLattice:
             lags += 1.0 * (offsets[:, 1:] >= 0) - 1.0 * (offsets[:, :1] < 0)
             offsets = (d - lags * h_hi) - lags * h_lo
         return lags.astype(np.intp), offsets
+
+    def halves(self, d: np.ndarray, step: np.ndarray, weight: np.ndarray):
+        """Every piece split at the offset delta of each d of the 1-D array,
+        d = m h + delta: the lags m and m + 1 (:meth:`lags`), and a rule's
+        nodes s on the piece and t on the piece displaced by d, and its
+        weights, on each half, as (d.size, 2, nodes), from the rule's nodes
+        and weights per unit width ``step`` and ``weight``.  On lag m, s runs
+        over [delta, h] and t = s - delta over [0, h - delta]; on lag m + 1,
+        s over [0, delta] and t = s - delta + h over [h - delta, h]."""
+        lags, offsets = self.lags(d)
+        s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
+        width = (s_from + t_from)[:, ::-1, None]
+        s, t = (start[..., None] + width * step for start in (s_from, t_from))
+        return lags, s, t, width * weight
 
     def lag_sums(self, lags: np.ndarray) -> np.ndarray:
         """S[j, q, p] = sum over pieces i of images_jq[i] v1_p[i + m] for each
@@ -567,6 +598,7 @@ def quad_over_psf(
     margin: np.ndarray,
     rel_tol=QUAD_REL_TOL,
     what="psf integral",
+    even=False,
 ):
     """Integrate f of the displaced images u(x - k d), one for each
     multiplier k of ``shifts``, over the kind-appropriate domain, a row for
@@ -575,28 +607,82 @@ def quad_over_psf(
     Gaussian and sinc kinds only.  f(u, du) gets u and u' of the images as
     arrays (len(shifts), rows, n) and returns (rows, n), or (k, rows, n) for
     k integrands that a sequence ``what`` names: the result is (d.size,) or
-    (d.size, k).  Each row is reduced on its own with the bits it has alone
-    (:mod:`spaderes.integrate`), and one :func:`check_converged` judges all
-    rows.  The domain is widened by |d|.  The images come from the kind's
-    evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on the sinc
-    tail ladder, with the ladder's phases sin(a x) and cos(a x), and the
-    ladder's error estimate tracks its own extrapolation order.  A tabulated
-    PSF's integrals run piece by piece on its spline (:class:`SplinePieces`).
+    (d.size, k).  A caller whose f is even in x (its images symmetric about
+    0, its values even in u') declares it with ``even=True``: f then runs
+    over x >= 0 only, and the integral is doubled.  Each row is reduced on
+    its own with the bits it has alone (:mod:`spaderes.integrate`), and one
+    :func:`check_converged` judges all rows.  The images come from the
+    kind's evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on
+    the sinc tail ladder, widened by |d|, with the ladder's phases sin(a x)
+    and cos(a x), and the ladder's error estimate tracks its own
+    extrapolation order.  The Gaussian's domain is
+    :func:`_gaussian_quadrature`'s.  A tabulated PSF's integrals run piece by
+    piece on its spline (:class:`SplinePieces`).
     """
     ks = np.asarray(shifts, dtype=float)[:, None, None]
-    ad = np.abs(margin)
     if tf.kind == GAUSSIAN:
-        sigma = tf.sigma
-        half = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma + ad
-        n_panels = np.maximum(48, np.ceil(4.0 * half / sigma))
-        integrand = lambda x, d: f(*_gaussian_images(sigma, x, ks * d))
-        value, err = integrate_refined(integrand, -half, half, n_panels, margin)
+        value, err = _gaussian_quadrature(tf.sigma, f, ks, margin, even)
     elif tf.kind == SINC:
         a = tf.a
         start = SINC_HALF_WIDTH_OVER_A / a
+        ad = np.abs(margin)
         half = start + ad + np.maximum(0.0, ad - start)
         integrand = lambda x, d, *phases: f(*_sinc_images(a, x, ks * d, phases))
-        value, err = integrate_oscillatory_tails(integrand, half, a, margin)
+        value, err = integrate_oscillatory_tails(integrand, half, a, margin, even)
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
+
+
+def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarray, even: bool):
+    """(value, error estimate) of f of the Gaussian images at shifts ks d, a
+    row per d, by panel doubling (:func:`integrate_refined`) on templates
+    kept per panel count.
+
+    Each image's window, GAUSSIAN_HALF_WIDTH_SIGMAS sigma either side of it,
+    leaves out tails of order 1e-22, as one span over both images always
+    did.  While the windows of a row overlap, it takes one span of
+    half-width H = that width + |d|: x = H y for y on the template [-1, 1],
+    or on [0, 1] for an even f, whose integral is doubled, and the weights
+    scaled by H.  Once they lie apart, it takes each window alone, about its
+    own image, whose shift is then exactly 0 (for an even f those at
+    k >= 0, doubled, and [0, 1] at k = 0), so the cost no longer grows with
+    d.  An overlap of two images apart is under 1e-21 and is then kept to
+    that absolute accuracy only.  A span takes max(48, 4 H / sigma) panels
+    on [-H, H] and half as many on [0, H]; no span is over three windows
+    wide, far below integrate_refined's MAX_PANELS refusal, which stays.
+    """
+    reach = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma
+    d = np.asarray(d, dtype=float)
+    ad = np.abs(d)
+    images = sorted(set(ks.ravel().tolist()))
+    gap = min((b - a for a, b in zip(images, images[1:])), default=np.inf)
+    apart = ad >= 2.0 * reach / gap  # a lone image is apart
+    # the spans of a row, as (multiplier of the centre's image, widened by |d|)
+    near, far = [(0.0, True)], [(k, False) for k in images if k >= 0.0 or not even]
+
+    def spans_sum(spans, d):
+        total = 0.0
+        for k, widened in spans:
+            half = reach + np.abs(d) if widened else reach
+            lo = 0.0 if even and k == 0.0 else -1.0
+            panels = np.maximum(48.0, np.ceil(4.0 * half / sigma))
+            if lo == 0.0:
+                panels = np.ceil(0.5 * panels)
+
+            def integrand(y, d, k=k, widened=widened):
+                x = (reach + np.abs(d) if widened else reach) * y
+                return f(*_gaussian_images(sigma, x, (ks - k) * d))
+
+            fine, diff = integrate_refined(integrand, lo, 1.0, panels, d)
+            scale = np.reshape((2.0 if even else 1.0) * half, (-1,) + (1,) * (fine.ndim - 1))
+            total = total + scale * np.array([fine, diff])
+        return total
+
+    if apart.all() or not apart.any():
+        return spans_sum(far if apart.all() else near, d)
+    parts = [(rows, spans_sum(spans, d[rows])) for rows, spans in ((~apart, near), (apart, far))]
+    value, err = np.zeros((2, d.size) + parts[0][1].shape[2:])
+    for rows, (v, e) in parts:
+        value[rows], err[rows] = v, e
+    return value, err

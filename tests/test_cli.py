@@ -364,8 +364,9 @@ def test_sinc_direct_imaging_far_out_exits_zero(extra, capsys):
         ["simulate", "--n-s", "1e19", "--d-true", "0.3", "--statistics", "thermal"],
         ["simulate", "--n-s", "1e17", "--statistics", "thermal", "--frames", "1000000",
          "--trials", "10", "--d-true", "0.3"],
-        # a displaced Gaussian or sinc overlap asking for more quadrature panels than
-        # the node arrays may take
+        # a Gaussian at 1e300 sigma squares d past the float range, in the closed
+        # form and in the far image; a displaced sinc overlap asks for more
+        # quadrature panels than the node arrays may take
         ["tau-curve", "--absolute", "--d-max", "1e300", "--count", "3"],
         ["tau-curve", "--psf", "sinc", "--absolute", "--d-max", "1e8", "--count", "3"],
     ],
@@ -391,10 +392,19 @@ def test_large_photocount_totals_below_the_limit_run(statistics, capsys):
 
 
 def test_far_displacements_below_the_panel_cap_run(capsys):
-    # d = 1e4 sigma asks for 80080 panels on the refined pass, under MAX_PANELS
     assert run(["tau-curve", "--d-max", "1e4", "--count", "3"]) == 0
     last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
     assert float(last[0]) == 1e4 and float(last[1]) == 0.0
+
+
+def test_gaussian_images_far_apart_answer(capsys):
+    # past 20 sigma the Gaussian overlap integrates the windows about its two
+    # images, whose panels do not grow with d: at 2e4 sigma, where one span
+    # over both took 1.6e5 panels, over MAX_PANELS, it answers 0
+    assert run(["tau-curve", "--d-max", "20000", "--count", "3", "--absolute"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert [float(row[0]) for row in rows] == [0.0, 1e4, 2e4]
+    assert [float(row[1]) for row in rows] == [0.0, 0.0, 0.0]
 
 
 def test_long_tabulated_grid_loads(tmp_path, capsys):

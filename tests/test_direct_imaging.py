@@ -94,14 +94,19 @@ def _four_call_density(tf, x, d):
 
 
 def _kind_quadrature(tf, f, margin):
-    """(value, error estimate) of f(x, d) over quad_over_psf's domain and
-    rule for ``tf`` at the one displacement d = ``margin``, with f evaluating
-    the PSF itself (and leaving the tail ladder's phases aside)."""
+    """(value, error estimate) of the even f(x, d) over quad_over_psf's
+    half-line domain and rule for ``tf`` at the one displacement d =
+    ``margin`` up to 10 sigma, with f evaluating the PSF itself (and leaving
+    the tail ladder's phases aside): on the Gaussian, x = H y on the
+    template [0, 1], and the integral scaled by 2 H."""
     d = np.array([margin])
     if tf.kind == "gaussian":
         half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + margin
-        return integrate_refined(f, -half, half, max(48, np.ceil(4.0 * half / tf.sigma)), d)
-    return integrate_oscillatory_tails(f, SINC_HALF_WIDTH_OVER_A / tf.a + margin, tf.a, d)
+        panels = np.ceil(0.5 * max(48, np.ceil(4.0 * half / tf.sigma)))
+        value, err = integrate_refined(lambda y, d: f(half * y, d), 0.0, 1.0, panels, d)
+        return 2.0 * half * value, 2.0 * half * err
+    start = SINC_HALF_WIDTH_OVER_A / tf.a
+    return integrate_oscillatory_tails(f, start + margin, tf.a, d, even=True)
 
 
 def _four_call_fi_direct(tf, d):
@@ -137,12 +142,14 @@ def test_direct_imaging_matches_the_four_call_integrand(tf):
 
 
 def _without_kept_trigonometry(tf, f, shifts, margin):
-    """quad_over_psf's sinc integral of f(u, du) for |d| up to 50 / a, value
-    and error estimate, with sin and cos of a x computed afresh on every
-    chunk instead of taken from the ladder's phases."""
+    """quad_over_psf's sinc integral of the even f(u, du) for |d| up to
+    psf.SINC_HALF_WIDTH_OVER_A / a, value and error estimate, with sin and
+    cos of a x computed afresh on every chunk instead of taken from the
+    ladder's phases."""
     a, ks, d = tf.a, np.asarray(shifts, dtype=float)[:, None, None], np.reshape(margin, -1)
     integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d))
-    return integrate_oscillatory_tails(integrand, SINC_HALF_WIDTH_OVER_A / a + d, a, d)
+    start = psf.SINC_HALF_WIDTH_OVER_A / a
+    return integrate_oscillatory_tails(integrand, start + d, a, d, even=True)
 
 
 def test_kept_ladder_trigonometry_keeps_the_bits():
@@ -161,21 +168,82 @@ def test_kept_ladder_trigonometry_keeps_the_bits():
 def test_sinc_qfi_takes_the_kept_ladder_trigonometry(tf, monkeypatch):
     # every ladder chunk of the derivative energy is evaluated on slices of
     # the ladder's phases sin(a x) and cos(a x), with the bits of evaluating
-    # them afresh
+    # them afresh.  From 50 / a the half ladder starts at 16 periods pi / a,
+    # 8,192 nodes in one chunk; from 17 pi / a it starts at m0 = 18, 9,216
+    # nodes in two
+    m0 = 18
+    monkeypatch.setattr(psf, "SINC_HALF_WIDTH_OVER_A", (m0 - 1) * np.pi)
     calls, images = [], psf._sinc_images
     monkeypatch.setattr(psf, "_sinc_images", lambda *args: calls.append(args) or images(*args))
-    m0 = 16  # the smallest even multiple of the period pi / a past 50 / a
-    _, _, sin_ax, cos_ax, _ = integrate._ladder(m0, tf.a)
+    _, _, sin_ax, cos_ax, _ = integrate._ladder(m0, tf.a, True)
     hits = integrate._ladder.cache_info().hits
     kept = qfi_numeric(tf, 1.0)
     assert integrate._ladder.cache_info().hits > hits
     for args in calls:
         assert len(args) == 4 and args[3] is not None
         assert np.shares_memory(args[3][0], sin_ax) and np.shares_memory(args[3][1], cos_ax)
-    assert len(calls) == len(integrate._chunks(sin_ax.size)) > 1
-    monkeypatch.undo()
+    assert len(calls) == len(integrate._chunks(sin_ax.size)) == 2
+    monkeypatch.setattr(psf, "_sinc_images", images)
     afresh, _ = _without_kept_trigonometry(tf, lambda u, du: du[0] ** 2, (0.0,), 0.0)
     assert kept == 4.0 * 1.0 * float(afresh[0])
+
+
+def _whole_line(tf, f, shifts, d):
+    """quad_over_psf's integral of f(u, du) at each d of the 1-D d on the
+    layout of the whole line: the Gaussian on one span [-H, H], H = 10 sigma
+    + |d|, of max(48, 4 H / sigma) panels, a d at a time, and sinc on the
+    tail ladder over [-X, X]."""
+    ks = np.asarray(shifts, dtype=float)[:, None, None]
+    if tf.kind == "gaussian":
+        integrand = lambda x, d: f(*psf._gaussian_images(tf.sigma, x, ks * d))
+        values = []
+        for x in d.tolist():
+            half = GAUSSIAN_HALF_WIDTH_SIGMAS * tf.sigma + x
+            panels = max(48, np.ceil(4.0 * half / tf.sigma))
+            [value], _ = integrate_refined(integrand, -half, half, panels, np.array([x]))
+            values.append(value)
+        return np.array(values)
+    a, start = tf.a, SINC_HALF_WIDTH_OVER_A / tf.a
+    integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d, phases))
+    return integrate_oscillatory_tails(integrand, start + d + np.maximum(0.0, d - start), a, d)[0]
+
+
+@pytest.mark.parametrize("tf", [GAUSS, SINC], ids=lambda tf: tf.kind)
+def test_half_line_matches_the_whole_line(tf):
+    # fi_direct and qfi_numeric declare their integrands even and integrate
+    # over x >= 0 only: within 1e-14 of the whole line's layout, on 0-5 sigma
+    # and far out (where the Gaussian takes the window about its image)
+    d = tf.sigma * np.concatenate([np.linspace(0.0, 5.0, 101), [30.0, 100.0, 200.0]])
+    information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
+    whole = _whole_line(tf, information, (-1.0, 1.0), d)
+    np.testing.assert_allclose(fi_direct(tf, d, 1.0), whole, rtol=1e-14, atol=0.0)
+    [energy] = _whole_line(tf, lambda u, du: du[0] ** 2, (0.0,), np.zeros(1))
+    assert qfi_numeric(tf, 1.0) == pytest.approx(4.0 * energy, rel=1e-14, abs=0.0)
+
+
+def test_gaussian_oracles_far_out_take_the_windows_about_the_images(monkeypatch):
+    # once the 10-sigma windows about the images lie apart, each is
+    # integrated alone: the nodes no longer grow with d, nothing is refused,
+    # and the images apart give n_s / sigma^2 and a zero overlap
+    d = np.array([30.0, 1e3, 1e4, 1e8])
+    np.testing.assert_allclose(fi_direct(GAUSS, d, 3.0), 3.0, rtol=1e-14, atol=0.0)
+    assert fi_direct(gaussian_psf(2.0), 1e4, 3.0) == pytest.approx(0.75, rel=1e-14, abs=0.0)
+    tr = tau1_numeric(GAUSS, d[1:])
+    assert np.all(tr.tau1 == 0.0) and np.all(tr.c_prime == 0.0)
+    sizes, images = [], psf._gaussian_images
+    counted = lambda *args: sizes.append(args[1].size) or images(*args)
+    monkeypatch.setattr(psf, "_gaussian_images", counted)
+    for x in d:
+        sizes.clear()
+        fi_direct(GAUSS, x, 1.0)
+        tau1_numeric(GAUSS, x)
+        # three windows, fi_direct's about d and tau1_numeric's about 0 and d,
+        # each of 48 panels and then 96
+        assert sum(sizes) == 3 * 16 * (48 + 96)
+    # the switch at d = 10 sigma, where the windows of fi_direct's images meet
+    edge = np.array([np.nextafter(10.0, 0.0), 10.0])
+    monkeypatch.undo()
+    np.testing.assert_allclose(*fi_direct(GAUSS, edge, 1.0), rtol=1e-14, atol=0.0)
 
 
 def test_well_separated_recovers_full_information():

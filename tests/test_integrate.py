@@ -114,30 +114,50 @@ def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
     assert (first[0][0], first[1][0]) == expect
 
 
+def test_even_integrand_runs_on_the_half_ladder():
+    # an integrand declared even runs on [0, X0], then [X_l-1, X_l]: half the
+    # nodes of the whole line's ladder, each rung's partial doubled; the
+    # value and the error estimate agree with the whole line's to rounding
+    f = lambda x, d, sin_x, cos_x: (sin_x / x) ** 2 * np.cos(d * x)
+    d = np.array([0.0, 0.3, 0.7])
+    half, whole = (integrate_oscillatory_tails(f, 200.0, 1.0, d, even) for even in (True, False))
+    for h, w in zip(half, whole):
+        np.testing.assert_allclose(h, w, rtol=1e-13, atol=1e-16)
+    x, w, _, _, segments = integrate._ladder(64, 1.0, True)
+    whole = integrate._ladder(64, 1.0, False)[0]
+    assert x.size == PANEL_NODES * 64 * 2 ** (TAIL_LEVELS - 1) == whole.size // 2
+    assert x.min() > 0.0 and len(segments) == TAIL_LEVELS
+    widths = 64 * np.pi * 2.0 ** np.arange(TAIL_LEVELS)
+    for i in range(d.size):
+        g = f(x[0], d[i], np.sin(x[0]), np.cos(x[0]))
+        partials = 2.0 * np.cumsum([np.dot(w[0, s], g[s]) for s in segments])
+        expect = integrate._extrapolate_to_zero(1.0 / widths, list(partials))
+        assert (half[0][i], half[1][i]) == expect
+
+
 def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
     # a row of over CHUNK_NODES nodes runs alone, in equal chunks, and its
     # value is one np.dot over the whole unchunked row, alone or in an array
     f = lambda x, d: np.exp(-((x - d) ** 2) / 4.0) * np.cos(x)
-    d = np.array([0.5, 300.0, 2.0])  # a Gaussian composite row at 300 sigma is long
-    half = 10.0 + d
-    n_panels = np.maximum(48, np.ceil(4.0 * half))
+    d = np.array([0.5, 300.0, 2.0])
+    n_panels = np.array([48, 1264, 48])  # a Gaussian span over +-310 sigma is long
     sizes = []
     sized = lambda x, d: sizes.append(x.shape) or f(x, d)
-    value = composite_gauss_legendre(sized, -half, half, n_panels, d)
+    value = composite_gauss_legendre(sized, -1.0, 1.0, n_panels, d)
     # the two short rows share one pass; the long one takes three equal chunks
     n = PANEL_NODES * int(n_panels[1])
     assert 2 * CHUNK_NODES < n <= 3 * CHUNK_NODES
-    assert sizes == [(2, PANEL_NODES * 48), (1, n // 3), (1, n // 3), (1, n - 2 * (n // 3))]
+    assert sizes == [(1, PANEL_NODES * 48), (1, n // 3), (1, n // 3), (1, n - 2 * (n // 3))]
     for i in range(d.size):
-        x, w = integrate._panel_nodes(-half[i], half[i], int(n_panels[i]))
+        x, w = integrate._panel_nodes(-1.0, 1.0, int(n_panels[i]))
         row = slice(i, i + 1)
-        alone = composite_gauss_legendre(f, -half[row], half[row], n_panels[row], d[row])
+        alone = composite_gauss_legendre(f, -1.0, 1.0, n_panels[row], d[row])
         assert value[i] == alone[0] == np.dot(w[0], f(x[0], d[i]))
     # a ladder row, 16,384 nodes from 64 periods, by the segments' dots over its whole row
     g = lambda x, d, *phases: np.sinc((x - d) / np.pi) ** 2
     d = np.array([0.0, 1.0, 7.0])
     value, _ = integrate_oscillatory_tails(g, 200.0, 1.0, d)
-    x, w, _, _, segments = integrate._ladder(64, 1.0)
+    x, w, _, _, segments = integrate._ladder(64, 1.0, False)
     assert w.size > CHUNK_NODES
     for i in range(d.size):
         partials = np.cumsum([np.dot(w[0, s], g(x[0], d[i])[s]) for s in segments])[::2]
@@ -150,22 +170,25 @@ def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
 @pytest.mark.parametrize("a", [1.0, np.sqrt(3.0) / 2.0, 2.5])
 def test_ladder_phases_are_its_nodes_own(a):
     # the ladder keeps sin(a x) and cos(a x) of its nodes, read-only, built
-    # once per (m0, a), and hands f each chunk's slices of them after d
-    integrate._ladder.cache_clear()
-    seen = []
-    f = lambda x, d, sin_ax, cos_ax: seen.append((x, sin_ax, cos_ax)) or np.zeros_like(x)
-    # m0 = 16 periods: the smallest even multiple of pi / a past 15 pi / a
-    integrate_oscillatory_tails(f, 15 * np.pi / a, a, ONE)
-    integrate_oscillatory_tails(f, 15 * np.pi / a, float(a), ONE)
-    assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
-    x, w, sin_ax, cos_ax, segments = integrate._ladder(16, a)
-    assert np.array_equal(sin_ax, np.sin(a * x)) and np.array_equal(cos_ax, np.cos(a * x))
-    assert not any(v.flags.writeable for v in (x, w, sin_ax, cos_ax))
-    assert len(seen) == 2 * len(integrate._chunks(x.size)) > 2
-    for xc, sc, cc in seen:
-        assert np.shares_memory(xc, x) and np.shares_memory(sc, sin_ax)
-        assert np.shares_memory(cc, cos_ax)
-        assert np.array_equal(sc, np.sin(a * xc)) and np.array_equal(cc, np.cos(a * xc))
+    # once per (m0, a, even), and hands f each chunk's slices of them after
+    # d: the whole line's from m0 = 16 and the half-line's from m0 = 18
+    # each run in more than one chunk
+    for even, m0 in ((False, 16), (True, 18)):
+        integrate._ladder.cache_clear()
+        seen = []
+        f = lambda x, d, sin_ax, cos_ax: seen.append((x, sin_ax, cos_ax)) or np.zeros_like(x)
+        # m0 periods: the smallest even multiple of pi / a past (m0 - 1) pi / a
+        integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, a, ONE, even)
+        integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, float(a), ONE, even)
+        assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
+        x, w, sin_ax, cos_ax, segments = integrate._ladder(m0, a, even)
+        assert np.array_equal(sin_ax, np.sin(a * x)) and np.array_equal(cos_ax, np.cos(a * x))
+        assert not any(v.flags.writeable for v in (x, w, sin_ax, cos_ax))
+        assert len(seen) == 2 * len(integrate._chunks(x.size)) > 2
+        for xc, sc, cc in seen:
+            assert np.shares_memory(xc, x) and np.shares_memory(sc, sin_ax)
+            assert np.shares_memory(cc, cos_ax)
+            assert np.array_equal(sc, np.sin(a * xc)) and np.array_equal(cc, np.cos(a * xc))
 
 
 def test_refusal_prints_plain_floats():
@@ -199,14 +222,18 @@ def test_panel_cap(monkeypatch):
 
 
 def test_panel_cap_refuses_before_allocating():
-    # a Gaussian overlap at d = 1e8 sigma would ask for 8e8 panels; the refusal
-    # comes before any node array, so the peak stays far below one array at the cap
+    # 4e8 panels, what one span over a Gaussian overlap at d = 1e8 sigma would
+    # take: the refusal comes before any node array, so the peak stays far
+    # below one array at the cap.  The Gaussian oracles themselves take the
+    # windows about the images there, whose nodes do not grow with d
     tracemalloc.start()
     try:
-        with pytest.raises(NumericError):
-            tau1_numeric(gaussian_psf(1.0), 1e8)
+        with pytest.raises(NumericError, match="MAX_PANELS"):
+            integrate_refined(lambda x, d: x, -1.0, 1.0, 4e8, np.array([1e8]))
         peak = tracemalloc.get_traced_memory()[1]
+        assert tau1_numeric(gaussian_psf(1.0), 1e8).tau1 == 0.0
+        far_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     node_array_at_cap = MAX_PANELS * 16 * 8  # bytes of 16 float64 nodes per panel
-    assert peak < node_array_at_cap / 8
+    assert peak < node_array_at_cap / 8 and far_peak < node_array_at_cap / 8

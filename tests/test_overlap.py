@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from spaderes import NumericError, overlap
+from spaderes import NumericError, overlap, psf
 from spaderes.integrate import check_converged, integrate_refined
 from spaderes.overlap import (
     tau1_closed,
@@ -269,9 +269,10 @@ SHIPPED = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.tx
 
 def test_lag_sums_match_the_piecewise_overlap(monkeypatch):
     # on a uniform grid tau1_exact sums the spline lag by lag; it must agree with
-    # the piece-by-piece oracle within the oracle's own rounding bound, over
-    # 0-20 sigma: random d, every knot m h, and the 16-sigma hull span and one
-    # ulp either side of it, of both signs
+    # the piece-by-piece oracle on the merged breakpoints, which shares no
+    # lattice code, within the oracle's own rounding bound, over 0-20 sigma:
+    # random d, every knot m h, and the 16-sigma hull span and one ulp either
+    # side of it, of both signs
     tab = SHIPPED
     assert tab._pieces.lattice is not None
     sigma = sigma_of(tab)
@@ -292,16 +293,50 @@ def test_lag_sums_match_the_piecewise_overlap(monkeypatch):
         return value
 
     monkeypatch.setattr(overlap, "check_converged", record)
-    oracle = tau1_numeric(tab, d)
+    c, cp = overlap._spline_overlaps(tab, np.abs(d))
     err_c, err_cp = estimates
     exact = tau1_exact(tab, d)
     assert len(estimates) == 2  # the lag sums refuse nothing: no estimate of their own
-    assert np.all(np.abs(exact.c - oracle.c) <= err_c)
-    assert np.all(np.abs(exact.c_prime - oracle.c_prime) <= err_cp)
+    assert np.all(np.abs(exact.c - np.sign(d) * c) <= err_c)
+    assert np.all(np.abs(exact.c_prime - cp) <= err_cp)
     # c odd and c' even in d, bit for bit, with c(0) = 0
     back = tau1_exact(tab, -d)
     assert np.array_equal(back.c, -exact.c) and np.array_equal(back.c_prime, exact.c_prime)
     assert tau1_exact(tab, 0.0).c == 0.0
+
+
+def test_lattice_overlaps_match_the_merged_pieces(monkeypatch):
+    # on a uniform grid tau1_numeric integrates on the lattice, evaluating
+    # the pieces at shared nodes, and never merges breakpoints; it agrees
+    # with the merge path to 1e-15 on the tau-curve grid, at d = m h exactly
+    # (delta = 0), at the last lag, and past the span, where c = c' = 0
+    tab = SHIPPED
+    lattice = tab._pieces.lattice
+    n = lattice.v1.shape[1]
+    h = lattice.h_hi + lattice.h_lo
+    span = tab.grid[-1] - tab.grid[0]
+    assert lattice.lags(np.array([1.0]))[1][0, 0] == 0.0  # d = 50 h
+    last = np.array([span - 0.5 * h, np.nextafter(span, 0.0)])
+    assert np.all(lattice.lags(last)[0][:, 0] == n - 1)
+    far = np.array([span, np.nextafter(span, np.inf), 1.01 * span])
+    d = np.concatenate([D_GRID, [1.0], last, far])
+    merged = overlap._spline_overlaps(tab, d)
+    monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
+    tr = tau1_numeric(tab, d)
+    for lattice_path, merge_path in zip((tr.c, tr.c_prime), merged):
+        np.testing.assert_allclose(lattice_path, merge_path, rtol=0.0, atol=1e-15)
+        assert np.all(lattice_path[-far.size :] == 0.0)
+
+
+def test_lattice_overlaps_give_a_d_its_bits_alone_and_inside_an_array():
+    span = SHIPPED.grid[-1] - SHIPPED.grid[0]
+    d = np.concatenate([np.linspace(-5.0, 5.0, 41), [1.0, 0.99 * span, np.nextafter(span, 0.0)]])
+    alone = [tau1_numeric(SHIPPED, x) for x in d]
+    for together in (tau1_numeric(SHIPPED, d), tau1_numeric(SHIPPED, d[::-1])):
+        order = slice(None) if together.d[0] == d[0] else slice(None, None, -1)
+        for field in ("c", "c_prime"):
+            expect = [getattr(t, field) for t in alone]
+            assert np.array_equal(getattr(together, field)[order], expect)
 
 
 def test_lag_sums_are_exact_where_nothing_cancels():

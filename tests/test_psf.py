@@ -125,12 +125,14 @@ def test_sinc_images_match_long_double(d):
     a = SINC_S1.a
     k = np.sqrt(a / np.pi)
     nodes = []
-    integrate_oscillatory_tails(
-        lambda x, *_: nodes.append(x[0]) or np.zeros_like(x),
-        SINC_HALF_WIDTH_OVER_A / a + d,
-        a,
-        np.zeros(1),
-    )
+    for even in (True, False):  # fi_direct's half ladder, and the whole line's
+        integrate_oscillatory_tails(
+            lambda x, *_: nodes.extend(x) or np.zeros_like(x),
+            SINC_HALF_WIDTH_OVER_A / a + d,
+            a,
+            np.zeros(1),
+            even,
+        )
     t = np.concatenate(
         [[0.0], np.linspace(0.001, 0.099, 50), np.linspace(0.1, 1.0, 91), np.linspace(1.0, 40.0, 400)]
     )
@@ -147,13 +149,15 @@ def test_sinc_images_match_long_double(d):
 
 def test_kept_ladder_trigonometry_is_each_chunks_own():
     # the phases sin(a x) and cos(a x) of the whole packed ladder, kept with
-    # it by value of (m0, a), hold the bits the evaluator gives each chunk of
-    # the ladder's row on its own
+    # it by value of (m0, a, even), hold the bits the evaluator gives each
+    # chunk of the ladder's row on its own: the whole line's from 16 and 18
+    # periods, and the half-line's from 18, which runs in two chunks
     for tf in (SINC_S1, SINC_A1):
         a = tf.a
-        for m0 in (16, 18):
-            x, _, sin_ax, cos_ax, _ = integrate._ladder(m0, a)
-            assert integrate._ladder(m0, float(a))[2] is sin_ax and not sin_ax.flags.writeable
+        for m0, even in ((16, False), (18, False), (18, True)):
+            x, _, sin_ax, cos_ax, _ = integrate._ladder(m0, a, even)
+            assert integrate._ladder(m0, float(a), even)[2] is sin_ax
+            assert not sin_ax.flags.writeable
             chunks = integrate._chunks(x.size)
             assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= CHUNK_NODES
             for c in chunks:

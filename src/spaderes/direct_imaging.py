@@ -12,17 +12,15 @@ at x + d and x - d, as (2, rows, n) arrays and returns (rows, n) values,
 each row reduced on its own by np.dot, so a d gets the same bits alone or
 inside an array.  The images come from one evaluation: one exp per image
 and node for the Gaussian, and one sin and one cos per node for sinc.  A
-tabulated spline is integrated piece by piece over [x_0 - d, x_n + d],
-between the merged breakpoints of the two displaced grids, where p and dp/dd
-are polynomials, so no part of either image is cut off at the grid hull.  On
-a uniform grid those breakpoints are the spline's lattice (:class:`UniformLattice`)
-and the lattice shifted by 2d = m h + delta: every piece splits at delta, the
-nodes of the two halves are shared by all pieces, and the images are small
-products of the rows with the nodes' powers.  There the ratio runs only where
-both images are nonzero; where one lies alone the integrand is exactly 2 u'^2,
-summed from the lattice's energy prefix sums.  Any other grid merges the
-breakpoints d by d (:meth:`SplinePieces.blocks`).  The quantum limit over all
-measurements is qfi = n_s / sigma^2 = 4 n_s integral u'^2 dx.
+tabulated spline is integrated piece by piece over [x_0 - d, x_n + d], on
+the pieces where both images are polynomials (the walks of
+:class:`SplinePieces`), so no part of either image is cut off at the grid
+hull.  On a uniform grid (:func:`_lattice_information`) the ratio runs only
+where both images are nonzero; where one lies alone the integrand is
+exactly 2 u'^2, summed from the lattice's energy prefix sums.  Any other
+grid merges the breakpoints d by d (:func:`_merged_information`).  The
+quantum limit over all measurements is qfi = n_s / sigma^2 = 4 n_s
+integral u'^2 dx.
 """
 
 from __future__ import annotations
@@ -35,16 +33,18 @@ from .psf import QUAD_ABS_TOL, TABULATED, SplinePieces, TransferFunction, quad_o
 
 P_FLOOR = 1e-300  # below this the density is treated as exactly zero
 DIRECT_REL_TOL = 1e-7
-# Gauss-Legendre node counts on each merged spline piece: the larger rule gives
-# the value, their difference its error estimate
+# Gauss-Legendre node counts on each piece: the larger rule gives the value,
+# their difference its error estimate
 _COARSE, _FINE = 4, 8
-# the rules of the lattice path on each half of a piece, as nodes and weights
-# per unit width: the two above, then 3 nodes, exact for u'^2 where one image lies alone
-_RULES = [_gl_nodes(_COARSE), _gl_nodes(_FINE), _gl_nodes(3)]
-_HALF_STEP = np.concatenate([0.5 * (1.0 + x) for x, _ in _RULES])
-_HALF_WEIGHT = np.concatenate([0.5 * w for _, w in _RULES])
 _RATIO = _COARSE + _FINE
 _COARSE_NODES, _FINE_NODES = slice(0, _COARSE), slice(_COARSE, _RATIO)
+# the two packed as one rule, then on the lattice 3 nodes, exact for u'^2 where
+# one image lies alone: nodes and weights per unit width, on [0, 1]
+_NODES, _WEIGHTS = (np.concatenate(v) for v in zip(*map(_gl_nodes, (_COARSE, _FINE, 3))))
+_HALF_STEP, _HALF_WEIGHT = 0.5 * (1.0 + _NODES), 0.5 * _WEIGHTS
+_MERGED_RULE = (_HALF_STEP[:_RATIO], _HALF_WEIGHT[:_RATIO])
+# what each image is evaluated for: u and u'
+_U_AND_DU = ["u", "du"]
 
 
 def _density(here, there):
@@ -83,11 +83,12 @@ def _spline_information(tf: TransferFunction, ad: np.ndarray) -> np.ndarray:
     where grid + 2d would lose the grid's spacing, exact.  Each row of d is
     reduced on its own, so a d gives the same bits alone or inside an array.
     """
+    pieces = tf._pieces
     value = np.full(ad.size, 1.0 / tf.sigma**2)
     err = np.zeros(ad.size)
-    overlapping = np.flatnonzero(2.0 * ad < tf.grid[-1] - tf.grid[0])
-    kernel = _merged_information if tf._pieces.lattice is None else _lattice_information
-    value[overlapping], err[overlapping] = kernel(tf._pieces, 2.0 * ad[overlapping])
+    overlapping = np.flatnonzero(2.0 * ad < pieces.span)
+    kernel = _merged_information if pieces.lattice is None else _lattice_information
+    value[overlapping], err[overlapping] = kernel(pieces, 2.0 * ad[overlapping])
     return check_converged(
         value, err, DIRECT_REL_TOL, QUAD_ABS_TOL, "direct-imaging information"
     )
@@ -97,17 +98,15 @@ def _merged_information(pieces: SplinePieces, shift: np.ndarray):
     """(value, error estimate) of the information at each 2|d| of the 1-D
     ``shift``, on the merged pieces of the two images (:meth:`SplinePieces.blocks`).
 
-    The two rules run one after the other, which keeps the arrays small.
+    The two rules run as one packed rule, in one pass, and each is summed
+    over its own nodes.
     """
     value, err = np.zeros((2, shift.size))
-    for block, at_nodes in pieces.blocks(shift, _RULES[:2], ["u", "du"], ["u", "du"]):
-        rows = shift[block].size
-        coarse, fine = (
-            (w * _information_density(*_density(here, there))).reshape(rows, -1).sum(axis=1)
-            for w, here, there in at_nodes
-        )
-        value[block] = fine
-        err[block] = np.abs(fine - coarse)
+    for rows, w, here, there in pieces.blocks(shift, _MERGED_RULE, _U_AND_DU, _U_AND_DU):
+        terms = w * _information_density(*_density(here, there))
+        coarse, fine = (terms[:, nodes].sum(axis=(1, 2)) for nodes in (_COARSE_NODES, _FINE_NODES))
+        value[rows] = fine
+        err[rows] = np.abs(fine - coarse)
     return value, err
 
 
@@ -120,7 +119,8 @@ def _lattice_information(pieces: SplinePieces, shift: np.ndarray):
     t = s - delta, and on [0, delta] on piece k - m - 1, at t = s - delta + h.
     So the nodes s and t of each half are two vectors that every piece
     shares, and both images are one product of their powers with the rows
-    (:meth:`UniformLattice.images_at`).  The ratio runs on the 2(n - m) - 1
+    (:meth:`UniformLattice.at`); the sums run over the pieces and then the
+    nodes, a reduction of its own.  The ratio runs on the 2(n - m) - 1
     halves where both images are nonzero, n the piece count.  Where only one
     image lies, p = u^2 / 2 and dp/dd = u u', so the integrand is exactly
     2 u'^2: the first m pieces and the last m take the lattice's energy
@@ -142,14 +142,14 @@ def _lattice_information(pieces: SplinePieces, shift: np.ndarray):
         # on lag m, y's image is on pieces m .. n - 1 and y - 2d's on 0 .. n - m - 1;
         # on lag m + 1, on pieces m + 1 .. n - 1 and 0 .. n - m - 2
         for at_s, at_t, w, lag in zip(s[i], t[i], weights[i], (k, k + 1)):
-            here = lattice.images_at(at_s[:_RATIO], slice(lag, n))
-            there = lattice.images_at(at_t[:_RATIO], slice(0, n - lag))
+            here = lattice.at(at_s[:_RATIO], _U_AND_DU, slice(lag, n))
+            there = lattice.at(at_t[:_RATIO], _U_AND_DU, slice(0, n - lag))
             ratio = _information_density(*_density(here, there)).sum(axis=-1)
             fine += np.dot(w[_FINE_NODES], ratio[_FINE_NODES])
             coarse += np.dot(w[_COARSE_NODES], ratio[_COARSE_NODES])
         # on lag m + 1, y's piece m and y - 2d's piece n - m - 1 lie alone
         for at, piece in ((s[i, 1], k), (t[i, 1], n - k - 1)):
-            du = lattice.images_at(at[_RATIO:], slice(piece, piece + 1))[1, :, 0]
+            du = lattice.at(at[_RATIO:], _U_AND_DU, slice(piece, piece + 1))[1, :, 0]
             alone += np.dot(weights[i, 1, _RATIO:], du * du)
         value[i] += fine + 2.0 * alone
         err[i] = abs(fine - coarse)

@@ -55,8 +55,10 @@ MAX_PANELS = 2**17
 # 101-point tabulated curves ran 1.6x faster than with six times larger blocks
 NODES_PER_BLOCK = 2**15
 
-# nodes of one row an integrand call takes at once (longer rows are split into
-# equal chunks): the sinc direct-imaging integrand ran 1.5x slower on 33k-node temporaries
+# nodes of one row an integrand call takes at once (longer rows, such as the sinc
+# tail ladder's 8-18k nodes a d on 0-5 sigma, are split into equal chunks): on the
+# 33k-node rows the whole line's ladder once had, the sinc direct-imaging
+# integrand ran 1.5x slower unchunked
 CHUNK_NODES = 2**13
 
 
@@ -146,15 +148,15 @@ def _shared_panel_nodes(a: float, b: float, n_panels: int):
     return _read_only(*_panel_nodes(a, b, n_panels))
 
 
-def integrate_refined(f: Callable[..., np.ndarray], a, b, n_panels, d):
+def integrate_refined(f: Callable[..., np.ndarray], a: float, b: float, n_panels, d):
     """Integrate on [a, b]; return (value, error estimate from panel doubling).
     Refuses, before evaluating ``f``, a count whose doubled pass is past MAX_PANELS."""
     n_panels = np.asarray(n_panels)
-    if (2 * n_panels > MAX_PANELS).any():
-        bounds = np.broadcast_arrays(a, b, 2.0 * n_panels)
-        lo, hi, n = (float(x.flat[np.argmax(bounds[2] > MAX_PANELS)]) for x in bounds)
+    doubled = 2.0 * n_panels
+    if (doubled > MAX_PANELS).any():
+        n = doubled.max()
         raise NumericError(
-            f"{n:.4g} panels on [{lo:.4g}, {hi:.4g}] are over MAX_PANELS = {MAX_PANELS}"
+            f"{n:.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}"
         )
     coarse = composite_gauss_legendre(f, a, b, n_panels, d)
     fine = composite_gauss_legendre(f, a, b, 2 * n_panels, d)

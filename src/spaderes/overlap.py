@@ -20,19 +20,16 @@ tabulated spline.  It is the oracle of every kind.  On the analytic kinds
 every d is a row of one quadrature call (:mod:`spaderes.integrate`), whose
 integrand takes (rows, n) nodes and the rows' d as a (rows, 1) column and
 returns the integrands of c and c' as (2, rows, n); each row is reduced on
-its own by np.dot, so a d gets the same bits alone or inside an array.  On
-a tabulated spline with a uniform grid the pieces are the lattice's
-(:class:`UniformLattice`): every piece of v1 splits at the same offset, and
-the pieces are evaluated at nodes they share (:func:`_lattice_overlaps`);
-any other grid merges the breakpoints d by d (:func:`_spline_overlaps`),
-which is the test oracle of both lattice paths.
+its own by np.dot, so a d gets the same bits alone or inside an array.  A
+tabulated spline takes :func:`_spline_overlaps` on any grid, on the pairs
+of pieces that :meth:`SplinePieces.pairs` walks.
 :func:`tau1_exact` is the closed form for the analytic kinds; for a
 tabulated spline on a uniform grid it sums the spline's coefficient
-products lag by lag, exactly and in a few operations per d (the two
-lattice paths share only the lattice and its lags), and on any other grid
-it is the piece-by-piece path.  Squares of d-dependent values use
-np.float_power, i.e. pow() as a scalar ``x**2`` does: an array's ``x**2``
-multiplies, and differs from pow() in the last bit for one value in ~1300.
+products lag by lag, exactly and in a few operations per d (the one use of
+the lattice here), and on any other grid it is the piece-by-piece path.
+Squares of d-dependent values use np.float_power, i.e. pow() as a scalar
+``x**2`` does: an array's ``x**2`` multiplies, and differs from pow() in
+the last bit for one value in ~1300.
 """
 
 from __future__ import annotations
@@ -54,12 +51,12 @@ from .psf import (
     quad_over_psf,
 )
 
-# 3-node Gauss-Legendre on [-1, 1], exact for the degree-5 product of two spline pieces
-_PIECE_X = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
-_PIECE_W = np.array([5.0, 8.0, 5.0]) / 9.0
-# the same rule on [0, width]: nodes and weights per unit width
-_PIECE_STEP = 0.5 * (1.0 + _PIECE_X)
-_PIECE_HALF_W = 0.5 * _PIECE_W
+# 3-node Gauss-Legendre, exact for the degree-5 product of two spline pieces,
+# on [0, 1]: its nodes and weights per unit width
+_PIECE_RULE = (
+    0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])),
+    np.array([5.0, 8.0, 5.0]) / 18.0,
+)
 # rounding bound of a spline-exact overlap per unit of sum |w f|: about 15
 # roundings in each term and the depth of numpy's pairwise summation, about
 # 60 times the largest error seen against a long-double sum
@@ -133,62 +130,27 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
 def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     """(c, c') at every |d| of the 1-D array ``ad``, exactly for the cubic spline.
 
-    Between the merged breakpoints of the grid and the grid shifted by d, v1(x)
-    is one quadratic piece and u(x - d) one cubic piece, so v1 u has degree 5
-    and v1 u' degree 4, and 3-node Gauss-Legendre per piece is exact.  u is
-    zero outside the grid hull, so c = c' = 0 once d spans the hull.  The
-    error estimate bounds rounding only.  Each row of d is reduced on its
-    own, so a d gives the same bits alone or inside an array.  It runs on
-    any grid, and is the test oracle of both lattice paths of a uniform one.
+    Where a piece of v1(x) meets a piece of u(x - d), v1 is one quadratic
+    and u one cubic, so v1 u has degree 5 and v1 u' degree 4, and 3-node
+    Gauss-Legendre on each pair of pieces (:meth:`SplinePieces.pairs`) is
+    exact.  u is zero outside the grid hull, so c = c' = 0 once d spans the
+    hull.  The error estimate bounds rounding only.  Each row of d is
+    reduced on its own, so a d gives the same bits alone or inside an array.
+    It is the test oracle of the lag sums on a uniform grid, and, with the
+    lattice dropped, the merged breakpoints are the oracle of the lattice.
     """
-    c, cp, err_c, err_cp = np.zeros((4, ad.size))
-    inside = np.flatnonzero(ad < tf.grid[-1] - tf.grid[0])
-    blocks = tf._pieces.blocks(ad[inside], [(_PIECE_X, _PIECE_W)], ["v1"], ["u", "du"])
-    for block, [(w, [v1], [u, du])] in blocks:
-        rows = inside[block]
-        wv1 = w * v1
-        terms_c = (wv1 * u).reshape(rows.size, -1)
-        terms_cp = (wv1 * -du).reshape(rows.size, -1)
-        c[rows], cp[rows] = terms_c.sum(axis=1), terms_cp.sum(axis=1)
-        err_c[rows] = _ROUNDING * np.abs(terms_c).sum(axis=1)
-        err_cp[rows] = _ROUNDING * np.abs(terms_cp).sum(axis=1)
-    return _checked(c, cp, err_c, err_cp)
-
-
-def _lattice_overlaps(tf: TransferFunction, ad: np.ndarray):
-    """(c, c') at every |d| of the 1-D array ``ad`` on the lattice of a
-    uniform grid (:class:`UniformLattice`), exactly for the spline.
-
-    Write d = m h + delta.  Every piece i of v1 splits at delta: on
-    [delta, h], u(x - d) is on piece i - m, at t = s - delta, and on
-    [0, delta] on piece i - m - 1, at t = s - delta + h.  So the nodes s and
-    t of each half are two vectors that every piece shares, v1, u and u' are
-    one product of their powers with the rows
-    (:meth:`UniformLattice.v1_at`, :meth:`UniformLattice.images_at`), and
-    3-node Gauss-Legendre on each half is exact for the degree-5 product.
-    The products are summed over the pieces at each node: unlike the lag
-    sums of :func:`tau1_exact`, which sum coefficient products by lag and
-    then evaluate a polynomial.  The error estimate bounds rounding only, as
-    :func:`_spline_overlaps`' does.  Each d runs on its own, so it gives the
-    same bits alone or inside an array.
-    """
-    lattice = tf._pieces.lattice
-    n = lattice.v1.shape[1]
-    c, cp, err_c, err_cp = np.zeros((4, ad.size))
-    inside = np.flatnonzero(ad < lattice.span)
-    lags, s, t, weights = lattice.halves(ad[inside], _PIECE_STEP, _PIECE_HALF_W)
-    for i, row in enumerate(inside.tolist()):
-        # v1 is on pieces lag .. n - 1, and u(x - d) on 0 .. n - lag - 1
-        # (a d within rounding of the span may reach lag n, where nothing overlaps)
-        for at_s, at_t, w, lag in zip(s[i], t[i], weights[i], lags[i].tolist()):
-            if lag < n:
-                wv1 = w[:, None] * lattice.v1_at(at_s, slice(lag, n))
-                terms = wv1 * lattice.images_at(at_t, slice(0, n - lag))
-                c[row] += terms[0].sum()
-                cp[row] -= terms[1].sum()
-                err_c[row] += _ROUNDING * np.abs(terms[0]).sum()
-                err_cp[row] += _ROUNDING * np.abs(terms[1]).sum()
-    return _checked(c, cp, err_c, err_cp)
+    pieces = tf._pieces
+    inside = np.flatnonzero(ad < pieces.span)
+    # c, -c' and the sums of their terms' magnitudes
+    sums = np.zeros((4, ad.size))
+    for rows, w, v1, images in pieces.pairs(ad[inside], _PIECE_RULE, ["v1"], ["u", "du"]):
+        # the terms of c and -c' (v1 is one name, u and u' two), then each row's
+        terms = (w * v1) * images
+        terms = terms.reshape(terms.shape[:-2] + (-1,))
+        sums[:, inside[rows]] += np.concatenate([terms.sum(axis=-1), np.abs(terms).sum(axis=-1)])
+    c, minus_cp, abs_c, abs_cp = sums
+    # 0 - (-c') keeps c' = +0 where nothing overlaps
+    return _checked(c, 0.0 - minus_cp, _ROUNDING * abs_c, _ROUNDING * abs_cp)
 
 
 def _checked(c, cp, err_c, err_cp):
@@ -214,20 +176,13 @@ def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
     """
     lattice = tf._pieces.lattice
     c, cp = np.zeros((2, ad.size))
-    inside = ad < lattice.span
-    lags, offsets = lattice.lags(ad[inside])
-    # on lag m, s in [delta, h] and t in [0, h - delta]; on lag m + 1,
-    # s in [0, delta] and t in [h - delta, h]: t = s - offset on each
-    s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
-    width = (s_from + t_from)[:, ::-1, None]
-    step = width * _PIECE_STEP
-    s = (s_from[..., None] + step)[:, :, None, :]
-    t = (t_from[..., None] + step)[:, :, None, None, :]
+    inside = ad < tf._pieces.span
+    lags, s, t, weights = lattice.halves(ad[inside], *_PIECE_RULE)
     # over (d, lag, u or u', rows of t or s, nodes), then c and -c' over d
     sums = lattice.lag_sums(lags)[..., None]
-    at_t = _horner([sums[:, :, :, q] for q in range(4)], t)
-    at_nodes = _horner([at_t[:, :, :, p] for p in range(3)], s)
-    both = ((width * _PIECE_HALF_W)[:, None] * np.moveaxis(at_nodes, 2, 1)).sum(axis=(2, 3))
+    at_t = _horner([sums[:, :, :, q] for q in range(4)], t[:, :, None, None, :])
+    at_nodes = _horner([at_t[:, :, :, p] for p in range(3)], s[:, :, None, :])
+    both = (weights[:, None] * np.moveaxis(at_nodes, 2, 1)).sum(axis=(2, 3))
     c[inside], cp[inside] = both[:, 0], -both[:, 1]
     return c, cp
 
@@ -257,7 +212,7 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     """
     sigma = tf.sigma
     if tf.kind == TABULATED:
-        return (_spline_overlaps if tf._pieces.lattice is None else _lattice_overlaps)(tf, ad)
+        return _spline_overlaps(tf, ad)
     what = ("mode overlap", "overlap derivative")
     if tf.kind == GAUSSIAN:
 

@@ -50,19 +50,22 @@ spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
-grid hull.  That class alone knows their layout: it evaluates u and u' at
-points, and places quadrature rules on the merged pieces of u(x) and a
-displaced copy u(x - d) for the kernels over arrays of d, the mode overlaps
-and the direct-imaging information.  The norm and the derivative energy are
-exact per piece.  So no tabulated integrand is cut off at the grid hull.  On
-a uniform grid it also holds the pieces re-centred on an exact lattice,
-:class:`UniformLattice`, whose sums over the pieces lag by lag give the mode
-overlap exactly in a few operations per d.  The lattice also evaluates its
-pieces (u and u', and the derivative mode v1) at node vectors that every
-piece shares, one product of the nodes' powers with the contiguous rows,
-and keeps the energy of u' over its first and last m pieces: the
-direct-imaging information and the overlap oracle take these instead of
-the merged pieces.
+grid hull; its norm and derivative energy are exact per piece, so no
+tabulated integrand is cut off at the hull.  That class alone reads the
+pieces.  It evaluates u and u' at points, and :meth:`SplinePieces.pairs`
+pairs each piece of u(x) with the pieces of a displaced copy u(x - d) it
+meets, under one Gauss-Legendre rule, for every d of an array, by one walk
+per grid layout.  A uniform grid's pieces are re-centred on an exact
+lattice, :class:`UniformLattice`: with d = m h + delta every piece splits at
+delta, and on each half the pieces lag .. n - 1 meet the displaced pieces
+0 .. n - lag - 1 at node vectors that all of them share, so each side is one
+product of the nodes' powers with contiguous rows.  Any other grid merges
+the breakpoints of the grid and the displaced grid, d by d
+(:meth:`SplinePieces.blocks`): the test oracle of the lattice.  The lattice
+also keeps its sums over the pieces lag by lag, which give the mode overlap
+exactly in a few operations per d, and the energy of u' over its first and
+last m pieces, for the direct-imaging information, which takes the halves
+of the same split and reduces them its own way.
 """
 
 from __future__ import annotations
@@ -120,13 +123,15 @@ class TransferFunction:
     :func:`sinc_psf`, :func:`tabulated_psf` or :func:`load_tabulated`.
     Construction is the one check of a PSF: it refuses a kind outside
     ``KINDS``, a sigma that is not finite and positive, a tabulated kind
-    without its spline, and a norm off 1 by more than ``TABULATED_NORM_TOL``.
+    without its spline or with a sigma not its spline's, an analytic kind
+    with a spline, and a norm off 1 by more than ``TABULATED_NORM_TOL``.
+    A tabulated PSF's grid, norm and span are its spline's
+    (:class:`SplinePieces`), which every kernel reads, so no second copy of
+    them can disagree.
     """
 
     kind: str
     sigma: float
-    grid: np.ndarray | None = field(default=None, repr=False)
-    norm: float = 1.0
     _pieces: SplinePieces | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -134,12 +139,29 @@ class TransferFunction:
             raise UnsupportedKindError(f"unknown PSF kind {self.kind!r}; expected one of {KINDS}")
         if not 0.0 < self.sigma < np.inf:
             raise ValidationError(f"sigma must be finite and positive, got {self.sigma}")
-        if self.kind == TABULATED and self._pieces is None:
+        pieces = self._pieces
+        if self.kind != TABULATED:
+            if pieces is not None:
+                raise ValidationError(f"a {self.kind} PSF carries no spline")
+            return
+        if pieces is None:
             raise ValidationError("a tabulated PSF needs its spline: build it with tabulated_psf")
-        if not abs(self.norm - 1.0) <= TABULATED_NORM_TOL:
+        if self.sigma != pieces.sigma:
+            raise ValidationError(f"sigma {self.sigma} is not its spline's, {pieces.sigma}")
+        if not abs(pieces.norm - 1.0) <= TABULATED_NORM_TOL:
             raise ValidationError(
-                f"tabulated PSF is not normalized: integral of u^2 = {self.norm:.6g}"
+                f"tabulated PSF is not normalized: integral of u^2 = {pieces.norm:.6g}"
             )
+
+    @property
+    def grid(self) -> np.ndarray | None:
+        """The tabulated kind's sample positions, its spline's; None otherwise."""
+        return None if self._pieces is None else self._pieces.x
+
+    @property
+    def norm(self) -> float:
+        """Integral of u^2: the tabulated kind's spline's, 1 otherwise."""
+        return 1.0 if self._pieces is None else self._pieces.norm
 
     @property
     def a(self) -> float:
@@ -185,18 +207,17 @@ class SplinePieces:
     3 k0, 2 k1 and the derivative mode's -6 sigma k0, -4 sigma k1, -2 sigma k2,
     padded with a zero piece on each side: index 0 lies left of the grid hull,
     index k + 1 is spline piece k, and index n lies right of the hull.
-    ``origin`` is each index's s = 0 point.  Only this class reads the rows:
-    :meth:`evaluate` at points, :meth:`blocks` at quadrature nodes, and on a
-    uniform grid its ``lattice`` (:class:`UniformLattice`), which sums them
-    over the pieces for the overlap c(d) = <v1, u(. - d)> and evaluates them
-    at shared nodes for the overlap oracle and the direct-imaging
-    information; on any other grid ``lattice`` is None and all three run
-    piece by piece on :meth:`blocks`.
+    ``origin`` is each index's s = 0 point, and ``span`` the hull's width
+    that every kernel reads.  Only this class reads the rows: :meth:`evaluate`
+    at points and :meth:`pairs` at quadrature nodes, on the ``lattice`` of a
+    uniform grid (:class:`UniformLattice`; None on any other grid) or on the
+    merged breakpoints (:meth:`blocks`).
     """
 
     x: np.ndarray
     origin: np.ndarray
     coef: np.ndarray
+    span: float  # x_n-1 - x_0
     norm: float  # integral of u^2
     energy: float  # integral of u'^2
     sigma: float
@@ -229,6 +250,7 @@ class SplinePieces:
             x=grid,
             origin=grid[np.clip(np.arange(-1, n), 0, n - 2)],
             coef=np.pad(np.stack(rows), ((0, 0), (1, 1))),
+            span=grid[-1] - grid[0],
             norm=norm,
             energy=energy,
             sigma=sigma,
@@ -245,21 +267,33 @@ class SplinePieces:
         value = _horner(coef, np.clip(x, grid[0], grid[-1]) - self.origin[k])
         return np.where((x < grid[0]) | (x > grid[-1]), 0.0, value)
 
-    def blocks(self, shift: np.ndarray, rules, fixed, shifted):
-        """Gauss-Legendre rules on the merged pieces of u(x) and u(x - shift).
+    def pairs(self, shift: np.ndarray, rule, fixed, shifted):
+        """Each piece of u(x) with each piece of u(x - shift) it meets, for every
+        value of the 1-D ``shift``, and a Gauss-Legendre ``rule`` on the
+        interval they share, given on [0, 1] as nodes and weights per unit
+        width (the form :meth:`UniformLattice.halves` takes).
 
-        Between the merged breakpoints of x and x + shift, for each value of
-        the 1-D ``shift``, u(x) and u(x - shift) are each one spline piece (or
-        zero outside the hull).  ``rules`` holds (nodes, weights) pairs on
-        [-1, 1]; ``fixed`` and ``shifted`` name what to evaluate, of "u", "du"
-        and "v1", on u(x) and on u(x - shift).  Yields, for each block of at
-        most NODES_PER_BLOCK nodes, its slice of ``shift`` and an iterator that
-        evaluates the rules one at a time, each giving the weights, the fixed
-        and the shifted values as arrays (shifts, nodes, pieces), in which
-        every operation runs along the pieces.
+        ``fixed`` and ``shifted`` name what to evaluate, of "u", "du" and
+        "v1", on u(x) and on u(x - shift).  Yields (rows, weights, fixed
+        values, shifted values): ``rows`` indexes ``shift``, the weights
+        broadcast to (rows, nodes, pieces) and each side's values to (names,
+        rows, nodes, pieces); a row's integral sums what is yielded for it,
+        in order.  The walk is the lattice's on a uniform grid
+        (:meth:`UniformLattice.pairs`), else the merged breakpoints'
+        (:meth:`blocks`).
+        """
+        walk = self.blocks if self.lattice is None else self.lattice.pairs
+        return walk(shift, rule, fixed, shifted)
+
+    def blocks(self, shift: np.ndarray, rule, fixed, shifted):
+        """:meth:`pairs` on the merged breakpoints of x and x + shift, between
+        which u(x) and u(x - shift) are each one spline piece (or zero outside
+        the hull): a block of rows of at most NODES_PER_BLOCK nodes at a
+        time, ``rows`` its slice of ``shift``, every operation along the pieces.
         """
         x = self.x
-        per_block = max(1, NODES_PER_BLOCK // (2 * x.size * max(len(n) for n, _ in rules)))
+        nodes, weights = rule
+        per_block = max(1, NODES_PER_BLOCK // (2 * x.size * nodes.size))
         for start in range(0, shift.size, per_block):
             block = slice(start, start + per_block)
             offset = shift[block][:, None]
@@ -268,15 +302,18 @@ class SplinePieces:
             from_shifted = order[:, :-1] >= x.size
             edges = np.take_along_axis(merged, order, axis=1)
             i, j = (np.cumsum(m, axis=1)[:, None, :] for m in (~from_shifted, from_shifted))
+            width = np.diff(edges, axis=1)[:, None, :]
+            step = width * nodes[:, None]  # nodes past each left edge
             left = edges[:, None, :-1]
-            sides = [
-                (left - origin, [[self.coef[r][piece] for r in _ROWS[name]] for name in names])
-                for names, piece, origin in (
-                    (fixed, i, self.origin[i]),
-                    (shifted, j, self.origin[j] + offset[:, None]),
-                )
-            ]
-            yield block, _at_nodes(0.5 * np.diff(edges, axis=1)[:, None, :], rules, sides)
+            values = []
+            for names, piece, origin in (
+                (fixed, i, self.origin[i]),
+                (shifted, j, self.origin[j] + offset[:, None]),
+            ):
+                at = (left - origin) + step
+                coefs = [[self.coef[r][piece] for r in _ROWS[name]] for name in names]
+                values.append(np.stack([_horner(c, at) for c in coefs]))
+            yield block, width * weights[:, None], *values
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,16 +331,15 @@ class UniformLattice:
     (the e_i^2 terms are under 1e-29 of the rows).  The spline is C^2, so
     taking piece i on [i h, (i + 1) h] rather than between its own knots
     moves u by O(e^3) and v1 by O(e^2): under 1e-28 of either.  The lattice
-    ends where the grid does, to the rounding of h_lo.  :meth:`images_at`
-    evaluates u and u' of a run of pieces at local coordinates they share,
-    :meth:`v1_at` the derivative mode alike, and ``energy`` holds the prefix
-    sums of integral u'^2 over the pieces from the left and from the right,
-    each exact per piece.
+    ends where the grid does, to the rounding of h_lo.  :meth:`pairs` walks
+    the pieces split at a displacement's offset (:meth:`halves`), :meth:`at`
+    evaluates a run of pieces at local coordinates they share, and
+    ``energy`` holds the prefix sums of integral u'^2 over the pieces from
+    the left and from the right, each exact per piece.
     """
 
     h_hi: float
     h_lo: float
-    span: float  # x_n-1 - x_0, rounded
     v1: np.ndarray  # (3, pieces)
     images: np.ndarray  # (2, 4, pieces)
     # integral of u'^2 over the first m pieces and over the last m, m = 0 .. pieces
@@ -342,23 +378,10 @@ class UniformLattice:
         return cls(
             h_hi=h_hi,
             h_lo=h_lo,
-            span=span,
             v1=np.stack([a2, a1 - 2.0 * a2 * e, a0 - a1 * e]),
             images=images,
             energy=np.cumsum(np.pad(np.stack([piece, piece[::-1]]), ((0, 0), (1, 0))), axis=1),
         )
-
-    def images_at(self, s: np.ndarray, pieces: slice) -> np.ndarray:
-        """u and u' of the lattice pieces ``pieces`` at the local coordinates
-        of the 1-D ``s``, the same on every piece: (2, s.size, pieces), from
-        one product of the nodes' powers with the rows."""
-        return np.matmul(_powers(s), self.images[:, :, pieces])
-
-    def v1_at(self, s: np.ndarray, pieces: slice) -> np.ndarray:
-        """The derivative mode v1 of the lattice pieces ``pieces`` at the
-        local coordinates of the 1-D ``s``, the same on every piece:
-        (s.size, pieces), from one product of the nodes' powers with the rows."""
-        return np.matmul(_powers(s)[:, 1:], self.v1[:, pieces])
 
     def lags(self, d: np.ndarray):
         """The lags m and m + 1 of each d of the 1-D array, d = m h + delta
@@ -387,6 +410,34 @@ class UniformLattice:
         width = (s_from + t_from)[:, ::-1, None]
         s, t = (start[..., None] + width * step for start in (s_from, t_from))
         return lags, s, t, width * weight
+
+    def pairs(self, shift: np.ndarray, rule, fixed, shifted):
+        """:meth:`SplinePieces.pairs` on the lattice, a row of ``shift`` and a
+        half at a time, ``rows`` its index: with shift = m h + delta every
+        piece splits at delta (:meth:`halves`), and on lag m and then m + 1
+        the pieces lag .. n - 1 at the nodes s meet the displaced pieces
+        0 .. n - lag - 1 at the nodes t, n the piece count.  A lag at or past
+        n (a shift within rounding of the span) meets nothing and is skipped.
+        """
+        n = self.v1.shape[1]
+        lags, s, t, w = self.halves(shift, *rule)
+        w = w[..., None]
+        for row, row_lags in enumerate(lags.tolist()):
+            for half, lag in enumerate(row_lags):
+                if lag < n:
+                    here = self.at(s[row, half], fixed, slice(lag, n))
+                    yield row, w[row, half], here, self.at(t[row, half], shifted, slice(0, n - lag))
+
+    def at(self, s: np.ndarray, names, pieces: slice) -> np.ndarray:
+        """What ``names`` names, "v1" alone or "u" and "du", on the lattice
+        pieces ``pieces`` at the local coordinates of the 1-D ``s``, the same
+        on every piece: (names, s.size, pieces), one product of the nodes'
+        powers with the rows."""
+        if names == ["v1"]:
+            return (_powers(s)[:, 1:] @ self.v1[:, pieces])[None]
+        if names == ["u", "du"]:
+            return np.matmul(_powers(s), self.images[:, :, pieces])
+        raise ValueError(f"the lattice evaluates v1 alone, or u and du, not {names}")
 
     def lag_sums(self, lags: np.ndarray) -> np.ndarray:
         """S[j, q, p] = sum over pieces i of images_jq[i] v1_p[i + m] for each
@@ -421,18 +472,6 @@ def _powers(s: np.ndarray) -> np.ndarray:
     return s[:, None] ** _CUBIC
 
 
-def _at_nodes(half, rules, sides):
-    """Each rule's weights and values at its nodes on every merged piece; a
-    side is the pieces' left edges in local coordinates and the rows to evaluate."""
-    for nodes, weights in rules:
-        step = half * (1.0 + nodes)[:, None]  # nodes past each left edge
-        values = []
-        for left, coefs in sides:
-            at = left + step
-            values.append([_horner(c, at) for c in coefs])
-        yield half * weights[:, None], *values
-
-
 def gaussian_psf(sigma: float) -> TransferFunction:
     """Gaussian transfer function of standard deviation ``sigma`` (of |u|^2)."""
     return TransferFunction(kind=GAUSSIAN, sigma=float(sigma))
@@ -457,7 +496,8 @@ def tabulated_psf(grid, values, normalize: bool = False) -> TransferFunction:
     L2 norm; otherwise a norm off 1 by more than ``TABULATED_NORM_TOL`` is
     refused here, when the PSF is built.
     """
-    grid = np.asarray(grid, dtype=float)
+    # the spline's own copy of the grid, which no caller can change
+    (grid,) = _read_only(np.array(grid, dtype=float))
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("tabulated grid needs at least 3 one-dimensional points")
@@ -469,9 +509,7 @@ def tabulated_psf(grid, values, normalize: bool = False) -> TransferFunction:
         raise ValidationError("tabulated grid must be strictly increasing")
 
     pieces = SplinePieces.fit(grid, values, normalize)
-    return TransferFunction(
-        kind=TABULATED, sigma=pieces.sigma, grid=grid, norm=pieces.norm, _pieces=pieces
-    )
+    return TransferFunction(kind=TABULATED, sigma=pieces.sigma, _pieces=pieces)
 
 
 def load_tabulated(path, normalize: bool = False) -> TransferFunction:

@@ -1,6 +1,5 @@
 """Intensity-only imaging FI and the quantum bound it fails to reach."""
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -332,13 +331,7 @@ def test_tabulated_images_apart_recover_the_quantum_limit():
     assert fi_direct(TABULATED, 0.5 * width * (1 - 1e-9), 3.0) == pytest.approx(limit, rel=1e-12)
 
 
-# the same spline with its lattice dropped, so that fi_direct merges the breakpoints
-MERGED = dataclasses.replace(
-    TABULATED, _pieces=dataclasses.replace(TABULATED._pieces, lattice=None)
-)
-
-
-def test_lattice_path_matches_the_merged_pieces(monkeypatch):
+def test_lattice_path_matches_the_merged_pieces(monkeypatch, merge_oracle):
     # the shipped grid is uniform: fi_direct integrates on its lattice and
     # never merges breakpoints, and agrees with the merge path on the same
     # spline to 1e-13 relative
@@ -353,7 +346,7 @@ def test_lattice_path_matches_the_merged_pieces(monkeypatch):
     # past the span the images are apart: exactly 1 / sigma^2
     far = 0.5 * np.array([span, np.nextafter(span, np.inf), 1.01 * span])
     d = np.concatenate([np.linspace(0.0, 5.0, 101), inside, -inside[:1], far])
-    merged = fi_direct(MERGED, d, 1.0)
+    merged = merge_oracle(fi_direct, TABULATED, d, 1.0)
     monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
     lattice_path = fi_direct(TABULATED, d, 1.0)
     assert lattice_path[0] == 0.0

@@ -267,12 +267,12 @@ def test_spline_overlap_vanishes_beyond_the_hull():
 SHIPPED = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
 
 
-def test_lag_sums_match_the_piecewise_overlap(monkeypatch):
+def test_lag_sums_match_the_piecewise_overlap(monkeypatch, merge_oracle):
     # on a uniform grid tau1_exact sums the spline lag by lag; it must agree with
-    # the piece-by-piece oracle on the merged breakpoints, which shares no
-    # lattice code, within the oracle's own rounding bound, over 0-20 sigma:
-    # random d, every knot m h, and the 16-sigma hull span and one ulp either
-    # side of it, of both signs
+    # the piece-by-piece oracle on the merged breakpoints of the same spline,
+    # which shares no lattice code, within the oracle's own rounding bound,
+    # over 0-20 sigma: random d, every knot m h, and the 16-sigma hull span
+    # and one ulp either side of it, of both signs
     tab = SHIPPED
     assert tab._pieces.lattice is not None
     sigma = sigma_of(tab)
@@ -293,7 +293,7 @@ def test_lag_sums_match_the_piecewise_overlap(monkeypatch):
         return value
 
     monkeypatch.setattr(overlap, "check_converged", record)
-    c, cp = overlap._spline_overlaps(tab, np.abs(d))
+    c, cp = merge_oracle(overlap._spline_overlaps, tab, np.abs(d))
     err_c, err_cp = estimates
     exact = tau1_exact(tab, d)
     assert len(estimates) == 2  # the lag sums refuse nothing: no estimate of their own
@@ -305,11 +305,12 @@ def test_lag_sums_match_the_piecewise_overlap(monkeypatch):
     assert tau1_exact(tab, 0.0).c == 0.0
 
 
-def test_lattice_overlaps_match_the_merged_pieces(monkeypatch):
+def test_lattice_overlaps_match_the_merged_pieces(monkeypatch, merge_oracle):
     # on a uniform grid tau1_numeric integrates on the lattice, evaluating
     # the pieces at shared nodes, and never merges breakpoints; it agrees
-    # with the merge path to 1e-15 on the tau-curve grid, at d = m h exactly
-    # (delta = 0), at the last lag, and past the span, where c = c' = 0
+    # with the merge path on the same spline to 1e-15 on the tau-curve grid,
+    # at d = m h exactly (delta = 0), at the last lag, and past the span,
+    # where c = c' = 0
     tab = SHIPPED
     lattice = tab._pieces.lattice
     n = lattice.v1.shape[1]
@@ -320,7 +321,7 @@ def test_lattice_overlaps_match_the_merged_pieces(monkeypatch):
     assert np.all(lattice.lags(last)[0][:, 0] == n - 1)
     far = np.array([span, np.nextafter(span, np.inf), 1.01 * span])
     d = np.concatenate([D_GRID, [1.0], last, far])
-    merged = overlap._spline_overlaps(tab, d)
+    merged = merge_oracle(overlap._spline_overlaps, tab, d)
     monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
     tr = tau1_numeric(tab, d)
     for lattice_path, merge_path in zip((tr.c, tr.c_prime), merged):

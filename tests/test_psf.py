@@ -1,5 +1,6 @@
 """Transfer functions: evaluation, widths, mode orthonormality, tabulated IO."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from spaderes import integrate, psf
+from spaderes.direct_imaging import fi_direct
 from spaderes.errors import UnsupportedKindError, ValidationError
 from spaderes.integrate import CHUNK_NODES, integrate_oscillatory_tails
 from spaderes.overlap import tau1_closed
@@ -241,6 +243,31 @@ def test_width_that_is_not_finite_and_positive_is_refused_at_construction(value)
 def test_tabulated_kind_without_its_spline_is_refused():
     with pytest.raises(ValidationError, match="needs its spline"):
         TransferFunction(kind="tabulated", sigma=1.0)
+
+
+def test_psf_record_holds_no_second_copy_of_its_spline():
+    # the grid and norm of a tabulated PSF are read from its spline, which
+    # every kernel reads, so a record cannot pair a spline with another
+    # grid or width (such a record once gave fi_direct 0.111 against 0.734)
+    tab = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    spline = tab._pieces
+    assert [f.name for f in dataclasses.fields(TransferFunction)] == ["kind", "sigma", "_pieces"]
+    assert tab.grid is spline.x and tab.norm == spline.norm and tab.sigma == spline.sigma
+    assert GAUSS.grid is None and GAUSS.norm == 1.0
+    # the spline keeps its own grid: a caller's array changed in place moves nothing
+    x, u = _gaussian_samples(201)
+    own = tabulated_psf(x, u)
+    x *= 2.0
+    assert own.grid[-1] == 10.0 and not own.grid.flags.writeable
+    with pytest.raises(TypeError, match="grid"):
+        TransferFunction(kind="tabulated", sigma=tab.sigma, grid=tab.grid[:5], _pieces=spline)
+    with pytest.raises(ValidationError, match="not its spline's"):
+        TransferFunction(kind="tabulated", sigma=3.0, _pieces=spline)
+    for kind in ("gaussian", "sinc"):
+        with pytest.raises(ValidationError, match="carries no spline"):
+            TransferFunction(kind=kind, sigma=tab.sigma, _pieces=spline)
+    again = TransferFunction(kind="tabulated", sigma=tab.sigma, _pieces=spline)
+    assert fi_direct(again, 1.0, 1.0) == fi_direct(tab, 1.0, 1.0)
 
 
 def test_tabulated_psf_has_no_closed_form_or_kind_adapted_quadrature():

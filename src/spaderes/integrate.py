@@ -1,9 +1,10 @@
 """Composite Gauss-Legendre quadrature, one row per d.
 
-``composite_gauss_legendre`` / ``integrate_refined`` integrate smooth
+``composite_gauss_legendre``, the one panel rule, integrates smooth
 integrands on a finite interval (rapidly decaying tails already truncated
-away), on panel nodes built once per (bounds, count) and kept: a caller with
-a domain per row maps one template, such as [0, 1] or [-1, 1], onto it.
+away) on n and 2n panels in one pass, the distance between the two its
+error estimate, on nodes built once per (bounds, count) and kept: a caller
+with a domain per row maps one template, such as [0, 1] or [-1, 1], onto it.
 ``integrate_oscillatory_tails`` takes even-symmetric domains where the
 integrand decays only algebraically (~1/x) while oscillating at a fixed
 frequency a, with the period pi / a: truncating at +-X leaves an O(1/X)
@@ -20,14 +21,14 @@ Each takes a 1-D array ``d`` and integrates one row per d: row i
 integrates f(x, d_i); the bounds are two numbers, the count a number or one
 per row.  f takes a block of rows' nodes, (1, n), shared, and their d as a
 (rows, 1) column (then, on the tail ladder, the phases, sliced alike), and
-returns (rows, n), or (k, rows, n) for k integrands: the result is
-(d.size,) or (d.size, k).
+returns (rows, n), or (k, rows, n) for k integrands: each rule returns
+(value, error estimate), each (d.size,) or (d.size, k).
 One driver, :func:`_row_sums`, runs every rule.  Rows of one panel count
 share a pass, in blocks of at most NODES_PER_BLOCK nodes, over nodes kept
-per count; a row of over CHUNK_NODES nodes, such as the whole line's tail
-ladder, runs alone, in a few equal chunks.  Each segment of a row (the
-whole row of a composite rule, each segment of the ladder) is reduced on
-its own by np.dot, so a row gets the same bits alone or in any batch.
+per count; a row of over CHUNK_NODES nodes, such as the tail ladder far
+out, runs alone, in a few equal chunks.  Each segment of a row (each panel
+count of the composite rule, each segment of the ladder) is reduced on its
+own by np.dot, so a row gets the same bits alone or in any batch.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ MAX_PANELS = 2**17
 # 101-point tabulated curves ran 1.6x faster than with six times larger blocks
 NODES_PER_BLOCK = 2**15
 
-# nodes of one row an integrand call takes at once (longer rows, such as the sinc
-# tail ladder's 8-18k nodes a d on 0-5 sigma, are split into equal chunks): on the
-# 33k-node rows the whole line's ladder once had, the sinc direct-imaging
-# integrand ran 1.5x slower unchunked
+# nodes of one row an integrand call takes at once, longer rows in equal chunks: a
+# scalar sinc fi_direct at 100 sigma, one 28,672-node half-line ladder row, took
+# 0.9-1.3 ms in four chunks of 7,168 nodes and 1.4-1.6 ms unchunked (2-vCPU Xeon)
 CHUNK_NODES = 2**13
 
 
@@ -115,18 +115,24 @@ def _chunks(n: int) -> tuple:
     return tuple(slice(*c) for c in zip(cuts, cuts[1:]))
 
 
-# the one segment of a row of composite_gauss_legendre
-_WHOLE = (slice(None),)
-
-
 def composite_gauss_legendre(f: Callable[..., np.ndarray], a: float, b: float, n_panels, d):
-    """Integral of ``f`` over [a, b] with ``n_panels`` equal Gauss-Legendre panels,
-    a row per d of the 1-D ``d``, on the nodes of each count built once and kept."""
+    """(Integral of ``f`` over [a, b] on 2 ``n_panels`` equal Gauss-Legendre
+    panels, its distance to the integral on ``n_panels``), a row per d of the
+    1-D ``d``: both counts run in one pass, as the two segments of one kept
+    row of nodes (:func:`_doubled_layout`).  Refuses, before evaluating
+    ``f``, a count whose doubled pass is past MAX_PANELS."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
+    doubled = 2.0 * np.asarray(n_panels)
+    if (doubled > MAX_PANELS).any():
+        raise NumericError(
+            f"{doubled.max():.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}"
+        )
     a, b = float(a), float(b)
-    layout = lambda count: (PANEL_NODES * count, _WHOLE, _shared_panel_nodes(a, b, count))
-    return _row_sums(f, d, n_panels, layout)[..., 0]
+    sums = _row_sums(f, d, n_panels, lambda count: _doubled_layout(a, b, count))
+    # the finer segment is the last: an empty d has one segment, of nothing
+    coarse, fine = sums[..., 0], sums[..., -1]
+    return fine, abs(fine - coarse)
 
 
 def _panel_nodes(a: float, b: float, n_panels: int):
@@ -140,27 +146,16 @@ def _panel_nodes(a: float, b: float, n_panels: int):
     return (mid[:, None] + half[:, None] * x).reshape(1, -1), (half[:, None] * w).reshape(1, -1)
 
 
-# the Gaussian oracles on 0-5 sigma take about 40 (bounds, count) pairs, each
-# at most 2,000 nodes: 64 keep them all, in under 2 MiB
+# the Gaussian oracles on 0-5 sigma take 20 (bounds, count) triples, each a row
+# of at most 2,880 nodes: 64 keep them all, in under 1 MiB
 @lru_cache(maxsize=64)
-def _shared_panel_nodes(a: float, b: float, n_panels: int):
-    """_panel_nodes on bounds that every row shares, built once a count and kept, read-only."""
-    return _read_only(*_panel_nodes(a, b, n_panels))
-
-
-def integrate_refined(f: Callable[..., np.ndarray], a: float, b: float, n_panels, d):
-    """Integrate on [a, b]; return (value, error estimate from panel doubling).
-    Refuses, before evaluating ``f``, a count whose doubled pass is past MAX_PANELS."""
-    n_panels = np.asarray(n_panels)
-    doubled = 2.0 * n_panels
-    if (doubled > MAX_PANELS).any():
-        n = doubled.max()
-        raise NumericError(
-            f"{n:.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}"
-        )
-    coarse = composite_gauss_legendre(f, a, b, n_panels, d)
-    fine = composite_gauss_legendre(f, a, b, 2 * n_panels, d)
-    return fine, abs(fine - coarse)
+def _doubled_layout(a: float, b: float, n_panels: int):
+    """The :func:`_row_sums` layout of _panel_nodes at n_panels and at 2 n_panels:
+    one read-only row each of nodes and weights, the coarser count's segment first."""
+    n = PANEL_NODES * n_panels
+    pair = zip(_panel_nodes(a, b, n_panels), _panel_nodes(a, b, 2 * n_panels))
+    nodes = _read_only(*(np.concatenate(v, axis=-1) for v in pair))
+    return 3 * n, (slice(0, n), slice(n, 3 * n)), nodes
 
 
 def _extrapolate_to_zero(ts, values) -> tuple:
@@ -213,12 +208,7 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
         )
     if not half_width.size:
         return half_width, half_width
-
-    def layout(count):
-        *nodes, segments = _ladder(count, a, even)
-        return nodes[0].size, segments, nodes
-
-    sums = _row_sums(f, d, m0, layout)
+    sums = _row_sums(f, d, m0, lambda count: _ladder(count, a, even))
     lead = sums.shape[1:-1]
     # the partial integrals at the ends of the rungs: on the whole line the first
     # rung has one segment and the others two; on the half-line each has one
@@ -231,9 +221,10 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
 
 @lru_cache(maxsize=8)
 def _ladder(m0: int, a: float, even: bool):
-    """The ladder from m0 periods pi / a, packed: its nodes x, weights, and
-    phases sin(a x) and cos(a x) as read-only (1, n) arrays, and the slices
-    of its segments, in order: [-X0, X0], then [X_l-1, X_l] and
+    """The ladder from m0 periods pi / a, packed, as a :func:`_row_sums`
+    layout: its node count n, the slices of its segments, and its nodes x,
+    weights, and phases sin(a x) and cos(a x) as read-only (1, n) arrays.
+    The segments, in order, are [-X0, X0], then [X_l-1, X_l] and
     [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a period; or, for an
     ``even`` integrand, [0, X0], then [X_l-1, X_l].  Built once per
     (m0, a, even) and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes on the whole
@@ -248,7 +239,7 @@ def _ladder(m0: int, a: float, even: bool):
     ax = a * x
     ends = np.cumsum([0] + [PANEL_NODES * n for _, _, n in spans]).tolist()
     segments = tuple(slice(*e) for e in zip(ends, ends[1:]))
-    return *_read_only(x, w, np.sin(ax), np.cos(ax, out=ax)), segments
+    return x.size, segments, _read_only(x, w, np.sin(ax), np.cos(ax, out=ax))
 
 
 def _read_only(*arrays):

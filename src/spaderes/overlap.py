@@ -22,7 +22,8 @@ integrand takes (rows, n) nodes and the rows' d as a (rows, 1) column and
 returns the integrands of c and c' as (2, rows, n); each row is reduced on
 its own by np.dot, so a d gets the same bits alone or inside an array.  A
 tabulated spline takes :func:`_spline_overlaps` on any grid, on the pairs
-of pieces that :meth:`SplinePieces.pairs` walks.
+of pieces that :meth:`SplinePieces.pairs` walks, and its c' = dc/dd takes
+the term of u(x - d)'s step at x_0 + |d| (:meth:`SplinePieces.hull_step`).
 :func:`tau1_exact` is the closed form for the analytic kinds; for a
 tabulated spline on a uniform grid it sums the spline's coefficient
 products lag by lag, exactly and in a few operations per d (the one use of
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedKindError, ValidationError
-from .integrate import check_converged, integrate_refined
+from .integrate import check_converged, composite_gauss_legendre
 from .psf import (
     GAUSSIAN,
     QUAD_ABS_TOL,
@@ -134,8 +135,10 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     and u one cubic, so v1 u has degree 5 and v1 u' degree 4, and 3-node
     Gauss-Legendre on each pair of pieces (:meth:`SplinePieces.pairs`) is
     exact.  u is zero outside the grid hull, so c = c' = 0 once d spans the
-    hull.  The error estimate bounds rounding only.  Each row of d is
-    reduced on its own, so a d gives the same bits alone or inside an array.
+    hull, and inside it c' takes the term of u(x - d)'s step at x_0 + |d|.
+    The error estimate bounds rounding only, the step's included, and one
+    check judges c and c'.  Each row of d is reduced on its own, so a d
+    gives the same bits alone or inside an array.
     It is the test oracle of the lag sums on a uniform grid, and, with the
     lattice dropped, the merged breakpoints are the oracle of the lattice.
     """
@@ -148,16 +151,12 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
         terms = (w * v1) * images
         terms = terms.reshape(terms.shape[:-2] + (-1,))
         sums[:, inside[rows]] += np.concatenate([terms.sum(axis=-1), np.abs(terms).sum(axis=-1)])
-    c, minus_cp, abs_c, abs_cp = sums
-    # 0 - (-c') keeps c' = +0 where nothing overlaps
-    return _checked(c, 0.0 - minus_cp, _ROUNDING * abs_c, _ROUNDING * abs_cp)
-
-
-def _checked(c, cp, err_c, err_cp):
-    """(c, c'), once each passes its rounding bound (:func:`check_converged`)."""
-    check_converged(c, err_c, QUAD_REL_TOL, QUAD_ABS_TOL, "mode overlap")
-    check_converged(cp, err_cp, QUAD_REL_TOL, QUAD_ABS_TOL, "overlap derivative")
-    return c, cp
+    step = pieces.hull_step(ad[inside])
+    sums[1::2, inside] += [step, np.abs(step)]
+    sums[1] = 0.0 - sums[1]  # c' = 0 - (-c') keeps c' = +0 where nothing overlaps
+    what = ("mode overlap", "overlap derivative")
+    check_converged(sums[:2].T, _ROUNDING * sums[2:].T, QUAD_REL_TOL, QUAD_ABS_TOL, what)
+    return sums[0], sums[1]
 
 
 def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
@@ -170,9 +169,9 @@ def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
     t = s - delta + h for s in [0, delta].  Summed over i, c(d) is two
     integrals over s of sum S_pq s^p t^q, with the lag sums S of m and of
     m + 1: polynomials of degree 5, so 3-node Gauss-Legendre on each is
-    exact.  c' = -<v1, u'(. - d)> takes u's rows differentiated.  Once d
-    spans the hull, c = c' = 0.  Every operation is elementwise in d, so a d
-    gives the same bits alone or inside an array.
+    exact.  c' = -<v1, u'(. - d)> takes u's rows differentiated, less the
+    step's term.  Once d spans the hull, c = c' = 0.  Every operation is
+    elementwise in d, so a d gives the same bits alone or inside an array.
     """
     lattice = tf._pieces.lattice
     c, cp = np.zeros((2, ad.size))
@@ -183,7 +182,7 @@ def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
     at_t = _horner([sums[:, :, :, q] for q in range(4)], t[:, :, None, None, :])
     at_nodes = _horner([at_t[:, :, :, p] for p in range(3)], s[:, :, None, :])
     both = (weights[:, None] * np.moveaxis(at_nodes, 2, 1)).sum(axis=(2, 3))
-    c[inside], cp[inside] = both[:, 0], -both[:, 1]
+    c[inside], cp[inside] = both[:, 0], -(both[:, 1] + tf._pieces.hull_step(ad[inside]))
     return c, cp
 
 
@@ -224,7 +223,8 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     else:
         a = tf.a
         band = lambda k, d: (k * np.sin(k * d), k * k * np.cos(k * d))
-        value, err = integrate_refined(band, 0.0, a, np.maximum(4, np.ceil(a * ad / np.pi)), ad)
+        panels = np.maximum(4, np.ceil(a * ad / np.pi))
+        value, err = composite_gauss_legendre(band, 0.0, a, panels, ad)
         scale = 2.0 * sigma / a
         both = check_converged(scale * value, scale * err, QUAD_REL_TOL, QUAD_ABS_TOL, what)
     return both.reshape(-1, 2).T

@@ -84,8 +84,8 @@ from .integrate import (
     _gl_nodes,
     _read_only,
     check_converged,
+    composite_gauss_legendre,
     integrate_oscillatory_tails,
-    integrate_refined,
 )
 
 GAUSSIAN = "gaussian"
@@ -209,9 +209,9 @@ class SplinePieces:
     index k + 1 is spline piece k, and index n lies right of the hull.
     ``origin`` is each index's s = 0 point, and ``span`` the hull's width
     that every kernel reads.  Only this class reads the rows: :meth:`evaluate`
-    at points and :meth:`pairs` at quadrature nodes, on the ``lattice`` of a
-    uniform grid (:class:`UniformLattice`; None on any other grid) or on the
-    merged breakpoints (:meth:`blocks`).
+    and :meth:`hull_step` at points, and :meth:`pairs` at quadrature nodes, on
+    the ``lattice`` of a uniform grid (:class:`UniformLattice`; None on any
+    other grid) or on the merged breakpoints (:meth:`blocks`).
     """
 
     x: np.ndarray
@@ -266,6 +266,13 @@ class SplinePieces:
         coef = [self.coef[r][k] for r in _ROWS[what]]
         value = _horner(coef, np.clip(x, grid[0], grid[-1]) - self.origin[k])
         return np.where((x < grid[0]) | (x > grid[-1]), 0.0, value)
+
+    def hull_step(self, ad: np.ndarray) -> np.ndarray:
+        """v1(x_0 + ad) u(x_0) at each ad of the 1-D array, 0 <= ad < span: what
+        the step of u(x - d) at x_0 + |d| adds to -dc/dd, c = <v1, u(. - d)>."""
+        x = self.x[0] + ad
+        k = np.minimum(np.searchsorted(self.x, x, side="right"), self.x.size - 1)
+        return self.coef[3][1] * _horner([self.coef[r][k] for r in _ROWS["v1"]], x - self.origin[k])
 
     def pairs(self, shift: np.ndarray, rule, fixed, shifted):
         """Each piece of u(x) with each piece of u(x - shift) it meets, for every
@@ -674,8 +681,8 @@ def quad_over_psf(
 
 def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarray, even: bool):
     """(value, error estimate) of f of the Gaussian images at shifts ks d, a
-    row per d, by panel doubling (:func:`integrate_refined`) on templates
-    kept per panel count.
+    row per d, by panel doubling in one pass (:func:`composite_gauss_legendre`)
+    on templates kept per panel count.
 
     Each image's window, GAUSSIAN_HALF_WIDTH_SIGMAS sigma either side of it,
     leaves out tails of order 1e-22, as one span over both images always
@@ -688,7 +695,7 @@ def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarra
     d.  An overlap of two images apart is under 1e-21 and is then kept to
     that absolute accuracy only.  A span takes max(48, 4 H / sigma) panels
     on [-H, H] and half as many on [0, H]; no span is over three windows
-    wide, far below integrate_refined's MAX_PANELS refusal, which stays.
+    wide, far below the rule's MAX_PANELS refusal, which stays.
     """
     reach = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma
     d = np.asarray(d, dtype=float)
@@ -712,7 +719,7 @@ def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarra
                 x = (reach + np.abs(d) if widened else reach) * y
                 return f(*_gaussian_images(sigma, x, (ks - k) * d))
 
-            fine, diff = integrate_refined(integrand, lo, 1.0, panels, d)
+            fine, diff = composite_gauss_legendre(integrand, lo, 1.0, panels, d)
             scale = np.reshape((2.0 if even else 1.0) * half, (-1,) + (1,) * (fine.ndim - 1))
             total = total + scale * np.array([fine, diff])
         return total

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from spaderes import psf
@@ -20,3 +21,12 @@ def merge_oracle(monkeypatch):
             return f(merged, *args)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def sinc_cut():
+    """A sinc of sigma 1 sampled on +-20 sigma at 2001 points, normalized: a
+    table cut where u is still 3% of its peak, so u(x - d) steps at the hull."""
+    x = np.linspace(-20.0, 20.0, 2001)
+    a = np.sqrt(3.0) / 2.0
+    return psf.tabulated_psf(x, np.sqrt(a / np.pi) * np.sinc(a * x / np.pi), normalize=True)

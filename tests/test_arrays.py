@@ -119,6 +119,14 @@ def test_outputs_take_the_shape_of_d():
     assert fi_direct(tf, d, N_S).shape == (3, 3)
 
 
+@pytest.mark.parametrize("kind", PSFS)
+def test_an_empty_array_of_d_gives_empty_arrays(kind):
+    tf = PSFS[kind]
+    for tr in (tau1_numeric(tf, np.array([])), tau1_exact(tf, np.array([]))):
+        assert all(np.shape(v) == (0,) for v in tr)
+    assert np.shape(fi_direct(tf, np.array([]), N_S)) == (0,)
+
+
 def test_scene_rejects_any_negative_separation():
     # and any separation that is not finite
     for d in (np.array([0.1, -0.2, 0.3]), np.nan, np.inf, -np.inf, np.array([0.1, np.nan])):

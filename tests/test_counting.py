@@ -146,6 +146,16 @@ def test_pmf_oracle_matches_closed_form():
             )
 
 
+def test_pmf_oracle_matches_the_exact_form_on_a_cut_table(sinc_cut):
+    # the table's u(x_0) is 3% of its peak: c' must carry the term of the
+    # step of u(x - d) at the hull's edge, or dtau1/dd is off by up to 3%
+    for d in (0.3, 1.0, 2.0):
+        sc, noise = SourceScene(sinc_cut, d, 100.0), NoiseModel(n_b=1.0)
+        assert fi_counting_exact(sc, noise) == pytest.approx(
+            fi_counting_oracle(sc, noise), rel=1e-9
+        )
+
+
 def test_thermal_excess_factor():
     # same mean-count curve, Bose-Einstein counts carry 1/(1 + kbar) less FI
     kbar_fn = lambda d: 40.0 * tau1_closed(GAUSS, d).tau1 + 0.4

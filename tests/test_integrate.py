@@ -15,7 +15,6 @@ from spaderes.integrate import (
     check_converged,
     composite_gauss_legendre,
     integrate_oscillatory_tails,
-    integrate_refined,
 )
 from spaderes.overlap import tau1_numeric
 from spaderes.psf import gaussian_psf
@@ -27,7 +26,7 @@ ONE = np.zeros(1)
 def test_polynomial_exactness():
     # 16-node Gauss-Legendre is exact through degree 31 on each panel
     f = lambda x, d: 3.0 * x**7 - x**4 + 2.0 * x - 5.0
-    [got] = composite_gauss_legendre(f, -1.0, 3.0, 3, ONE)
+    [got], [err] = composite_gauss_legendre(f, -1.0, 3.0, 3, ONE)
     exact = (
         3.0 * (3.0**8 - (-1.0) ** 8) / 8
         - (3.0**5 - (-1.0) ** 5) / 5
@@ -35,18 +34,19 @@ def test_polynomial_exactness():
         - 5.0 * 4.0
     )
     assert got == pytest.approx(exact, rel=1e-14)
+    assert err <= 1e-14 * exact
 
 
 def test_gaussian_integral():
-    [value], [err] = integrate_refined(lambda x, d: np.exp(-(x**2)), -10.0, 10.0, 32, ONE)
+    [value], [err] = composite_gauss_legendre(lambda x, d: np.exp(-(x**2)), -10.0, 10.0, 32, ONE)
     assert value == pytest.approx(np.sqrt(np.pi), rel=1e-13)
     assert err < 1e-12
 
 
 def test_error_estimate_is_conservative():
     f = lambda x, d: np.cos(7.0 * x) * np.exp(-0.3 * x**2)
-    [value], [err] = integrate_refined(f, -8.0, 8.0, 24, ONE)
-    [finer], _ = integrate_refined(f, -8.0, 8.0, 96, ONE)
+    [value], [err] = composite_gauss_legendre(f, -8.0, 8.0, 24, ONE)
+    [finer], _ = composite_gauss_legendre(f, -8.0, 8.0, 96, ONE)
     assert abs(value - finer) <= max(err, 1e-14)
 
 
@@ -102,8 +102,9 @@ def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
         n = int(round((x - prev) / np.pi))
         spans = [(-x, x, 2 * n)] if level == 0 else [(prev, x, n), (-x, -prev, n)]
         for span in spans:
-            segments.append(integrate._panel_nodes(*span)[0][0])
-            total += composite_gauss_legendre(f, *span, ONE)[0]
+            nodes, weights = integrate._panel_nodes(*span)
+            segments.append(nodes[0])
+            total += np.dot(weights[0], f(nodes[0], 0.0))
         partials.append(total)
         widths.append(x)
         prev = x
@@ -123,8 +124,8 @@ def test_even_integrand_runs_on_the_half_ladder():
     half, whole = (integrate_oscillatory_tails(f, 200.0, 1.0, d, even) for even in (True, False))
     for h, w in zip(half, whole):
         np.testing.assert_allclose(h, w, rtol=1e-13, atol=1e-16)
-    x, w, _, _, segments = integrate._ladder(64, 1.0, True)
-    whole = integrate._ladder(64, 1.0, False)[0]
+    _, segments, (x, w, _, _) = integrate._ladder(64, 1.0, True)
+    whole = integrate._ladder(64, 1.0, False)[2][0]
     assert x.size == PANEL_NODES * 64 * 2 ** (TAIL_LEVELS - 1) == whole.size // 2
     assert x.min() > 0.0 and len(segments) == TAIL_LEVELS
     widths = 64 * np.pi * 2.0 ** np.arange(TAIL_LEVELS)
@@ -137,27 +138,24 @@ def test_even_integrand_runs_on_the_half_ladder():
 
 def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
     # a row of over CHUNK_NODES nodes runs alone, in equal chunks, and its
-    # value is one np.dot over the whole unchunked row, alone or in an array
+    # value is one np.dot over the finer count's unchunked nodes
     f = lambda x, d: np.exp(-((x - d) ** 2) / 4.0) * np.cos(x)
-    d = np.array([0.5, 300.0, 2.0])
-    n_panels = np.array([48, 1264, 48])  # a Gaussian span over +-310 sigma is long
+    d = np.array([0.5, 90.0, 2.0])
+    n_panels = np.array([48, 400, 48])  # a Gaussian span over +-100 sigma is long
     sizes = []
     sized = lambda x, d: sizes.append(x.shape) or f(x, d)
-    value = composite_gauss_legendre(sized, -1.0, 1.0, n_panels, d)
-    # the two short rows share one pass; the long one takes three equal chunks
-    n = PANEL_NODES * int(n_panels[1])
+    value, _ = composite_gauss_legendre(sized, -1.0, 1.0, n_panels, d)
+    # the two short rows share one pass; the long one, n and 2n panels, takes three chunks
+    n = 3 * PANEL_NODES * int(n_panels[1])
     assert 2 * CHUNK_NODES < n <= 3 * CHUNK_NODES
-    assert sizes == [(1, PANEL_NODES * 48), (1, n // 3), (1, n // 3), (1, n - 2 * (n // 3))]
-    for i in range(d.size):
-        x, w = integrate._panel_nodes(-1.0, 1.0, int(n_panels[i]))
-        row = slice(i, i + 1)
-        alone = composite_gauss_legendre(f, -1.0, 1.0, n_panels[row], d[row])
-        assert value[i] == alone[0] == np.dot(w[0], f(x[0], d[i]))
+    assert sizes == [(1, 3 * PANEL_NODES * 48), (1, n // 3), (1, n // 3), (1, n - 2 * (n // 3))]
+    x, w = integrate._panel_nodes(-1.0, 1.0, 2 * int(n_panels[1]))
+    assert value[1] == np.dot(w[0], f(x[0], d[1]))
     # a ladder row, 16,384 nodes from 64 periods, by the segments' dots over its whole row
     g = lambda x, d, *phases: np.sinc((x - d) / np.pi) ** 2
     d = np.array([0.0, 1.0, 7.0])
     value, _ = integrate_oscillatory_tails(g, 200.0, 1.0, d)
-    x, w, _, _, segments = integrate._ladder(64, 1.0, False)
+    _, segments, (x, w, _, _) = integrate._ladder(64, 1.0, False)
     assert w.size > CHUNK_NODES
     for i in range(d.size):
         partials = np.cumsum([np.dot(w[0, s], g(x[0], d[i])[s]) for s in segments])[::2]
@@ -165,6 +163,34 @@ def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
         expect = integrate._extrapolate_to_zero(1.0 / widths, list(partials))[0]
         alone = integrate_oscillatory_tails(g, 200.0, 1.0, d[i : i + 1])[0]
         assert value[i] == alone[0] == expect
+
+
+def test_rule_is_the_dots_at_n_and_2n_panels_alone_or_in_an_array():
+    # (value, error) is (I_2n, |I_2n - I_n|), each I one np.dot over
+    # _panel_nodes at its count, in hex, for a d alone and inside an array;
+    # 400 panels make a row of n and 2n panels long enough to be chunked
+    f = lambda x, d: (np.exp(-((x - d) ** 2)) * np.cos(3.0 * x), np.sin(x + d) / (2.0 + x))
+    d = np.array([0.3, 1.7, -0.4, 0.9])
+    n_panels = np.array([3, 400, 48, 3])
+    assert 3 * PANEL_NODES * 400 > CHUNK_NODES
+    hexes = lambda pair: [[float(v).hex() for v in part] for part in pair]
+    together = composite_gauss_legendre(f, -2.0, 5.0, n_panels, d)
+    for i in range(d.size):
+        dots = []
+        for count in (2 * int(n_panels[i]), int(n_panels[i])):
+            x, w = integrate._panel_nodes(-2.0, 5.0, count)
+            dots.append(np.array([np.dot(w[0], v) for v in f(x[0], d[i])]))
+        expect = [dots[0], abs(dots[0] - dots[1])]
+        alone = composite_gauss_legendre(f, -2.0, 5.0, n_panels[i], d[i : i + 1])
+        for got in ([v[i] for v in together], [v[0] for v in alone]):
+            assert hexes(got) == hexes(expect)
+    # the nodes of both counts are one kept, read-only row, a segment each
+    n, segments, (x, w) = integrate._doubled_layout(-2.0, 5.0, 48)
+    assert x.shape == w.shape == (1, n) and n == 3 * PANEL_NODES * 48
+    assert not (x.flags.writeable or w.flags.writeable)
+    for part, count in zip(segments, (48, 96)):
+        assert np.array_equal(x[:, part], integrate._panel_nodes(-2.0, 5.0, count)[0])
+        assert np.array_equal(w[:, part], integrate._panel_nodes(-2.0, 5.0, count)[1])
 
 
 @pytest.mark.parametrize("a", [1.0, np.sqrt(3.0) / 2.0, 2.5])
@@ -181,7 +207,8 @@ def test_ladder_phases_are_its_nodes_own(a):
         integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, a, ONE, even)
         integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, float(a), ONE, even)
         assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
-        x, w, sin_ax, cos_ax, segments = integrate._ladder(m0, a, even)
+        n, segments, (x, w, sin_ax, cos_ax) = integrate._ladder(m0, a, even)
+        assert n == x.size and segments[-1].stop == n
         assert np.array_equal(sin_ax, np.sin(a * x)) and np.array_equal(cos_ax, np.cos(a * x))
         assert not any(v.flags.writeable for v in (x, w, sin_ax, cos_ax))
         assert len(seen) == 2 * len(integrate._chunks(x.size)) > 2
@@ -214,11 +241,6 @@ def test_panel_cap(monkeypatch):
     with pytest.raises(NumericError, match="MAX_PANELS"):
         integrate_oscillatory_tails(f, 16 * np.pi + 1.0, 1.0, ONE)
     assert calls == []
-    monkeypatch.undo()
-    # the rule itself takes any count; the cap is for the callers whose count
-    # grows with a displacement
-    [value] = composite_gauss_legendre(lambda x, d: np.cos(x), 0.0, 1.0, MAX_PANELS + 1, ONE)
-    assert value == pytest.approx(np.sin(1.0), rel=1e-12)
 
 
 def test_panel_cap_refuses_before_allocating():
@@ -229,7 +251,7 @@ def test_panel_cap_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(NumericError, match="MAX_PANELS"):
-            integrate_refined(lambda x, d: x, -1.0, 1.0, 4e8, np.array([1e8]))
+            composite_gauss_legendre(lambda x, d: x, -1.0, 1.0, 4e8, np.array([1e8]))
         peak = tracemalloc.get_traced_memory()[1]
         assert tau1_numeric(gaussian_psf(1.0), 1e8).tau1 == 0.0
         far_peak = tracemalloc.get_traced_memory()[1]

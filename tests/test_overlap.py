@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from spaderes import NumericError, overlap, psf
-from spaderes.integrate import check_converged, integrate_refined
+from spaderes.integrate import check_converged, composite_gauss_legendre
 from spaderes.overlap import (
     tau1_closed,
     tau1_exact,
@@ -173,7 +173,8 @@ D_GRID = np.linspace(0.0, 5.0, 101)  # tau-curve's default grid, sigma = 1
 def test_spline_overlap_matches_gauss_legendre(grid):
     # the same v1 u and v1 u' products integrated by composite Gauss-Legendre
     # over the grid hull, wherever that rule converges, on scipy's spline of the
-    # samples extended by 0 off the hull
+    # samples extended by 0 off the hull; u(x - d) steps there at x_0 + d, so
+    # dc/dd takes the step's term -v1(x_0 + d) u(x_0) besides the integral
     tab = TABULATED[grid]
     sigma = sigma_of(tab)
     spline = tau1_numeric(tab, D_GRID)
@@ -188,7 +189,9 @@ def test_spline_overlap_matches_gauss_legendre(grid):
 
     def hull_quadrature(f, d):
         n_panels = max(128, min(4096, tab.grid.size))
-        [value], [err] = integrate_refined(f, tab.grid[0], tab.grid[-1], n_panels, np.array([d]))
+        [value], [err] = composite_gauss_legendre(
+            f, tab.grid[0], tab.grid[-1], n_panels, np.array([d])
+        )
         return check_converged(value, err, QUAD_REL_TOL, QUAD_ABS_TOL, "hull quadrature")
 
     compared = 0
@@ -199,8 +202,9 @@ def test_spline_overlap_matches_gauss_legendre(grid):
         except NumericError:
             continue
         compared += 1
+        step = v1(tab.grid[0] + d) * scipy_spline(tab.grid[0])
         assert abs(spline.c[k] - (0.0 if d == 0 else c)) < 1e-10
-        assert abs(spline.c_prime[k] - cp) < 1e-10
+        assert abs(spline.c_prime[k] - (cp - step)) < 1e-10
     assert compared >= 95
 
 
@@ -214,7 +218,8 @@ def test_spline_overlap_matches_the_sampled_gaussian(grid):
 
 def _overlap_in_extended_precision(grid, d):
     # the kernel's piecewise products, merged, located and summed independently,
-    # in long double, on scipy's spline of the same samples
+    # in long double, on scipy's spline of the same samples; c' takes the term
+    # of u(x - d)'s step at x_0 + d, -v1(x_0 + d) u(x_0)
     ld = np.longdouble
     spline = CubicSpline(*SAMPLES[grid])
     x, k, sigma = spline.x.astype(ld), spline.c.astype(ld), ld(sigma_of(TABULATED[grid]))
@@ -232,7 +237,10 @@ def _overlap_in_extended_precision(grid, d):
     u = ((k[0][j] * s + k[1][j]) * s + k[2][j]) * s + k[3][j]
     du = (3 * k[0][j] * s + 2 * k[1][j]) * s + k[2][j]
     w = half[:, None] * gw
-    return np.sum(w * v1 * u), np.sum(-w * v1 * du)
+    m = np.searchsorted(x, x[0] + d, "right") - 1
+    at = x[0] + d - x[m]
+    step = -2 * sigma * ((3 * k[0][m] * at + 2 * k[1][m]) * at + k[2][m]) * k[3][0]
+    return np.sum(w * v1 * u), np.sum(-w * v1 * du) - step
 
 
 @pytest.mark.parametrize("grid", TABULATED)
@@ -249,7 +257,8 @@ def test_spline_overlap_error_estimate_bounds_its_rounding(grid, monkeypatch):
     monkeypatch.setattr(overlap, "check_converged", record)
     d = np.array([0.01, 0.3, 1.0, 2.0, 3.7, 6.5, 11.0])
     tr = tau1_numeric(tab, d)
-    err_c, err_cp = estimates
+    [err] = estimates  # c and c' are judged in one call, a column each
+    err_c, err_cp = err.T
     for k, dk in enumerate(d):
         c, cp = _overlap_in_extended_precision(grid, dk)
         for value, ref, err in ((tr.c[k], c, err_c[k]), (tr.c_prime[k], cp, err_cp[k])):
@@ -294,9 +303,10 @@ def test_lag_sums_match_the_piecewise_overlap(monkeypatch, merge_oracle):
 
     monkeypatch.setattr(overlap, "check_converged", record)
     c, cp = merge_oracle(overlap._spline_overlaps, tab, np.abs(d))
-    err_c, err_cp = estimates
+    [err] = estimates  # c and c' are judged in one call, a column each
+    err_c, err_cp = err.T
     exact = tau1_exact(tab, d)
-    assert len(estimates) == 2  # the lag sums refuse nothing: no estimate of their own
+    assert len(estimates) == 1  # the lag sums refuse nothing: no estimate of their own
     assert np.all(np.abs(exact.c - np.sign(d) * c) <= err_c)
     assert np.all(np.abs(exact.c_prime - cp) <= err_cp)
     # c odd and c' even in d, bit for bit, with c(0) = 0
@@ -368,6 +378,20 @@ def test_non_uniform_grid_keeps_the_piecewise_overlap():
     exact, oracle = tau1_exact(tab, d), tau1_numeric(tab, d)
     for field in ("tau1", "dtau1_dd", "c", "c_prime"):
         assert np.array_equal(getattr(exact, field), getattr(oracle, field))
+
+
+@pytest.mark.parametrize("table", ["shipped", "sinc_cut"])
+def test_tabulated_c_prime_is_dc_dd(table, request):
+    # u is 0 off the hull, so u(x - d) steps at x_0 + d, and c' takes the
+    # step's term besides the integral: on the lattice and on the merged
+    # pieces, c' matches a central difference of c across the hull
+    tab = SHIPPED if table == "shipped" else request.getfixturevalue("sinc_cut")
+    d = np.array([0.3, 1.0, 2.0, 5.0, 10.0, 14.0, 15.9])
+    h = 1e-4
+    for f in (tau1_numeric, tau1_exact):
+        central = (f(tab, d + h).c - f(tab, d - h).c) / (2.0 * h)
+        cp = f(tab, np.concatenate([[0.0], d])).c_prime
+        np.testing.assert_allclose(cp[1:], central, rtol=0.0, atol=1e-8 * np.max(np.abs(cp)))
 
 
 def test_sinc_frequency_overlap_matches_closed_form():

@@ -157,8 +157,8 @@ def test_kept_ladder_trigonometry_is_each_chunks_own():
     for tf in (SINC_S1, SINC_A1):
         a = tf.a
         for m0, even in ((16, False), (18, False), (18, True)):
-            x, _, sin_ax, cos_ax, _ = integrate._ladder(m0, a, even)
-            assert integrate._ladder(m0, float(a), even)[2] is sin_ax
+            _, _, (x, _, sin_ax, cos_ax) = integrate._ladder(m0, a, even)
+            assert integrate._ladder(m0, float(a), even)[2][2] is sin_ax
             assert not sin_ax.flags.writeable
             chunks = integrate._chunks(x.size)
             assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= CHUNK_NODES

@@ -52,9 +52,9 @@ def test_homodyne_fi_matches_density_quadrature():
         dp = (density(q, d + h) - density(q, d - h)) / (2.0 * h)
         return dp**2 / density(q, d)
 
-    [total] = composite_gauss_legendre(density, -80.0, 80.0, 64, np.array([d]))
+    [total], _ = composite_gauss_legendre(density, -80.0, 80.0, 64, np.array([d]))
     assert total == pytest.approx(1.0, abs=1e-12)
-    [fisher] = composite_gauss_legendre(integrand, -80.0, 80.0, 64, np.array([d]))
+    [fisher], _ = composite_gauss_legendre(integrand, -80.0, 80.0, 64, np.array([d]))
     assert fisher == pytest.approx(fi_homodyne(SourceScene(GAUSS, d, n_s)), rel=1e-8)
 
 

@@ -180,7 +180,6 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
             ad,
             DIRECT_REL_TOL,
             "direct-imaging information",
-            even=True,
         )
     return (n_s * value).reshape(d.shape)[()]
 
@@ -205,7 +204,5 @@ def qfi_numeric(tf: TransferFunction, n_s: float) -> float:
         value = tf._pieces.energy
     else:
         energy = lambda u, du: du[0] ** 2
-        [value] = quad_over_psf(
-            tf, energy, (0.0,), np.zeros(1), what="derivative energy", even=True
-        )
+        [value] = quad_over_psf(tf, energy, (0.0,), np.zeros(1), what="derivative energy")
     return 4.0 * n_s * value

@@ -5,29 +5,28 @@ integrands on a finite interval (rapidly decaying tails already truncated
 away) on n and 2n panels in one pass, the distance between the two its
 error estimate, on nodes built once per (bounds, count) and kept: a caller
 with a domain per row maps one template, such as [0, 1] or [-1, 1], onto it.
-``integrate_oscillatory_tails`` takes even-symmetric domains where the
-integrand decays only algebraically (~1/x) while oscillating at a fixed
-frequency a, with the period pi / a: truncating at +-X leaves an O(1/X)
-tail, so the partial integrals on a geometric ladder of TAIL_LEVELS
-panel-aligned half-widths are extrapolated to X -> infinity in powers of
-1/X.  Its error estimate compares that extrapolation with the one an order
-lower over the ladder's upper rungs, so it tracks the order it judges.  An
-integrand its caller declares even runs on the half of the ladder over
-x >= 0, its partial integrals doubled.  The ladder keeps, with its nodes x,
-their phases sin(a x) and cos(a x), and hands them to f, so an integrand
-that oscillates at a takes no trigonometry of its own nodes.
+``integrate_oscillatory_tails`` takes even integrands over the whole line
+that decay only algebraically (~1/x) while oscillating at a fixed frequency
+a, with the period pi / a: truncating at +-X leaves an O(1/X) tail, so the
+partial integrals over [0, X], doubled, on a geometric ladder of
+TAIL_LEVELS panel-aligned half-widths are extrapolated to X -> infinity in
+powers of 1/X.  Its error estimate compares that extrapolation with the one
+an order lower over the ladder's upper rungs, so it tracks the order it
+judges.  The ladder keeps, with its nodes x, their phases sin(a x) and
+cos(a x), and hands them to f, so an integrand that oscillates at a takes
+no trigonometry of its own nodes.
 
 Each takes a 1-D array ``d`` and integrates one row per d: row i
 integrates f(x, d_i); the bounds are two numbers, the count a number or one
 per row.  f takes a block of rows' nodes, (1, n), shared, and their d as a
 (rows, 1) column (then, on the tail ladder, the phases, sliced alike), and
 returns (rows, n), or (k, rows, n) for k integrands: each rule returns
-(value, error estimate), each (d.size,) or (d.size, k).
+(value, error estimate), each (d.size,) or (d.size, k), an empty d too.
 One driver, :func:`_row_sums`, runs every rule.  Rows of one panel count
 share a pass, in blocks of at most NODES_PER_BLOCK nodes, over nodes kept
 per count; a row of over CHUNK_NODES nodes, such as the tail ladder far
 out, runs alone, in a few equal chunks.  Each segment of a row (each panel
-count of the composite rule, each segment of the ladder) is reduced on its
+count of the composite rule, each rung of the ladder) is reduced on its
 own by np.dot, so a row gets the same bits alone or in any batch.
 """
 
@@ -77,11 +76,14 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
     each (1, n), which every row shares.  f gets the nodes, the rows' d as a
     column, then the extra arrays, sliced alike.  Rows of at most
     CHUNK_NODES nodes share passes, in blocks of at most NODES_PER_BLOCK
-    nodes; a longer row runs alone, in equal chunks.
+    nodes; a longer row runs alone, in equal chunks.  An empty d gives
+    (0,) + f's leading axes + (segments,), from f on no rows at one panel.
     """
     d = np.asarray(d, dtype=float)
     if not d.size:
-        return np.zeros((0, 1))
+        _, segments, (x, _, *extra) = layout(1)
+        lead = np.shape(f(x, d[:, None], *extra))[:-2]
+        return np.zeros((0,) + lead + (len(segments),))
     groups = {}
     for i, count in enumerate(np.full(d.size, counts, dtype=int).tolist()):
         groups.setdefault(count, []).append(i)
@@ -130,8 +132,7 @@ def composite_gauss_legendre(f: Callable[..., np.ndarray], a: float, b: float, n
         )
     a, b = float(a), float(b)
     sums = _row_sums(f, d, n_panels, lambda count: _doubled_layout(a, b, count))
-    # the finer segment is the last: an empty d has one segment, of nothing
-    coarse, fine = sums[..., 0], sums[..., -1]
+    coarse, fine = sums[..., 0], sums[..., 1]
     return fine, abs(fine - coarse)
 
 
@@ -175,66 +176,59 @@ def _extrapolate_to_zero(ts, values) -> tuple:
     return table[0], abs(table[0] - upper)
 
 
-def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: float, d, even=False):
-    """Integral of ``f`` over (-inf, inf) for 1/x-decaying integrands that
-    oscillate at the frequency ``a``, with the period pi / a.
+def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: float, d):
+    """Integral of the even ``f`` over (-inf, inf), twice its integral over
+    [0, inf), for 1/x-decaying integrands that oscillate at the frequency
+    ``a``, with the period pi / a.
 
     The partial integral over [-X, X] behaves as S(X) = S - c1/X - c2/X^2 - ...
     with coefficients that are constant when X is restricted to even multiples
     of the oscillation period, so S is recovered by polynomial extrapolation in
-    1/X over the ladder X0, 2*X0, ..., 2^(TAIL_LEVELS-1)*X0.  An ``even`` f,
-    declared by its caller, is integrated over [0, X] only, and each partial
-    integral doubled: half the nodes.
+    1/X over the ladder X0, 2*X0, ..., 2^(TAIL_LEVELS-1)*X0, each partial
+    integral twice f's over [0, X].
 
-    The ladder's segments are packed into one kept row of nodes per start m0
-    (:func:`_ladder`), which f sees in chunks, and each segment is reduced by
+    The ladder's rungs are packed into one kept row of nodes per start m0
+    (:func:`_ladder`), which f sees in chunks, and each rung is reduced by
     its own np.dot, in ladder order (:func:`_row_sums`).  f gets each chunk's
     nodes x, the rows' d, and the ladder's phases sin(a x) and cos(a x) at
     those nodes.
 
     Returns (value, error estimate from the extrapolation table), a row per
-    d.  Refuses, before evaluating ``f``, a ladder whose span [-X, X] would
-    take over MAX_PANELS panels, m0 2^TAIL_LEVELS, on either layout.
+    d.  Refuses, before evaluating ``f``, a start m0 whose ladder over
+    [-X, X] would take over MAX_PANELS panels, m0 2^TAIL_LEVELS: twice the
+    panels of the half-line it runs on, so the span it refuses stays that
+    of the whole line.
     """
     half_width = np.reshape(half_width, -1)
     period = np.pi / a
     # initial half-width: smallest even multiple of the period >= half_width
     m0 = np.maximum(2.0, 2.0 * np.ceil(half_width / (2.0 * period)))
-    over = m0 * 2**TAIL_LEVELS > MAX_PANELS  # the panels of the whole line's ladder
+    over = m0 * 2**TAIL_LEVELS > MAX_PANELS
     if over.any():
         raise NumericError(
             f"half-width {half_width[np.argmax(over)]:.4g} needs a ladder of over "
             f"MAX_PANELS = {MAX_PANELS} panels"
         )
-    if not half_width.size:
-        return half_width, half_width
-    sums = _row_sums(f, d, m0, lambda count: _ladder(count, a, even))
-    lead = sums.shape[1:-1]
-    # the partial integrals at the ends of the rungs: on the whole line the first
-    # rung has one segment and the others two; on the half-line each has one
-    partials = np.cumsum(sums.reshape(m0.size, -1, sums.shape[-1]), axis=-1)
-    partials = 2.0 * partials if even else partials[..., ::2]
-    widths = (m0 * period)[:, None, None] * 2.0 ** np.arange(TAIL_LEVELS)
-    value, err = _extrapolate_to_zero(np.moveaxis(1.0 / widths, -1, 0), np.moveaxis(partials, -1, 0))
-    return value.reshape((-1,) + lead), err.reshape((-1,) + lead)
+    sums = _row_sums(f, d, m0, lambda count: _ladder(count, a))
+    # the partial integrals over [-X, X] at the ends of the rungs
+    partials = 2.0 * np.cumsum(sums, axis=-1)
+    widths = np.reshape(m0 * period, (-1,) + (1,) * (sums.ndim - 1)) * 2.0 ** np.arange(TAIL_LEVELS)
+    return _extrapolate_to_zero(np.moveaxis(1.0 / widths, -1, 0), np.moveaxis(partials, -1, 0))
 
 
 @lru_cache(maxsize=8)
-def _ladder(m0: int, a: float, even: bool):
+def _ladder(m0: int, a: float):
     """The ladder from m0 periods pi / a, packed, as a :func:`_row_sums`
-    layout: its node count n, the slices of its segments, and its nodes x,
+    layout: its node count n, the slices of its rungs, and its nodes x,
     weights, and phases sin(a x) and cos(a x) as read-only (1, n) arrays.
-    The segments, in order, are [-X0, X0], then [X_l-1, X_l] and
-    [-X_l, -X_l-1] for each rung X_l = 2^l X0, a panel a period; or, for an
-    ``even`` integrand, [0, X0], then [X_l-1, X_l].  Built once per
-    (m0, a, even) and kept: PANEL_NODES m0 2^TAIL_LEVELS nodes on the whole
-    line, 0.6 MiB with the weights and phases at the sinc start width, and
-    half that on the half-line."""
+    The rungs, in order, are [0, X0], then [X_l-1, X_l] for each
+    X_l = 2^l X0, a panel a period.  Built once per (m0, a) and kept:
+    PANEL_NODES m0 2^(TAIL_LEVELS - 1) nodes, 0.3 MiB with the weights and
+    phases at the sinc start width."""
     x0 = m0 * (np.pi / a)
-    spans = [(0.0, x0, m0)] if even else [(-x0, x0, 2 * m0)]
+    spans = [(0.0, x0, m0)]
     for level in range(1, TAIL_LEVELS):
-        lo, hi, n = x0 * 2 ** (level - 1), x0 * 2**level, m0 * 2 ** (level - 1)
-        spans += [(lo, hi, n)] if even else [(lo, hi, n), (-hi, -lo, n)]
+        spans.append((x0 * 2 ** (level - 1), x0 * 2**level, m0 * 2 ** (level - 1)))
     x, w = (np.concatenate(v, axis=-1) for v in zip(*(_panel_nodes(*s) for s in spans)))
     ax = a * x
     ends = np.cumsum([0] + [PANEL_NODES * n for _, _, n in spans]).tolist()

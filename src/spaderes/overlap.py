@@ -14,13 +14,15 @@ forms exist for the analytic kinds:
 Both share the small-separation law tau1 -> d^2 / 4 sigma^2.  Every path
 takes a scalar d or an array of d and returns values of d's shape.  The
 numeric path, :func:`tau1_numeric`, evaluates the overlap integral directly
-and differentiates under the integral sign: over x for the Gaussian, by
-Parseval over the flat band for sinc, and exactly, piece by piece, for a
-tabulated spline.  It is the oracle of every kind.  On the analytic kinds
-every d is a row of one quadrature call (:mod:`spaderes.integrate`), whose
-integrand takes (rows, n) nodes and the rows' d as a (rows, 1) column and
-returns the integrands of c and c' as (2, rows, n); each row is reduced on
-its own by np.dot, so a d gets the same bits alone or inside an array.  A
+and differentiates under the integral sign: over x for the Gaussian, in the
+frame centred between the images, where the product's mass sits at the
+origin, so c keeps its relative precision however far out; by Parseval
+over the flat band for sinc; and exactly, piece by piece, for a table.  It
+is the oracle of every kind.  On the analytic kinds every d is a row of
+one quadrature call (:mod:`spaderes.integrate`), whose integrand takes
+(rows, n) nodes and the rows' d as a (rows, 1) column and returns the
+integrands of c and c' as (2, rows, n); each row is reduced on its own by
+np.dot, so a d gets the same bits alone or inside an array.  A
 tabulated spline takes :func:`_spline_overlaps` on any grid, on the pairs
 of pieces that :meth:`SplinePieces.pairs` walks, and its c' = dc/dd takes
 the term of u(x - d)'s step at x_0 + |d| (:meth:`SplinePieces.hull_step`).
@@ -204,22 +206,23 @@ def _transmission(tf: TransferFunction, d, overlaps) -> Transmission:
 def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     """(c, c') at every |d| of ``ad`` by each kind's overlap quadrature.
 
-    The Gaussian integrates v1(x) = -2 sigma u'(x) times u(x - d) for c and
-    -u'(x - d) for c', from one evaluation of the images.  sinc takes
-    Parseval on its flat band [0, a]: c and c' are (2 sigma / a) times the
-    integrals of k sin(k d) and k^2 cos(k d), one panel per half-period in k.
+    The Gaussian integrates in the frame y = x - d/2 centred between the
+    images u0 = u(y + d/2) and u1 = u(y - d/2), where c = <-2 sigma u0', u1>
+    takes the even part of its integrand, -sigma (u0' u1 - u1' u0), and
+    c' = <2 sigma u0', u1'> is even already (:func:`quad_over_psf`).  sinc
+    takes Parseval on its flat band [0, a]: c and c' are (2 sigma / a) times
+    the integrals of k sin(k d) and k^2 cos(k d), one panel per half-period.
     """
     sigma = tf.sigma
     if tf.kind == TABULATED:
         return _spline_overlaps(tf, ad)
     what = ("mode overlap", "overlap derivative")
     if tf.kind == GAUSSIAN:
-
-        def v1_times(u, du):
-            v1 = -2.0 * sigma * du[0]
-            return v1 * u[1], v1 * -du[1]
-
-        both = quad_over_psf(tf, v1_times, (0.0, 1.0), ad, what=what)
+        even_parts = lambda u, du: (
+            -sigma * (du[0] * u[1] - du[1] * u[0]),
+            2.0 * sigma * du[0] * du[1],
+        )
+        both = quad_over_psf(tf, even_parts, (-1.0, 1.0), 0.5 * ad, what=what)
     else:
         a = tf.a
         band = lambda k, d: (k * np.sin(k * d), k * k * np.cos(k * d))
@@ -227,7 +230,7 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
         value, err = composite_gauss_legendre(band, 0.0, a, panels, ad)
         scale = 2.0 * sigma / a
         both = check_converged(scale * value, scale * err, QUAD_REL_TOL, QUAD_ABS_TOL, what)
-    return both.reshape(-1, 2).T
+    return both.T
 
 
 def tau1_numeric(tf: TransferFunction, d) -> Transmission:
@@ -235,9 +238,9 @@ def tau1_numeric(tf: TransferFunction, d) -> Transmission:
 
     The overlap c(d) = <v1, u(. - d)> and its derivative -<v1, u'(. - d)> are
     integrated where each kind's integrand is smooth: over x for the Gaussian,
-    over the flat band for sinc, piece by piece for a tabulated spline (on
-    the lattice of a uniform grid).  It is the oracle of every kind's
-    :func:`tau1_exact`.
+    in the frame centred between the images, over the flat band for sinc,
+    piece by piece for a tabulated spline (on the lattice of a uniform
+    grid).  It is the oracle of every kind's :func:`tau1_exact`.
     """
     return _transmission(tf, d, _quadrature_overlaps)
 

@@ -27,26 +27,26 @@ v1(x) = -2 sigma u'(x), an orthonormal pair for real u.
 
 :func:`quad_over_psf` is the one place where an analytic PSF is evaluated
 under a quadrature: its integrand takes u and u' of the displaced images
-and never evaluates the PSF itself.  A caller whose integrand is even in x
-says so (``even=True``: direct imaging and the derivative energy), and it
-is integrated over x >= 0 only, and doubled.  The domains are kind-aware.
-Gaussian integrands are truncated at 10 sigma about the images (tails
-< 1e-22): one span over both images while those windows overlap, [0, H]
-for an even integrand and [-H, H] otherwise, H = 10 sigma + |d|, and each
-image's window alone once they lie apart, so the cost stops growing with
-d; every span maps a unit template of panel nodes, kept per count, by its
-half-width.  Sinc integrands decay only as 1/x and are handled by the
+and never evaluates the PSF itself.  Every integrand it takes is even in x,
+its images symmetric about 0 (direct imaging's at +-d, the mode overlap's
+at +-d/2, the derivative energy's at 0), and runs over x >= 0 only,
+doubled.  Gaussian integrands are truncated at 10 sigma about the images
+(tails < 1e-22): one span [0, H], H = 10 sigma past the positive image,
+until the windows about the origin and about the positive image lie apart,
+then each alone, so the cost stops growing with d and a product of the
+images, whose mass sits at the origin, keeps its relative precision; every
+span maps a unit template of panel nodes, kept per count, by its width.
+Sinc integrands decay only as 1/x and are handled by the
 tail-extrapolated ladder in :mod:`spaderes.integrate` with panels aligned
 to the oscillation period pi/a: TAIL_LEVELS rungs from
 SINC_HALF_WIDTH_OVER_A / a past the margin d (and, once d is past
 SINC_HALF_WIDTH_OVER_A / a, as far again past it, so that the first rungs
-stay clear of the images), packed into one kept row of nodes per start:
-on the half-line, 8,192-9,216 nodes a d on 0-5 sigma, in one or two
-chunks (twice that on the whole line).  The ladder keeps the phases
-sin(a x) and cos(a x) of its nodes with them, and the sinc evaluator takes
-each chunk's phases from it.  The mode overlaps of :mod:`spaderes.overlap`
-take it for the Gaussian only: sinc overlaps are integrated over the flat
-spectrum.
+stay clear of the images), packed into one kept row of nodes per start,
+8,192-9,216 nodes a d on 0-5 sigma, in one or two chunks.  The ladder keeps
+the phases sin(a x) and cos(a x) of its nodes with them, and the sinc
+evaluator takes each chunk's phases from it.  The mode overlaps of
+:mod:`spaderes.overlap` take it for the Gaussian only: sinc overlaps are
+integrated over the flat spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
@@ -643,84 +643,89 @@ def quad_over_psf(
     margin: np.ndarray,
     rel_tol=QUAD_REL_TOL,
     what="psf integral",
-    even=False,
 ):
     """Integrate f of the displaced images u(x - k d), one for each
-    multiplier k of ``shifts``, over the kind-appropriate domain, a row for
-    each margin d of the 1-D array ``margin``.
+    multiplier k of ``shifts``, over the whole line, a row for each margin
+    d of the 1-D array ``margin``.
 
     Gaussian and sinc kinds only.  f(u, du) gets u and u' of the images as
     arrays (len(shifts), rows, n) and returns (rows, n), or (k, rows, n) for
     k integrands that a sequence ``what`` names: the result is (d.size,) or
-    (d.size, k).  A caller whose f is even in x (its images symmetric about
-    0, its values even in u') declares it with ``even=True``: f then runs
-    over x >= 0 only, and the integral is doubled.  Each row is reduced on
-    its own with the bits it has alone (:mod:`spaderes.integrate`), and one
-    :func:`check_converged` judges all rows.  The images come from the
-    kind's evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on
-    the sinc tail ladder, widened by |d|, with the ladder's phases sin(a x)
-    and cos(a x), and the ladder's error estimate tracks its own
-    extrapolation order.  The Gaussian's domain is
-    :func:`_gaussian_quadrature`'s.  A tabulated PSF's integrals run piece by
-    piece on its spline (:class:`SplinePieces`).
+    (d.size, k).  f must be even in x: it runs over x >= 0 only, doubled,
+    so an odd f gets twice its half-line integral, not 0.  The shifts must
+    be (0,), one image at 0, or (-1, 1), a pair at +-d, which is checked:
+    the layouts' windows cover those images, and f must not change when they
+    are mirrored, u(-x - k d) = u(x + k d) and u'(-x - k d) = -u'(x + k d).
+    (0,) is not the pair at d = 0: the sinc's near-peak series is a matrix
+    product that rounds by how many nodes it stacks (an ulp of sinc
+    ``qfi_numeric`` at sigma 1.3).  Each row is reduced on its own with the
+    bits it has alone (:mod:`spaderes.integrate`), and one
+    :func:`check_converged` judges all rows.  The images come from the kind's
+    evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on the sinc
+    tail ladder, widened by |d|, with the ladder's phases sin(a x) and
+    cos(a x), and its error estimate tracks its own extrapolation order.
+    The Gaussian's domain is :func:`_gaussian_quadrature`'s.  A tabulated
+    PSF's integrals run piece by piece on its spline (:class:`SplinePieces`).
     """
+    if sorted(map(float, shifts)) not in ([0.0], [-1.0, 1.0]):
+        raise ValidationError(f"shifts {list(shifts)} are not (0,) or (-1, 1), symmetric about 0")
     ks = np.asarray(shifts, dtype=float)[:, None, None]
     if tf.kind == GAUSSIAN:
-        value, err = _gaussian_quadrature(tf.sigma, f, ks, margin, even)
+        value, err = _gaussian_quadrature(tf.sigma, f, ks, margin)
     elif tf.kind == SINC:
         a = tf.a
         start = SINC_HALF_WIDTH_OVER_A / a
         ad = np.abs(margin)
         half = start + ad + np.maximum(0.0, ad - start)
         integrand = lambda x, d, *phases: f(*_sinc_images(a, x, ks * d, phases))
-        value, err = integrate_oscillatory_tails(integrand, half, a, margin, even)
+        value, err = integrate_oscillatory_tails(integrand, half, a, margin)
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
 
 
-def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarray, even: bool):
-    """(value, error estimate) of f of the Gaussian images at shifts ks d, a
-    row per d, by panel doubling in one pass (:func:`composite_gauss_legendre`)
-    on templates kept per panel count.
+def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarray):
+    """(value, error estimate) of the even f of the Gaussian images at
+    shifts ks d, twice its integral over x >= 0, a row per d, by panel
+    doubling in one pass (:func:`composite_gauss_legendre`) on templates
+    kept per panel count.
 
     Each image's window, GAUSSIAN_HALF_WIDTH_SIGMAS sigma either side of it,
-    leaves out tails of order 1e-22, as one span over both images always
-    did.  While the windows of a row overlap, it takes one span of
-    half-width H = that width + |d|: x = H y for y on the template [-1, 1],
-    or on [0, 1] for an even f, whose integral is doubled, and the weights
-    scaled by H.  Once they lie apart, it takes each window alone, about its
-    own image, whose shift is then exactly 0 (for an even f those at
-    k >= 0, doubled, and [0, 1] at k = 0), so the cost no longer grows with
-    d.  An overlap of two images apart is under 1e-21 and is then kept to
-    that absolute accuracy only.  A span takes max(48, 4 H / sigma) panels
-    on [-H, H] and half as many on [0, H]; no span is over three windows
-    wide, far below the rule's MAX_PANELS refusal, which stays.
+    leaves out tails of order 1e-22.  The positive image sits at p = |d|
+    for a pair of images, 0 for one.  While the window about it overlaps
+    the window [0, that width] about the origin (p under twice the width), a
+    row takes one span of half-width H = that width + p: x = H y for y on
+    the template [0, 1], the weights scaled by H.  Once they lie apart, it
+    takes each alone: the origin's, where a product of the two images has
+    its mass, on [0, 1], and the positive image's whole, on [-1, 1] about
+    the image, whose shift is then exactly 0; so the cost no longer grows
+    with d.  A span takes half of max(48, 4 H / sigma) panels on [0, 1] and
+    max(48, 4 H / sigma) on [-1, 1]; no span is over three windows wide,
+    far below the rule's MAX_PANELS refusal, which stays.
     """
     reach = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma
+    top = ks.max()
     d = np.asarray(d, dtype=float)
-    ad = np.abs(d)
-    images = sorted(set(ks.ravel().tolist()))
-    gap = min((b - a for a, b in zip(images, images[1:])), default=np.inf)
-    apart = ad >= 2.0 * reach / gap  # a lone image is apart
-    # the spans of a row, as (multiplier of the centre's image, widened by |d|)
-    near, far = [(0.0, True)], [(k, False) for k in images if k >= 0.0 or not even]
+    apart = top * np.abs(d) >= 2.0 * reach
+    # the spans of a row, as (about the positive image, widened to reach it)
+    near, far = [(False, True)], [(False, False), (True, False)]
 
     def spans_sum(spans, d):
         total = 0.0
-        for k, widened in spans:
-            half = reach + np.abs(d) if widened else reach
-            lo = 0.0 if even and k == 0.0 else -1.0
+        for about_image, widened in spans:
+            half = reach + top * np.abs(d) if widened else reach
             panels = np.maximum(48.0, np.ceil(4.0 * half / sigma))
-            if lo == 0.0:
+            if not about_image:
                 panels = np.ceil(0.5 * panels)
 
-            def integrand(y, d, k=k, widened=widened):
-                x = (reach + np.abs(d) if widened else reach) * y
-                return f(*_gaussian_images(sigma, x, (ks - k) * d))
+            def integrand(y, d, about_image=about_image, widened=widened):
+                image = top * np.abs(d)
+                x = (reach + image if widened else reach) * y
+                return f(*_gaussian_images(sigma, x, ks * d - image if about_image else ks * d))
 
+            lo = -1.0 if about_image else 0.0
             fine, diff = composite_gauss_legendre(integrand, lo, 1.0, panels, d)
-            scale = np.reshape((2.0 if even else 1.0) * half, (-1,) + (1,) * (fine.ndim - 1))
+            scale = np.reshape(2.0 * half, (-1,) + (1,) * (fine.ndim - 1))
             total = total + scale * np.array([fine, diff])
         return total
 

@@ -255,6 +255,25 @@ def test_exit_code_usage_errors(tmp_path):
     assert run(["qfi", "--psf", "tabulated", "--psf-file", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tau-curve", "--count", "1"], "grid count must be at least 2"),
+        (["tau-curve", "--d-max", "1", "--d-min", "2"], "need d-max > d-min"),
+        (["tau-curve", "--spacing", "log", "--d-min", "0"], "log spacing requires d-min > 0"),
+        (["tau-curve", "--config", "{config}"], "config line is not key=value: 'absolute'"),
+        (["qfi", "--n-s", "0"], "must be positive, got 0"),
+    ],
+    ids=["count-1", "inverted-grid", "log-from-0", "config-without-equals", "n-s-0"],
+)
+def test_documented_usage_refusals(argv, message, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("count = 5\nabsolute\n")
+    assert run([arg.format(config=config) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_counting_d_half_takes_dark_counts_as_n_b(capsys):
     by_n_b = _json(capsys, ["d-half", "--n-s", "100", "--n-b", "1", "--numeric"])
     by_snr = _json(capsys, ["d-half", "--n-s", "100", "--snr", "100", "--numeric"])

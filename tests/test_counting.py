@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spaderes import counting
 from spaderes.counting import (
     NO_NOISE,
     POISSON,
@@ -21,7 +22,7 @@ from spaderes.counting import (
     pmf,
     truncation_limit,
 )
-from spaderes.errors import ValidationError
+from spaderes.errors import TruncationWarning, ValidationError
 from spaderes.overlap import tau1_closed
 from spaderes.psf import gaussian_psf
 
@@ -62,6 +63,19 @@ def test_truncation_captures_mass():
         for kbar in (0.3, 3.0, 40.0):
             k = np.arange(truncation_limit(kbar, statistics) + 1)
             assert pmf(kbar, statistics, k).sum() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("statistics", STATISTICS)
+def test_pmf_oracle_at_a_zero_mean_and_past_its_cutoff(statistics, monkeypatch):
+    # a zero mean count carries no information; a count cutoff that leaves
+    # tail mass is warned about, and the truncated sum still returned
+    assert fi_from_pmf(statistics, lambda d: 0.0 * d, 0.5) == 0.0
+    kbar = lambda d: 3.0 + d**2
+    full = fi_from_pmf(statistics, kbar, 0.5)
+    monkeypatch.setattr(counting, "truncation_limit", lambda kbar, statistics: 4)
+    with pytest.warns(TruncationWarning, match="count truncation at k=4"):
+        short = fi_from_pmf(statistics, kbar, 0.5)
+    assert 0.0 < short < full
 
 
 @pytest.mark.parametrize(

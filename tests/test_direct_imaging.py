@@ -104,7 +104,7 @@ def _kind_quadrature(tf, f, margin):
         value, err = composite_gauss_legendre(lambda y, d: f(half * y, d), 0.0, 1.0, panels, d)
         return 2.0 * half * value, 2.0 * half * err
     start = SINC_HALF_WIDTH_OVER_A / tf.a
-    return integrate_oscillatory_tails(f, start + margin, tf.a, d, even=True)
+    return integrate_oscillatory_tails(f, start + margin, tf.a, d)
 
 
 def _four_call_fi_direct(tf, d):
@@ -147,7 +147,7 @@ def _without_kept_trigonometry(tf, f, shifts, margin):
     a, ks, d = tf.a, np.asarray(shifts, dtype=float)[:, None, None], np.reshape(margin, -1)
     integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d))
     start = psf.SINC_HALF_WIDTH_OVER_A / a
-    return integrate_oscillatory_tails(integrand, start + d, a, d, even=True)
+    return integrate_oscillatory_tails(integrand, start + d, a, d)
 
 
 def test_kept_ladder_trigonometry_keeps_the_bits():
@@ -173,7 +173,7 @@ def test_sinc_qfi_takes_the_kept_ladder_trigonometry(tf, monkeypatch):
     monkeypatch.setattr(psf, "SINC_HALF_WIDTH_OVER_A", (m0 - 1) * np.pi)
     calls, images = [], psf._sinc_images
     monkeypatch.setattr(psf, "_sinc_images", lambda *args: calls.append(args) or images(*args))
-    _, _, (_, _, sin_ax, cos_ax) = integrate._ladder(m0, tf.a, True)
+    _, _, (_, _, sin_ax, cos_ax) = integrate._ladder(m0, tf.a)
     hits = integrate._ladder.cache_info().hits
     kept = qfi_numeric(tf, 1.0)
     assert integrate._ladder.cache_info().hits > hits
@@ -186,11 +186,11 @@ def test_sinc_qfi_takes_the_kept_ladder_trigonometry(tf, monkeypatch):
     assert kept == 4.0 * 1.0 * float(afresh[0])
 
 
-def _whole_line(tf, f, shifts, d):
+def _whole_line(tf, f, shifts, d, whole_line_ladder):
     """quad_over_psf's integral of f(u, du) at each d of the 1-D d on the
     layout of the whole line: the Gaussian on one span [-H, H], H = 10 sigma
-    + |d|, of max(48, 4 H / sigma) panels, a d at a time, and sinc on the
-    tail ladder over [-X, X]."""
+    + |d|, of max(48, 4 H / sigma) panels, and sinc on the tail ladder over
+    [-X, X], a d at a time."""
     ks = np.asarray(shifts, dtype=float)[:, None, None]
     if tf.kind == "gaussian":
         integrand = lambda x, d: f(*psf._gaussian_images(tf.sigma, x, ks * d))
@@ -202,28 +202,30 @@ def _whole_line(tf, f, shifts, d):
             values.append(value)
         return np.array(values)
     a, start = tf.a, SINC_HALF_WIDTH_OVER_A / tf.a
-    integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d, phases))
-    return integrate_oscillatory_tails(integrand, start + d + np.maximum(0.0, d - start), a, d)[0]
+    integrand = lambda x, d: f(*psf._sinc_images(a, x, ks * d))
+    value, _ = whole_line_ladder(integrand, start + d + np.maximum(0.0, d - start), a, d)
+    return value
 
 
 @pytest.mark.parametrize("tf", [GAUSS, SINC], ids=lambda tf: tf.kind)
-def test_half_line_matches_the_whole_line(tf):
-    # fi_direct and qfi_numeric declare their integrands even and integrate
-    # over x >= 0 only: within 1e-14 of the whole line's layout, on 0-5 sigma
-    # and far out (where the Gaussian takes the window about its image)
+def test_half_line_matches_the_whole_line(tf, whole_line_ladder):
+    # fi_direct and qfi_numeric integrate their even integrands over x >= 0
+    # only: within 1e-14 of the whole line's layout, on 0-5 sigma and far
+    # out (where the Gaussian takes the windows about 0 and its image)
     d = tf.sigma * np.concatenate([np.linspace(0.0, 5.0, 101), [30.0, 100.0, 200.0]])
     information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
-    whole = _whole_line(tf, information, (-1.0, 1.0), d)
+    whole = _whole_line(tf, information, (-1.0, 1.0), d, whole_line_ladder)
     np.testing.assert_allclose(fi_direct(tf, d, 1.0), whole, rtol=1e-14, atol=0.0)
-    [energy] = _whole_line(tf, lambda u, du: du[0] ** 2, (0.0,), np.zeros(1))
+    [energy] = _whole_line(tf, lambda u, du: du[0] ** 2, (0.0,), np.zeros(1), whole_line_ladder)
     assert qfi_numeric(tf, 1.0) == pytest.approx(4.0 * energy, rel=1e-14, abs=0.0)
 
 
 def test_gaussian_oracles_far_out_take_the_windows_about_the_images(monkeypatch):
-    # once the 10-sigma windows about the images lie apart, each is
-    # integrated alone: the nodes no longer grow with d, nothing is refused,
-    # and the images apart give n_s / sigma^2 and a zero overlap
-    d = np.array([30.0, 1e3, 1e4, 1e8])
+    # once the 10-sigma window about the positive image lies apart from the
+    # window [0, 10 sigma] about the origin, each is integrated alone: the
+    # nodes no longer grow with d, nothing is refused, and the images apart
+    # give n_s / sigma^2 and a zero overlap
+    d = np.array([40.0, 1e3, 1e4, 1e8])
     np.testing.assert_allclose(fi_direct(GAUSS, d, 3.0), 3.0, rtol=1e-14, atol=0.0)
     assert fi_direct(gaussian_psf(2.0), 1e4, 3.0) == pytest.approx(0.75, rel=1e-14, abs=0.0)
     tr = tau1_numeric(GAUSS, d[1:])
@@ -235,13 +237,20 @@ def test_gaussian_oracles_far_out_take_the_windows_about_the_images(monkeypatch)
         sizes.clear()
         fi_direct(GAUSS, x, 1.0)
         tau1_numeric(GAUSS, x)
-        # three windows, fi_direct's about d and tau1_numeric's about 0 and d,
-        # each of 48 panels and then 96
-        assert sum(sizes) == 3 * 16 * (48 + 96)
-    # the switch at d = 10 sigma, where the windows of fi_direct's images meet
-    edge = np.array([np.nextafter(10.0, 0.0), 10.0])
+        # two windows each, for fi_direct (images at +-d) and for
+        # tau1_numeric (at +-d/2): [0, 10 sigma] of 24 panels and then 48,
+        # and the positive image's whole window of 48 and then 96
+        assert sum(sizes) == 2 * 16 * ((24 + 48) + (48 + 96))
     monkeypatch.undo()
+    # the switches, where those windows meet: 20 sigma for fi_direct's images
+    # at +-d, and 40 sigma for tau1_numeric's at +-d/2, which keeps c to its
+    # relative precision on both sides
+    edge = np.array([np.nextafter(20.0, 0.0), 20.0])
     np.testing.assert_allclose(*fi_direct(GAUSS, edge, 1.0), rtol=1e-14, atol=0.0)
+    edge = np.array([np.nextafter(40.0, 0.0), 40.0])
+    numeric, closed = tau1_numeric(GAUSS, edge), tau1_closed(GAUSS, edge)
+    np.testing.assert_allclose(numeric.c, closed.c, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(numeric.c_prime, closed.c_prime, rtol=1e-13, atol=0.0)
 
 
 def test_well_separated_recovers_full_information():

@@ -86,8 +86,8 @@ def test_check_converged_passes_and_raises():
 
 def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
     # the packed ladder depends only on (m0, a): a second call reuses it.
-    # f sees it in a few equal chunks, fewer than the ladder's segments, and
-    # each segment is the composite rule over it, summed in ladder order
+    # f sees it in a few equal chunks, fewer than the ladder's rungs, and
+    # each rung is the composite rule over it, summed in ladder order
     f = lambda x, d, *phases: np.sinc(x / np.pi) ** 2
     calls = []
     integrate._ladder.cache_clear()
@@ -99,34 +99,33 @@ def test_oscillatory_tail_builds_its_nodes_once_per_rung_count():
     segments, total, partials, widths, prev = [], 0.0, [], [], 0.0
     for level in range(TAIL_LEVELS):
         x = m0 * np.pi * 2**level
-        n = int(round((x - prev) / np.pi))
-        spans = [(-x, x, 2 * n)] if level == 0 else [(prev, x, n), (-x, -prev, n)]
-        for span in spans:
-            nodes, weights = integrate._panel_nodes(*span)
-            segments.append(nodes[0])
-            total += np.dot(weights[0], f(nodes[0], 0.0))
-        partials.append(total)
+        nodes, weights = integrate._panel_nodes(prev, x, int(round((x - prev) / np.pi)))
+        segments.append(nodes[0])
+        total += np.dot(weights[0], f(nodes[0], 0.0))
+        partials.append(2.0 * total)
         widths.append(x)
         prev = x
-    assert len(calls) == -(-PANEL_NODES * m0 * 2**TAIL_LEVELS // CHUNK_NODES) < len(segments)
+    size = PANEL_NODES * m0 * 2 ** (TAIL_LEVELS - 1)
+    assert len(calls) == -(-size // CHUNK_NODES) < len(segments)
     assert len({x.size for x in calls}) == 1 and calls[0].size <= CHUNK_NODES
     assert np.array_equal(np.concatenate(calls), np.concatenate(segments))
     expect = integrate._extrapolate_to_zero(1.0 / np.asarray(widths), partials)
     assert (first[0][0], first[1][0]) == expect
 
 
-def test_even_integrand_runs_on_the_half_ladder():
-    # an integrand declared even runs on [0, X0], then [X_l-1, X_l]: half the
-    # nodes of the whole line's ladder, each rung's partial doubled; the
-    # value and the error estimate agree with the whole line's to rounding
+def test_even_integrand_runs_on_the_half_ladder(whole_line_ladder):
+    # an even integrand runs on [0, X0], then [X_l-1, X_l], each rung's
+    # partial doubled: half the nodes of the whole line's ladder, and the
+    # value and the error estimate within rounding of the whole line's,
+    # which the test builds
     f = lambda x, d, sin_x, cos_x: (sin_x / x) ** 2 * np.cos(d * x)
     d = np.array([0.0, 0.3, 0.7])
-    half, whole = (integrate_oscillatory_tails(f, 200.0, 1.0, d, even) for even in (True, False))
+    half = integrate_oscillatory_tails(f, 200.0, 1.0, d)
+    whole = whole_line_ladder(lambda x, d: f(x, d, np.sin(x), np.cos(x)), 200.0, 1.0, d)
     for h, w in zip(half, whole):
         np.testing.assert_allclose(h, w, rtol=1e-13, atol=1e-16)
-    _, segments, (x, w, _, _) = integrate._ladder(64, 1.0, True)
-    whole = integrate._ladder(64, 1.0, False)[2][0]
-    assert x.size == PANEL_NODES * 64 * 2 ** (TAIL_LEVELS - 1) == whole.size // 2
+    _, segments, (x, w, _, _) = integrate._ladder(64, 1.0)
+    assert x.size == PANEL_NODES * 64 * 2 ** (TAIL_LEVELS - 1)
     assert x.min() > 0.0 and len(segments) == TAIL_LEVELS
     widths = 64 * np.pi * 2.0 ** np.arange(TAIL_LEVELS)
     for i in range(d.size):
@@ -151,14 +150,14 @@ def test_long_rows_run_in_chunks_with_the_bits_of_one_dot():
     assert sizes == [(1, 3 * PANEL_NODES * 48), (1, n // 3), (1, n // 3), (1, n - 2 * (n // 3))]
     x, w = integrate._panel_nodes(-1.0, 1.0, 2 * int(n_panels[1]))
     assert value[1] == np.dot(w[0], f(x[0], d[1]))
-    # a ladder row, 16,384 nodes from 64 periods, by the segments' dots over its whole row
-    g = lambda x, d, *phases: np.sinc((x - d) / np.pi) ** 2
+    # a ladder row, 32,768 nodes from 64 periods, by the rungs' dots over its whole row
+    g = lambda x, d, *phases: np.sinc(x / np.pi) ** 2 * np.cos(d * x)
     d = np.array([0.0, 1.0, 7.0])
     value, _ = integrate_oscillatory_tails(g, 200.0, 1.0, d)
-    _, segments, (x, w, _, _) = integrate._ladder(64, 1.0, False)
+    _, segments, (x, w, _, _) = integrate._ladder(64, 1.0)
     assert w.size > CHUNK_NODES
     for i in range(d.size):
-        partials = np.cumsum([np.dot(w[0, s], g(x[0], d[i])[s]) for s in segments])[::2]
+        partials = 2.0 * np.cumsum([np.dot(w[0, s], g(x[0], d[i])[s]) for s in segments])
         widths = 64 * np.pi * 2.0 ** np.arange(TAIL_LEVELS)
         expect = integrate._extrapolate_to_zero(1.0 / widths, list(partials))[0]
         alone = integrate_oscillatory_tails(g, 200.0, 1.0, d[i : i + 1])[0]
@@ -196,18 +195,17 @@ def test_rule_is_the_dots_at_n_and_2n_panels_alone_or_in_an_array():
 @pytest.mark.parametrize("a", [1.0, np.sqrt(3.0) / 2.0, 2.5])
 def test_ladder_phases_are_its_nodes_own(a):
     # the ladder keeps sin(a x) and cos(a x) of its nodes, read-only, built
-    # once per (m0, a, even), and hands f each chunk's slices of them after
-    # d: the whole line's from m0 = 16 and the half-line's from m0 = 18
-    # each run in more than one chunk
-    for even, m0 in ((False, 16), (True, 18)):
+    # once per (m0, a), and hands f each chunk's slices of them after d:
+    # from m0 = 18 and 34 it runs in two and three chunks
+    for m0 in (18, 34):
         integrate._ladder.cache_clear()
         seen = []
         f = lambda x, d, sin_ax, cos_ax: seen.append((x, sin_ax, cos_ax)) or np.zeros_like(x)
         # m0 periods: the smallest even multiple of pi / a past (m0 - 1) pi / a
-        integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, a, ONE, even)
-        integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, float(a), ONE, even)
+        integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, a, ONE)
+        integrate_oscillatory_tails(f, (m0 - 1) * np.pi / a, float(a), ONE)
         assert integrate._ladder.cache_info()[:2] == (1, 1)  # (hits, misses)
-        n, segments, (x, w, sin_ax, cos_ax) = integrate._ladder(m0, a, even)
+        n, segments, (x, w, sin_ax, cos_ax) = integrate._ladder(m0, a)
         assert n == x.size and segments[-1].stop == n
         assert np.array_equal(sin_ax, np.sin(a * x)) and np.array_equal(cos_ax, np.cos(a * x))
         assert not any(v.flags.writeable for v in (x, w, sin_ax, cos_ax))
@@ -216,6 +214,20 @@ def test_ladder_phases_are_its_nodes_own(a):
             assert np.shares_memory(xc, x) and np.shares_memory(sc, sin_ax)
             assert np.shares_memory(cc, cos_ax)
             assert np.array_equal(sc, np.sin(a * xc)) and np.array_equal(cc, np.cos(a * xc))
+
+
+def test_an_empty_d_gives_each_integrands_empty_row():
+    # with no row, f runs once on none, so each rule's (value, error) takes
+    # f's leading axes, as one d's does: (0, k) for k integrands
+    two = lambda x, d, *_: (np.cos(x) * d, np.exp(-x) + 0.0 * d)
+    one = lambda x, d, *_: np.cos(x) * d
+    for d, lead in ((np.array([]), 0), (ONE, 1)):
+        for f, shape in ((two, (lead, 2)), (one, (lead,))):
+            for rule in (
+                composite_gauss_legendre(f, 0.0, 1.0, np.full(lead, 3), d),
+                integrate_oscillatory_tails(f, np.full(lead, 20.0), 1.0, d),
+            ):
+                assert [v.shape for v in rule] == [shape, shape]
 
 
 def test_refusal_prints_plain_floats():
@@ -232,11 +244,12 @@ def test_panel_cap(monkeypatch):
     with pytest.raises(NumericError):
         integrate_oscillatory_tails(lambda x, *_: calls.append(x) or x, 1e8, 1.0, ONE)
     assert calls == []
-    # at the cap: from m0 = 16 periods, 16 x 2^TAIL_LEVELS panels run; m0 = 18 is refused
+    # at the cap: from m0 = 16 periods, the half-line's 16 x 2^(TAIL_LEVELS - 1)
+    # panels run, half the whole line's that the cap counts; m0 = 18 is refused
     monkeypatch.setattr(integrate, "MAX_PANELS", 16 * 2**TAIL_LEVELS)
     f = lambda x, *_: calls.append(x) or np.zeros_like(x)
     assert np.array_equal(integrate_oscillatory_tails(f, 16 * np.pi, 1.0, ONE), ([0.0], [0.0]))
-    assert sum(x.size for x in calls) == PANEL_NODES * integrate.MAX_PANELS
+    assert 2 * sum(x.size for x in calls) == PANEL_NODES * integrate.MAX_PANELS
     calls.clear()
     with pytest.raises(NumericError, match="MAX_PANELS"):
         integrate_oscillatory_tails(f, 16 * np.pi + 1.0, 1.0, ONE)
@@ -247,7 +260,8 @@ def test_panel_cap_refuses_before_allocating():
     # 4e8 panels, what one span over a Gaussian overlap at d = 1e8 sigma would
     # take: the refusal comes before any node array, so the peak stays far
     # below one array at the cap.  The Gaussian oracles themselves take the
-    # windows about the images there, whose nodes do not grow with d
+    # windows about the origin and the positive image there, whose nodes do
+    # not grow with d
     tracemalloc.start()
     try:
         with pytest.raises(NumericError, match="MAX_PANELS"):

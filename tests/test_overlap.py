@@ -49,6 +49,25 @@ def test_gaussian_closed_matches_numeric():
         assert abs(closed.c_prime - numeric.c_prime) < 1e-9
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_gaussian_overlaps_keep_their_relative_precision_far_out(sigma):
+    # the overlap is integrated in the frame centred between the images, where
+    # the product's mass sits at the origin, which always has a window: c
+    # stays within 1e-13 relative of the closed form out to 60 sigma, across
+    # the switch to the windows at 40 sigma, wherever c is a normal float
+    # (a window about each image alone once gave 7.43e-24 for 1.20e-23 at 21
+    # sigma).  c' = (e / 2 sigma)(1 - d^2 / 4 sigma^2) passes through 0 at
+    # 2 sigma, so it is judged against the magnitude of its two terms
+    tf = gaussian_psf(sigma)
+    d = sigma * np.concatenate([np.linspace(0.0, 60.0, 601)[1:], [21.0, 30.0]])
+    numeric, closed = tau1_numeric(tf, d), tau1_closed(tf, d)
+    normal = np.abs(closed.c) >= np.finfo(float).tiny
+    assert normal.all()
+    np.testing.assert_allclose(numeric.c, closed.c, rtol=1e-13, atol=0.0)
+    terms = np.exp(-(d**2) / (8.0 * sigma**2)) / (2.0 * sigma) * (1.0 + d**2 / (4.0 * sigma**2))
+    assert np.all(np.abs(numeric.c_prime - closed.c_prime) <= 1e-13 * terms)
+
+
 def test_gaussian_peak():
     # tau1 peaks at d = 2 sigma with value 1/e
     t = tau1_closed(GAUSS, 2.0)

@@ -79,12 +79,51 @@ def _v1(tf, x):
 
 
 def test_mode_pair_orthonormal():
+    # <u, v1> = 0 by parity: u is even and v1 odd.  quad_over_psf takes even
+    # integrands only, over x >= 0, doubled; the cross term's integral there
+    # is -2 sigma [u^2 / 2] from 0 to infinity = sigma u(0)^2, which it must
+    # give, and the whole line's is the half-line's less its mirror, 0
     for tf, tol in ((GAUSS, 1e-8), (SINC_S1, 1e-6)):
         v1 = lambda du: -2.0 * sigma_of(tf) * du[0]
         [cross] = quad_over_psf(tf, lambda u, du: u[0] * v1(du), (0.0,), NO_MARGIN)
         [v1sq] = quad_over_psf(tf, lambda u, du: v1(du) ** 2, (0.0,), NO_MARGIN)
-        assert abs(cross) < 1e-9
+        assert cross == pytest.approx(2.0 * sigma_of(tf) * eval_u(tf, 0.0) ** 2, abs=1e-9)
         assert abs(v1sq - 1.0) < tol
+
+
+def test_shifts_must_be_symmetric_about_zero():
+    # every integrand quad_over_psf takes is even, its images mirrored about
+    # 0: one at 0 or a pair at +-d, the images its windows cover.  Symmetric
+    # sets of more images are refused too: at |d| = 15 sigma the Gaussian's
+    # windows about 0 and 30 sigma would leave out the images at +-15 sigma
+    f = lambda u, du: u[0] * u[-1]
+    for shifts in (
+        (0.0, 1.0),
+        (1.0,),
+        (-1.0, 0.5),
+        (-1.0, 0.0, 2.0),
+        (),
+        (-1.0, 0.0, 1.0),
+        (-2.0, -1.0, 1.0, 2.0),
+        (-2.0, 2.0),
+    ):
+        for tf in (GAUSS, SINC_S1):
+            with pytest.raises(ValidationError, match="symmetric about 0"):
+                quad_over_psf(tf, f, shifts, np.array([15.0 * tf.sigma]))
+    for shifts in ((0.0,), (-0.0,), (1.0, -1.0)):
+        [norm] = quad_over_psf(GAUSS, f, shifts, NO_MARGIN)
+        assert norm == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("tf", [GAUSS, SINC_S1], ids=lambda tf: tf.kind)
+def test_an_empty_margin_gives_each_integrands_empty_row(tf):
+    # (d.size, k) for k integrands, an empty d too
+    two = lambda u, du: (u[0] * u[1], du[0] * du[1])
+    for margin in (np.array([]), np.array([0.5])):
+        both = quad_over_psf(tf, two, (-1.0, 1.0), margin, what=("u u", "u' u'"))
+        assert both.shape == (margin.size, 2)
+        one = quad_over_psf(tf, lambda u, du: u[0] * u[1], (-1.0, 1.0), margin)
+        assert one.shape == margin.shape
 
 
 def test_v1_gaussian_form():
@@ -123,18 +162,17 @@ def test_sinc_images_match_long_double(d):
     # of exact at the same t = a (x -+ d): at t = 0, by series (|t| < 0.1),
     # near the peaks (0.1 <= |t| < 1 and beyond), on every node of the tail
     # ladder that fi_direct integrates over at this d (out to about 1850-1900
-    # sigma), and on far nodes past it, out to 4000 sigma
+    # sigma) and on their mirror images, and on far nodes past them, out to
+    # 4000 sigma
     a = SINC_S1.a
     k = np.sqrt(a / np.pi)
     nodes = []
-    for even in (True, False):  # fi_direct's half ladder, and the whole line's
-        integrate_oscillatory_tails(
-            lambda x, *_: nodes.extend(x) or np.zeros_like(x),
-            SINC_HALF_WIDTH_OVER_A / a + d,
-            a,
-            np.zeros(1),
-            even,
-        )
+    integrate_oscillatory_tails(
+        lambda x, *_: nodes.extend([x[0], -x[0]]) or np.zeros_like(x),
+        SINC_HALF_WIDTH_OVER_A / a + d,
+        a,
+        np.zeros(1),
+    )
     t = np.concatenate(
         [[0.0], np.linspace(0.001, 0.099, 50), np.linspace(0.1, 1.0, 91), np.linspace(1.0, 40.0, 400)]
     )
@@ -151,14 +189,14 @@ def test_sinc_images_match_long_double(d):
 
 def test_kept_ladder_trigonometry_is_each_chunks_own():
     # the phases sin(a x) and cos(a x) of the whole packed ladder, kept with
-    # it by value of (m0, a, even), hold the bits the evaluator gives each
-    # chunk of the ladder's row on its own: the whole line's from 16 and 18
-    # periods, and the half-line's from 18, which runs in two chunks
+    # it by value of (m0, a), hold the bits the evaluator gives each chunk of
+    # the ladder's row on its own: from 18 and 34 periods, which run in two
+    # and three chunks
     for tf in (SINC_S1, SINC_A1):
         a = tf.a
-        for m0, even in ((16, False), (18, False), (18, True)):
-            _, _, (x, _, sin_ax, cos_ax) = integrate._ladder(m0, a, even)
-            assert integrate._ladder(m0, float(a), even)[2][2] is sin_ax
+        for m0 in (18, 34):
+            _, _, (x, _, sin_ax, cos_ax) = integrate._ladder(m0, a)
+            assert integrate._ladder(m0, float(a))[2][2] is sin_ax
             assert not sin_ax.flags.writeable
             chunks = integrate._chunks(x.size)
             assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= CHUNK_NODES
@@ -289,6 +327,29 @@ def test_tabulated_validation():
         gaussian_psf(-1.0)
     with pytest.raises(ValidationError):
         sinc_psf(sigma=1.0, a=1.0)
+
+
+def _three_columns(tmp_path):
+    path = tmp_path / "psf.txt"
+    path.write_text("0 1 2\n1 1 2\n2 1 2\n")
+    return load_tabulated(path)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda _: tabulated_psf([0.0, 1.0, 2.0], [1.0, 1.0]), ValidationError, "matching shapes"),
+        (lambda _: tabulated_psf([0.0, 1.0, 2.0], np.zeros(3), normalize=True), ValidationError,
+         "cannot normalize"),
+        (lambda _: tabulated_psf([0.0, 1.0, 2.0], np.zeros(3)), ValidationError, "derivative energy"),
+        (_three_columns, ValidationError, "expected two columns"),
+        (lambda _: gaussian_psf(1.0).a, AttributeError, "sinc kind only"),
+    ],
+    ids=["shapes", "zero-normalized", "zero", "three-columns", "gaussian-a"],
+)
+def test_documented_refusals(build, error, match, tmp_path):
+    with pytest.raises(error, match=match):
+        build(tmp_path)
 
 
 def test_load_tabulated_file(tmp_path):

@@ -116,9 +116,14 @@ def logpmf(kbar: float, statistics: str, k):
         raise ValidationError("counts must be nonnegative integers")
     if kbar == 0.0:
         return np.where(karr == 0, 0.0, -np.inf)[()]
+    return _logpmf(kbar, statistics, karr)[()]
+
+
+def _logpmf(kbar: float, statistics: str, k: np.ndarray) -> np.ndarray:
+    """:func:`logpmf` at the float counts k for a known law and kbar > 0, unchecked."""
     if statistics == POISSON:
-        return (karr * np.log(kbar) - kbar - gammaln(karr + 1.0))[()]
-    return (karr * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar))[()]
+        return k * np.log(kbar) - kbar - gammaln(k + 1.0)
+    return k * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar)
 
 
 def pmf(kbar: float, statistics: str, k):
@@ -192,7 +197,7 @@ def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d:
     if kbar == 0.0:
         return 0.0
     k = np.arange(truncation_limit(kbar, statistics) + 1, dtype=float)
-    p = pmf(kbar, statistics, k)
+    p = np.exp(_logpmf(kbar, statistics, k))  # k counts by construction: pmf's checks skipped
     if statistics == POISSON:
         score = k / kbar - 1.0
     else:

@@ -27,9 +27,10 @@ tabulated spline takes :func:`_spline_overlaps` on any grid, on the pairs
 of pieces that :meth:`SplinePieces.pairs` walks, and its c' = dc/dd takes
 the term of u(x - d)'s step at x_0 + |d| (:meth:`SplinePieces.hull_step`).
 :func:`tau1_exact` is the closed form for the analytic kinds; for a
-tabulated spline on a uniform grid it sums the spline's coefficient
-products lag by lag, exactly and in a few operations per d (the one use of
-the lattice here), and on any other grid it is the piece-by-piece path.
+tabulated spline on a uniform grid it takes each d's lag on the lattice and
+evaluates that lag's kept rows of c and c' (:meth:`UniformLattice.rows`),
+polynomials in the offset derived exactly from the spline, by one Horner
+pass, and on any other grid it is the piece-by-piece path.
 Squares of d-dependent values use np.float_power, i.e. pow() as a scalar
 ``x**2`` does: an array's ``x**2`` multiplies, and differs from pow() in
 the last bit for one value in ~1300.
@@ -141,7 +142,7 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     The error estimate bounds rounding only, the step's included, and one
     check judges c and c'.  Each row of d is reduced on its own, so a d
     gives the same bits alone or inside an array.
-    It is the test oracle of the lag sums on a uniform grid, and, with the
+    It is the test oracle of the per-lag rows on a uniform grid, and, with the
     lattice dropped, the merged breakpoints are the oracle of the lattice.
     """
     pieces = tf._pieces
@@ -161,31 +162,24 @@ def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
     return sums[0], sums[1]
 
 
-def _lag_overlaps(tf: TransferFunction, ad: np.ndarray):
-    """(c, c') at every |d| of the 1-D array ``ad`` from the lag sums of a
-    spline on a uniform grid, exactly for the spline.
+def _row_overlaps(tf: TransferFunction, ad: np.ndarray):
+    """(c, c') at every |d| of the 1-D array ``ad`` from the per-lag rows of
+    a spline on a uniform grid, exactly for the spline.
 
-    Write d = m h + delta on the grid's lattice (:class:`UniformLattice`).
-    On v1's piece i with local coordinate s, u(x - d) is on piece i - m at
-    t = s - delta for s in [delta, h], and on piece i - m - 1 at
-    t = s - delta + h for s in [0, delta].  Summed over i, c(d) is two
-    integrals over s of sum S_pq s^p t^q, with the lag sums S of m and of
-    m + 1: polynomials of degree 5, so 3-node Gauss-Legendre on each is
-    exact.  c' = -<v1, u'(. - d)> takes u's rows differentiated, less the
-    step's term.  Once d spans the hull, c = c' = 0.  Every operation is
-    elementwise in d, so a d gives the same bits alone or inside an array.
+    Write d = m h + delta on the grid's lattice (:meth:`UniformLattice.lags`).
+    On lag m, c and c' are each one polynomial in w = (delta - h) / h
+    (:meth:`UniformLattice.rows`), taken from the offset delta - h, correct
+    to its own rounding, and evaluated by one Horner pass over both rows.
+    Once d spans the hull, c = c' = 0.  Every operation is elementwise in d,
+    so a d gives the same bits alone or inside an array.
     """
     lattice = tf._pieces.lattice
-    c, cp = np.zeros((2, ad.size))
+    both = np.zeros((ad.size, 2))
     inside = ad < tf._pieces.span
-    lags, s, t, weights = lattice.halves(ad[inside], *_PIECE_RULE)
-    # over (d, lag, u or u', rows of t or s, nodes), then c and -c' over d
-    sums = lattice.lag_sums(lags)[..., None]
-    at_t = _horner([sums[:, :, :, q] for q in range(4)], t[:, :, None, None, :])
-    at_nodes = _horner([at_t[:, :, :, p] for p in range(3)], s[:, :, None, :])
-    both = (weights[:, None] * np.moveaxis(at_nodes, 2, 1)).sum(axis=(2, 3))
-    c[inside], cp[inside] = both[:, 0], -(both[:, 1] + tf._pieces.hull_step(ad[inside]))
-    return c, cp
+    lags, offsets = lattice.lags(ad[inside])
+    w = offsets[:, 1:] / (lattice.h_hi + lattice.h_lo)
+    both[inside] = _horner(lattice.rows(lags[:, 0]), w)
+    return both.T
 
 
 def _transmission(tf: TransferFunction, d, overlaps) -> Transmission:
@@ -249,15 +243,15 @@ def tau1_exact(tf: TransferFunction, d) -> Transmission:
     """The transmission for a scalar d or an array of d, exact for every kind.
 
     Gaussian and sinc take the closed form (:func:`tau1_closed`).  A tabulated
-    spline on a uniform grid takes its per-lag sums (:func:`_lag_overlaps`),
-    a few operations per d; on any other grid it is integrated piece by piece
-    as in :func:`tau1_numeric`, with the same bits.
+    spline on a uniform grid takes its per-lag rows (:func:`_row_overlaps`),
+    the lattice's lags and one Horner pass per d; on any other grid it is
+    integrated piece by piece as in :func:`tau1_numeric`, with the same bits.
     """
     if tf.kind in (GAUSSIAN, SINC):
         return tau1_closed(tf, d)
     if tf._pieces.lattice is None:
         return tau1_numeric(tf, d)
-    return _transmission(tf, d, _lag_overlaps)
+    return _transmission(tf, d, _row_overlaps)
 
 
 def tau1_small_d(sigma: float, d) -> float:

@@ -62,10 +62,11 @@ delta, and on each half the pieces lag .. n - 1 meet the displaced pieces
 product of the nodes' powers with contiguous rows.  Any other grid merges
 the breakpoints of the grid and the displaced grid, d by d
 (:meth:`SplinePieces.blocks`): the test oracle of the lattice.  The lattice
-also keeps its sums over the pieces lag by lag, which give the mode overlap
-exactly in a few operations per d, and the energy of u' over its first and
-last m pieces, for the direct-imaging information, which takes the halves
-of the same split and reduces them its own way.
+also keeps, lag by lag, the mode overlap and its derivative as exact
+polynomials in the offset (:meth:`UniformLattice.rows`), so a d costs its
+lag and one Horner pass, and the energy of u' over its first and last m
+pieces, for the direct-imaging information, which takes the halves of the
+same split and reduces them its own way.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ class SplinePieces:
 @dataclass(frozen=True, eq=False)
 class UniformLattice:
     """A spline on a uniform grid, re-centred on the exactly uniform lattice
-    x_0 + i h, with its lag sums.
+    x_0 + i h, with the rows of its mode overlap by lag.
 
     A grid is uniform when x_i == x_0 + i h in floating point for
     h = (x_n-1 - x_0) / (n - 1).  Its points then lie within a few ulps e_i
@@ -340,9 +341,10 @@ class UniformLattice:
     moves u by O(e^3) and v1 by O(e^2): under 1e-28 of either.  The lattice
     ends where the grid does, to the rounding of h_lo.  :meth:`pairs` walks
     the pieces split at a displacement's offset (:meth:`halves`), :meth:`at`
-    evaluates a run of pieces at local coordinates they share, and
-    ``energy`` holds the prefix sums of integral u'^2 over the pieces from
-    the left and from the right, each exact per piece.
+    evaluates a run of pieces at local coordinates they share, :meth:`rows`
+    gives c and c' on each lag as polynomials in the offset, built on first
+    use and kept, and ``energy`` holds the prefix sums of integral u'^2 over
+    the pieces from the left and from the right, each exact per piece.
     """
 
     h_hi: float
@@ -351,12 +353,13 @@ class UniformLattice:
     images: np.ndarray  # (2, 4, pieces)
     # integral of u'^2 over the first m pieces and over the last m, m = 0 .. pieces
     energy: np.ndarray  # (2, pieces + 1)
-    # lag sums by lag, and which lags are built: zeros until a call asks
-    _sums: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # the rows of c and c' by lag, and which lags are built: zeros until a call asks
+    _rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         lags = self.v1.shape[1] + 1  # the last lag, past every piece, stays 0
-        object.__setattr__(self, "_sums", (np.zeros((lags, 2, 4, 3)), np.zeros(lags, dtype=bool)))
+        built = np.arange(lags) == lags - 1
+        object.__setattr__(self, "_rows", (np.zeros((7, lags, 2)), built))
 
     @classmethod
     def fit(cls, grid: np.ndarray, rows) -> UniformLattice:
@@ -446,27 +449,79 @@ class UniformLattice:
             return np.matmul(_powers(s), self.images[:, :, pieces])
         raise ValueError(f"the lattice evaluates v1 alone, or u and du, not {names}")
 
-    def lag_sums(self, lags: np.ndarray) -> np.ndarray:
-        """S[j, q, p] = sum over pieces i of images_jq[i] v1_p[i + m] for each
-        lag m of the integer array ``lags``, of shape lags.shape + (2, 4, 3):
-        j is u or u', q runs over its rows and p over v1's.  Lags at or past
-        the piece count are 0.
+    def rows(self, lags: np.ndarray) -> np.ndarray:
+        """The rows of c(d) = <v1, u(. - d)> and of c' = dc/dd on each lag m
+        of the 1-D integer array ``lags``, as polynomials in w = (delta - h) / h
+        for d = m h + delta: (7, lags.size, 2), highest degree first, c then
+        c'.  Lags at or past the piece count are 0.
 
-        A lag's sums are built on its first use and kept, each reduced on its
-        own, so a lag gives the same bits whichever call built it (two threads
-        that build one lag at once write the same bits).
+        On v1's piece i at s = h r, u(x - d) is on piece i - m for r in
+        [x, 1] and on piece i - m - 1 for r in [0, x], x = delta / h = 1 + w,
+        so summed over i, c is the sum over the rows' degrees (a, b) of
+        h^(a + b + 1) (S_m J1_ab(w) + S_m+1 J2_ab(w)), with the lag sums
+        S_m(a, b) = sum over i of v1_a[i + m] u_b[i] and the constant tables
+        J of :data:`_LAG_INTEGRALS`.  c' takes u's rows differentiated, less
+        the term of u(x - d)'s step at the hull, u(x_0) v1_m(delta).  Every
+        J1 term vanishes at w = 0, so near the span, where S_m+1 is 0, c
+        keeps its relative precision.
+
+        A lag's rows are built on its first use and kept, each from its own
+        sums, so a lag gives the same bits whichever call built it (two
+        threads that build one lag at once write the same bits).
         """
-        table, built = self._sums
+        table, built = self._rows
         lags = np.minimum(lags, built.size - 1)
         if not built[lags].all():
-            images, v1 = self.images[:, :, None, :], self.v1
-            n = v1.shape[1]
+            h = self.h_hi + self.h_lo
+            hh = h * h
+            # h^(a + b + 1) by (u's row q, v1's row p): degrees a = 2 - p, b = 3 - q
+            scale = h ** (6.0 - np.add.outer(np.arange(4.0), np.arange(3.0)))
+            images, v1, n = self.images[:, :, None, :], self.v1, self.v1.shape[1]
+            a2, a1, a0 = v1
+            u0 = self.images[0, 3, 0]
             for m in np.unique(lags[~built[lags]]).tolist():
-                table[m] = (images[..., : n - m] * v1[:, m:]).sum(axis=-1)
+                # S over (lag m or m + 1, u or u', u's row, v1's row), 0 past the last piece
+                sums = [(images[..., : n - k] * v1[:, k:]).sum(axis=-1) for k in (m, m + 1)]
+                c, cp = np.einsum("hjqp,hqpk->jk", scale * np.stack(sums), _LAG_INTEGRALS)
+                # the step's term u(x_0) v1_m(h (1 + w)), a quadratic in w
+                cp[-3:] += u0 * np.array(
+                    [a2[m] * hh, 2.0 * a2[m] * hh + a1[m] * h, a2[m] * hh + a1[m] * h + a0[m]]
+                )
+                table[:, m, 0], table[:, m, 1] = c, -cp
                 built[m] = True
-        return table[lags]
+        return table[:, lags]
 
 
+def _lag_integrals() -> np.ndarray:
+    """J[half, q, p, k]: the coefficients of w^(6 - k) of J1_ab(w) (half 0)
+    and J2_ab(w) (half 1), x = 1 + w, for v1's row p and u's row q, of
+    degrees a = 2 - p and b = 3 - q:
+
+        J1_ab = integral over [x, 1] of s^a (s - x)^b ds
+              = sum over i of C(a, i) (1 + w)^(a - i) (-w)^(i + b + 1) / (i + b + 1),
+        J2_ab = integral over [0, x] of s^a (s - x + 1)^b ds
+              = sum over j of C(b, j) (-w)^j (1 + w)^(a + b - j + 1) / (a + b - j + 1).
+
+    Each is an integer over 60, the least common multiple of the
+    denominators 1 .. 6, so each coefficient is one rounding of its value.
+    """
+    comb = math.comb
+    numerators = np.zeros((2, 4, 3, 7), dtype=np.int64)
+    for q, p in np.ndindex(4, 3):
+        a, b = 2 - p, 3 - q
+        # each term as (+-C, power of w, power of 1 + w, denominator)
+        parts = (
+            [(comb(a, i) * (-1) ** (i + b + 1), i + b + 1, a - i, i + b + 1) for i in range(a + 1)],
+            [(comb(b, j) * (-1) ** j, j, a + b - j + 1, a + b - j + 1) for j in range(b + 1)],
+        )
+        for half, terms in enumerate(parts):
+            for factor, w_power, binomial, n in terms:
+                for k in range(binomial + 1):
+                    numerators[half, q, p, 6 - w_power - k] += factor * comb(binomial, k) * 60 // n
+    return numerators / 60.0
+
+
+_LAG_INTEGRALS = _lag_integrals()
 # the lags m and m + 1 of a separation, from m
 _NEXT_LAG = np.array([0.0, 1.0])
 # the exponents of a cubic row's terms, highest degree first

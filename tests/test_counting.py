@@ -78,6 +78,15 @@ def test_pmf_oracle_at_a_zero_mean_and_past_its_cutoff(statistics, monkeypatch):
     assert 0.0 < short < full
 
 
+@pytest.mark.parametrize("statistics", STATISTICS)
+@pytest.mark.parametrize("kbar", [0.5, 38.0, 1e3])
+def test_pmf_oracle_series_is_the_public_pmf(statistics, kbar):
+    # fi_from_pmf sums its series through an unchecked kernel; on every count it
+    # sums, that kernel must give the public pmf's bits
+    k = np.arange(truncation_limit(kbar, statistics) + 1, dtype=float)
+    assert np.array_equal(np.exp(counting._logpmf(kbar, statistics, k)), pmf(kbar, statistics, k))
+
+
 @pytest.mark.parametrize(
     "call",
     [

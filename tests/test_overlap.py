@@ -296,7 +296,7 @@ SHIPPED = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.tx
 
 
 def test_lag_sums_match_the_piecewise_overlap(monkeypatch, merge_oracle):
-    # on a uniform grid tau1_exact sums the spline lag by lag; it must agree with
+    # on a uniform grid tau1_exact takes the spline's rows by lag; it must agree with
     # the piece-by-piece oracle on the merged breakpoints of the same spline,
     # which shares no lattice code, within the oracle's own rounding bound,
     # over 0-20 sigma: random d, every knot m h, and the 16-sigma hull span
@@ -325,7 +325,7 @@ def test_lag_sums_match_the_piecewise_overlap(monkeypatch, merge_oracle):
     [err] = estimates  # c and c' are judged in one call, a column each
     err_c, err_cp = err.T
     exact = tau1_exact(tab, d)
-    assert len(estimates) == 1  # the lag sums refuse nothing: no estimate of their own
+    assert len(estimates) == 1  # the lag rows refuse nothing: no estimate of their own
     assert np.all(np.abs(exact.c - np.sign(d) * c) <= err_c)
     assert np.all(np.abs(exact.c_prime - cp) <= err_cp)
     # c odd and c' even in d, bit for bit, with c(0) = 0
@@ -383,11 +383,36 @@ def test_lag_sums_are_exact_where_nothing_cancels():
 
 
 def test_lag_sums_are_built_only_for_the_lags_asked():
+    # a lag's rows are built from its lag sums and the next lag's on first use;
+    # the last lag, past every piece, is 0 from the start
     tab = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
-    _, built = tab._pieces.lattice._sums
-    assert not built.any()
+    table, built = tab._pieces.lattice._rows
+    assert np.flatnonzero(built).tolist() == [built.size - 1]
     tau1_exact(tab, 1.01)  # between the knots 50 h and 51 h
-    assert np.flatnonzero(built).tolist() == [50, 51]
+    assert np.flatnonzero(built[:-1]).tolist() == [50]
+    assert np.count_nonzero(table[:, :-1].any(axis=(0, 2))) == 1
+
+
+def test_lag_rows_give_a_d_its_bits_alone_and_inside_an_array():
+    # tau1_exact on the lattice's rows, of both signs, at the knots, on the
+    # last lag and one ulp below the span, a d at a time, in one array and
+    # reversed, and on a table whose rows another order of calls built
+    span = SHIPPED.grid[-1] - SHIPPED.grid[0]
+    h = span / (SHIPPED.grid.size - 1)
+    d = np.concatenate(
+        [
+            np.linspace(-5.0, 5.0, 41),
+            np.random.default_rng(2).uniform(-span, span, 40),
+            [1.0, 50 * h, span - 0.5 * h, np.nextafter(span, 0.0), -np.nextafter(span, 0.0)],
+        ]
+    )
+    fresh = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    alone = [tau1_exact(fresh, x) for x in d]
+    for together in (tau1_exact(SHIPPED, d), tau1_exact(SHIPPED, d[::-1])):
+        order = slice(None) if together.d[0] == d[0] else slice(None, None, -1)
+        for field in ("tau1", "dtau1_dd", "c", "c_prime"):
+            expect = [getattr(t, field) for t in alone]
+            assert np.array_equal(getattr(together, field)[order], expect)
 
 
 def test_non_uniform_grid_keeps_the_piecewise_overlap():

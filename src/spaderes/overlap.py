@@ -216,7 +216,7 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
             -sigma * (du[0] * u[1] - du[1] * u[0]),
             2.0 * sigma * du[0] * du[1],
         )
-        both = quad_over_psf(tf, even_parts, (-1.0, 1.0), 0.5 * ad, what=what)
+        both = quad_over_psf(tf, even_parts, 0.5 * ad, what=what)
     else:
         a = tf.a
         band = lambda k, d: (k * np.sin(k * d), k * k * np.cos(k * d))

@@ -27,16 +27,16 @@ v1(x) = -2 sigma u'(x), an orthonormal pair for real u.
 
 :func:`quad_over_psf` is the one place where an analytic PSF is evaluated
 under a quadrature: its integrand takes u and u' of the displaced images
-and never evaluates the PSF itself.  Every integrand it takes is even in x,
-its images symmetric about 0 (direct imaging's at +-d, the mode overlap's
-at +-d/2, the derivative energy's at 0), and runs over x >= 0 only,
-doubled.  Gaussian integrands are truncated at 10 sigma about the images
-(tails < 1e-22): one span [0, H], H = 10 sigma past the positive image,
-until the windows about the origin and about the positive image lie apart,
-then each alone, so the cost stops growing with d and a product of the
-images, whose mass sits at the origin, keeps its relative precision; every
-span maps a unit template of panel nodes, kept per count, by its width.
-Sinc integrands decay only as 1/x and are handled by the
+and never evaluates the PSF itself.  Every integrand it takes is of a pair
+of images at +-margin (direct imaging's at +-d, the mode overlap's at
++-d/2, the derivative energy's both at 0) and even in x, and runs over
+x >= 0 only, doubled.  Gaussian integrands are truncated at 10 sigma about
+the images (tails < 1e-22): one span [0, H], H = 10 sigma past the
+positive image, until the windows about the origin and about the positive
+image lie apart, then each alone, so the cost stops growing with d and a
+product of the images, whose mass sits at the origin, keeps its relative
+precision; every span maps a unit template of panel nodes, kept per count,
+by its width.  Sinc integrands decay only as 1/x and are handled by the
 tail-extrapolated ladder in :mod:`spaderes.integrate` with panels aligned
 to the oscillation period pi/a: TAIL_LEVELS rungs from
 SINC_HALF_WIDTH_OVER_A / a past the margin d (and, once d is past
@@ -51,22 +51,25 @@ integrated over the flat spectrum.
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
 grid hull; its norm and derivative energy are exact per piece, so no
-tabulated integrand is cut off at the hull.  That class alone reads the
-pieces.  It evaluates u and u' at points, and :meth:`SplinePieces.pairs`
+tabulated integral is cut off at the hull.  That class alone reads the
+pieces.  It evaluates u, u' and v1 at points, and :meth:`SplinePieces.pairs`
 pairs each piece of u(x) with the pieces of a displaced copy u(x - d) it
 meets, under one Gauss-Legendre rule, for every d of an array, by one walk
-per grid layout.  A uniform grid's pieces are re-centred on an exact
-lattice, :class:`UniformLattice`: with d = m h + delta every piece splits at
-delta, and on each half the pieces lag .. n - 1 meet the displaced pieces
-0 .. n - lag - 1 at node vectors that all of them share, so each side is one
-product of the nodes' powers with contiguous rows.  Any other grid merges
-the breakpoints of the grid and the displaced grid, d by d
-(:meth:`SplinePieces.blocks`): the test oracle of the lattice.  The lattice
-also keeps, lag by lag, the mode overlap and its derivative as exact
-polynomials in the offset (:meth:`UniformLattice.rows`), so a d costs its
-lag and one Horner pass, and the energy of u' over its first and last m
-pieces, for the direct-imaging information, which takes the halves of the
-same split and reduces them its own way.
+per grid layout: the one place where the layout is decided, for the mode
+overlap and the direct-imaging information alike.  A uniform grid's pieces
+are re-centred on an exact lattice, :class:`UniformLattice`: with
+d = m h + delta every piece splits at delta, and on each half the pieces
+lag .. n - 1 meet the displaced pieces 0 .. n - lag - 1 at node vectors that
+all of them share, so each side is one product of the nodes' powers with
+contiguous rows.  Any other grid merges the breakpoints of the grid and the
+displaced grid, d by d (:meth:`SplinePieces.blocks`): the test oracle of the
+lattice.  Either walk yields only pairs of two spline pieces; where one
+image lies alone, the energy of u' there is the spline's own
+(:meth:`SplinePieces.edge_energy`), from prefix sums over whole pieces and
+the exact antiderivative of u'^2 on the cut piece.  The lattice also keeps,
+lag by lag, the mode overlap and its derivative as exact polynomials in the
+offset (:meth:`UniformLattice.rows`), so a d costs its lag and one Horner
+pass.
 """
 
 from __future__ import annotations
@@ -183,19 +186,40 @@ def _horner(coef, x):
     return out
 
 
-def _square_integral(coef, h: np.ndarray, n_nodes: int) -> float:
-    """Integral of the square of a piecewise polynomial, by n_nodes-point
-    Gauss-Legendre on each piece: exact up to degree 2 n_nodes - 1.
+def _square_terms(coef, h: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The terms (nodes, pieces) of the integral of the square of a piecewise
+    polynomial, by n_nodes-point Gauss-Legendre on each piece: exact up to
+    degree 2 n_nodes - 1.
 
     ``coef`` holds the Horner rows, highest degree first, over pieces of width h.
     """
     x, w = _gl_nodes(n_nodes)
     v = _horner(coef, 0.5 * h * (1.0 + x[:, None]))
-    return (0.5 * h * w[:, None] * v * v).sum()
+    return 0.5 * h * w[:, None] * v * v
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """0 and the running sums of the 1-D ``terms``, each within about an ulp:
+    the rounding error of each step of np.cumsum is taken exactly (two-sum),
+    summed on its own and added back."""
+    total = np.cumsum(terms)
+    before = np.concatenate([[0.0], total[:-1]])
+    back = total - before
+    lost = (before - (total - back)) + (terms - back)
+    return np.concatenate([[0.0], total + np.cumsum(lost)])
+
+
+def _square_antiderivative(a, b, c) -> list:
+    """The rows, highest degree first, of the integral over [0, r] of
+    (a s^2 + b s + c)^2 ds, a polynomial of degree 5 in r with no constant."""
+    return [a * a / 5.0, 0.5 * a * b, (b * b + 2.0 * a * c) / 3.0, b * c, c * c]
 
 
 # rows of SplinePieces.coef, highest degree first, of u, u' and the derivative mode
 _ROWS = {"u": (0, 1, 2, 3), "du": (4, 5, 2), "v1": (6, 7, 8)}
+# the powers of SplinePieces.edge_rows, and each end's step from x_0 and x_n-1
+_QUINTIC = np.arange(5.0, -1.0, -1.0)
+_ENDS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +233,16 @@ class SplinePieces:
     padded with a zero piece on each side: index 0 lies left of the grid hull,
     index k + 1 is spline piece k, and index n lies right of the hull.
     ``origin`` is each index's s = 0 point, and ``span`` the hull's width
-    that every kernel reads.  Only this class reads the rows: :meth:`evaluate`
-    and :meth:`hull_step` at points, and :meth:`pairs` at quadrature nodes, on
-    the ``lattice`` of a uniform grid (:class:`UniformLattice`; None on any
-    other grid) or on the merged breakpoints (:meth:`blocks`).
+    that every kernel reads.  ``edge_rows`` holds, for each spline piece and
+    each end of the hull, the integral of u'^2 from that end to the point r
+    into the piece from the same side (past x_k from the left, before x_k+1
+    from the right) as a polynomial in r: the exact antiderivative on the
+    piece, whose constant row is the energy of the whole pieces between the
+    piece and that end.  Only this class reads the rows: :meth:`evaluate`,
+    :meth:`hull_step` and :meth:`edge_energy` at points, and :meth:`pairs`
+    at quadrature nodes, on the ``lattice`` of a uniform grid
+    (:class:`UniformLattice`; None on any other grid) or on the merged
+    breakpoints (:meth:`blocks`).
     """
 
     x: np.ndarray
@@ -222,6 +252,7 @@ class SplinePieces:
     norm: float  # integral of u^2
     energy: float  # integral of u'^2
     sigma: float
+    edge_rows: np.ndarray  # (left or right end, rows of degree 5 .. 0, pieces)
     lattice: UniformLattice | None
 
     @classmethod
@@ -231,7 +262,7 @@ class SplinePieces:
         h = np.diff(grid)
         k = CubicSpline(grid, values).c
         # u^2 has degree 6 on each piece: 4 nodes integrate it exactly
-        norm = _square_integral(k, h, 4)
+        norm = _square_terms(k, h, 4).sum()
         if normalize:
             if norm <= 0:
                 raise ValidationError("cannot normalize a zero amplitude profile")
@@ -240,11 +271,21 @@ class SplinePieces:
         k0, k1, k2, k3 = k
         rows = [k0, k1, k2, k3, 3.0 * k0, 2.0 * k1]
         # u'^2 has degree 4: 3 nodes
-        energy = _square_integral([rows[r] for r in _ROWS["du"]], h, 3)
+        terms = _square_terms([rows[r] for r in _ROWS["du"]], h, 3)
+        energy = terms.sum()
         if energy <= 0:
             raise ValidationError("derivative energy of tabulated PSF is not positive")
         sigma = 0.5 / np.sqrt(energy)
         rows += [-6.0 * sigma * k0, -4.0 * sigma * k1, -2.0 * sigma * k2]
+        # u' = a s^2 + b s + c on each piece, and about its right end, at x_k+1 - s
+        a, b, c = rows[4], rows[5], k2
+        right = [a, -(2.0 * a * h + b), (a * h + b) * h + c]
+        # the energy of the pieces before each piece and after it
+        piece = terms.sum(axis=0)
+        before, after = _running_sums(piece[:-1]), _running_sums(piece[:0:-1])[::-1]
+        edge_rows = np.stack(
+            [_square_antiderivative(a, b, c) + [before], _square_antiderivative(*right) + [after]]
+        )
         n = grid.size
         uniform = np.array_equal(grid, grid[0] + np.arange(n) * ((grid[-1] - grid[0]) / (n - 1)))
         return cls(
@@ -255,49 +296,70 @@ class SplinePieces:
             norm=norm,
             energy=energy,
             sigma=sigma,
+            edge_rows=edge_rows,
             lattice=UniformLattice.fit(grid, [rows[r] for r in _ROWS["v1"] + _ROWS["u"]])
             if uniform
             else None,
         )
 
     def evaluate(self, what: str, x) -> np.ndarray:
-        """u (``what="u"``) or u' (``"du"``) at the points x, 0 outside the grid hull."""
+        """u (``what="u"``), u' (``"du"``) or v1 (``"v1"``) at the points x, 0
+        outside the grid hull, where x falls on a zero pad."""
         grid = self.x
-        k = np.clip(np.searchsorted(grid, x, side="right"), 1, grid.size - 1)
+        # x_n-1 itself lies on the last spline piece, not on the pad past it
+        k = np.searchsorted(grid, x, side="right") - (x == grid[-1])
         coef = [self.coef[r][k] for r in _ROWS[what]]
-        value = _horner(coef, np.clip(x, grid[0], grid[-1]) - self.origin[k])
-        return np.where((x < grid[0]) | (x > grid[-1]), 0.0, value)
+        # x clipped to the hull keeps s finite: a pad's zero rows give 0 at x = +-inf too
+        return _horner(coef, np.minimum(np.maximum(x, grid[0]), grid[-1]) - self.origin[k])
 
     def hull_step(self, ad: np.ndarray) -> np.ndarray:
         """v1(x_0 + ad) u(x_0) at each ad of the 1-D array, 0 <= ad < span: what
         the step of u(x - d) at x_0 + |d| adds to -dc/dd, c = <v1, u(. - d)>."""
-        x = self.x[0] + ad
-        k = np.minimum(np.searchsorted(self.x, x, side="right"), self.x.size - 1)
-        return self.coef[3][1] * _horner([self.coef[r][k] for r in _ROWS["v1"]], x - self.origin[k])
+        return self.coef[3][1] * self.evaluate("v1", self.x[0] + ad)
+
+    def edge_energy(self, s: np.ndarray) -> np.ndarray:
+        """The integral of u'^2 over [x_0, x_0 + s] plus that over
+        [x_n-1 - s, x_n-1], at each s of the 1-D array, 0 <= s < span.
+
+        Each end's point falls in one spline piece, r into it from that end:
+        the whole pieces between are the constant row of ``edge_rows``, and
+        the cut piece its exact antiderivative at r.  Each value is a sum of
+        terms of its own s, so an s gives the same bits alone or inside an
+        array.
+        """
+        x = self.x
+        at = x[[0, -1]] + s[:, None] * _ENDS
+        k = np.searchsorted(x[1:-1], at, side="right")
+        # r from x_k at the left end, and to x_k+1 at the right
+        r = np.abs(at - x[k + (0, 1)])
+        terms = self.edge_rows[(0, 1), :, k] * r[..., None] ** _QUINTIC
+        return terms.sum(axis=(1, 2))
 
     def pairs(self, shift: np.ndarray, rule, fixed, shifted):
         """Each piece of u(x) with each piece of u(x - shift) it meets, for every
         value of the 1-D ``shift``, and a Gauss-Legendre ``rule`` on the
         interval they share, given on [0, 1] as nodes and weights per unit
-        width (the form :meth:`UniformLattice.halves` takes).
+        width.
 
         ``fixed`` and ``shifted`` name what to evaluate, of "u", "du" and
         "v1", on u(x) and on u(x - shift).  Yields (rows, weights, fixed
         values, shifted values): ``rows`` indexes ``shift``, the weights
         broadcast to (rows, nodes, pieces) and each side's values to (names,
         rows, nodes, pieces); a row's integral sums what is yielded for it,
-        in order.  The walk is the lattice's on a uniform grid
-        (:meth:`UniformLattice.pairs`), else the merged breakpoints'
-        (:meth:`blocks`).
+        in order.  Only pairs of two spline pieces count: where one image
+        lies alone the weights are 0 or the interval is not yielded.  The
+        walk is the lattice's on a uniform grid (:meth:`UniformLattice.pairs`),
+        else the merged breakpoints' (:meth:`blocks`).
         """
         walk = self.blocks if self.lattice is None else self.lattice.pairs
         return walk(shift, rule, fixed, shifted)
 
     def blocks(self, shift: np.ndarray, rule, fixed, shifted):
         """:meth:`pairs` on the merged breakpoints of x and x + shift, between
-        which u(x) and u(x - shift) are each one spline piece (or zero outside
-        the hull): a block of rows of at most NODES_PER_BLOCK nodes at a
-        time, ``rows`` its slice of ``shift``, every operation along the pieces.
+        which u(x) and u(x - shift) are each one spline piece or a zero pad
+        outside the hull (index 0 or x.size, which takes weight 0): a block
+        of rows of at most NODES_PER_BLOCK nodes at a time, ``rows`` its
+        slice of ``shift``, every operation along the pieces.
         """
         x = self.x
         nodes, weights = rule
@@ -321,7 +383,8 @@ class SplinePieces:
                 at = (left - origin) + step
                 coefs = [[self.coef[r][piece] for r in _ROWS[name]] for name in names]
                 values.append(np.stack([_horner(c, at) for c in coefs]))
-            yield block, width * weights[:, None], *values
+            paired = (i % x.size > 0) & (j % x.size > 0)
+            yield block, np.where(paired, width, 0.0) * weights[:, None], *values
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,19 +403,16 @@ class UniformLattice:
     taking piece i on [i h, (i + 1) h] rather than between its own knots
     moves u by O(e^3) and v1 by O(e^2): under 1e-28 of either.  The lattice
     ends where the grid does, to the rounding of h_lo.  :meth:`pairs` walks
-    the pieces split at a displacement's offset (:meth:`halves`), :meth:`at`
-    evaluates a run of pieces at local coordinates they share, :meth:`rows`
-    gives c and c' on each lag as polynomials in the offset, built on first
-    use and kept, and ``energy`` holds the prefix sums of integral u'^2 over
-    the pieces from the left and from the right, each exact per piece.
+    the pieces split at a displacement's offset (:meth:`lags`), :meth:`at`
+    evaluates a run of pieces at local coordinates they share, and
+    :meth:`rows` gives c and c' on each lag as polynomials in the offset,
+    built on first use and kept.
     """
 
     h_hi: float
     h_lo: float
     v1: np.ndarray  # (3, pieces)
     images: np.ndarray  # (2, 4, pieces)
-    # integral of u'^2 over the first m pieces and over the last m, m = 0 .. pieces
-    energy: np.ndarray  # (2, pieces + 1)
     # the rows of c and c' by lag, and which lags are built: zeros until a call asks
     _rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
@@ -379,18 +439,11 @@ class UniformLattice:
         e = ((offset[:-1] - i * h_hi) + offset_lo[:-1]) - i * h_lo
         (a2, a1, a0), (k0, k1, k2, k3) = rows[:3], rows[3:]
         u = [k0, k1 - 3.0 * k0 * e, k2 - 2.0 * k1 * e, k3 - k2 * e]
-        images = np.stack([u, [np.zeros_like(k0), 3.0 * u[0], 2.0 * u[1], u[2]]])
-        # u'^2 has degree 4 on each piece: 3 nodes integrate it exactly
-        x, w = _gl_nodes(3)
-        h = h_hi + h_lo
-        du = _powers(0.5 * h * (1.0 + x)) @ images[1]
-        piece = (0.5 * h * w) @ (du * du)
         return cls(
             h_hi=h_hi,
             h_lo=h_lo,
             v1=np.stack([a2, a1 - 2.0 * a2 * e, a0 - a1 * e]),
-            images=images,
-            energy=np.cumsum(np.pad(np.stack([piece, piece[::-1]]), ((0, 0), (1, 0))), axis=1),
+            images=np.stack([u, [np.zeros_like(k0), 3.0 * u[0], 2.0 * u[1], u[2]]]),
         )
 
     def lags(self, d: np.ndarray):
@@ -407,31 +460,25 @@ class UniformLattice:
             offsets = (d - lags * h_hi) - lags * h_lo
         return lags.astype(np.intp), offsets
 
-    def halves(self, d: np.ndarray, step: np.ndarray, weight: np.ndarray):
-        """Every piece split at the offset delta of each d of the 1-D array,
-        d = m h + delta: the lags m and m + 1 (:meth:`lags`), and a rule's
-        nodes s on the piece and t on the piece displaced by d, and its
-        weights, on each half, as (d.size, 2, nodes), from the rule's nodes
-        and weights per unit width ``step`` and ``weight``.  On lag m, s runs
-        over [delta, h] and t = s - delta over [0, h - delta]; on lag m + 1,
-        s over [0, delta] and t = s - delta + h over [h - delta, h]."""
-        lags, offsets = self.lags(d)
-        s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
-        width = (s_from + t_from)[:, ::-1, None]
-        s, t = (start[..., None] + width * step for start in (s_from, t_from))
-        return lags, s, t, width * weight
-
     def pairs(self, shift: np.ndarray, rule, fixed, shifted):
         """:meth:`SplinePieces.pairs` on the lattice, a row of ``shift`` and a
-        half at a time, ``rows`` its index: with shift = m h + delta every
-        piece splits at delta (:meth:`halves`), and on lag m and then m + 1
-        the pieces lag .. n - 1 at the nodes s meet the displaced pieces
-        0 .. n - lag - 1 at the nodes t, n the piece count.  A lag at or past
-        n (a shift within rounding of the span) meets nothing and is skipped.
+        half at a time, ``rows`` its index.  With shift = m h + delta
+        (:meth:`lags`) every piece splits at delta.  On lag m the pieces
+        m .. n - 1 at the nodes s in [delta, h] meet the displaced pieces
+        0 .. n - m - 1 at t = s - delta in [0, h - delta]; on lag m + 1 the
+        pieces m + 1 .. n - 1 at s in [0, delta] meet 0 .. n - m - 2 at
+        t = s - delta + h in [h - delta, h]; n is the piece count.  So the
+        nodes of a half are two vectors that every piece shares.  A lag at or
+        past n (a shift within rounding of the span) meets nothing and is
+        skipped.
         """
         n = self.v1.shape[1]
-        lags, s, t, w = self.halves(shift, *rule)
-        w = w[..., None]
+        nodes, weights = rule
+        lags, offsets = self.lags(shift)
+        s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
+        width = (s_from + t_from)[:, ::-1, None]
+        s, t = (start[..., None] + width * nodes for start in (s_from, t_from))
+        w = (width * weights)[..., None]
         for row, row_lags in enumerate(lags.tolist()):
             for half, lag in enumerate(row_lags):
                 if lag < n:
@@ -694,27 +741,22 @@ def sigma_of(tf: TransferFunction) -> float:
 def quad_over_psf(
     tf: TransferFunction,
     f: Callable,
-    shifts,
     margin: np.ndarray,
     rel_tol=QUAD_REL_TOL,
     what="psf integral",
 ):
-    """Integrate f of the displaced images u(x - k d), one for each
-    multiplier k of ``shifts``, over the whole line, a row for each margin
-    d of the 1-D array ``margin``.
+    """Integrate f of the pair of images u(x + d) and u(x - d) over the whole
+    line, a row for each margin d of the 1-D array ``margin``.
 
-    Gaussian and sinc kinds only.  f(u, du) gets u and u' of the images as
-    arrays (len(shifts), rows, n) and returns (rows, n), or (k, rows, n) for
-    k integrands that a sequence ``what`` names: the result is (d.size,) or
-    (d.size, k).  f must be even in x: it runs over x >= 0 only, doubled,
-    so an odd f gets twice its half-line integral, not 0.  The shifts must
-    be (0,), one image at 0, or (-1, 1), a pair at +-d, which is checked:
-    the layouts' windows cover those images, and f must not change when they
-    are mirrored, u(-x - k d) = u(x + k d) and u'(-x - k d) = -u'(x + k d).
-    (0,) is not the pair at d = 0: the sinc's near-peak series is a matrix
-    product that rounds by how many nodes it stacks (an ulp of sinc
-    ``qfi_numeric`` at sigma 1.3).  Each row is reduced on its own with the
-    bits it has alone (:mod:`spaderes.integrate`), and one
+    Gaussian and sinc kinds only.  f(u, du) gets u and u' of the images, at
+    x + d first, as arrays (2, rows, n) and returns (rows, n), or
+    (k, rows, n) for k integrands that a sequence ``what`` names: the result
+    is (d.size,) or (d.size, k).  f must be even in x: it runs over x >= 0
+    only, doubled, so an odd f gets twice its half-line integral, not 0.
+    The layouts' windows cover the images, and f must not change when they
+    are mirrored, u(-x - d) = u(x + d) and u'(-x - d) = -u'(x + d).  An
+    integral of one image is the pair's at margin 0.  Each row is reduced on
+    its own with the bits it has alone (:mod:`spaderes.integrate`), and one
     :func:`check_converged` judges all rows.  The images come from the kind's
     evaluator, :func:`_gaussian_images` or :func:`_sinc_images`; on the sinc
     tail ladder, widened by |d|, with the ladder's phases sin(a x) and
@@ -722,61 +764,61 @@ def quad_over_psf(
     The Gaussian's domain is :func:`_gaussian_quadrature`'s.  A tabulated
     PSF's integrals run piece by piece on its spline (:class:`SplinePieces`).
     """
-    if sorted(map(float, shifts)) not in ([0.0], [-1.0, 1.0]):
-        raise ValidationError(f"shifts {list(shifts)} are not (0,) or (-1, 1), symmetric about 0")
-    ks = np.asarray(shifts, dtype=float)[:, None, None]
     if tf.kind == GAUSSIAN:
-        value, err = _gaussian_quadrature(tf.sigma, f, ks, margin)
+        value, err = _gaussian_quadrature(tf.sigma, f, margin)
     elif tf.kind == SINC:
         a = tf.a
         start = SINC_HALF_WIDTH_OVER_A / a
         ad = np.abs(margin)
         half = start + ad + np.maximum(0.0, ad - start)
-        integrand = lambda x, d, *phases: f(*_sinc_images(a, x, ks * d, phases))
+        integrand = lambda x, d, *phases: f(*_sinc_images(a, x, _PAIR * d, phases))
         value, err = integrate_oscillatory_tails(integrand, half, a, margin)
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
 
 
-def _gaussian_quadrature(sigma: float, f: Callable, ks: np.ndarray, d: np.ndarray):
+# the pair's images at x + d and x - d are u(x - k d) for these k
+(_PAIR,) = _read_only(np.array([-1.0, 1.0])[:, None, None])
+
+
+def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
     """(value, error estimate) of the even f of the Gaussian images at
-    shifts ks d, twice its integral over x >= 0, a row per d, by panel
-    doubling in one pass (:func:`composite_gauss_legendre`) on templates
-    kept per panel count.
+    x -+ d, twice its integral over x >= 0, a row per d, by panel doubling
+    in one pass (:func:`composite_gauss_legendre`) on templates kept per
+    panel count.
 
     Each image's window, GAUSSIAN_HALF_WIDTH_SIGMAS sigma either side of it,
-    leaves out tails of order 1e-22.  The positive image sits at p = |d|
-    for a pair of images, 0 for one.  While the window about it overlaps
-    the window [0, that width] about the origin (p under twice the width), a
-    row takes one span of half-width H = that width + p: x = H y for y on
-    the template [0, 1], the weights scaled by H.  Once they lie apart, it
-    takes each alone: the origin's, where a product of the two images has
-    its mass, on [0, 1], and the positive image's whole, on [-1, 1] about
-    the image, whose shift is then exactly 0; so the cost no longer grows
-    with d.  A span takes half of max(48, 4 H / sigma) panels on [0, 1] and
-    max(48, 4 H / sigma) on [-1, 1]; no span is over three windows wide,
-    far below the rule's MAX_PANELS refusal, which stays.
+    leaves out tails of order 1e-22.  The positive image sits at p = |d|.
+    While the window about it overlaps the window [0, that width] about the
+    origin (p under twice the width), a row takes one span of half-width
+    H = that width + p: x = H y for y on the template [0, 1], the weights
+    scaled by H.  Once they lie apart, it takes each alone: the origin's,
+    where a product of the two images has its mass, on [0, 1], and the
+    positive image's whole, on [-1, 1] about the image, whose shift is then
+    exactly 0; so the cost no longer grows with d.  A span takes half of
+    max(48, 4 H / sigma) panels on [0, 1] and max(48, 4 H / sigma) on
+    [-1, 1]; no span is over three windows wide, far below the rule's
+    MAX_PANELS refusal, which stays.
     """
     reach = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma
-    top = ks.max()
     d = np.asarray(d, dtype=float)
-    apart = top * np.abs(d) >= 2.0 * reach
+    apart = np.abs(d) >= 2.0 * reach
     # the spans of a row, as (about the positive image, widened to reach it)
     near, far = [(False, True)], [(False, False), (True, False)]
 
     def spans_sum(spans, d):
         total = 0.0
         for about_image, widened in spans:
-            half = reach + top * np.abs(d) if widened else reach
+            half = reach + np.abs(d) if widened else reach
             panels = np.maximum(48.0, np.ceil(4.0 * half / sigma))
             if not about_image:
                 panels = np.ceil(0.5 * panels)
 
             def integrand(y, d, about_image=about_image, widened=widened):
-                image = top * np.abs(d)
+                image = np.abs(d)
                 x = (reach + image if widened else reach) * y
-                return f(*_gaussian_images(sigma, x, ks * d - image if about_image else ks * d))
+                return f(*_gaussian_images(sigma, x, _PAIR * d - image if about_image else _PAIR * d))
 
             lo = -1.0 if about_image else 0.0
             fine, diff = composite_gauss_legendre(integrand, lo, 1.0, panels, d)

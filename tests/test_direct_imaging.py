@@ -1,5 +1,6 @@
 """Intensity-only imaging FI and the quantum bound it fails to reach."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_density_normalized_and_even_in_d():
     )
     assert total == pytest.approx(1.0, abs=1e-12)
     # the sinc's images decay as 1/x: its tail ladder
-    [total] = quad_over_psf(SINC, _images_density, (-1.0, 1.0), np.array([0.8]))
+    [total] = quad_over_psf(SINC, _images_density, np.array([0.8]))
     assert total == pytest.approx(1.0, abs=1e-9)
     x = np.array([-1.3, 0.2, 2.1, 37.9])
     for tf in (GAUSS, SINC):
@@ -139,12 +140,12 @@ def test_direct_imaging_matches_the_four_call_integrand(tf):
         np.testing.assert_allclose(fi_direct(tf, d, 1.0), reference, rtol=1e-13, atol=0.0)
 
 
-def _without_kept_trigonometry(tf, f, shifts, margin):
-    """quad_over_psf's sinc integral of the even f(u, du) for |d| up to
-    psf.SINC_HALF_WIDTH_OVER_A / a, value and error estimate, with sin and
-    cos of a x computed afresh on every chunk instead of taken from the
-    ladder's phases."""
-    a, ks, d = tf.a, np.asarray(shifts, dtype=float)[:, None, None], np.reshape(margin, -1)
+def _without_kept_trigonometry(tf, f, margin):
+    """quad_over_psf's sinc integral of the even f(u, du) of the images at
+    +-d for |d| up to psf.SINC_HALF_WIDTH_OVER_A / a, value and error
+    estimate, with sin and cos of a x computed afresh on every chunk instead
+    of taken from the ladder's phases."""
+    a, ks, d = tf.a, np.array([-1.0, 1.0])[:, None, None], np.reshape(margin, -1)
     integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d))
     start = psf.SINC_HALF_WIDTH_OVER_A / a
     return integrate_oscillatory_tails(integrand, start + d, a, d)
@@ -158,7 +159,7 @@ def test_kept_ladder_trigonometry_keeps_the_bits():
     kept = fi_direct(SINC, d, 1.0)
     assert sum(integrate._ladder.cache_info()[:2]) > calls
     information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
-    afresh, _ = _without_kept_trigonometry(SINC, information, (-1.0, 1.0), d)
+    afresh, _ = _without_kept_trigonometry(SINC, information, d)
     assert np.array_equal(kept, 1.0 * afresh)
 
 
@@ -182,16 +183,16 @@ def test_sinc_qfi_takes_the_kept_ladder_trigonometry(tf, monkeypatch):
         assert np.shares_memory(args[3][0], sin_ax) and np.shares_memory(args[3][1], cos_ax)
     assert len(calls) == len(integrate._chunks(sin_ax.size)) == 2
     monkeypatch.setattr(psf, "_sinc_images", images)
-    afresh, _ = _without_kept_trigonometry(tf, lambda u, du: du[0] ** 2, (0.0,), 0.0)
+    afresh, _ = _without_kept_trigonometry(tf, lambda u, du: du[0] ** 2, 0.0)
     assert kept == 4.0 * 1.0 * float(afresh[0])
 
 
-def _whole_line(tf, f, shifts, d, whole_line_ladder):
-    """quad_over_psf's integral of f(u, du) at each d of the 1-D d on the
-    layout of the whole line: the Gaussian on one span [-H, H], H = 10 sigma
-    + |d|, of max(48, 4 H / sigma) panels, and sinc on the tail ladder over
-    [-X, X], a d at a time."""
-    ks = np.asarray(shifts, dtype=float)[:, None, None]
+def _whole_line(tf, f, d, whole_line_ladder):
+    """quad_over_psf's integral of f(u, du) of the images at +-d, at each d
+    of the 1-D d, on the layout of the whole line: the Gaussian on one span
+    [-H, H], H = 10 sigma + |d|, of max(48, 4 H / sigma) panels, and sinc on
+    the tail ladder over [-X, X], a d at a time."""
+    ks = np.array([-1.0, 1.0])[:, None, None]
     if tf.kind == "gaussian":
         integrand = lambda x, d: f(*psf._gaussian_images(tf.sigma, x, ks * d))
         values = []
@@ -214,9 +215,9 @@ def test_half_line_matches_the_whole_line(tf, whole_line_ladder):
     # out (where the Gaussian takes the windows about 0 and its image)
     d = tf.sigma * np.concatenate([np.linspace(0.0, 5.0, 101), [30.0, 100.0, 200.0]])
     information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
-    whole = _whole_line(tf, information, (-1.0, 1.0), d, whole_line_ladder)
+    whole = _whole_line(tf, information, d, whole_line_ladder)
     np.testing.assert_allclose(fi_direct(tf, d, 1.0), whole, rtol=1e-14, atol=0.0)
-    [energy] = _whole_line(tf, lambda u, du: du[0] ** 2, (0.0,), np.zeros(1), whole_line_ladder)
+    [energy] = _whole_line(tf, lambda u, du: du[0] ** 2, np.zeros(1), whole_line_ladder)
     assert qfi_numeric(tf, 1.0) == pytest.approx(4.0 * energy, rel=1e-14, abs=0.0)
 
 
@@ -300,7 +301,7 @@ def test_sinc_direct_imaging_answers_far_out(monkeypatch):
     # up to 50 / a (57.7 sigma) the ladder starts at 50 / a + d, with its bits
     near = np.array([40.0, SINC_HALF_WIDTH_OVER_A / SINC.a])
     information = lambda u, du: _information_density(*_density((u[0], du[0]), (u[1], du[1])))
-    afresh, _ = _without_kept_trigonometry(SINC, information, (-1.0, 1.0), near)
+    afresh, _ = _without_kept_trigonometry(SINC, information, near)
     assert np.array_equal(fi_direct(SINC, near, 1.0), 1.0 * afresh)
     # past about 3,700 sigma the ladder would take over MAX_PANELS panels: refused
     with pytest.raises(NumericError, match="MAX_PANELS"):
@@ -370,22 +371,79 @@ def test_lattice_path_gives_a_d_its_bits_alone_and_inside_an_array():
     assert np.array_equal(fi_direct(TABULATED, d[::-1], 1.0), alone[::-1])
 
 
-def test_lattice_energy_prefix_sums_total_the_spline_energy():
-    # from the left and from the right, the prefix sums of integral u'^2 over
-    # the pieces start at 0 and end at the spline's energy, 1 / (4 sigma^2)
+def test_spline_energy_prefix_sums_total_the_spline_energy():
+    # the constant rows of edge_rows are the energies of u' over the whole
+    # pieces before each piece (from the left) and after it (from the
+    # right): 0 at the hull's ends, growing piece by piece, and with the
+    # piece's own energy, its antiderivative across it, the spline's
+    # energy 1 / (4 sigma^2)
     pieces = TABULATED._pieces
-    energy = pieces.lattice.energy
-    assert energy.shape == (2, TABULATED.grid.size) and np.all(energy[:, 0] == 0.0)
-    assert np.all(np.diff(energy, axis=1) > 0.0)
-    np.testing.assert_allclose(4.0 * energy[:, -1], 1.0 / TABULATED.sigma**2, rtol=1e-14)
-    np.testing.assert_allclose(energy[:, -1], pieces.energy, rtol=1e-14)
+    before, after = pieces.edge_rows[:, -1]
+    assert before.shape == after.shape == (TABULATED.grid.size - 1,)
+    assert before[0] == 0.0 and after[-1] == 0.0
+    assert np.all(np.diff(before) > 0.0) and np.all(np.diff(after) < 0.0)
+    width = np.diff(TABULATED.grid)[:, None] ** np.arange(5.0, 0.0, -1.0)
+    own = (pieces.edge_rows[0, :-1].T * width).sum(axis=1)
+    np.testing.assert_allclose(before + own + after, pieces.energy, rtol=1e-15)
+    np.testing.assert_allclose(4.0 * pieces.energy, 1.0 / TABULATED.sigma**2, rtol=1e-14)
+    whole = pieces.edge_energy(np.array([np.nextafter(pieces.span, 0.0)]))
+    np.testing.assert_allclose(whole, 2.0 * pieces.energy, rtol=1e-15)
+
+
+def _knot_split_energy(tf, lo: float, hi: float) -> float:
+    """integral of u'^2 over [lo, hi] by 3-node Gauss-Legendre between the
+    knots inside it, of u' from the point evaluator: exact for the spline."""
+    grid = tf.grid
+    edges = np.concatenate([[lo], grid[(grid > lo) & (grid < hi)], [hi]])
+    x, w = np.polynomial.legendre.leggauss(3)
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
+    return math.fsum((0.5 * (b - a) * w * eval_u_prime(tf, nodes) ** 2).ravel())
+
+
+def test_edge_energy_is_the_integral_of_u_prime_squared_at_the_ends(sinc_cut):
+    # the cut sinc's u' is far from 0 at the hull's ends, so the energy where
+    # one image lies alone matters there: at s = 0, at knots, mid-piece and
+    # one ulp below the span it is the independent integral over
+    # [x_0, x_0 + s] and [x_n-1 - s, x_n-1] (to 1e-13: that integral's nodes
+    # near |x| = 20 are rounded by 4e-15, 3e-14 of u'^2 there), and a s has
+    # its bits alone or inside an array
+    pieces, grid = sinc_cut._pieces, sinc_cut.grid
+    assert abs(eval_u_prime(sinc_cut, grid[0])) > 1e-3
+    knots = grid[[1, 7, 1000, 1999]] - grid[0]
+    s = np.concatenate([knots, knots + 0.5 * (grid[1] - grid[0]), [np.nextafter(pieces.span, 0.0)]])
+    energy = pieces.edge_energy(s)
+    reference = [
+        _knot_split_energy(sinc_cut, grid[0], grid[0] + x)
+        + _knot_split_energy(sinc_cut, grid[-1] - x, grid[-1])
+        for x in s
+    ]
+    np.testing.assert_allclose(energy, reference, rtol=1e-13, atol=0.0)
+    assert pieces.edge_energy(np.zeros(1))[0] == 0.0
+    assert pieces.edge_energy(np.zeros(0)).shape == (0,)
+    assert np.array_equal(energy, [pieces.edge_energy(s[i : i + 1])[0] for i in range(s.size)])
+
+
+def test_one_kernel_on_the_lattice_matches_the_merged_pieces_on_a_cut_table(
+    sinc_cut, merge_oracle, monkeypatch
+):
+    # on the cut sinc, where the energy of the ends is a large part of the
+    # information at small d, fi_direct through the lattice agrees with the
+    # merged breakpoints of the same spline to 1e-13 relative, out to one ulp
+    # of the span
+    d = np.concatenate([np.arange(0.5, 5.01, 0.5), [7.5, 12.0, 19.0, 19.99]])
+    merged = merge_oracle(fi_direct, sinc_cut, d, 1.0)
+    monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
+    np.testing.assert_allclose(fi_direct(sinc_cut, d, 1.0), merged, rtol=1e-13, atol=0.0)
 
 
 def test_non_uniform_grid_keeps_its_bits():
     # the shipped samples with every other point dropped right of 0: no
-    # lattice, so fi_direct and tau1_numeric merge the breakpoints, with the
-    # bits they had before the lattice path (c' with the term of u(x - d)'s
-    # step at the hull's edge, -v1(x_0 + d) u(x_0), subtracted since)
+    # lattice, so fi_direct and tau1_numeric merge the breakpoints.  c and c'
+    # keep the bits they had before the lattice path (c' with the term of
+    # u(x - d)'s step at the hull's edge, -v1(x_0 + d) u(x_0), subtracted
+    # since); fi_direct takes the energy where one image lies alone from the
+    # spline's prefix sums since, within 2 ulps of its earlier bits
     data = np.loadtxt(GOLDEN / "psf_gaussian_801.txt")
     keep = np.r_[0:400, 400:801:2]
     tab = tabulated_psf(data[keep, 0], data[keep, 1])
@@ -393,9 +451,9 @@ def test_non_uniform_grid_keeps_its_bits():
     d = np.array([0.0, 0.05, 0.7, 1.3, 2.5, 4.0, 7.9, 9.0])
     tr = tau1_numeric(tab, d)
     expected = {
-        "fi_direct": ["0x0.0p+0", "0x1.460d6bda3d1cep-8", "0x1.0cf4ccf05fbc2p-1",
-                      "0x1.b9f26d37d882ap-1", "0x1.fdabeaf02fa42p-1", "0x1.fffe71c859bc9p-1",
-                      "0x1.ffffffe12993bp-1", "0x1.ffffffe12993cp-1"],
+        "fi_direct": ["0x0.0p+0", "0x1.460d6bda3d1cep-8", "0x1.0cf4ccf05fbc3p-1",
+                      "0x1.b9f26d37d8829p-1", "0x1.fdabeaf02fa41p-1", "0x1.fffe71c859bc8p-1",
+                      "0x1.ffffffe12993dp-1", "0x1.ffffffe12993cp-1"],
         "c": ["0x0.0p+0", "0x1.9978d64123ea6p-6", "0x1.511b54b719fe9p-2",
               "0x1.0d6ce9ed7bf23p-1", "0x1.25036b081b8d6p-1", "0x1.152aaa44ff4e8p-2",
               "0x1.a7b750722c430p-10", "0x1.79ed7a60eace0p-13"],

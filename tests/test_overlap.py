@@ -438,6 +438,26 @@ def test_tabulated_c_prime_is_dc_dd(table, request):
         np.testing.assert_allclose(cp[1:], central, rtol=0.0, atol=1e-8 * np.max(np.abs(cp)))
 
 
+@pytest.mark.parametrize("table", ["shipped", "sinc_cut"])
+def test_hull_step_is_the_point_evaluator_of_v1(table, request):
+    # hull_step reads v1 through the one point evaluator, with the bits of
+    # v1's rows taken directly at x_0 + |d| on the piece that holds it, on
+    # 20,000 random d over the span, the knots, 0 and one ulp below the span
+    tab = SHIPPED if table == "shipped" else request.getfixturevalue("sinc_cut")
+    pieces = tab._pieces
+    ad = np.concatenate([
+        np.random.default_rng(11).uniform(0.0, pieces.span, 20_000),
+        pieces.x - pieces.x[0],
+        [np.nextafter(pieces.span, 0.0)],
+    ])
+    ad = ad[ad < pieces.span]
+    x = pieces.x[0] + ad
+    k = np.minimum(np.searchsorted(pieces.x, x, side="right"), pieces.x.size - 1)
+    rows = [pieces.coef[r][k] for r in psf._ROWS["v1"]]
+    direct = pieces.coef[3][1] * psf._horner(rows, x - pieces.origin[k])
+    assert np.array_equal(pieces.hull_step(ad), direct)
+
+
 def test_sinc_frequency_overlap_matches_closed_form():
     half = np.linspace(0.0, 10.0, 101)
     d = np.concatenate([-half[:0:-1], half])

@@ -69,7 +69,7 @@ def test_sigma_round_trip():
 def test_normalization_numeric():
     # |integral u^2 - 1| < 1e-9, including the slowly decaying sinc
     for tf in (GAUSS, SINC_S1, gaussian_psf(0.5), sinc_psf(a=3.0)):
-        [norm] = quad_over_psf(tf, lambda u, du: u[0] ** 2, (0.0,), NO_MARGIN)
+        [norm] = quad_over_psf(tf, lambda u, du: u[0] ** 2, NO_MARGIN)
         assert abs(norm - 1.0) < 1e-9
 
 
@@ -85,34 +85,24 @@ def test_mode_pair_orthonormal():
     # give, and the whole line's is the half-line's less its mirror, 0
     for tf, tol in ((GAUSS, 1e-8), (SINC_S1, 1e-6)):
         v1 = lambda du: -2.0 * sigma_of(tf) * du[0]
-        [cross] = quad_over_psf(tf, lambda u, du: u[0] * v1(du), (0.0,), NO_MARGIN)
-        [v1sq] = quad_over_psf(tf, lambda u, du: v1(du) ** 2, (0.0,), NO_MARGIN)
+        [cross] = quad_over_psf(tf, lambda u, du: u[0] * v1(du), NO_MARGIN)
+        [v1sq] = quad_over_psf(tf, lambda u, du: v1(du) ** 2, NO_MARGIN)
         assert cross == pytest.approx(2.0 * sigma_of(tf) * eval_u(tf, 0.0) ** 2, abs=1e-9)
         assert abs(v1sq - 1.0) < tol
 
 
-def test_shifts_must_be_symmetric_about_zero():
-    # every integrand quad_over_psf takes is even, its images mirrored about
-    # 0: one at 0 or a pair at +-d, the images its windows cover.  Symmetric
-    # sets of more images are refused too: at |d| = 15 sigma the Gaussian's
-    # windows about 0 and 30 sigma would leave out the images at +-15 sigma
-    f = lambda u, du: u[0] * u[-1]
-    for shifts in (
-        (0.0, 1.0),
-        (1.0,),
-        (-1.0, 0.5),
-        (-1.0, 0.0, 2.0),
-        (),
-        (-1.0, 0.0, 1.0),
-        (-2.0, -1.0, 1.0, 2.0),
-        (-2.0, 2.0),
-    ):
-        for tf in (GAUSS, SINC_S1):
-            with pytest.raises(ValidationError, match="symmetric about 0"):
-                quad_over_psf(tf, f, shifts, np.array([15.0 * tf.sigma]))
-    for shifts in ((0.0,), (-0.0,), (1.0, -1.0)):
-        [norm] = quad_over_psf(GAUSS, f, shifts, NO_MARGIN)
-        assert norm == pytest.approx(1.0, rel=1e-14)
+def test_one_image_is_the_pair_at_margin_zero():
+    # quad_over_psf integrates f of the pair of images at +-margin; at margin
+    # 0, of either sign, both are the one image at 0 with the same bits, so
+    # the norm is the product of the two as it is the square of either
+    for tf, tol in ((GAUSS, 1e-14), (SINC_S1, 1e-9)):
+        for margin in (NO_MARGIN, -NO_MARGIN):
+            seen = []
+            product = lambda u, du: seen.append((u, du)) or u[0] * u[1]
+            [norm] = quad_over_psf(tf, product, margin)
+            assert seen and all(np.array_equal(*u) and np.array_equal(*du) for u, du in seen)
+            assert norm == quad_over_psf(tf, lambda u, du: u[0] ** 2, margin)[0]
+            assert norm == pytest.approx(1.0, rel=0.0, abs=tol)
 
 
 @pytest.mark.parametrize("tf", [GAUSS, SINC_S1], ids=lambda tf: tf.kind)
@@ -120,9 +110,9 @@ def test_an_empty_margin_gives_each_integrands_empty_row(tf):
     # (d.size, k) for k integrands, an empty d too
     two = lambda u, du: (u[0] * u[1], du[0] * du[1])
     for margin in (np.array([]), np.array([0.5])):
-        both = quad_over_psf(tf, two, (-1.0, 1.0), margin, what=("u u", "u' u'"))
+        both = quad_over_psf(tf, two, margin, what=("u u", "u' u'"))
         assert both.shape == (margin.size, 2)
-        one = quad_over_psf(tf, lambda u, du: u[0] * u[1], (-1.0, 1.0), margin)
+        one = quad_over_psf(tf, lambda u, du: u[0] * u[1], margin)
         assert one.shape == margin.shape
 
 
@@ -313,7 +303,7 @@ def test_tabulated_psf_has_no_closed_form_or_kind_adapted_quadrature():
     with pytest.raises(UnsupportedKindError, match="no closed-form transmission"):
         tau1_closed(tab, 1.0)
     with pytest.raises(UnsupportedKindError, match="no kind-adapted quadrature"):
-        quad_over_psf(tab, lambda u, du: u[0] ** 2, (0.0,), NO_MARGIN)
+        quad_over_psf(tab, lambda u, du: u[0] ** 2, NO_MARGIN)
 
 
 def test_tabulated_validation():

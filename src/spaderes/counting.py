@@ -18,7 +18,9 @@ one value per separation.
 
 `fi_from_pmf` is a deliberately independent check: it sums the defining
 series F = sum_k (1/p_k)(dp_k/dd)^2 with a finite-difference mean derivative
-and no reference to the closed forms above.
+and no reference to the closed forms above.  Its Poisson PMF takes
+log k! from scipy's ``gammaln``, which the first Poisson PMF imports: the
+closed forms need no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationWarning, ValidationError
 from .overlap import tau1_exact
@@ -122,6 +123,8 @@ def logpmf(kbar: float, statistics: str, k):
 def _logpmf(kbar: float, statistics: str, k: np.ndarray) -> np.ndarray:
     """:func:`logpmf` at the float counts k for a known law and kbar > 0, unchecked."""
     if statistics == POISSON:
+        from scipy.special import gammaln  # here, so the closed forms never load scipy
+
         return k * np.log(kbar) - kbar - gammaln(k + 1.0)
     return k * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar)
 

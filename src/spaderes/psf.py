@@ -49,8 +49,9 @@ evaluator takes each chunk's phases from it.  The mode overlaps of
 integrated over the flat spectrum.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
-(scipy's ``CubicSpline`` only supplies the coefficients) and zero outside the
-grid hull; its norm and derivative energy are exact per piece, so no
+(scipy's ``CubicSpline`` only supplies the coefficients; it is imported when
+a table is fitted, so an analytic PSF never loads scipy) and zero outside
+the grid hull; its norm and derivative energy are exact per piece, so no
 tabulated integral is cut off at the hull.  That class alone reads the
 pieces.  It evaluates u, u' and v1 at points, and :meth:`SplinePieces.pairs`
 pairs each piece of u(x) with the pieces of a displaced copy u(x - d) it
@@ -80,7 +81,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import UnsupportedKindError, ValidationError
 from .integrate import (
@@ -259,6 +259,8 @@ class SplinePieces:
     def fit(cls, grid: np.ndarray, values: np.ndarray, normalize: bool) -> SplinePieces:
         """The not-a-knot cubic spline through the samples, rescaled to unit L2
         norm if ``normalize``; its norm and energy are exact per piece."""
+        from scipy.interpolate import CubicSpline  # here, so an analytic PSF never loads scipy
+
         h = np.diff(grid)
         k = CubicSpline(grid, values).c
         # u^2 has degree 6 on each piece: 4 nodes integrate it exactly

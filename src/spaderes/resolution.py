@@ -24,16 +24,19 @@ This module holds the one way a curve is inverted on its rising branch, for
 d_half here and for the Monte Carlo moment estimates: `_peak` finds the
 branch maximum by a bounded Brent search, and `_brentq_lockstep` roots the
 curve below it for a whole array of targets at once, taking the steps scipy's
-brentq takes on each target alone.
+brentq takes on each target alone.  Both are scipy's own solvers ported
+statement for statement, so they give its bits without importing it: `_peak`
+is fminbound (``minimize_scalar(method="bounded")``), as `_brentq_lockstep`
+is brentq.c.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .counting import POISSON, THERMAL
 from .errors import BracketingError, NumericError, ValidationError
@@ -42,6 +45,8 @@ COUNTING = "counting"
 
 # scipy.optimize.brentq's iteration cap
 BRENT_MAXITER = 100
+# scipy.optimize.fminbound's cap on evaluations of the function
+FMINBOUND_MAXFUN = 500
 
 
 def d_half_counting(sigma: float, snr: float) -> float:
@@ -94,11 +99,90 @@ def superres_window(
 
 
 def _peak(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Maximum of f on [lo, hi] by a bounded Brent search: (x_peak, f(x_peak))."""
-    res = minimize_scalar(
-        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-    )
-    return float(res.x), -float(res.fun)
+    """Maximum of f on [lo, hi] by a bounded Brent search: (x_peak, f(x_peak)).
+
+    scipy's fminbound (``minimize_scalar(method="bounded")``) on -f, statement
+    for statement, so the peak is the same bit for bit; like it, the search
+    stops silently after FMINBOUND_MAXFUN evaluations.  Golden-section steps,
+    parabolic ones where the parabola through the last three points is
+    acceptable, until the bracket about the best point is within xatol.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = -f(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1  # np.sign(xm - xf) + (xm == xf)
+            else:
+                golden = True
+
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        # scipy's np.sign(rat) + (rat == 0) and np.maximum: rat and tol1 stay finite on finite bounds
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = -f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= FMINBOUND_MAXFUN:
+            break
+
+    return float(xf), -float(fx)
 
 
 def _brentq_lockstep(g, targets: np.ndarray, xa: float, xb: float, xtol: float,

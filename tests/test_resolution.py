@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from spaderes.counting import NoiseModel, SourceScene, THERMAL, fi_counting_exac
 from spaderes.direct_imaging import qfi
 from spaderes.errors import BracketingError, NumericError, ValidationError
 from spaderes.montecarlo import MEASUREMENTS
-from spaderes.psf import gaussian_psf, sinc_psf
+from spaderes.overlap import tau1_exact
+from spaderes.psf import gaussian_psf, load_tabulated, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE, fi_homodyne_small_d, shot_noise_snr
 from spaderes.resolution import (
     _brentq_lockstep,
+    _peak,
     d_half_counting,
     d_half_from_curve,
     d_half_quadrature,
@@ -92,6 +95,56 @@ def test_solver_refuses_unbracketed_and_unconverged_roots(monkeypatch):
     with pytest.raises(NumericError, match="1 of 1 roots failed to converge after 2 iterations"):
         _brentq_lockstep(lambda x: np.float_power(x, 3), np.array([0.3]), 0.0, 1.0,
                          xtol=1e-13, rtol=1e-12)
+
+
+def _scipy_peak(f, lo, hi, xatol, maxiter=rs.FMINBOUND_MAXFUN):
+    res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    return float(res.x), -float(res.fun)
+
+
+PEAK_PSFS = {
+    **{f"gaussian-{s}": (lambda s=s: gaussian_psf(s)) for s in (0.37, 1.0, 2.0, 7.5)},
+    **{f"sinc-{s}": (lambda s=s: sinc_psf(sigma=s)) for s in (0.29, 1.0, 1.3)},
+    "table": lambda: load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt"),
+}
+
+
+@pytest.mark.parametrize("name", PEAK_PSFS)
+def test_peak_is_scipy_bounded_minimize_scalar(name):
+    # both call sites' bounds (the tau1 branch of the moment estimates and the
+    # FI curve of d_half), then 30 random brackets and tolerances on tau1
+    tf = PEAK_PSFS[name]()
+    sigma = tf.sigma
+    tau = lambda d: tau1_exact(tf, d).tau1
+    noise = NoiseModel.from_snr(1e3, 100.0)
+    fi = lambda d: fi_counting_exact(SourceScene(tf, d, 100.0), noise)
+    cases = [(tau, 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma),
+             (fi, 1e-6 * sigma, 3.0 * sigma, 1e-10 * sigma)]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(30):
+        lo, hi = np.sort(rng.uniform(0.0, 6.0 * sigma, 2))
+        cases.append((tau, float(lo), float(hi), float(10.0 ** rng.uniform(-13.0, -3.0))))
+    for f, lo, hi, xatol in cases:
+        assert _peak(f, lo, hi, xatol) == _scipy_peak(f, lo, hi, xatol), (lo, hi, xatol)
+
+
+def test_peak_of_a_constant_of_a_point_and_of_steps():
+    flat = lambda x: 0.25
+    assert _peak(flat, 0.1, 3.0, 1e-10) == _scipy_peak(flat, 0.1, 3.0, 1e-10)
+    assert _peak(np.sin, 1.2, 1.2, 1e-10) == _scipy_peak(np.sin, 1.2, 1.2, 1e-10) == (1.2, np.sin(1.2))
+    # ties between points, and parabolic steps that land within 2 tol1 of a bound
+    stairs = lambda x: np.floor(-64.0 * (x - 1.33) ** 2)
+    rounded = lambda x: round(-(x - 0.31) ** 2, 2)
+    for f, xatol in [(stairs, 1e-2), (rounded, 1e-5)]:
+        assert _peak(f, 0.0, 1.0, xatol) == _scipy_peak(f, 0.0, 1.0, xatol)
+
+
+def test_peak_stops_where_scipy_does_at_the_evaluation_cap(monkeypatch):
+    tau = lambda d: tau1_exact(GAUSS, d).tau1
+    assert _scipy_peak(tau, 0.5, 4.0, 1e-12, maxiter=7) != _scipy_peak(tau, 0.5, 4.0, 1e-12)
+    monkeypatch.setattr(rs, "FMINBOUND_MAXFUN", 7)
+    assert _peak(tau, 0.5, 4.0, 1e-12) == _scipy_peak(tau, 0.5, 4.0, 1e-12, maxiter=7)
 
 
 def _d_half_reference(fi_fn, target, sigma):

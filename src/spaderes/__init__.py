@@ -91,4 +91,5 @@ from .resolution import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# spline is the tabulated PSF's implementation, not a name of the package's API
+__all__ = [name for name in dir() if not name.startswith("_") and name != "spline"]

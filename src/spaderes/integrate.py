@@ -242,6 +242,13 @@ def _read_only(*arrays):
     return arrays
 
 
+# an integral converges when its error estimate is below the larger of its
+# relative tolerance (direct imaging's is DIRECT_REL_TOL) times it and QUAD_ABS_TOL
+QUAD_REL_TOL = 1e-8
+QUAD_ABS_TOL = 1e-12
+DIRECT_REL_TOL = 1e-7
+
+
 def check_converged(value, err, rel_tol: float, abs_tol: float, what):
     """Raise NumericError when an integral's error estimate exceeds tolerance.
 

@@ -81,8 +81,13 @@ class Experiment:
             raise ValidationError(
                 f"measurement must be one of {tuple(MEASUREMENTS)}, got {self.measurement!r}"
             )
+        counts = (self.frames, self.trials, self.seed)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise ValidationError(f"frames, trials and seed must be integers, got {counts}")
         if self.frames < 1 or self.trials < 1:
             raise ValidationError("frames and trials must both be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.trials > MAX_POINTS:
             raise BudgetError(f"{self.trials} trials exceed the cap of {MAX_POINTS}")
 

@@ -22,15 +22,11 @@ is the oracle of every kind.  On the analytic kinds every d is a row of
 one quadrature call (:mod:`spaderes.integrate`), whose integrand takes
 (rows, n) nodes and the rows' d as a (rows, 1) column and returns the
 integrands of c and c' as (2, rows, n); each row is reduced on its own by
-np.dot, so a d gets the same bits alone or inside an array.  A
-tabulated spline takes :func:`_spline_overlaps` on any grid, on the pairs
-of pieces that :meth:`SplinePieces.pairs` walks, and its c' = dc/dd takes
-the term of u(x - d)'s step at x_0 + |d| (:meth:`SplinePieces.hull_step`).
-:func:`tau1_exact` is the closed form for the analytic kinds; for a
-tabulated spline on a uniform grid it takes each d's lag on the lattice and
-evaluates that lag's kept rows of c and c' (:meth:`UniformLattice.rows`),
-polynomials in the offset derived exactly from the spline, by one Horner
-pass, and on any other grid it is the piece-by-piece path.
+np.dot, so a d gets the same bits alone or inside an array.
+:func:`tau1_exact` is the closed form for the analytic kinds.  A tabulated
+spline takes its own kernels (:mod:`spaderes.spline`): c and c' piece by
+piece for :func:`tau1_numeric`, and exactly, by one Horner pass per d on a
+uniform grid, for :func:`tau1_exact`.
 Squares of d-dependent values use np.float_power, i.e. pow() as a scalar
 ``x**2`` does: an array's ``x**2`` multiplies, and differs from pow() in
 the last bit for one value in ~1300.
@@ -43,28 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedKindError, ValidationError
-from .integrate import check_converged, composite_gauss_legendre
-from .psf import (
-    GAUSSIAN,
-    QUAD_ABS_TOL,
-    QUAD_REL_TOL,
-    SINC,
-    TABULATED,
-    TransferFunction,
-    _horner,
-    quad_over_psf,
-)
-
-# 3-node Gauss-Legendre, exact for the degree-5 product of two spline pieces,
-# on [0, 1]: its nodes and weights per unit width
-_PIECE_RULE = (
-    0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])),
-    np.array([5.0, 8.0, 5.0]) / 18.0,
-)
-# rounding bound of a spline-exact overlap per unit of sum |w f|: about 15
-# roundings in each term and the depth of numpy's pairwise summation, about
-# 60 times the largest error seen against a long-double sum
-_ROUNDING = 64 * np.finfo(float).eps
+from .integrate import QUAD_ABS_TOL, QUAD_REL_TOL, check_converged, composite_gauss_legendre
+from .psf import GAUSSIAN, SINC, TABULATED, TransferFunction, quad_over_psf
 
 
 class Transmission(NamedTuple):
@@ -131,59 +107,8 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
     return Transmission(d, c * c, 2.0 * c * cp, c, cp)
 
 
-def _spline_overlaps(tf: TransferFunction, ad: np.ndarray):
-    """(c, c') at every |d| of the 1-D array ``ad``, exactly for the cubic spline.
-
-    Where a piece of v1(x) meets a piece of u(x - d), v1 is one quadratic
-    and u one cubic, so v1 u has degree 5 and v1 u' degree 4, and 3-node
-    Gauss-Legendre on each pair of pieces (:meth:`SplinePieces.pairs`) is
-    exact.  u is zero outside the grid hull, so c = c' = 0 once d spans the
-    hull, and inside it c' takes the term of u(x - d)'s step at x_0 + |d|.
-    The error estimate bounds rounding only, the step's included, and one
-    check judges c and c'.  Each row of d is reduced on its own, so a d
-    gives the same bits alone or inside an array.
-    It is the test oracle of the per-lag rows on a uniform grid, and, with the
-    lattice dropped, the merged breakpoints are the oracle of the lattice.
-    """
-    pieces = tf._pieces
-    inside = np.flatnonzero(ad < pieces.span)
-    # c, -c' and the sums of their terms' magnitudes
-    sums = np.zeros((4, ad.size))
-    for rows, w, v1, images in pieces.pairs(ad[inside], _PIECE_RULE, ["v1"], ["u", "du"]):
-        # the terms of c and -c' (v1 is one name, u and u' two), then each row's
-        terms = (w * v1) * images
-        terms = terms.reshape(terms.shape[:-2] + (-1,))
-        sums[:, inside[rows]] += np.concatenate([terms.sum(axis=-1), np.abs(terms).sum(axis=-1)])
-    step = pieces.hull_step(ad[inside])
-    sums[1::2, inside] += [step, np.abs(step)]
-    sums[1] = 0.0 - sums[1]  # c' = 0 - (-c') keeps c' = +0 where nothing overlaps
-    what = ("mode overlap", "overlap derivative")
-    check_converged(sums[:2].T, _ROUNDING * sums[2:].T, QUAD_REL_TOL, QUAD_ABS_TOL, what)
-    return sums[0], sums[1]
-
-
-def _row_overlaps(tf: TransferFunction, ad: np.ndarray):
-    """(c, c') at every |d| of the 1-D array ``ad`` from the per-lag rows of
-    a spline on a uniform grid, exactly for the spline.
-
-    Write d = m h + delta on the grid's lattice (:meth:`UniformLattice.lags`).
-    On lag m, c and c' are each one polynomial in w = (delta - h) / h
-    (:meth:`UniformLattice.rows`), taken from the offset delta - h, correct
-    to its own rounding, and evaluated by one Horner pass over both rows.
-    Once d spans the hull, c = c' = 0.  Every operation is elementwise in d,
-    so a d gives the same bits alone or inside an array.
-    """
-    lattice = tf._pieces.lattice
-    both = np.zeros((ad.size, 2))
-    inside = ad < tf._pieces.span
-    lags, offsets = lattice.lags(ad[inside])
-    w = offsets[:, 1:] / (lattice.h_hi + lattice.h_lo)
-    both[inside] = _horner(lattice.rows(lags[:, 0]), w)
-    return both.T
-
-
-def _transmission(tf: TransferFunction, d, overlaps) -> Transmission:
-    """The Transmission of (c, c') = ``overlaps(tf, |d|)`` over the raveled |d|.
+def _transmission(d, overlaps) -> Transmission:
+    """The Transmission of (c, c') = ``overlaps(|d|)`` over the raveled |d|.
 
     Only |d| is integrated: c is odd in d and c' even, so c(0) = 0 and the
     two-source average is even by construction.
@@ -191,7 +116,7 @@ def _transmission(tf: TransferFunction, d, overlaps) -> Transmission:
     d = np.asarray(d, dtype=float)
     if not np.isfinite(d).all():
         raise ValidationError("separation d must be finite")
-    c, cp = overlaps(tf, np.abs(d).ravel())
+    c, cp = overlaps(np.abs(d).ravel())
     c, cp = c.reshape(d.shape), cp.reshape(d.shape)
     c = np.where(d < 0, -c, np.where(d == 0, 0.0, c))
     return Transmission(d[()], (c * c)[()], (2.0 * c * cp)[()], c[()], cp[()])
@@ -209,7 +134,7 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
     """
     sigma = tf.sigma
     if tf.kind == TABULATED:
-        return _spline_overlaps(tf, ad)
+        return tf._pieces.overlaps(ad)
     what = ("mode overlap", "overlap derivative")
     if tf.kind == GAUSSIAN:
         even_parts = lambda u, du: (
@@ -233,25 +158,23 @@ def tau1_numeric(tf: TransferFunction, d) -> Transmission:
     The overlap c(d) = <v1, u(. - d)> and its derivative -<v1, u'(. - d)> are
     integrated where each kind's integrand is smooth: over x for the Gaussian,
     in the frame centred between the images, over the flat band for sinc,
-    piece by piece for a tabulated spline (on the lattice of a uniform
-    grid).  It is the oracle of every kind's :func:`tau1_exact`.
+    piece by piece for a tabulated spline.  It is the oracle of every
+    kind's :func:`tau1_exact`.
     """
-    return _transmission(tf, d, _quadrature_overlaps)
+    return _transmission(d, lambda ad: _quadrature_overlaps(tf, ad))
 
 
 def tau1_exact(tf: TransferFunction, d) -> Transmission:
     """The transmission for a scalar d or an array of d, exact for every kind.
 
-    Gaussian and sinc take the closed form (:func:`tau1_closed`).  A tabulated
-    spline on a uniform grid takes its per-lag rows (:func:`_row_overlaps`),
-    the lattice's lags and one Horner pass per d; on any other grid it is
-    integrated piece by piece as in :func:`tau1_numeric`, with the same bits.
+    Gaussian and sinc take the closed form (:func:`tau1_closed`), and a
+    tabulated spline its exact overlaps
+    (:meth:`~spaderes.spline.SplinePieces.exact_overlaps`): one Horner pass
+    per d on a uniform grid, and :func:`tau1_numeric`'s bits on any other.
     """
     if tf.kind in (GAUSSIAN, SINC):
         return tau1_closed(tf, d)
-    if tf._pieces.lattice is None:
-        return tau1_numeric(tf, d)
-    return _transmission(tf, d, _row_overlaps)
+    return _transmission(d, tf._pieces.exact_overlaps)
 
 
 def tau1_small_d(sigma: float, d) -> float:
@@ -261,7 +184,8 @@ def tau1_small_d(sigma: float, d) -> float:
     return np.float_power(d, 2) / (4.0 * sigma**2)
 
 
-def tau1_sinc_expansion(sigma: float, d: float) -> float:
+def tau1_sinc_expansion(sigma: float, d) -> float:
     """Two-term small-d expansion of the sinc transmission,
-    (d^2 / 4 sigma^2)(1 - 3 d^2 / 20 sigma^2)."""
-    return (d**2 / (4.0 * sigma**2)) * (1.0 - 3.0 * d**2 / (20.0 * sigma**2))
+    (d^2 / 4 sigma^2)(1 - 3 d^2 / 20 sigma^2); refuses the sigma that
+    :func:`tau1_small_d` refuses."""
+    return tau1_small_d(sigma, d) * (1.0 - 3.0 * np.float_power(d, 2) / (20.0 * sigma**2))

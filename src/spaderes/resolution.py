@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import POISSON, THERMAL
+from .counting import POISSON, THERMAL, _check_statistics
 from .errors import BracketingError, NumericError, ValidationError
 
 COUNTING = "counting"
@@ -89,6 +89,7 @@ def superres_window(
     2 sigma / sqrt(n_s) for thermal sources when that is smaller.
     """
     _check_sigma_snr(sigma, snr)
+    _check_statistics(statistics)
     low = d_half_counting(sigma, snr)
     high = sigma
     if statistics == THERMAL:

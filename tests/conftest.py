@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spaderes import integrate, psf
+from spaderes import integrate, psf, spline
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ def merge_oracle(monkeypatch):
     def run(f, tf, *args):
         merged = dataclasses.replace(tf, _pieces=dataclasses.replace(tf._pieces, lattice=None))
         with monkeypatch.context() as patch:
-            patch.setattr(psf.UniformLattice, "pairs", lambda *_: pytest.fail("lattice"))
+            patch.setattr(spline.UniformLattice, "pairs", lambda *_: pytest.fail("lattice"))
             return f(merged, *args)
 
     return run

@@ -27,6 +27,7 @@ from spaderes import (
     tau1_closed,
     tau1_exact,
     tau1_numeric,
+    tau1_sinc_expansion,
     tau1_small_d,
 )
 
@@ -75,6 +76,14 @@ def test_transmission_over_an_array_equals_point_calls(kind):
     _assert_matches_points(
         tau1_small_d(sigma_of(tf), d), [tau1_small_d(sigma_of(tf), float(x)) for x in d]
     )
+
+
+def test_sinc_expansion_over_an_array_equals_point_calls():
+    # at sigma 1 these three d squared by multiplication differ in the last
+    # bit from pow(), which a scalar d**2 takes
+    d = np.concatenate([GRIDS["closed"], [0.01985, 0.0397, 0.0794]])
+    expansion = [tau1_sinc_expansion(1.0, float(x)) for x in d]
+    _assert_matches_points(tau1_sinc_expansion(1.0, d), expansion)
 
 
 @pytest.mark.parametrize("n_b", [0.0, 0.3])

@@ -255,6 +255,18 @@ def test_exit_code_usage_errors(tmp_path):
     assert run(["qfi", "--psf", "tabulated", "--psf-file", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("text", ["", "# position amplitude\n\n   # none\n"], ids=["empty", "comments"])
+def test_a_table_without_data_rows_is_a_usage_error(text, tmp_path, capsys):
+    # refused by name, with no numpy warning: under warnings-as-errors too
+    path = tmp_path / "psf_empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["qfi", "--psf", "tabulated", "--psf-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{path} holds no data rows" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

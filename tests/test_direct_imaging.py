@@ -7,26 +7,19 @@ import numpy as np
 import pytest
 
 from spaderes.counting import THERMAL, SourceScene
-from spaderes.direct_imaging import (
-    DIRECT_REL_TOL,
-    P_FLOOR,
-    _density,
-    _information_density,
-    fi_direct,
-    qfi,
-    qfi_numeric,
-)
-from spaderes import integrate, psf
+from spaderes.direct_imaging import fi_direct, qfi, qfi_numeric
+from spaderes import integrate, psf, spline
 from spaderes.errors import NumericError, ValidationError
 from spaderes.integrate import (
+    DIRECT_REL_TOL,
+    QUAD_ABS_TOL,
     check_converged,
     composite_gauss_legendre,
     integrate_oscillatory_tails,
 )
-from spaderes.overlap import tau1_closed, tau1_numeric, tau1_small_d
+from spaderes.overlap import tau1_closed, tau1_numeric, tau1_sinc_expansion, tau1_small_d
 from spaderes.psf import (
     GAUSSIAN_HALF_WIDTH_SIGMAS,
-    QUAD_ABS_TOL,
     SINC_HALF_WIDTH_OVER_A,
     eval_u,
     eval_u_prime,
@@ -42,6 +35,7 @@ from spaderes.resolution import (
     d_half_quadrature,
     superres_window,
 )
+from spaderes.spline import P_FLOOR, _density, _information_density
 
 GOLDEN = Path(__file__).parent / "golden"
 GAUSS = gaussian_psf(1.0)
@@ -356,7 +350,7 @@ def test_lattice_path_matches_the_merged_pieces(monkeypatch, merge_oracle):
     far = 0.5 * np.array([span, np.nextafter(span, np.inf), 1.01 * span])
     d = np.concatenate([np.linspace(0.0, 5.0, 101), inside, -inside[:1], far])
     merged = merge_oracle(fi_direct, TABULATED, d, 1.0)
-    monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
+    monkeypatch.setattr(spline.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
     lattice_path = fi_direct(TABULATED, d, 1.0)
     assert lattice_path[0] == 0.0
     assert np.all(lattice_path[-far.size :] == 1.0 / TABULATED.sigma**2)
@@ -433,7 +427,7 @@ def test_one_kernel_on_the_lattice_matches_the_merged_pieces_on_a_cut_table(
     # of the span
     d = np.concatenate([np.arange(0.5, 5.01, 0.5), [7.5, 12.0, 19.0, 19.99]])
     merged = merge_oracle(fi_direct, sinc_cut, d, 1.0)
-    monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
+    monkeypatch.setattr(spline.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
     np.testing.assert_allclose(fi_direct(sinc_cut, d, 1.0), merged, rtol=1e-13, atol=0.0)
 
 
@@ -509,6 +503,7 @@ POSITIVE_INPUTS = {
     "superres_window sigma": lambda x: superres_window(x, 1e4),
     "superres_window n_s": lambda x: superres_window(1.0, 1e4, n_s=x, statistics=THERMAL),
     "tau1_small_d sigma": lambda x: tau1_small_d(x, 0.3),
+    "tau1_sinc_expansion sigma": lambda x: tau1_sinc_expansion(x, 0.3),
     # refused before the curve is searched
     "d_half_from_curve sigma": lambda x: d_half_from_curve(lambda d: pytest.fail("ran"), 0.5, x),
 }

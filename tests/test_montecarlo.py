@@ -266,6 +266,27 @@ def test_experiment_validation():
         experiment(measurement="calorimetry", frames=10, trials=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (dict(frames=2.5), "must be integers"),
+        (dict(trials=10.0), "must be integers"),
+        (dict(seed=1.5), "must be integers"),
+        (dict(seed=-1), "seed must be nonnegative, got -1"),
+    ],
+    ids=["frames-2.5", "trials-10.0", "seed-1.5", "seed-minus-1"],
+)
+def test_experiment_refuses_counts_that_are_not_nonnegative_integers(counts, message):
+    # refused when the experiment is built, before any trial runs
+    with pytest.raises(ValidationError, match=message):
+        experiment(**dict(dict(frames=10, trials=10, seed=0), **counts))
+
+
+def test_experiment_takes_numpy_integers():
+    exp = experiment(frames=np.int64(10), trials=np.int32(10), seed=np.uint64(3))
+    assert run_crb_experiment(exp) == run_crb_experiment(experiment(frames=10, trials=10, seed=3))
+
+
 def _brentq_each(tf, targets):
     """The inversion by one scalar scipy brentq per target, with the same clipping."""
     d_peak, tau_peak = _tau_branch(tf)

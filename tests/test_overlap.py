@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from spaderes import NumericError, overlap, psf
-from spaderes.integrate import check_converged, composite_gauss_legendre
+from spaderes import NumericError, overlap, spline
+from spaderes.integrate import QUAD_ABS_TOL, QUAD_REL_TOL, check_converged, composite_gauss_legendre
 from spaderes.overlap import (
     tau1_closed,
     tau1_exact,
@@ -18,8 +18,6 @@ from spaderes.overlap import (
     tau1_small_d,
 )
 from spaderes.psf import (
-    QUAD_ABS_TOL,
-    QUAD_REL_TOL,
     gaussian_psf,
     load_tabulated,
     sigma_of,
@@ -273,7 +271,7 @@ def test_spline_overlap_error_estimate_bounds_its_rounding(grid, monkeypatch):
         estimates.append(err)
         return value
 
-    monkeypatch.setattr(overlap, "check_converged", record)
+    monkeypatch.setattr(spline, "check_converged", record)
     d = np.array([0.01, 0.3, 1.0, 2.0, 3.7, 6.5, 11.0])
     tr = tau1_numeric(tab, d)
     [err] = estimates  # c and c' are judged in one call, a column each
@@ -320,8 +318,8 @@ def test_lag_sums_match_the_piecewise_overlap(monkeypatch, merge_oracle):
         estimates.append(err)
         return value
 
-    monkeypatch.setattr(overlap, "check_converged", record)
-    c, cp = merge_oracle(overlap._spline_overlaps, tab, np.abs(d))
+    monkeypatch.setattr(spline, "check_converged", record)
+    c, cp = merge_oracle(lambda tf, ad: tf._pieces.overlaps(ad), tab, np.abs(d))
     [err] = estimates  # c and c' are judged in one call, a column each
     err_c, err_cp = err.T
     exact = tau1_exact(tab, d)
@@ -350,8 +348,8 @@ def test_lattice_overlaps_match_the_merged_pieces(monkeypatch, merge_oracle):
     assert np.all(lattice.lags(last)[0][:, 0] == n - 1)
     far = np.array([span, np.nextafter(span, np.inf), 1.01 * span])
     d = np.concatenate([D_GRID, [1.0], last, far])
-    merged = merge_oracle(overlap._spline_overlaps, tab, d)
-    monkeypatch.setattr(psf.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
+    merged = merge_oracle(lambda tf, ad: tf._pieces.overlaps(ad), tab, d)
+    monkeypatch.setattr(spline.SplinePieces, "blocks", lambda *args: pytest.fail("merged"))
     tr = tau1_numeric(tab, d)
     for lattice_path, merge_path in zip((tr.c, tr.c_prime), merged):
         np.testing.assert_allclose(lattice_path, merge_path, rtol=0.0, atol=1e-15)
@@ -453,8 +451,8 @@ def test_hull_step_is_the_point_evaluator_of_v1(table, request):
     ad = ad[ad < pieces.span]
     x = pieces.x[0] + ad
     k = np.minimum(np.searchsorted(pieces.x, x, side="right"), pieces.x.size - 1)
-    rows = [pieces.coef[r][k] for r in psf._ROWS["v1"]]
-    direct = pieces.coef[3][1] * psf._horner(rows, x - pieces.origin[k])
+    rows = [pieces.coef[r][k] for r in spline._ROWS["v1"]]
+    direct = pieces.coef[3][1] * spline._horner(rows, x - pieces.origin[k])
     assert np.array_equal(pieces.hull_step(ad), direct)
 
 

@@ -70,6 +70,11 @@ def test_window_thermal_caps_high_edge():
         superres_window(1.0, 1e4, statistics=THERMAL)
 
 
+def test_window_refuses_an_unknown_statistics():
+    with pytest.raises(ValidationError, match="statistics must be one of"):
+        superres_window(1.0, 1e4, statistics="thermall")
+
+
 def test_window_collapses_at_unit_snr():
     assert superres_window(1.0, 1.0).is_empty
 

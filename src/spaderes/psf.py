@@ -196,12 +196,20 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
     """Load a tabulated PSF from a two-column (position, amplitude) text file.
 
     Columns are whitespace-delimited; '#' starts a comment.  A file with no
-    data rows is refused.
+    data rows, or that is not UTF-8 text, or with a row numpy cannot read as
+    numbers, is refused.
     """
-    rows = [line for line in Path(path).read_text().splitlines() if line.split("#")[0].strip()]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+    rows = [line for line in text.splitlines() if line.split("#")[0].strip()]
     if not rows:
         raise ValidationError(f"{path} holds no data rows")
-    data = np.loadtxt(rows, comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(rows, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not a table of numbers: {exc}") from exc
     if data.shape[1] != 2:
         raise ValidationError(f"expected two columns (position, amplitude), got {data.shape[1]}")
     return tabulated_psf(data[:, 0], data[:, 1], normalize=normalize)

@@ -1,8 +1,9 @@
 """A tabulated PSF's cubic spline, and every integral over its pieces.
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
-(scipy's ``CubicSpline`` only supplies the coefficients; it is imported when
-a table is fitted, so an analytic PSF never loads scipy) and zero outside
+(to the coefficients of scipy's not-a-knot ``CubicSpline``, bit for bit, by
+its own system and LAPACK's tridiagonal solve ported to numpy, so no table
+loads scipy) and zero outside
 the grid hull; its norm and derivative energy are exact per piece, so no
 tabulated integral is cut off at the hull.  Only this module reads the
 pieces.  They evaluate u, u' and v1 at points, and :meth:`SplinePieces.pairs`
@@ -124,6 +125,92 @@ def _square_antiderivative(a, b, c) -> list:
     return [a * a / 5.0, 0.5 * a * b, (b * b + 2.0 * a * c) / 3.0, b * c, c * c]
 
 
+def _not_a_knot_system(x: np.ndarray, h: np.ndarray, slope: np.ndarray):
+    """The tridiagonal system for the slopes of the not-a-knot spline on 4 or
+    more points, as scipy 1.17.1's ``CubicSpline`` sets it up, statement for
+    statement: its sub-diagonal, diagonal, super-diagonal (with a trailing 0,
+    see :func:`_dgtsv`) and right-hand side, as lists of floats."""
+    n = x.size
+    d = np.empty(n)
+    d[1:-1] = 2 * (h[:-1] + h[1:])
+    du = np.empty(n)
+    du[1:-1] = h[:-1]
+    dl = np.empty(n - 1)
+    dl[:-1] = h[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    # the not-a-knot rows: u''' is continuous at x_1 and at x_n-2
+    w = x[2] - x[0]
+    d[0], du[0], du[-1] = h[1], w, 0.0
+    b[0] = ((h[0] + 2 * w) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w
+    w = x[-1] - x[-3]
+    d[-1], dl[-1] = h[-2], w
+    b[-1] = (h[-1] ** 2 * slope[-2] + (2 * w + h[-1]) * h[-2] * slope[-1]) / w
+    return dl.tolist(), d.tolist(), du.tolist(), b.tolist()
+
+
+def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
+    """The solution of the tridiagonal system, in place on ``b``: LAPACK
+    ``dgtsv`` for one right-hand side (what scipy's ``solve_banded((1, 1),
+    ...)`` calls), statement for statement on Python floats, so the same
+    roundings in the same order.
+
+    Gaussian elimination with partial pivoting: where the sub-diagonal
+    outweighs the pivot, rows i and i + 1 are interchanged, and dl[i] takes
+    the fill-in of U's second super-diagonal (0 where they are not).  ``du``
+    has one trailing entry more than LAPACK's, 0, which the last step's
+    interchange reads as the fill-in it does not have.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            dl[i] = du[i + 1]
+            du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    # the back solve with U
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _parabola_slopes(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """The slopes at 3 points of the parabola through them, which is their
+    not-a-knot spline: m0 - c h0, (h1 m0 + h0 m1) / (h0 + h1) and m1 + c h1,
+    with m the secant slopes and c = (m1 - m0) / (h0 + h1)."""
+    (h0, h1), (m0, m1) = h, slope
+    c = (m1 - m0) / (h0 + h1)
+    return np.array([m0 - c * h0, (h1 * m0 + h0 * m1) / (h0 + h1), m1 + c * h1])
+
+
+def _cubic_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (x, y), as its Horner rows k0, k1,
+    k2, k3 on each piece: scipy 1.17.1's ``CubicSpline(x, y).c`` bit for bit
+    on 4 or more points, and on 3 the parabola through them, as
+    ``CubicHermiteSpline`` forms the rows from the slopes."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    if x.size == 3:
+        s = _parabola_slopes(h, slope)
+    else:
+        s = np.array(_dgtsv(*_not_a_knot_system(x, h, slope)))
+    t = (s[:-1] + s[1:] - 2 * slope) / h
+    return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
+
+
 # rows of SplinePieces.coef, highest degree first, of u, u' and the derivative mode
 _ROWS = {"u": (0, 1, 2, 3), "du": (4, 5, 2), "v1": (6, 7, 8)}
 # the powers of SplinePieces.edge_rows, and each end's step from x_0 and x_n-1
@@ -168,17 +255,22 @@ class SplinePieces:
     @classmethod
     def fit(cls, grid: np.ndarray, values: np.ndarray, normalize: bool) -> SplinePieces:
         """The not-a-knot cubic spline through the samples, rescaled to unit L2
-        norm if ``normalize``; its norm and energy are exact per piece."""
-        from scipy.interpolate import CubicSpline  # here, so an analytic PSF never loads scipy
+        norm if ``normalize``; its norm and energy are exact per piece.
 
+        On 4 or more points the rows are scipy's ``CubicSpline``'s, bit for
+        bit, without importing scipy.  3 points are fitted as the parabola
+        through them, by closed-form slopes: scipy solves that case with a
+        dense LU whose roundings depend on the BLAS build, so no port could
+        match it, and the closed form is also closer to exact.
+        """
         h = np.diff(grid)
-        k = CubicSpline(grid, values).c
+        k = _cubic_rows(grid, values)
         # u^2 has degree 6 on each piece: 4 nodes integrate it exactly
         norm = _square_terms(k, h, 4).sum()
         if normalize:
             if norm <= 0:
                 raise ValidationError("cannot normalize a zero amplitude profile")
-            k = CubicSpline(grid, values / np.sqrt(norm)).c
+            k = _cubic_rows(grid, values / np.sqrt(norm))
             norm = 1.0
         k0, k1, k2, k3 = k
         rows = [k0, k1, k2, k3, 3.0 * k0, 2.0 * k1]

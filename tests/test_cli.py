@@ -267,6 +267,31 @@ def test_a_table_without_data_rows_is_a_usage_error(text, tmp_path, capsys):
     assert captured.out == "" and f"{path} holds no data rows" in captured.err
 
 
+def _refused_table(path, capsys) -> str:
+    """Run qfi on the table at ``path`` under warnings-as-errors, expect exit
+    2 and no output, and return what it printed to stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["qfi", "--psf", "tabulated", "--psf-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_a_table_with_a_row_that_is_not_numbers_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "psf_text.txt"
+    path.write_text("0.0 1.0\nfoo 2.0\n1.0 3.0\n")
+    assert f"{path} is not a table of numbers: could not convert string 'foo'" in _refused_table(
+        path, capsys
+    )
+
+
+def test_a_table_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "psf_latin1.txt"
+    path.write_bytes("# amplitude in µV\n0.0 1.0\n1.0 2.0\n2.0 1.0\n".encode("latin-1"))
+    assert f"{path} is not UTF-8 text: 'utf-8' codec can't decode" in _refused_table(path, capsys)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

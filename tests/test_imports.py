@@ -1,4 +1,4 @@
-"""What each path loads: scipy only where a table is fitted or a Poisson PMF is summed.
+"""What each path loads: scipy only where a Poisson PMF is summed, so no CLI command loads it.
 
 Each check runs in a fresh interpreter, since this one has scipy loaded by
 the tests themselves.
@@ -30,7 +30,8 @@ def _run(script):
     return json.loads(out.splitlines()[-1])
 
 
-def test_analytic_commands_load_no_scipy():
+def test_no_cli_command_loads_scipy():
+    table = ["--psf", "tabulated", "--psf-file", str(TABLE)]
     commands = [
         ["tau-curve"],
         ["fi-curve", "--psf", "sinc", "--with-direct", "--count", "11"],
@@ -40,6 +41,9 @@ def test_analytic_commands_load_no_scipy():
         ["simulate", "--measurement", "homodyne", "--psf", "sinc", "--d-true", "0.3",
          "--trials", "50"],
         ["qfi", "--check", "--psf", "sinc"],
+        ["tau-curve", *table],
+        ["fi-curve", "--with-direct", *table],
+        ["simulate", "--measurement", "homodyne", *table, "--d-true", "0.3", "--trials", "50"],
     ]
     loaded = _run(f"""
 import spaderes, spaderes.cli
@@ -59,17 +63,9 @@ def _alone(statement):
     return _run(f"{statement}\nprint(json.dumps(scipy_modules()))")
 
 
-def test_a_table_loads_the_spline_fit_only():
-    # whatever scipy.interpolate itself imports (it takes scipy.optimize along), and nothing more
-    before, after = _run(f"""
-from spaderes.psf import load_tabulated
-before = scipy_modules()
-load_tabulated({str(TABLE)!r})
-print(json.dumps([before, scipy_modules()]))
-""")
-    assert before == []
-    assert "scipy.interpolate" in after
-    assert after == _alone("from scipy.interpolate import CubicSpline")
+def test_a_table_loads_no_scipy():
+    # the spline is fitted on numpy alone
+    assert _alone(f"from spaderes.psf import load_tabulated\nload_tabulated({str(TABLE)!r})") == []
 
 
 def test_the_poisson_pmf_oracle_loads_gammaln_only():

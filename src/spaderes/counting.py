@@ -25,6 +25,7 @@ closed forms need no scipy.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -60,7 +61,8 @@ class SourceScene:
     statistics: str = POISSON
 
     def __post_init__(self):
-        if not np.all((self.d >= 0) & (self.d < np.inf)):
+        d = np.asarray(self.d)
+        if not (d.min(initial=0.0) >= 0 and d.max(initial=0.0) < np.inf):
             raise ValidationError(f"separation must be finite and nonnegative, got {self.d}")
         if not 0.0 < self.n_s < np.inf:
             raise ValidationError(f"n_s must be finite and positive, got {self.n_s}")
@@ -142,8 +144,8 @@ def truncation_limit(kbar: float, statistics: str) -> int:
     """
     _check_law(kbar, statistics)
     if statistics == POISSON:
-        return int(np.ceil(kbar + 12.0 * np.sqrt(kbar + 1.0) + 30.0))
-    return int(np.ceil(40.0 * (kbar + 1.0) + 30.0))
+        return math.ceil(kbar + 12.0 * math.sqrt(kbar + 1.0) + 30.0)
+    return math.ceil(40.0 * (kbar + 1.0) + 30.0)
 
 
 def fi_counting_exact(scene: SourceScene, noise: NoiseModel = NO_NOISE):
@@ -193,8 +195,8 @@ def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d:
     # d and its 4th-order central-difference stencil; tau1 is smooth and even, so d < 0 is fine
     h = 1e-3 * max(abs(d), 1.0)
     stencil = np.array([d, d + 2.0 * h, d + h, d - h, d - 2.0 * h])
-    kbar, far_up, up, down, far_down = np.broadcast_to(kbar_fn(stencil), stencil.shape)
-    kbar = float(kbar)
+    # the means as Python floats, whose arithmetic rounds as numpy's does
+    kbar, far_up, up, down, far_down = np.full(stencil.shape, kbar_fn(stencil), dtype=float).tolist()
     _check_law(kbar, statistics)
     kprime = (-far_up + 8.0 * up - 8.0 * down + far_down) / (12.0 * h)
     if kbar == 0.0:
@@ -206,13 +208,13 @@ def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d:
     else:
         score = k / kbar - (k + 1.0) / (kbar + 1.0)
     terms = p * score**2
-    fisher_mean = float(np.sum(terms))
+    fisher_mean = float(terms.sum())
     if terms[-1] > 1e-13 * max(fisher_mean, 1e-300):
         warnings.warn(
             f"count truncation at k={k[-1]:.0f} may be insufficient for kbar={kbar:.3g}",
             TruncationWarning,
         )
-    return fisher_mean * kprime**2
+    return np.float64(fisher_mean * kprime**2)
 
 
 def fi_counting_oracle(scene: SourceScene, noise: NoiseModel = NO_NOISE) -> float:

@@ -38,9 +38,9 @@ def fi_direct(tf: TransferFunction, d, n_s: float):
     if not 0.0 < n_s < np.inf:
         raise ValidationError(f"n_s must be finite and positive, got {n_s}")
     d = np.asarray(d, dtype=float)
-    if not np.isfinite(d).all():
-        raise ValidationError("separation d must be finite")
     ad = np.abs(d).ravel()
+    if not ad.max(initial=0.0) < np.inf:
+        raise ValidationError("separation d must be finite")
     if tf.kind == TABULATED:
         value = tf._pieces.information(ad)
     else:

@@ -32,6 +32,8 @@ own by np.dot, so a row gets the same bits alone or in any batch.
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -66,30 +68,32 @@ def _gl_nodes(n_nodes: int):
     return np.polynomial.legendre.leggauss(n_nodes)
 
 
-def _row_sums(f, d, counts, layout) -> np.ndarray:
+def _row_sums(f, d, counts: list, layout) -> np.ndarray:
     """np.dot(weights, f) over each segment of every row of the 1-D d:
     shape (rows,) + f's leading axes + (segments,).
 
-    Rows are grouped by ``counts``, a number or one per row; ``layout(count)``
-    gives a group's (n, segments, nodes): n nodes a row, the slices of its
-    segments, in order, and the arrays f reads, (nodes, weights, *extra),
-    each (1, n), which every row shares.  f gets the nodes, the rows' d as a
-    column, then the extra arrays, sliced alike.  Rows of at most
-    CHUNK_NODES nodes share passes, in blocks of at most NODES_PER_BLOCK
-    nodes; a longer row runs alone, in equal chunks.  An empty d gives
-    (0,) + f's leading axes + (segments,), from f on no rows at one panel.
+    Rows are grouped by ``counts``, a list of one int per row;
+    ``layout(count)`` gives a group's (n, segments, nodes): n nodes a row,
+    the slices of its segments, in order, and the arrays f reads, (nodes,
+    weights, *extra), each (1, n), which every row shares.  f gets the
+    nodes, the rows' d as a column, then the extra arrays, sliced alike, and
+    returns one (rows, n) array or k of them, as a (k, rows, n) array or a
+    sequence, which are reduced where they lie.  Rows of at most CHUNK_NODES
+    nodes share passes, in blocks of at most NODES_PER_BLOCK nodes; a longer
+    row runs alone, in equal chunks.  An empty d gives (0,) + f's leading
+    axes + (segments,), from f on no rows at one panel.
     """
-    d = np.asarray(d, dtype=float)
     if not d.size:
         _, segments, (x, _, *extra) = layout(1)
         lead = np.shape(f(x, d[:, None], *extra))[:-2]
         return np.zeros((0,) + lead + (len(segments),))
     groups = {}
-    for i, count in enumerate(np.full(d.size, counts, dtype=int).tolist()):
+    for i, count in enumerate(counts):
         groups.setdefault(count, []).append(i)
     sums = [None] * d.size
     for count, rows in groups.items():
         n, segments, (x, w, *extra) = layout(count)
+        weights = [(s, w[0, s]) for s in segments]
         chunks = _chunks(n)
         per_block = 1 if len(chunks) > 1 else max(1, NODES_PER_BLOCK // n)
         d_rows = d[:, None] if len(rows) == d.size else d[rows, None]
@@ -97,15 +101,17 @@ def _row_sums(f, d, counts, layout) -> np.ndarray:
             block = rows[start : start + per_block]
             column = d_rows[start : start + per_block]
             if len(chunks) == 1:
-                values = np.asarray(f(x, column, *extra), dtype=float)
+                values = f(x, column, *extra)
             else:
                 values = np.concatenate(
                     [f(x[..., c], column, *[e[..., c] for e in extra]) for c in chunks], axis=-1
                 )
-            lead = values.shape[:-2]
-            for i, row in zip(block, values.reshape(-1, len(block), n).swapaxes(0, 1)):
-                sums[i] = [np.dot(w[0, s], v[s]) for v in row for s in segments]
-    return np.array(sums, dtype=float).reshape((d.size,) + lead + (-1,))
+            one = isinstance(values, np.ndarray) and values.ndim == 2
+            planes = [values] if one else values
+            for r, i in enumerate(block):
+                sums[i] = [ws.dot(v[r, s]) for v in planes for s, ws in weights]
+    lead = () if one else (-1,)
+    return np.array(sums).reshape((d.size,) + lead + (len(segments),))
 
 
 @lru_cache(maxsize=32)
@@ -125,13 +131,12 @@ def composite_gauss_legendre(f: Callable[..., np.ndarray], a: float, b: float, n
     ``f``, a count whose doubled pass is past MAX_PANELS."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
-    doubled = 2.0 * np.asarray(n_panels)
-    if (doubled > MAX_PANELS).any():
-        raise NumericError(
-            f"{doubled.max():.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}"
-        )
+    counts = np.full(d.size, n_panels).tolist()
+    doubled = 2.0 * max(counts, default=0.0)
+    if doubled > MAX_PANELS:
+        raise NumericError(f"{doubled:.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}")
     a, b = float(a), float(b)
-    sums = _row_sums(f, d, n_panels, lambda count: _doubled_layout(a, b, count))
+    sums = _row_sums(f, d, [int(c) for c in counts], lambda count: _doubled_layout(a, b, count))
     coarse, fine = sums[..., 0], sums[..., 1]
     return fine, abs(fine - coarse)
 
@@ -160,19 +165,18 @@ def _doubled_layout(a: float, b: float, n_panels: int):
 
 
 def _extrapolate_to_zero(ts, values) -> tuple:
-    """Neville polynomial extrapolation of values(t) to t = 0, elementwise over
-    arrays, with its error estimate: the distance to the extrapolation one
-    order lower over the upper rungs (all but the first, nearest t = 0).
-    Both lean on the widest rungs, so the estimate tracks the order it
-    judges; one order lower over the lower rungs overstated the sinc
-    ladder's error 1e4 to 1e6 times.  ``ts`` and ``values`` run over the
-    rungs on their first axis, and each column of the table is one array
-    operation over it, with the arithmetic of each entry its own."""
-    ts, table = np.asarray(ts), np.asarray(values)
+    """Neville polynomial extrapolation of values(t) to t = 0, one row of
+    rungs at a time, with its error estimate: the distance to the
+    extrapolation one order lower over the upper rungs (all but the first,
+    nearest t = 0).  Both lean on the widest rungs, so the estimate tracks
+    the order it judges; one order lower over the lower rungs overstated the
+    sinc ladder's error 1e4 to 1e6 times.  ``ts`` and ``values`` are
+    sequences over the rungs, and each entry of the table is a few float
+    operations, the same roundings numpy's elementwise ones make."""
+    table = list(values)
     for m in range(1, len(table)):
         upper = table[-1]
-        a, b = table[:-1], table[1:]
-        table = b + (b - a) * ts[m:] / (ts[:-m] - ts[m:])
+        table = [b + (b - a) * t / (t_lo - t) for a, b, t_lo, t in zip(table, table[1:], ts, ts[m:])]
     return table[0], abs(table[0] - upper)
 
 
@@ -199,21 +203,26 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
     panels of the half-line it runs on, so the span it refuses stays that
     of the whole line.
     """
-    half_width = np.reshape(half_width, -1)
     period = np.pi / a
+    half_width = np.full(d.size, half_width)
     # initial half-width: smallest even multiple of the period >= half_width
-    m0 = np.maximum(2.0, 2.0 * np.ceil(half_width / (2.0 * period)))
-    over = m0 * 2**TAIL_LEVELS > MAX_PANELS
-    if over.any():
-        raise NumericError(
-            f"half-width {half_width[np.argmax(over)]:.4g} needs a ladder of over "
-            f"MAX_PANELS = {MAX_PANELS} panels"
-        )
-    sums = _row_sums(f, d, m0, lambda count: _ladder(count, a))
-    # the partial integrals over [-X, X] at the ends of the rungs
-    partials = 2.0 * np.cumsum(sums, axis=-1)
-    widths = np.reshape(m0 * period, (-1,) + (1,) * (sums.ndim - 1)) * 2.0 ** np.arange(TAIL_LEVELS)
-    return _extrapolate_to_zero(np.moveaxis(1.0 / widths, -1, 0), np.moveaxis(partials, -1, 0))
+    starts = np.maximum(2.0, 2.0 * np.ceil(half_width / (2.0 * period))).tolist()
+    for h, m0 in zip(half_width.tolist(), starts):
+        if m0 * 2**TAIL_LEVELS > MAX_PANELS:
+            raise NumericError(
+                f"half-width {h:.4g} needs a ladder of over MAX_PANELS = {MAX_PANELS} panels"
+            )
+    sums = _row_sums(f, d, [int(m0) for m0 in starts], lambda count: _ladder(count, a))
+    value, err = [], []
+    integrands = math.prod(sums.shape[1:-1])
+    for rungs, m0 in zip(sums.reshape(-1, TAIL_LEVELS).tolist(), np.repeat(starts, integrands).tolist()):
+        # 1 / X at the ends of the rungs, and the partial integrals over [-X, X] there
+        ts = [1.0 / (m0 * period * 2.0**level) for level in range(TAIL_LEVELS)]
+        v, e = _extrapolate_to_zero(ts, [2.0 * p for p in itertools.accumulate(rungs)])
+        value.append(v)
+        err.append(e)
+    shape = sums.shape[:-1]
+    return np.reshape(value, shape), np.reshape(err, shape)
 
 
 @lru_cache(maxsize=8)
@@ -252,16 +261,18 @@ DIRECT_REL_TOL = 1e-7
 def check_converged(value, err, rel_tol: float, abs_tol: float, what):
     """Raise NumericError when an integral's error estimate exceeds tolerance.
 
-    ``value`` and ``err`` may be arrays of one shape, judged elementwise; the
-    message names the first failing element.  ``what`` names the integral,
-    or, as a sequence, each entry along the last axis of ``value``.
+    ``value`` and ``err`` may be arrays of one shape, judged elementwise, on
+    Python floats, which costs a few values far less than numpy's
+    reductions; the message names the first failing element.  ``what``
+    names the integral, or, as a sequence, each entry along the last axis of
+    ``value``.
     """
-    bad = ~np.isfinite(value) | (err > np.maximum(abs_tol, rel_tol * np.abs(value)))
-    if np.any(bad):
-        k = np.argmax(np.ravel(bad))
-        name = what if isinstance(what, str) else what[k % len(what)]
-        raise NumericError(
-            f"quadrature for {name} did not converge: value={float(np.ravel(value)[k])!r}, "
-            f"error estimate={np.ravel(err)[k]:.3e}, rel_tol={rel_tol:.1e}, abs_tol={abs_tol:.1e}"
-        )
+    values, errs = (np.asarray(a).ravel().tolist() for a in (value, err))
+    for k, (v, e) in enumerate(zip(values, errs)):
+        if not math.isfinite(v) or e > max(abs_tol, rel_tol * abs(v)):
+            name = what if isinstance(what, str) else what[k % len(what)]
+            raise NumericError(
+                f"quadrature for {name} did not converge: value={v!r}, "
+                f"error estimate={e:.3e}, rel_tol={rel_tol:.1e}, abs_tol={abs_tol:.1e}"
+            )
     return value

@@ -61,26 +61,35 @@ class Transmission(NamedTuple):
     c_prime: float | np.ndarray
 
 
+# |d| past which the Gaussian closed form takes d^2 at this many sigma: its
+# e^(-d^2 / 8 sigma^2) is 0 already, and d^2 overflows only past 1.3e154
+_GAUSSIAN_CLIP_SIGMAS = 1e3
+
+
 def _shrink_ratios(t):
     """q(t) = 3 (sin t - t cos t) / t^3, with q(0) = 1, and its derivative
     q'(t) = 3 ((t^2 - 3) sin t + 3 t cos t) / t^4, from one sin and one cos
     of t; each takes its Taylor series near t = 0, q for |t| < 0.35 and q'
-    for |t| < 0.25, where the closed forms cancel."""
+    for |t| < 0.25, where the closed forms cancel.  The series are evaluated
+    only when some |t| needs them, as on the 0-5 sigma grids rarely."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     ts = np.where(at < 0.25, 1.0, t)  # t wherever either closed form is kept
     sin, cos = np.sin(ts), np.cos(ts)
     t2 = t * t
-    q = np.where(
-        at < 0.35,
-        1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),
-        3.0 * (sin - ts * cos) / ts**3,
-    )
-    qp = np.where(
-        at < 0.25,
-        t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))),
-        3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4,
-    )
+    q = 3.0 * (sin - ts * cos) / ts**3
+    qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
+    if at.min(initial=np.inf) < 0.35:
+        q = np.where(
+            at < 0.35,
+            1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),
+            q,
+        )
+        qp = np.where(
+            at < 0.25,
+            t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))),
+            qp,
+        )
     return q[()], qp[()]
 
 
@@ -93,15 +102,17 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
     """
     sigma = tf.sigma
     if tf.kind == GAUSSIAN:
-        d2 = np.float_power(d, 2)
-        e = np.exp(-d2 / (8.0 * sigma**2))
+        # e is 0 from 77.3 sigma out; |d| clipped far past that keeps d^2 finite
+        d2 = np.float_power(np.minimum(np.abs(d), _GAUSSIAN_CLIP_SIGMAS * sigma), 2)
+        e = np.exp(d2 / (-8.0 * sigma**2))
         c = (d / (2.0 * sigma)) * e
         cp = (e / (2.0 * sigma)) * (1.0 - d2 / (4.0 * sigma**2))
     elif tf.kind == SINC:
         a = tf.a
         q, qp = _shrink_ratios(a * d)
-        c = (d / (2.0 * sigma)) * q
-        cp = q / (2.0 * sigma) + (d / (2.0 * sigma)) * qp * a
+        half = d / (2.0 * sigma)
+        c = half * q
+        cp = q / (2.0 * sigma) + half * qp * a
     else:
         raise UnsupportedKindError(f"no closed-form transmission for kind {tf.kind!r}")
     return Transmission(d, c * c, 2.0 * c * cp, c, cp)
@@ -114,11 +125,13 @@ def _transmission(d, overlaps) -> Transmission:
     two-source average is even by construction.
     """
     d = np.asarray(d, dtype=float)
-    if not np.isfinite(d).all():
+    ad = np.abs(d).ravel()
+    if not ad.max(initial=0.0) < np.inf:
         raise ValidationError("separation d must be finite")
-    c, cp = overlaps(np.abs(d).ravel())
+    c, cp = overlaps(ad)
     c, cp = c.reshape(d.shape), cp.reshape(d.shape)
-    c = np.where(d < 0, -c, np.where(d == 0, 0.0, c))
+    if not d.min(initial=np.inf) > 0.0:
+        c = np.where(d < 0, -c, np.where(d == 0, 0.0, c))
     return Transmission(d[()], (c * c)[()], (2.0 * c * cp)[()], c[()], cp[()])
 
 
@@ -144,7 +157,10 @@ def _quadrature_overlaps(tf: TransferFunction, ad: np.ndarray):
         both = quad_over_psf(tf, even_parts, 0.5 * ad, what=what)
     else:
         a = tf.a
-        band = lambda k, d: (k * np.sin(k * d), k * k * np.cos(k * d))
+        def band(k, d):
+            kd = k * d
+            return k * np.sin(kd), k * k * np.cos(kd)
+
         panels = np.maximum(4, np.ceil(a * ad / np.pi))
         value, err = composite_gauss_legendre(band, 0.0, a, panels, ad)
         scale = 2.0 * sigma / a

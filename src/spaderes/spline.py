@@ -216,6 +216,8 @@ _ROWS = {"u": (0, 1, 2, 3), "du": (4, 5, 2), "v1": (6, 7, 8)}
 # the powers of SplinePieces.edge_rows, and each end's step from x_0 and x_n-1
 _QUINTIC = np.arange(5.0, -1.0, -1.0)
 _ENDS = np.array([1.0, -1.0])
+# the left and the right end, as indices
+_SIDES = np.array([0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +313,7 @@ class SplinePieces:
         outside the grid hull, where x falls on a zero pad."""
         grid = self.x
         # x_n-1 itself lies on the last spline piece, not on the pad past it
-        k = np.searchsorted(grid, x, side="right") - (x == grid[-1])
+        k = grid.searchsorted(x, side="right") - (x == grid[-1])
         coef = [self.coef[r][k] for r in _ROWS[what]]
         # x clipped to the hull keeps s finite: a pad's zero rows give 0 at x = +-inf too
         return _horner(coef, np.minimum(np.maximum(x, grid[0]), grid[-1]) - self.origin[k])
@@ -332,11 +334,11 @@ class SplinePieces:
         array.
         """
         x = self.x
-        at = x[[0, -1]] + s[:, None] * _ENDS
-        k = np.searchsorted(x[1:-1], at, side="right")
+        at = x[:: x.size - 1] + s[:, None] * _ENDS
+        k = x[1:-1].searchsorted(at, side="right")
         # r from x_k at the left end, and to x_k+1 at the right
-        r = np.abs(at - x[k + (0, 1)])
-        terms = self.edge_rows[(0, 1), :, k] * r[..., None] ** _QUINTIC
+        r = np.abs(at - x[k + _SIDES])
+        terms = self.edge_rows[_SIDES, :, k] * r[..., None] ** _QUINTIC
         return terms.sum(axis=(1, 2))
 
     def pairs(self, shift: np.ndarray, rule, fixed, shifted):
@@ -403,15 +405,16 @@ class SplinePieces:
         step's included, and one check judges c and c'.  With the lattice
         dropped, the merged breakpoints are the oracle of the lattice.
         """
-        inside = np.flatnonzero(ad < self.span)
+        inside = (ad < self.span).nonzero()[0]
+        shift = ad[inside]
         # c, -c' and the sums of their terms' magnitudes
         sums = np.zeros((4, ad.size))
-        for rows, w, v1, images in self.pairs(ad[inside], _PIECE_RULE, ["v1"], ["u", "du"]):
+        for rows, w, v1, images in self.pairs(shift, _PIECE_RULE, ["v1"], ["u", "du"]):
             # the terms of c and -c' (v1 is one name, u and u' two), then each row's
             terms = (w * v1) * images
             terms = terms.reshape(terms.shape[:-2] + (-1,))
             sums[:, inside[rows]] += np.concatenate([terms.sum(axis=-1), np.abs(terms).sum(axis=-1)])
-        step = self.hull_step(ad[inside])
+        step = self.hull_step(shift)
         sums[1::2, inside] += [step, np.abs(step)]
         sums[1] = 0.0 - sums[1]  # c' = 0 - (-c') keeps c' = +0 where nothing overlaps
         what = ("mode overlap", "overlap derivative")
@@ -454,8 +457,9 @@ class SplinePieces:
         """
         value = np.full(ad.size, 1.0 / self.sigma**2)
         err = np.zeros(ad.size)
-        overlapping = np.flatnonzero(2.0 * ad < self.span)
-        shift = 2.0 * ad[overlapping]
+        shift = 2.0 * ad
+        overlapping = (shift < self.span).nonzero()[0]
+        shift = shift[overlapping]
         # each row's sums under the coarse and the fine rule
         sums = np.zeros((shift.size, 2))
         for rows, w, here, there in self.pairs(shift, _RULE, ["u", "du"], ["u", "du"]):
@@ -536,7 +540,7 @@ class UniformLattice:
         lags = np.floor(d / (h_hi + h_lo)) + _NEXT_LAG
         offsets = (d - lags * h_hi) - lags * h_lo
         # the rounded quotient may land one lag off; the offsets' signs decide
-        if ((offsets[:, :1] < 0) | (offsets[:, 1:] >= 0)).any():
+        if offsets[:, 0].min(initial=0.0) < 0 or offsets[:, 1].max(initial=-1.0) >= 0:
             lags += 1.0 * (offsets[:, 1:] >= 0) - 1.0 * (offsets[:, :1] < 0)
             offsets = (d - lags * h_hi) - lags * h_lo
         return lags.astype(np.intp), offsets
@@ -556,24 +560,25 @@ class UniformLattice:
         n = self.v1.shape[1]
         nodes, weights = rule
         lags, offsets = self.lags(shift)
-        s_from, t_from = np.maximum(offsets, 0.0), np.maximum(-offsets, 0.0)
-        width = (s_from + t_from)[:, ::-1, None]
-        s, t = (start[..., None] + width * nodes for start in (s_from, t_from))
+        # where the nodes s on u(x) and t on u(x - shift) start, by (s or t, row, half)
+        starts = np.maximum(_SIGNS * offsets, 0.0)
+        width = (starts[0] + starts[1])[:, ::-1, None]
+        powers = _powers(starts[..., None] + width * nodes)
         w = (width * weights)[..., None]
         for row, row_lags in enumerate(lags.tolist()):
             for half, lag in enumerate(row_lags):
                 if lag < n:
-                    here = self.at(s[row, half], fixed, slice(lag, n))
-                    yield row, w[row, half], here, self.at(t[row, half], shifted, slice(0, n - lag))
+                    here = self.at(powers[0, row, half], fixed, slice(lag, n))
+                    yield row, w[row, half], here, self.at(powers[1, row, half], shifted, slice(0, n - lag))
 
-    def at(self, s: np.ndarray, names, pieces: slice) -> np.ndarray:
+    def at(self, powers: np.ndarray, names, pieces: slice) -> np.ndarray:
         """What ``names`` names, "v1" alone or "u" and "du", on the lattice
-        pieces ``pieces`` at the local coordinates of the 1-D ``s``, the same
-        on every piece: (names, s.size, pieces), one product of the nodes'
-        powers with the rows."""
+        pieces ``pieces`` at local coordinates s that every piece shares, given
+        by their ``powers`` (:func:`_powers`): (names, s.size, pieces), one
+        product of the powers with the rows."""
         if names == ["v1"]:
-            return (_powers(s)[:, 1:] @ self.v1[:, pieces])[None]
-        return np.matmul(_powers(s), self.images[:, :, pieces])
+            return (powers[:, 1:] @ self.v1[:, pieces])[None]
+        return np.matmul(powers, self.images[:, :, pieces])
 
     def rows(self, lags: np.ndarray) -> np.ndarray:
         """The rows of c(d) = <v1, u(. - d)> and of c' = dc/dd on each lag m
@@ -597,7 +602,7 @@ class UniformLattice:
         """
         table, built = self._rows
         lags = np.minimum(lags, built.size - 1)
-        if not built[lags].all():
+        if not built[lags].min(initial=True):
             h = self.h_hi + self.h_lo
             hh = h * h
             # h^(a + b + 1) by (u's row q, v1's row p): degrees a = 2 - p, b = 3 - q
@@ -650,12 +655,14 @@ def _lag_integrals() -> np.ndarray:
 _LAG_INTEGRALS = _lag_integrals()
 # the lags m and m + 1 of a separation, from m
 _NEXT_LAG = np.array([0.0, 1.0])
+# the offsets' signs on u(x) and on u(x - shift)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 # the exponents of a cubic row's terms, highest degree first
 _CUBIC = np.arange(3.0, -1.0, -1.0)
 
 
 def _powers(s: np.ndarray) -> np.ndarray:
-    """s^3, s^2, s and 1 of the 1-D s, as (s.size, 4), so that the powers
-    times a piece's rows are the piece at s."""
-    return s[:, None] ** _CUBIC
+    """s^3, s^2, s and 1 of each s, on a new last axis of 4, so that the
+    powers times a piece's rows are the piece at s."""
+    return s[..., None] ** _CUBIC
 

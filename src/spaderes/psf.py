@@ -243,36 +243,46 @@ def _sinc_near(t: np.ndarray):
     return f, df
 
 
-def _sinc_images(a: float, x: np.ndarray, s: np.ndarray, trig=None):
-    """u and u' of the sinc at x - s, from one sin and one cos of a x per node:
-    (images, rows, n) for (rows or 1, n) nodes x and (images, rows or 1, 1) shifts s.
+def _sinc_images(a: float, x: np.ndarray, d: np.ndarray, trig=None):
+    """u and u' of the sinc at x + d and at x - d, from one sin and one cos of
+    a x per node: (2, rows, n) for (rows or 1, n) nodes x and (rows or 1, 1)
+    margins d, the image at x + d first.
 
-    With t = a (x - s), u = k sin t / t and u' = (k cos t - u) / (x - s),
-    k = sqrt(a / pi).  sin t and cos t follow from sin(a x), cos(a x) and
-    sin(a s), cos(a s) by angle addition, in place.  That sum cancels where
-    |t| < |a s|: a x and a s carry rounding errors of order eps |a s|, which
-    would be a large part of a small t.  So near a row's image peaks, on the
-    nodes with |x| < |s| + max(1/a, |s|) for its largest |s| (every node with
-    |t| < max(1, |a s|), a few dozen in a quadrature over thousands), sin and
-    cos are taken of t itself (:func:`_sinc_near`), a row at a time, as its
-    matrix product rounds by position.  That keeps every value within a few
-    eps of the peak of exact, and a row's bits those it has alone.  ``trig``,
-    if given, is sin(a x) and cos(a x) of these nodes with the same bits,
-    such as the tail ladder's phases.
+    With t = a (x - s) for the shifts s = -d and d, u = k sin t / t and
+    u' = (k cos t - u) / (x - s), k = sqrt(a / pi).  sin t and cos t follow
+    from sin(a x), cos(a x) and sin(a d), cos(a d) by angle addition: sin is
+    odd and cos even, with a (-d) = -(a d) exactly, so the two images share
+    the products sin(a x) cos(a d) and cos(a x) sin(a d), and cos(a x)
+    cos(a d) and sin(a x) sin(a d), and differ in the sign they are summed
+    with.  That sum cancels where |t| < |a d|: a x and a d carry rounding
+    errors of order eps |a d|, which would be a large part of a small t.  So
+    near a row's image peaks, on the nodes with |x| < |d| + max(1/a, |d|)
+    (every node with |t| < max(1, |a d|), a few dozen in a quadrature over
+    thousands), sin and cos are taken of t itself (:func:`_sinc_near`), a
+    row at a time, as its matrix product rounds by position.  That keeps
+    every value within a few eps of the peak of exact, and a row's bits
+    those it has alone.  ``trig``, if given, is sin(a x) and cos(a x) of
+    these nodes with the same bits, such as the tail ladder's phases.
     """
     k = math.sqrt(a / np.pi)
     if trig is None:
         ax = a * x
         trig = np.sin(ax), np.cos(ax, out=ax)
     sin_ax, cos_ax = trig
-    sin_as, cos_as = np.sin(a * s), np.cos(a * s)
-    u = sin_ax * (k / a * cos_as)
-    u -= cos_ax * (k / a * sin_as)  # k sin t / a
-    du = cos_ax * (k * cos_as)
-    du += sin_ax * (k * sin_as)  # k cos t
-    reach = np.max(np.abs(s), axis=0, initial=0.0)
+    ad = a * d
+    sin_ad, cos_ad = np.sin(ad), np.cos(ad)
+    both = np.broadcast_shapes(sin_ax.shape, ad.shape)
+    u, du = np.empty((2, 2) + both)
+    # k sin t / a and k cos t at x + d, then at x - d
+    sin_cos, cos_sin = sin_ax * (k / a * cos_ad), cos_ax * (k / a * sin_ad)
+    np.add(sin_cos, cos_sin, out=u[0])
+    np.subtract(sin_cos, cos_sin, out=u[1])
+    cos_cos, sin_sin = cos_ax * (k * cos_ad), sin_ax * (k * sin_ad)
+    np.subtract(cos_cos, sin_sin, out=du[0])
+    np.add(cos_cos, sin_sin, out=du[1])
+    reach = np.abs(d)
     rows, nodes = np.nonzero(np.abs(x) < reach + np.maximum(1.0 / a, reach))
-    r = x - s
+    r = x - _PAIR * d
     t_near = a * r[:, rows, nodes]
     r[:, rows, nodes] = 1.0
     inv = np.divide(1.0, r, out=r)
@@ -280,15 +290,18 @@ def _sinc_images(a: float, x: np.ndarray, s: np.ndarray, trig=None):
     du -= u
     du *= inv
     if t_near.size:
-        by_row = np.split(t_near, np.flatnonzero(np.diff(rows)) + 1, axis=1)
+        cuts = [0, *(np.diff(rows).nonzero()[0] + 1).tolist(), rows.size]
+        by_row = [t_near[:, i:j] for i, j in zip(cuts, cuts[1:])]
         f, df = (np.concatenate(v, axis=1) for v in zip(*map(_sinc_near, by_row)))
         u[:, rows, nodes] = k * f
         du[:, rows, nodes] = (k * a) * df
     return u, du
 
 
-# the one image of eval_u and eval_u_prime, at no shift
-(_NO_SHIFT,) = _read_only(np.zeros((1, 1, 1)))
+# the pair's images at x + d and x - d are u(x - k d) for these k
+(_PAIR,) = _read_only(np.array([-1.0, 1.0])[:, None, None])
+# the margin of eval_u and eval_u_prime: the pair of images at x, of which they take one
+(_NO_SHIFT,) = _read_only(np.zeros((1, 1)))
 
 
 def _eval(tf: TransferFunction, x, what: str):
@@ -299,7 +312,7 @@ def _eval(tf: TransferFunction, x, what: str):
     if tf.kind == GAUSSIAN:
         u, du = _gaussian_images(tf.sigma, x, 0.0)
     else:
-        u, du = (v.reshape(x.shape) for v in _sinc_images(tf.a, x.reshape(1, -1), _NO_SHIFT))
+        u, du = (v[0].reshape(x.shape) for v in _sinc_images(tf.a, x.reshape(1, -1), _NO_SHIFT))
     return (du if what == "du" else u)[()]
 
 
@@ -356,15 +369,12 @@ def quad_over_psf(
         a = tf.a
         start = SINC_HALF_WIDTH_OVER_A / a
         half = [start + p + max(0.0, p - start) for p in np.abs(margin).tolist()]
-        integrand = lambda x, d, *phases: f(*_sinc_images(a, x, _PAIR * d, phases))
+        integrand = lambda x, d, *phases: f(*_sinc_images(a, x, d, phases))
         value, err = integrate_oscillatory_tails(integrand, half, a, margin)
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
 
-
-# the pair's images at x + d and x - d are u(x - k d) for these k
-(_PAIR,) = _read_only(np.array([-1.0, 1.0])[:, None, None])
 
 
 def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):

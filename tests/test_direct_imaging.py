@@ -47,11 +47,11 @@ TABULATED = load_tabulated(GOLDEN / "psf_gaussian_801.txt")
 def _image_density(tf, x, d: float):
     """p and dp/dd at the points x, from the images fi_direct's integrand gets:
     the kind's evaluator on x as one row of nodes, shifted by -d and d."""
-    x, shifts = np.reshape(x, (1, -1)), np.array([-d, d])[:, None, None]
+    x = np.reshape(x, (1, -1))
     if tf.kind == "gaussian":
-        u, du = psf._gaussian_images(tf.sigma, x, shifts)
+        u, du = psf._gaussian_images(tf.sigma, x, np.array([-d, d])[:, None, None])
     else:
-        u, du = psf._sinc_images(tf.a, x, shifts)
+        u, du = psf._sinc_images(tf.a, x, np.full((1, 1), d))
     return _density((u[0, 0], du[0, 0]), (u[1, 0], du[1, 0]))
 
 
@@ -139,8 +139,8 @@ def _without_kept_trigonometry(tf, f, margin):
     +-d for |d| up to psf.SINC_HALF_WIDTH_OVER_A / a, value and error
     estimate, with sin and cos of a x computed afresh on every chunk instead
     of taken from the ladder's phases."""
-    a, ks, d = tf.a, np.array([-1.0, 1.0])[:, None, None], np.reshape(margin, -1)
-    integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, ks * d))
+    a, d = tf.a, np.reshape(margin, -1)
+    integrand = lambda x, d, *phases: f(*psf._sinc_images(a, x, d))
     start = psf.SINC_HALF_WIDTH_OVER_A / a
     return integrate_oscillatory_tails(integrand, start + d, a, d)
 
@@ -197,7 +197,7 @@ def _whole_line(tf, f, d, whole_line_ladder):
             values.append(value)
         return np.array(values)
     a, start = tf.a, SINC_HALF_WIDTH_OVER_A / tf.a
-    integrand = lambda x, d: f(*psf._sinc_images(a, x, ks * d))
+    integrand = lambda x, d: f(*psf._sinc_images(a, x, d))
     value, _ = whole_line_ladder(integrand, start + d + np.maximum(0.0, d - start), a, d)
     return value
 

@@ -170,7 +170,8 @@ def test_sinc_images_match_long_double(d):
     far = np.geomspace(1000.0, 4000.0, 2001)
     x = np.concatenate([*nodes, d + t / a, -d + t / a, far, -far])
     assert np.abs(x).max() > 3500.0
-    u, du = psf._sinc_images(a, x[None, :], np.array([d, -d])[:, None, None])
+    # the images at x - d and x + d are the pair at the margin -d
+    u, du = psf._sinc_images(a, x[None, :], np.full((1, 1), -d))
     for row, s in enumerate((d, -d)):
         f, df = _sinc_long_double(np.longdouble(a) * (x.astype(np.longdouble) - np.longdouble(s)))
         assert np.abs(u[row, 0] / k - f).max() < 1e-15
@@ -199,10 +200,9 @@ def test_eval_u_is_the_evaluator_at_no_shift():
     # eval_u and eval_u_prime have the bits of the images quad_over_psf's
     # integrands get, on a row of nodes at a zero shift
     x = np.linspace(-50.0, 50.0, 1001)
-    no_shift = np.zeros((1, 1, 1))
     for tf, (u, du) in (
-        (GAUSS, psf._gaussian_images(GAUSS.sigma, x[None, :], no_shift)),
-        (SINC_S1, psf._sinc_images(SINC_S1.a, x[None, :], no_shift)),
+        (GAUSS, psf._gaussian_images(GAUSS.sigma, x[None, :], np.zeros((1, 1, 1)))),
+        (SINC_S1, psf._sinc_images(SINC_S1.a, x[None, :], np.zeros((1, 1)))),
     ):
         assert np.array_equal(eval_u(tf, x), u[0, 0])
         assert np.array_equal(eval_u_prime(tf, x), du[0, 0])

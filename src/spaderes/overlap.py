@@ -74,12 +74,13 @@ def _shrink_ratios(t):
     only when some |t| needs them, as on the 0-5 sigma grids rarely."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
-    ts = np.where(at < 0.25, 1.0, t)  # t wherever either closed form is kept
+    series = at.min(initial=np.inf) < 0.35
+    ts = np.where(at < 0.25, 1.0, t) if series else t  # t wherever either closed form is kept
     sin, cos = np.sin(ts), np.cos(ts)
     t2 = t * t
     q = 3.0 * (sin - ts * cos) / ts**3
     qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
-    if at.min(initial=np.inf) < 0.35:
+    if series:
         q = np.where(
             at < 0.35,
             1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),

@@ -199,22 +199,45 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
 
     Columns are whitespace-delimited; '#' starts a comment.  A file with no
     data rows, or that is not UTF-8 text, or with a row numpy cannot read as
-    numbers, is refused.
+    numbers, is refused; a row that is not numbers, or not as wide as the
+    first, is named by its line in the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
-    rows = [line for line in text.splitlines() if line.split("#")[0].strip()]
+    lines = text.splitlines()
+    rows = [line for line in lines if line.split("#")[0].strip()]
     if not rows:
         raise ValidationError(f"{path} holds no data rows")
     try:
         data = np.loadtxt(rows, comments="#", ndmin=2)
     except ValueError as exc:
-        raise ValidationError(f"{path} is not a table of numbers: {exc}") from exc
+        raise ValidationError(f"{path} is not a table of numbers: {_bad_line(lines) or exc}") from exc
     if data.shape[1] != 2:
         raise ValidationError(f"expected two columns (position, amplitude), got {data.shape[1]}")
     return tabulated_psf(data[:, 0], data[:, 1], normalize=normalize)
+
+
+def _bad_line(lines: list) -> str:
+    """What is wrong with the first data line of a table file that is not a
+    row of numbers as wide as the first data line, named by its line number;
+    empty if every line is."""
+    width = None
+    for number, line in enumerate(lines, 1):
+        fields = line.split("#")[0].split()
+        if not fields:
+            continue
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                return f"could not convert string {field!r} to float on line {number}"
+        if width is None:
+            width, first = len(fields), number
+        elif len(fields) != width:
+            return f"line {number} has {len(fields)} columns where line {first} has {width}"
+    return ""
 
 
 def _gaussian_images(sigma: float, x: np.ndarray, s: np.ndarray):

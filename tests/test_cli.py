@@ -281,9 +281,19 @@ def _refused_table(path, capsys) -> str:
 def test_a_table_with_a_row_that_is_not_numbers_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "psf_text.txt"
     path.write_text("0.0 1.0\nfoo 2.0\n1.0 3.0\n")
-    assert f"{path} is not a table of numbers: could not convert string 'foo'" in _refused_table(
-        path, capsys
-    )
+    err = _refused_table(path, capsys)
+    assert f"{path} is not a table of numbers: could not convert string 'foo'" in err
+    assert "to float on line 2" in err
+
+
+def test_a_table_row_of_another_width_is_named_by_its_line(tmp_path, capsys):
+    # numpy counts data rows only and hints at usecols, an option the CLI
+    # does not have; the refusal names the file's own line instead
+    path = tmp_path / "psf_ragged.txt"
+    path.write_text("# header\n\n0 1\n1\n2 3\n")
+    err = _refused_table(path, capsys)
+    assert f"{path} is not a table of numbers: line 4 has 1 columns where line 3 has 2" in err
+    assert "usecols" not in err
 
 
 def test_a_table_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
@@ -420,8 +430,8 @@ def test_sinc_direct_imaging_far_out_exits_zero(extra, capsys):
         ["simulate", "--n-s", "1e19", "--d-true", "0.3", "--statistics", "thermal"],
         ["simulate", "--n-s", "1e17", "--statistics", "thermal", "--frames", "1000000",
          "--trials", "10", "--d-true", "0.3"],
-        # a Gaussian at 1e300 sigma squares d past the float range, in the closed
-        # form and in the far image; a displaced sinc overlap asks for more
+        # a Gaussian at 1e300 sigma squares d past the float range, in the far
+        # image and in the small-d law; a displaced sinc overlap asks for more
         # quadrature panels than the node arrays may take
         ["tau-curve", "--absolute", "--d-max", "1e300", "--count", "3"],
         ["tau-curve", "--psf", "sinc", "--absolute", "--d-max", "1e8", "--count", "3"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from spaderes import NumericError, overlap, spline
+from spaderes import NoiseModel, NumericError, SourceScene, fi_counting_exact, overlap, spline
 from spaderes.integrate import QUAD_ABS_TOL, QUAD_REL_TOL, check_converged, composite_gauss_legendre
 from spaderes.overlap import (
     tau1_closed,
@@ -71,6 +71,29 @@ def test_gaussian_peak():
     t = tau1_closed(GAUSS, 2.0)
     assert t.tau1 == pytest.approx(np.exp(-1.0), rel=1e-14)
     assert abs(t.dtau1_dd) < 1e-14
+
+
+def test_gaussian_closed_form_is_zero_where_d_squared_overflows():
+    # from d = 1.35e154 sigma d^2 overflows, and c' was 0 * -inf = NaN; c, c'
+    # and tau1 are 0 there, with no warning (these tests run with warnings as
+    # errors), and so is the counting information; up to 1.34e154 sigma the
+    # bits are the unclipped formula's, for arrays and for scalars
+    for d in (1.35e154, 1e300, -1e300):
+        tr = tau1_exact(GAUSS, d)
+        assert tr.c == tr.c_prime == tr.tau1 == tr.dtau1_dd == 0.0
+        assert fi_counting_exact(SourceScene(GAUSS, abs(d), 100.0), NoiseModel(0.5)) == 0.0
+    d = np.concatenate([np.geomspace(1e-3, 1.34e154, 2001), -np.geomspace(1e-3, 1.34e154, 11)])
+    for sigma in (1.0, 0.7):
+        d2 = np.float_power(d, 2)
+        e = np.exp(-d2 / (8.0 * sigma**2))
+        c, cp = (d / (2.0 * sigma)) * e, (e / (2.0 * sigma)) * (1.0 - d2 / (4.0 * sigma**2))
+        tr = tau1_exact(gaussian_psf(sigma), d)
+        assert np.array_equal(tr.c, c) and np.array_equal(tr.c_prime, cp)
+        assert np.array_equal(tr.tau1, c * c) and np.array_equal(tr.dtau1_dd, 2.0 * c * cp)
+        for i in (0, 1000, 2000):
+            one = tau1_exact(gaussian_psf(sigma), float(d[i]))
+            assert (one.c, one.c_prime) == (c[i], cp[i])
+    assert fi_counting_exact(SourceScene(GAUSS, 1.34e154, 100.0), NoiseModel(0.5)) == 0.0
 
 
 def test_sinc_closed_matches_numeric():

@@ -196,7 +196,8 @@ def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d:
     h = 1e-3 * max(abs(d), 1.0)
     stencil = np.array([d, d + 2.0 * h, d + h, d - h, d - 2.0 * h])
     # the means as Python floats, whose arithmetic rounds as numpy's does
-    kbar, far_up, up, down, far_down = np.full(stencil.shape, kbar_fn(stencil), dtype=float).tolist()
+    means = np.full(stencil.shape, kbar_fn(stencil), dtype=float)
+    kbar, far_up, up, down, far_down = means.tolist()
     _check_law(kbar, statistics)
     kprime = (-far_up + 8.0 * up - 8.0 * down + far_down) / (12.0 * h)
     if kbar == 0.0:

@@ -27,7 +27,14 @@ share a pass, in blocks of at most NODES_PER_BLOCK nodes, over nodes kept
 per count; a row of over CHUNK_NODES nodes, such as the tail ladder far
 out, runs alone, in a few equal chunks.  Each segment of a row (each panel
 count of the composite rule, each rung of the ladder) is reduced on its
-own by np.dot, so a row gets the same bits alone or in any batch.
+own by ndarray.dot, so a row gets the same bits alone or in any batch.
+
+What a rule does once per row and not per node (its panel counts and
+ladder starts, the ladder's extrapolation, :func:`check_converged`) runs
+on Python floats, a row at a time, with the roundings numpy's elementwise
+operations make: a lone d then pays for a few float operations where
+numpy's reductions and small-array calls cost it microseconds each, so
+one d costs close to its share of an array.
 """
 
 from __future__ import annotations
@@ -131,10 +138,13 @@ def composite_gauss_legendre(f: Callable[..., np.ndarray], a: float, b: float, n
     ``f``, a count whose doubled pass is past MAX_PANELS."""
     if not b > a:
         raise ValueError(f"empty or inverted interval [{a}, {b}]")
+    d = np.asarray(d, dtype=float)
     counts = np.full(d.size, n_panels).tolist()
     doubled = 2.0 * max(counts, default=0.0)
     if doubled > MAX_PANELS:
-        raise NumericError(f"{doubled:.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}")
+        raise NumericError(
+            f"{doubled:.4g} panels on [{a:.4g}, {b:.4g}] are over MAX_PANELS = {MAX_PANELS}"
+        )
     a, b = float(a), float(b)
     sums = _row_sums(f, d, [int(c) for c in counts], lambda count: _doubled_layout(a, b, count))
     coarse, fine = sums[..., 0], sums[..., 1]
@@ -176,7 +186,9 @@ def _extrapolate_to_zero(ts, values) -> tuple:
     table = list(values)
     for m in range(1, len(table)):
         upper = table[-1]
-        table = [b + (b - a) * t / (t_lo - t) for a, b, t_lo, t in zip(table, table[1:], ts, ts[m:])]
+        table = [
+            b + (b - a) * t / (t_lo - t) for a, b, t_lo, t in zip(table, table[1:], ts, ts[m:])
+        ]
     return table[0], abs(table[0] - upper)
 
 
@@ -198,11 +210,13 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
     those nodes.
 
     Returns (value, error estimate from the extrapolation table), a row per
-    d.  Refuses, before evaluating ``f``, a start m0 whose ladder over
-    [-X, X] would take over MAX_PANELS panels, m0 2^TAIL_LEVELS: twice the
-    panels of the half-line it runs on, so the span it refuses stays that
-    of the whole line.
+    d, each row extrapolated on its own (:func:`_extrapolate_to_zero`).
+    Refuses, before evaluating ``f``, a start m0 whose ladder over [-X, X]
+    would take over MAX_PANELS panels, m0 2^TAIL_LEVELS: twice the panels
+    of the half-line it runs on, so the span it refuses stays that of the
+    whole line.
     """
+    d = np.asarray(d, dtype=float)
     period = np.pi / a
     half_width = np.full(d.size, half_width)
     # initial half-width: smallest even multiple of the period >= half_width
@@ -214,8 +228,8 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
             )
     sums = _row_sums(f, d, [int(m0) for m0 in starts], lambda count: _ladder(count, a))
     value, err = [], []
-    integrands = math.prod(sums.shape[1:-1])
-    for rungs, m0 in zip(sums.reshape(-1, TAIL_LEVELS).tolist(), np.repeat(starts, integrands).tolist()):
+    row_starts = np.repeat(starts, math.prod(sums.shape[1:-1])).tolist()
+    for rungs, m0 in zip(sums.reshape(-1, TAIL_LEVELS).tolist(), row_starts):
         # 1 / X at the ends of the rungs, and the partial integrals over [-X, X] there
         ts = [1.0 / (m0 * period * 2.0**level) for level in range(TAIL_LEVELS)]
         v, e = _extrapolate_to_zero(ts, [2.0 * p for p in itertools.accumulate(rungs)])

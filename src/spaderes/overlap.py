@@ -62,7 +62,7 @@ class Transmission(NamedTuple):
 
 
 # |d| past which the Gaussian closed form takes d^2 at this many sigma: its
-# e^(-d^2 / 8 sigma^2) is 0 already, and d^2 overflows only past 1.3e154
+# e^(-d^2 / 8 sigma^2) is 0 from 77.3 sigma out, and d^2 overflows past 1.3e154
 _GAUSSIAN_CLIP_SIGMAS = 1e3
 
 
@@ -99,11 +99,12 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
 
     The overlap amplitudes are c = (d / 2 sigma) e^(-d^2 / 8 sigma^2) for the
     Gaussian kind and c = (d / 2 sigma) q(a d) for sinc, where
-    q(t) = 3 (sin t - t cos t) / t^3.
+    q(t) = 3 (sin t - t cos t) / t^3.  The Gaussian takes d^2 of |d| clipped
+    at _GAUSSIAN_CLIP_SIGMAS sigma, where e is 0 already, so c, c' and tau1
+    are 0, not NaN, once d^2 would overflow.
     """
     sigma = tf.sigma
     if tf.kind == GAUSSIAN:
-        # e is 0 from 77.3 sigma out; |d| clipped far past that keeps d^2 finite
         d2 = np.float_power(np.minimum(np.abs(d), _GAUSSIAN_CLIP_SIGMAS * sigma), 2)
         e = np.exp(d2 / (-8.0 * sigma**2))
         c = (d / (2.0 * sigma)) * e
@@ -123,7 +124,8 @@ def _transmission(d, overlaps) -> Transmission:
     """The Transmission of (c, c') = ``overlaps(|d|)`` over the raveled |d|.
 
     Only |d| is integrated: c is odd in d and c' even, so c(0) = 0 and the
-    two-source average is even by construction.
+    two-source average is even by construction; where every d is positive,
+    c keeps its sign without a pass.
     """
     d = np.asarray(d, dtype=float)
     ad = np.abs(d).ravel()

@@ -10,13 +10,13 @@ profiles:
                 0 outside the grid hull
 
 u and u' of the analytic kinds come from one evaluator each, which takes
-every displaced image u(x - s) an integrand needs in one call:
+the displaced images an integrand needs in one call:
 :func:`_gaussian_images`, one exp per image and node, and
-:func:`_sinc_images`, one sin and one cos of a x per node, shared by all
-images through angle addition (direct sin and cos of a (x - s) near each
-image peak, and a Taylor series where |a (x - s)| < 1).
-:func:`quad_over_psf` calls them on its rows of nodes, and :func:`eval_u`
-and :func:`eval_u_prime` at s = 0.
+:func:`_sinc_images`, one sin and one cos of a x per node for the pair of
+images at x + d and x - d, which share their angle-addition products up to
+sign (direct sin and cos of a (x -+ d) near each image peak, and a Taylor
+series where |a (x -+ d)| < 1).  :func:`quad_over_psf` calls them on its
+rows of nodes, and :func:`eval_u` and :func:`eval_u_prime` at no shift.
 
 The characteristic width sigma is defined through the derivative energy,
 sigma = (1/2) (integral of u'(x)^2 dx)^(-1/2); for the analytic kinds it
@@ -213,7 +213,8 @@ def load_tabulated(path, normalize: bool = False) -> TransferFunction:
     try:
         data = np.loadtxt(rows, comments="#", ndmin=2)
     except ValueError as exc:
-        raise ValidationError(f"{path} is not a table of numbers: {_bad_line(lines) or exc}") from exc
+        what = _bad_line(lines) or exc
+        raise ValidationError(f"{path} is not a table of numbers: {what}") from exc
     if data.shape[1] != 2:
         raise ValidationError(f"expected two columns (position, amplitude), got {data.shape[1]}")
     return tabulated_psf(data[:, 0], data[:, 1], normalize=normalize)
@@ -294,8 +295,8 @@ def _sinc_images(a: float, x: np.ndarray, d: np.ndarray, trig=None):
     sin_ax, cos_ax = trig
     ad = a * d
     sin_ad, cos_ad = np.sin(ad), np.cos(ad)
-    both = np.broadcast_shapes(sin_ax.shape, ad.shape)
-    u, du = np.empty((2, 2) + both)
+    n_rows = len(sin_ax) if len(ad) == 1 else len(ad)
+    u, du = np.empty((2, 2, n_rows, sin_ax.shape[-1]))
     # k sin t / a and k cos t at x + d, then at x - d
     sin_cos, cos_sin = sin_ax * (k / a * cos_ad), cos_ax * (k / a * sin_ad)
     np.add(sin_cos, cos_sin, out=u[0])
@@ -386,6 +387,7 @@ def quad_over_psf(
     The Gaussian's domain is :func:`_gaussian_quadrature`'s.  A tabulated
     PSF's integrals run piece by piece on its spline (:class:`SplinePieces`).
     """
+    margin = np.asarray(margin, dtype=float)
     if tf.kind == GAUSSIAN:
         value, err = _gaussian_quadrature(tf.sigma, f, margin)
     elif tf.kind == SINC:
@@ -397,7 +399,6 @@ def quad_over_psf(
     else:
         raise UnsupportedKindError(f"no kind-adapted quadrature for kind {tf.kind!r}")
     return check_converged(value, err, rel_tol, QUAD_ABS_TOL, what)
-
 
 
 def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
@@ -417,7 +418,8 @@ def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
     exactly 0; so the cost no longer grows with d.  A span takes half of
     max(48, 4 H / sigma) panels on [0, 1] and max(48, 4 H / sigma) on
     [-1, 1]; no span is over three windows wide, far below the rule's
-    MAX_PANELS refusal, which stays.
+    MAX_PANELS refusal, which stays.  A row's spans and panel counts are
+    planned on Python floats, with np.ceil's and np.maximum's values.
     """
     reach = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma
     images = np.abs(d).tolist()

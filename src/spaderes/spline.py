@@ -569,7 +569,8 @@ class UniformLattice:
             for half, lag in enumerate(row_lags):
                 if lag < n:
                     here = self.at(powers[0, row, half], fixed, slice(lag, n))
-                    yield row, w[row, half], here, self.at(powers[1, row, half], shifted, slice(0, n - lag))
+                    there = self.at(powers[1, row, half], shifted, slice(0, n - lag))
+                    yield row, w[row, half], here, there
 
     def at(self, powers: np.ndarray, names, pieces: slice) -> np.ndarray:
         """What ``names`` names, "v1" alone or "u" and "du", on the lattice

@@ -428,7 +428,7 @@ def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
     near, far = [(False, True)], [(False, False), (True, False)]
 
     def spans_sum(spans, d, images):
-        total = 0.0
+        value = err = 0.0
         for about_image, widened in spans:
             halves = [reach + p for p in images] if widened else [reach] * len(images)
             panels = [max(48.0, math.ceil(4.0 * half / sigma)) for half in halves]
@@ -442,9 +442,9 @@ def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
 
             lo = -1.0 if about_image else 0.0
             fine, diff = composite_gauss_legendre(integrand, lo, 1.0, panels, d)
-            scale = np.reshape(halves, (-1,) + (1,) * (fine.ndim - 1))
-            total = total + (2.0 * scale) * np.array([fine, diff])
-        return total
+            scale = np.array([2.0 * half for half in halves]).reshape((-1,) + (1,) * (fine.ndim - 1))
+            value, err = value + scale * fine, err + scale * diff
+        return value, err
 
     if all(apart) or not any(apart):
         return spans_sum(far if all(apart) else near, d, images)
@@ -453,7 +453,7 @@ def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
         (rows, spans_sum(spans, d[rows], np.abs(d[rows]).tolist()))
         for rows, spans in ((~apart, near), (apart, far))
     ]
-    value, err = np.zeros((2, d.size) + parts[0][1].shape[2:])
+    value, err = np.zeros((2, d.size) + parts[0][1][0].shape[1:])
     for rows, (v, e) in parts:
         value[rows], err[rows] = v, e
     return value, err

@@ -217,7 +217,7 @@ def integrate_oscillatory_tails(f: Callable[..., np.ndarray], half_width, a: flo
     whole line.
     """
     d = np.asarray(d, dtype=float)
-    period = np.pi / a
+    period = float(np.pi / a)  # a Python float: the rows' extrapolation runs on them
     half_width = np.full(d.size, half_width)
     # initial half-width: smallest even multiple of the period >= half_width
     starts = np.maximum(2.0, 2.0 * np.ceil(half_width / (2.0 * period))).tolist()

@@ -18,9 +18,11 @@ one value per separation.
 
 `fi_from_pmf` is a deliberately independent check: it sums the defining
 series F = sum_k (1/p_k)(dp_k/dd)^2 with a finite-difference mean derivative
-and no reference to the closed forms above.  Its Poisson PMF takes
-log k! from scipy's ``gammaln``, which the first Poisson PMF imports: the
-closed forms need no scipy.
+and no reference to the closed forms above.  Its Poisson PMF takes log k!
+from :func:`_log_factorial`, cephes' ``lgam`` (the routine behind scipy's
+``gammaln``) ported to Python floats, so the package runs on numpy alone
+and log k! keeps gammaln's bits.  The oracle reads it from a kept table
+over k = 0, 1, ...; :func:`logpmf` evaluates each distinct count once.
 """
 
 from __future__ import annotations
@@ -122,12 +124,64 @@ def logpmf(kbar: float, statistics: str, k):
     return _logpmf(kbar, statistics, karr)[()]
 
 
-def _logpmf(kbar: float, statistics: str, k: np.ndarray) -> np.ndarray:
-    """:func:`logpmf` at the float counts k for a known law and kbar > 0, unchecked."""
-    if statistics == POISSON:
-        from scipy.special import gammaln  # here, so the closed forms never load scipy
+# cephes lgam's Stirling-series coefficients, log sqrt(2 pi), and the x past
+# which log Gamma(x) overflows
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
 
-        return k * np.log(kbar) - kbar - gammaln(k + 1.0)
+
+def _log_factorial(k: float) -> float:
+    """log k! of a count k: cephes ``lgam`` at x = k + 1, statement for
+    statement on Python floats with libm's log, so gammaln(k + 1.0)'s bits.
+
+    Below 13, the log of the exact factorial; below 1000, Stirling's series
+    with cephes' five coefficients; up to 1e8, its three-term form; past
+    1e8, the bare Stirling term; past MAXLGM, inf.
+    """
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(int(k)))
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+# log k! for k = 0, 1, ..., read-only, doubled when a sum needs more
+_log_factorial_table = np.zeros(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0, ..., n - 1, a read-only view of the kept table."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size < n:
+        more = range(table.size, max(n, 2 * table.size))
+        table = np.concatenate([table, [_log_factorial(float(k)) for k in more]])
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[:n]
+
+
+def _logpmf(kbar: float, statistics: str, k: np.ndarray, log_k_factorial=None) -> np.ndarray:
+    """:func:`logpmf` at the float counts k for a known law and kbar > 0,
+    unchecked.  The Poisson law takes log k! from ``log_k_factorial`` when
+    given, else evaluates it once for each distinct count."""
+    if statistics == POISSON:
+        if log_k_factorial is None:
+            distinct, inverse = np.unique(k.ravel(), return_inverse=True)
+            values = np.array([_log_factorial(v) for v in distinct.tolist()])
+            log_k_factorial = values[inverse].reshape(k.shape)
+        return k * np.log(kbar) - kbar - log_k_factorial
     return k * (np.log(kbar) - np.log1p(kbar)) - np.log1p(kbar)
 
 
@@ -202,8 +256,10 @@ def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d:
     kprime = (-far_up + 8.0 * up - 8.0 * down + far_down) / (12.0 * h)
     if kbar == 0.0:
         return 0.0
-    k = np.arange(truncation_limit(kbar, statistics) + 1, dtype=float)
-    p = np.exp(_logpmf(kbar, statistics, k))  # k counts by construction: pmf's checks skipped
+    n = truncation_limit(kbar, statistics) + 1
+    k = np.arange(n, dtype=float)
+    # k counts by construction: pmf's checks skipped
+    p = np.exp(_logpmf(kbar, statistics, k, _log_factorials(n) if statistics == POISSON else None))
     if statistics == POISSON:
         score = k / kbar - 1.0
     else:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import UnsupportedKindError, ValidationError
 from .integrate import QUAD_ABS_TOL, QUAD_REL_TOL, check_converged, composite_gauss_legendre
-from .psf import GAUSSIAN, SINC, TABULATED, TransferFunction, quad_over_psf
+from .psf import _GAUSSIAN_CLIP_SIGMAS, GAUSSIAN, SINC, TABULATED, TransferFunction, quad_over_psf
 
 
 class Transmission(NamedTuple):
@@ -61,17 +61,14 @@ class Transmission(NamedTuple):
     c_prime: float | np.ndarray
 
 
-# |d| past which the Gaussian closed form takes d^2 at this many sigma: its
-# e^(-d^2 / 8 sigma^2) is 0 from 77.3 sigma out, and d^2 overflows past 1.3e154
-_GAUSSIAN_CLIP_SIGMAS = 1e3
-
-
 def _shrink_ratios(t):
     """q(t) = 3 (sin t - t cos t) / t^3, with q(0) = 1, and its derivative
     q'(t) = 3 ((t^2 - 3) sin t + 3 t cos t) / t^4, from one sin and one cos
     of t; each takes its Taylor series near t = 0, q for |t| < 0.35 and q'
     for |t| < 0.25, where the closed forms cancel.  The series are evaluated
-    only when some |t| needs them, as on the 0-5 sigma grids rarely."""
+    only when some |t| needs them, as on the 0-5 sigma grids rarely, and on
+    t^2 taken as 0 past their cut-offs, so that a large t beside a small one
+    does not overflow in them: an array answers as its elements do."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     series = at.min(initial=np.inf) < 0.35
@@ -81,6 +78,7 @@ def _shrink_ratios(t):
     q = 3.0 * (sin - ts * cos) / ts**3
     qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
     if series:
+        t2 = np.where(at < 0.35, t2, 0.0)
         q = np.where(
             at < 0.35,
             1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),

@@ -81,6 +81,10 @@ KINDS = (GAUSSIAN, SINC, TABULATED)
 
 # Truncation choices; see module docstring.
 GAUSSIAN_HALF_WIDTH_SIGMAS = 10.0
+# |d| past which a Gaussian kernel takes d at this many sigma: every factor
+# e^(-x^2 / 4 sigma^2) it forms there is 0 either way, and squares of d
+# overflow past 1.3e154
+_GAUSSIAN_CLIP_SIGMAS = 1e3
 # the tail ladder's start, in units of 1/a: on 0-30 sigma its error estimate is
 # at most 2e3 times the true error, against 6e3 from 40 / a and 1.3e4 from 35 / a
 SINC_HALF_WIDTH_OVER_A = 50.0
@@ -418,8 +422,11 @@ def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
     exactly 0; so the cost no longer grows with d.  A span takes half of
     max(48, 4 H / sigma) panels on [0, 1] and max(48, 4 H / sigma) on
     [-1, 1]; no span is over three windows wide, far below the rule's
-    MAX_PANELS refusal, which stays.  A row's spans and panel counts are
-    planned on Python floats, with np.ceil's and np.maximum's values.
+    MAX_PANELS refusal, which stays.  The apart rows take d clipped at
+    _GAUSSIAN_CLIP_SIGMAS sigma: every image off its window is 0 at every
+    node there either way, and (x -+ d)^2 no longer overflows.  A row's
+    spans and panel counts are planned on Python floats, with np.ceil's and
+    np.maximum's values.
     """
     reach = GAUSSIAN_HALF_WIDTH_SIGMAS * sigma
     images = np.abs(d).tolist()
@@ -428,6 +435,9 @@ def _gaussian_quadrature(sigma: float, f: Callable, d: np.ndarray):
     near, far = [(False, True)], [(False, False), (True, False)]
 
     def spans_sum(spans, d, images):
+        if spans is far:
+            clip = _GAUSSIAN_CLIP_SIGMAS * sigma
+            d = np.clip(d, -clip, clip)
         value = err = 0.0
         for about_image, widened in spans:
             halves = [reach + p for p in images] if widened else [reach] * len(images)

@@ -78,6 +78,18 @@ def test_transmission_over_an_array_equals_point_calls(kind):
     )
 
 
+def test_a_sinc_array_of_a_small_and_a_huge_d_equals_point_calls():
+    # the small d takes the Taylor series of q and q', which must not
+    # overflow on the huge d beside it: each d alone answers
+    tf = sinc_psf(sigma=1.0)
+    d = np.array([0.1, 1e40])
+    for kernel in (tau1_exact, tau1_closed):
+        curve = kernel(tf, d)
+        points = [kernel(tf, float(x)) for x in d]
+        for name in Transmission._fields:
+            _assert_matches_points(getattr(curve, name), [getattr(p, name) for p in points])
+
+
 def test_sinc_expansion_over_an_array_equals_point_calls():
     # at sigma 1 these three d squared by multiplication differ in the last
     # bit from pow(), which a scalar d**2 takes

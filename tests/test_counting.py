@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from spaderes import counting
 from spaderes.counting import (
@@ -84,7 +85,49 @@ def test_pmf_oracle_series_is_the_public_pmf(statistics, kbar):
     # fi_from_pmf sums its series through an unchecked kernel; on every count it
     # sums, that kernel must give the public pmf's bits
     k = np.arange(truncation_limit(kbar, statistics) + 1, dtype=float)
-    assert np.array_equal(np.exp(counting._logpmf(kbar, statistics, k)), pmf(kbar, statistics, k))
+    series = counting._logpmf(kbar, statistics, k, counting._log_factorials(k.size))
+    assert np.array_equal(np.exp(series), pmf(kbar, statistics, k))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_log_factorial_is_gammaln_bit_for_bit():
+    # the port of cephes lgam against the routine it ports, across each of its
+    # branches: the table and the scalar port on every count up to 2e5 (the
+    # exact factorial below 12, Stirling's series up to 999, its three-term
+    # form above), then counts of every size up to 1e308, both sides of the
+    # bare Stirling term at x = 1e8, and both sides of the overflow at MAXLGM
+    k = np.arange(200_001, dtype=float)
+    expected = gammaln(k + 1.0)
+    assert np.array_equal(_bits(counting._log_factorials(k.size)), _bits(expected))
+    assert np.array_equal(_bits([counting._log_factorial(x) for x in k.tolist()]), _bits(expected))
+    huge = np.floor(10.0 ** np.random.default_rng(34).uniform(0.0, 308.0, 20_000))
+    maxlgm = 2.556348e305
+    edges = [1e8 - 2.0, 1e8 - 1.0, 1e8, 1e8 + 1.0, maxlgm, np.nextafter(maxlgm, np.inf), np.inf]
+    k = np.concatenate([huge, edges])
+    ported = [counting._log_factorial(x) for x in k.tolist()]
+    assert np.array_equal(_bits(ported), _bits(gammaln(k + 1.0)))
+    assert ported[-3:] == [gammaln(maxlgm + 1.0), np.inf, np.inf]
+
+
+def test_log_factorial_table_is_read_only_and_grows():
+    short = counting._log_factorials(20)
+    assert not short.flags.writeable
+    longer = counting._log_factorials(2 * counting._log_factorial_table.size + 1)
+    assert np.array_equal(longer[:20], short)
+    assert not counting._log_factorial_table.flags.writeable
+
+
+def test_poisson_pmf_of_mixed_counts_is_its_gammaln_form_bit_for_bit():
+    # repeated, small, large and huge counts in a 2-D array, each evaluated once
+    k = np.array([[0, 1, 5, 12, 13, 5], [999, 1000, 1e8, 3e15, 1e300, 0]])
+    for kbar in (0.3, 37.5, 1e6):
+        expected = k * np.log(kbar) - kbar - gammaln(k + 1.0)
+        assert np.array_equal(_bits(logpmf(kbar, POISSON, k)), _bits(expected))
+        assert np.array_equal(_bits(pmf(kbar, POISSON, k)), _bits(np.exp(expected)))
+    assert logpmf(37.5, POISSON, 3) == 3 * np.log(37.5) - 37.5 - gammaln(4.0)
 
 
 @pytest.mark.parametrize(

@@ -248,6 +248,27 @@ def test_gaussian_oracles_far_out_take_the_windows_about_the_images(monkeypatch)
     np.testing.assert_allclose(numeric.c_prime, closed.c_prime, rtol=1e-13, atol=0.0)
 
 
+def test_gaussian_oracles_answer_where_the_far_image_would_overflow():
+    # (x -+ d)^2 of the far image overflowed from |d| = 6.7e153 in fi_direct
+    # (images at +-d) and 1.34e154 in tau1_numeric (at +-d/2); the apart rows
+    # take d clipped at 1e3 sigma, where every image off its window is 0 at
+    # every node either way, so the answers are those at 1e6 sigma, with no
+    # warning (these tests run with warnings as errors)
+    far = fi_direct(GAUSS, 1e6, 100.0)
+    assert far == 99.99999999999997
+    d = np.array([7e153, 1e154, -1e154, 1.4e154, 1e160, 1e300])
+    for x in d.tolist():
+        tr = tau1_numeric(GAUSS, x)
+        assert tr.c == tr.c_prime == tr.tau1 == 0.0
+        assert fi_direct(GAUSS, x, 100.0) == far
+    mixed = np.concatenate([d, [0.3, 30.0, 1e6]])
+    assert fi_direct(GAUSS, mixed, 100.0).tolist() == [
+        fi_direct(GAUSS, x, 100.0) for x in mixed.tolist()
+    ]
+    tr = tau1_numeric(GAUSS, mixed)
+    assert tr.c.tolist() == [tau1_numeric(GAUSS, x).c for x in mixed.tolist()]
+
+
 def test_well_separated_recovers_full_information():
     assert fi_direct(GAUSS, 4.0, 1.0) == pytest.approx(1.0, rel=0.01)
     assert fi_direct(GAUSS, 4.0, 1.0) == pytest.approx(0.9999881357874791, rel=1e-6)

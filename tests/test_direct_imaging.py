@@ -219,12 +219,24 @@ def test_gaussian_oracles_far_out_take_the_windows_about_the_images(monkeypatch)
     # once the 10-sigma window about the positive image lies apart from the
     # window [0, 10 sigma] about the origin, each is integrated alone: the
     # nodes no longer grow with d, nothing is refused, and the images apart
-    # give n_s / sigma^2 and a zero overlap
-    d = np.array([40.0, 1e3, 1e4, 1e8])
+    # give n_s / sigma^2 and a zero overlap; past 6.7e153 sigma, where
+    # (x -+ d)^2 of the far image would overflow, those rows take d clipped
+    # at 1e3 sigma, and every image off its window is 0 at every node either
+    # way, so they answer as at 1e6 sigma, with no warning
+    d = np.array([40.0, 1e3, 1e4, 1e8, 1e154, 1e160, 1e300])
     np.testing.assert_allclose(fi_direct(GAUSS, d, 3.0), 3.0, rtol=1e-14, atol=0.0)
     assert fi_direct(gaussian_psf(2.0), 1e4, 3.0) == pytest.approx(0.75, rel=1e-14, abs=0.0)
     tr = tau1_numeric(GAUSS, d[1:])
     assert np.all(tr.tau1 == 0.0) and np.all(tr.c_prime == 0.0)
+    for x in (1e154, -1e154, 1e160, 1e300):
+        tr = tau1_numeric(GAUSS, x)
+        assert tr.c == tr.c_prime == tr.tau1 == 0.0
+        assert fi_direct(GAUSS, x, 100.0) == fi_direct(GAUSS, 1e6, 100.0) == 99.99999999999997
+    mixed = [0.3, 30.0, 7e153, -1e154, 1.4e154]
+    points = [fi_direct(GAUSS, x, 100.0) for x in mixed]
+    assert fi_direct(GAUSS, np.array(mixed), 100.0).tolist() == points
+    points = [tau1_numeric(GAUSS, x).c for x in mixed]
+    assert tau1_numeric(GAUSS, np.array(mixed)).c.tolist() == points
     sizes, images = [], psf._gaussian_images
     counted = lambda *args: sizes.append(args[1].size) or images(*args)
     monkeypatch.setattr(psf, "_gaussian_images", counted)
@@ -246,27 +258,6 @@ def test_gaussian_oracles_far_out_take_the_windows_about_the_images(monkeypatch)
     numeric, closed = tau1_numeric(GAUSS, edge), tau1_closed(GAUSS, edge)
     np.testing.assert_allclose(numeric.c, closed.c, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(numeric.c_prime, closed.c_prime, rtol=1e-13, atol=0.0)
-
-
-def test_gaussian_oracles_answer_where_the_far_image_would_overflow():
-    # (x -+ d)^2 of the far image overflowed from |d| = 6.7e153 in fi_direct
-    # (images at +-d) and 1.34e154 in tau1_numeric (at +-d/2); the apart rows
-    # take d clipped at 1e3 sigma, where every image off its window is 0 at
-    # every node either way, so the answers are those at 1e6 sigma, with no
-    # warning (these tests run with warnings as errors)
-    far = fi_direct(GAUSS, 1e6, 100.0)
-    assert far == 99.99999999999997
-    d = np.array([7e153, 1e154, -1e154, 1.4e154, 1e160, 1e300])
-    for x in d.tolist():
-        tr = tau1_numeric(GAUSS, x)
-        assert tr.c == tr.c_prime == tr.tau1 == 0.0
-        assert fi_direct(GAUSS, x, 100.0) == far
-    mixed = np.concatenate([d, [0.3, 30.0, 1e6]])
-    assert fi_direct(GAUSS, mixed, 100.0).tolist() == [
-        fi_direct(GAUSS, x, 100.0) for x in mixed.tolist()
-    ]
-    tr = tau1_numeric(GAUSS, mixed)
-    assert tr.c.tolist() == [tau1_numeric(GAUSS, x).c for x in mixed.tolist()]
 
 
 def test_well_separated_recovers_full_information():

@@ -35,9 +35,8 @@ sys.modules["scipy"] = None
 
 import numpy as np
 import spaderes, spaderes.cli
-from spaderes.counting import NO_NOISE, POISSON, THERMAL, SourceScene, fi_counting_oracle, logpmf, pmf
-from spaderes.direct_imaging import qfi_numeric
-from spaderes.psf import gaussian_psf, load_tabulated
+from spaderes import (NO_NOISE, POISSON, THERMAL, SourceScene, fi_counting_oracle, gaussian_psf,
+                      load_tabulated, logpmf, pmf, qfi_numeric)
 
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):

@@ -78,9 +78,10 @@ def _shrink_ratios(t):
     q = 3.0 * (sin - ts * cos) / ts**3
     qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
     if series:
-        t2 = np.where(at < 0.35, t2, 0.0)
+        small = at < 0.35
+        t2 = t2 * small  # t^2 exactly below the cut-off, 0 past it
         q = np.where(
-            at < 0.35,
+            small,
             1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),
             q,
         )

@@ -94,11 +94,12 @@ def _bits(x):
 
 
 def test_log_factorial_is_gammaln_bit_for_bit():
-    # the port of cephes lgam against the routine it ports, across each of its
-    # branches: the table and the scalar port on every count up to 2e5 (the
-    # exact factorial below 12, Stirling's series up to 999, its three-term
-    # form above), then counts of every size up to 1e308, both sides of the
-    # bare Stirling term at x = 1e8, and both sides of the overflow at MAXLGM
+    # the port of cephes lgam against the routine it ports, at x = k + 1 on
+    # each of its branches: the table and the scalar port on every count up
+    # to 2e5 (the exact factorial below x = 13, Stirling's five-term series
+    # below 1000, its three-term form above), then counts of every size up to
+    # 1e308, both sides of the bare Stirling term past 1e8, and both sides of
+    # the overflow past MAXLGM
     k = np.arange(200_001, dtype=float)
     expected = gammaln(k + 1.0)
     assert np.array_equal(_bits(counting._log_factorials(k.size)), _bits(expected))
@@ -112,22 +113,28 @@ def test_log_factorial_is_gammaln_bit_for_bit():
     assert ported[-3:] == [gammaln(maxlgm + 1.0), np.inf, np.inf]
 
 
-def test_log_factorial_table_is_read_only_and_grows():
+def test_log_factorial_table_is_read_only_and_doubles(monkeypatch):
+    monkeypatch.setattr(counting, "_log_factorial_table", np.zeros(0))
     short = counting._log_factorials(20)
     assert not short.flags.writeable
-    longer = counting._log_factorials(2 * counting._log_factorial_table.size + 1)
-    assert np.array_equal(longer[:20], short)
+    assert np.array_equal(counting._log_factorials(21)[:20], short)
+    assert counting._log_factorial_table.size == 40
     assert not counting._log_factorial_table.flags.writeable
 
 
-def test_poisson_pmf_of_mixed_counts_is_its_gammaln_form_bit_for_bit():
-    # repeated, small, large and huge counts in a 2-D array, each evaluated once
+def test_poisson_pmf_of_mixed_counts_is_its_gammaln_form_bit_for_bit(monkeypatch):
+    # repeated, small, large and huge counts in a 2-D array, each distinct
+    # count evaluated once
     k = np.array([[0, 1, 5, 12, 13, 5], [999, 1000, 1e8, 3e15, 1e300, 0]])
     for kbar in (0.3, 37.5, 1e6):
         expected = k * np.log(kbar) - kbar - gammaln(k + 1.0)
         assert np.array_equal(_bits(logpmf(kbar, POISSON, k)), _bits(expected))
         assert np.array_equal(_bits(pmf(kbar, POISSON, k)), _bits(np.exp(expected)))
     assert logpmf(37.5, POISSON, 3) == 3 * np.log(37.5) - 37.5 - gammaln(4.0)
+    evaluated, port = [], counting._log_factorial
+    monkeypatch.setattr(counting, "_log_factorial", lambda x: evaluated.append(x) or port(x))
+    logpmf(37.5, POISSON, k)
+    assert sorted(evaluated) == sorted(set(k.ravel().tolist()))
 
 
 @pytest.mark.parametrize(

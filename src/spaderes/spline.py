@@ -2,10 +2,9 @@
 
 A tabulated PSF is its spline's pieces, :class:`SplinePieces`, fitted once
 (to the coefficients of scipy's not-a-knot ``CubicSpline``, bit for bit, by
-its own system and LAPACK's tridiagonal solve ported to numpy, so no table
-loads scipy) and zero outside
-the grid hull; its norm and derivative energy are exact per piece, so no
-tabulated integral is cut off at the hull.  Only this module reads the
+its own system and LAPACK's tridiagonal solve ported to numpy) and zero
+outside the grid hull; its norm and derivative energy are exact per piece,
+so no tabulated integral is cut off at the hull.  Only this module reads the
 pieces.  They evaluate u, u' and v1 at points, and :meth:`SplinePieces.pairs`
 pairs each piece of u(x) with the pieces of a displaced copy u(x - d) it
 meets, under one Gauss-Legendre rule, for every d of an array, by one walk

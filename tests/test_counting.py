@@ -110,7 +110,8 @@ def test_log_factorial_is_gammaln_bit_for_bit():
     k = np.concatenate([huge, edges])
     ported = [counting._log_factorial(x) for x in k.tolist()]
     assert np.array_equal(_bits(ported), _bits(gammaln(k + 1.0)))
-    assert ported[-3:] == [gammaln(maxlgm + 1.0), np.inf, np.inf]
+    # log Gamma(MAXLGM + 1) is finite; past it, inf
+    assert np.isfinite(ported[-3]) and ported[-2:] == [np.inf, np.inf]
 
 
 def test_log_factorial_table_is_read_only_and_doubles(monkeypatch):

@@ -43,6 +43,10 @@ from .integrate import QUAD_ABS_TOL, QUAD_REL_TOL, check_converged, composite_ga
 from .psf import _GAUSSIAN_CLIP_SIGMAS, GAUSSIAN, SINC, TABULATED, TransferFunction, quad_over_psf
 
 
+# |t| from which _shrink_ratios' t^4 overflows
+_FAR_T = 2.0**256
+
+
 class Transmission(NamedTuple):
     """tau1 and its separation derivative at the half-separation d.
 
@@ -68,15 +72,25 @@ def _shrink_ratios(t):
     for |t| < 0.25, where the closed forms cancel.  The series are evaluated
     only when some |t| needs them, as on the 0-5 sigma grids rarely, and on
     t^2 taken as 0 past their cut-offs, so that a large t beside a small one
-    does not overflow in them: an array answers as its elements do."""
+    does not overflow in them: an array answers as its elements do.  From
+    |t| = 2^256 out, where t^4 overflows, q and q' are divided through by t
+    before any power is taken: q = 3 (sin t / t - cos t) / t^2 and
+    q' = 3 (sin t + 3 cos t / t) / t^2, whose dropped -3 sin t / t^2 is below
+    2^-510 of sin t.  That branch too runs only when some |t| needs it."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     series = at.min(initial=np.inf) < 0.35
     ts = np.where(at < 0.25, 1.0, t) if series else t  # t wherever either closed form is kept
     sin, cos = np.sin(ts), np.cos(ts)
-    t2 = t * t
-    q = 3.0 * (sin - ts * cos) / ts**3
-    qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
+    far = at.max(initial=0.0) >= _FAR_T
+    if far:
+        huge = at >= _FAR_T
+        tp, tsp = np.where(huge, 1.0, t), np.where(huge, 1.0, ts)  # the closed forms on 1 there
+    else:
+        tp, tsp = t, ts
+    t2 = tp * tp
+    q = 3.0 * (sin - tsp * cos) / tsp**3
+    qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * tsp * cos) / tsp**4
     if series:
         small = at < 0.35
         t2 = t2 * small  # t^2 exactly below the cut-off, 0 past it
@@ -90,6 +104,9 @@ def _shrink_ratios(t):
             t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))),
             qp,
         )
+    if far:
+        q = np.where(huge, 3.0 * (sin / t - cos) / t / t, q)
+        qp = np.where(huge, 3.0 * (sin + 3.0 * cos / t) / t / t, qp)
     return q[()], qp[()]
 
 

@@ -197,6 +197,17 @@ def _brentq_lockstep(g, targets: np.ndarray, xa: float, xb: float, xtol: float,
     A target whose residuals at xa and xb share a sign raises BracketingError;
     a NaN residual, or a target not converged after BRENT_MAXITER iterations,
     raises NumericError.
+
+    An iteration does only the array work that changes some target's state.
+    A branch of brentq.c that no target takes this iteration is skipped, and
+    one that every target takes is a plain assignment instead of a select:
+    the bracket reset, the swap of the bracket's ends, the secant or the
+    inverse quadratic step, the short step and the bisection.  The state is
+    compacted only in an iteration where some target converged.  Every value
+    a target keeps is still computed by brentq.c's own expression on its own
+    operands, elementwise, so skipping work for the other targets moves no
+    bit.  |fcur|, |fpre| and |fblk| ride along with the residuals they are
+    taken of, so each is taken once.
     """
 
     def residual(x, t):
@@ -216,53 +227,99 @@ def _brentq_lockstep(g, targets: np.ndarray, xa: float, xb: float, xtol: float,
         )
     root = np.where(fa == 0, xa, xb)
     idx = np.flatnonzero((fa != 0) & (fb != 0))
+    n = idx.size
+    if not n:
+        return root
     t, fpre, fcur = targets[idx], fa[idx], fb[idx]
-    xpre, xcur = np.full(idx.size, float(xa)), np.full(idx.size, float(xb))
-    xblk = fblk = spre = scur = np.zeros(idx.size)
+    xpre, xcur = np.full(n, float(xa)), np.full(n, float(xb))
+    afpre = np.abs(fpre)
+    xblk = fblk = afblk = spre = scur = np.zeros(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(BRENT_MAXITER):
-            # xblk is the far end of the bracket; xcur the end with the smaller residual
-            bracket = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk = np.where(bracket, xpre, xblk), np.where(bracket, fpre, fblk)
-            step = xcur - xpre
-            spre, scur = np.where(bracket, step, spre), np.where(bracket, step, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (
-                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            )
-            fpre, fcur, fblk = (
-                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            )
+            afcur = np.abs(fcur)
+            # xblk is the far end of the bracket.  fpre is never 0 here, and a
+            # target whose fcur is 0 converges below whatever its bracket holds,
+            # so brentq.c's fpre != 0 and fcur != 0 need no test.
+            bracket = np.signbit(fpre) != np.signbit(fcur)
+            taken = np.count_nonzero(bracket)
+            if taken == n:
+                xblk, fblk, afblk = xpre, fpre, afpre
+                spre = scur = xcur - xpre
+            elif taken:
+                step = xcur - xpre
+                xblk, fblk, afblk = (np.where(bracket, xpre, xblk), np.where(bracket, fpre, fblk),
+                                     np.where(bracket, afpre, afblk))
+                spre, scur = np.where(bracket, step, spre), np.where(bracket, step, scur)
+            # xcur is the end with the smaller residual
+            swap = afblk < afcur
+            taken = np.count_nonzero(swap)
+            if taken == n:
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+                afpre, afcur, afblk = afcur, afblk, afcur
+            elif taken:
+                xpre, xcur, xblk = (
+                    np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+                )
+                fpre, fcur, fblk = (
+                    np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+                )
+                afpre, afcur, afblk = (
+                    np.where(swap, afcur, afpre), np.where(swap, afblk, afcur),
+                    np.where(swap, afcur, afblk),
+                )
 
             delta = (xtol + rtol * np.abs(xcur)) / 2  # the tolerance is 2 delta
             sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            root[idx[done]] = xcur[done]
-            live = ~done
-            if not live.any():
-                return root
-            idx, t, delta, sbis = idx[live], t[live], delta[live], sbis[live]
-            xpre, xcur, xblk = xpre[live], xcur[live], xblk[live]
-            fpre, fcur, fblk = fpre[live], fcur[live], fblk[live]
-            spre, scur = spre[live], scur[live]
+            asbis = np.abs(sbis)
+            done = (fcur == 0) | (asbis < delta)
+            converged = np.count_nonzero(done)
+            if converged:
+                root[idx[done]] = xcur[done]
+                if converged == n:
+                    return root
+                live = ~done
+                n -= converged
+                (idx, t, delta, sbis, asbis, xpre, xcur, xblk, fpre, fcur, fblk, afpre, afcur,
+                 afblk, spre, scur) = (
+                    a[live] for a in (idx, t, delta, sbis, asbis, xpre, xcur, xblk, fpre, fcur,
+                                      fblk, afpre, afcur, afblk, spre, scur)
+                )
 
             # secant or inverse quadratic step if it is short enough, else bisection
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, interpolate, extrapolate)
-            # brentq.c's MIN(a, b) is a < b ? a : b, which np.minimum is not for NaN
-            bound = np.where(np.abs(spre) < 3 * np.abs(sbis) - delta,
-                             np.abs(spre), 3 * np.abs(sbis) - delta)
-            short = (
-                (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < bound)
-            )
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            aspre = np.abs(spre)
+            short = (aspre > delta) & (afcur < afpre)
+            taken = np.count_nonzero(short)
+            if taken:
+                secant = xpre == xblk
+                taken = np.count_nonzero(secant)
+                if taken == n:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                    if taken:
+                        stry = np.where(secant, -fcur * (xcur - xpre) / (fcur - fpre), stry)
+                # brentq.c's MIN(a, b) is a < b ? a : b, which np.minimum is not for NaN
+                cap = 3 * asbis - delta
+                short &= 2 * np.abs(stry) < np.where(aspre < cap, aspre, cap)
+                taken = np.count_nonzero(short)
+            if taken == n:
+                spre, scur = scur, stry
+            elif taken:
+                spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            else:
+                spre = scur = sbis
 
-            xpre, fpre = xcur, fcur
-            xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                            xcur + np.where(sbis > 0, delta, -delta))
+            xpre, fpre, afpre = xcur, fcur, afcur
+            far = np.abs(scur) > delta
+            taken = np.count_nonzero(far)
+            if taken == n:
+                xcur = xcur + scur
+            else:
+                bisect = xcur + np.where(sbis > 0, delta, -delta)
+                xcur = np.where(far, xcur + scur, bisect) if taken else bisect
             fcur = residual(xcur, t)
     raise NumericError(
         f"{idx.size} of {targets.size} roots failed to converge after {BRENT_MAXITER} iterations"

@@ -136,6 +136,40 @@ def test_shrink_ratios_keep_the_two_formulas_bits():
         assert pair == _shrink_ratio_two_passes(float(x)) and np.ndim(pair[0]) == 0
 
 
+def _sinc_closed_long(sigma, a, d):
+    """tau1 and dtau1/dd of the sinc closed form in long double, on the double
+    t = a d that tau1_closed takes (sin t depends on every bit of t)."""
+    ld = np.longdouble
+    t = ld(a * d)
+    q = 3 * (np.sin(t) - t * np.cos(t)) / t**3
+    qp = 3 * ((t * t - 3) * np.sin(t) + 3 * t * np.cos(t)) / t**4
+    half = ld(d) / (2 * ld(sigma))
+    c = half * q
+    cp = q / (2 * ld(sigma)) + half * qp * ld(a)
+    return c * c, 2 * c * cp
+
+
+def test_sinc_closed_form_answers_where_t_to_the_fourth_overflows():
+    # from |t| = 2^256 t^4 overflows, and a lone d raised on it (these tests
+    # run with warnings as errors); q and q' divided through by t answer
+    # there, at 1e200 tau1 underflows to 0 in double as in long double, and
+    # the last t before the cut keeps the closed forms' bits
+    for sigma in (1.0, 0.37):
+        tf = sinc_psf(sigma=sigma)
+        for d in (2e77, 1e200, -2e77, np.array([2e77, 1e200, 0.1])):
+            tr = tau1_exact(tf, d)
+            for i, x in enumerate(np.atleast_1d(d)):
+                want = [float(v) for v in _sinc_closed_long(sigma, tf.a, float(x))]
+                got = [np.atleast_1d(tr.tau1)[i], np.atleast_1d(tr.dtau1_dd)[i]]
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (x, got, want)
+    assert float(_sinc_closed_long(1.0, SINC.a, 2e77)[0]) > 1e-160  # the check is not 0 == 0
+    cut = np.array([np.nextafter(2.0**256, 0.0), -np.nextafter(2.0**256, 0.0)])
+    q, qp = overlap._shrink_ratios(cut)
+    with np.errstate(over="ignore"):  # the reference takes its series at every t
+        ref_q, ref_qp = _shrink_ratio_two_passes(cut)
+    assert np.array_equal(q, ref_q) and np.array_equal(qp, ref_qp)
+
+
 def test_small_d_quadratic():
     d = 1e-3
     for tf in (GAUSS, SINC):

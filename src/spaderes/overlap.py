@@ -83,14 +83,13 @@ def _shrink_ratios(t):
     ts = np.where(at < 0.25, 1.0, t) if series else t  # t wherever either closed form is kept
     sin, cos = np.sin(ts), np.cos(ts)
     far = at.max(initial=0.0) >= _FAR_T
-    if far:
+    tn = t
+    if far:  # the closed forms take 1 where t^4 overflows, once sin and cos are taken
         huge = at >= _FAR_T
-        tp, tsp = np.where(huge, 1.0, t), np.where(huge, 1.0, ts)  # the closed forms on 1 there
-    else:
-        tp, tsp = t, ts
-    t2 = tp * tp
-    q = 3.0 * (sin - tsp * cos) / tsp**3
-    qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * tsp * cos) / tsp**4
+        tn, ts = np.where(huge, 1.0, t), np.where(huge, 1.0, ts)
+    t2 = tn * tn
+    q = 3.0 * (sin - ts * cos) / ts**3
+    qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
     if series:
         small = at < 0.35
         t2 = t2 * small  # t^2 exactly below the cut-off, 0 past it
@@ -105,8 +104,9 @@ def _shrink_ratios(t):
             qp,
         )
     if far:
-        q = np.where(huge, 3.0 * (sin / t - cos) / t / t, q)
-        qp = np.where(huge, 3.0 * (sin + 3.0 * cos / t) / t / t, qp)
+        th = np.where(huge, t, 1.0)  # t wherever the divided forms are kept
+        q = np.where(huge, 3.0 * (sin / th - cos) / th / th, q)
+        qp = np.where(huge, 3.0 * (sin + 3.0 * cos / th) / th / th, qp)
     return q[()], qp[()]
 
 

@@ -27,7 +27,12 @@ curve below it for a whole array of targets at once, taking the steps scipy's
 brentq takes on each target alone.  Both are scipy's own solvers ported
 statement for statement, so they give its bits without importing it: `_peak`
 is fminbound (``minimize_scalar(method="bounded")``), as `_brentq_lockstep`
-is brentq.c.
+is brentq.c.  An iteration of the lockstep selects, compacts and computes
+only what changes some target's state: a branch no target takes is skipped,
+one every target takes is assigned without a select, and the state shrinks
+only when a target converged.  Each target's values still come from
+brentq.c's expressions on its own operands, elementwise, so the roots keep
+their bits whatever the batch around them.
 """
 
 from __future__ import annotations

@@ -152,15 +152,19 @@ def _sinc_closed_long(sigma, a, d):
 def test_sinc_closed_form_answers_where_t_to_the_fourth_overflows():
     # from |t| = 2^256 t^4 overflows, and a lone d raised on it (these tests
     # run with warnings as errors); q and q' divided through by t answer
-    # there, at 1e200 tau1 underflows to 0 in double as in long double, and
-    # the last t before the cut keeps the closed forms' bits
+    # there, at 1e200 tau1 underflows to 0 in double as in long double, an
+    # array with 0.1 and 0 beside them answers too, and the last t before
+    # the cut keeps the closed forms' bits
     for sigma in (1.0, 0.37):
         tf = sinc_psf(sigma=sigma)
-        for d in (2e77, 1e200, -2e77, np.array([2e77, 1e200, 0.1])):
+        for d in (2e77, 1e200, -2e77, np.array([2e77, 1e200, 0.1, 0.0])):
             tr = tau1_exact(tf, d)
             for i, x in enumerate(np.atleast_1d(d)):
-                want = [float(v) for v in _sinc_closed_long(sigma, tf.a, float(x))]
                 got = [np.atleast_1d(tr.tau1)[i], np.atleast_1d(tr.dtau1_dd)[i]]
+                if x == 0.0:
+                    assert got == [0.0, 0.0]
+                    continue
+                want = [float(v) for v in _sinc_closed_long(sigma, tf.a, float(x))]
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (x, got, want)
     assert float(_sinc_closed_long(1.0, SINC.a, 2e77)[0]) > 1e-160  # the check is not 0 == 0
     cut = np.array([np.nextafter(2.0**256, 0.0), -np.nextafter(2.0**256, 0.0)])

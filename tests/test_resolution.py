@@ -102,62 +102,6 @@ def test_solver_refuses_unbracketed_and_unconverged_roots(monkeypatch):
                          xtol=1e-13, rtol=1e-12)
 
 
-LOCKSTEP_PSFS = {
-    "gaussian": lambda: gaussian_psf(1.0),
-    "sinc": lambda: sinc_psf(sigma=1.0),
-    "table": lambda: load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt"),
-}
-
-
-@pytest.mark.parametrize("name", LOCKSTEP_PSFS)
-def test_lockstep_shortcuts_keep_scalar_brentq_bits(name):
-    # an iteration skips a branch no target takes and assigns one every target
-    # takes; batches small or alike enough for the masks to be uniform take
-    # those shortcuts, where a large mixed batch never does.  Each root is
-    # scipy's, and the same alone (for the 2000 spread targets, every 20th),
-    # in two halves and in the whole batch
-    tf = LOCKSTEP_PSFS[name]()
-    d_peak, tau_peak = _tau_branch(tf)
-    g = lambda x: tau1_exact(tf, x).tau1
-    solve = lambda t: _brentq_lockstep(g, t, 0.0, d_peak, xtol=1e-13 * d_peak, rtol=1e-12)
-    rng = np.random.default_rng(35)
-    tau_sigma = tau1_exact(tf, tf.sigma).tau1
-    batches = [
-        rng.uniform(0.0, tau_peak, 1),
-        rng.uniform(0.0, tau_peak, 2),
-        rng.uniform(0.0, tau_peak, 3),
-        tau_sigma * rng.uniform(0.95, 1.05, 300),  # a counting job's totals about d = sigma
-        rng.uniform(0.0, tau_peak, 2000),
-    ]
-    for targets in batches:
-        roots = solve(targets)
-        scalar = [brentq(lambda x: g(x) - t, 0.0, d_peak, xtol=1e-13 * d_peak, rtol=1e-12)
-                  for t in targets.tolist()]
-        assert np.array_equal(roots, scalar)
-        half = targets.size // 2
-        assert np.array_equal(np.concatenate([solve(targets[:half]), solve(targets[half:])]), roots)
-        step = 20 if targets.size > 300 else 1
-        alone = [solve(targets[i : i + 1])[0] for i in range(0, targets.size, step)]
-        assert np.array_equal(alone, roots[::step])
-
-
-def test_lockstep_returns_roots_at_the_ends_after_two_evaluations():
-    # no target left to iterate returns at once: an empty batch, and targets
-    # whose residual is 0 at xa or at xb, which are their roots
-    calls = []
-
-    def cube(x):
-        calls.append(x)
-        return np.float_power(x, 3)
-
-    for targets in (np.array([]), np.array([0.0, 1.0, 0.0]), np.array([1.0])):
-        calls.clear()
-        roots = _brentq_lockstep(cube, targets, 0.0, 1.0, xtol=1e-13, rtol=1e-12)
-        assert roots.shape == targets.shape and roots.dtype == float
-        assert np.array_equal(roots, targets)
-        assert calls == [0.0, 1.0]
-
-
 def _scipy_peak(f, lo, hi, xatol, maxiter=rs.FMINBOUND_MAXFUN):
     res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
                           options={"xatol": xatol, "maxiter": maxiter})
@@ -206,6 +150,55 @@ def test_peak_stops_where_scipy_does_at_the_evaluation_cap(monkeypatch):
     assert _scipy_peak(tau, 0.5, 4.0, 1e-12, maxiter=7) != _scipy_peak(tau, 0.5, 4.0, 1e-12)
     monkeypatch.setattr(rs, "FMINBOUND_MAXFUN", 7)
     assert _peak(tau, 0.5, 4.0, 1e-12) == _scipy_peak(tau, 0.5, 4.0, 1e-12, maxiter=7)
+
+
+@pytest.mark.parametrize("name", ["gaussian-1.0", "sinc-1.0", "table"])
+def test_lockstep_shortcuts_keep_scalar_brentq_bits(name):
+    # an iteration skips a branch no target takes and assigns one every target
+    # takes; batches small or alike enough for the masks to be uniform take
+    # those shortcuts, where a large mixed batch never does.  Each root is
+    # scipy's, and the same alone (for the 2000 spread targets, every 20th),
+    # in two halves and in the whole batch
+    tf = PEAK_PSFS[name]()
+    d_peak, tau_peak = _tau_branch(tf)
+    g = lambda x: tau1_exact(tf, x).tau1
+    solve = lambda t: _brentq_lockstep(g, t, 0.0, d_peak, xtol=1e-13 * d_peak, rtol=1e-12)
+    rng = np.random.default_rng(35)
+    tau_sigma = tau1_exact(tf, tf.sigma).tau1
+    batches = [
+        rng.uniform(0.0, tau_peak, 1),
+        rng.uniform(0.0, tau_peak, 2),
+        rng.uniform(0.0, tau_peak, 3),
+        tau_sigma * rng.uniform(0.95, 1.05, 300),  # a counting job's totals about d = sigma
+        rng.uniform(0.0, tau_peak, 2000),
+    ]
+    for targets in batches:
+        roots = solve(targets)
+        scalar = [brentq(lambda x: g(x) - t, 0.0, d_peak, xtol=1e-13 * d_peak, rtol=1e-12)
+                  for t in targets.tolist()]
+        assert np.array_equal(roots, scalar)
+        half = targets.size // 2
+        assert np.array_equal(np.concatenate([solve(targets[:half]), solve(targets[half:])]), roots)
+        step = 20 if targets.size > 300 else 1
+        alone = [solve(targets[i : i + 1])[0] for i in range(0, targets.size, step)]
+        assert np.array_equal(alone, roots[::step])
+
+
+def test_lockstep_returns_roots_at_the_ends_after_two_evaluations():
+    # no target left to iterate returns at once: an empty batch, and targets
+    # whose residual is 0 at xa or at xb, which are their roots
+    calls = []
+
+    def cube(x):
+        calls.append(x)
+        return np.float_power(x, 3)
+
+    for targets in (np.array([]), np.array([0.0, 1.0, 0.0]), np.array([1.0])):
+        calls.clear()
+        roots = _brentq_lockstep(cube, targets, 0.0, 1.0, xtol=1e-13, rtol=1e-12)
+        assert roots.shape == targets.shape and roots.dtype == float
+        assert np.array_equal(roots, targets)
+        assert calls == [0.0, 1.0]
 
 
 def _d_half_reference(fi_fn, target, sigma):

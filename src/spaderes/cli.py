@@ -207,8 +207,35 @@ def write_table(args, columns: list[str], rows: list[list[float]]) -> None:
     _emit(args, "\n".join(lines))
 
 
-def write_json(args, payload: dict) -> None:
-    _emit(args, json.dumps({"config": config_echo(args), **payload}))
+def _json_floats(values: np.ndarray) -> str:
+    """json.dumps(values.tolist()), with each distinct value's text made once.
+
+    Values are distinct by their bits, so -0.0 keeps its text beside 0.0;
+    the distinct values' texts are json.dumps's own, split at its
+    separators, and are joined back in the order of ``values``.
+    """
+    bits, each = np.unique(values.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return "[" + ", ".join(np.array(texts, dtype=object)[each].tolist()) + "]"
+
+
+def write_json(args, payload: dict, repeats: str | None = None) -> None:
+    """The config echo and the payload as one JSON object, json.dumps's bytes.
+
+    ``repeats`` names a payload key whose value is a float64 array with
+    values that repeat; its text is made by :func:`_json_floats` and put in
+    the key's place.
+    """
+    obj = {"config": config_echo(args), **payload}
+    if repeats is None:
+        _emit(args, json.dumps(obj))
+        return
+    items = list(obj.items())
+    at = list(obj).index(repeats)
+    head = json.dumps(dict(items[:at]))[:-1]  # "{" and the items before, the config first
+    tail = json.dumps(dict(items[at + 1 :]))[1:]  # the items after, and "}"
+    sep = ", " if tail != "}" else ""
+    _emit(args, f"{head}, {json.dumps(repeats)}: {_json_floats(obj[repeats])}{sep}{tail}")
 
 
 def cmd_tau_curve(args) -> None:
@@ -292,6 +319,14 @@ def cmd_d_half(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    """The TrialReport of one Monte Carlo experiment, as JSON after the config echo.
+
+    A counting readout's estimate is a function of the trial's integer
+    photocount total, so its estimates repeat from trial to trial, and each
+    distinct one is written once (:func:`_json_floats`); a quadrature
+    readout's are all distinct and take plain json.dumps.  Either way the
+    bytes are json.dumps's.
+    """
     if args.d_true is None:
         raise ValidationError("simulate requires --d-true (a flag or a --config key)")
     tf = build_psf(args)
@@ -307,9 +342,13 @@ def cmd_simulate(args) -> None:
     )
     # a shallow copy of the fields: asdict would deep-copy every estimate
     report = dict(vars(run_crb_experiment(exp)))
+    repeats = None
     if args.no_estimates:
         del report["estimates"]
-    write_json(args, report)
+    elif MEASUREMENTS[args.measurement].discrete:
+        report["estimates"] = np.fromiter(report["estimates"], float, args.trials)
+        repeats = "estimates"
+    write_json(args, report, repeats)
 
 
 def cmd_qfi(args) -> None:

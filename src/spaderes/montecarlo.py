@@ -42,7 +42,7 @@ from .counting import (
     mean_count,
 )
 from .errors import BudgetError, NumericError, ValidationError
-from .overlap import tau1_exact
+from .overlap import tau1_value
 from .psf import TABULATED, TransferFunction
 from .quadrature import (
     HETERODYNE,
@@ -118,7 +118,7 @@ def _search_branch(tf: TransferFunction) -> tuple[float, float]:
     # every kind; the Gaussian's d_peak is 2 sigma only to within the search
     # tolerance, and the golden simulate_counting_clip_peak.json pins its value
     sigma = tf.sigma
-    return _peak(lambda d: tau1_exact(tf, d).tau1, 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma)
+    return _peak(lambda d: tau1_value(tf, d), 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma)
 
 
 @lru_cache(maxsize=64)
@@ -146,7 +146,10 @@ def _invert_tau1(tf: TransferFunction, tau_target):
 
     Elementwise over a scalar or an array of targets, in one lockstep Brent
     solve of the distinct targets.  Values at or below 0 clip to 0; values at
-    or above the branch maximum clip to d_peak.
+    or above the branch maximum clip to d_peak.  Each Brent iteration takes
+    tau1 alone (:func:`~spaderes.overlap.tau1_value`), with the bits of
+    ``tau1_exact(tf, d).tau1`` and without the c', dtau1/dd and Transmission
+    that nothing here reads.
     """
     t = np.asarray(tau_target, dtype=float)
     flat = t.ravel()
@@ -158,7 +161,7 @@ def _invert_tau1(tf: TransferFunction, tau_target):
         d[positive & ~rising] = d_peak
         targets, each = np.unique(flat[rising], return_inverse=True)
         d[rising] = _brentq_lockstep(
-            lambda x: tau1_exact(tf, x).tau1, targets, 0.0, d_peak,
+            lambda x: tau1_value(tf, x), targets, 0.0, d_peak,
             xtol=1e-13 * d_peak, rtol=1e-12,
         )[each]
     return d.reshape(t.shape)[()]
@@ -221,6 +224,9 @@ class Measurement:
     sample: Callable[[Experiment], np.ndarray]
     # the estimate of d from each trial's statistic, shape (trials,)
     estimate: Callable[[np.ndarray, Experiment], np.ndarray]
+    # whether the statistic is an integer (a photocount total), so that trials
+    # repeat each other's estimates; a quadrature mean square never does
+    discrete: bool
 
 
 def _quadrature_measurement(kind: str) -> Measurement:
@@ -235,6 +241,7 @@ def _quadrature_measurement(kind: str) -> Measurement:
         shot_noise_snr=lambda n_s: shot_noise_snr(kind, n_s),
         sample=lambda exp: sample_quadrature(exp.scene, kind, exp.frames, exp.trials, exp.rng()),
         estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, kind),
+        discrete=False,
     )
 
 
@@ -247,6 +254,7 @@ MEASUREMENTS = {
         shot_noise_snr=None,
         sample=lambda exp: simulate_counts(exp),
         estimate=lambda totals, exp: ml_estimate_counting(totals, exp.frames, exp.scene, exp.noise),
+        discrete=True,
     ),
     HOMODYNE: _quadrature_measurement(HOMODYNE),
     HETERODYNE: _quadrature_measurement(HETERODYNE),

@@ -23,10 +23,12 @@ one quadrature call (:mod:`spaderes.integrate`), whose integrand takes
 (rows, n) nodes and the rows' d as a (rows, 1) column and returns the
 integrands of c and c' as (2, rows, n); each row is reduced on its own by
 np.dot, so a d gets the same bits alone or inside an array.
-:func:`tau1_exact` is the closed form for the analytic kinds.  A tabulated
-spline takes its own kernels (:mod:`spaderes.spline`): c and c' piece by
-piece for :func:`tau1_numeric`, and exactly, by one Horner pass per d on a
-uniform grid, for :func:`tau1_exact`.
+:func:`tau1_exact` is the closed form for the analytic kinds, and
+:func:`tau1_value` its tau1 alone, with the same bits, for the root finders
+that need nothing else.  A tabulated spline takes its own kernels
+(:mod:`spaderes.spline`): c and c' piece by piece for :func:`tau1_numeric`,
+and exactly, by one Horner pass per d on a uniform grid, for
+:func:`tau1_exact`.
 Squares of d-dependent values use np.float_power, i.e. pow() as a scalar
 ``x**2`` does: an array's ``x**2`` multiplies, and differs from pow() in
 the last bit for one value in ~1300.
@@ -34,6 +36,7 @@ the last bit for one value in ~1300.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +68,7 @@ class Transmission(NamedTuple):
     c_prime: float | np.ndarray
 
 
-def _shrink_ratios(t):
+def _shrink_ratios(t, derivative: bool = True):
     """q(t) = 3 (sin t - t cos t) / t^3, with q(0) = 1, and its derivative
     q'(t) = 3 ((t^2 - 3) sin t + 3 t cos t) / t^4, from one sin and one cos
     of t; each takes its Taylor series near t = 0, q for |t| < 0.35 and q'
@@ -76,7 +79,9 @@ def _shrink_ratios(t):
     |t| = 2^256 out, where t^4 overflows, q and q' are divided through by t
     before any power is taken: q = 3 (sin t / t - cos t) / t^2 and
     q' = 3 (sin t + 3 cos t / t) / t^2, whose dropped -3 sin t / t^2 is below
-    2^-510 of sin t.  That branch too runs only when some |t| needs it."""
+    2^-510 of sin t.  That branch too runs only when some |t| needs it.
+    With ``derivative=False`` q' is not computed and None stands in its
+    place; q keeps its bits."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     series = at.min(initial=np.inf) < 0.35
@@ -87,27 +92,55 @@ def _shrink_ratios(t):
     if far:  # the closed forms take 1 where t^4 overflows, once sin and cos are taken
         huge = at >= _FAR_T
         tn, ts = np.where(huge, 1.0, t), np.where(huge, 1.0, ts)
-    t2 = tn * tn
     q = 3.0 * (sin - ts * cos) / ts**3
-    qp = 3.0 * ((t2 - 3.0) * sin + 3.0 * ts * cos) / ts**4
+    qp = None
+    if derivative:
+        qp = 3.0 * ((tn * tn - 3.0) * sin + 3.0 * ts * cos) / ts**4
     if series:
         small = at < 0.35
-        t2 = t2 * small  # t^2 exactly below the cut-off, 0 past it
+        t2 = tn * tn * small  # t^2 exactly below the cut-off, 0 past it
         q = np.where(
             small,
             1.0 + t2 * (-0.1 + t2 * (1.0 / 280.0 + t2 * (-1.0 / 15120.0 + t2 / 1330560.0))),
             q,
         )
-        qp = np.where(
-            at < 0.25,
-            t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))),
-            qp,
-        )
+        if derivative:
+            qp = np.where(
+                at < 0.25,
+                t * (-0.2 + t2 * (1.0 / 70.0 + t2 * (-1.0 / 2520.0 + t2 / 166320.0))),
+                qp,
+            )
     if far:
         th = np.where(huge, t, 1.0)  # t wherever the divided forms are kept
         q = np.where(huge, 3.0 * (sin / th - cos) / th / th, q)
-        qp = np.where(huge, 3.0 * (sin + 3.0 * cos / th) / th / th, qp)
-    return q[()], qp[()]
+        if derivative:
+            qp = np.where(huge, 3.0 * (sin + 3.0 * cos / th) / th / th, qp)
+    return q[()], (None if qp is None else qp[()])
+
+
+def _closed_overlaps(tf: TransferFunction, d, derivative: bool = True):
+    """(c, c') of the closed form at d, or (c, None) with ``derivative=False``.
+
+    The one place each analytic kind's c is written, so that tau1 = c^2 has
+    the same bits whether c' is taken beside it or not.
+    """
+    sigma = tf.sigma
+    if tf.kind == GAUSSIAN:
+        d2 = np.float_power(np.minimum(np.abs(d), _GAUSSIAN_CLIP_SIGMAS * sigma), 2)
+        e = np.exp(d2 / (-8.0 * sigma**2))
+        c = (d / (2.0 * sigma)) * e
+        if not derivative:
+            return c, None
+        return c, (e / (2.0 * sigma)) * (1.0 - d2 / (4.0 * sigma**2))
+    if tf.kind == SINC:
+        a = tf.a
+        q, qp = _shrink_ratios(a * d, derivative)
+        half = d / (2.0 * sigma)
+        c = half * q
+        if not derivative:
+            return c, None
+        return c, q / (2.0 * sigma) + half * qp * a
+    raise UnsupportedKindError(f"no closed-form transmission for kind {tf.kind!r}")
 
 
 def tau1_closed(tf: TransferFunction, d) -> Transmission:
@@ -117,23 +150,29 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
     Gaussian kind and c = (d / 2 sigma) q(a d) for sinc, where
     q(t) = 3 (sin t - t cos t) / t^3.  The Gaussian takes d^2 of |d| clipped
     at _GAUSSIAN_CLIP_SIGMAS sigma, where e is 0 already, so c, c' and tau1
-    are 0, not NaN, once d^2 would overflow.
+    are 0, not NaN, once d^2 would overflow.  A d that is not finite, alone
+    or in an array, is refused as :func:`tau1_numeric` refuses it.
     """
-    sigma = tf.sigma
-    if tf.kind == GAUSSIAN:
-        d2 = np.float_power(np.minimum(np.abs(d), _GAUSSIAN_CLIP_SIGMAS * sigma), 2)
-        e = np.exp(d2 / (-8.0 * sigma**2))
-        c = (d / (2.0 * sigma)) * e
-        cp = (e / (2.0 * sigma)) * (1.0 - d2 / (4.0 * sigma**2))
-    elif tf.kind == SINC:
-        a = tf.a
-        q, qp = _shrink_ratios(a * d)
-        half = d / (2.0 * sigma)
-        c = half * q
-        cp = q / (2.0 * sigma) + half * qp * a
-    else:
-        raise UnsupportedKindError(f"no closed-form transmission for kind {tf.kind!r}")
+    # a float alone skips numpy's fixed cost, which a root finder calling
+    # on scalars would pay at every step
+    if not (math.isfinite(d) if isinstance(d, float) else np.abs(d).max(initial=0.0) < np.inf):
+        raise ValidationError("separation d must be finite")
+    c, cp = _closed_overlaps(tf, d)
     return Transmission(d, c * c, 2.0 * c * cp, c, cp)
+
+
+def tau1_value(tf: TransferFunction, d):
+    """tau1 alone at a scalar d or an array of d, with tau1_exact(tf, d).tau1's bits.
+
+    The analytic kinds square the closed form's c without taking c',
+    dtau1/dd or a Transmission; a table takes :func:`tau1_exact`.  It is the
+    root finders' function, whose d lie in a finite bracket, so d is not
+    checked.
+    """
+    if tf.kind == TABULATED:
+        return tau1_exact(tf, d).tau1
+    c, _ = _closed_overlaps(tf, d, derivative=False)
+    return c * c
 
 
 def _transmission(d, overlaps) -> Transmission:

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, config handling, exit codes."""
 
+import argparse
 import json
 import tracemalloc
 import warnings
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spaderes.cli import build_parser, main
-from spaderes.montecarlo import MAX_POINTS
-from spaderes.psf import load_tabulated, sigma_of, sinc_psf
+from spaderes.cli import _json_floats, build_parser, config_echo, main, write_json
+from spaderes.montecarlo import MAX_POINTS, _tau_branch
+from spaderes.psf import gaussian_psf, load_tabulated, sigma_of, sinc_psf
 
 
 def run(argv):
@@ -149,6 +150,55 @@ def test_simulate_deterministic(tmp_path):
     assert payload["config"]["seed"] == 7
     assert len(payload["estimates"]) == 40
     assert payload["crb"] > 0
+
+
+def test_distinct_value_writer_is_json_dumps():
+    # each distinct value's text is made once, by its bits: 0.0 and -0.0 are
+    # two values, which a value-based dedup would write alike
+    d_peak, _ = _tau_branch(gaussian_psf(1.0))
+    cases = [
+        np.array([0.3, 0.7, 0.3, 0.3, 0.7, 0.1]),
+        np.array([0.0, -0.0, 0.5, -0.0, 0.0]),
+        np.array([d_peak, 0.2, 0.0, d_peak, 0.2]),  # clipped at both branch ends
+        np.array([5e-324, 1e16, 1e-7, 1e16, 5e-324, 1e-7, 1.0]),
+        np.array([0.42]),  # a single trial
+        np.array([-0.0]),
+    ]
+    for values in cases:
+        assert _json_floats(values) == json.dumps(values.tolist())
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_spliced_array_takes_its_key_place(at, tmp_path):
+    # first, between and last among the payload's keys, as json.dumps puts it
+    out = tmp_path / "out.json"
+    args = argparse.Namespace(out=str(out), command="simulate", seed=3)
+    values = np.array([0.25, -0.0, 0.25, 0.0])
+    others = {"a": 1, "b": [2.5, None]}
+    keys = list(others)
+    keys.insert(at, "values")
+    payload = {key: values if key == "values" else others[key] for key in keys}
+    write_json(args, payload, "values")
+    plain = dict(payload, values=values.tolist())
+    assert out.read_text() == json.dumps({"config": config_echo(args), **plain}) + "\n"
+
+
+@pytest.mark.parametrize("statistics", ["poisson", "thermal"])
+def test_a_counting_report_has_the_bytes_json_dumps_gives_it(statistics, tmp_path):
+    # a real report, whose trials repeat their estimates and clip some at 0,
+    # is what json.dumps writes of it; so are its estimates beside their
+    # negatives, where each clipped 0.0 meets a -0.0 that only its bits tell apart
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--statistics", statistics, "--snr", "1e2", "--d-true", "0.05",
+                 "--frames", "200", "--trials", "1000", "--seed", "8", "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
+    assert json.dumps(report) + "\n" == text
+    est = np.array(report["estimates"])
+    assert 0 < np.count_nonzero(est == 0.0) < est.size // 2
+    assert np.unique(est).size < est.size // 2
+    both = np.concatenate([est, -est])
+    assert _json_floats(both) == json.dumps(both.tolist())
 
 
 # every spelling of --config that argparse accepts

@@ -100,6 +100,10 @@ CASES = {
     # a job of the size the mc-crb benchmark runs
     "simulate_homodyne_sinc_2000.json": [*_SIMULATE, "--psf", "sinc", "--measurement",
                                          "homodyne", "--frames", "200", "--trials", "2000"],
+    # a counting job of that size, whose estimates repeat from trial to trial
+    "simulate_counting_thermal_2000.json": [*_SIMULATE, "--psf", "sinc", "--statistics",
+                                            "thermal", "--snr", "1e4", "--d-true", "1.0",
+                                            "--frames", "200", "--trials", "2000"],
 }
 
 

@@ -31,7 +31,7 @@ from spaderes.montecarlo import (
     run_crb_experiment,
     simulate_counts,
 )
-from spaderes.overlap import tau1_closed, tau1_exact
+from spaderes.overlap import tau1_closed, tau1_exact, tau1_value
 from spaderes.psf import gaussian_psf, load_tabulated, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE
 from spaderes.resolution import _brentq_lockstep
@@ -360,9 +360,9 @@ def test_all_trials_invert_in_one_array_solve(measurement, monkeypatch):
 
     def counted(tf, d):
         calls.append(np.size(d))
-        return tau1_exact(tf, d)
+        return tau1_value(tf, d)
 
-    monkeypatch.setattr(mc, "tau1_exact", counted)
+    monkeypatch.setattr(mc, "tau1_value", counted)
     _analytic_branch.cache_clear()  # count the search for the branch peak too
     noise = SNR4 if measurement == "counting" else NO_NOISE
     scene = SourceScene(sinc_psf(sigma=1.0), 0.3, 100.0)
@@ -383,9 +383,9 @@ def test_each_distinct_photocount_total_is_solved_once(monkeypatch):
 
     def counted(tf, d):
         sizes.append(np.size(d))
-        return tau1_exact(tf, d)
+        return tau1_value(tf, d)
 
-    monkeypatch.setattr(mc, "tau1_exact", counted)
+    monkeypatch.setattr(mc, "tau1_value", counted)
     rep = run_crb_experiment(exp)
     assert max(sizes) <= distinct
     # the same roots as one solve over every trial's own target

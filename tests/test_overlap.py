@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from spaderes import NoiseModel, NumericError, SourceScene, fi_counting_exact, overlap, spline
+from spaderes import (
+    NoiseModel,
+    NumericError,
+    SourceScene,
+    ValidationError,
+    fi_counting_exact,
+    overlap,
+    spline,
+)
 from spaderes.integrate import QUAD_ABS_TOL, QUAD_REL_TOL, check_converged, composite_gauss_legendre
 from spaderes.overlap import (
     tau1_closed,
@@ -16,6 +24,7 @@ from spaderes.overlap import (
     tau1_numeric,
     tau1_sinc_expansion,
     tau1_small_d,
+    tau1_value,
 )
 from spaderes.psf import (
     gaussian_psf,
@@ -172,6 +181,58 @@ def test_sinc_closed_form_answers_where_t_to_the_fourth_overflows():
     with np.errstate(over="ignore"):  # the reference takes its series at every t
         ref_q, ref_qp = _shrink_ratio_two_passes(cut)
     assert np.array_equal(q, ref_q) and np.array_equal(qp, ref_qp)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sinc"])
+@pytest.mark.filterwarnings("error")
+def test_closed_forms_refuse_a_separation_that_is_not_finite(kind):
+    # as the quadrature and a table refuse it: no NaN, and no warning on the way
+    tf = GAUSS if kind == "gaussian" else SINC
+    for bad in (np.inf, -np.inf, np.nan):
+        for d in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad, 1.0]), np.array([[bad]])):
+            for fn in (tau1_closed, tau1_exact, tau1_numeric):
+                with pytest.raises(ValidationError, match="separation d must be finite"):
+                    fn(tf, d)
+    assert tau1_closed(tf, np.array([0.5, 1e300])).tau1[0] == tau1_closed(tf, 0.5).tau1
+
+
+def _value_grid(a, sigma):
+    """Separations across every branch of the closed forms: 0, both signs,
+    t = a d on both sides of the series cut-offs 0.25 and 0.35 (and one ulp
+    either side), on a grid out to 20 sigma, from 2^256 where t^4 overflows,
+    and past the Gaussian's clip at 1e3 sigma."""
+    cuts = np.array([0.25, 0.35])
+    t = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
+                        np.linspace(0.2, 0.4, 201), [2.0**256, np.nextafter(2.0**256, 0.0), 1e300]])
+    d = np.concatenate([[0.0], t / a, sigma * np.linspace(0.0, 20.0, 401), sigma * np.array([
+        999.0, 1e3, 1e3 + 1e-9, 2e3, 1e150])])
+    return np.concatenate([d, -d])
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sinc"])
+@pytest.mark.parametrize("sigma", [1.0, 0.37, 2.5])
+@pytest.mark.filterwarnings("error")
+def test_tau1_value_has_the_bits_of_tau1_exact(kind, sigma):
+    # the root finders' tau1 alone is tau1_exact's tau1, bit for bit, on
+    # whole arrays, on halves of them and on each d alone
+    tf = gaussian_psf(sigma) if kind == "gaussian" else sinc_psf(sigma=sigma)
+    a = tf.a if kind == "sinc" else 1.0 / sigma
+    d = _value_grid(a, sigma)
+    want = tau1_exact(tf, d).tau1
+    assert np.array_equal(tau1_value(tf, d), want)
+    half = d.size // 2
+    assert np.array_equal(np.concatenate([tau1_value(tf, d[:half]), tau1_value(tf, d[half:])]), want)
+    alone = [tau1_value(tf, x) for x in d.tolist()]
+    assert alone == [tau1_exact(tf, x).tau1 for x in d.tolist()]
+    assert np.array_equal(alone, want) and all(np.ndim(v) == 0 for v in alone)
+    assert tau1_value(tf, d.reshape(2, -1)).shape == (2, half)
+
+
+def test_tau1_value_takes_a_table_through_tau1_exact():
+    tf = load_tabulated(Path(__file__).parent / "golden" / "psf_gaussian_801.txt")
+    d = np.linspace(-3.0, 20.0, 47)
+    assert np.array_equal(tau1_value(tf, d), tau1_exact(tf, d).tau1)
+    assert tau1_value(tf, 0.7) == tau1_exact(tf, 0.7).tau1
 
 
 def test_small_d_quadratic():

@@ -14,7 +14,7 @@ from spaderes.counting import NoiseModel, SourceScene, THERMAL, fi_counting_exac
 from spaderes.direct_imaging import qfi
 from spaderes.errors import BracketingError, NumericError, ValidationError
 from spaderes.montecarlo import MEASUREMENTS, _tau_branch
-from spaderes.overlap import tau1_exact
+from spaderes.overlap import tau1_exact, tau1_value
 from spaderes.psf import gaussian_psf, load_tabulated, sinc_psf
 from spaderes.quadrature import HETERODYNE, HOMODYNE, fi_homodyne_small_d, shot_noise_snr
 from spaderes.resolution import (
@@ -158,11 +158,16 @@ def test_lockstep_shortcuts_keep_scalar_brentq_bits(name):
     # takes; batches small or alike enough for the masks to be uniform take
     # those shortcuts, where a large mixed batch never does.  Each root is
     # scipy's, and the same alone (for the 2000 spread targets, every 20th),
-    # in two halves and in the whole batch
+    # in two halves and in the whole batch.  The solve in the simulations
+    # takes tau1 alone (tau1_value): its branch and roots are these, bit for bit
     tf = PEAK_PSFS[name]()
     d_peak, tau_peak = _tau_branch(tf)
     g = lambda x: tau1_exact(tf, x).tau1
+    sigma = tf.sigma
+    assert (d_peak, tau_peak) == _peak(g, 0.5 * sigma, 4.0 * sigma, 1e-12 * sigma)
     solve = lambda t: _brentq_lockstep(g, t, 0.0, d_peak, xtol=1e-13 * d_peak, rtol=1e-12)
+    value = lambda t: _brentq_lockstep(lambda x: tau1_value(tf, x), t, 0.0, d_peak,
+                                       xtol=1e-13 * d_peak, rtol=1e-12)
     rng = np.random.default_rng(35)
     tau_sigma = tau1_exact(tf, tf.sigma).tau1
     batches = [
@@ -177,6 +182,7 @@ def test_lockstep_shortcuts_keep_scalar_brentq_bits(name):
         scalar = [brentq(lambda x: g(x) - t, 0.0, d_peak, xtol=1e-13 * d_peak, rtol=1e-12)
                   for t in targets.tolist()]
         assert np.array_equal(roots, scalar)
+        assert np.array_equal(value(targets), roots)
         half = targets.size // 2
         assert np.array_equal(np.concatenate([solve(targets[:half]), solve(targets[half:])]), roots)
         step = 20 if targets.size > 300 else 1

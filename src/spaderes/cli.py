@@ -22,12 +22,13 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .counting import NO_NOISE, POISSON, STATISTICS, NoiseModel, SourceScene
+from .counting import NO_NOISE, POISSON, STATISTICS, THERMAL, NoiseModel, SourceScene
 from .direct_imaging import fi_direct, qfi, qfi_numeric
 from .errors import BudgetError, NumericError, SpaderesError, ValidationError
 from .montecarlo import MAX_POINTS, MEASUREMENTS, Experiment, Measurement, run_crb_experiment
@@ -208,34 +209,35 @@ def write_table(args, columns: list[str], rows: list[list[float]]) -> None:
 
 
 def _json_floats(values: np.ndarray) -> str:
-    """json.dumps(values.tolist()), with each distinct value's text made once.
+    """json.dumps(values.tolist()) for a 1-d float64 array.
 
-    Values are distinct by their bits, so -0.0 keeps its text beside 0.0;
-    the distinct values' texts are json.dumps's own, split at its
-    separators, and are joined back in the order of ``values``.
+    Where values repeat (0.0 beside -0.0 counts), as a counting readout's
+    estimates do, each distinct value's text is made once: values are then
+    distinct by their bits, so -0.0 keeps its text beside 0.0, and
+    json.dumps's texts of them are joined back in the order of ``values``.
     """
+    if np.unique(values).size == values.size:
+        return json.dumps(values.tolist())
     bits, each = np.unique(values.view(np.int64), return_inverse=True)
     texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     return "[" + ", ".join(np.array(texts, dtype=object)[each].tolist()) + "]"
 
 
-def write_json(args, payload: dict, repeats: str | None = None) -> None:
+def write_json(args, payload: dict) -> None:
     """The config echo and the payload as one JSON object, json.dumps's bytes.
 
-    ``repeats`` names a payload key whose value is a float64 array with
-    values that repeat; its text is made by :func:`_json_floats` and put in
-    the key's place.
+    A payload value that is a float64 array is written by :func:`_json_floats`;
+    each run of other items takes one json.dumps, so that a payload without
+    arrays costs one call.
     """
     obj = {"config": config_echo(args), **payload}
-    if repeats is None:
-        _emit(args, json.dumps(obj))
-        return
-    items = list(obj.items())
-    at = list(obj).index(repeats)
-    head = json.dumps(dict(items[:at]))[:-1]  # "{" and the items before, the config first
-    tail = json.dumps(dict(items[at + 1 :]))[1:]  # the items after, and "}"
-    sep = ", " if tail != "}" else ""
-    _emit(args, f"{head}, {json.dumps(repeats)}: {_json_floats(obj[repeats])}{sep}{tail}")
+    parts = []
+    for is_array, items in groupby(obj.items(), lambda item: isinstance(item[1], np.ndarray)):
+        if is_array:
+            parts += [f"{json.dumps(key)}: {_json_floats(value)}" for key, value in items]
+        else:
+            parts.append(json.dumps(dict(items))[1:-1])
+    _emit(args, "{" + ", ".join(parts) + "}")
 
 
 def cmd_tau_curve(args) -> None:
@@ -291,6 +293,8 @@ def cmd_d_half(args) -> None:
     if snr is None:
         need = "--snr or --n-b" if m.shot_noise_snr is None else "--snr or --n-s"
         raise ValidationError(f"{args.measurement} d-half requires {need}")
+    if args.statistics == THERMAL and args.n_s is None:
+        raise ValidationError("thermal d-half requires --n-s, which bounds its window")
     tf = build_psf(args)
     sigma = tf.sigma
     window = superres_window(sigma, snr, n_s=args.n_s, statistics=args.statistics)
@@ -319,14 +323,7 @@ def cmd_d_half(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    """The TrialReport of one Monte Carlo experiment, as JSON after the config echo.
-
-    A counting readout's estimate is a function of the trial's integer
-    photocount total, so its estimates repeat from trial to trial, and each
-    distinct one is written once (:func:`_json_floats`); a quadrature
-    readout's are all distinct and take plain json.dumps.  Either way the
-    bytes are json.dumps's.
-    """
+    """The TrialReport of one Monte Carlo experiment, as JSON after the config echo."""
     if args.d_true is None:
         raise ValidationError("simulate requires --d-true (a flag or a --config key)")
     tf = build_psf(args)
@@ -340,15 +337,11 @@ def cmd_simulate(args) -> None:
         trials=args.trials,
         seed=args.seed,
     )
-    # a shallow copy of the fields: asdict would deep-copy every estimate
+    # a shallow copy of the fields: asdict would copy the estimates
     report = dict(vars(run_crb_experiment(exp)))
-    repeats = None
     if args.no_estimates:
         del report["estimates"]
-    elif MEASUREMENTS[args.measurement].discrete:
-        report["estimates"] = np.fromiter(report["estimates"], float, args.trials)
-        repeats = "estimates"
-    write_json(args, report, repeats)
+    write_json(args, report)
 
 
 def cmd_qfi(args) -> None:

@@ -244,8 +244,11 @@ def fi_from_pmf(statistics: str, kbar_fn: Callable[[np.ndarray], np.ndarray], d:
 
     Independent of the closed forms: the only structure used is the PMF
     itself and the chain rule through the mean, dp/dd = (dp/dkbar) kbar'(d).
-    ``kbar_fn`` maps an array of separations to their means, or to one mean.
+    ``kbar_fn`` maps an array of separations to their means, or to one mean;
+    d is one separation, and an array of them is refused.
     """
+    if np.ndim(d) != 0:
+        raise ValidationError(f"the PMF oracle takes one separation, got d of shape {np.shape(d)}")
     # d and its 4th-order central-difference stencil; tau1 is smooth and even, so d < 0 is fine
     h = 1e-3 * max(abs(d), 1.0)
     stencil = np.array([d, d + 2.0 * h, d + h, d - h, d - 2.0 * h])

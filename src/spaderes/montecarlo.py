@@ -96,16 +96,18 @@ class Experiment:
         return np.random.default_rng(self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialReport:
     """Estimator statistics of one experiment against the Cramér-Rao bound.
 
-    crb = 1 / (M * F) with F the exact per-frame information; None with
-    crb_unbounded=True when F = 0 (e.g. d_true = 0 under background).
+    estimates is the solve's read-only float64 array, one per trial; reports
+    compare by identity.  crb = 1 / (M * F) with F the exact per-frame
+    information; None with crb_unbounded=True when F = 0 (e.g. d_true = 0
+    under background).
     """
 
     d_true: float
-    estimates: tuple[float, ...]
+    estimates: np.ndarray
     empirical_variance: float
     empirical_mse: float
     crb: float | None
@@ -224,9 +226,6 @@ class Measurement:
     sample: Callable[[Experiment], np.ndarray]
     # the estimate of d from each trial's statistic, shape (trials,)
     estimate: Callable[[np.ndarray, Experiment], np.ndarray]
-    # whether the statistic is an integer (a photocount total), so that trials
-    # repeat each other's estimates; a quadrature mean square never does
-    discrete: bool
 
 
 def _quadrature_measurement(kind: str) -> Measurement:
@@ -241,7 +240,6 @@ def _quadrature_measurement(kind: str) -> Measurement:
         shot_noise_snr=lambda n_s: shot_noise_snr(kind, n_s),
         sample=lambda exp: sample_quadrature(exp.scene, kind, exp.frames, exp.trials, exp.rng()),
         estimate=lambda ms, exp: ml_estimate_quadrature(ms, exp.scene, kind),
-        discrete=False,
     )
 
 
@@ -254,7 +252,6 @@ MEASUREMENTS = {
         shot_noise_snr=None,
         sample=lambda exp: simulate_counts(exp),
         estimate=lambda totals, exp: ml_estimate_counting(totals, exp.frames, exp.scene, exp.noise),
-        discrete=True,
     ),
     HOMODYNE: _quadrature_measurement(HOMODYNE),
     HETERODYNE: _quadrature_measurement(HETERODYNE),
@@ -267,6 +264,7 @@ def run_crb_experiment(exp: Experiment) -> TrialReport:
     scene = exp.scene
     d_true = scene.d
     estimates = m.estimate(m.sample(exp), exp)
+    estimates.flags.writeable = False
     fisher = m.fi(scene, exp.noise)
 
     d_peak, _ = _tau_branch(scene.tf)
@@ -274,7 +272,7 @@ def run_crb_experiment(exp: Experiment) -> TrialReport:
     unbounded = fisher <= 0.0
     return TrialReport(
         d_true=float(d_true),
-        estimates=tuple(estimates.tolist()),
+        estimates=estimates,
         empirical_variance=float(np.var(estimates, ddof=1)) if exp.trials > 1 else 0.0,
         empirical_mse=float(np.mean((estimates - d_true) ** 2)),
         crb=None if unbounded else float(1.0 / (exp.frames * fisher)),

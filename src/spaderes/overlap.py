@@ -150,11 +150,14 @@ def tau1_closed(tf: TransferFunction, d) -> Transmission:
     Gaussian kind and c = (d / 2 sigma) q(a d) for sinc, where
     q(t) = 3 (sin t - t cos t) / t^3.  The Gaussian takes d^2 of |d| clipped
     at _GAUSSIAN_CLIP_SIGMAS sigma, where e is 0 already, so c, c' and tau1
-    are 0, not NaN, once d^2 would overflow.  A d that is not finite, alone
-    or in an array, is refused as :func:`tau1_numeric` refuses it.
+    are 0, not NaN, once d^2 would overflow.  A list of d is an array.  A d
+    that is not finite, alone or in an array, is refused as
+    :func:`tau1_numeric` refuses it.
     """
     # a float alone skips numpy's fixed cost, which a root finder calling
     # on scalars would pay at every step
+    if not isinstance(d, float):
+        d = np.asarray(d, dtype=float)[()]
     if not (math.isfinite(d) if isinstance(d, float) else np.abs(d).max(initial=0.0) < np.inf):
         raise ValidationError("separation d must be finite")
     c, cp = _closed_overlaps(tf, d)

@@ -153,3 +153,30 @@ def test_scene_rejects_any_negative_separation():
     for d in (np.array([0.1, -0.2, 0.3]), np.nan, np.inf, -np.inf, np.array([0.1, np.nan])):
         with pytest.raises(ValidationError):
             SourceScene(PSFS["gaussian"], d, N_S)
+
+
+def _assert_same_bits(value, want):
+    value, want = np.asarray(value), np.asarray(want)
+    assert value.dtype == want.dtype == np.float64 and value.shape == want.shape
+    assert np.array_equal(value.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", PSFS)
+def test_a_list_of_d_gives_the_arrays_bits(kind):
+    # a list or a tuple of d, of floats or ints, is the array of those floats;
+    # SourceScene accepts one, so the information kernels take it too
+    tf = PSFS[kind]
+    d = [0.0, 0.1, 0.5, 1.0, 2.0, 3.0]
+    kernels = [tau1_exact, tau1_numeric] + ([] if kind == "tabulated" else [tau1_closed])
+    for kernel in kernels:
+        for sequence in (d, tuple(d), [0, 1, 2, 3]):
+            got = kernel(tf, sequence)
+            want = kernel(tf, np.array(sequence, dtype=float))
+            for name in Transmission._fields:
+                _assert_same_bits(getattr(got, name), getattr(want, name))
+    listed, array = SourceScene(tf, d, N_S), SourceScene(tf, np.array(d), N_S)
+    noise = NoiseModel(n_b=0.3)
+    for kernel in (fi_counting_exact, mean_count):
+        _assert_same_bits(kernel(listed, noise), kernel(array, noise))
+    for kernel in (fi_homodyne, fi_heterodyne):
+        _assert_same_bits(kernel(listed), kernel(array))

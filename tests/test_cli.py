@@ -163,6 +163,10 @@ def test_distinct_value_writer_is_json_dumps():
         np.array([5e-324, 1e16, 1e-7, 1e16, 5e-324, 1e-7, 1.0]),
         np.array([0.42]),  # a single trial
         np.array([-0.0]),
+        # no value repeats: json.dumps of the list, whichever way it is made
+        np.array([0.3, 0.7, 0.1, 5e-324, 1e16, 1e-7, 1.0]),
+        np.linspace(0.0, 2.0, 2000),
+        np.array([0.3, 0.0, 0.7, -0.0, 0.1]),  # 0.0 and -0.0, equal as values
     ]
     for values in cases:
         assert _json_floats(values) == json.dumps(values.tolist())
@@ -178,25 +182,38 @@ def test_a_spliced_array_takes_its_key_place(at, tmp_path):
     keys = list(others)
     keys.insert(at, "values")
     payload = {key: values if key == "values" else others[key] for key in keys}
-    write_json(args, payload, "values")
+    write_json(args, payload)
     plain = dict(payload, values=values.tolist())
     assert out.read_text() == json.dumps({"config": config_echo(args), **plain}) + "\n"
 
 
-@pytest.mark.parametrize("statistics", ["poisson", "thermal"])
-def test_a_counting_report_has_the_bytes_json_dumps_gives_it(statistics, tmp_path):
-    # a real report, whose trials repeat their estimates and clip some at 0,
-    # is what json.dumps writes of it; so are its estimates beside their
-    # negatives, where each clipped 0.0 meets a -0.0 that only its bits tell apart
+READOUTS = {
+    "poisson": ["--statistics", "poisson", "--snr", "1e2"],
+    "thermal": ["--statistics", "thermal", "--snr", "1e2"],
+    "homodyne": ["--measurement", "homodyne"],
+    "heterodyne": ["--measurement", "heterodyne"],
+}
+
+
+@pytest.mark.parametrize("readout", list(READOUTS))
+def test_a_counting_report_has_the_bytes_json_dumps_gives_it(readout, tmp_path):
+    # a real report, which clips some trials at 0, is what json.dumps writes
+    # of it; a counting readout's trials repeat their estimates, and a
+    # quadrature readout's repeat only the clipped 0.  So are its estimates
+    # beside their negatives, where each clipped 0.0 meets a -0.0 that only
+    # its bits tell apart
     out = tmp_path / "report.json"
-    assert main(["simulate", "--statistics", statistics, "--snr", "1e2", "--d-true", "0.05",
-                 "--frames", "200", "--trials", "1000", "--seed", "8", "--out", str(out)]) == 0
+    assert main(["simulate", *READOUTS[readout], "--d-true", "0.05", "--frames", "200",
+                 "--trials", "1000", "--seed", "8", "--out", str(out)]) == 0
     text = out.read_text()
     report = json.loads(text)
     assert json.dumps(report) + "\n" == text
     est = np.array(report["estimates"])
     assert 0 < np.count_nonzero(est == 0.0) < est.size // 2
-    assert np.unique(est).size < est.size // 2
+    if readout in ("poisson", "thermal"):
+        assert np.unique(est).size < est.size // 2
+    else:
+        assert np.unique(est[est > 0.0]).size == np.count_nonzero(est > 0.0)
     both = np.concatenate([est, -est])
     assert _json_floats(both) == json.dumps(both.tolist())
 
@@ -289,6 +306,16 @@ def test_absolute_units(tmp_path):
     assert columns[0] == "d"
     i = np.argmin(abs(rows[:, 0] - 4.0))  # 2 sigma in absolute units
     assert rows[i, 1] == pytest.approx(np.exp(-1.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("measurement", ["counting", "homodyne"])
+def test_a_thermal_d_half_without_n_s_names_the_flag(measurement, capsys):
+    # the thermal window's upper edge, 2 sigma / sqrt(n_s), needs the source brightness
+    assert run(["d-half", "--snr", "1e4", "--statistics", "thermal",
+                "--measurement", measurement]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-s" in captured.err
 
 
 def test_exit_code_usage_errors(tmp_path):

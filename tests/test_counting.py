@@ -220,6 +220,20 @@ def test_pmf_oracle_matches_closed_form():
             )
 
 
+def test_pmf_oracle_refuses_an_array_of_d():
+    # it takes one separation; an array of them, even of one d, is refused by
+    # name, and a 0-d array is one separation
+    kbar_fn = lambda d: 40.0 * tau1_closed(GAUSS, d).tau1 + 0.4
+    noise = NoiseModel(0.4)
+    for d in (np.array([0.3]), np.array([0.1, 0.3]), [0.1, 0.3], np.array([[0.3]])):
+        with pytest.raises(ValidationError, match="PMF oracle takes one separation"):
+            fi_counting_oracle(SourceScene(GAUSS, d, 40.0), noise)
+        with pytest.raises(ValidationError, match="PMF oracle takes one separation"):
+            fi_from_pmf(POISSON, kbar_fn, d)
+    at = SourceScene(GAUSS, 0.3, 40.0)
+    assert fi_counting_oracle(replace(at, d=np.array(0.3)), noise) == fi_counting_oracle(at, noise)
+
+
 def test_pmf_oracle_matches_the_exact_form_on_a_cut_table(sinc_cut):
     # the table's u(x_0) is 3% of its peak: c' must carry the term of the
     # step of u(x - d) at the hull's edge, or dtau1/dd is off by up to 3%

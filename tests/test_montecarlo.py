@@ -104,10 +104,32 @@ def test_statistic_law_matches_per_frame_draws(measurement, statistics):
     assert ks_2samp(drawn, _per_trial_reference(exp, seed=2)).pvalue > 1e-3
 
 
+def _assert_same_report(a, b):
+    """Field by field: reports compare by identity, their estimates as arrays."""
+    for field in fields(TrialReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y) if field.name == "estimates" else x == y, field.name
+
+
 def test_simulation_deterministic():
     exp = experiment(frames=100, trials=50, seed=12)
     assert np.array_equal(simulate_counts(exp), simulate_counts(exp))
-    assert run_crb_experiment(exp) == run_crb_experiment(exp)
+    _assert_same_report(run_crb_experiment(exp), run_crb_experiment(exp))
+
+
+@pytest.mark.parametrize("measurement", ["counting", HOMODYNE, HETERODYNE])
+@pytest.mark.parametrize("trials", [1, 30])
+def test_report_estimates_are_a_read_only_float_array(measurement, trials):
+    noise = SNR4 if measurement == "counting" else NO_NOISE
+    exp = experiment(noise=noise, measurement=measurement, frames=20, trials=trials, seed=5)
+    rep = run_crb_experiment(exp)
+    est = rep.estimates
+    assert type(est) is np.ndarray and est.dtype == np.float64 and est.shape == (trials,)
+    assert not est.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        est[0] = 1.0
+    # two reports of one experiment are two reports
+    assert rep == rep and rep != run_crb_experiment(exp)
 
 
 def test_ml_inversion_boundaries():
@@ -284,7 +306,9 @@ def test_experiment_refuses_counts_that_are_not_nonnegative_integers(counts, mes
 
 def test_experiment_takes_numpy_integers():
     exp = experiment(frames=np.int64(10), trials=np.int32(10), seed=np.uint64(3))
-    assert run_crb_experiment(exp) == run_crb_experiment(experiment(frames=10, trials=10, seed=3))
+    _assert_same_report(
+        run_crb_experiment(exp), run_crb_experiment(experiment(frames=10, trials=10, seed=3))
+    )
 
 
 def _brentq_each(tf, targets):
